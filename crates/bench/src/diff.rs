@@ -8,8 +8,9 @@
 //! case-insensitive) measure real wall-clock and drift with the host, so
 //! they get a much looser tolerance (at least [`WALLCLOCK_TOL`]).
 //!
-//! Driven by the `bench_diff` binary / `scripts/bench_diff.sh`.
+//! Driven by `bench diff` / `scripts/bench_diff.sh`.
 
+use crate::exp::REGISTRY;
 use serde_json::Value;
 use std::path::Path;
 
@@ -152,37 +153,26 @@ fn walk(path: &str, b: &Value, f: &Value, tol: f64, d: &mut FigureDiff) {
     }
 }
 
-/// Diff every `*.json` report present in `baseline_dir` against its
-/// namesake in `fresh_dir`, sorted by name. A report missing on either
-/// side becomes a structural failure for that figure.
-pub fn diff_dirs(
-    baseline_dir: &Path,
-    fresh_dir: &Path,
-    tol: f64,
-) -> std::io::Result<Vec<FigureDiff>> {
-    let mut names: Vec<String> = Vec::new();
-    for dir in [baseline_dir, fresh_dir] {
-        for entry in std::fs::read_dir(dir)? {
-            let p = entry?.path();
-            if p.extension().is_some_and(|e| e == "json") {
-                let stem = p.file_stem().unwrap().to_string_lossy().into_owned();
-                if !names.contains(&stem) {
-                    names.push(stem);
-                }
-            }
-        }
-    }
-    names.sort();
+/// Diff every registry experiment's report (`<name>.json`) present in
+/// either directory against its namesake in the other, in registry order.
+/// A report missing or unreadable on one side becomes a structural failure
+/// for that figure; other files in the directories (an observed run's
+/// `trace.json`, …) are not reports and are ignored.
+pub fn diff_dirs(baseline_dir: &Path, fresh_dir: &Path, tol: f64) -> Vec<FigureDiff> {
     let mut out = Vec::new();
-    for name in names {
-        let load = |dir: &Path| -> Option<Value> {
-            let raw = std::fs::read_to_string(dir.join(format!("{name}.json"))).ok()?;
-            serde_json::from_str(&raw).ok()
+    for name in REGISTRY.iter().map(|e| e.name) {
+        let file = format!("{name}.json");
+        let (baseline, fresh) = (baseline_dir.join(&file), fresh_dir.join(&file));
+        if !baseline.exists() && !fresh.exists() {
+            continue;
+        }
+        let load = |path: &Path| -> Option<Value> {
+            serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()
         };
-        match (load(baseline_dir), load(fresh_dir)) {
-            (Some(b), Some(f)) => out.push(diff_reports(&name, &b, &f, tol)),
+        match (load(&baseline), load(&fresh)) {
+            (Some(b), Some(f)) => out.push(diff_reports(name, &b, &f, tol)),
             (b, f) => out.push(FigureDiff {
-                name,
+                name: name.to_string(),
                 fields: 0,
                 max_drift: None,
                 breaches: Vec::new(),
@@ -202,7 +192,7 @@ pub fn diff_dirs(
             }),
         }
     }
-    Ok(out)
+    out
 }
 
 /// Render the per-figure drift table plus a PASS/FAIL verdict line.

@@ -11,18 +11,18 @@
 //!   which wins at low match ratios).
 
 use crate::exp::run_algorithms;
-use crate::{Args, Report};
+use crate::{Report, Session};
 use joins::{Algorithm, JoinConfig};
 use primitives::{merge_join, sort_pairs_bits};
 use workloads::JoinWorkload;
 
 /// Ablation A1: PHJ-OM total time as a function of the radix fan-out.
-pub fn radix_bits(args: &Args) -> Report {
-    let mut report = Report::new("ablation_radix_bits", "PHJ-OM vs radix fan-out", args);
-    let dev = args.device();
+pub fn radix_bits(session: &mut Session) -> Report {
+    let mut report = Report::new("ablation_radix_bits", "PHJ-OM vs radix fan-out", session);
+    let dev = session.device();
     let w = JoinWorkload {
-        s_tuples: args.tuples() * 2,
-        ..JoinWorkload::wide(args.tuples())
+        s_tuples: session.tuples() * 2,
+        ..JoinWorkload::wide(session.tuples())
     };
     println!(
         "Ablation — PHJ-OM radix bits, |R| = {} ({})\n",
@@ -77,21 +77,20 @@ pub fn radix_bits(args: &Args) -> Report {
         best.0,
         auto_time / best.1
     ));
-    report.finish(args);
     report
 }
 
 /// Ablation A2: domain-restricted sorting. With keys known to lie in
 /// `0..|R|`, sorting `ceil(log2 |R|)` bits gives the same merge join with
 /// fewer RADIX-PARTITION passes.
-pub fn sort_bits(args: &Args) -> Report {
+pub fn sort_bits(session: &mut Session) -> Report {
     let mut report = Report::new(
         "ablation_sort_bits",
         "Domain-restricted SORT-PAIRS for SMJ",
-        args,
+        session,
     );
-    let dev = args.device();
-    let n = args.tuples();
+    let dev = session.device();
+    let n = session.tuples();
     let w = JoinWorkload::narrow(n);
     let (r, s) = w.generate(&dev);
     let domain_bits = usize::BITS - (n - 1).leading_zeros();
@@ -119,20 +118,19 @@ pub fn sort_bits(args: &Args) -> Report {
         "domain-restricted sorting is {:.2}x faster and produces identical matches",
         rows[0].1 / rows[1].1
     ));
-    report.finish(args);
     report
 }
 
 /// Ablation A3: the same PHJ implementation flipping between GFTR and GFUR
 /// across match ratios — the Section 4.3 flexibility argument.
-pub fn phj_patterns(args: &Args) -> Report {
+pub fn phj_patterns(session: &mut Session) -> Report {
     let mut report = Report::new(
         "ablation_phj_patterns",
         "PHJ-OM pattern choice (GFTR vs GFUR) vs match ratio",
-        args,
+        session,
     );
-    let dev = args.device();
-    let n = args.tuples();
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Ablation — one PHJ implementation, two patterns, |R| = |S| = {n} ({})\n",
         report.device
@@ -179,6 +177,5 @@ pub fn phj_patterns(args: &Args) -> Report {
         ),
         None => "GFUR won at every match ratio — check the cache regime".to_string(),
     });
-    report.finish(args);
     report
 }

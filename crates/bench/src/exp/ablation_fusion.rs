@@ -11,7 +11,7 @@
 //! between the two — DRAM bytes, cycles, kernel launches per selectivity —
 //! is the paper's late-materialization argument measured end to end.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use columnar::Column;
 use engine::{execute, execute_unfused, Catalog, Expr, Plan, Table};
 use sim::Device;
@@ -103,9 +103,15 @@ struct RunCost {
     rows: usize,
 }
 
-fn measure(args: &Args, n: usize, key_range: i32, threshold: i64, fused: bool) -> RunCost {
+fn measure(
+    session: &mut Session,
+    n: usize,
+    key_range: i32,
+    threshold: i64,
+    fused: bool,
+) -> RunCost {
     // Fresh device per run: the memory ledger and counters start clean.
-    let dev = args.device();
+    let dev = session.device();
     let cat = build_catalog(&dev, n, key_range);
     let plan = chain(threshold);
     let before = dev.counters();
@@ -116,14 +122,14 @@ fn measure(args: &Args, n: usize, key_range: i32, threshold: i64, fused: bool) -
     }
     .expect("ablation plan binds");
     let d = dev.counters().delta_since(&before);
-    if fused && threshold == 100 && args.explain_enabled() {
-        args.record_explain(
+    if fused && threshold == 100 && session.observing() {
+        session.record_explain(
             "ablation_fusion fused chain (10% selectivity)",
             &engine::QueryExplain::from_stats(dev.config(), &out.stats),
         );
     }
-    if !fused && threshold == 100 && args.explain_enabled() {
-        args.record_explain(
+    if !fused && threshold == 100 && session.observing() {
+        session.record_explain(
             "ablation_fusion unfused chain (10% selectivity)",
             &engine::QueryExplain::from_stats(dev.config(), &out.stats),
         );
@@ -137,13 +143,13 @@ fn measure(args: &Args, n: usize, key_range: i32, threshold: i64, fused: bool) -
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "ablation_fusion",
         "Operator fusion + GFTR tickets vs full materialization",
-        args,
+        session,
     );
-    let n = args.tuples();
+    let n = session.tuples();
     let key_range = (n / 4).max(64) as i32;
     println!(
         "Fusion ablation — Filter→Project→Join, {} fact rows, {} dim rows ({})\n",
@@ -166,8 +172,8 @@ pub fn run(args: &Args) -> Report {
         // f_sel is uniform over [0, 1000): the threshold IS the per-mille
         // selectivity.
         let threshold = (sel_pct * 10) as i64;
-        let fused = measure(args, n, key_range, threshold, true);
-        let unfused = measure(args, n, key_range, threshold, false);
+        let fused = measure(session, n, key_range, threshold, true);
+        let unfused = measure(session, n, key_range, threshold, false);
         assert_eq!(
             fused.rows, unfused.rows,
             "fused and unfused plans must agree on the result"
@@ -217,6 +223,5 @@ pub fn run(args: &Args) -> Report {
         fl < ul,
         "the fused plan must launch strictly fewer kernels ({fl} vs {ul})"
     );
-    report.finish(args);
     report
 }

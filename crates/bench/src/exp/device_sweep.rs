@@ -5,21 +5,21 @@
 //! unclustered gathers") extrapolated one generation forward.
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{Args, Report};
+use crate::{Report, Session};
 use joins::{Algorithm, JoinConfig};
 use sim::{Device, DeviceConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "ablation_device_sweep",
         "Wide join across device generations",
-        args,
+        session,
     );
     let w = JoinWorkload {
-        s_tuples: args.tuples() * 2,
-        ..JoinWorkload::wide(args.tuples())
+        s_tuples: session.tuples() * 2,
+        ..JoinWorkload::wide(session.tuples())
     };
     println!(
         "Ablation — wide join across devices, |R| = {} (paper-regime scaled)\n",
@@ -30,7 +30,7 @@ pub fn run(args: &Args) -> Report {
         "device", "SMJ-UM", "SMJ-OM", "PHJ-UM", "PHJ-OM", "PHJ OM/UM"
     );
 
-    let f = args.regime_factor();
+    let f = session.regime_factor();
     for cfg in [
         DeviceConfig::rtx3090(),
         DeviceConfig::a100(),
@@ -71,6 +71,5 @@ pub fn run(args: &Args) -> Report {
          {last:.2}x on H100): growing L2 and bandwidth together does not fix \
          unclustered gathers, as the paper observed for A100 vs RTX 3090"
     ));
-    report.finish(args);
     report
 }

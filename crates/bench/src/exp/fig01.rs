@@ -5,17 +5,17 @@
 //! the paper's optimized variants claw that back (up to 2.3x end to end).
 
 use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Args, Report};
+use crate::{Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig01", "Time break-down for join processing", args);
-    let dev = args.device();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig01", "Time break-down for join processing", session);
+    let dev = session.device();
     let w = JoinWorkload {
-        s_tuples: args.tuples() * 2,
-        ..JoinWorkload::wide(args.tuples())
+        s_tuples: session.tuples() * 2,
+        ..JoinWorkload::wide(session.tuples())
     };
     println!(
         "Figure 1 — {} ⋈ {} tuples (1:2 sizes), 2 payload columns each, {}\n",
@@ -54,6 +54,5 @@ pub fn run(args: &Args) -> Report {
     report.finding(format!(
         "PHJ-OM is {nphj_vs:.2}x faster than the non-partitioned hash join"
     ));
-    report.finish(args);
     report
 }

@@ -3,7 +3,7 @@
 //! bars per device: the unclustered gather alone (what *-UM pays), sort +
 //! clustered gather (SMJ-OM), and partition + clustered gather (PHJ-OM).
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use primitives::{gather, radix_partition, sort_pairs};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -62,20 +62,20 @@ fn bars(dev: &Device, n: usize) -> Vec<(String, f64)> {
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "fig07",
         "Clustered GATHER with transformation cost vs unclustered GATHER",
-        args,
+        session,
     );
-    let n = args.tuples();
+    let n = session.tuples();
     println!("Figure 7 — gather efficiency for {n} items, both devices (paper-regime scaled)\n");
     println!(
         "{:<32} {:>14} {:>14}",
         "configuration", "A100 Mt/s", "3090 Mt/s"
     );
 
-    let f = args.regime_factor();
+    let f = session.regime_factor();
     let a100 = bars(&Device::new(DeviceConfig::a100().scaled(f)), n);
     let r3090 = bars(&Device::new(DeviceConfig::rtx3090().scaled(f)), n);
     for ((label, a), (_, r)) in a100.iter().zip(&r3090) {
@@ -98,6 +98,5 @@ pub fn run(args: &Args) -> Report {
         speedup(&a100, 1),
         speedup(&r3090, 1)
     ));
-    report.finish(args);
     report
 }

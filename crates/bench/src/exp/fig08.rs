@@ -2,7 +2,7 @@
 //! (|S| = 2|R|, one payload column per relation, 100% match ratio).
 
 use crate::exp::run_algorithms;
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use sim::SimTime;
 use workloads::JoinWorkload;
@@ -17,13 +17,17 @@ const ALGS: [Algorithm; 6] = [
 ];
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig08", "CPU- and GPU-based narrow join throughput", args);
-    let dev = args.device();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new(
+        "fig08",
+        "CPU- and GPU-based narrow join throughput",
+        session,
+    );
+    let dev = session.device();
     println!(
         "Figure 8 — narrow joins, |S| = 2|R|, sizes 2^{}..2^{} ({})\n",
-        args.scale_log2 - 3,
-        args.scale_log2,
+        session.scale_log2() - 3,
+        session.scale_log2(),
         report.device
     );
     print!("{:<14}", "|R| tuples");
@@ -35,7 +39,7 @@ pub fn run(args: &Args) -> Report {
     let mut best_gpu_vs_cpu = 0.0f64;
     let mut best_vs_cudf = 0.0f64;
     for shift in (0..4).rev() {
-        let r_tuples = args.tuples() >> shift;
+        let r_tuples = session.tuples() >> shift;
         let w = JoinWorkload::narrow(r_tuples);
         let total = w.total_tuples();
         // The CPU baseline measures real wall-clock: repeat and keep the
@@ -47,7 +51,7 @@ pub fn run(args: &Args) -> Report {
         let mut best = 0.0f64;
         for alg in ALGS {
             let t = if alg == Algorithm::CpuRadix {
-                let mut ts: Vec<f64> = (0..args.reps.max(1))
+                let mut ts: Vec<f64> = (0..session.reps().max(1))
                     .map(|_| {
                         let (r, s) = w.generate(&dev);
                         joins::run_join(&dev, alg, &r, &s, &JoinConfig::default())
@@ -88,6 +92,5 @@ pub fn run(args: &Args) -> Report {
     report.finding(format!(
         "best GPU join is {best_vs_cudf:.1}x faster than the cuDF-style NPHJ (paper: up to 4x)"
     ));
-    report.finish(args);
     report
 }

@@ -3,14 +3,14 @@
 //! materialization phase — the single payload rides through the transform).
 
 use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Args, Report};
+use crate::{Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig09", "Time breakdown of narrow joins", args);
-    let dev = args.device();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig09", "Time breakdown of narrow joins", session);
+    let dev = session.device();
     let algorithms = [
         Algorithm::Nphj,
         Algorithm::SmjUm,
@@ -19,7 +19,7 @@ pub fn run(args: &Args) -> Report {
         Algorithm::PhjOm,
     ];
     for shift in [2, 0] {
-        let r_tuples = args.tuples() >> shift;
+        let r_tuples = session.tuples() >> shift;
         let w = JoinWorkload::narrow(r_tuples);
         println!(
             "\nFigure 9 — narrow join, |R| = {} (|S| = 2|R|), {}",
@@ -55,6 +55,5 @@ pub fn run(args: &Args) -> Report {
         }
     }
     println!();
-    report.finish(args);
     report
 }

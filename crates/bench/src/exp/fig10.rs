@@ -3,14 +3,14 @@
 //! the paper's GFTR variants win.
 
 use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Args, Report};
+use crate::{Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig10", "Time breakdown of wide joins", args);
-    let dev = args.device();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig10", "Time breakdown of wide joins", session);
+    let dev = session.device();
     let algorithms = [
         Algorithm::Nphj,
         Algorithm::SmjUm,
@@ -20,7 +20,7 @@ pub fn run(args: &Args) -> Report {
     ];
     let mut last = Vec::new();
     for shift in [2, 1, 0] {
-        let r_tuples = args.tuples() >> shift;
+        let r_tuples = session.tuples() >> shift;
         let w = JoinWorkload {
             s_tuples: r_tuples * 2,
             ..JoinWorkload::wide(r_tuples)
@@ -53,6 +53,5 @@ pub fn run(args: &Args) -> Report {
          the passes of sorting)",
         f(Algorithm::SmjOm) / f(Algorithm::PhjOm)
     ));
-    report.finish(args);
     report
 }

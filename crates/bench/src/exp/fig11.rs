@@ -1,16 +1,16 @@
 //! Figure 11: effect of the |R|/|S| size ratio on wide joins (|S| fixed).
 
 use crate::exp::run_algorithms;
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use sim::SimTime;
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig11", "Effect of |R|/|S|", args);
-    let dev = args.device();
-    let s_tuples = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig11", "Effect of |R|/|S|", session);
+    let dev = session.device();
+    let s_tuples = session.tuples();
     println!(
         "Figure 11 — wide join, |S| = {} fixed, |R|/|S| swept ({})\n",
         s_tuples, report.device
@@ -58,6 +58,5 @@ pub fn run(args: &Args) -> Report {
         om_always_ahead
     ));
     let _ = SimTime::ZERO;
-    report.finish(args);
     report
 }

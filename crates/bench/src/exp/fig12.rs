@@ -1,16 +1,16 @@
 //! Figure 12: effect of the number of payload columns (|R| = |S|).
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use columnar::DType;
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig12", "Effect of the number of payload columns", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig12", "Effect of the number of payload columns", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Figure 12 — wide join, |R| = |S| = {}, payload columns swept ({})\n",
         n, report.device
@@ -57,6 +57,5 @@ pub fn run(args: &Args) -> Report {
         "at 8 payload columns, SMJ-OM holds a {smj_ratio_at_8:.2}x speedup over SMJ-UM \
          (paper: ~1.3x)"
     ));
-    report.finish(args);
     report
 }

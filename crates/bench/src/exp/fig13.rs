@@ -3,15 +3,15 @@
 //! GFUR implementations pull ahead.
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig13", "Effect of different match ratios", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig13", "Effect of different match ratios", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Figure 13 — wide join, |R| = |S| = {}, match ratio swept ({})\n",
         n, report.device
@@ -69,6 +69,5 @@ pub fn run(args: &Args) -> Report {
          unclustered gathers of tiny outputs)",
         low_ratio_winner.name()
     ));
-    report.finish(args);
     report
 }

@@ -3,15 +3,15 @@
 //! serialization; the stable RADIX-PARTITION (PHJ-OM, SMJ-*) stays flat.
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig14", "Effect of foreign key skewness", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig14", "Effect of foreign key skewness", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Figure 14 — wide join, |R| = |S| = {}, Zipf factor swept ({})\n",
         n, report.device
@@ -71,6 +71,5 @@ pub fn run(args: &Args) -> Report {
     report.finding(format!(
         "PHJ-OM is the best implementation at every Zipf factor: {om_always_best} (paper: yes)"
     ));
-    report.finish(args);
     report
 }

@@ -4,16 +4,16 @@
 //! half the passes of sorting.
 
 use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Args, Report};
+use crate::{Report, Session};
 use columnar::DType;
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig15", "Effect of data types", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig15", "Effect of data types", session);
+    let dev = session.device();
+    let n = session.tuples();
     let mut phj_om_wins_everywhere = true;
     for (key, payload, label) in [
         (DType::I32, DType::I32, "4B key + 4B payload"),
@@ -60,6 +60,5 @@ pub fn run(args: &Args) -> Report {
     report.finding(format!(
         "PHJ-OM is the fastest for every type combination: {phj_om_wins_everywhere} (paper: yes)"
     ));
-    report.finish(args);
     report
 }

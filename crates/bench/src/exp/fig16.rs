@@ -2,18 +2,17 @@
 //! materializes one more carried column than the last, so the GFTR
 //! implementations pull further ahead as the pipeline deepens.
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use joins::plan::join_sequence;
 use joins::{Algorithm, JoinConfig};
-use sim::SimTime;
 use workloads::star::star_schema;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig16", "Sequences of joins", args);
-    let dev = args.device();
-    let fact = args.tuples();
-    let dim = args.tuples() >> 2; // the paper's |F| = 2^27, |D_i| = 2^25
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig16", "Sequences of joins", session);
+    let dev = session.device();
+    let fact = session.tuples();
+    let dim = session.tuples() >> 2; // the paper's |F| = 2^27, |D_i| = 2^25
     println!(
         "Figure 16 — star schema, |F| = {}, |D_i| = {}, N swept ({})\n",
         fact, dim, report.device
@@ -60,7 +59,5 @@ pub fn run(args: &Args) -> Report {
         "PHJ-OM's advantage over PHJ-UM grows with pipeline depth: {first:.2}x at 2 joins \
          -> {last:.2}x at 8 (paper: 1.49x -> 1.78x)"
     ));
-    let _ = SimTime::ZERO;
-    report.finish(args);
     report
 }

@@ -4,16 +4,16 @@
 //! runs everything at 1/32 of the paper's sizes.
 
 use crate::exp::{breakdown_row, print_breakdown_header};
-use crate::{Args, Report};
+use crate::{Report, Session};
 use columnar::DType;
 use joins::Algorithm;
 use workloads::tpc::{generate, TpcJoinId};
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig17", "Joins from TPC-H and TPC-DS benchmarks", args);
-    let dev = args.device();
-    let scale = (args.tuples() as f64 / (1u64 << 27) as f64).min(1.0);
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig17", "Joins from TPC-H and TPC-DS benchmarks", session);
+    let dev = session.device();
+    let scale = (session.tuples() as f64 / (1u64 << 27) as f64).min(1.0);
     let mut phj_om_near_best = 0usize;
     let mut cases = 0usize;
     for key_type in [DType::I32, DType::I64] {
@@ -70,6 +70,5 @@ pub fn run(args: &Args) -> Report {
         "PHJ-OM is within 10% of the best implementation on {phj_om_near_best}/{cases} TPC \
          join cases (paper: 'PHJ-OM performs consistently well for all evaluated joins')"
     ));
-    report.finish(args);
     report
 }

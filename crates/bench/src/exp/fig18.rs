@@ -3,17 +3,17 @@
 //! implementations and check how close the tree's pick lands to the best.
 
 use crate::exp::run_algorithms;
-use crate::{Args, Report};
+use crate::{Report, Session};
 use columnar::DType;
 use heuristics::{choose_join, choose_smj, profile_of};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("fig18", "Decision trees vs measured winners", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("fig18", "Decision trees vs measured winners", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Figure 18 — decision-tree validation over a workload grid, |R| = {} ({})\n",
         n, report.device
@@ -90,6 +90,5 @@ pub fn run(args: &Args) -> Report {
         "the decision tree lands within 1.35x of the measured best on {within}/{total} \
          grid points"
     ));
-    report.finish(args);
     report
 }

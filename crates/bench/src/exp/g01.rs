@@ -2,16 +2,16 @@
 //! Few groups: the global hash table is L2-resident and unbeatable. Many
 //! groups: its random misses dominate and the transform-based variants win.
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use sim::SimTime;
 use workloads::agg::AggWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("g01", "Grouped aggregation vs number of groups", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("g01", "Grouped aggregation vs number of groups", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "G1 — SUM over one column, {} rows, group count swept ({})\n",
         n, report.device
@@ -25,7 +25,7 @@ pub fn run(args: &Args) -> Report {
     let mut hash_small = 0.0;
     let mut hash_large = 0.0;
     let mut best_large = (GroupByAlgorithm::HashGlobal, 0.0f64);
-    let sweep: Vec<usize> = (4..args.scale_log2.saturating_sub(1))
+    let sweep: Vec<usize> = (4..session.scale_log2().saturating_sub(1))
         .step_by(4)
         .map(|b| 1usize << b)
         .collect();
@@ -66,6 +66,5 @@ pub fn run(args: &Args) -> Report {
         best_large.0.name()
     ));
     let _ = SimTime::ZERO;
-    report.finish(args);
     report
 }

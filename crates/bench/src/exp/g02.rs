@@ -3,15 +3,15 @@
 //! and sort-based variants are distribution-robust — the aggregation analog
 //! of Figure 14.
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use workloads::agg::AggWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("g02", "Grouped aggregation under key skew", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("g02", "Grouped aggregation under key skew", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "G2 — SUM over one column, {} rows, 2^16 groups, Zipf swept ({})\n",
         n, report.device
@@ -63,6 +63,5 @@ pub fn run(args: &Args) -> Report {
         "partitioned aggregation stays within {:.2}x of its uniform throughput",
         part.0 / part.1
     ));
-    report.finish(args);
     report
 }

@@ -2,16 +2,16 @@
 //! as the number of aggregated columns grows, the aggregation analog of
 //! Figure 12.
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use columnar::DType;
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use workloads::agg::AggWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("g03", "Wide aggregations: GFTR vs GFUR", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("g03", "Wide aggregations: GFTR vs GFUR", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "G3 — SUM over k columns, {} rows, 2^18 groups, k swept ({})\n",
         n, report.device
@@ -57,6 +57,5 @@ pub fn run(args: &Args) -> Report {
         "at 8 aggregated columns, sort-GFTR is {sort_ratio_at_8:.2}x faster than sort-GFUR \
          (transforming every column beats unclustered gathers)"
     ));
-    report.finish(args);
     report
 }

@@ -2,17 +2,17 @@
 //! of TPC-H Q18 (orders ⋈ lineitem, then SUM(quantity) per order). Compares
 //! join-algorithm × aggregation-algorithm combinations end to end.
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use gpu_join::pipeline::{join_then_group_by, GroupKey, PipelineSpec};
 use groupby::{AggFn, GroupByAlgorithm};
 use joins::Algorithm;
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("g04", "Join + grouped aggregation pipelines", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("g04", "Join + grouped aggregation pipelines", session);
+    let dev = session.device();
+    let n = session.tuples();
     let w = JoinWorkload {
         s_tuples: n * 2,
         ..JoinWorkload::wide(n)
@@ -72,6 +72,5 @@ pub fn run(args: &Args) -> Report {
     }
     println!();
     report.finding(format!("fastest pipeline: {}", best.0));
-    report.finish(args);
     report
 }

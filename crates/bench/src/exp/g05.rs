@@ -2,16 +2,16 @@
 //! the aggregation analog of Figure 15 — 8-byte columns double the
 //! transform cost of the GFTR variants while the hash table barely notices.
 
-use crate::{mtps, Args, Report};
+use crate::{mtps, Report, Session};
 use columnar::DType;
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use workloads::agg::AggWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("g05", "Grouped aggregation data types", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("g05", "Grouped aggregation data types", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "G5 — SUM over 2 columns, {} rows, 2^16 groups, type mixes ({})\n",
         n, report.device
@@ -65,6 +65,5 @@ pub fn run(args: &Args) -> Report {
          (wider sorting passes, the Figure 15 effect)",
         sort_4b / sort_8b
     ));
-    report.finish(args);
     report
 }

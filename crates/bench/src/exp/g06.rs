@@ -3,7 +3,7 @@
 //! scan/filter/join/aggregate plans. Reports per-query times with the join
 //! implementation pinned to each variant vs the decision tree's pick.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::{execute, Plan};
 use joins::Algorithm;
@@ -68,10 +68,10 @@ fn pin_joins(plan: Plan, alg: Algorithm) -> Plan {
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("g06", "Query segments through the engine", args);
-    let dev = args.device();
-    let orders = args.tuples() / 8; // lineitem = orders * 4 rows
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("g06", "Query segments through the engine", session);
+    let dev = session.device();
+    let orders = session.tuples() / 8; // lineitem = orders * 4 rows
     let catalog = tpch_mini(&dev, orders, 99);
     println!(
         "G6 — TPC-H-shaped plans, {} orders / ~{} lineitems ({})\n",
@@ -107,8 +107,8 @@ pub fn run(args: &Args) -> Report {
             let t = out.stats.total_time().secs();
             print!(" {:>9.2}ms", t * 1e3);
             let label = pick.map_or("auto", |a| a.name());
-            if pick.is_none() && args.explain_enabled() {
-                args.record_explain(
+            if pick.is_none() && session.observing() {
+                session.record_explain(
                     &format!("g06 {name} (auto)"),
                     &engine::QueryExplain::from_stats(dev.config(), &out.stats),
                 );
@@ -130,6 +130,5 @@ pub fn run(args: &Args) -> Report {
             ));
         }
     }
-    report.finish(args);
     report
 }

@@ -17,7 +17,7 @@
 //! device-timestamped and tagged with the owning query), so every reported
 //! number is deterministic simulated time.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::scheduler::{Policy, QuerySpec};
 use engine::{Catalog, NodeStats, Plan};
@@ -58,18 +58,18 @@ fn mix_plan(i: usize) -> Plan {
     }
 }
 
-struct Session {
+struct Round {
     reports: Vec<engine::scheduler::QueryReport>,
     finishes: Vec<f64>,
     makespan: f64,
 }
 
-fn session(dev: &Device, catalog: &Catalog, specs: Vec<QuerySpec>, policy: Policy) -> Session {
+fn round(dev: &Device, catalog: &Catalog, specs: Vec<QuerySpec>, policy: Policy) -> Round {
     let n = specs.len();
     let t0 = dev.elapsed().secs();
     let reports = engine::run_queries(dev, catalog, specs, policy);
     let makespan = dev.elapsed().secs() - t0;
-    Session {
+    Round {
         reports,
         finishes: finishes(dev, t0, n),
         makespan,
@@ -77,17 +77,17 @@ fn session(dev: &Device, catalog: &Catalog, specs: Vec<QuerySpec>, policy: Polic
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "m01_multi_query",
         "Multi-query scheduling: throughput, fairness, latency",
-        args,
+        session,
     );
-    let dev = args.device();
+    let dev = session.device();
     // Finish times come from the tagged base trace, so tracing is always on
     // here (it does not perturb the simulation — see tests/trace_invariants).
     dev.enable_tracing();
-    let orders = args.tuples() / 16;
+    let orders = session.tuples() / 16;
     let catalog = tpch_mini(&dev, orders, 99);
     println!(
         "M1 — concurrent tenants over the demo catalog, {} orders / ~{} lineitems ({})\n",
@@ -99,7 +99,7 @@ pub fn run(args: &Args) -> Report {
     // Solo baselines: each mix shape alone on the device.
     let solo_busy: Vec<f64> = (0..3)
         .map(|i| {
-            let s = session(
+            let s = round(
                 &dev,
                 &catalog,
                 vec![QuerySpec::new(mix_plan(i))],
@@ -117,7 +117,7 @@ pub fn run(args: &Args) -> Report {
     );
     for n in [1usize, 2, 4, 8] {
         let specs = (0..n).map(|i| QuerySpec::new(mix_plan(i))).collect();
-        let s = session(&dev, &catalog, specs, Policy::RoundRobin);
+        let s = round(&dev, &catalog, specs, Policy::RoundRobin);
         assert!(s.reports.iter().all(|r| r.result.is_ok()));
         let mean = s.finishes.iter().sum::<f64>() / n as f64;
         let p99v = p99(&s.finishes);
@@ -167,14 +167,14 @@ pub fn run(args: &Args) -> Report {
         let specs = (0..4)
             .map(|i| QuerySpec::new(mix_plan(i)).with_weight(weights[i]))
             .collect();
-        let s = session(&dev, &catalog, specs, policy);
+        let s = round(&dev, &catalog, specs, policy);
         assert!(s.reports.iter().all(|r| r.result.is_ok()));
         // Each tenant comes back with its own attributed EXPLAIN ANALYZE
-        // report; under --explain, record the round-robin session's.
+        // report; under --observe, record the round-robin round's.
         if policy == Policy::RoundRobin {
             for r in &s.reports {
                 if let Some(ex) = &r.explain {
-                    args.record_explain(&format!("m01 round-robin tenant {}", r.query), ex);
+                    session.record_explain(&format!("m01 round-robin tenant {}", r.query), ex);
                 }
             }
         }
@@ -206,7 +206,7 @@ pub fn run(args: &Args) -> Report {
     // re-planner covers); its direct-path peak calibrates the splits.
     let budget_plan = || Plan::scan("orders").join(Plan::scan("lineitem"), "o_id", "l_oid");
     let solo_peak = {
-        let s = session(
+        let s = round(
             &dev,
             &catalog,
             vec![QuerySpec::new(budget_plan())],
@@ -231,7 +231,7 @@ pub fn run(args: &Args) -> Report {
         let specs = (0..4)
             .map(|i| QuerySpec::new(budget_plan()).with_budget(budgets[i]))
             .collect();
-        let s = session(&dev, &catalog, specs, Policy::RoundRobin);
+        let s = round(&dev, &catalog, specs, Policy::RoundRobin);
         let completed = s.reports.iter().filter(|r| r.result.is_ok()).count();
         let out_of_core: usize = s
             .reports
@@ -279,6 +279,5 @@ pub fn run(args: &Args) -> Report {
         solo_peak as f64 / (1 << 20) as f64
     ));
 
-    report.finish(args);
     report
 }

@@ -16,7 +16,7 @@
 //! policy, so the whole curve is bit-identical across re-runs and
 //! `host_threads` settings.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::scheduler::{OpenQuery, Policy, QuerySpec};
 use engine::Plan;
@@ -83,13 +83,13 @@ fn class_stats(snap: &sim::MetricsSnapshot, class: &str) -> ClassStats {
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "m02_serving",
         "Open-loop serving: offered load vs latency from service metrics",
-        args,
+        session,
     );
-    let orders = args.tuples() / 16;
+    let orders = session.tuples() / 16;
 
     // -- Calibration: mean service time of the mix, solo and serial -------
     // One fresh device per solo run so each measurement starts from a cold
@@ -97,7 +97,7 @@ pub fn run(args: &Args) -> Report {
     // demand, independent of queueing.
     let solo_busy: Vec<f64> = (0..3)
         .map(|i| {
-            let dev = args.device();
+            let dev = session.device();
             let catalog = tpch_mini(&dev, orders, 99);
             let (_, plan) = mix(i);
             let reports =
@@ -134,14 +134,9 @@ pub fn run(args: &Args) -> Report {
         let lambda = rho * capacity_qps;
         // Fresh device and catalog per step: the latency histograms are
         // cumulative, so a clean registry is what makes each step's
-        // quantiles that step's quantiles.
-        let dev = args.device();
-        if !dev.metrics_enabled() {
-            // The curve is derived from the metrics subsystem, so the
-            // recorder is on even without --metrics (same interval rule, so
-            // a --metrics run exports byte-identical histograms).
-            dev.enable_metrics(args.metrics_interval());
-        }
+        // quantiles that step's quantiles. The curve is derived from the
+        // metrics subsystem, so the recorder is on even without --observe.
+        let dev = session.metered_device();
         let catalog = tpch_mini(&dev, orders, 99);
         let t0 = dev.elapsed().secs();
 
@@ -237,14 +232,14 @@ pub fn run(args: &Args) -> Report {
             "classes": serde_json::Value::Object(class_json),
             "lifecycle": lifecycle_json,
         }));
-        if args.digest_enabled() {
+        if session.observing() {
             if let Some(trace) = dev.trace_snapshot() {
                 let explains: Vec<_> = reports
                     .iter()
                     .filter_map(|r| r.explain.clone().map(|e| (r.query, e)))
                     .collect();
                 let digest = engine::slow_queries(&trace, &snap, &explains);
-                args.record_digest(&format!("m02_serving rho={rho:.2}"), &digest);
+                session.record_digest(&format!("m02_serving rho={rho:.2}"), &digest);
             }
         }
         let worst_p99 = classes.iter().map(|(_, s)| s.p99_s).fold(0.0, f64::max);
@@ -268,6 +263,5 @@ pub fn run(args: &Args) -> Report {
         ARRIVALS_PER_STEP
     ));
 
-    report.finish(args);
     report
 }

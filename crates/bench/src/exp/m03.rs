@@ -17,9 +17,9 @@
 //! 3. **Plan cache** — steady-state repeat traffic through
 //!    [`engine::PlanCache`] at a capacity that fits the mix and one that
 //!    thrashes, reporting hit/miss/eviction counts and recording one
-//!    cache-hit EXPLAIN with its provenance line under `--explain`.
+//!    cache-hit EXPLAIN with its provenance line under `--observe`.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
 use engine::{EngineError, Plan, PlanCache, QueryExplain};
@@ -96,18 +96,18 @@ fn lifecycle_json(
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "m03_admission",
         "Serving control: policy sweep past saturation, admission shedding, plan cache",
-        args,
+        session,
     );
-    let orders = args.tuples() / 16;
+    let orders = session.tuples() / 16;
 
     // -- Calibration: solo-Serial service time per mix class ---------------
     let solo_busy: Vec<f64> = (0..3)
         .map(|i| {
-            let dev = args.device();
+            let dev = session.device();
             let catalog = tpch_mini(&dev, orders, 99);
             let (_, plan) = mix(i);
             let reports =
@@ -164,10 +164,7 @@ pub fn run(args: &Args) -> Report {
         for &(label, policy) in &policies {
             // Fresh device and catalog per run: cumulative histograms, so a
             // clean registry is what makes each run's quantiles its own.
-            let dev = args.device();
-            if !dev.metrics_enabled() {
-                dev.enable_metrics(args.metrics_interval());
-            }
+            let dev = session.metered_device();
             let catalog = tpch_mini(&dev, orders, 99);
             let t0 = dev.elapsed().secs();
             let arrivals: Vec<OpenQuery> = offsets
@@ -249,10 +246,7 @@ pub fn run(args: &Args) -> Report {
     ));
 
     // -- Step 2: bounded queue + predicted-memory gate ---------------------
-    let dev = args.device();
-    if !dev.metrics_enabled() {
-        dev.enable_metrics(args.metrics_interval());
-    }
+    let dev = session.metered_device();
     let catalog = tpch_mini(&dev, orders, 99);
     let free = dev.mem_capacity() - dev.mem_report().current_bytes;
     let burst_budget = free * 2 / 5; // two reservations fit, a third cannot
@@ -336,10 +330,7 @@ pub fn run(args: &Args) -> Report {
         "cache", "hits", "misses", "evictions", "hit rate"
     );
     for capacity in [4usize, 2] {
-        let dev = args.device();
-        if !dev.metrics_enabled() {
-            dev.enable_metrics(args.metrics_interval());
-        }
+        let dev = session.metered_device();
         let catalog = tpch_mini(&dev, orders, 99);
         let mut cache = PlanCache::new(capacity);
         for round in 0..rounds {
@@ -350,7 +341,7 @@ pub fn run(args: &Args) -> Report {
                     .unwrap_or_else(|e| panic!("{class}: {e:?}"));
                 if capacity == 4 && round == 1 && i == 0 {
                     // One cache-hit EXPLAIN with its provenance line.
-                    args.record_explain(
+                    session.record_explain(
                         "m03 q18 (plan cache hit)",
                         &QueryExplain::from_stats(dev.config(), &out.stats).with_cache(info),
                     );
@@ -394,6 +385,5 @@ pub fn run(args: &Args) -> Report {
         rounds
     ));
 
-    report.finish(args);
     report
 }

@@ -19,7 +19,7 @@
 //! `slo_attainment_ratio` / `slo_debt_seconds_total`), not bench-side
 //! bookkeeping.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
 use engine::Plan;
@@ -61,18 +61,18 @@ fn uniform(state: &mut u64) -> f64 {
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "m04_slo",
         "SLO attainment and slow-query attribution across the load curve",
-        args,
+        session,
     );
-    let orders = args.tuples() / 16;
+    let orders = session.tuples() / 16;
 
     // -- Calibration: solo-Serial service time per mix class ---------------
     let solo_busy: Vec<f64> = (0..3)
         .map(|i| {
-            let dev = args.device();
+            let dev = session.device();
             let catalog = tpch_mini(&dev, orders, 99);
             let (_, plan) = mix(i);
             let reports =
@@ -114,13 +114,10 @@ pub fn run(args: &Args) -> Report {
         let lambda = rho * capacity_qps;
         // Fresh device per step; the digest needs lifecycle tracing and
         // the SLO counters need metrics, so both recorders are always on
-        // here (a --trace/--metrics run exports byte-identical supersets).
-        let dev = args.device();
+        // here (an --observe run exports byte-identical supersets).
+        let dev = session.metered_device();
         if !dev.tracing_enabled() {
             dev.enable_tracing();
-        }
-        if !dev.metrics_enabled() {
-            dev.enable_metrics(args.metrics_interval());
         }
         let catalog = tpch_mini(&dev, orders, 99);
         let t0 = dev.elapsed().secs();
@@ -154,7 +151,7 @@ pub fn run(args: &Args) -> Report {
             .collect();
         let digest = engine::slow_queries(&trace, &snap, &explains);
         assert_eq!(digest.queries, ARRIVALS_PER_STEP);
-        args.record_digest(&format!("m04_slo rho={rho:.2}"), &digest);
+        session.record_digest(&format!("m04_slo rho={rho:.2}"), &digest);
 
         // SLO accounting straight off the registry.
         let mut met_total = 0u64;
@@ -270,6 +267,5 @@ pub fn run(args: &Args) -> Report {
          latency exactly"
     ));
 
-    report.finish(args);
     report
 }

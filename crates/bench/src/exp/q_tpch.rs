@@ -10,15 +10,15 @@
 //! `--sql '<query>'` replaces the built-in pair with an ad-hoc query over
 //! the same catalog.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use engine::demo::{q18_sql, q3_sql, tpch_full};
 use engine::{execute, execute_unfused};
 
 /// Run Q3/Q18 (or `--sql`) through the SQL frontend.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("q_tpch", "TPC-H Q3/Q18 through the SQL frontend", args);
-    let dev = args.device();
-    let lineitems = args.tuples() / 2;
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("q_tpch", "TPC-H Q3/Q18 through the SQL frontend", session);
+    let dev = session.device();
+    let lineitems = session.tuples() / 2;
     let catalog = tpch_full(&dev, lineitems, 42);
     println!(
         "Q — SQL frontend, ~{} lineitems / {} orders ({})\n",
@@ -27,8 +27,8 @@ pub fn run(args: &Args) -> Report {
         report.device
     );
 
-    let queries: Vec<(String, String)> = match &args.sql {
-        Some(sql) => vec![("adhoc".to_string(), sql.clone())],
+    let queries: Vec<(String, String)> = match session.sql() {
+        Some(sql) => vec![("adhoc".to_string(), sql.to_string())],
         None => vec![
             ("Q3".to_string(), q3_sql().to_string()),
             ("Q18".to_string(), q18_sql().to_string()),
@@ -73,8 +73,8 @@ pub fn run(args: &Args) -> Report {
             t_unfused * 1e3,
             t_unfused / t_fused
         );
-        if args.explain_enabled() {
-            args.record_explain(
+        if session.observing() {
+            session.record_explain(
                 &format!("q_tpch {name}"),
                 &engine::QueryExplain::from_stats(dev.config(), &fused.stats),
             );
@@ -111,6 +111,5 @@ pub fn run(args: &Args) -> Report {
             ));
         }
     }
-    report.finish(args);
     report
 }

@@ -2,20 +2,20 @@
 //! clustered GATHERs — cycles, warp instructions, DRAM reads, and sectors
 //! per load request, straight from the simulator's Nsight-style counters.
 
-use crate::{Args, Report};
+use crate::{Report, Session};
 use primitives::gather;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
+pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
         "table04",
         "Micro-architectural comparison between unclustered and clustered GATHERs",
-        args,
+        session,
     );
-    let dev = args.device();
-    let n = args.tuples();
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Table 4 — gathering {} 4-byte items on {}\n",
         n, report.device
@@ -92,6 +92,5 @@ pub fn run(args: &Args) -> Report {
     ));
     report.push(unclustered);
     report.push(clustered);
-    report.finish(args);
     report
 }

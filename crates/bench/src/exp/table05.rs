@@ -4,16 +4,16 @@
 //! counterparts.
 
 use crate::exp::run_algorithms;
-use crate::{gb, Args, Report};
+use crate::{gb, Report, Session};
 use columnar::DType;
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("table05", "Memory usage", args);
-    let dev = args.device();
-    let n = args.tuples();
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("table05", "Memory usage", session);
+    let dev = session.device();
+    let n = session.tuples();
     println!(
         "Table 5 — peak memory, |R| = |S| = {}, 2 payload columns each ({})\n",
         n, report.device
@@ -78,6 +78,5 @@ pub fn run(args: &Args) -> Report {
         "SMJ-OM stays within {smj_worst:.2}x of SMJ-UM's footprint across the mixes \
          (paper: equal or lower — 9.5/15/18 GB vs 11/15/20 GB)"
     ));
-    report.finish(args);
     report
 }

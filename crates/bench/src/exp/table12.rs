@@ -3,7 +3,7 @@
 //! simulator peaks.
 
 use crate::exp::run_algorithms;
-use crate::{gb, Args, Report};
+use crate::{gb, Report, Session};
 use gpu_join::memory_model::{gftr_peak, gftr_table, gfur_peak, gfur_table, PhaseRow};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
@@ -28,9 +28,9 @@ fn print_table(name: &str, rows: &[PhaseRow]) {
 }
 
 /// Run the experiment.
-pub fn run(args: &Args) -> Report {
-    let mut report = Report::new("table12", "GFUR/GFTR memory consumption model", args);
-    let n = args.tuples() as u64;
+pub fn run(session: &mut Session) -> Report {
+    let mut report = Report::new("table12", "GFUR/GFTR memory consumption model", session);
+    let n = session.tuples() as u64;
     let m_c = n * 4; // one 4-byte column
     let m_t = 1 << 20; // histogram-and-scan intermediates
 
@@ -48,8 +48,8 @@ pub fn run(args: &Args) -> Report {
     }));
 
     // Cross-check against measured peaks on the wide default workload.
-    let dev = args.device();
-    let w = JoinWorkload::wide(args.tuples());
+    let dev = session.device();
+    let w = JoinWorkload::wide(session.tuples());
     let results = run_algorithms(&dev, &w, &Algorithm::GPU_VARIANTS, &JoinConfig::default());
     println!();
     for (alg, stats) in &results {
@@ -76,6 +76,5 @@ pub fn run(args: &Args) -> Report {
         peak(Algorithm::SmjOm) <= peak(Algorithm::SmjUm),
         peak(Algorithm::PhjOm) <= peak(Algorithm::PhjUm),
     ));
-    report.finish(args);
     report
 }

@@ -1,8 +1,8 @@
 //! The perf-regression gate: [`crate::diff`] with a CI-enforceable verdict.
 //!
-//! `bench_diff` renders drift tables for humans; this module turns the same
-//! comparison into a hard gate `scripts/check.sh` and CI run on every
-//! change: fresh smoke-scale results are diffed against the checked-in
+//! `bench diff` renders drift tables for humans; this module turns the same
+//! comparison into a hard gate (`bench gate`, and `tests/smoke.rs` on every
+//! `cargo test`): fresh smoke-scale results are diffed against the checked-in
 //! baselines (`results/smoke14/`), and any *simulated* field drifting past
 //! the tolerance fails the build. Simulated numbers are deterministic, so
 //! the default tolerance is tight; wall-clock (CPU-baseline) fields time
@@ -44,12 +44,12 @@ impl GateOutcome {
 /// Run the gate: diff every report in `baseline_dir` against `fresh_dir`
 /// at `tol`, then drop breaches on wall-clock fields (they still appear in
 /// `max_drift` for context; they just cannot fail the gate).
-pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path, tol: f64) -> std::io::Result<GateOutcome> {
-    let mut diffs = diff_dirs(baseline_dir, fresh_dir, tol)?;
+pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path, tol: f64) -> GateOutcome {
+    let mut diffs = diff_dirs(baseline_dir, fresh_dir, tol);
     for d in &mut diffs {
         d.breaches.retain(|b| !is_wallclock(&b.path));
     }
-    Ok(GateOutcome { diffs, tol })
+    GateOutcome { diffs, tol }
 }
 
 #[cfg(test)]
@@ -84,7 +84,7 @@ mod tests {
         let (b, f) = tmp_dirs("identical");
         write_report(&b, "fig09", 1.0, 10.0);
         write_report(&f, "fig09", 1.0, 10.0);
-        let g = run_gate(&b, &f, DEFAULT_TOL).unwrap();
+        let g = run_gate(&b, &f, DEFAULT_TOL);
         assert!(g.passed(), "{}", g.render());
         assert!(g.render().contains("PASS"));
     }
@@ -94,7 +94,7 @@ mod tests {
         let (b, f) = tmp_dirs("drift");
         write_report(&b, "fig09", 1.0, 10.0);
         write_report(&f, "fig09", 1.1, 10.0);
-        let g = run_gate(&b, &f, DEFAULT_TOL).unwrap();
+        let g = run_gate(&b, &f, DEFAULT_TOL);
         assert!(!g.passed(), "10% simulated drift must fail the gate");
         assert!(g.render().contains("FAIL"));
         assert!(g.diffs[0]
@@ -108,7 +108,7 @@ mod tests {
         let (b, f) = tmp_dirs("wallclock");
         write_report(&b, "fig09", 1.0, 10.0);
         write_report(&f, "fig09", 1.0, 35.0); // 3.5x slower host
-        let g = run_gate(&b, &f, DEFAULT_TOL).unwrap();
+        let g = run_gate(&b, &f, DEFAULT_TOL);
         assert!(
             g.passed(),
             "wall-clock drift is not a regression: {}",
@@ -117,10 +117,23 @@ mod tests {
     }
 
     #[test]
+    fn files_that_are_not_registry_reports_are_ignored() {
+        // An observed run's artifact directory holds more JSON than reports.
+        let (b, f) = tmp_dirs("extras");
+        write_report(&b, "fig09", 1.0, 10.0);
+        write_report(&f, "fig09", 1.0, 10.0);
+        std::fs::write(f.join("trace.json"), "{\"traceEvents\":[]}").unwrap();
+        std::fs::write(f.join("metrics.json"), "{\"devices\":[]}").unwrap();
+        let g = run_gate(&b, &f, DEFAULT_TOL);
+        assert_eq!(g.diffs.len(), 1, "{}", g.render());
+        assert!(g.passed(), "{}", g.render());
+    }
+
+    #[test]
     fn missing_fresh_report_is_structural_failure() {
         let (b, f) = tmp_dirs("missing");
         write_report(&b, "fig09", 1.0, 10.0);
-        let g = run_gate(&b, &f, DEFAULT_TOL).unwrap();
+        let g = run_gate(&b, &f, DEFAULT_TOL);
         assert!(!g.passed(), "a vanished report must fail the gate");
     }
 }

@@ -1,72 +1,109 @@
-//! Smoke tests: every experiment must run end to end at a tiny scale and
-//! produce rows and findings. Guards the harness against bit-rot — a
-//! broken experiment fails here long before anyone re-runs the full
-//! evaluation.
+//! Smoke tests driven by the experiment registry: every experiment must run
+//! end to end at a tiny scale, the registry must name exactly the checked-in
+//! smoke baselines, and a fresh run must pass the 1% perf gate against them.
+//! A broken or drifting experiment fails here, under plain `cargo test`.
 
-use bench::{exp, Args, Report};
+use bench::exp::REGISTRY;
+use bench::{gate, Config, Session};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
-fn tiny() -> Args {
-    let mut args = Args::default();
-    args.scale_log2 = 14;
-    args.reps = 1;
-    args
+fn tiny() -> Config {
+    Config {
+        scale_log2: 14,
+        reps: 1,
+        ..Config::default()
+    }
 }
 
-fn assert_ran(report: Report) {
+fn smoke14() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/smoke14")
+}
+
+/// A clean scratch directory under the cargo target dir.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn every_registry_experiment_runs_and_produces_rows() {
+    let mut session = Session::new(tiny());
+    for exp in REGISTRY {
+        let rows = catch_unwind(AssertUnwindSafe(|| session.run(exp).rows.len()))
+            .unwrap_or_else(|_| panic!("{}: panicked (see output above)", exp.name));
+        assert!(rows > 0, "{}: no result rows", exp.name);
+    }
+}
+
+#[test]
+fn registry_names_are_unique_and_match_the_smoke14_baselines() {
+    let mut names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+    names.sort_unstable();
     assert!(
-        !report.rows.is_empty(),
-        "{}: no result rows",
-        report.experiment
+        names.windows(2).all(|w| w[0] != w[1]),
+        "duplicate registry name in {names:?}"
+    );
+
+    let mut stems: Vec<String> = std::fs::read_dir(smoke14())
+        .expect("results/smoke14 exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    stems.sort_unstable();
+    assert_eq!(names, stems, "registry vs results/smoke14/*.json");
+
+    // `bench list` is that same table, in run order.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench"))
+        .arg("list")
+        .output()
+        .expect("bench binary runs");
+    assert!(out.status.success());
+    let listed = String::from_utf8(out.stdout).unwrap();
+    let expected: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
+    assert_eq!(listed.lines().collect::<Vec<_>>(), expected);
+}
+
+#[test]
+fn fresh_scale_14_session_passes_the_gate() {
+    let out = scratch("smoke_gate");
+    let mut session = Session::new(Config {
+        out: Some(out.clone()),
+        ..tiny()
+    });
+    for exp in REGISTRY {
+        session.run(exp);
+    }
+    session.finish().expect("artifact directory is writable");
+
+    let verdict = gate::run_gate(&smoke14(), &out, gate::DEFAULT_TOL);
+    assert_eq!(verdict.diffs.len(), REGISTRY.len(), "{}", verdict.render());
+    assert!(verdict.passed(), "{}", verdict.render());
+    assert!(
+        out.join("summary.md").exists(),
+        "a full run writes summary.md"
+    );
+    assert!(
+        !out.join("trace.json").exists(),
+        "nothing is observed without --observe"
     );
 }
 
-macro_rules! smoke {
-    ($name:ident, $f:path) => {
-        #[test]
-        fn $name() {
-            assert_ran($f(&tiny()));
-        }
-    };
-}
-
-smoke!(fig01, exp::fig01::run);
-smoke!(table04, exp::table04::run);
-smoke!(fig07, exp::fig07::run);
-smoke!(fig08, exp::fig08::run);
-smoke!(fig09, exp::fig09::run);
-smoke!(fig10, exp::fig10::run);
-smoke!(fig11, exp::fig11::run);
-smoke!(fig12, exp::fig12::run);
-smoke!(fig13, exp::fig13::run);
-smoke!(fig14, exp::fig14::run);
-smoke!(fig15, exp::fig15::run);
-smoke!(table05, exp::table05::run);
-smoke!(fig16, exp::fig16::run);
-smoke!(fig17, exp::fig17::run);
-smoke!(fig18, exp::fig18::run);
-smoke!(table12, exp::table12::run);
-smoke!(g01, exp::g01::run);
-smoke!(g02, exp::g02::run);
-smoke!(g03, exp::g03::run);
-smoke!(g04, exp::g04::run);
-smoke!(g05, exp::g05::run);
-smoke!(g06, exp::g06::run);
-smoke!(ablation_radix_bits, exp::ablation::radix_bits);
-smoke!(ablation_sort_bits, exp::ablation::sort_bits);
-smoke!(ablation_phj_patterns, exp::ablation::phj_patterns);
-smoke!(ablation_device_sweep, exp::device_sweep::run);
-
 #[test]
-fn json_reports_are_written_when_requested() {
-    let dir = std::env::temp_dir().join("gpu_join_smoke");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("fig10.json");
-    let mut args = tiny();
-    args.json = Some(path.clone());
-    let _ = exp::fig10::run(&args);
-    let data = std::fs::read_to_string(&path).expect("report file written");
+fn a_partial_run_writes_its_reports_but_no_summary() {
+    let out = scratch("smoke_partial");
+    let mut session = Session::new(Config {
+        out: Some(out.clone()),
+        ..tiny()
+    });
+    session.run(bench::exp::find("fig10").unwrap());
+    session.finish().expect("artifact directory is writable");
+
+    let data = std::fs::read_to_string(out.join("fig10.json")).expect("report file written");
     let parsed: serde_json::Value = serde_json::from_str(&data).expect("valid json");
     assert_eq!(parsed["experiment"], "fig10");
     assert!(parsed["rows"].as_array().is_some_and(|r| !r.is_empty()));
-    let _ = std::fs::remove_file(path);
+    assert!(!out.join("summary.md").exists());
 }

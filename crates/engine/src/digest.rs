@@ -270,7 +270,7 @@ fn fmt_secs(ns: u64) -> String {
 
 impl SlowQueryDigest {
     /// Deterministic JSON rendering (field order fixed by the struct
-    /// definitions) — what `--digest <path>` writes.
+    /// definitions) — what an observed `bench` run writes as `digest.json`.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("digest serializes") + "\n"
     }

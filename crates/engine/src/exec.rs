@@ -13,7 +13,7 @@ use crate::op::{compile, compile_unfused, run_operator, ExecContext};
 use crate::{EngineError, Plan, Table};
 use columnar::{DType, Relation};
 use sim::{Device, OpStats, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Load-time statistics for one catalog column: the physical type plus the
 /// observed value range. The SQL binder types expressions against `dtype`;
@@ -66,7 +66,9 @@ impl TableSchema {
 /// statistics, keys and dictionaries) for the SQL binder and lowering.
 #[derive(Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    /// Ordered, so dropping a catalog frees its tables' device memory in
+    /// name order and the trace's coalesced `mem` samples are reproducible.
+    tables: BTreeMap<String, Table>,
     schemas: HashMap<String, TableSchema>,
     /// Bumped on every mutation (insert, key/dictionary declarations).
     /// The plan cache keys entries on this, so a statistics refresh or
@@ -183,9 +185,7 @@ impl Catalog {
 
     /// Registered table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
+        self.tables.keys().cloned().collect()
     }
 }
 

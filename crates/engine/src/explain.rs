@@ -286,7 +286,7 @@ impl QueryExplain {
         out
     }
 
-    /// The same report as a JSON value (for `--explain` files and CI
+    /// The same report as a JSON value (for `explain.json` files and CI
     /// artifacts).
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::to_value(self)

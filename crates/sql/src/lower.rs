@@ -20,7 +20,7 @@
 //! tuple; descending keys enter the field as `max - value`. Group keys
 //! unpack at the boundary with one Div/Mod projection per column.
 //! Every composite decision is recorded in [`Lowered::notes`] — the same
-//! guard/rationale text the heuristics tree carries, so `--explain` can
+//! guard/rationale text the heuristics tree carries, so `explain.json` can
 //! show why a plan has the shape it has.
 
 use crate::logical::LogicalPlan;

@@ -3,15 +3,14 @@
 #
 #   scripts/bench_diff.sh [--scale LOG2] [--tol FRACTION]
 #
-# Re-runs run_all into a scratch dir (never touching the tracked results/)
-# and compares every produced report against results/ with bench_diff,
-# printing a per-figure drift table. Exits nonzero when any figure drifts
-# beyond the tolerance. The baselines are recorded at --scale 22; diffing
-# at another scale fails structurally (scale_log2 is part of the report),
-# which is the honest answer — re-record baselines instead.
+# Runs `bench all` into a scratch dir and compares every produced report
+# against results/ with `bench diff`, printing a per-figure drift table.
+# Exits nonzero when any figure drifts beyond the tolerance. The baselines
+# are recorded at --scale 22; diffing at another scale fails structurally
+# (scale_log2 is part of the report), which is the honest answer —
+# re-record baselines instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-repo_dir="$PWD"
 
 scale=22
 tol=0.05
@@ -23,17 +22,16 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-cargo build --release --quiet -p bench --bin run_all --bin bench_diff
+cargo build --release --quiet -p bench
 
 fresh_dir="$(mktemp -d)"
 trap 'rm -rf "$fresh_dir"' EXIT
-echo "==> fresh run_all --scale $scale (into $fresh_dir)"
-if ! (cd "$fresh_dir" && "$repo_dir/target/release/run_all" --scale "$scale" >run_all.log 2>&1); then
-    echo "fresh run_all failed; tail of log:"
-    tail -40 "$fresh_dir/run_all.log"
+echo "==> fresh bench all --scale $scale (into $fresh_dir)"
+if ! target/release/bench all --scale "$scale" --out "$fresh_dir" >"$fresh_dir/bench.log" 2>&1; then
+    echo "fresh run failed; tail of log:"
+    tail -40 "$fresh_dir/bench.log"
     exit 1
 fi
 
-echo "==> bench_diff vs checked-in results/ (tol $tol)"
-"$repo_dir/target/release/bench_diff" \
-    --baseline "$repo_dir/results" --fresh "$fresh_dir/results" --tol "$tol"
+echo "==> bench diff vs checked-in results/ (tol $tol)"
+target/release/bench diff --baseline results --fresh "$fresh_dir" --tol "$tol"

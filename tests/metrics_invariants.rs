@@ -68,7 +68,7 @@ fn tenant_plans() -> Vec<Plan> {
     ]
 }
 
-/// Exports of one snapshot, as the strings the `--metrics` flag writes.
+/// Exports of one snapshot, as the strings an observed `bench` run writes.
 fn exports(snap: &MetricsSnapshot) -> (String, String) {
     let snaps = std::slice::from_ref(snap);
     (openmetrics(snaps), metrics_json(snaps))

@@ -192,6 +192,36 @@ fn traces_are_byte_identical_across_host_threads() {
     );
 }
 
+/// Dropping a catalog frees its tables at one frozen instant, and the
+/// trace coalesces that burst into one `mem` sample whose high-water is the
+/// ledger after the *first* free — so the free order must not depend on a
+/// per-process hash seed.
+#[test]
+fn catalog_drop_order_leaves_the_trace_reproducible() {
+    use gpu_join::engine::{Catalog, Table};
+    let run = || -> String {
+        let dev = traced_device();
+        let mut catalog = Catalog::new();
+        for (i, name) in ["nation", "customer", "orders", "lineitem", "part"]
+            .into_iter()
+            .enumerate()
+        {
+            let rows = 64 << i;
+            let col = Column::from_i32(&dev, (0..rows).collect(), "id");
+            catalog.insert(Table::new(name, vec![("id", col)]));
+        }
+        // Advance the clock so the drop below opens a fresh `mem` sample.
+        dev.kernel("tick").items(1 << 10, 1.0).launch();
+        drop(catalog);
+        jsonl(&[dev.take_trace().expect("tracing was enabled")])
+    };
+    let first = run();
+    assert!(first.contains(r#""type":"mem""#), "no mem samples traced");
+    for i in 1..8 {
+        assert_eq!(first, run(), "run {i}: JSONL differs from run 0");
+    }
+}
+
 #[test]
 fn disabled_tracing_leaves_results_untouched() {
     let run = |traced: bool| {
