@@ -61,28 +61,34 @@ fn bench_gather(c: &mut Criterion) {
     g.finish();
 }
 
-/// Host-side scaling of the warp-traffic simulation itself: the same 2^24
-/// unclustered gather charged with `host_threads = 1` (sequential reference)
-/// vs every available core. Simulated counters and times are bit-identical
-/// across the two; only wall-clock changes. On a multi-core host the
-/// N-thread variant should be >= 2x faster.
-fn bench_gather_host_threads(c: &mut Criterion) {
-    const BIG: usize = 1 << 24;
-    let all_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut shuffled: Vec<u32> = (0..BIG as u32).collect();
-    shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(1));
-    let mut g = c.benchmark_group("gather_2e24_host_threads");
-    g.throughput(Throughput::Elements(BIG as u64));
-    // On a single-core host both entries would be `1`; bench it once.
-    let variants: &[usize] = if all_cores > 1 { &[1, all_cores] } else { &[1] };
-    for &threads in variants {
-        let dev = Device::new(DeviceConfig::a100().with_host_threads(threads));
-        let src = dev.upload((0..BIG as i32).collect::<Vec<_>>(), "b.src");
-        let map = dev.upload(shuffled.clone(), "b.umap");
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
-            b.iter(|| gather(&dev, &src, &map));
+/// The warp-traffic core on its own (`warp_loads` + `launch`, nothing
+/// else), one number per path through `L2Cache::access_warp`: lanes in
+/// order (clustered), out of order with few same-set conflicts (unclustered
+/// on the full 40 MB L2), and out of order on an L2 cut down to 64 sets —
+/// the rollback path's worst case, where nearly every set a warp touches
+/// conflicts and is replayed.
+fn bench_warp_loads(c: &mut Criterion) {
+    const ADDRS: usize = 1 << 22;
+    let scattered = |i: usize| (i.wrapping_mul(2654435761)) % ADDRS;
+    let mut g = c.benchmark_group("warp_loads");
+    g.throughput(Throughput::Elements(ADDRS as u64));
+    let full = Device::a100();
+    let tiny = Device::new(DeviceConfig {
+        l2_bytes: 64 * sim::SECTOR_BYTES,
+        ..DeviceConfig::a100()
+    });
+    for (name, dev, clustered) in [
+        ("clustered", &full, true),
+        ("unclustered", &full, false),
+        ("conflict_heavy", &tiny, false),
+    ] {
+        let buf = dev.alloc::<i32>(ADDRS, "b.addrs");
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let addrs =
+                    (0..ADDRS).map(|i| buf.addr_of(if clustered { i } else { scattered(i) }));
+                dev.kernel("b.warp_loads").warp_loads(4, addrs).launch()
+            });
         });
     }
     g.finish();
@@ -91,6 +97,6 @@ fn bench_gather_host_threads(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_radix_partition, bench_sort_pairs, bench_gather, bench_gather_host_threads
+    targets = bench_radix_partition, bench_sort_pairs, bench_gather, bench_warp_loads
 }
 criterion_main!(benches);

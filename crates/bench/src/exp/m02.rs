@@ -13,8 +13,7 @@
 //! `engine::scheduler`), not from ad-hoc bookkeeping — the bench exists to
 //! exercise that path end to end. Arrivals, admission and service all run
 //! on the simulated clock under the Serial (FIFO run-to-completion)
-//! policy, so the whole curve is bit-identical across re-runs and
-//! `host_threads` settings.
+//! policy, so the whole curve is bit-identical across re-runs.
 
 use crate::{Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};

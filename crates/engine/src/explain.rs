@@ -22,7 +22,7 @@
 //!
 //! Everything is a pure function of the recorded [`NodeStats`] and the
 //! [`DeviceConfig`], so rendered reports are byte-identical across
-//! `host_threads` settings and scheduler policies — the invariant
+//! re-runs and scheduler policies — the invariant
 //! `tests/explain_invariants.rs` locks.
 
 use crate::NodeStats;

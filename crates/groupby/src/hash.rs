@@ -8,13 +8,8 @@
 
 use crate::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput, GroupByStats};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
+use primitives::{linear_probe_slots, GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
 use sim::{Device, DeviceBuffer, PhaseTimes};
-
-#[inline]
-fn slot_of(key: u64, mask: usize) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-}
 
 pub(crate) fn dispatch_key_column<R>(
     col: &Column,
@@ -49,7 +44,6 @@ pub fn hash_groupby(
         // row its own group) unless told otherwise.
         let cap = config.expected_groups.unwrap_or(n).max(1);
         let slots = (cap * 2).next_power_of_two();
-        let mask = slots - 1;
         let table_keys = dev.alloc::<u64>(slots, "hash_gb.keys");
         let mut occupied: Vec<u32> = vec![u32::MAX; slots]; // group index per slot
         let mut group_keys: Vec<K> = Vec::new();
@@ -60,27 +54,24 @@ pub fn hash_groupby(
         // random table slots.
         let t0 = dev.elapsed();
         {
-            let mut touched: Vec<u64> = Vec::with_capacity(n);
-            for i in 0..n {
-                let k = keys[i].to_radix();
-                let mut s = slot_of(k, mask);
-                let g = loop {
-                    touched.push(table_keys.addr_of(s));
-                    match occupied[s] {
+            let touched =
+                linear_probe_slots(keys.iter().map(|k| k.to_radix()), slots - 1, |i, _, s| {
+                    let g = match occupied[s] {
                         u32::MAX => {
                             let g = group_keys.len() as u32;
                             occupied[s] = g;
                             group_keys.push(keys[i]);
                             group_counts.push(0);
-                            break g;
+                            g
                         }
-                        g if group_keys[g as usize] == keys[i] => break g,
-                        _ => s = (s + 1) & mask,
-                    }
-                };
-                group_counts[g as usize] += 1;
-                row_group[i] = g;
-            }
+                        g if group_keys[g as usize] == keys[i] => g,
+                        _ => return true,
+                    };
+                    group_counts[g as usize] += 1;
+                    row_group[i] = g;
+                    false
+                })
+                .map(|s| table_keys.addr_of(s));
             dev.kernel("hash_gb.build")
                 .items(n as u64, GLOBAL_HASH_WARP_INSTR)
                 .seq_read_bytes(n as u64 * K::SIZE)
@@ -120,9 +111,7 @@ pub fn hash_groupby(
                     .atomics(blocks * groups as u64, blocks)
                     .launch();
             } else {
-                let accs_addrs: Vec<u64> = (0..n)
-                    .map(|i| accs.addr_of(row_group[i] as usize))
-                    .collect();
+                let accs_addrs = row_group.iter().map(|&g| accs.addr_of(g as usize));
                 dev.kernel("hash_gb.aggregate.global")
                     .items(n as u64, STREAM_WARP_INSTR)
                     .seq_read_bytes(n as u64 * (col.dtype().size() + 4))

@@ -46,6 +46,37 @@ fn slot_of(key: u64, mask: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
 }
 
+/// The slots linear probing visits, as a lazy stream: each radix key in
+/// turn starts at its home slot in a table of `mask + 1` slots and steps to
+/// the next one for as long as `visit(row, key, slot)` returns `true`.
+///
+/// `visit` does the table's work (insert, match, assign a group), so
+/// draining the iterator *is* the build or probe pass. Handing it to
+/// [`sim::KernelBuilder::warp_loads`] charges every visited slot without
+/// the slot sequence ever being materialized.
+pub fn linear_probe_slots<'a>(
+    keys: impl Iterator<Item = u64> + 'a,
+    mask: usize,
+    mut visit: impl FnMut(usize, u64, usize) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut keys = keys.enumerate();
+    // The chain being walked: (row, key, next slot to visit).
+    let mut walk: Option<(usize, u64, usize)> = None;
+    std::iter::from_fn(move || {
+        let (row, key, slot) = match walk.take() {
+            Some(w) => w,
+            None => {
+                let (row, key) = keys.next()?;
+                (row, key, slot_of(key, mask))
+            }
+        };
+        if visit(row, key, slot) {
+            walk = Some((row, key, (slot + 1) & mask));
+        }
+        Some(slot)
+    })
+}
+
 /// Join co-partitions with per-partition shared-memory hash tables — the
 /// match-finding kernel of the partitioned hash joins (Figure 6, step 2).
 ///
@@ -187,21 +218,22 @@ impl<K: Element + Eq> GlobalHashTable<K> {
 
     /// Build the table from `build_keys`, storing each key's position.
     pub fn build(&mut self, dev: &Device, build_keys: &DeviceBuffer<K>) {
-        let mut touched: Vec<u64> = Vec::with_capacity(build_keys.len());
-        for (i, bk) in build_keys.iter().enumerate() {
-            let k = bk.to_radix();
-            let mut s = slot_of(k, self.mask);
-            loop {
-                touched.push(self.keys.addr_of(s));
-                if !self.occupied[s] {
-                    self.occupied[s] = true;
-                    self.keys[s] = k;
-                    self.vals[s] = i as u32;
-                    break;
+        let (slots, vals, occupied) = (&mut self.keys, &mut self.vals, &mut self.occupied);
+        let base = slots.addr_of(0);
+        let touched = linear_probe_slots(
+            build_keys.iter().map(|k| k.to_radix()),
+            self.mask,
+            |i, k, s| {
+                if occupied[s] {
+                    return true;
                 }
-                s = (s + 1) & self.mask;
-            }
-        }
+                occupied[s] = true;
+                slots[s] = k;
+                vals[s] = i as u32;
+                false
+            },
+        )
+        .map(|s| base + s as u64 * u64::SIZE);
         dev.kernel("global_ht.build")
             .items(build_keys.len() as u64, GLOBAL_HASH_WARP_INSTR)
             .seq_read_bytes(build_keys.len() as u64 * K::SIZE)
@@ -216,28 +248,30 @@ impl<K: Element + Eq> GlobalHashTable<K> {
         let mut keys = Vec::new();
         let mut r_idx = Vec::new();
         let mut s_idx = Vec::new();
-        let mut touched: Vec<u64> = Vec::with_capacity(probe_keys.len());
-        for (j, pk) in probe_keys.iter().enumerate() {
-            let k = pk.to_radix();
-            let mut s = slot_of(k, self.mask);
-            loop {
-                touched.push(self.keys.addr_of(s));
+        let touched = linear_probe_slots(
+            probe_keys.iter().map(|k| k.to_radix()),
+            self.mask,
+            |j, k, s| {
                 if !self.occupied[s] {
-                    break;
+                    return false;
                 }
                 if self.keys[s] == k {
-                    keys.push(*pk);
+                    keys.push(probe_keys[j]);
                     r_idx.push(self.vals[s]);
                     s_idx.push(j as u32);
                 }
-                s = (s + 1) & self.mask;
-            }
-        }
-        let out_rows = keys.len() as u64;
-        dev.kernel("global_ht.probe")
+                true
+            },
+        )
+        .map(|s| self.keys.addr_of(s));
+        let kernel = dev
+            .kernel("global_ht.probe")
             .items(probe_keys.len() as u64, GLOBAL_HASH_WARP_INSTR)
             .seq_read_bytes(probe_keys.len() as u64 * K::SIZE)
-            .warp_loads(12, touched)
+            .warp_loads(12, touched);
+        // The probe pass ran inside `warp_loads`; its output is known now.
+        let out_rows = keys.len() as u64;
+        kernel
             .seq_write_bytes(out_rows * (K::SIZE + 4 + 4))
             .launch();
         MatchResult {

@@ -36,7 +36,7 @@ mod sort;
 pub use costs::*;
 pub use gather::{gather, gather_column, gather_column_or_null, gather_or, scatter, NULL_ID};
 pub use hash::{join_copartitions, CoPartitionCost};
-pub use hash::{GlobalHashTable, MatchResult};
+pub use hash::{linear_probe_slots, GlobalHashTable, MatchResult};
 pub use merge::{merge_join, merge_path_partitions};
 pub use partition::{partition_of, radix_partition, radix_partition_pass, PartitionedPairs};
 pub use scan::{compact_mask, exclusive_scan, run_boundaries};

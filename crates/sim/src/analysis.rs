@@ -19,8 +19,8 @@
 //!   layered on [`crate::trace::kernel_stats`].
 //!
 //! Everything here is a pure function of recorded state, so reports are
-//! bit-identical across [`DeviceConfig::host_threads`] settings and
-//! scheduling policies, like the counters they are derived from.
+//! bit-identical across re-runs and scheduling policies, like the counters
+//! they are derived from.
 
 use crate::trace::{kernel_stats, KernelStat, Trace};
 use crate::{Counters, DeviceConfig, SECTOR_BYTES};

@@ -51,19 +51,6 @@ pub struct DeviceConfig {
     /// Baseline throughput cost of an uncontended global atomic, in warp
     /// instructions charged per atomic.
     pub atomic_instr_cost: f64,
-    /// Host threads used to *simulate* warp traffic (this is a property of
-    /// the machine running the simulator, not of the modeled GPU). `1`
-    /// selects the sequential reference path; any other value produces
-    /// bit-identical counters and times via the set-sharded L2 (see
-    /// `kernel.rs`). Defaults to the host's available parallelism.
-    pub host_threads: usize,
-}
-
-/// Default for [`DeviceConfig::host_threads`]: every host core.
-fn default_host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl DeviceConfig {
@@ -86,7 +73,6 @@ impl DeviceConfig {
             uncoalesced_penalty: 0.35,
             atomic_serialize_cycles: 2.0,
             atomic_instr_cost: 2.0,
-            host_threads: default_host_threads(),
         }
     }
 
@@ -112,7 +98,6 @@ impl DeviceConfig {
             uncoalesced_penalty: 0.35,
             atomic_serialize_cycles: 2.0,
             atomic_instr_cost: 2.0,
-            host_threads: default_host_threads(),
         }
     }
 
@@ -138,7 +123,6 @@ impl DeviceConfig {
             uncoalesced_penalty: 0.35,
             atomic_serialize_cycles: 2.0,
             atomic_instr_cost: 2.0,
-            host_threads: default_host_threads(),
         }
     }
 
@@ -162,12 +146,11 @@ impl DeviceConfig {
         self
     }
 
-    /// Set the number of host threads the simulator uses for warp-traffic
-    /// accounting. `1` is the sequential reference path; results are
-    /// bit-identical for every value.
-    pub fn with_host_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "host_threads must be at least 1");
-        self.host_threads = threads;
+    /// Does nothing: warp traffic is charged on one sequential path (see
+    /// `kernel.rs`), so there is no thread count to set. Kept only because
+    /// the frozen `perf/` benchmark and the invariant suites still call it;
+    /// the next benchmark PR drops it.
+    pub fn with_host_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -230,15 +213,6 @@ mod tests {
         assert_eq!(s.mem_bandwidth, a.mem_bandwidth, "rates untouched");
         assert_eq!(s.clock_hz, a.clock_hz);
         assert!(s.name.contains("A100"));
-    }
-
-    #[test]
-    fn host_threads_defaults_and_overrides() {
-        assert!(DeviceConfig::a100().host_threads >= 1);
-        let cfg = DeviceConfig::rtx3090().with_host_threads(4);
-        assert_eq!(cfg.host_threads, 4);
-        // Scaling a device leaves the host-side knob alone.
-        assert_eq!(cfg.scaled(8.0).host_threads, 4);
     }
 
     #[test]

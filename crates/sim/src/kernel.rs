@@ -14,17 +14,12 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
-use crate::{Device, L2Cache, SimTime, SECTOR_BYTES, WARP_SIZE};
+use crate::{Device, SimTime, SECTOR_BYTES, WARP_SIZE};
 
-/// Warps per block in the parallel warp-traffic path: addresses are
-/// materialized block-wise (1 Mi addresses, 8 MiB of sector ids) so memory
-/// stays bounded on arbitrarily long streams.
-const PAR_BLOCK_WARPS: usize = 1 << 15;
-
-/// Below this many warps per thread a block is charged sequentially — the
-/// scoped-thread spawn cost would dominate. The outcome is identical either
-/// way; this is purely a latency cutoff.
-const PAR_MIN_WARPS_PER_THREAD: usize = 32;
+/// Warps per stack chunk of [`KernelBuilder::warp_loads`]: addresses are
+/// pulled 1024 at a time (8 KiB of sector ids), so the stream needs no heap
+/// and the device lock is taken once per chunk, not once per address.
+const CHUNK_WARPS: usize = 32;
 
 /// Builder describing one kernel launch. Obtain via [`Device::kernel`],
 /// charge work to it, then call [`KernelBuilder::launch`].
@@ -95,76 +90,44 @@ impl<'d> KernelBuilder<'d> {
     /// model, and the surviving DRAM sectors pay the uncoalesced penalty
     /// proportional to how far the request is from its ideal sector count.
     ///
-    /// With `host_threads > 1` (see [`crate::DeviceConfig::host_threads`])
-    /// the accounting fans out across host cores: sector dedup and penalty
-    /// math run per thread on warp-aligned chunks without the device lock,
-    /// and the L2 is probed through disjoint set shards, which makes the
-    /// resulting counters, times and hit/miss outcomes bit-identical to the
-    /// sequential reference path.
-    pub fn warp_loads<I>(self, elem_size: u64, addrs: I) -> Self
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let threads = self.dev.inner.config.host_threads.max(1);
-        if threads == 1 {
-            self.warp_loads_seq(elem_size, addrs)
-        } else {
-            self.warp_loads_par(elem_size, addrs, threads)
-        }
-    }
-
-    /// The sequential reference implementation: streams addresses one at a
-    /// time under the device lock, exactly as shipped originally.
-    fn warp_loads_seq<I>(mut self, elem_size: u64, addrs: I) -> Self
+    /// The stream is consumed in fixed stack chunks: `addrs` runs without
+    /// the device lock (it may read buffers, or do the kernel's host-side
+    /// work as it goes), then the chunk's warps are charged under it by
+    /// [`crate::L2Cache::access_warp`]. Nothing is allocated.
+    pub fn warp_loads<I>(mut self, elem_size: u64, addrs: I) -> Self
     where
         I: IntoIterator<Item = u64>,
     {
         let ideal = (elem_size * WARP_SIZE as u64).div_ceil(SECTOR_BYTES).max(1) as f64;
-        let penalty = self.dev.inner.config.uncoalesced_penalty;
-        let query = self.dev.query;
-        let mut st = self.dev.inner.state.lock();
-        let l2 = st.l2_for(query);
-        let mut lane_sectors = [u64::MAX; WARP_SIZE];
-        let mut lanes = 0usize;
-        let mut iter = addrs.into_iter();
+        let dev = self.dev;
+        let penalty = dev.inner.config.uncoalesced_penalty;
+        let mut sectors = [0u64; CHUNK_WARPS * WARP_SIZE];
+        let mut addrs = addrs.into_iter();
         loop {
-            let addr = iter.next();
-            if let Some(a) = addr {
-                // A lane may touch two sectors if the element straddles a
-                // boundary; element sizes here are 4/8 bytes and buffers are
-                // 256-byte aligned, so one sector suffices.
-                lane_sectors[lanes] = a / SECTOR_BYTES;
+            // A lane may touch two sectors if the element straddles a
+            // boundary; element sizes here are 4/8 bytes and buffers are
+            // 256-byte aligned, so one sector suffices.
+            let mut lanes = 0;
+            for (slot, a) in sectors.iter_mut().zip(addrs.by_ref()) {
+                *slot = a / SECTOR_BYTES;
                 lanes += 1;
             }
-            if lanes == WARP_SIZE || (addr.is_none() && lanes > 0) {
-                // One warp request: dedupe sectors, probe L2.
-                let warp = &mut lane_sectors[..lanes];
-                warp.sort_unstable();
-                let mut distinct = 0u64;
-                let mut dram = 0u64;
-                let mut prev = u64::MAX;
-                for &s in warp.iter() {
-                    if s != prev {
-                        distinct += 1;
-                        if !l2.access(s) {
-                            dram += 1;
-                        }
-                        prev = s;
-                    }
-                }
+            let mut st = dev.inner.state.lock();
+            let l2 = st.l2_for(dev.query);
+            // Only the stream's last warp can be partial.
+            for warp in sectors[..lanes].chunks(WARP_SIZE) {
+                let (distinct, dram) = l2.access_warp(warp);
                 self.charge_warp(distinct, dram, ideal, penalty);
-                lanes = 0;
             }
-            if addr.is_none() {
-                break;
+            drop(st);
+            if lanes < sectors.len() {
+                return self;
             }
         }
-        self
     }
 
-    /// Fold one warp request's outcome into the builder. Shared by both
-    /// paths; the parallel path calls it in warp order, so the f64 penalty
-    /// accumulation happens in the exact sequence the reference path uses.
+    /// Fold one warp request's outcome into the builder, in warp order: the
+    /// f64 penalty sum is order-sensitive.
     #[inline]
     fn charge_warp(&mut self, distinct: u64, dram: u64, ideal: f64, penalty: f64) {
         self.load_requests += 1;
@@ -180,172 +143,6 @@ impl<'d> KernelBuilder<'d> {
         let spr = distinct as f64;
         let factor = 1.0 + penalty * ((spr - ideal).max(0.0) / 4.0);
         self.penalized_gather_bytes += dram as f64 * SECTOR_BYTES as f64 * factor;
-    }
-
-    /// The parallel path: materialize warp-aligned blocks of sector ids
-    /// outside the device lock, then charge each block with `threads`
-    /// workers. See `charge_block` for the determinism argument.
-    fn warp_loads_par<I>(mut self, elem_size: u64, addrs: I, threads: usize) -> Self
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let ideal = (elem_size * WARP_SIZE as u64).div_ceil(SECTOR_BYTES).max(1) as f64;
-        let penalty = self.dev.inner.config.uncoalesced_penalty;
-        let query = self.dev.query;
-        let block_lanes = PAR_BLOCK_WARPS * WARP_SIZE;
-        let mut iter = addrs.into_iter();
-        let mut sectors: Vec<u64> = Vec::with_capacity(block_lanes.min(1 << 16));
-        loop {
-            // Collect the next block without holding the lock — the address
-            // iterator (often a closure over buffer contents) runs here.
-            sectors.clear();
-            while sectors.len() < block_lanes {
-                match iter.next() {
-                    Some(a) => sectors.push(a / SECTOR_BYTES),
-                    None => break,
-                }
-            }
-            if sectors.is_empty() {
-                break;
-            }
-            let exhausted = sectors.len() < block_lanes;
-            let mut st = self.dev.inner.state.lock();
-            self.charge_block(st.l2_for(query), &sectors, threads, ideal, penalty);
-            drop(st);
-            if exhausted {
-                break;
-            }
-        }
-        self
-    }
-
-    /// Charge one warp-aligned block of sector ids using up to `threads`
-    /// workers.
-    ///
-    /// Phase A (parallel, lock-free): workers own contiguous warp ranges;
-    /// each warp is sorted and deduplicated locally, its distinct count
-    /// recorded, and every distinct sector routed to the bucket of the L2
-    /// shard owning its set — in (warp, ascending-sector) order.
-    ///
-    /// Phase B (parallel, under the caller's lock): each L2 shard owns a
-    /// disjoint contiguous range of direct-mapped sets. A set's accesses
-    /// all live in one shard, and the shard replays them in the original
-    /// warp order (worker buckets visited in worker order = warp order;
-    /// in-warp order is ascending, as in the sequential dedup loop), so
-    /// every probe sees exactly the tag state it would have seen
-    /// sequentially — hit/miss outcomes are bit-identical.
-    ///
-    /// Phase C (sequential): per-warp partials are folded into the builder
-    /// in warp order, reproducing the reference f64 summation order.
-    fn charge_block(
-        &mut self,
-        l2: &mut L2Cache,
-        sectors: &[u64],
-        threads: usize,
-        ideal: f64,
-        penalty: f64,
-    ) {
-        let warps = sectors.len().div_ceil(WARP_SIZE);
-        if warps < PAR_MIN_WARPS_PER_THREAD * threads {
-            self.charge_block_seq(l2, sectors, ideal, penalty);
-            return;
-        }
-        let mask = l2.set_mask();
-        let (chunk, mut shards) = l2.shards(threads);
-        let n_shards = shards.len();
-        let warps_per_worker = warps.div_ceil(threads);
-        let mut distinct = vec![0u32; warps];
-
-        // Phase A: per-warp dedup, bucketed by owning shard.
-        let buckets: Vec<Vec<Vec<(u32, u64)>>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = sectors
-                .chunks(warps_per_worker * WARP_SIZE)
-                .zip(distinct.chunks_mut(warps_per_worker))
-                .enumerate()
-                .map(|(worker, (worker_sectors, worker_distinct))| {
-                    scope.spawn(move |_| {
-                        let base_warp = (worker * warps_per_worker) as u32;
-                        let mut local: Vec<Vec<(u32, u64)>> =
-                            (0..n_shards).map(|_| Vec::new()).collect();
-                        let mut lane_sectors = [0u64; WARP_SIZE];
-                        for (i, warp) in worker_sectors.chunks(WARP_SIZE).enumerate() {
-                            let w = &mut lane_sectors[..warp.len()];
-                            w.copy_from_slice(warp);
-                            w.sort_unstable();
-                            let mut d = 0u32;
-                            let mut prev = u64::MAX;
-                            for &s in w.iter() {
-                                if s != prev {
-                                    d += 1;
-                                    let set = (s & mask) as usize;
-                                    local[set / chunk].push((base_warp + i as u32, s));
-                                    prev = s;
-                                }
-                            }
-                            worker_distinct[i] = d;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
-
-        // Phase B: disjoint-set L2 probing, one worker per shard.
-        let dram_per_shard: Vec<Vec<u32>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .enumerate()
-                .map(|(sid, shard)| {
-                    let buckets = &buckets;
-                    scope.spawn(move |_| {
-                        let mut dram = vec![0u32; warps];
-                        for worker_buckets in buckets {
-                            for &(w, s) in &worker_buckets[sid] {
-                                let set = (s & mask) as usize;
-                                if !shard.access(s, set) {
-                                    dram[w as usize] += 1;
-                                }
-                            }
-                        }
-                        dram
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
-
-        // Phase C: fold per-warp partials in warp order.
-        for (w, &d) in distinct.iter().enumerate() {
-            let dram: u64 = dram_per_shard.iter().map(|v| u64::from(v[w])).sum();
-            self.charge_warp(u64::from(d), dram, ideal, penalty);
-        }
-    }
-
-    /// Reference charging of an already-materialized block, used when the
-    /// block is too small to be worth fanning out.
-    fn charge_block_seq(&mut self, l2: &mut L2Cache, sectors: &[u64], ideal: f64, penalty: f64) {
-        let mut lane_sectors = [0u64; WARP_SIZE];
-        for warp in sectors.chunks(WARP_SIZE) {
-            let w = &mut lane_sectors[..warp.len()];
-            w.copy_from_slice(warp);
-            w.sort_unstable();
-            let mut distinct = 0u64;
-            let mut dram = 0u64;
-            let mut prev = u64::MAX;
-            for &s in w.iter() {
-                if s != prev {
-                    distinct += 1;
-                    if !l2.access(s) {
-                        dram += 1;
-                    }
-                    prev = s;
-                }
-            }
-            self.charge_warp(distinct, dram, ideal, penalty);
-        }
     }
 
     /// Charge warp-level *stores* at the given addresses. Stores follow the
@@ -613,31 +410,58 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_is_bit_identical_to_sequential() {
-        // A mixed stream: strided (uncoalesced), sequential, and a
-        // conflict-heavy modulus pattern, over enough warps to engage the
-        // parallel path. Counters, simulated time and clock must match the
-        // host_threads=1 reference exactly.
-        let run = |threads: usize| {
-            let dev = Device::new(crate::DeviceConfig::a100().with_host_threads(threads));
-            let n = 1usize << 16;
+    fn chunked_stream_matches_warp_at_a_time_reference() {
+        // Strided, sequential and conflict-heavy streams whose lengths are
+        // multiples of neither the chunk nor the warp, on a cache small
+        // enough that sets conflict inside a warp. The reference charges the
+        // same addresses one warp at a time through the sort-based L2 probe.
+        let n = 5 * super::CHUNK_WARPS * super::WARP_SIZE / 2 + 7;
+        let run = |reference: bool| {
+            let dev = Device::new(crate::DeviceConfig::a100().scaled(4096.0));
             let buf = dev.alloc::<i32>(n * 16, "x");
-            let t1 = dev
-                .kernel("mixed")
-                .warp_loads(4, (0..n).map(|i| buf.addr_of(i * 16)))
-                .warp_loads(4, (0..n).map(|i| buf.addr_of(i)))
-                .warp_stores(8, (0..n).map(|i| buf.addr_of((i * 769) % (n * 16))))
-                .launch();
-            let t2 = dev
-                .kernel("tail")
-                .warp_loads(4, (0..40).map(|i| buf.addr_of(i)))
-                .launch();
-            (dev.counters(), t1, t2, dev.elapsed())
+            let streams: [(u64, Vec<u64>); 3] = [
+                (4, (0..n).map(|i| buf.addr_of(i * 16)).collect()),
+                (4, (0..n).map(|i| buf.addr_of(i)).collect()),
+                (
+                    8,
+                    (0..n).map(|i| buf.addr_of((i * 769) % (n * 16))).collect(),
+                ),
+            ];
+            let mut k = dev.kernel("mixed");
+            for (elem_size, addrs) in streams {
+                if !reference {
+                    k = k.warp_loads(elem_size, addrs);
+                    continue;
+                }
+                let ideal = (elem_size * 32).div_ceil(SECTOR_BYTES) as f64;
+                let penalty = dev.config().uncoalesced_penalty;
+                for warp in addrs.chunks(super::WARP_SIZE) {
+                    let sectors: Vec<u64> = warp.iter().map(|a| a / SECTOR_BYTES).collect();
+                    let (distinct, dram) =
+                        dev.inner.state.lock().l2.access_warp_reference(&sectors);
+                    k.charge_warp(distinct, dram, ideal, penalty);
+                }
+            }
+            let t = k.launch();
+            (dev.counters(), t, dev.elapsed())
         };
-        let reference = run(1);
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(run(threads), reference, "host_threads={threads}");
-        }
+        let core = run(false);
+        assert!(core.0.l2_hits > 0 && core.0.l2_misses > 0);
+        assert_eq!(core, run(true));
+    }
+
+    #[test]
+    fn empty_address_stream_charges_no_requests() {
+        let dev = Device::a100();
+        let t = dev
+            .kernel("empty")
+            .warp_loads(4, std::iter::empty())
+            .warp_stores(8, Vec::new())
+            .launch();
+        let c = dev.counters();
+        assert_eq!((c.load_requests, c.sectors_requested), (0, 0));
+        assert_eq!((c.dram_read_bytes, c.dram_write_bytes), (0, 0));
+        assert_eq!(t.secs(), dev.config().kernel_launch_overhead);
     }
 
     #[test]

@@ -5,12 +5,24 @@
 //! from nor meaningfully pollute L2 for our purposes). This is what makes
 //! small-relation unclustered gathers cheap — the paper observes exactly this
 //! on TPC-H J3 — while large-relation gathers miss constantly.
+//!
+//! Kernels charge it one warp request at a time through
+//! [`L2Cache::access_warp`], whose contract is "sort the lane sectors,
+//! drop duplicates, probe in ascending order" — computed without the sort
+//! (see `DESIGN.md`, "Warp-traffic accounting").
+
+use crate::WARP_SIZE;
 
 /// Direct-mapped, sector-granular (32 B) cache model.
 pub struct L2Cache {
     /// Tag per set; `u64::MAX` marks an empty set.
     tags: Vec<u64>,
     mask: u64,
+    /// `stamps[set] == epoch` iff the unordered warp being charged has
+    /// already touched `set`. Bumping `epoch` resets every stamp at once.
+    stamps: Vec<u32>,
+    /// Never 0 while a warp is being charged, so 0 means "not this warp".
+    epoch: u32,
 }
 
 impl L2Cache {
@@ -22,6 +34,8 @@ impl L2Cache {
         L2Cache {
             tags: vec![u64::MAX; sets as usize],
             mask: sets - 1,
+            stamps: vec![0; sets as usize],
+            epoch: 0,
         }
     }
 
@@ -45,6 +59,116 @@ impl L2Cache {
         }
     }
 
+    /// Charge one warp request: the lanes' sectors (at most [`WARP_SIZE`])
+    /// coalesce to their distinct set, which is probed in ascending sector
+    /// order. Returns `(distinct sectors, sectors that missed)`.
+    ///
+    /// No sort happens. A direct-mapped set's hits, misses and final tag
+    /// depend only on the order of the accesses *to that set*, so sets may
+    /// be probed in any interleaving as long as each one sees its own
+    /// distinct sectors ascending:
+    ///
+    /// * lanes already non-decreasing (map streams, clustered gathers) are
+    ///   that order — drop adjacent duplicates and probe;
+    /// * otherwise probe in lane order. A set touched once, or again only
+    ///   by the sector it now holds, has seen exactly its ascending
+    ///   sequence. A set asked for a second distinct sector is *conflicting*:
+    ///   it is rolled back to its pre-warp tag and replayed over its own
+    ///   distinct sectors in ascending order.
+    #[inline]
+    pub fn access_warp(&mut self, sectors: &[u64]) -> (u64, u64) {
+        debug_assert!(sectors.len() <= WARP_SIZE);
+        if sectors.windows(2).all(|w| w[0] <= w[1]) {
+            self.probe_ascending(sectors)
+        } else {
+            self.access_warp_unordered(sectors)
+        }
+    }
+
+    /// Probe non-decreasing `sectors` once each; `(distinct, missed)`.
+    #[inline]
+    fn probe_ascending(&mut self, sectors: &[u64]) -> (u64, u64) {
+        let (mut distinct, mut dram) = (0, 0);
+        let mut prev = u64::MAX;
+        for &s in sectors {
+            if s != prev {
+                distinct += 1;
+                dram += u64::from(!self.access(s));
+                prev = s;
+            }
+        }
+        (distinct, dram)
+    }
+
+    fn access_warp_unordered(&mut self, sectors: &[u64]) -> (u64, u64) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps of 2^32 warps ago would read as current.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        // Pre-warp tag of the lane's set, valid at the lane that touched the
+        // set first.
+        let mut pre = [0u64; WARP_SIZE];
+        // Lanes that found their set holding a different sector of this warp.
+        let mut conflicts = 0u32;
+        let (mut distinct, mut dram) = (0, 0);
+        for (lane, &s) in sectors.iter().enumerate() {
+            let set = self.set_of(s);
+            let tag = self.tags[set];
+            if self.stamps[set] != epoch {
+                self.stamps[set] = epoch;
+                pre[lane] = tag;
+                self.tags[set] = s;
+                distinct += 1;
+                dram += u64::from(tag != s);
+            } else if tag != s {
+                conflicts |= 1 << lane;
+            }
+        }
+        while conflicts != 0 {
+            let lane = conflicts.trailing_zeros() as usize;
+            conflicts &= conflicts - 1;
+            let set = self.set_of(sectors[lane]);
+            if self.stamps[set] != epoch {
+                continue; // replayed for an earlier conflicting lane
+            }
+            self.stamps[set] = 0;
+            // Every lane of this set; the first of them was probed above.
+            let mut own = [0u64; WARP_SIZE];
+            let mut n = 0;
+            let mut first = lane;
+            for (j, &s) in sectors.iter().enumerate() {
+                if self.set_of(s) == set {
+                    first = first.min(j);
+                    own[n] = s;
+                    n += 1;
+                }
+            }
+            own[..n].sort_unstable();
+            // Undo that probe, then replay the set in ascending order.
+            distinct -= 1;
+            dram -= u64::from(pre[first] != sectors[first]);
+            self.tags[set] = pre[first];
+            let (d, m) = self.probe_ascending(&own[..n]);
+            distinct += d;
+            dram += m;
+        }
+        (distinct, dram)
+    }
+
+    /// The contract [`L2Cache::access_warp`] must reproduce bit for bit:
+    /// sort the warp, drop duplicates, probe ascending.
+    #[cfg(test)]
+    pub(crate) fn access_warp_reference(&mut self, sectors: &[u64]) -> (u64, u64) {
+        let mut warp = sectors.to_vec();
+        warp.sort_unstable();
+        warp.dedup();
+        let dram = warp.iter().filter(|&&s| !self.access(s)).count();
+        (warp.len() as u64, dram as u64)
+    }
+
     /// Invalidate everything.
     pub fn clear(&mut self) {
         self.tags.fill(u64::MAX);
@@ -55,64 +179,12 @@ impl L2Cache {
     pub fn set_of(&self, sector: u64) -> usize {
         (sector & self.mask) as usize
     }
-
-    /// The set-index mask, for callers that need to route sectors to sets
-    /// while the tag array is mutably borrowed by [`L2Cache::shards`].
-    #[inline]
-    pub(crate) fn set_mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Split the cache into at most `n` shards, each owning a contiguous,
-    /// disjoint range of sets. Returns the per-shard set count (so callers
-    /// can route a set index to its shard as `set / chunk`) and the shards.
-    ///
-    /// Because the cache is direct-mapped, an access only ever reads or
-    /// writes its own set: probing the shards concurrently produces the
-    /// same hit/miss outcomes as the sequential [`L2Cache::access`] stream,
-    /// provided each shard sees its accesses in the original relative order.
-    pub(crate) fn shards(&mut self, n: usize) -> (usize, Vec<L2Shard<'_>>) {
-        let chunk = self.tags.len().div_ceil(n.max(1)).max(1);
-        let mut shards = Vec::with_capacity(n);
-        let mut base = 0;
-        let mut rest: &mut [u64] = &mut self.tags;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            shards.push(L2Shard { tags: head, base });
-            base += take;
-            rest = tail;
-        }
-        (chunk, shards)
-    }
-}
-
-/// A contiguous range of sets carved out of an [`L2Cache`] for one probe
-/// thread; see [`L2Cache::shards`].
-pub(crate) struct L2Shard<'a> {
-    tags: &'a mut [u64],
-    base: usize,
-}
-
-impl L2Shard<'_> {
-    /// Access `sector`, whose set index `set` must lie in this shard's
-    /// range; returns `true` on hit, installing on miss — identical
-    /// semantics to [`L2Cache::access`].
-    #[inline]
-    pub(crate) fn access(&mut self, sector: u64, set: usize) -> bool {
-        let tag = &mut self.tags[set - self.base];
-        if *tag == sector {
-            true
-        } else {
-            *tag = sector;
-            false
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn capacity_is_power_of_two_sectors() {
@@ -142,39 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_probing_matches_sequential() {
-        // Replay the same access stream through a sequential cache and a
-        // sharded one; every outcome must agree.
-        let stream: Vec<u64> = (0..4096u64).map(|i| (i * 2654435761) % 1500).collect();
-        let mut seq = L2Cache::new(1 << 12); // 128 sets
-        let expected: Vec<bool> = stream.iter().map(|&s| seq.access(s)).collect();
-
-        let mut sharded = L2Cache::new(1 << 12);
-        let mut got = vec![false; stream.len()];
-        let (chunk, mut shards) = sharded.shards(4);
-        // Per shard, accesses keep their original relative order.
-        for (i, &s) in stream.iter().enumerate() {
-            let set = seq.set_of(s); // same geometry as `sharded`
-            got[i] = shards[set / chunk].access(s, set);
-        }
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn shards_cover_all_sets_once() {
-        let mut c = L2Cache::new(1 << 14); // 512 sets
-        for n in [1, 3, 4, 7, 512, 600] {
-            let (chunk, shards) = c.shards(n);
-            let covered: usize = shards.iter().map(|s| s.tags.len()).sum();
-            assert_eq!(covered, 512, "n={n}");
-            assert!(shards.len() <= n.max(1));
-            for (i, s) in shards.iter().enumerate() {
-                assert_eq!(s.base, i * chunk);
-            }
-        }
-    }
-
-    #[test]
     fn working_set_within_capacity_all_hits_second_round() {
         let mut c = L2Cache::new(1 << 14); // 512 sets
         let n = c.sets() as u64;
@@ -184,5 +223,83 @@ mod tests {
         for s in 0..n {
             assert!(c.access(s), "sector {s} should still be resident");
         }
+    }
+
+    #[test]
+    fn warp_outcomes_by_hand() {
+        let mut c = L2Cache::new(4 * 32); // 4 sets
+        assert_eq!(c.access_warp(&[]), (0, 0));
+        // Ordered with duplicates: sectors 1, 2, 6 (6 evicts 2 from set 2).
+        assert_eq!(c.access_warp(&[1, 1, 2, 6]), (3, 3));
+        // Unordered, no conflict: 6 and 1 are resident.
+        assert_eq!(c.access_warp(&[6, 1, 6]), (2, 0));
+        // Unordered with a conflict in set 2: ascending replay probes 2
+        // (miss, evicts 6), 6 (miss), 10 (miss); sector 1 still hits.
+        assert_eq!(c.access_warp(&[10, 6, 1, 2, 10]), (4, 3));
+        assert_eq!(c.tags, [u64::MAX, 1, 10, u64::MAX]);
+    }
+
+    /// Charge `warps` through the streaming core and the sort-based
+    /// reference, flushing both before every `flush_every`-th warp; every
+    /// per-warp outcome and the final tag arrays must agree.
+    fn assert_matches_reference(core: &mut L2Cache, warps: &[Vec<u64>], flush_every: usize) {
+        let mut reference = L2Cache::new(core.sets() as u64 * crate::SECTOR_BYTES);
+        reference.tags.copy_from_slice(&core.tags);
+        for (w, warp) in warps.iter().enumerate() {
+            if w % flush_every == flush_every - 1 {
+                core.clear();
+                reference.clear();
+            }
+            assert_eq!(
+                core.access_warp(warp),
+                reference.access_warp_reference(warp),
+                "warp {w}: {warp:?}"
+            );
+        }
+        assert_eq!(core.tags, reference.tags);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Sectors drawn from four times the cache's sets: nearly every
+        /// warp of more than a few lanes repeats sectors and maps several
+        /// distinct ones to one set, so the rollback path carries the test.
+        #[test]
+        fn streaming_core_matches_sort_reference(
+            set_bits in 0u32..=6,
+            lanes in 1usize..=32,
+            stream in collection::vec(0u64..256, 1..700),
+            sorted_every in 1usize..6,
+            flush_every in 1usize..40,
+        ) {
+            let sets = 1u64 << set_bits;
+            let mut warps: Vec<Vec<u64>> = stream
+                .chunks(lanes) // the last warp is usually partial
+                .map(|w| w.iter().map(|s| s % (4 * sets)).collect())
+                .collect();
+            for warp in warps.iter_mut().step_by(sorted_every) {
+                warp.sort_unstable(); // interleave the ordered fast path
+            }
+            let mut core = L2Cache::new(sets * crate::SECTOR_BYTES);
+            prop_assert_eq!(core.sets() as u64, sets);
+            assert_matches_reference(&mut core, &warps, flush_every);
+        }
+    }
+
+    #[test]
+    fn epoch_wraps_without_resurrecting_old_stamps() {
+        let mut core = L2Cache::new(8 * 32); // 8 sets
+                                             // Epoch 1: set 1 conflicts (1, 17) and is replayed; set 5 is touched
+                                             // once and keeps stamp 1.
+        assert_matches_reference(&mut core, &[vec![5, 1, 17]], usize::MAX);
+        assert_eq!((core.epoch, core.stamps[5]), (1, 1));
+        // 2^32 - 2 unordered warps later the counter wraps back onto 1. Were
+        // the stamps not cleared, set 5 would read as already touched by
+        // the next warp and its hit on sector 5 as an in-warp duplicate.
+        core.epoch = u32::MAX;
+        let after = [vec![9, 5, 2], vec![21, 13, 5, 29], vec![2, 1]];
+        assert_matches_reference(&mut core, &after, usize::MAX);
+        assert_eq!(core.epoch, 3);
     }
 }

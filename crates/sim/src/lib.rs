@@ -28,15 +28,16 @@
 //! * **Memory ledger** — every intermediate allocation flows through
 //!   [`DeviceBuffer`], giving the peak-usage numbers of Table 5.
 //!
-//! ## Parallel host execution
+//! ## Warp-traffic accounting
 //!
-//! Warp-traffic accounting — the hot loop of every experiment — runs on
-//! [`DeviceConfig::host_threads`] host cores (default: all of them). The
-//! parallel path shards the direct-mapped L2 by disjoint set ranges and
-//! replays each set's accesses in their original warp order, so counters,
-//! hit/miss outcomes and simulated times are **bit-identical** to the
-//! `host_threads = 1` sequential reference. See `DESIGN.md` for the full
-//! determinism argument.
+//! The hot loop of every experiment is [`KernelBuilder::warp_loads`]: one
+//! simulated address per lane, 32 lanes per request. It is a single
+//! sequential, allocation-free stream — addresses are pulled into a stack
+//! chunk outside the device lock, and [`L2Cache::access_warp`] charges each
+//! warp without sorting it, rolling back and replaying only the sets that
+//! two distinct sectors of one warp map to. Counters, hit/miss outcomes and
+//! simulated times are **bit-identical** to sorting every warp; `DESIGN.md`
+//! ("Warp-traffic accounting") has the argument.
 //!
 //! ## Multi-query scheduling
 //!

@@ -10,8 +10,8 @@
 //!
 //! ## Determinism rules
 //!
-//! Everything here must be **bit-identical across `host_threads` and
-//! re-runs**, which dictates three design rules:
+//! Everything here must be **bit-identical across re-runs and scheduling
+//! policies**, which dictates three design rules:
 //!
 //! 1. **Integer instruments.** Histograms store `u64` tick counts in `u64`
 //!    buckets and an integer sum; counters are `u64`. Worker threads may

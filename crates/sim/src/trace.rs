@@ -5,7 +5,7 @@
 //! timelines (Table 5). This module records the same evidence from the
 //! simulator: timestamped events on the **simulated clock**, captured while
 //! the device lock is held so recording is deterministic and bit-identical
-//! across [`crate::DeviceConfig::host_threads`] settings.
+//! across re-runs.
 //!
 //! Three event classes:
 //!

@@ -2,9 +2,11 @@
 # Repo-wide checks: formatting, lints (warnings are errors), docs (warnings
 # are errors), the full test suite — which smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
-# directory (crates/bench/tests/{smoke,artifacts}.rs) — and one observed
-# release-mode run whose artifacts CI uploads. Run from anywhere; CI runs
-# exactly this script.
+# directory (crates/bench/tests/{smoke,artifacts}.rs) — the benchmark
+# package's own tests, which compile every public item listed under
+# "Benchmark API surface" in perf/README.md, and one observed release-mode
+# run whose artifacts CI uploads. Run from anywhere; CI runs exactly this
+# script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> cargo test --manifest-path perf/Cargo.toml (benchmark API surface)"
+cargo test -q --offline --manifest-path perf/Cargo.toml
 
 echo "==> bench all --scale 14 --observe (artifacts in target/smoke)"
 rm -rf target/smoke
