@@ -37,7 +37,7 @@ pub struct StageAttribution {
     /// Time the query actually held the device (its exec slices).
     pub exec_ns: u64,
     /// Admitted-but-not-running time: gaps where co-tenants held the
-    /// device turn gate.
+    /// device.
     pub interference_ns: u64,
 }
 

@@ -349,7 +349,7 @@ fn run_operator_value(
     // Service-level metrics: per-operator-kind duration and throughput
     // distributions. Simulated durations are per-query deterministic and
     // histogram recording commutes, so these families are byte-identical
-    // across host threads and scheduling policies.
+    // whatever order a serving session executes its queries in.
     ctx.dev.with_metrics(|reg| {
         let rows = op_stats.rows as u64;
         let secs = op_stats.total_time().secs();

@@ -11,23 +11,30 @@
 //!    rejected with [`EngineError::BudgetUnsatisfiable`]. Because granted
 //!    reservations never sum past the free capacity, no tenant can OOM a
 //!    co-tenant.
-//! 2. **Budgeted execution** — each query runs on its own query handle:
-//!    private counters, clock, L2 image, trace, and a sub-ledger capped at
-//!    its budget. `joins::chunked::plan_chunks` sizes chunks against the
-//!    budget, so an over-budget join re-plans out-of-core; an allocation
-//!    that still exceeds the budget unwinds with a typed `sim::BudgetError`
-//!    which is caught here and converted to
-//!    [`EngineError::BudgetExceeded`] — co-tenants keep running.
-//! 3. **Deterministic interleaving** — kernel launches pass the session's
-//!    turn gate ([`Policy::RoundRobin`], [`Policy::WeightedFair`],
-//!    [`Policy::Sjf`] or [`Policy::SjfAging`]), whose designation is a
-//!    pure function of simulated state, and completion times come from
-//!    the turn-gated completion stamp (the scheduler mirror's clock at
-//!    the query's last kernel), never from a racy retire-time clock read.
-//!    Per-query outputs, `OpStats` and traces are therefore
-//!    *byte-identical* to running the same specs under
-//!    [`Policy::Serial`], and full metrics exports are byte-identical
-//!    across host threads under *every* policy — the properties
+//! 2. **Budgeted execution, ahead of the clock** — the moment a query's
+//!    reservation is granted it runs to completion on its own query
+//!    handle: private counters, clock, L2 image, trace, a sub-ledger
+//!    capped at its budget, and a timeline recording every kernel it
+//!    launched. A kernel's simulated cost depends only on its own traffic,
+//!    so nothing a co-tenant does can change that timeline.
+//!    `joins::chunked::plan_chunks` sizes chunks against the budget, so an
+//!    over-budget join re-plans out-of-core; an allocation that still
+//!    exceeds the budget unwinds with a typed `sim::BudgetError` which is
+//!    caught at the per-query boundary and converted to
+//!    [`EngineError::BudgetExceeded`] — the kernels before the failure
+//!    stay scheduled and co-tenants are untouched.
+//! 3. **Computed interleaving** — one loop on the caller's thread
+//!    ([`sim::Device::sched_run`]) gives kernel turns to the query the
+//!    policy designates ([`Policy::RoundRobin`], [`Policy::WeightedFair`],
+//!    [`Policy::Sjf`] or [`Policy::SjfAging`] — a pure function of
+//!    simulated state), charging its next recorded kernel to the device
+//!    clock, and retires a query the instant its timeline is exhausted,
+//!    so the budget it frees is re-granted at its completion time. What
+//!    couples tenants — reservation order, the bounded waiting room, the
+//!    policy comparator — is all that lives in the loop. Per-query
+//!    outputs, `OpStats` and traces are *byte-identical* to running the
+//!    same specs under [`Policy::Serial`], and every timestamp and export
+//!    is a function of the specs alone — the properties
 //!    `tests/scheduler_equivalence.rs` and `tests/admission_invariants.rs`
 //!    prove.
 //! 4. **Admission control** — [`run_open_loop_with`] takes a
@@ -61,8 +68,8 @@
 use crate::explain::QueryExplain;
 use crate::{cost, execute, Catalog, EngineError, NodeStats, Plan, QueryOutput};
 use serde::Serialize;
-use sim::{AdmitOutcome, Device, OpStats, QueueLimits, SimTime, Trace};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use sim::{Device, OpStats, QueueLimits, SimTime, Trace};
+use std::panic::{resume_unwind, AssertUnwindSafe};
 
 /// The scheduling policies a session can run under (re-exported from
 /// [`sim::SchedPolicy`]): `Serial`, `RoundRobin`, `WeightedFair`, `Sjf`
@@ -71,19 +78,22 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 pub type Policy = sim::SchedPolicy;
 
 /// Admission-control configuration for a serving session: how deep the
-/// admission queue may grow (in total and per tenant class) before
+/// waiting room may grow (in total and per tenant class) before
 /// arrivals are shed, and whether the predicted-memory gate rejects
 /// queries whose cost-model memory floor already exceeds their budget.
 ///
 /// The default is the PR-8 behavior: unbounded queue, no gate.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingConfig {
-    /// Maximum queries in the system (waiting + running) across all
-    /// classes; an arrival that would exceed it is shed with
-    /// [`EngineError::QueueShed`]. `None` is unbounded.
+    /// Maximum queries *waiting for admission* (arrived, not yet holding a
+    /// reservation) across all classes — running queries do not count,
+    /// exactly as [`sim::QueueLimits::total_depth`] documents. An arrival
+    /// that cannot be admitted on the spot and finds that many already
+    /// waiting is shed with [`EngineError::QueueShed`]; `Some(0)` means
+    /// nothing ever waits. `None` is unbounded.
     pub total_depth: Option<usize>,
-    /// Per-class depth limits, by class name. Classes not listed are
-    /// unbounded (up to `total_depth`).
+    /// Per-class waiting-room limits, by class name, counted the same
+    /// way. Classes not listed are unbounded (up to `total_depth`).
     pub per_class_depth: Vec<(String, usize)>,
     /// When set, a query whose predicted peak memory
     /// ([`cost::estimate`]) exceeds its budget is rejected before
@@ -105,13 +115,13 @@ impl ServingConfig {
         ServingConfig::default()
     }
 
-    /// Bound the total number of queries in the system.
+    /// Bound the number of queries waiting for admission.
     pub fn with_total_depth(mut self, depth: usize) -> Self {
         self.total_depth = Some(depth);
         self
     }
 
-    /// Bound one class's queries in the system.
+    /// Bound one class's queries waiting for admission.
     pub fn with_class_depth(mut self, class: impl Into<String>, depth: usize) -> Self {
         self.per_class_depth.push((class.into(), depth));
         self
@@ -286,10 +296,11 @@ impl QueryReport {
 ///
 /// Call on the base (non-query) handle of the device holding `catalog`.
 /// Each spec gets a budget reservation (equal shares of the free capacity
-/// by default) and runs `execute(qdev, catalog, plan)` on its own thread
-/// behind the deterministic kernel turn gate — host threading changes
-/// nothing observable. A query that exceeds its budget fails alone, with
-/// co-tenants' results, stats and ledgers untouched.
+/// by default) and runs `execute(qdev, catalog, plan)` on its own query
+/// handle when the reservation is granted; the session loop then
+/// interleaves the recorded kernels on the device clock in policy order,
+/// all on the calling thread. A query that exceeds its budget fails alone,
+/// with co-tenants' results, stats and ledgers untouched.
 ///
 /// With [`Policy::Serial`] the same machinery runs queries to completion in
 /// spec order — the oracle the concurrent policies are byte-compared
@@ -410,9 +421,9 @@ fn run_session(
         return Vec::new();
     }
     let was_tracing = dev.tracing_enabled();
-    // Clock at session start, read before the scheduler mirror exists:
-    // the arrival timestamp lifecycle tracing assigns to queries rejected
-    // before registration (they never get a device-side arrival stamp).
+    // Clock at session start: the arrival timestamp lifecycle tracing
+    // assigns to queries rejected before registration (they never get a
+    // device-side arrival stamp).
     let session_start = dev.elapsed();
 
     // Tenant classes index the device-side per-class queue limits. The
@@ -452,11 +463,10 @@ fn run_session(
         .saturating_sub(dev.mem_report().current_bytes);
     let fallback_budget = default_budget(free);
 
-    // Register every spec on this thread, in spec order: device query ids
-    // are assigned in call order, and the id order is what the policies'
-    // determinism rests on.
+    // Register every spec in spec order: device query ids are assigned in
+    // call order, and id order is the policies' tie-break.
     enum Registered {
-        Query { qdev: Device, plan: Plan },
+        Query { qdev: Device },
         Rejected { budget: u64, err: EngineError },
     }
     let registered: Vec<Registered> = entries
@@ -503,10 +513,7 @@ fn run_session(
                         class_name,
                         serving.slo_for(class_name).map(SimTime::from_secs),
                     );
-                    Registered::Query {
-                        qdev,
-                        plan: spec.plan.clone(),
-                    }
+                    Registered::Query { qdev }
                 }
                 Err(e) => Registered::Rejected {
                     budget,
@@ -519,58 +526,32 @@ fn run_session(
         })
         .collect();
 
-    // One worker thread per admitted query. The threads only race on the
-    // turn gate, whose decisions are functions of simulated state — so the
-    // per-query outcome is independent of host scheduling.
-    type Outcome = Result<Result<QueryOutput, EngineError>, Box<dyn std::any::Any + Send>>;
-    let outcomes: Vec<Option<Outcome>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = registered
-            .iter()
-            .map(|reg| match reg {
-                Registered::Rejected { .. } => None,
-                Registered::Query { qdev, plan } => Some(scope.spawn(move || {
-                    if let AdmitOutcome::Shed = qdev.sched_admit() {
-                        // Shed at the queue: never admitted, never run,
-                        // never retired (the device already finalized it
-                        // with completion = arrival). Co-tenants see
-                        // nothing.
-                        let qid = qdev.query_id().expect("query handle");
-                        return Ok(Err(EngineError::QueueShed { query: qid }));
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| execute(qdev, catalog, plan)));
-                    // Retire unconditionally — success, engine error or
-                    // unwind — so the reservation is released, queued
-                    // queries admit, and the turn gate never waits on a
-                    // dead query.
-                    qdev.sched_retire();
-                    match result {
-                        Ok(res) => Ok(res),
-                        Err(payload) => match payload.downcast::<sim::BudgetError>() {
-                            Ok(b) => Ok(Err(EngineError::BudgetExceeded {
-                                query: b.query,
-                                budget_bytes: b.budget_bytes,
-                                requested_bytes: b.requested_bytes,
-                                in_use_bytes: b.in_use_bytes,
-                                label: b.label.clone(),
-                            })),
-                            Err(other) => Err(other),
-                        },
-                    }
-                })),
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("scheduler worker panicked outside execute")))
-            .collect()
+    // Execute, then schedule: the device loop calls back the moment a
+    // query's reservation is granted, the query runs to completion on its
+    // private handle, and the loop charges its recorded kernels to the
+    // device in policy order. Shed queries are never called back.
+    let mut results: Vec<Option<Result<QueryOutput, EngineError>>> =
+        registered.iter().map(|_| None).collect();
+    // Device query ids count registered specs only; map them back.
+    let tenants: Vec<(usize, &Device)> = registered
+        .iter()
+        .enumerate()
+        .filter_map(|(i, reg)| match reg {
+            Registered::Query { qdev } => Some((i, qdev)),
+            Registered::Rejected { .. } => None,
+        })
+        .collect();
+    dev.sched_run(|qid| {
+        let (i, qdev) = tenants[qid as usize];
+        results[i] = Some(execute_tenant(qdev, catalog, &entries[i].spec.plan));
     });
 
     let reports: Vec<QueryReport> = registered
         .into_iter()
-        .zip(outcomes)
+        .zip(results)
         .zip(&entries)
         .enumerate()
-        .map(|(i, ((reg, outcome), entry))| match reg {
+        .map(|(i, ((reg, result), entry))| match reg {
             Registered::Rejected { budget, err } => {
                 if was_tracing {
                     // Rejected before registration: no device query id
@@ -596,16 +577,17 @@ fn run_session(
                     explain: None,
                 }
             }
-            Registered::Query { qdev, .. } => {
-                let result = match outcome.expect("admitted query has an outcome") {
-                    Ok(res) => res,
-                    // A non-budget panic is a simulator invariant violation,
-                    // not a tenant failure: co-tenants have already retired,
-                    // so propagate it.
-                    Err(payload) => resume_unwind(payload),
-                };
+            Registered::Query { qdev } => {
                 let qid = qdev.query_id().expect("query handle");
                 let sched = dev.sched_query_stats(qid);
+                let result = if sched.shed {
+                    // Shed at the queue: never admitted, never run (the
+                    // device finalized it with completion = arrival).
+                    // Co-tenants see nothing.
+                    Err(EngineError::QueueShed { query: qid })
+                } else {
+                    result.expect("every admitted query was executed")
+                };
                 if was_tracing {
                     emit_lifecycle(dev, qid, &sched, &result);
                 }
@@ -642,9 +624,35 @@ fn run_session(
     reports
 }
 
-/// Emit one finished query's lifecycle spans into the base trace, on the
-/// driver thread in spec order (so trace bytes are host-schedule
-/// independent).
+/// Run one admitted tenant to completion on its query handle — the
+/// per-query isolation boundary. A budget overrun unwinds out of
+/// `DeviceBuffer` construction with a typed `sim::BudgetError`; it is
+/// caught here and becomes [`EngineError::BudgetExceeded`], and the kernels
+/// the query launched before failing stay on its timeline. Any other panic
+/// is a simulator invariant violation, not a tenant failure, and
+/// propagates.
+fn execute_tenant(
+    qdev: &Device,
+    catalog: &Catalog,
+    plan: &Plan,
+) -> Result<QueryOutput, EngineError> {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| execute(qdev, catalog, plan))) {
+        Ok(res) => res,
+        Err(payload) => match payload.downcast::<sim::BudgetError>() {
+            Ok(b) => Err(EngineError::BudgetExceeded {
+                query: b.query,
+                budget_bytes: b.budget_bytes,
+                requested_bytes: b.requested_bytes,
+                in_use_bytes: b.in_use_bytes,
+                label: b.label.clone(),
+            }),
+            Err(other) => resume_unwind(other),
+        },
+    }
+}
+
+/// Emit one finished query's lifecycle spans into the base trace, after
+/// the session, in spec order.
 ///
 /// The span set *tiles* `[arrival, completion]` exactly:
 /// `queued` covers `[arrival, admitted]`, the recorded exec slices cover
@@ -700,9 +708,8 @@ fn emit_lifecycle(
 }
 
 /// Record per-class service-level latency observations into the device's
-/// metrics registry (no-op when metrics are disabled). Runs on the driver
-/// thread, in spec order, *after* the session — recording order and values
-/// are both deterministic, so exports stay byte-identical across runs.
+/// metrics registry (no-op when metrics are disabled). Runs in spec order
+/// *after* the session, so the gauges it sets see final values.
 fn record_latency_metrics(
     dev: &Device,
     entries: &[SessionEntry],

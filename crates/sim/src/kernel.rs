@@ -14,6 +14,7 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
+use crate::metrics::KernelDelta;
 use crate::{Device, SimTime, SECTOR_BYTES, WARP_SIZE};
 
 /// Warps per stack chunk of [`KernelBuilder::warp_loads`]: addresses are
@@ -174,14 +175,16 @@ impl<'d> KernelBuilder<'d> {
         self
     }
 
-    /// Launch: convert the accounted work into simulated time, advance the
-    /// device clock and counters, and return the kernel's duration.
+    /// Launch: convert the accounted work into simulated time, charge it,
+    /// and return the kernel's duration.
     ///
-    /// On a query handle the launch first passes the scheduling turn gate
-    /// (blocking until the session's policy designates this query), then
-    /// charges the work twice: to the query's private counters, clock and
-    /// trace, and to the device-wide aggregates (whose trace tags the event
-    /// with the query id, yielding the multi-tenant timeline).
+    /// On the base handle the launch advances the device clock, counters,
+    /// trace and metrics. On a query handle it advances only the query's
+    /// private clock, counters and trace and appends the charge to the
+    /// query's timeline; the session loop ([`Device::sched_run`]) charges
+    /// the same record to the device-wide aggregates (whose trace tags the
+    /// event with the query id, yielding the multi-tenant timeline) when
+    /// the policy gives the query its turn.
     pub fn launch(self) -> SimTime {
         let cfg = &self.dev.inner.config;
         let t_comp = self.warp_instructions as f64 / cfg.issue_rate();
@@ -193,7 +196,7 @@ impl<'d> KernelBuilder<'d> {
 
         // Planning-scope launches (the planner's statistics samplers, see
         // `Device::with_planning`) charge nothing — no clock, counters,
-        // trace, metrics or scheduling turn. They model work a cached plan
+        // trace, metrics or timeline record. They model work a cached plan
         // skips, so a recorded (cold) run and its cached replay must
         // observe identical bytes on every clock. Safe because sampling
         // kernels stream charges only (no `warp_loads`): they never mutate
@@ -202,92 +205,93 @@ impl<'d> KernelBuilder<'d> {
             return SimTime::from_secs(t);
         }
 
-        let query = self.dev.query;
-        let gated = match query {
-            Some(qid) => self.dev.acquire_turn(qid),
-            None => false,
+        let k = KernelCharge {
+            name: self.name,
+            secs: t,
+            work: KernelDelta {
+                warp_instructions: self.warp_instructions,
+                dram_read_bytes: self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES,
+                dram_write_bytes: self.seq_write_bytes
+                    + self.store_writeback_sectors * SECTOR_BYTES,
+                load_requests: self.load_requests,
+                sectors_requested: self.sectors_requested,
+                l2_hits: self.l2_hit_sectors,
+                l2_misses: self.dram_gather_sectors,
+                atomics: self.atomics_total,
+            },
         };
-
-        let mut st = self.dev.inner.state.lock();
-        let dev_start = st.clock;
-        st.clock += t;
-        self.bump(&mut st.counters, t, cfg.clock_hz);
-        let mut dropped = 0;
-        if let Some(tr) = st.trace.as_deref_mut() {
-            dropped += tr.push_kernel(self.event(dev_start, t, query));
-        }
-        if let Some(qid) = query {
-            let q = &mut st.queries[qid as usize];
-            let q_start = q.clock;
-            q.clock += t;
-            self.bump(&mut q.counters, t, cfg.clock_hz);
-            if let Some(tr) = q.trace.as_deref_mut() {
-                dropped += tr.push_kernel(self.event(q_start, t, query));
+        let mut guard = self.dev.inner.state.lock();
+        let st = &mut *guard;
+        match self.dev.query {
+            None => {
+                let start = st.clock;
+                st.clock += t;
+                st.record_kernel(&k, start, None, cfg.clock_hz);
             }
-        }
-        crate::note_trace_drops(&mut st.metrics, dropped);
-        let clock_after = st.clock;
-        if let Some(m) = st.metrics.as_deref_mut() {
-            // Same arithmetic as bump(): metrics totals cross-check against
-            // Counters deltas and trace sums exactly.
-            m.on_kernel(
-                clock_after,
-                query,
-                t,
-                &crate::metrics::KernelDelta {
-                    warp_instructions: self.warp_instructions,
-                    dram_read_bytes: self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES,
-                    dram_write_bytes: self.seq_write_bytes
-                        + self.store_writeback_sectors * SECTOR_BYTES,
-                    load_requests: self.load_requests,
-                    sectors_requested: self.sectors_requested,
-                    l2_hits: self.l2_hit_sectors,
-                    l2_misses: self.dram_gather_sectors,
-                    atomics: self.atomics_total,
-                },
-            );
-        }
-        drop(st);
-        if gated {
-            self.dev.complete_turn(query.unwrap(), t);
+            Some(qid) => {
+                let q = &mut st.queries[qid as usize];
+                let start = q.clock;
+                q.clock += t;
+                k.bump(&mut q.counters, cfg.clock_hz);
+                if let Some(tr) = q.trace.as_deref_mut() {
+                    let dropped = tr.push_kernel(k.event(start, Some(qid)));
+                    crate::note_trace_drops(&mut st.metrics, dropped);
+                }
+                q.timeline.push_back(k);
+            }
         }
         SimTime::from_secs(t)
     }
+}
 
+/// One launched kernel as the device accounts it: its simulated duration
+/// and the work behind it. Counter bumps, the trace event and the metrics
+/// delta are all derived from this one record, so they cross-check exactly
+/// — and a query's timeline of charges is all the session loop needs to
+/// replay its kernels onto the device clock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelCharge {
+    name: &'static str,
+    pub(crate) secs: f64,
+    pub(crate) work: KernelDelta,
+}
+
+impl KernelCharge {
     /// Fold this launch's work into a counter set.
-    fn bump(&self, c: &mut crate::Counters, t: f64, clock_hz: f64) {
+    pub(crate) fn bump(&self, c: &mut crate::Counters, clock_hz: f64) {
+        let w = &self.work;
         c.kernel_launches += 1;
-        c.cycles += t * clock_hz;
-        c.warp_instructions += self.warp_instructions;
-        c.dram_read_bytes += self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES;
-        c.dram_write_bytes += self.seq_write_bytes + self.store_writeback_sectors * SECTOR_BYTES;
-        c.load_requests += self.load_requests;
-        c.sectors_requested += self.sectors_requested;
-        c.l2_hits += self.l2_hit_sectors;
-        c.l2_misses += self.dram_gather_sectors;
-        c.atomics += self.atomics_total;
+        c.cycles += self.secs * clock_hz;
+        c.warp_instructions += w.warp_instructions;
+        c.dram_read_bytes += w.dram_read_bytes;
+        c.dram_write_bytes += w.dram_write_bytes;
+        c.load_requests += w.load_requests;
+        c.sectors_requested += w.sectors_requested;
+        c.l2_hits += w.l2_hits;
+        c.l2_misses += w.l2_misses;
+        c.atomics += w.atomics;
     }
 
     /// The trace record of this launch starting at `start` on some clock.
-    fn event(
+    pub(crate) fn event(
         &self,
         start: f64,
-        dur: f64,
         query: Option<crate::QueryId>,
     ) -> crate::trace::KernelEvent {
+        let w = &self.work;
         crate::trace::KernelEvent {
             name: self.name,
             start,
-            dur,
+            dur: self.secs,
             query,
-            warp_instructions: self.warp_instructions,
-            dram_read_bytes: self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES,
-            dram_write_bytes: self.seq_write_bytes + self.store_writeback_sectors * SECTOR_BYTES,
-            load_requests: self.load_requests,
-            sectors_requested: self.sectors_requested,
-            l2_hits: self.l2_hit_sectors,
-            l2_misses: self.dram_gather_sectors,
-            atomics: self.atomics_total,
+            warp_instructions: w.warp_instructions,
+            dram_read_bytes: w.dram_read_bytes,
+            dram_write_bytes: w.dram_write_bytes,
+            load_requests: w.load_requests,
+            sectors_requested: w.sectors_requested,
+            l2_hits: w.l2_hits,
+            l2_misses: w.l2_misses,
+            atomics: w.atomics,
         }
     }
 }

@@ -45,10 +45,14 @@
 //! handle starts a session with [`Device::sched_start`] and registers each
 //! query with [`Device::sched_register`], which reserves the query a memory
 //! budget and returns a *query handle* — a `Device` whose counters, clock,
-//! L2 image, memory ledger and trace are private to that query. Kernel
-//! launches through a query handle pass a deterministic turn gate, so the
-//! interleaving (and every per-query byte of state) is a pure function of
-//! simulated time — concurrent execution is bit-identical to serial.
+//! L2 image, memory ledger and trace are private to that query. A kernel
+//! launched through a query handle touches only that private state and
+//! leaves a record on the query's timeline; [`Device::sched_run`] — one
+//! loop on the caller's thread — executes each query when its reservation
+//! is granted and charges the recorded kernels to the device in the order
+//! the session's policy designates. The interleaving (and every per-query
+//! byte of state) is a pure function of simulated time — concurrent
+//! execution is bit-identical to serial.
 //!
 //! ## Quick example
 //!
@@ -91,9 +95,7 @@ pub use metrics::{
     metrics_json, openmetrics, secs_to_ticks, HdrHistogram, MetricsRegistry, MetricsSnapshot,
     QueryLifecycle, SECONDS_SCALE,
 };
-pub use sched::{
-    AdmissionError, AdmitOutcome, BudgetError, QueryId, QuerySchedStats, QueueLimits, SchedPolicy,
-};
+pub use sched::{AdmissionError, BudgetError, QueryId, QuerySchedStats, QueueLimits, SchedPolicy};
 pub use stats::OpStats;
 pub use time::{PhaseTimes, SimTime};
 pub use trace::{LifecycleEvent, LifecycleStage, SpanCat, Trace, TraceEvent};
@@ -164,6 +166,9 @@ pub(crate) struct QueryState {
     pub(crate) trace: Option<Box<Trace>>,
     /// The reservation this query's sub-ledger is capped at.
     pub(crate) budget_bytes: u64,
+    /// The kernels the query launched that the session loop has not yet
+    /// charged to the device, in program order; one leaves per turn.
+    pub(crate) timeline: std::collections::VecDeque<kernel::KernelCharge>,
 }
 
 impl QueryState {
@@ -175,6 +180,7 @@ impl QueryState {
             clock: 0.0,
             trace: None,
             budget_bytes,
+            timeline: Default::default(),
         }
     }
 }
@@ -193,6 +199,8 @@ pub(crate) struct DeviceState {
     /// Virtual state of the current scheduling session's queries, indexed by
     /// [`QueryId`]. Cleared by the next [`Device::sched_start`].
     pub(crate) queries: Vec<QueryState>,
+    /// Policy state of the scheduling session (see [`sched`]).
+    pub(crate) sched: sched::SchedState,
 }
 
 impl DeviceState {
@@ -204,27 +212,67 @@ impl DeviceState {
             None => &mut self.l2,
         }
     }
+
+    /// Fold a kernel that occupied the device over `[start, self.clock]`
+    /// into the device-wide counters, trace and metrics. `query` tags a
+    /// session turn charged on behalf of that query.
+    pub(crate) fn record_kernel(
+        &mut self,
+        k: &kernel::KernelCharge,
+        start: f64,
+        query: Option<QueryId>,
+        clock_hz: f64,
+    ) {
+        k.bump(&mut self.counters, clock_hz);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            let dropped = tr.push_kernel(k.event(start, query));
+            note_trace_drops(&mut self.metrics, dropped);
+        }
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.on_kernel(self.clock, query, k.secs, &k.work);
+        }
+    }
+
+    /// One step of the session loop with the turn at `qid`: charge the
+    /// query's next recorded kernel to the device, complete the turn, and
+    /// retire the query if that was its last kernel.
+    fn replay_turn(&mut self, qid: QueryId, clock_hz: f64) {
+        let timeline = &mut self.queries[qid as usize].timeline;
+        let k = timeline
+            .pop_front()
+            .expect("a runnable query has kernels left");
+        let exhausted = timeline.is_empty();
+        let start = self.clock;
+        self.sched.complete_turn(&mut self.clock, qid, k.secs);
+        self.record_kernel(&k, start, Some(qid), clock_hz);
+        if exhausted {
+            self.retire(qid);
+        }
+    }
+
+    /// Retire `qid` at the current clock: release its reservation
+    /// (possibly admitting queued queries) and record its lifecycle.
+    fn retire(&mut self, qid: QueryId) {
+        self.sched.retire(qid, self.clock);
+        if let Some(m) = self.metrics.as_deref_mut() {
+            let stats = self.sched.stats(qid);
+            m.push_lifecycle(QueryLifecycle {
+                query: qid,
+                arrival_secs: stats.arrival_secs,
+                admitted_secs: stats.admitted_secs,
+                completion_secs: stats.completion_secs,
+                busy_secs: stats.busy_secs,
+                budget_bytes: stats.budget_bytes,
+                class: stats.class,
+                slo_secs: stats.slo_secs,
+            });
+        }
+    }
 }
 
 pub(crate) struct DeviceInner {
     pub(crate) config: DeviceConfig,
     pub(crate) state: Mutex<DeviceState>,
-    /// Scheduling bookkeeping behind the kernel turn gate. Deliberately a
-    /// separate `std` mutex (with [`DeviceInner::sched_cv`]): launches block
-    /// on the condvar here, and code must never hold `state` and `sched`
-    /// at the same time.
-    pub(crate) sched: std::sync::Mutex<sched::SchedState>,
-    pub(crate) sched_cv: std::sync::Condvar,
-}
-
-impl DeviceInner {
-    pub(crate) fn sched_lock(&self) -> std::sync::MutexGuard<'_, sched::SchedState> {
-        // Panics never unwind while holding this lock (the budget-OOM panic
-        // fires under the state lock), but be robust to poisoning anyway.
-        self.sched
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 /// A handle to a simulated GPU.
@@ -235,8 +283,9 @@ impl DeviceInner {
 ///
 /// A handle returned by [`Device::sched_register`] is a *query handle*: it
 /// shares the physical device but routes counters, clock, L2, memory and
-/// tracing to that query's private virtual state, and its kernel launches
-/// are sequenced by the session's scheduling policy.
+/// tracing to that query's private virtual state; its kernel launches reach
+/// the device-wide state when [`Device::sched_run`] replays them in the
+/// order the session's scheduling policy designates.
 #[derive(Clone)]
 pub struct Device {
     pub(crate) inner: Arc<DeviceInner>,
@@ -259,9 +308,8 @@ impl Device {
                     trace: None,
                     metrics: None,
                     queries: Vec::new(),
+                    sched: sched::SchedState::default(),
                 }),
-                sched: std::sync::Mutex::new(sched::SchedState::default()),
-                sched_cv: std::sync::Condvar::new(),
             }),
             query: None,
         }
@@ -542,8 +590,9 @@ impl Device {
     /// disabled — callers can record unconditionally). Engine layers use
     /// this for their own instruments: per-operator duration histograms,
     /// per-tenant latency histograms. Only integer instruments (counters,
-    /// histograms) may be recorded from concurrent workers; see the
-    /// [`metrics`] module docs for the determinism rules.
+    /// histograms) may be recorded from inside a query's execution, which
+    /// a session runs ahead of the device clock; see the [`metrics`] module
+    /// docs for the determinism rules.
     pub fn with_metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
         let mut st = self.inner.state.lock();
         if let Some(m) = st.metrics.as_deref_mut() {
@@ -553,7 +602,7 @@ impl Device {
 
     /// Run `f` with this thread marked as *planning*: kernels launched
     /// inside `f` (the planner's statistics-sampling kernels) charge
-    /// nothing — no clock, counters, trace, metrics or scheduling turn, on
+    /// nothing — no clock, counters, trace, metrics or timeline record, on
     /// either the device or a query handle. Planning work models what a
     /// plan-cache hit skips, so a recording (cold) run and its cached
     /// replay observe identical bytes on every clock. Only valid for
@@ -598,67 +647,46 @@ impl Device {
 
     /// [`Device::sched_start`] with explicit waiting-room bounds: an
     /// arrival that cannot be admitted immediately and finds the (total or
-    /// per-class) queue full is *shed* — its [`Device::sched_admit`]
-    /// resolves to [`AdmitOutcome::Shed`] and it must not run.
+    /// per-class) queue full is *shed* — it never runs, and its
+    /// [`QuerySchedStats::shed`] is set.
     pub fn sched_start_with(&self, policy: SchedPolicy, limits: QueueLimits) {
         assert!(self.query.is_none(), "sched_start on a query handle");
-        let (used, clock, tracing) = {
-            let mut st = self.inner.state.lock();
-            st.queries.clear();
-            (st.mem.report().current_bytes, st.clock, st.trace.is_some())
-        };
+        let mut st = self.inner.state.lock();
+        st.queries.clear();
+        let used = st.mem.report().current_bytes;
         let available = self.inner.config.global_mem_bytes.saturating_sub(used);
-        let mut sched = self.inner.sched_lock();
-        sched.start(policy, available, clock, limits);
+        st.sched.start(policy, available, limits);
         // Exec slices exist for the lifecycle timeline; record them only
         // when the base trace will consume them.
-        sched.record_slices = tracing;
+        st.sched.record_slices = st.trace.is_some();
+    }
+
+    /// Register a query that is present now, with no cost prediction and
+    /// no admission class (see [`Device::sched_register_spec`]).
+    pub fn sched_register(&self, weight: f64, budget_bytes: u64) -> Result<Device, AdmissionError> {
+        self.sched_register_spec(weight, budget_bytes, None, SimTime::ZERO, None)
     }
 
     /// Register a query with the active session, reserving it a memory
     /// budget of `budget_bytes`, and return its query handle.
     ///
-    /// Budgets are granted FIFO in registration order; a query whose budget
-    /// does not currently fit queues until earlier queries retire (block on
-    /// it with [`Device::sched_admit`]). A budget that can *never* fit —
-    /// larger than the session's free pool — is rejected here. Register all
-    /// queries from one thread: query ids are assigned in call order and the
-    /// id order is what makes admission and scheduling deterministic.
-    pub fn sched_register(&self, weight: f64, budget_bytes: u64) -> Result<Device, AdmissionError> {
-        assert!(self.query.is_none(), "sched_register on a query handle");
-        let qid = self.inner.sched_lock().register(weight, budget_bytes)?;
-        self.finish_register(qid, budget_bytes)
-    }
-
-    /// Register a query that *arrives in the future*: open-loop load
-    /// generation. The query behaves exactly like a [`Device::sched_register`]
-    /// query except that admission and scheduling ignore it until the
-    /// simulated clock reaches `arrival`; if the device drains idle while
-    /// only future arrivals remain, the clock jumps forward to the earliest
-    /// one (an open-loop service sees real inter-arrival gaps, not a
-    /// back-to-back batch). Register arrivals in non-decreasing time order —
-    /// admission is FIFO in id order, and id order must equal arrival order
-    /// for that to mean FIFO-by-arrival.
-    pub fn sched_register_at(
-        &self,
-        weight: f64,
-        budget_bytes: u64,
-        arrival: SimTime,
-    ) -> Result<Device, AdmissionError> {
-        assert!(self.query.is_none(), "sched_register_at on a query handle");
-        let qid = self
-            .inner
-            .sched_lock()
-            .register_at(weight, budget_bytes, arrival.secs())?;
-        self.finish_register(qid, budget_bytes)
-    }
-
-    /// Register a query with its full serving spec: an optional future
-    /// arrival time (`None` = arrives now), the cost model's predicted
-    /// execution time (the ranking key of the shortest-job policies) and an
+    /// Budgets are granted in policy order (FIFO in registration order for
+    /// the fair-share policies); a query whose budget does not currently
+    /// fit queues until earlier queries retire. A budget that can *never*
+    /// fit — larger than the session's free pool — is rejected here.
+    ///
+    /// `arrival` is `None` for a query present now, or a time on the
+    /// simulated clock for open-loop load generation: admission and
+    /// scheduling ignore the query until the clock reaches it, and if the
+    /// device drains idle while only future arrivals remain, the clock
+    /// jumps forward to the earliest one (an open-loop service sees real
+    /// inter-arrival gaps, not a back-to-back batch). Register arrivals in
+    /// non-decreasing time order — query ids are assigned in call order,
+    /// and id order must equal arrival order for FIFO to mean
+    /// FIFO-by-arrival. `predicted` is the cost model's execution time
+    /// (the ranking key of the shortest-job policies) and `class` an
     /// admission class index (matched against
-    /// [`QueueLimits::per_class_depth`]). Like the other registrations,
-    /// call from one thread in arrival order.
+    /// [`QueueLimits::per_class_depth`]).
     pub fn sched_register_spec(
         &self,
         weight: f64,
@@ -671,125 +699,80 @@ impl Device {
             self.query.is_none(),
             "sched_register_spec on a query handle"
         );
-        // Resolve "arrives now" against the device clock *before* taking
-        // the sched lock (the two locks are never held together). The
-        // engine registers before any worker runs, so the sched clock
-        // mirror equals the device clock here.
-        let arrival_secs = match arrival {
-            Some(a) => a.secs(),
-            None => self.inner.state.lock().clock,
-        };
-        let qid = self.inner.sched_lock().register_spec(
+        let mut st = self.inner.state.lock();
+        let now = st.clock;
+        let qid = st.sched.register_spec(
+            now,
             weight,
             budget_bytes,
-            arrival_secs,
+            arrival.map_or(now, |a| a.secs()),
             predicted.secs(),
             class,
         )?;
-        self.finish_register(qid, budget_bytes)
-    }
-
-    fn finish_register(&self, qid: QueryId, budget_bytes: u64) -> Result<Device, AdmissionError> {
-        {
-            let mut st = self.inner.state.lock();
-            debug_assert_eq!(
-                st.queries.len(),
-                qid as usize,
-                "sched_register must not race itself"
-            );
-            st.queries
-                .push(QueryState::new(&self.inner.config, budget_bytes));
-        }
-        self.inner.sched_lock().on_register(qid);
-        self.inner.sched_cv.notify_all();
+        debug_assert_eq!(st.queries.len(), qid as usize);
+        st.queries
+            .push(QueryState::new(&self.inner.config, budget_bytes));
+        st.sched.on_register(qid, now);
         Ok(Device {
             inner: Arc::clone(&self.inner),
             query: Some(qid),
         })
     }
 
-    /// Block until this query's budget reservation has been granted — or,
-    /// under a bounded queue, until it is shed. Call on the query handle,
-    /// before running the query's plan; on [`AdmitOutcome::Shed`] the query
-    /// must not launch kernels and must not retire. If the device drains
-    /// idle while this query's (open-loop) arrival is still in the future,
-    /// the waiting thread itself jumps the clock forward.
-    pub fn sched_admit(&self) -> AdmitOutcome {
-        let qid = self.query.expect("sched_admit on a non-query handle");
-        let mut sched = self.inner.sched_lock();
-        loop {
-            if sched.is_admitted(qid) {
-                return AdmitOutcome::Admitted;
-            }
-            if sched.is_shed(qid) {
-                return AdmitOutcome::Shed;
-            }
-            if let Some(delta) = sched.begin_idle_advance() {
-                drop(sched);
-                self.apply_idle_advance(delta);
-                sched = self.inner.sched_lock();
-                continue;
-            }
-            sched = self
-                .inner
-                .sched_cv
-                .wait(sched)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Second phase of an idle advance: the calling thread holds the
-    /// exclusive `advancing` claim (designation is `None`, so no kernel can
-    /// race the clock), moves the device clock with the sched lock released
-    /// (the two locks are never held together), then commits.
-    fn apply_idle_advance(&self, delta: f64) {
-        {
-            let mut st = self.inner.state.lock();
-            st.clock += delta;
-        }
-        self.inner.sched_lock().finish_idle_advance(delta);
-        self.inner.sched_cv.notify_all();
-    }
-
-    /// Retire this query: record its completion time from its turn-gated
-    /// stamp (the simulated clock right after its last kernel — *not* the
-    /// live device clock, which would encode host-thread timing under
-    /// concurrent policies), release its budget reservation (possibly
-    /// admitting queued queries), and remove it from scheduling. Call on
-    /// the query handle exactly once, whether the query succeeded or
-    /// failed — but never for a shed query, which finished at arrival.
-    pub fn sched_retire(&self) {
-        let qid = self.query.expect("sched_retire on a non-query handle");
-        let stats = {
-            let mut sched = self.inner.sched_lock();
-            sched.retire(qid);
-            sched.stats(qid)
-        };
-        self.inner.sched_cv.notify_all();
+    /// Run the session to completion on the calling thread. Call on the
+    /// base handle after registering every query.
+    ///
+    /// Execute, then schedule: the moment a query's reservation is granted,
+    /// `exec` is called with its id and must run the query to completion on
+    /// its query handle — every kernel it launches lands on the query's
+    /// private state and timeline, never on the device clock. Between those
+    /// calls the loop gives the policy's designated query a turn (its next
+    /// recorded kernel is charged to the device clock, counters, trace and
+    /// metrics), retires a query the instant its timeline is exhausted —
+    /// before any later turn, so the budget it frees is re-granted at its
+    /// completion time — and jumps the clock to the next arrival when
+    /// nothing is runnable. Shed queries are never passed to `exec`.
+    ///
+    /// If `exec` unwinds, the session is left active and the device must
+    /// not be used for another one; catch a query's own failures inside
+    /// `exec` (the kernels it launched before failing are still scheduled,
+    /// then it retires and releases its reservation like any other).
+    pub fn sched_run(&self, mut exec: impl FnMut(QueryId)) {
+        assert!(self.query.is_none(), "sched_run on a query handle");
+        let clock_hz = self.inner.config.clock_hz;
         let mut st = self.inner.state.lock();
-        if let Some(m) = st.metrics.as_deref_mut() {
-            // Deterministic simulated timestamps; host-racy *recording*
-            // order is neutralized by sorting lifecycles at snapshot time.
-            m.push_lifecycle(QueryLifecycle {
-                query: qid,
-                arrival_secs: stats.arrival_secs,
-                admitted_secs: stats.admitted_secs,
-                completion_secs: stats.completion_secs,
-                busy_secs: stats.busy_secs,
-                budget_bytes: stats.budget_bytes,
-                class: stats.class.clone(),
-                slo_secs: stats.slo_secs,
-            });
+        assert!(st.sched.active(), "sched_run outside a session");
+        loop {
+            while let Some(qid) = st.sched.pop_admitted() {
+                // The query's launches take the lock themselves.
+                drop(st);
+                exec(qid);
+                st = self.inner.state.lock();
+                if st.queries[qid as usize].timeline.is_empty() {
+                    st.retire(qid);
+                }
+            }
+            let dev = &mut *st;
+            match dev.sched.designated() {
+                Some(qid) => dev.replay_turn(qid, clock_hz),
+                None => {
+                    if !dev.sched.idle_advance(&mut dev.clock) {
+                        return;
+                    }
+                }
+            }
         }
     }
 
     /// Attach a serving-class label and optional latency target to a
     /// registered query, for lifecycle exports and SLO accounting. Call on
-    /// the query handle from the registering (driver) thread.
+    /// the query handle.
     pub fn sched_label(&self, class: &str, slo: Option<SimTime>) {
         let qid = self.query.expect("sched_label on a non-query handle");
         self.inner
-            .sched_lock()
+            .state
+            .lock()
+            .sched
             .annotate(qid, Some(class.to_string()), slo.map(|s| s.secs()));
     }
 
@@ -798,53 +781,21 @@ impl Device {
     /// just-finished session. Empty unless the base trace was enabled when
     /// the session started.
     pub fn sched_query_slices(&self, query: QueryId) -> Vec<(f64, f64)> {
-        self.inner.sched_lock().slices(query)
+        self.inner.state.lock().sched.slices(query)
     }
 
-    /// End the session. Call on the base handle after every query retired.
-    /// Per-query stats and traces remain readable until the next
+    /// End the session. Call on the base handle after [`Device::sched_run`]
+    /// returned. Per-query stats and traces remain readable until the next
     /// [`Device::sched_start`].
     pub fn sched_finish(&self) {
         assert!(self.query.is_none(), "sched_finish on a query handle");
-        self.inner.sched_lock().finish();
+        self.inner.state.lock().sched.finish();
     }
 
     /// Scheduling outcome (busy time, completion time, budget) of a query in
     /// the current or just-finished session.
     pub fn sched_query_stats(&self, query: QueryId) -> QuerySchedStats {
-        self.inner.sched_lock().stats(query)
-    }
-
-    /// Wait until the scheduling policy designates `qid` to run the next
-    /// kernel. Returns `false` (without waiting) when no session is active,
-    /// in which case no turn is held and none must be completed.
-    pub(crate) fn acquire_turn(&self, qid: QueryId) -> bool {
-        let mut sched = self.inner.sched_lock();
-        if !sched.active() {
-            return false;
-        }
-        loop {
-            if sched.is_designated(qid) {
-                return true;
-            }
-            if let Some(delta) = sched.begin_idle_advance() {
-                drop(sched);
-                self.apply_idle_advance(delta);
-                sched = self.inner.sched_lock();
-                continue;
-            }
-            sched = self
-                .inner
-                .sched_cv
-                .wait(sched)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Account a finished kernel turn and pass the turn to the next query.
-    pub(crate) fn complete_turn(&self, qid: QueryId, kernel_secs: f64) {
-        self.inner.sched_lock().complete_turn(qid, kernel_secs);
-        self.inner.sched_cv.notify_all();
+        self.inner.state.lock().sched.stats(query)
     }
 }
 
@@ -892,37 +843,115 @@ mod tests {
         assert_eq!(dev.counters().kernel_launches, 0);
     }
 
+    /// Launch one streaming kernel over `items` items; returns its duration.
+    fn stream(dev: &Device, items: u64) -> f64 {
+        dev.kernel("k").items(items, 2.0).launch().secs()
+    }
+
     #[test]
     fn query_handles_virtualize_device_state() {
         let dev = Device::a100();
         dev.sched_start(SchedPolicy::RoundRobin);
         let q0 = dev.sched_register(1.0, 1 << 30).unwrap();
         let q1 = dev.sched_register(1.0, 1 << 30).unwrap();
-        q0.sched_admit();
-        q1.sched_admit();
         assert_eq!(q0.query_id(), Some(0));
         assert_eq!(q1.mem_capacity(), 1 << 30);
 
-        q0.kernel("k0").items(1 << 20, 2.0).launch();
-        // Query state is private; the base device aggregates.
-        assert_eq!(q0.counters().kernel_launches, 1);
-        assert_eq!(q1.counters().kernel_launches, 0);
-        assert_eq!(dev.counters().kernel_launches, 1);
-        assert!(q0.elapsed().secs() > 0.0);
-        assert_eq!(q1.elapsed().secs(), 0.0);
-
-        let buf = q1.alloc::<i64>(1024, "q1.buf");
-        assert_eq!(q1.mem_report().current_bytes, 8192);
-        assert_eq!(q0.mem_report().current_bytes, 0);
-        assert_eq!(dev.mem_report().current_bytes, 0, "base ledger untouched");
-        drop(buf);
-
-        q0.sched_retire();
-        q1.sched_retire();
+        let mut ran = Vec::new();
+        dev.sched_run(|qid| {
+            ran.push(qid);
+            if qid == 0 {
+                stream(&q0, 1 << 20);
+                // Query state is private, and execution runs ahead of the
+                // device: the base aggregates see the kernel at its turn.
+                assert_eq!(q0.counters().kernel_launches, 1);
+                assert_eq!(q1.counters().kernel_launches, 0);
+                assert_eq!(dev.counters().kernel_launches, 0);
+                assert!(q0.elapsed().secs() > 0.0);
+                assert_eq!(dev.elapsed().secs(), 0.0);
+            } else {
+                let buf = q1.alloc::<i64>(1024, "q1.buf");
+                assert_eq!(q1.mem_report().current_bytes, 8192);
+                assert_eq!(q0.mem_report().current_bytes, 0);
+                assert_eq!(dev.mem_report().current_bytes, 0, "base ledger untouched");
+                drop(buf);
+            }
+        });
         dev.sched_finish();
+        assert_eq!(ran, vec![0, 1]);
+        assert_eq!(dev.counters().kernel_launches, 1);
+        assert_eq!(dev.elapsed(), q0.elapsed());
+        assert_eq!(q1.elapsed().secs(), 0.0);
         let s0 = dev.sched_query_stats(0);
         assert!(s0.busy_secs > 0.0);
         assert_eq!(s0.budget_bytes, 1 << 30);
+        assert_eq!(s0.completion_secs, dev.elapsed().secs());
+    }
+
+    #[test]
+    fn zero_kernel_query_completes_at_admission_before_the_next_turn() {
+        // q0 and q1 hold the whole pool; q2 waits for q1's budget. q1 runs
+        // no kernel, so it retires the moment it is admitted — before q0's
+        // first turn — and q2 is granted the freed budget at that clock.
+        let dev = Device::a100();
+        let half = dev.config().global_mem_bytes / 2;
+        dev.sched_start(SchedPolicy::RoundRobin);
+        let q: Vec<Device> = (0..3)
+            .map(|_| dev.sched_register(1.0, half).unwrap())
+            .collect();
+        let mut t = [0.0f64; 3];
+        dev.sched_run(|qid| match qid {
+            0 => t[0] = stream(&q[0], 1 << 20) + stream(&q[0], 1 << 21),
+            1 => {}
+            _ => t[2] = stream(&q[2], 1 << 22),
+        });
+        dev.sched_finish();
+        let s: Vec<QuerySchedStats> = (0..3).map(|i| dev.sched_query_stats(i)).collect();
+        assert_eq!((s[1].admitted_secs, s[1].completion_secs), (0.0, 0.0));
+        assert_eq!(s[1].started_secs, None);
+        assert_eq!(s[2].admitted_secs, 0.0, "granted at q1's completion");
+        assert_eq!(s[0].started_secs, Some(0.0));
+        // Round robin from there: q0, q2, q0.
+        assert_eq!(s[0].busy_secs, t[0]);
+        assert_eq!(s[2].busy_secs, t[2]);
+        assert_eq!(s[0].completion_secs, dev.elapsed().secs());
+        assert!(s[2].completion_secs < s[0].completion_secs);
+        assert_eq!(dev.counters().kernel_launches, 3);
+    }
+
+    #[test]
+    fn budget_failed_query_replays_its_kernels_then_releases_its_reservation() {
+        let mut cfg = DeviceConfig::a100();
+        cfg.global_mem_bytes = 1 << 20;
+        let dev = Device::new(cfg);
+        let cap = dev.config().global_mem_bytes;
+        dev.sched_start(SchedPolicy::Serial);
+        let q0 = dev.sched_register(1.0, cap).unwrap();
+        let q1 = dev.sched_register(1.0, cap).unwrap();
+        let (mut t0, mut t1) = (Vec::new(), 0.0);
+        dev.sched_run(|qid| {
+            if qid == 1 {
+                t1 = stream(&q1, 1 << 18);
+                return;
+            }
+            t0.push(stream(&q0, 1 << 20));
+            t0.push(stream(&q0, 1 << 21));
+            let oom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                q0.alloc::<u8>(cap as usize + 1, "too.big")
+            }));
+            let err = oom.unwrap_err().downcast::<BudgetError>().unwrap();
+            assert_eq!((err.query, err.budget_bytes), (0, cap));
+        });
+        dev.sched_finish();
+        let (s0, s1) = (dev.sched_query_stats(0), dev.sched_query_stats(1));
+        // Both pre-failure kernels were charged to the device, in order...
+        assert_eq!(s0.busy_secs, t0[0] + t0[1]);
+        assert_eq!(s0.completion_secs, t0[0] + t0[1]);
+        // ...and the retire released the reservation q1 was waiting for.
+        assert_eq!(s1.admitted_secs, s0.completion_secs);
+        assert_eq!(s1.completion_secs, s0.completion_secs + t1);
+        assert_eq!(dev.counters().kernel_launches, 3);
+        assert_eq!(dev.elapsed().secs(), s1.completion_secs);
     }
 
     #[test]

@@ -14,27 +14,32 @@
 //! policies**, which dictates three design rules:
 //!
 //! 1. **Integer instruments.** Histograms store `u64` tick counts in `u64`
-//!    buckets and an integer sum; counters are `u64`. Worker threads may
-//!    record in any host order — bucket increments and integer adds
-//!    commute, so the exported bytes cannot depend on thread timing.
-//!    (Gauges are last-writer-wins `f64`s: set them only from one thread or
-//!    from turn-gated/driver-ordered code.)
-//! 2. **The sampler advances only at kernel launches.** Launches through
-//!    query handles are turn-gated, so their order and timestamps are a
-//!    pure function of simulated state. Events that are *not* turn-gated —
-//!    another tenant's allocation, a retire racing a co-tenant's kernel —
-//!    are never sampled live: base-ledger occupancy is fed from the
-//!    (program-ordered) base allocation path, and per-query lifecycle
-//!    series (queue depth, in-flight tenants) are **post-computed at
-//!    snapshot time** from deterministic simulated timestamps.
-//! 3. **Export order is sorted, not insertion order.** Which thread first
-//!    touches a metric family is a host race; exporters sort by
-//!    (name, labels), so the text is identical regardless.
+//!    buckets and an integer sum; counters are `u64`. A serving session
+//!    executes each query ahead of the device clock, at the moment its
+//!    reservation is granted — an order that depends on the policy — so
+//!    code inside a query's execution may record only these: bucket
+//!    increments and integer adds commute, and the exported bytes cannot
+//!    depend on execution order. (Gauges are last-writer-wins `f64`s: set
+//!    them only from code ordered by the device clock or after the
+//!    session.)
+//! 2. **The sampler advances only at device-clock kernel charges.** A
+//!    session charges kernels to the device one policy-designated turn at
+//!    a time, so their order and timestamps are a pure function of
+//!    simulated state. What a query does on its private handle ahead of
+//!    the clock — its allocations above all — is never sampled live:
+//!    base-ledger occupancy is fed from the (program-ordered) base
+//!    allocation path, and per-query lifecycle series (queue depth,
+//!    in-flight tenants) are **post-computed at snapshot time** from
+//!    simulated timestamps.
+//! 3. **Export order is sorted, not insertion order.** Which query first
+//!    touches a metric family depends on the order the policy admitted
+//!    them in; exporters sort by (name, labels), so the text is identical
+//!    under every policy. The sorted order is the file format.
 //!
 //! The per-query **dual accounting** mirrors the scheduler's virtualized
-//! handles: a kernel launched through a query handle bumps the device-wide
-//! totals *and* `tenant_*`-labelled counters for its query id, exactly as
-//! it already bumps both counter sets and both traces.
+//! handles: a kernel charged to the device on a query's turn bumps the
+//! device-wide totals *and* `tenant_*`-labelled counters for its query id,
+//! exactly as it lands in both counter sets and both traces.
 //!
 //! ## Cadence
 //!
@@ -400,10 +405,10 @@ pub struct KernelTotals {
     pub atomics: u64,
 }
 
-/// Per-launch counter delta handed to `DeviceMetrics::on_kernel` by the
-/// kernel builder — the same quantities `KernelBuilder::bump` folds into
-/// [`crate::Counters`], so metrics totals cross-check against counter
-/// deltas and trace sums exactly.
+/// The work of one kernel launch: what the kernel builder accounted, held
+/// once. `DeviceMetrics::on_kernel`, the [`crate::Counters`] bump and the
+/// trace event all read these same quantities, so metrics totals
+/// cross-check against counter deltas and trace sums exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelDelta {
     /// Warp instructions issued by this launch.
@@ -672,9 +677,9 @@ impl DeviceMetrics {
         self.sampler.maybe_emit(clock, &self.totals);
     }
 
-    /// Track a base-ledger occupancy change (program-ordered: base
-    /// allocations happen outside any turn gate, so only the base ledger —
-    /// not co-tenant sub-ledgers — may feed the live series).
+    /// Track a base-ledger occupancy change (program-ordered: queries
+    /// allocate ahead of the device clock, so only the base ledger — not
+    /// co-tenant sub-ledgers — may feed the live series).
     pub(crate) fn on_mem(&mut self, current_bytes: u64) {
         self.sampler.mem_current = current_bytes;
         self.sampler.window.mem_high_water = self.sampler.window.mem_high_water.max(current_bytes);
@@ -687,8 +692,8 @@ impl DeviceMetrics {
         self.sampler.window = Window::default();
     }
 
-    /// Record a retired query's lifecycle (deterministic simulated
-    /// timestamps; insertion order is a host race, so snapshots sort).
+    /// Record a retired query's lifecycle. Pushed in retire order;
+    /// snapshots sort by query id, the export's order.
     pub(crate) fn push_lifecycle(&mut self, lc: QueryLifecycle) {
         self.lifecycles.push(lc);
     }
@@ -715,9 +720,9 @@ impl DeviceMetrics {
 /// Post-compute queue-depth series from lifecycle records on the sample
 /// grid: `queue_depth` counts queries with `arrival ≤ t < completion`
 /// (in system: queued or running), `running_depth` those already admitted.
-/// Retires are not turn-gated, so sampling these live would race — the
-/// timestamps themselves are deterministic, the *observation* is made so
-/// by computing it here.
+/// Derived from the lifecycle timestamps rather than sampled live: the
+/// sampler only sees kernel charges, and arrivals, idle gaps, shed and
+/// zero-kernel queries move the depths without one.
 fn lifecycle_series(lifecycles: &[QueryLifecycle], interval: f64) -> Vec<Series> {
     if lifecycles.is_empty() {
         return Vec::new();

@@ -1,8 +1,13 @@
 //! Multi-query scheduling on one simulated device.
 //!
 //! The paper's framework assumes an operator owns the whole GPU; a
-//! production engine serves many tenants on one device. This module adds
-//! the device-side half of that story:
+//! production engine serves many tenants on one device. On the simulated
+//! clock a kernel's cost is a pure function of its own traffic, so a
+//! serving session is *executed, then scheduled*: each query runs to
+//! completion on its private handle, leaving a timeline of kernel charges,
+//! and one single-threaded loop ([`crate::Device::sched_run`]) computes the
+//! interleaving from those timelines. This module is the policy core that
+//! loop drives — a plain state machine over simulated time:
 //!
 //! * **Admission control** — each query reserves a fixed memory budget out
 //!   of the device's free capacity before it runs. Reservations are granted
@@ -14,26 +19,28 @@
 //!   the waiting room ([`QueueLimits`]): an arrival that cannot be admitted
 //!   immediately and finds the queue full is *shed* — marked finished
 //!   without ever holding a reservation — rather than waiting forever.
-//! * **Kernel-granular interleaving** — a query's kernel launches pass
-//!   through a turn gate: the launch blocks until the scheduling policy
-//!   designates that query, performs its accounting, then hands the turn
-//!   on. The designation is a pure function of *simulated* state (query
-//!   ids, per-query busy time, weights, predicted costs), so the
-//!   interleaving — and with it every counter, clock and trace byte — is
-//!   deterministic regardless of host thread timing.
-//! * **Turn-gated completion stamp** — every completed turn stamps the
-//!   owning query with the post-kernel simulated clock; retire reads the
-//!   stamp instead of the live device clock. A query's completion time is
-//!   therefore the clock right after its last kernel — a pure function of
-//!   the (deterministic) turn sequence — rather than whatever the clock
-//!   happened to read when its host thread got around to retiring. That is
-//!   what makes latency metrics and full exports byte-identical across
-//!   *all* policies and host-thread counts, not just `Serial`.
+//! * **Kernel-granular interleaving** — the loop asks for the designated
+//!   query, charges that query's next recorded kernel to the device clock,
+//!   and completes the turn. The designation is a pure function of
+//!   *simulated* state (query ids, per-query busy time, weights, predicted
+//!   costs), so the interleaving — and with it every counter, clock and
+//!   trace byte — is a function of the registered specs alone.
+//! * **Retire at the last kernel** — a query retires the instant its
+//!   timeline is exhausted, before any later turn: its completion time is
+//!   the clock right after its last kernel (its admission time if it ran
+//!   none), and the budget it releases is re-granted at that same clock.
 //! * **Virtualized device state** — each query gets its own counters,
 //!   clock, L2 image, trace and budget-capped memory sub-ledger (see
 //!   `lib.rs`), so a query's observable execution is touched only by its
 //!   own kernels, in program order. That is the whole concurrent-equals-
-//!   serial argument: per-query state evolves identically under any policy.
+//!   serial argument, and what lets execution run ahead of scheduling.
+//!
+//! What couples tenants — reservation order, the bounded waiting room, the
+//! policy comparator — lives here; what does not (kernel durations,
+//! per-query state) is computed before the loop needs it. The device clock
+//! is stored once, in the device state: methods that stamp a time take it
+//! as `now`, and the two that move it (`complete_turn`, `idle_advance`)
+//! take it by `&mut`.
 //!
 //! The engine's `scheduler` module drives this API; it is exposed on
 //! [`crate::Device`] as the `sched_*` methods.
@@ -44,7 +51,7 @@ use serde::{Deserialize, Serialize};
 /// in registration order.
 pub type QueryId = u32;
 
-/// How the turn gate picks the next query to run a kernel.
+/// How a session picks the next query to run a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedPolicy {
     /// Run admitted queries to completion in query-id order — the serial
@@ -105,27 +112,15 @@ pub struct QueueLimits {
     pub per_class_depth: Vec<Option<usize>>,
 }
 
-/// What [`crate::Device::sched_admit`] resolved to: the query either holds
-/// its reservation and may launch kernels, or it was shed by the bounded
-/// queue and must not touch the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitOutcome {
-    /// The reservation was granted; run the query.
-    Admitted,
-    /// The waiting room was full when the query arrived; it was dropped
-    /// without ever holding a reservation and its completion time is its
-    /// arrival time.
-    Shed,
-}
-
 /// Typed payload carried by the panic a budget-capped allocation raises
 /// when a query's sub-ledger would exceed its reservation.
 ///
 /// The device cannot return a `Result` from deep inside an executing
 /// operator (the OOM surface is `DeviceBuffer` construction), so — like the
 /// device-capacity OOM — the failure unwinds; unlike it, the payload is
-/// typed so a scheduler can `catch_unwind`, downcast, and convert it into
-/// its own error type while co-tenants keep running.
+/// typed so a scheduler can catch the unwind at the per-query boundary,
+/// downcast, and convert it into its own error type while co-tenants keep
+/// running.
 #[derive(Debug, Clone)]
 pub struct BudgetError {
     /// The query whose allocation failed.
@@ -177,9 +172,9 @@ impl std::fmt::Display for AdmissionError {
 pub struct QuerySchedStats {
     /// Simulated seconds of kernel time this query received.
     pub busy_secs: f64,
-    /// The query's turn-gated completion stamp (seconds): the simulated
-    /// clock right after its last kernel turn (its admission time if it
-    /// ran no kernels; its arrival time if it was shed).
+    /// Device clock when the query retired (seconds): the clock right
+    /// after its last kernel turn (its admission time if it ran no
+    /// kernels; its arrival time if it was shed).
     pub completion_secs: f64,
     /// Device clock when the query's budget reservation was granted.
     pub admitted_secs: f64,
@@ -216,11 +211,6 @@ pub(crate) struct QuerySched {
     busy_secs: f64,
     admitted_secs: f64,
     completion_secs: f64,
-    /// Turn-gated completion stamp: the clock right after this query's
-    /// most recent kernel turn (seeded with the admission time). Retire
-    /// copies it into `completion_secs` instead of reading the live device
-    /// clock, which keeps completion times independent of host timing.
-    stamp_secs: f64,
     /// Simulated time at which the query enters the system. Until then it
     /// is invisible to admission and designation.
     arrival_secs: f64,
@@ -238,9 +228,8 @@ pub(crate) struct QuerySched {
     slo_secs: Option<f64>,
 }
 
-/// The state behind the turn gate. Guarded by a dedicated `std` mutex (and
-/// condvar) in `DeviceInner`, *never* held together with the device-state
-/// lock.
+/// The policy state of a scheduling session. Lives in the device state,
+/// under its one lock.
 #[derive(Default)]
 pub(crate) struct SchedState {
     policy: Option<SchedPolicy>,
@@ -253,17 +242,9 @@ pub(crate) struct SchedState {
     reserved_bytes: u64,
     /// Free device bytes at session start (capacity minus base residents).
     available_bytes: u64,
-    /// Mirror of the device clock, maintained without ever touching the
-    /// state lock: seeded at `start`, advanced by each completed turn and
-    /// each committed idle advance. During a session those are the only
-    /// ways the device clock moves, and the mirror applies the identical
-    /// float additions in identical order, so the two are *exactly* equal —
-    /// every timestamp in this module reads simulated time from here.
-    clock: f64,
-    /// An idle advance is in flight: one thread is applying a clock jump to
-    /// the device state with the sched lock released. Until it commits via
-    /// [`SchedState::finish_idle_advance`], no other thread may start one.
-    advancing: bool,
+    /// Queries holding a reservation that the session loop has not
+    /// executed yet (see [`SchedState::pop_admitted`]).
+    to_run: Vec<QueryId>,
     /// Record per-query exec slices in [`SchedState::complete_turn`]. Set
     /// by the device when lifecycle tracing is active at session start;
     /// zero-cost (one branch per turn) otherwise.
@@ -271,13 +252,7 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    pub(crate) fn start(
-        &mut self,
-        policy: SchedPolicy,
-        available_bytes: u64,
-        device_clock: f64,
-        limits: QueueLimits,
-    ) {
+    pub(crate) fn start(&mut self, policy: SchedPolicy, available_bytes: u64, limits: QueueLimits) {
         assert!(
             self.policy.is_none(),
             "a scheduling session is already active on this device"
@@ -289,8 +264,7 @@ impl SchedState {
         self.rr_cursor = 0;
         self.reserved_bytes = 0;
         self.available_bytes = available_bytes;
-        self.clock = device_clock;
-        self.advancing = false;
+        self.to_run.clear();
         self.record_slices = false;
     }
 
@@ -307,37 +281,17 @@ impl SchedState {
         self.policy.is_some()
     }
 
-    /// Register a query with the session; returns its id. Admission (the
-    /// actual reservation) happens separately, in policy order.
-    pub(crate) fn register(
-        &mut self,
-        weight: f64,
-        budget_bytes: u64,
-    ) -> Result<QueryId, AdmissionError> {
-        let clock = self.clock;
-        self.register_spec(weight, budget_bytes, clock, 0.0, None)
-    }
-
-    /// Register a query that arrives at `arrival_secs` on the simulated
-    /// clock (possibly in the future: open-loop load generation).
-    pub(crate) fn register_at(
-        &mut self,
-        weight: f64,
-        budget_bytes: u64,
-        arrival_secs: f64,
-    ) -> Result<QueryId, AdmissionError> {
-        self.register_spec(weight, budget_bytes, arrival_secs, 0.0, None)
-    }
-
-    /// Register a query with its full serving spec: arrival time (possibly
-    /// in the future), predicted execution time (the shortest-job ranking
-    /// key) and admission class (for per-class queue limits). Until the
-    /// clock reaches its arrival the query is invisible to admission and
-    /// designation; when every in-system query has drained and only future
-    /// arrivals remain, the clock jumps forward (see
-    /// [`SchedState::begin_idle_advance`]).
+    /// Register a query with its full serving spec; returns its id.
+    /// Admission (the actual reservation) happens separately, in policy
+    /// order. `arrival_secs` may lie in the future (open-loop load
+    /// generation): until the clock reaches it the query is invisible to
+    /// admission and designation, and when every in-system query has
+    /// drained and only future arrivals remain the clock jumps forward
+    /// (see [`SchedState::idle_advance`]). `predicted_secs` is the
+    /// shortest-job ranking key, `class` indexes the per-class queue limits.
     pub(crate) fn register_spec(
         &mut self,
+        now: f64,
         weight: f64,
         budget_bytes: u64,
         arrival_secs: f64,
@@ -372,9 +326,8 @@ impl SchedState {
             busy_secs: 0.0,
             admitted_secs: 0.0,
             completion_secs: 0.0,
-            stamp_secs: arrival_secs,
             arrival_secs,
-            arrived: arrival_secs <= self.clock,
+            arrived: arrival_secs <= now,
             first_turn_secs: None,
             slices: Vec::new(),
             class_name: None,
@@ -405,10 +358,10 @@ impl SchedState {
     /// Flip queries whose arrival time the clock has reached to arrived;
     /// returns the newly arrived ids in id order (the shed check runs over
     /// exactly these).
-    fn mark_arrivals(&mut self) -> Vec<QueryId> {
+    fn mark_arrivals(&mut self, now: f64) -> Vec<QueryId> {
         let mut newly = Vec::new();
         for (i, q) in self.queries.iter_mut().enumerate() {
-            if !q.arrived && q.arrival_secs <= self.clock {
+            if !q.arrived && q.arrival_secs <= now {
                 q.arrived = true;
                 newly.push(i as QueryId);
             }
@@ -425,12 +378,12 @@ impl SchedState {
     /// The policy's ranking key for a waiting or runnable query. Lower
     /// runs (or is admitted) first; ties break toward the lower id at the
     /// call sites.
-    fn rank(&self, q: &QuerySched) -> f64 {
+    fn rank(&self, q: &QuerySched, now: f64) -> f64 {
         match self.policy {
             Some(SchedPolicy::SjfAging) => {
                 // A job's rank decays with its time in system, so waiting
                 // long jobs eventually outrank fresh short ones.
-                q.predicted_secs / (1.0 + (self.clock - q.arrival_secs).max(0.0))
+                q.predicted_secs / (1.0 + (now - q.arrival_secs).max(0.0))
             }
             _ => q.predicted_secs,
         }
@@ -441,8 +394,9 @@ impl SchedState {
     /// the shortest-job policies. The head of the chosen line blocks
     /// everyone behind it, which keeps admission order — and therefore
     /// everything downstream — deterministic. Queries that have not yet
-    /// *arrived* are skipped rather than blocking.
-    pub(crate) fn admit_pass(&mut self) {
+    /// *arrived* are skipped rather than blocking. Every grant is queued
+    /// for the session loop to execute ([`SchedState::pop_admitted`]).
+    fn admit_pass(&mut self, now: f64) {
         let cost_ordered = self.policy.is_some_and(|p| p.cost_ordered());
         let mut order: Vec<QueryId> = (0..self.queries.len() as QueryId)
             .filter(|&id| Self::waiting(&self.queries[id as usize]))
@@ -450,8 +404,8 @@ impl SchedState {
         if cost_ordered {
             order.sort_by(|&a, &b| {
                 let (qa, qb) = (&self.queries[a as usize], &self.queries[b as usize]);
-                self.rank(qa)
-                    .partial_cmp(&self.rank(qb))
+                self.rank(qa, now)
+                    .partial_cmp(&self.rank(qb, now))
                     .unwrap()
                     .then(a.cmp(&b))
             });
@@ -463,21 +417,32 @@ impl SchedState {
             }
             self.reserved_bytes += q.budget_bytes;
             q.admitted = true;
-            q.admitted_secs = self.clock;
-            // A query that never launches a kernel completes the moment it
-            // is admitted; every completed turn advances this stamp.
-            q.stamp_secs = self.clock;
+            q.admitted_secs = now;
+            self.to_run.push(id);
         }
         if self.designated.is_none() {
-            self.redesignate();
+            self.redesignate(now);
         }
+    }
+
+    /// The lowest-id query that holds a reservation but has not been
+    /// executed yet, removed from the pending set. The session loop runs
+    /// it to completion on its private handle before the next turn.
+    pub(crate) fn pop_admitted(&mut self) -> Option<QueryId> {
+        let i = (0..self.to_run.len()).min_by_key(|&i| self.to_run[i])?;
+        Some(self.to_run.swap_remove(i))
+    }
+
+    /// The query the policy gives the next kernel turn to.
+    pub(crate) fn designated(&self) -> Option<QueryId> {
+        self.designated
     }
 
     /// Shed newly arrived queries that were not admitted on arrival and
     /// find the waiting room full. `candidates` are processed in id order;
     /// a shed query finishes immediately (completion = arrival) without
     /// ever holding a reservation. With unbounded limits this is a no-op.
-    pub(crate) fn shed_overflow(&mut self, candidates: &[QueryId]) {
+    fn shed_overflow(&mut self, candidates: &[QueryId]) {
         for &id in candidates {
             if !Self::waiting(&self.queries[id as usize]) {
                 continue;
@@ -508,79 +473,64 @@ impl SchedState {
                 q.finished = true;
                 q.shed = true;
                 q.completion_secs = q.arrival_secs;
-                q.stamp_secs = q.arrival_secs;
             }
         }
     }
 
     /// Run the arrival pipeline after a registration: admission pass, then
     /// the shed check for the new query if it arrived unadmitted.
-    pub(crate) fn on_register(&mut self, id: QueryId) {
-        self.admit_pass();
+    pub(crate) fn on_register(&mut self, id: QueryId, now: f64) {
+        self.admit_pass(now);
         self.shed_overflow(&[id]);
     }
 
-    /// If the device is idle (no runnable query) but future arrivals exist,
-    /// claim the right to jump the clock to the earliest one. Returns the
-    /// jump delta; the caller must release the sched lock, advance the
-    /// *device* clock by the delta, then commit with
-    /// [`SchedState::finish_idle_advance`]. The `advancing` flag keeps the
-    /// jump exclusive; designation stays `None` until the commit, so no
-    /// kernel can read the device clock mid-jump (any admitted unfinished
-    /// query would be designated and therefore block the advance).
-    pub(crate) fn begin_idle_advance(&mut self) -> Option<f64> {
-        if !self.active() || self.advancing || self.designated.is_some() {
-            return None;
+    /// The arrival pipeline after the clock moved to `now`: new arrivals
+    /// enter the system, reservations are granted, overflow is shed, and
+    /// the turn is re-designated.
+    fn on_clock_moved(&mut self, now: f64) {
+        let newly = self.mark_arrivals(now);
+        self.admit_pass(now);
+        self.shed_overflow(&newly);
+        self.redesignate(now);
+    }
+
+    /// If the device is idle (no runnable query) but future arrivals
+    /// exist, jump `clock` to the earliest one and run the arrival
+    /// pipeline there; returns whether the clock moved. Any admitted
+    /// unfinished query would be designated and therefore block the jump.
+    pub(crate) fn idle_advance(&mut self, clock: &mut f64) -> bool {
+        if self.designated.is_some() {
+            return false;
         }
         let next = self
             .queries
             .iter()
-            .filter(|q| !q.arrived && !q.finished && q.arrival_secs > self.clock)
+            .filter(|q| !q.arrived && !q.finished && q.arrival_secs > *clock)
             .map(|q| q.arrival_secs)
             .fold(f64::INFINITY, f64::min);
         if !next.is_finite() {
-            return None;
+            return false;
         }
-        self.advancing = true;
-        Some(next - self.clock)
+        // Added as a delta, not assigned: `clock + (next - clock)` can land
+        // an ulp off `next` after a long jump, and every recorded baseline
+        // holds the sum. An undershoot leaves the arrival pending and the
+        // next call (now an exact subtraction) reaches it.
+        *clock += next - *clock;
+        self.on_clock_moved(*clock);
+        true
     }
 
-    /// Commit an idle advance after the device clock has been moved.
-    pub(crate) fn finish_idle_advance(&mut self, delta: f64) {
-        debug_assert!(self.advancing, "finish_idle_advance without begin");
-        self.advancing = false;
-        self.clock += delta;
-        let newly = self.mark_arrivals();
-        self.admit_pass();
-        self.shed_overflow(&newly);
-        self.redesignate();
-    }
-
-    pub(crate) fn is_admitted(&self, id: QueryId) -> bool {
-        self.queries[id as usize].admitted
-    }
-
-    pub(crate) fn is_shed(&self, id: QueryId) -> bool {
-        self.queries[id as usize].shed
-    }
-
-    pub(crate) fn is_designated(&self, id: QueryId) -> bool {
-        self.designated == Some(id)
-    }
-
-    /// Account a completed kernel turn and pass the turn on. The clock
-    /// mirror advances with the kernel (the device clock already did, under
-    /// the state lock), the owning query's completion stamp moves to the
-    /// post-kernel clock, and new arrivals may enter the system.
-    pub(crate) fn complete_turn(&mut self, id: QueryId, kernel_secs: f64) {
+    /// Account a kernel turn of the designated query and pass the turn on:
+    /// `clock` advances by the kernel's duration and new arrivals may enter
+    /// the system.
+    pub(crate) fn complete_turn(&mut self, clock: &mut f64, id: QueryId, kernel_secs: f64) {
         debug_assert_eq!(self.designated, Some(id), "turn completed out of order");
-        let turn_start = self.clock;
-        self.queries[id as usize].busy_secs += kernel_secs;
-        self.clock += kernel_secs;
-        let clock = self.clock;
+        let turn_start = *clock;
+        *clock += kernel_secs;
+        let clock = *clock;
         {
             let q = &mut self.queries[id as usize];
-            q.stamp_secs = clock;
+            q.busy_secs += kernel_secs;
             if q.first_turn_secs.is_none() {
                 q.first_turn_secs = Some(turn_start);
             }
@@ -592,30 +542,24 @@ impl SchedState {
                 }
             }
         }
-        let newly = self.mark_arrivals();
-        self.admit_pass();
-        self.shed_overflow(&newly);
         if self.policy == Some(SchedPolicy::RoundRobin) {
             self.rr_cursor = id + 1;
         }
-        self.redesignate();
+        self.on_clock_moved(clock);
     }
 
-    /// Mark a query finished, release its reservation, and re-run the
-    /// admission pass for queued queries. Completion time comes from the
-    /// query's turn-gated stamp — the clock right after its last kernel —
-    /// never from the live device clock, so it is identical under every
-    /// policy and host-thread count.
-    pub(crate) fn retire(&mut self, id: QueryId) {
+    /// Mark an admitted query finished at `now`, release its reservation,
+    /// and re-run the admission pass for queued queries. The session loop
+    /// calls this the instant the query's timeline is exhausted, so `now`
+    /// is the clock right after its last kernel.
+    pub(crate) fn retire(&mut self, id: QueryId, now: f64) {
         let q = &mut self.queries[id as usize];
-        assert!(!q.finished, "query retired twice");
+        assert!(q.admitted && !q.finished, "retire of a query not running");
         q.finished = true;
-        q.completion_secs = q.stamp_secs;
-        if q.admitted {
-            self.reserved_bytes -= q.budget_bytes;
-        }
-        self.admit_pass();
-        self.redesignate();
+        q.completion_secs = now;
+        self.reserved_bytes -= q.budget_bytes;
+        self.admit_pass(now);
+        self.redesignate(now);
     }
 
     pub(crate) fn stats(&self, id: QueryId) -> QuerySchedStats {
@@ -634,7 +578,7 @@ impl SchedState {
     }
 
     /// Recompute the designated query from simulated state only.
-    fn redesignate(&mut self) {
+    fn redesignate(&mut self, now: f64) {
         let runnable = |q: &QuerySched| q.arrived && q.admitted && !q.finished;
         let n = self.queries.len() as u32;
         self.designated = match self.policy {
@@ -662,8 +606,8 @@ impl SchedState {
                 .enumerate()
                 .filter(|(_, q)| runnable(q))
                 .min_by(|(ia, a), (ib, b)| {
-                    self.rank(a)
-                        .partial_cmp(&self.rank(b))
+                    self.rank(a, now)
+                        .partial_cmp(&self.rank(b, now))
                         .unwrap()
                         .then(ia.cmp(ib))
                 })
@@ -676,61 +620,128 @@ impl SchedState {
 mod tests {
     use super::*;
 
-    fn session(policy: SchedPolicy, budgets: &[u64], available: u64) -> SchedState {
-        let mut st = SchedState::default();
-        st.start(policy, available, 0.0, QueueLimits::default());
-        for &b in budgets {
-            st.register(1.0, b).unwrap();
+    /// A session plus the clock the device would own.
+    struct Session {
+        st: SchedState,
+        clock: f64,
+    }
+
+    impl Session {
+        fn new(policy: SchedPolicy, available: u64, limits: QueueLimits) -> Self {
+            let mut st = SchedState::default();
+            st.start(policy, available, limits);
+            Session { st, clock: 0.0 }
         }
-        st.admit_pass();
-        st
+
+        /// Unbounded session with unit-weight queries present at the start,
+        /// admitted in one pass.
+        fn closed(policy: SchedPolicy, budgets: &[u64], available: u64) -> Self {
+            let mut s = Session::new(policy, available, QueueLimits::default());
+            for &b in budgets {
+                s.add(1.0, b, 0.0, 0.0, None);
+            }
+            s.admit();
+            s
+        }
+
+        /// Register without running the arrival pipeline.
+        fn add(
+            &mut self,
+            weight: f64,
+            budget: u64,
+            arrival: f64,
+            predicted: f64,
+            class: Option<u32>,
+        ) {
+            self.st
+                .register_spec(self.clock, weight, budget, arrival, predicted, class)
+                .unwrap();
+        }
+
+        /// Register the way the device does: arrival pipeline included.
+        fn arrive(&mut self, budget: u64, class: Option<u32>) {
+            self.add(1.0, budget, self.clock, 0.0, class);
+            let id = self.st.queries.len() as QueryId - 1;
+            self.st.on_register(id, self.clock);
+        }
+
+        fn admit(&mut self) {
+            self.st.admit_pass(self.clock);
+        }
+
+        fn turn(&mut self, id: QueryId, secs: f64) {
+            self.st.complete_turn(&mut self.clock, id, secs);
+        }
+
+        fn retire(&mut self, id: QueryId) {
+            self.st.retire(id, self.clock);
+        }
+
+        fn idle(&mut self) -> bool {
+            self.st.idle_advance(&mut self.clock)
+        }
+
+        fn designated(&self) -> Option<QueryId> {
+            self.st.designated
+        }
+
+        fn admitted(&self, id: QueryId) -> bool {
+            self.st.queries[id as usize].admitted
+        }
+
+        fn shed(&self, id: QueryId) -> bool {
+            self.st.queries[id as usize].shed
+        }
+
+        fn stats(&self, id: QueryId) -> QuerySchedStats {
+            self.st.stats(id)
+        }
     }
 
     #[test]
     fn round_robin_cycles_in_id_order() {
-        let mut st = session(SchedPolicy::RoundRobin, &[10, 10, 10], 100);
+        let mut s = Session::closed(SchedPolicy::RoundRobin, &[10, 10, 10], 100);
         let mut order = Vec::new();
         for _ in 0..6 {
-            let id = st.designated.unwrap();
+            let id = s.designated().unwrap();
             order.push(id);
-            st.complete_turn(id, 1.0);
+            s.turn(id, 1.0);
         }
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
-        st.retire(1);
-        let id = st.designated.unwrap();
+        s.retire(1);
+        let id = s.designated().unwrap();
         assert_eq!(id, 0, "cursor wraps past the retired query");
-        st.complete_turn(id, 1.0);
-        assert_eq!(st.designated, Some(2));
+        s.turn(id, 1.0);
+        assert_eq!(s.designated(), Some(2));
     }
 
     #[test]
     fn serial_runs_to_completion_in_id_order() {
-        let mut st = session(SchedPolicy::Serial, &[10, 10], 100);
+        let mut s = Session::closed(SchedPolicy::Serial, &[10, 10], 100);
         for _ in 0..5 {
-            assert_eq!(st.designated, Some(0));
-            st.complete_turn(0, 1.0);
+            assert_eq!(s.designated(), Some(0));
+            s.turn(0, 1.0);
         }
-        st.retire(0);
-        assert_eq!(st.designated, Some(1));
+        s.retire(0);
+        assert_eq!(s.designated(), Some(1));
         assert_eq!(
-            st.stats(0).completion_secs,
+            s.stats(0).completion_secs,
             5.0,
-            "completion is the post-kernel stamp"
+            "completion is the post-kernel clock"
         );
     }
 
     #[test]
     fn weighted_fair_shares_busy_time_by_weight() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::WeightedFair, 100, 0.0, QueueLimits::default());
-        st.register(3.0, 10).unwrap();
-        st.register(1.0, 10).unwrap();
-        st.admit_pass();
+        let mut s = Session::new(SchedPolicy::WeightedFair, 100, QueueLimits::default());
+        s.add(3.0, 10, 0.0, 0.0, None);
+        s.add(1.0, 10, 0.0, 0.0, None);
+        s.admit();
         let mut turns = [0u32; 2];
         for _ in 0..8 {
-            let id = st.designated.unwrap();
+            let id = s.designated().unwrap();
             turns[id as usize] += 1;
-            st.complete_turn(id, 1.0);
+            s.turn(id, 1.0);
         }
         assert_eq!(turns, [6, 2], "3:1 weights split equal-cost turns 3:1");
     }
@@ -739,99 +750,123 @@ mod tests {
     fn fifo_admission_blocks_behind_the_head_of_line() {
         // Query 1 does not fit while 0 runs; query 2 would fit but must
         // queue behind 1.
-        let mut st = session(SchedPolicy::RoundRobin, &[60, 60, 10], 100);
-        assert!(st.is_admitted(0));
-        assert!(!st.is_admitted(1));
-        assert!(!st.is_admitted(2), "FIFO: 2 queues behind 1");
-        assert_eq!(st.designated, Some(0));
-        st.retire(0);
-        assert!(st.is_admitted(1));
-        assert!(st.is_admitted(2), "both fit after 0 released its budget");
+        let mut s = Session::closed(SchedPolicy::RoundRobin, &[60, 60, 10], 100);
+        assert!(s.admitted(0));
+        assert!(!s.admitted(1));
+        assert!(!s.admitted(2), "FIFO: 2 queues behind 1");
+        assert_eq!(s.designated(), Some(0));
+        assert_eq!(s.st.pop_admitted(), Some(0));
+        assert_eq!(s.st.pop_admitted(), None, "only granted queries run");
+        s.retire(0);
+        assert!(s.admitted(1));
+        assert!(s.admitted(2), "both fit after 0 released its budget");
+        assert_eq!(s.st.pop_admitted(), Some(1));
+        assert_eq!(s.st.pop_admitted(), Some(2));
     }
 
     #[test]
     fn future_arrivals_are_invisible_until_the_clock_reaches_them() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        st.register_at(1.0, 10, 5.0).unwrap();
-        st.admit_pass();
-        assert!(!st.is_admitted(0), "query 0 has not arrived yet");
-        assert_eq!(st.designated, None);
+        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
+        s.add(1.0, 10, 5.0, 0.0, None);
+        s.admit();
+        assert!(!s.admitted(0), "query 0 has not arrived yet");
+        assert_eq!(s.designated(), None);
 
         // The device is idle with one future arrival: jump to it.
-        let delta = st.begin_idle_advance().expect("idle advance available");
-        assert_eq!(delta, 5.0);
-        assert_eq!(
-            st.begin_idle_advance(),
-            None,
-            "advance is exclusive while in flight"
-        );
-        st.finish_idle_advance(delta);
-        assert!(st.is_admitted(0));
-        assert_eq!(st.designated, Some(0));
-        assert_eq!(st.stats(0).arrival_secs, 5.0);
-        assert_eq!(st.stats(0).admitted_secs, 5.0);
+        assert!(s.idle());
+        assert_eq!(s.clock, 5.0);
+        assert!(s.admitted(0));
+        assert_eq!(s.designated(), Some(0));
+        assert_eq!(s.stats(0).arrival_secs, 5.0);
+        assert_eq!(s.stats(0).admitted_secs, 5.0);
+        assert!(!s.idle(), "no advance while a query is runnable");
+        s.retire(0);
+        assert!(!s.idle(), "no advance without a future arrival");
+        assert_eq!(s.clock, 5.0);
     }
 
     #[test]
-    fn kernel_turns_advance_the_clock_mirror_and_admit_arrivals() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        st.register_at(1.0, 10, 0.0).unwrap();
-        st.register_at(1.0, 10, 2.5).unwrap();
-        st.admit_pass();
-        assert_eq!(st.designated, Some(0));
-        assert!(!st.is_admitted(1));
+    fn kernel_turns_advance_the_clock_and_admit_arrivals() {
+        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
+        s.add(1.0, 10, 0.0, 0.0, None);
+        s.add(1.0, 10, 2.5, 0.0, None);
+        s.admit();
+        assert_eq!(s.designated(), Some(0));
+        assert!(!s.admitted(1));
 
-        st.complete_turn(0, 1.0);
-        assert!(!st.is_admitted(1), "clock at 1.0 < arrival 2.5");
-        st.complete_turn(0, 2.0);
-        assert!(st.is_admitted(1), "clock at 3.0 >= arrival 2.5");
-        assert_eq!(st.stats(1).admitted_secs, 3.0);
-        assert_eq!(st.designated, Some(0), "serial still runs query 0");
+        s.turn(0, 1.0);
+        assert!(!s.admitted(1), "clock at 1.0 < arrival 2.5");
+        s.turn(0, 2.0);
+        assert_eq!(s.clock, 3.0);
+        assert!(s.admitted(1), "clock at 3.0 >= arrival 2.5");
+        assert_eq!(s.stats(1).admitted_secs, 3.0);
+        assert_eq!(s.designated(), Some(0), "serial still runs query 0");
 
-        st.retire(0);
-        assert_eq!(st.designated, Some(1));
-        assert_eq!(
-            st.stats(0).completion_secs,
-            3.0,
-            "stamp tracks the last completed turn"
-        );
-        assert_eq!(
-            st.begin_idle_advance(),
-            None,
-            "no advance while a query is runnable"
-        );
+        s.retire(0);
+        assert_eq!(s.designated(), Some(1));
+        assert_eq!(s.stats(0).completion_secs, 3.0);
+        assert_eq!(s.stats(0).started_secs, Some(0.0));
+        assert!(!s.idle(), "no advance while a query is runnable");
+    }
+
+    #[test]
+    fn a_finished_best_candidate_retires_without_a_clock_advance() {
+        // The shortest job's last kernel leaves it the policy's best
+        // candidate; the retire that follows passes the turn on at the
+        // same clock, and the budget it frees is granted there too.
+        for policy in [SchedPolicy::Sjf, SchedPolicy::Serial] {
+            let mut s = Session::new(policy, 100, QueueLimits::default());
+            s.add(1.0, 40, 0.0, 1.0, None);
+            s.add(1.0, 40, 0.0, 5.0, None);
+            s.add(1.0, 40, 0.0, 9.0, None);
+            s.admit();
+            assert!(s.admitted(0) && s.admitted(1) && !s.admitted(2));
+            s.turn(0, 0.25);
+            s.turn(0, 0.5);
+            assert_eq!(
+                s.designated(),
+                Some(0),
+                "{policy:?}: still the best candidate"
+            );
+            s.retire(0);
+            assert_eq!(s.clock, 0.75);
+            assert_eq!(s.designated(), Some(1), "{policy:?}: turn passes on");
+            assert_eq!(s.stats(0).completion_secs, 0.75);
+            assert_eq!(
+                s.stats(2).admitted_secs,
+                0.75,
+                "freed budget granted at once"
+            );
+            assert_eq!(s.stats(1).started_secs, None, "no turn ran in between");
+        }
     }
 
     #[test]
     fn sjf_designates_by_predicted_time() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 5.0, None).unwrap();
-        st.register_spec(1.0, 10, 0.0, 1.0, None).unwrap();
-        st.register_spec(1.0, 10, 0.0, 3.0, None).unwrap();
-        st.admit_pass();
-        assert_eq!(st.designated, Some(1), "smallest predicted time first");
-        st.complete_turn(1, 1.0);
-        st.retire(1);
-        assert_eq!(st.designated, Some(2));
-        st.retire(2);
-        assert_eq!(st.designated, Some(0));
-        st.retire(0);
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        s.add(1.0, 10, 0.0, 5.0, None);
+        s.add(1.0, 10, 0.0, 1.0, None);
+        s.add(1.0, 10, 0.0, 3.0, None);
+        s.admit();
+        assert_eq!(s.designated(), Some(1), "smallest predicted time first");
+        s.turn(1, 1.0);
+        s.retire(1);
+        assert_eq!(s.designated(), Some(2));
+        s.retire(2);
+        assert_eq!(s.designated(), Some(0));
+        s.retire(0);
     }
 
     #[test]
     fn sjf_preempts_at_kernel_boundaries() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 10, 0.0, 10.0, None).unwrap();
-        st.register_spec(1.0, 10, 0.5, 1.0, None).unwrap();
-        st.admit_pass();
-        assert_eq!(st.designated, Some(0), "only job in the system");
-        st.complete_turn(0, 1.0);
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        s.add(1.0, 10, 0.0, 10.0, None);
+        s.add(1.0, 10, 0.5, 1.0, None);
+        s.admit();
+        assert_eq!(s.designated(), Some(0), "only job in the system");
+        s.turn(0, 1.0);
         assert_eq!(
-            st.designated,
+            s.designated(),
             Some(1),
             "shorter arrival takes the next turn"
         );
@@ -839,59 +874,59 @@ mod tests {
 
     #[test]
     fn sjf_admits_reservations_in_cost_order() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Sjf, 100, 0.0, QueueLimits::default());
-        st.register_spec(1.0, 80, 0.0, 9.0, None).unwrap();
-        st.register_spec(1.0, 80, 0.0, 2.0, None).unwrap();
-        st.admit_pass();
+        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
+        s.add(1.0, 80, 0.0, 9.0, None);
+        s.add(1.0, 80, 0.0, 2.0, None);
+        s.admit();
         assert!(
-            !st.is_admitted(0) && st.is_admitted(1),
+            !s.admitted(0) && s.admitted(1),
             "the shorter job gets the reservation even with a higher id"
         );
-        st.retire(1);
-        assert!(st.is_admitted(0));
-        st.retire(0);
+        s.retire(1);
+        assert!(s.admitted(0));
+        s.retire(0);
     }
 
     #[test]
     fn aging_decays_rank_with_waiting_time() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::SjfAging, 100, 0.0, QueueLimits::default());
+        let mut s = Session::new(SchedPolicy::SjfAging, 100, QueueLimits::default());
         // A long job arrives first; short jobs keep arriving behind it.
         // Pure SJF would hand every turn to the freshest short job; aging
         // divides a job's rank by its time in system, so the long job's
         // effective rank decays below a fresh short job's.
-        st.register_spec(1.0, 10, 0.0, 8.0, None).unwrap(); // long
-        st.register_spec(1.0, 10, 1.0, 1.0, None).unwrap(); // short @ 1s
-        st.register_spec(1.0, 10, 8.0, 1.0, None).unwrap(); // short @ 8s
-        st.admit_pass();
-        assert_eq!(st.designated, Some(0), "only arrival so far");
-        st.complete_turn(0, 1.0);
+        s.add(1.0, 10, 0.0, 8.0, None); // long
+        s.add(1.0, 10, 1.0, 1.0, None); // short @ 1s
+        s.add(1.0, 10, 8.0, 1.0, None); // short @ 8s
+        s.admit();
+        assert_eq!(s.designated(), Some(0), "only arrival so far");
+        s.turn(0, 1.0);
         // Clock 1: the fresh short job (rank 1/1) outranks the barely aged
         // long one (rank 8/2) and preempts it.
-        assert_eq!(st.designated, Some(1));
-        st.complete_turn(1, 1.0);
-        st.retire(1);
-        assert_eq!(st.designated, Some(0));
+        assert_eq!(s.designated(), Some(1));
+        s.turn(1, 1.0);
+        s.retire(1);
+        assert_eq!(s.designated(), Some(0));
         for _ in 0..6 {
-            st.complete_turn(0, 1.0);
+            s.turn(0, 1.0);
         }
         // Clock 8: a brand-new short job arrives (rank 1/1 = 1), but the
         // long job has aged to rank 8/9 < 1 and keeps the device — no
         // starvation.
-        assert_eq!(st.designated, Some(0), "aged long job outranks fresh short");
-        st.complete_turn(0, 1.0);
-        st.retire(0);
-        st.retire(2);
+        assert_eq!(
+            s.designated(),
+            Some(0),
+            "aged long job outranks fresh short"
+        );
+        s.turn(0, 1.0);
+        s.retire(0);
+        s.retire(2);
     }
 
     #[test]
     fn full_queue_sheds_on_arrival() {
-        let mut st = SchedState::default();
-        st.start(
+        let mut s = Session::new(
             SchedPolicy::Serial,
             100,
-            0.0,
             QueueLimits {
                 total_depth: Some(1),
                 per_class_depth: Vec::new(),
@@ -899,80 +934,69 @@ mod tests {
         );
         // 0 takes the whole device; 1 waits (depth 1); 2 finds the waiting
         // room full and is shed.
-        st.register(1.0, 100).unwrap();
-        st.on_register(0);
-        st.register(1.0, 10).unwrap();
-        st.on_register(1);
-        st.register(1.0, 10).unwrap();
-        st.on_register(2);
-        assert!(st.is_admitted(0) && !st.is_shed(0));
-        assert!(!st.is_admitted(1) && !st.is_shed(1), "within depth: waits");
-        assert!(st.is_shed(2), "overflow arrival is shed");
-        let s = st.stats(2);
-        assert!(s.shed);
-        assert_eq!(s.completion_secs, s.arrival_secs);
-        st.retire(0);
-        assert!(st.is_admitted(1), "the queued query still runs");
-        st.retire(1);
-        st.finish();
+        s.arrive(100, None);
+        s.arrive(10, None);
+        s.arrive(10, None);
+        assert!(s.admitted(0) && !s.shed(0));
+        assert!(!s.admitted(1) && !s.shed(1), "within depth: waits");
+        assert!(s.shed(2), "overflow arrival is shed");
+        let shed = s.stats(2);
+        assert!(shed.shed);
+        assert_eq!(shed.completion_secs, shed.arrival_secs);
+        s.retire(0);
+        assert!(s.admitted(1), "the queued query still runs");
+        s.retire(1);
+        s.st.finish();
     }
 
     #[test]
     fn per_class_depth_sheds_only_that_class() {
-        let mut st = SchedState::default();
-        st.start(
+        let mut s = Session::new(
             SchedPolicy::Serial,
             100,
-            0.0,
             QueueLimits {
                 total_depth: None,
                 per_class_depth: vec![Some(0), None],
             },
         );
-        st.register(1.0, 100).unwrap();
-        st.on_register(0);
+        s.arrive(100, None);
         // Class 0 may never wait; class 1 may queue freely.
-        st.register_spec(1.0, 10, 0.0, 0.0, Some(0)).unwrap();
-        st.on_register(1);
-        st.register_spec(1.0, 10, 0.0, 0.0, Some(1)).unwrap();
-        st.on_register(2);
-        assert!(st.is_shed(1), "class 0 has a zero-depth queue");
-        assert!(!st.is_shed(2), "class 1 is uncapped and waits");
-        st.retire(0);
-        assert!(st.is_admitted(2));
-        st.retire(2);
-        st.finish();
+        s.arrive(10, Some(0));
+        s.arrive(10, Some(1));
+        assert!(s.shed(1), "class 0 has a zero-depth queue");
+        assert!(!s.shed(2), "class 1 is uncapped and waits");
+        s.retire(0);
+        assert!(s.admitted(2));
+        s.retire(2);
+        s.st.finish();
     }
 
     #[test]
     fn zero_capacity_queue_admits_immediately_or_sheds() {
-        let mut st = SchedState::default();
-        st.start(
+        let mut s = Session::new(
             SchedPolicy::Serial,
             100,
-            0.0,
             QueueLimits {
                 total_depth: Some(0),
                 per_class_depth: Vec::new(),
             },
         );
         // Fits right away: admitted, never waited, never shed.
-        st.register(1.0, 60).unwrap();
-        st.on_register(0);
-        assert!(st.is_admitted(0) && !st.is_shed(0));
+        s.arrive(60, None);
+        assert!(s.admitted(0) && !s.shed(0));
         // Would have to wait: shed on the spot.
-        st.register(1.0, 60).unwrap();
-        st.on_register(1);
-        assert!(st.is_shed(1));
-        st.retire(0);
-        st.finish();
+        s.arrive(60, None);
+        assert!(s.shed(1));
+        s.retire(0);
+        s.st.finish();
     }
 
     #[test]
     fn oversized_budget_is_rejected_at_registration() {
-        let mut st = SchedState::default();
-        st.start(SchedPolicy::Serial, 100, 0.0, QueueLimits::default());
-        let err = st.register(1.0, 101).unwrap_err();
+        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
+        let err =
+            s.st.register_spec(0.0, 1.0, 101, 0.0, 0.0, None)
+                .unwrap_err();
         assert_eq!(err.requested_bytes, 101);
         assert_eq!(err.available_bytes, 100);
         assert!(err.to_string().contains("exceeds"));

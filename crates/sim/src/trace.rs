@@ -195,7 +195,7 @@ pub enum LifecycleStage {
     PlanCacheMiss,
     /// One contiguous run of kernel turns designated to this query (span).
     ExecSlice,
-    /// Runnable but not designated by the turn gate: wall time spent
+    /// Runnable but not designated by the policy: device time spent
     /// waiting on co-tenants' kernels or idle advances (span).
     Interference,
     /// The query retired (instant).

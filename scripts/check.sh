@@ -6,7 +6,8 @@
 # package's own tests, which compile every public item listed under
 # "Benchmark API surface" in perf/README.md, and one observed release-mode
 # run whose artifacts CI uploads. Run from anywhere; CI runs exactly this
-# script.
+# script. Not run here because it takes minutes: scripts/stress_serving.sh N
+# repeats the two serving suites N times under host contention.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

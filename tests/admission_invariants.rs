@@ -23,7 +23,11 @@
 //!   byte-identical to the cold (recording) run;
 //! * **export byte-identity** — full metrics exports (OpenMetrics and
 //!   JSON) are byte-identical across host-thread counts under *every*
-//!   policy, with admission control active.
+//!   policy, with admission control active;
+//! * **retire-releases-at-completion** — a query that waited for budget is
+//!   admitted at exactly the completion time of the query whose retire
+//!   released it, never part-way through (or after) a later kernel turn,
+//!   and the whole session is bit-identical from run to run.
 
 use gpu_join::engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
 use gpu_join::engine::{
@@ -412,6 +416,81 @@ proptest! {
             };
             let (a, b) = (run(1), run(8));
             prop_assert_eq!(a, b, "{:?}: exports differ across host threads", policy);
+        }
+    }
+}
+
+/// The order the thread-per-query turn gate left to the host scheduler:
+/// when a query finished its last kernel, its retire raced the co-tenants'
+/// next turns, so a waiting query's admission could land one or more turns
+/// late. Seven simultaneous arrivals with half-pool budgets keep five
+/// queries waiting on retires; under every policy each of them must be
+/// admitted at bit-exactly the completion of the query that released its
+/// budget, at a kernel-turn boundary, identically in all 50 repetitions.
+#[test]
+fn budget_waiters_are_admitted_exactly_at_the_releasing_completion() {
+    const ARRIVALS: usize = 7;
+    for policy in all_policies() {
+        let mut first: Option<Vec<(u64, u64)>> = None;
+        for rep in 0..50 {
+            let dev = device(1);
+            dev.enable_tracing();
+            let cat = catalog(&dev);
+            let free = dev.mem_capacity() - dev.mem_report().current_bytes;
+            let t0 = dev.elapsed();
+            let arrivals = (0..ARRIVALS)
+                .map(|i| {
+                    // Shapes 1..=4: every query launches kernels, so none
+                    // retires at the instant it is admitted.
+                    let spec = QuerySpec::new(plan_of(1 + i as u8 % 4)).with_budget(free / 2);
+                    OpenQuery::new(t0, "all", spec)
+                })
+                .collect();
+            let reports = engine::run_open_loop(&dev, &cat, arrivals, policy);
+            let trace = dev.take_trace().expect("base tracing is on");
+            let ctx = format!("{policy:?} rep {rep}");
+
+            let mut waited = 0;
+            for r in &reports {
+                assert!(
+                    r.result.is_ok(),
+                    "{ctx} q{}: {:?}",
+                    r.query,
+                    r.result.as_ref().err()
+                );
+                let admitted = r.admitted.secs();
+                if admitted > r.arrival.secs() {
+                    waited += 1;
+                    assert!(
+                        reports.iter().any(|o| {
+                            o.query != r.query
+                                && o.completion.secs().to_bits() == admitted.to_bits()
+                        }),
+                        "{ctx} q{}: admitted at {admitted:e}, not at any co-tenant's completion",
+                        r.query
+                    );
+                }
+                for k in trace.kernels().filter(|k| k.query != Some(r.query)) {
+                    assert!(
+                        !(k.start < admitted && admitted < k.start + k.dur),
+                        "{ctx} q{}: admitted at {admitted:e} inside q{:?}'s turn [{:e}, {:e}]",
+                        r.query,
+                        k.query,
+                        k.start,
+                        k.start + k.dur
+                    );
+                }
+            }
+            assert_eq!(waited, ARRIVALS - 2, "{ctx}: two reservations fit at once");
+
+            let stamps: Vec<(u64, u64)> = reports
+                .iter()
+                .map(|r| (r.admitted.secs().to_bits(), r.completion.secs().to_bits()))
+                .collect();
+            match &first {
+                None => first = Some(stamps),
+                Some(f) => assert_eq!(f, &stamps, "{ctx}: session differs from rep 0"),
+            }
         }
     }
 }

@@ -156,6 +156,9 @@ fn over_budget_tenant_fails_typed_while_cotenants_match_oracle() {
     let dev = Device::a100();
     let cat = sched_catalog(&dev);
     let base_in_use = dev.mem_report().current_bytes;
+    // Per-query traces carry each tenant's kernels, the failed one included.
+    dev.enable_tracing();
+    let counters_before = dev.counters();
     let specs = vec![
         QuerySpec::new(join_plan()).with_budget(AMPLE),
         QuerySpec::new(Plan::scan("big").filter(Expr::col("v").gt(Expr::lit(-1))))
@@ -163,6 +166,7 @@ fn over_budget_tenant_fails_typed_while_cotenants_match_oracle() {
         QuerySpec::new(agg_plan()).with_budget(AMPLE),
     ];
     let reports = engine::run_queries(&dev, &cat, specs, Policy::RoundRobin);
+    let session = dev.counters().delta_since(&counters_before).0;
 
     // The over-budget tenant dies with the typed error, naming itself and
     // its budget — and its private ledger never crossed the budget.
@@ -209,6 +213,45 @@ fn over_budget_tenant_fails_typed_while_cotenants_match_oracle() {
     // Query allocations live on private sub-ledgers: the base ledger holds
     // exactly the catalog, before and after the failed session.
     assert_eq!(dev.mem_report().current_bytes, base_in_use);
+
+    // The device was charged exactly the kernels its tenants launched —
+    // including the ones the failed tenant got through before it died.
+    assert!(
+        reports[1].busy.secs() > 0.0,
+        "the failing tenant launched kernels before its allocation failed"
+    );
+    let mut launched = gpu_join::sim::Counters::default();
+    for r in &reports {
+        for k in r.trace.as_ref().expect("tracing was on").kernels() {
+            launched.kernel_launches += 1;
+            launched.cycles += k.dur * dev.config().clock_hz;
+            launched.warp_instructions += k.warp_instructions;
+            launched.dram_read_bytes += k.dram_read_bytes;
+            launched.dram_write_bytes += k.dram_write_bytes;
+            launched.load_requests += k.load_requests;
+            launched.sectors_requested += k.sectors_requested;
+            launched.l2_hits += k.l2_hits;
+            launched.l2_misses += k.l2_misses;
+            launched.atomics += k.atomics;
+        }
+    }
+    // Cycles are an f64 sum taken in a different order; the rest is exact.
+    assert!((session.cycles - launched.cycles).abs() <= 1e-9 * launched.cycles);
+    launched.cycles = session.cycles;
+    assert_eq!(session, launched);
+
+    // The failure path closed the session: the device serves the next one.
+    let again = engine::run_queries(
+        &dev,
+        &cat,
+        vec![QuerySpec::new(agg_plan()).with_budget(AMPLE)],
+        Policy::RoundRobin,
+    );
+    let (x, y) = (
+        again[0].result.as_ref().unwrap(),
+        reports[2].result.as_ref().unwrap(),
+    );
+    assert_eq!(x.table.rows_sorted(), y.table.rows_sorted());
 }
 
 #[test]
