@@ -17,8 +17,9 @@
 //! device-timestamped and tagged with the owning query), so every reported
 //! number is deterministic simulated time.
 
+use super::serving::{mix, solo_busy};
 use crate::{Report, Session};
-use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
+use engine::demo::tpch_mini;
 use engine::scheduler::{Policy, QuerySpec};
 use engine::{Catalog, NodeStats, Plan};
 use sim::Device;
@@ -47,15 +48,6 @@ fn p99(latencies: &[f64]) -> f64 {
 fn count_chunked(stats: &NodeStats) -> usize {
     let here = usize::from(stats.label.contains("chunked x"));
     here + stats.children.iter().map(count_chunked).sum::<usize>()
-}
-
-/// The demo mix, cycled across tenants.
-fn mix_plan(i: usize) -> Plan {
-    match i % 3 {
-        0 => q18_like(),
-        1 => q3_like(),
-        _ => q1_like(),
-    }
 }
 
 struct Round {
@@ -97,18 +89,11 @@ pub fn run(session: &mut Session) -> Report {
     );
 
     // Solo baselines: each mix shape alone on the device.
-    let solo_busy: Vec<f64> = (0..3)
-        .map(|i| {
-            let s = round(
-                &dev,
-                &catalog,
-                vec![QuerySpec::new(mix_plan(i))],
-                Policy::Serial,
-            );
-            assert!(s.reports[0].result.is_ok(), "solo demo query must run");
-            s.reports[0].busy.secs()
-        })
-        .collect();
+    let solo_busy = solo_busy(|plan| {
+        round(&dev, &catalog, vec![QuerySpec::new(plan)], Policy::Serial)
+            .reports
+            .remove(0)
+    });
 
     // -- Sweep 1: tenant count under round-robin -------------------------
     println!(
@@ -116,7 +101,7 @@ pub fn run(session: &mut Session) -> Report {
         "tenants", "makespan", "throughput", "mean lat", "p99 lat", "stretch"
     );
     for n in [1usize, 2, 4, 8] {
-        let specs = (0..n).map(|i| QuerySpec::new(mix_plan(i))).collect();
+        let specs = (0..n).map(|i| QuerySpec::new(mix(i).1)).collect();
         let s = round(&dev, &catalog, specs, Policy::RoundRobin);
         assert!(s.reports.iter().all(|r| r.result.is_ok()));
         let mean = s.finishes.iter().sum::<f64>() / n as f64;
@@ -165,7 +150,7 @@ pub fn run(session: &mut Session) -> Report {
         ),
     ] {
         let specs = (0..4)
-            .map(|i| QuerySpec::new(mix_plan(i)).with_weight(weights[i]))
+            .map(|i| QuerySpec::new(mix(i).1).with_weight(weights[i]))
             .collect();
         let s = round(&dev, &catalog, specs, policy);
         assert!(s.reports.iter().all(|r| r.result.is_ok()));

@@ -15,11 +15,10 @@
 //! on the simulated clock under the Serial (FIFO run-to-completion)
 //! policy, so the whole curve is bit-identical across re-runs.
 
+use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
 use crate::{Report, Session};
-use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
-use engine::scheduler::{OpenQuery, Policy, QuerySpec};
-use engine::Plan;
-use sim::SimTime;
+use engine::demo::tpch_mini;
+use engine::scheduler::Policy;
 
 /// Arrivals per offered-load step: enough for stable medians while keeping
 /// the tail quantiles honest (p99 of 24 samples is the max by rank).
@@ -27,30 +26,6 @@ const ARRIVALS_PER_STEP: usize = 24;
 
 /// Offered load as a fraction of calibrated capacity.
 const RHO_SWEEP: [f64; 5] = [0.25, 0.5, 0.75, 1.0, 1.5];
-
-/// The demo mix, cycled across arrivals (same rotation as `m01`).
-fn mix(i: usize) -> (&'static str, Plan) {
-    match i % 3 {
-        0 => ("q18", q18_like()),
-        1 => ("q3", q3_like()),
-        _ => ("q1", q1_like()),
-    }
-}
-
-/// `splitmix64` step — the standard 64-bit mixer; deterministic and
-/// platform-independent, which is all the arrival process needs.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `(0, 1]` (never 0, so `ln` is finite).
-fn uniform(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
-}
 
 /// Per-class latency summary pulled out of one metrics snapshot.
 struct ClassStats {
@@ -90,23 +65,12 @@ pub fn run(session: &mut Session) -> Report {
     );
     let orders = session.tuples() / 16;
 
-    // -- Calibration: mean service time of the mix, solo and serial -------
-    // One fresh device per solo run so each measurement starts from a cold
-    // clock and an empty ledger; `busy` is the query's simulated service
-    // demand, independent of queueing.
-    let solo_busy: Vec<f64> = (0..3)
-        .map(|i| {
-            let dev = session.device();
-            let catalog = tpch_mini(&dev, orders, 99);
-            let (_, plan) = mix(i);
-            let reports =
-                engine::run_queries(&dev, &catalog, vec![QuerySpec::new(plan)], Policy::Serial);
-            assert!(reports[0].result.is_ok(), "solo demo query must run");
-            reports[0].busy.secs()
-        })
-        .collect();
-    let mean_service = solo_busy.iter().sum::<f64>() / solo_busy.len() as f64;
-    let capacity_qps = 1.0 / mean_service;
+    // -- Calibration: mean solo-Serial service time of the mix -------------
+    let Calibration {
+        solo_busy,
+        mean_service,
+        capacity_qps,
+    } = Calibration::fresh_devices(session, orders);
     println!(
         "M2 — open-loop serving over the demo catalog, {} orders / ~{} lineitems ({})",
         orders,
@@ -140,15 +104,8 @@ pub fn run(session: &mut Session) -> Report {
         let t0 = dev.elapsed().secs();
 
         // Open-loop arrival schedule: seeded exponential gaps.
-        let mut rng = 0x6d30_325f_7365_7276u64 ^ (step as u64); // "m02_serv"
-        let mut at = t0;
-        let arrivals: Vec<OpenQuery> = (0..ARRIVALS_PER_STEP)
-            .map(|i| {
-                at += -uniform(&mut rng).ln() / lambda;
-                let (class, plan) = mix(i);
-                OpenQuery::new(SimTime::from_secs(at), class, QuerySpec::new(plan))
-            })
-            .collect();
+        let seed = 0x6d30_325f_7365_7276u64 ^ (step as u64); // "m02_serv"
+        let arrivals = arrivals(arrival_times(seed, t0, lambda, ARRIVALS_PER_STEP));
         let first_arrival = arrivals[0].at.secs();
 
         let reports = engine::run_open_loop(&dev, &catalog, arrivals, Policy::Serial);
@@ -177,7 +134,7 @@ pub fn run(session: &mut Session) -> Report {
             .sum::<f64>()
             / span;
 
-        let classes: Vec<(&str, ClassStats)> = ["q18", "q3", "q1"]
+        let classes: Vec<(&str, ClassStats)> = CLASSES
             .iter()
             .map(|&c| (c, class_stats(&snap, c)))
             .collect();

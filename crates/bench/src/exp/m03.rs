@@ -19,10 +19,11 @@
 //!    thrashes, reporting hit/miss/eviction counts and recording one
 //!    cache-hit EXPLAIN with its provenance line under `--observe`.
 
+use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
 use crate::{Report, Session};
-use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
+use engine::demo::{q18_like, q3_like, tpch_mini};
 use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
-use engine::{EngineError, Plan, PlanCache, QueryExplain};
+use engine::{EngineError, PlanCache, QueryExplain};
 use sim::SimTime;
 
 /// Arrivals per offered-load step (same regime as `m02`).
@@ -31,30 +32,6 @@ const ARRIVALS_PER_STEP: usize = 24;
 /// Offered load as a fraction of calibrated capacity: the policy contrast
 /// lives at and past saturation.
 const RHO_SWEEP: [f64; 3] = [0.75, 1.0, 1.25];
-
-/// The demo mix, cycled across arrivals (same rotation as `m01`/`m02`):
-/// q18 is the long class, q1 the short one.
-fn mix(i: usize) -> (&'static str, Plan) {
-    match i % 3 {
-        0 => ("q18", q18_like()),
-        1 => ("q3", q3_like()),
-        _ => ("q1", q1_like()),
-    }
-}
-
-/// `splitmix64` step — deterministic, platform-independent arrivals.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `(0, 1]` (never 0, so `ln` is finite).
-fn uniform(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
-}
 
 /// One class's p99 end-to-end latency out of a metrics snapshot.
 fn class_p99(snap: &sim::MetricsSnapshot, class: &str) -> f64 {
@@ -105,19 +82,11 @@ pub fn run(session: &mut Session) -> Report {
     let orders = session.tuples() / 16;
 
     // -- Calibration: solo-Serial service time per mix class ---------------
-    let solo_busy: Vec<f64> = (0..3)
-        .map(|i| {
-            let dev = session.device();
-            let catalog = tpch_mini(&dev, orders, 99);
-            let (_, plan) = mix(i);
-            let reports =
-                engine::run_queries(&dev, &catalog, vec![QuerySpec::new(plan)], Policy::Serial);
-            assert!(reports[0].result.is_ok(), "solo demo query must run");
-            reports[0].busy.secs()
-        })
-        .collect();
-    let mean_service = solo_busy.iter().sum::<f64>() / solo_busy.len() as f64;
-    let capacity_qps = 1.0 / mean_service;
+    let Calibration {
+        solo_busy,
+        mean_service,
+        capacity_qps,
+    } = Calibration::fresh_devices(session, orders);
     println!(
         "M3 — serving control over the demo catalog, {} orders / ~{} lineitems ({})",
         orders,
@@ -150,14 +119,8 @@ pub fn run(session: &mut Session) -> Report {
         let lambda = rho * capacity_qps;
         // One seeded arrival schedule per rho, shared by every policy: the
         // comparison is apples-to-apples down to the last tick.
-        let mut rng = 0x6d30_335f_6164_6d31_u64 ^ (step as u64); // "m03_adm1"
-        let mut at = 0.0f64;
-        let offsets: Vec<f64> = (0..ARRIVALS_PER_STEP)
-            .map(|_| {
-                at += -uniform(&mut rng).ln() / lambda;
-                at
-            })
-            .collect();
+        let seed = 0x6d30_335f_6164_6d31_u64 ^ (step as u64); // "m03_adm1"
+        let offsets = arrival_times(seed, 0.0, lambda, ARRIVALS_PER_STEP);
 
         let mut q1_p99s = (0.0f64, 0.0f64);
         let mut counts = (0u64, 0u64);
@@ -167,14 +130,7 @@ pub fn run(session: &mut Session) -> Report {
             let dev = session.metered_device();
             let catalog = tpch_mini(&dev, orders, 99);
             let t0 = dev.elapsed().secs();
-            let arrivals: Vec<OpenQuery> = offsets
-                .iter()
-                .enumerate()
-                .map(|(i, off)| {
-                    let (class, plan) = mix(i);
-                    OpenQuery::new(SimTime::from_secs(t0 + off), class, QuerySpec::new(plan))
-                })
-                .collect();
+            let arrivals = arrivals(offsets.iter().map(|off| t0 + off));
             let first_arrival = arrivals[0].at.secs();
             let reports = engine::run_open_loop(&dev, &catalog, arrivals, policy);
             assert!(
@@ -182,20 +138,14 @@ pub fn run(session: &mut Session) -> Report {
                 "unbounded queue: every request completes under {label}"
             );
             let snap = dev.metrics_snapshot().expect("metrics recorder is on");
-            let done: u64 = ["q18", "q3", "q1"]
-                .iter()
-                .map(|c| completed(&snap, c))
-                .sum();
+            let done: u64 = CLASSES.iter().map(|c| completed(&snap, c)).sum();
             let span = reports
                 .iter()
                 .map(|r| r.completion.secs())
                 .fold(0.0, f64::max)
                 - first_arrival;
             let achieved_qps = done as f64 / span;
-            let p99s: Vec<f64> = ["q18", "q3", "q1"]
-                .iter()
-                .map(|c| class_p99(&snap, c))
-                .collect();
+            let p99s: Vec<f64> = CLASSES.iter().map(|c| class_p99(&snap, c)).collect();
             println!(
                 "{rho:<6} {label:<10} {done:>10} {achieved_qps:>8.1} q/s {:>10.2}ms {:>10.2}ms {:>10.2}ms",
                 p99s[0] * 1e3,

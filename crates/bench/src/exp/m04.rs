@@ -19,11 +19,10 @@
 //! `slo_attainment_ratio` / `slo_debt_seconds_total`), not bench-side
 //! bookkeeping.
 
+use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
 use crate::{Report, Session};
-use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
-use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
-use engine::Plan;
-use sim::SimTime;
+use engine::demo::tpch_mini;
+use engine::scheduler::{Policy, ServingConfig};
 
 /// Arrivals per offered-load step (same regime as `m02`).
 const ARRIVALS_PER_STEP: usize = 24;
@@ -37,29 +36,6 @@ const RHO_SWEEP: [f64; 3] = [0.25, 0.75, 1.5];
 /// saturated queue cannot.
 const SLO_FACTOR: f64 = 2.5;
 
-/// The demo mix, cycled across arrivals (same rotation as `m01`/`m02`).
-fn mix(i: usize) -> (&'static str, Plan) {
-    match i % 3 {
-        0 => ("q18", q18_like()),
-        1 => ("q3", q3_like()),
-        _ => ("q1", q1_like()),
-    }
-}
-
-/// `splitmix64` step — deterministic, platform-independent arrivals.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `(0, 1]` (never 0, so `ln` is finite).
-fn uniform(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) + 1) as f64 / (1u64 << 53) as f64
-}
-
 /// Run the experiment.
 pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new(
@@ -70,20 +46,12 @@ pub fn run(session: &mut Session) -> Report {
     let orders = session.tuples() / 16;
 
     // -- Calibration: solo-Serial service time per mix class ---------------
-    let solo_busy: Vec<f64> = (0..3)
-        .map(|i| {
-            let dev = session.device();
-            let catalog = tpch_mini(&dev, orders, 99);
-            let (_, plan) = mix(i);
-            let reports =
-                engine::run_queries(&dev, &catalog, vec![QuerySpec::new(plan)], Policy::Serial);
-            assert!(reports[0].result.is_ok(), "solo demo query must run");
-            reports[0].busy.secs()
-        })
-        .collect();
-    let mean_service = solo_busy.iter().sum::<f64>() / solo_busy.len() as f64;
-    let capacity_qps = 1.0 / mean_service;
-    let slos: Vec<(&str, f64)> = ["q18", "q3", "q1"]
+    let Calibration {
+        solo_busy,
+        capacity_qps,
+        ..
+    } = Calibration::fresh_devices(session, orders);
+    let slos: Vec<(&str, f64)> = CLASSES
         .iter()
         .zip(&solo_busy)
         .map(|(&c, &b)| (c, b * SLO_FACTOR))
@@ -122,15 +90,8 @@ pub fn run(session: &mut Session) -> Report {
         let catalog = tpch_mini(&dev, orders, 99);
         let t0 = dev.elapsed().secs();
 
-        let mut rng = 0x6d30_345f_736c_6f30_u64 ^ (step as u64); // "m04_slo0"
-        let mut at = t0;
-        let arrivals: Vec<OpenQuery> = (0..ARRIVALS_PER_STEP)
-            .map(|i| {
-                at += -uniform(&mut rng).ln() / lambda;
-                let (class, plan) = mix(i);
-                OpenQuery::new(SimTime::from_secs(at), class, QuerySpec::new(plan))
-            })
-            .collect();
+        let seed = 0x6d30_345f_736c_6f30_u64 ^ (step as u64); // "m04_slo0"
+        let arrivals = arrivals(arrival_times(seed, t0, lambda, ARRIVALS_PER_STEP));
 
         let mut serving = ServingConfig::new();
         for (class, slo) in &slos {

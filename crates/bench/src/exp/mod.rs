@@ -30,13 +30,14 @@ mod m02;
 mod m03;
 mod m04;
 mod q_tpch;
+mod serving;
 mod table04;
 mod table05;
 mod table12;
 
 use crate::{Report, Session};
-use joins::{Algorithm, JoinConfig, JoinStats};
-use sim::Device;
+use joins::{Algorithm, JoinConfig};
+use sim::{Device, OpStats};
 use workloads::JoinWorkload;
 
 /// One runnable experiment.
@@ -117,7 +118,7 @@ pub(crate) fn run_algorithms(
     w: &JoinWorkload,
     algorithms: &[Algorithm],
     config: &JoinConfig,
-) -> Vec<(Algorithm, JoinStats)> {
+) -> Vec<(Algorithm, OpStats)> {
     algorithms
         .iter()
         .map(|&alg| {
@@ -137,7 +138,7 @@ pub(crate) fn print_breakdown_header() {
 }
 
 /// Print one per-phase breakdown row and return its JSON form.
-pub(crate) fn breakdown_row(label: &str, stats: &JoinStats) -> serde_json::Value {
+pub(crate) fn breakdown_row(label: &str, stats: &OpStats) -> serde_json::Value {
     let p = stats.phases;
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12} {:>7.0}%",
@@ -161,7 +162,7 @@ pub(crate) fn breakdown_row(label: &str, stats: &JoinStats) -> serde_json::Value
 }
 
 /// Total time of one algorithm out of a `run_algorithms` result set.
-pub(crate) fn total_of(results: &[(Algorithm, JoinStats)], alg: Algorithm) -> f64 {
+pub(crate) fn total_of(results: &[(Algorithm, OpStats)], alg: Algorithm) -> f64 {
     results
         .iter()
         .find(|(a, _)| *a == alg)

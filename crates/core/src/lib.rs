@@ -10,8 +10,7 @@
 //! ```
 //! use gpu_join::prelude::*;
 //!
-//! let exec = Executor::a100();
-//! let dev = exec.device();
+//! let dev = &Device::a100();
 //!
 //! // Two relations: R(key, payload), S(key, payload).
 //! let r = Relation::new(
@@ -27,7 +26,7 @@
 //!
 //! // The paper's flagship: radix-partitioned hash join with GFTR
 //! // (optimized) materialization.
-//! let out = exec.join(Algorithm::PhjOm, &r, &s, &JoinConfig::default());
+//! let out = run_join(dev, Algorithm::PhjOm, &r, &s, &JoinConfig::default());
 //! assert_eq!(out.len(), 3);
 //! println!("transform  {}", out.stats.phases.transform);
 //! println!("match find {}", out.stats.phases.match_find);
@@ -47,23 +46,19 @@
 //! | [`heuristics`] | the Figure 18 decision trees |
 //! | [`engine`] | a minimal columnar query engine (scan/filter/project/join/aggregate) |
 
-pub mod executor;
 pub mod memory_model;
 pub mod pipeline;
 
-pub use executor::Executor;
-
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::executor::Executor;
     pub use crate::memory_model;
     pub use crate::pipeline::{join_then_group_by, GroupKey, PipelineOutput, PipelineSpec};
     pub use columnar::{Column, DType, DictionaryEncoder, Relation};
-    pub use groupby::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput};
+    pub use groupby::{run_group_by, AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput};
     pub use heuristics::{choose_join, choose_smj, profile_of, WorkloadProfile};
     pub use joins::chunked::{chunked_join, plan_chunks};
     pub use joins::plan::{join_sequence, FactTable};
-    pub use joins::{Algorithm, JoinConfig, JoinKind, JoinOutput, JoinStats};
+    pub use joins::{run_join, Algorithm, JoinConfig, JoinKind, JoinOutput};
     pub use sim::{Counters, Device, DeviceConfig, OpStats, PhaseTimes, SimTime};
 }
 

@@ -12,9 +12,9 @@
 use columnar::{Column, Relation};
 use engine::op::{run_operator, AggregateOp, ExecContext, JoinOp, ValuesOp};
 use engine::{AggSpec, NodeStats, Table};
-use groupby::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput, GroupByStats};
-use joins::{Algorithm, JoinConfig, JoinStats};
-use sim::Device;
+use groupby::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput};
+use joins::{Algorithm, JoinConfig};
+use sim::{Device, OpStats};
 
 /// Which column of the join output becomes the group key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +70,7 @@ pub struct PipelineOutput {
     /// The grouped aggregation result.
     pub groups: GroupByOutput,
     /// Statistics of the join stage.
-    pub join_stats: JoinStats,
+    pub join_stats: OpStats,
     /// Output cardinality of the join stage.
     pub join_rows: usize,
     /// The full per-operator stats tree (aggregate → join → inputs), as the
@@ -154,21 +154,14 @@ pub fn join_then_group_by(
     let keys = cols.remove(0).1;
     let aggregates: Vec<Column> = cols.into_iter().map(|(_, c)| c).collect();
     let join_node = &stats.children[0];
-    let join_stats = JoinStats {
-        algorithm: spec.join_algorithm,
-        op: join_node.op.clone(),
-    };
     let groups = GroupByOutput {
         keys,
         aggregates,
-        stats: GroupByStats {
-            algorithm: spec.group_algorithm,
-            op: stats.op.clone(),
-        },
+        stats: stats.op.clone(),
     };
     PipelineOutput {
         groups,
-        join_stats,
+        join_stats: join_node.op.clone(),
         join_rows: join_node.op.rows,
         stats,
     }
@@ -231,7 +224,7 @@ mod tests {
         // The stats tree reflects both stages with the shared record.
         assert!(out.stats.label.starts_with("Aggregate"));
         assert!(out.stats.children[0].label.starts_with("Join"));
-        assert!(out.join_stats.op.counters.dram_bytes() > 0);
+        assert!(out.join_stats.counters.dram_bytes() > 0);
     }
 
     #[test]

@@ -131,35 +131,33 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Resolve a join sampling site under the current planning mode. The
+    /// Resolve a sampling site under the current planning mode. The
     /// `sample` closure must not touch `self.planning` (it launches
     /// kernels; the borrow is released before it runs).
-    fn join_sample(
-        &self,
-        sample: impl FnOnce() -> heuristics::EstimatedStats,
-    ) -> heuristics::EstimatedStats {
-        enum Action {
+    fn sample_site<S: SiteStats>(&self, sample: impl FnOnce() -> S) -> S {
+        enum Action<S> {
             Live,
             Planned,
-            Serve(heuristics::EstimatedStats),
+            Serve(S),
         }
         let action = {
             let mut mode = self.planning.borrow_mut();
             match &mut *mode {
                 PlanningMode::Off => Action::Live,
                 PlanningMode::Record(_) => Action::Planned,
-                PlanningMode::Replay { samples, cursor } => match samples.get(*cursor) {
-                    Some(SiteSample::Join(s)) => {
-                        let s = *s;
-                        *cursor += 1;
-                        Action::Serve(s)
+                PlanningMode::Replay { samples, cursor } => {
+                    match samples.get(*cursor).and_then(S::from_sample) {
+                        Some(s) => {
+                            *cursor += 1;
+                            Action::Serve(s)
+                        }
+                        // Shape mismatch: the cached trace does not line up
+                        // with this plan's sites. Fall back to live sampling
+                        // in the planning scope so the query-private clock
+                        // still matches the recorded run.
+                        None => Action::Planned,
                     }
-                    // Shape mismatch: the cached trace does not line up
-                    // with this plan's sites. Fall back to live sampling
-                    // in the planning scope so the query-private clock
-                    // still matches the recorded run.
-                    _ => Action::Planned,
-                },
+                }
             }
         };
         match action {
@@ -168,49 +166,42 @@ impl<'a> ExecContext<'a> {
             Action::Planned => {
                 let s = self.dev.with_planning(sample);
                 if let PlanningMode::Record(samples) = &mut *self.planning.borrow_mut() {
-                    samples.push(SiteSample::Join(s));
+                    samples.push(s.into_sample());
                 }
                 s
             }
         }
     }
+}
 
-    /// Resolve a group-by sampling site under the current planning mode.
-    /// Same contract as [`Self::join_sample`].
-    fn group_sample(
-        &self,
-        sample: impl FnOnce() -> heuristics::EstimatedGroupStats,
-    ) -> heuristics::EstimatedGroupStats {
-        enum Action {
-            Live,
-            Planned,
-            Serve(heuristics::EstimatedGroupStats),
+/// The statistics one kind of adaptive site samples, as a [`SiteSample`]
+/// stores them.
+trait SiteStats: Copy {
+    fn into_sample(self) -> SiteSample;
+    /// The statistics in `sample`, if it was recorded at this kind of site.
+    fn from_sample(sample: &SiteSample) -> Option<Self>;
+}
+
+impl SiteStats for heuristics::EstimatedStats {
+    fn into_sample(self) -> SiteSample {
+        SiteSample::Join(self)
+    }
+    fn from_sample(sample: &SiteSample) -> Option<Self> {
+        match sample {
+            SiteSample::Join(s) => Some(*s),
+            SiteSample::Group(_) => None,
         }
-        let action = {
-            let mut mode = self.planning.borrow_mut();
-            match &mut *mode {
-                PlanningMode::Off => Action::Live,
-                PlanningMode::Record(_) => Action::Planned,
-                PlanningMode::Replay { samples, cursor } => match samples.get(*cursor) {
-                    Some(SiteSample::Group(s)) => {
-                        let s = *s;
-                        *cursor += 1;
-                        Action::Serve(s)
-                    }
-                    _ => Action::Planned,
-                },
-            }
-        };
-        match action {
-            Action::Live => sample(),
-            Action::Serve(s) => s,
-            Action::Planned => {
-                let s = self.dev.with_planning(sample);
-                if let PlanningMode::Record(samples) = &mut *self.planning.borrow_mut() {
-                    samples.push(SiteSample::Group(s));
-                }
-                s
-            }
+    }
+}
+
+impl SiteStats for heuristics::EstimatedGroupStats {
+    fn into_sample(self) -> SiteSample {
+        SiteSample::Group(self)
+    }
+    fn from_sample(sample: &SiteSample) -> Option<Self> {
+        match sample {
+            SiteSample::Group(s) => Some(*s),
+            SiteSample::Join(_) => None,
         }
     }
 }
@@ -940,7 +931,7 @@ impl PhysicalOperator for JoinOp {
                 // profile is built from the *logical* side shapes, so ticket
                 // inputs pick the same algorithm their materialized twins
                 // would — fusion changes the cost, never the plan.
-                let stats = ctx.join_sample(|| sample_stats(ctx.dev, l_rel, r_rel, 512));
+                let stats = ctx.sample_site(|| sample_stats(ctx.dev, l_rel, r_rel, 512));
                 let profile = profile_from_stats(
                     &stats,
                     &l_prep.shape,
@@ -1371,7 +1362,7 @@ impl PhysicalOperator for AggregateOp {
             None => {
                 // Sample the grouping key for a distinct-count and skew
                 // estimate, then let the aggregation decision tree pick.
-                let sampled = ctx.group_sample(|| sample_group_stats(ctx.dev, &key, 512));
+                let sampled = ctx.sample_site(|| sample_group_stats(ctx.dev, &key, 512));
                 let profile = AggProfile {
                     rows,
                     est_groups: sampled.est_groups,

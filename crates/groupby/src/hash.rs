@@ -6,10 +6,10 @@
 //! skew (atomic serialization on the hottest group) — the same two effects
 //! that shape the non-partitioned hash *join*.
 
-use crate::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput, GroupByStats};
+use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{linear_probe_slots, GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
-use sim::{Device, DeviceBuffer, PhaseTimes};
+use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 pub(crate) fn dispatch_key_column<R>(
     col: &Column,
@@ -134,12 +134,7 @@ pub fn hash_groupby(
         GroupByOutput {
             keys: K::wrap(dev.upload(group_keys, "hash_gb.group_keys")),
             aggregates,
-            stats: GroupByStats::new(
-                GroupByAlgorithm::HashGlobal,
-                phases,
-                groups,
-                dev.mem_report().peak_bytes,
-            ),
+            stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
         }
     }
     dispatch_key_column(

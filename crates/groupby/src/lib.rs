@@ -26,7 +26,7 @@ pub mod sort;
 
 use columnar::{Column, Relation};
 use serde::{Deserialize, Serialize};
-use sim::{Device, OpStats, PhaseTimes, SimTime};
+use sim::{Device, OpStats, SimTime};
 
 /// Close a paper-phase measurement started at `t0`: records the interval
 /// as a phase span on the device trace (no-op when tracing is off) and
@@ -150,55 +150,15 @@ pub struct GroupByConfig {
     pub expected_groups: Option<usize>,
 }
 
-/// Execution report for one grouped aggregation: the algorithm that ran
-/// plus the shared per-operator report ([`sim::OpStats`]). Dereferences to
-/// [`OpStats`], so `stats.phases` / `stats.peak_mem_bytes` reads keep
-/// working; the group count is `stats.groups()` (stored as
-/// [`OpStats::rows`] — groups *are* this operator's output cardinality).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GroupByStats {
-    /// Which implementation produced this.
-    pub algorithm: GroupByAlgorithm,
-    /// The shared per-operator report.
-    pub op: OpStats,
-}
-
-impl GroupByStats {
-    /// Assemble from the measurements every implementation takes; the
-    /// hardware-counter delta is filled in centrally by [`run_group_by`].
-    pub fn new(
-        algorithm: GroupByAlgorithm,
-        phases: PhaseTimes,
-        groups: usize,
-        peak_mem_bytes: u64,
-    ) -> Self {
-        GroupByStats {
-            algorithm,
-            op: OpStats::new(phases, groups, peak_mem_bytes),
-        }
-    }
-
-    /// Number of output groups.
-    pub fn groups(&self) -> usize {
-        self.op.rows
-    }
-}
-
-impl std::ops::Deref for GroupByStats {
-    type Target = OpStats;
-    fn deref(&self) -> &OpStats {
-        &self.op
-    }
-}
-
 /// Result of a grouped aggregation: one row per group.
 pub struct GroupByOutput {
     /// Distinct group keys (order is implementation-defined).
     pub keys: Column,
     /// One aggregate column per requested [`AggFn`], widened to `i64`.
     pub aggregates: Vec<Column>,
-    /// Timing and memory report.
-    pub stats: GroupByStats,
+    /// Timing, memory and hardware-counter report; [`OpStats::rows`] is
+    /// the group count.
+    pub stats: OpStats,
 }
 
 impl GroupByOutput {
@@ -255,8 +215,8 @@ pub fn run_group_by(
             partitioned::partitioned_groupby(dev, input, aggs, config, false)
         }
     };
-    out.stats.op.counters = dev.counters().delta_since(&before).0;
-    out.stats.op.query = dev.query_id();
+    out.stats.counters = dev.counters().delta_since(&before).0;
+    out.stats.query = dev.query_id();
     dev.trace_span(sim::SpanCat::GroupBy, algorithm.name(), t0, dev.elapsed());
     out
 }

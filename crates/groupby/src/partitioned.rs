@@ -7,10 +7,10 @@
 //! partitions `(key, ID)` once and fetches values with unclustered gathers.
 
 use crate::hash::dispatch_key_column;
-use crate::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput, GroupByStats};
+use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{gather_column, radix_partition, BUILD_WARP_INSTR, STREAM_WARP_INSTR};
-use sim::{Device, DeviceBuffer, PhaseTimes};
+use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 use std::collections::HashMap;
 
 /// Partition one payload column with the keys.
@@ -151,16 +151,7 @@ pub fn partitioned_groupby(
         GroupByOutput {
             keys: K::wrap(dev.upload(group_keys, "part_gb.group_keys")),
             aggregates,
-            stats: GroupByStats::new(
-                if gftr {
-                    GroupByAlgorithm::PartitionedGftr
-                } else {
-                    GroupByAlgorithm::PartitionedGfur
-                },
-                phases,
-                groups,
-                dev.mem_report().peak_bytes,
-            ),
+            stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
         }
     }
     dispatch_key_column(

@@ -8,10 +8,10 @@
 //! aggregation, exactly the join study's trade-off.
 
 use crate::hash::dispatch_key_column;
-use crate::{AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput, GroupByStats};
+use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{gather_column, run_boundaries, sort_pairs, STREAM_WARP_INSTR};
-use sim::{Device, DeviceBuffer, PhaseTimes};
+use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 /// Segmented fold of a (already ordered) column: one streaming read, one
 /// `|G|`-sized write.
@@ -122,16 +122,7 @@ pub fn sort_groupby(
         GroupByOutput {
             keys: K::wrap(group_keys),
             aggregates,
-            stats: GroupByStats::new(
-                if gftr {
-                    GroupByAlgorithm::SortGftr
-                } else {
-                    GroupByAlgorithm::SortGfur
-                },
-                phases,
-                groups,
-                dev.mem_report().peak_bytes,
-            ),
+            stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
         }
     }
     dispatch_key_column(

@@ -15,10 +15,10 @@
 //! validate, so a workload that OOMs the direct path runs chunked without
 //! trial and error.
 
-use crate::{estimated_out_rows, run_join, Algorithm, JoinConfig, JoinOutput, JoinStats};
+use crate::{estimated_out_rows, run_join, Algorithm, JoinConfig, JoinOutput};
 use columnar::{Column, Relation};
 use primitives::gather_column;
-use sim::{Device, PhaseTimes};
+use sim::{Device, OpStats, PhaseTimes};
 
 /// How the chunked driver split the work.
 #[derive(Debug, Clone, Copy)]
@@ -171,9 +171,9 @@ pub fn chunked_join(
         .map(|(vals, proto)| rebuild(dev, proto, vals))
         .collect();
     let keys_len = keys.len();
-    let mut stats = JoinStats::new(algorithm, phases, keys_len, peak);
+    let mut stats = OpStats::new(phases, keys_len, peak);
     // Counter delta over all chunks, including the staging gathers.
-    stats.op.counters = dev.counters().delta_since(&counters_before).0;
+    stats.counters = dev.counters().delta_since(&counters_before).0;
     (
         JoinOutput {
             keys,

@@ -2,7 +2,7 @@
 //! CPU baseline of Balkesen et al. used in Figure 8.
 //!
 //! Unlike every other algorithm in this crate, nothing here is simulated:
-//! the join runs on host threads (crossbeam scoped) and reports *measured*
+//! the join runs on host threads (`std::thread::scope`) and reports *measured*
 //! wall-clock, converted into [`sim::SimTime`] so the benchmark harness can
 //! chart CPU and GPU series together. The structure is the classic
 //! partitioned radix join: parallel histogram + scatter into contiguous
@@ -11,9 +11,9 @@
 
 use crate::kinds::JoinKind;
 use crate::smj::dispatch_keys;
-use crate::{Algorithm, JoinConfig, JoinOutput, JoinStats};
+use crate::{JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
-use sim::{Device, DeviceBuffer, Element, PhaseTimes, SimTime};
+use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes, SimTime};
 use std::time::Instant;
 
 fn num_threads() -> usize {
@@ -33,18 +33,17 @@ fn partition_parallel<K: ColumnElement>(keys: &[K], bits: u32) -> (Vec<K>, Vec<u
 
     // Per-thread histograms.
     let mut histograms = vec![vec![0u32; parts]; threads];
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, hist) in histograms.iter_mut().enumerate() {
             let lo = t * chunk;
             let hi = ((t + 1) * chunk).min(n);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for k in &keys[lo..hi.max(lo)] {
                     hist[(k.to_radix() & mask) as usize] += 1;
                 }
             });
         }
-    })
-    .expect("partition histogram threads panicked");
+    });
 
     // Global offsets: partition-major, thread-minor (keeps the pass stable).
     let mut write_base = vec![vec![0u32; parts]; threads];
@@ -72,11 +71,11 @@ fn partition_parallel<K: ColumnElement>(keys: &[K], bits: u32) -> (Vec<K>, Vec<u
         let ip = SendPtr(out_ids.as_mut_ptr());
         let kp = &kp;
         let ip = &ip;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (t, mut cursor) in write_base.into_iter().enumerate() {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (i, k) in (lo..hi.max(lo)).zip(&keys[lo..hi.max(lo)]) {
                         let p = (k.to_radix() & mask) as usize;
                         let pos = cursor[p] as usize;
@@ -90,8 +89,7 @@ fn partition_parallel<K: ColumnElement>(keys: &[K], bits: u32) -> (Vec<K>, Vec<u
                     }
                 });
             }
-        })
-        .expect("partition scatter threads panicked");
+        });
     }
     (out_keys, out_ids, offsets)
 }
@@ -110,12 +108,12 @@ fn join_partitions<K: ColumnElement>(
     let threads = num_threads().min(parts.max(1));
     let per_thread = parts.div_ceil(threads);
     let mut shards: Vec<(Vec<K>, Vec<u32>, Vec<u32>)> = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {
             let p_lo = t * per_thread;
             let p_hi = ((t + 1) * per_thread).min(parts);
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut keys = Vec::new();
                 let mut ri = Vec::new();
                 let mut si = Vec::new();
@@ -154,9 +152,11 @@ fn join_partitions<K: ColumnElement>(
                 (keys, ri, si)
             }));
         }
-        shards = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    })
-    .expect("join threads panicked");
+        shards = handles
+            .into_iter()
+            .map(|h| h.join().expect("join thread panicked"))
+            .collect();
+    });
 
     let total: usize = shards.iter().map(|s| s.0.len()).sum();
     let mut keys = Vec::with_capacity(total);
@@ -178,16 +178,15 @@ fn gather_cpu(col: &Column, ids: &[u32], dev: &Device) -> Column {
         let threads = num_threads().min(n.max(1));
         let chunk = n.div_ceil(threads.max(1)).max(1);
         let mut out = vec![T::default(); n];
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (slice, id_chunk) in out.chunks_mut(chunk).zip(ids.chunks(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (o, &m) in slice.iter_mut().zip(id_chunk) {
                         *o = if m == u32::MAX { null } else { src[m as usize] };
                     }
                 });
             }
-        })
-        .expect("gather threads panicked");
+        });
         out
     }
     match col {
@@ -300,7 +299,7 @@ pub fn cpu_radix_join(dev: &Device, r: &Relation, s: &Relation, config: &JoinCon
             r_payloads,
             s_payloads,
             // peak 0: host memory, not device-ledger tracked
-            stats: JoinStats::new(Algorithm::CpuRadix, phases, rows, 0),
+            stats: OpStats::new(phases, rows, 0),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))

@@ -36,7 +36,7 @@ pub use kinds::JoinKind;
 
 use columnar::{Column, Relation};
 use serde::{Deserialize, Serialize};
-use sim::{Device, OpStats, PhaseTimes, SimTime};
+use sim::{Device, OpStats, SimTime};
 
 /// Which join implementation to run — the paper's four variants plus the
 /// two baselines. The short labels (SU/PU/SO/PO) follow Section 5.1.
@@ -187,38 +187,6 @@ impl Default for JoinConfig {
     }
 }
 
-/// Execution report for one join: the algorithm that ran plus the shared
-/// per-operator report ([`sim::OpStats`]: phases, rows, peak memory,
-/// hardware counters). Dereferences to [`OpStats`], so `stats.phases`,
-/// `stats.rows`, `stats.peak_mem_bytes` and the former
-/// `JoinStats::throughput_tuples` helper (now [`OpStats::throughput_tuples`])
-/// all keep working unchanged.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct JoinStats {
-    /// Which implementation produced this.
-    pub algorithm: Algorithm,
-    /// The shared per-operator report.
-    pub op: OpStats,
-}
-
-impl JoinStats {
-    /// Assemble from the measurements every join implementation takes; the
-    /// hardware-counter delta is filled in centrally by [`run_join`].
-    pub fn new(algorithm: Algorithm, phases: PhaseTimes, rows: usize, peak_mem_bytes: u64) -> Self {
-        JoinStats {
-            algorithm,
-            op: OpStats::new(phases, rows, peak_mem_bytes),
-        }
-    }
-}
-
-impl std::ops::Deref for JoinStats {
-    type Target = OpStats;
-    fn deref(&self) -> &OpStats {
-        &self.op
-    }
-}
-
 /// A materialized join result `T(k, r_1..r_n, s_1..s_m)` plus statistics.
 pub struct JoinOutput {
     /// The matched key column.
@@ -227,8 +195,8 @@ pub struct JoinOutput {
     pub r_payloads: Vec<Column>,
     /// Materialized payload columns from S, in schema order.
     pub s_payloads: Vec<Column>,
-    /// Timing and memory report.
-    pub stats: JoinStats,
+    /// Timing, memory and hardware-counter report.
+    pub stats: OpStats,
 }
 
 impl JoinOutput {
@@ -281,8 +249,8 @@ pub fn run_join(
         Algorithm::Nphj => nphj::nphj(dev, r, s, config),
         Algorithm::CpuRadix => cpu::cpu_radix_join(dev, r, s, config),
     };
-    out.stats.op.counters = dev.counters().delta_since(&before).0;
-    out.stats.op.query = dev.query_id();
+    out.stats.counters = dev.counters().delta_since(&before).0;
+    out.stats.query = dev.query_id();
     dev.trace_span(sim::SpanCat::Join, algorithm.name(), t0, dev.elapsed());
     out
 }

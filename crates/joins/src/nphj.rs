@@ -10,10 +10,10 @@
 
 use crate::kinds::{apply_kind_timed, JoinKind};
 use crate::smj::dispatch_keys;
-use crate::{timed_phase, Algorithm, JoinConfig, JoinOutput, JoinStats};
+use crate::{timed_phase, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{gather_column, gather_column_or_null, GlobalHashTable};
-use sim::{Device, DeviceBuffer, PhaseTimes};
+use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 /// Non-partitioned (global hash table) join, GFUR materialization.
 pub fn nphj(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
@@ -81,7 +81,7 @@ pub fn nphj(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> Jo
             keys: K::wrap(adj.keys),
             r_payloads,
             s_payloads,
-            stats: JoinStats::new(Algorithm::Nphj, phases, rows, dev.mem_report().peak_bytes),
+            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))

@@ -11,12 +11,12 @@
 
 use crate::kinds::{apply_kind_timed, JoinKind};
 use crate::smj::{dispatch_keys, iota};
-use crate::{choose_radix_bits, timed_phase, Algorithm, JoinConfig, JoinOutput, JoinStats};
+use crate::{choose_radix_bits, timed_phase, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{
     gather, gather_column, gather_column_or_null, join_copartitions, radix_partition, MatchResult,
 };
-use sim::{Device, DeviceBuffer, PhaseTimes};
+use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 /// Partition a payload column together with the relation's keys. Stability
 /// of the radix partition guarantees a layout identical to every other
@@ -142,7 +142,7 @@ pub fn phj_om(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> 
             keys: K::wrap(adj.keys),
             r_payloads,
             s_payloads,
-            stats: JoinStats::new(Algorithm::PhjOm, phases, rows, dev.mem_report().peak_bytes),
+            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))
@@ -235,12 +235,7 @@ pub fn phj_om_gfur(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig
             keys: K::wrap(adj.keys),
             r_payloads,
             s_payloads,
-            stats: JoinStats::new(
-                Algorithm::PhjOmGfur,
-                phases,
-                rows,
-                dev.mem_report().peak_bytes,
-            ),
+            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))

@@ -21,13 +21,13 @@
 
 use crate::kinds::{apply_kind_timed, JoinKind};
 use crate::smj::{dispatch_keys, iota};
-use crate::{choose_radix_bits, timed_phase, Algorithm, JoinConfig, JoinOutput, JoinStats};
+use crate::{choose_radix_bits, timed_phase, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{
     gather_column, gather_column_or_null, MatchResult, BUILD_WARP_INSTR, PROBE_WARP_INSTR,
     SCATTER_WARP_INSTR,
 };
-use sim::{Device, DeviceBuffer, Element, PhaseTimes};
+use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes};
 
 /// A relation's keys and physical IDs, partitioned into bucket chains.
 struct BucketChains<K: Element> {
@@ -207,14 +207,12 @@ fn bucket_join<K: ColumnElement>(
 /// implementation carries the payload directly as the pair value, so no
 /// materialization gather happens at all — which is why the paper finds
 /// PHJ-UM and PHJ-OM "very close" on narrow inputs (Section 5.2.2). We
-/// reuse the radix-partitioned GFTR path for that case and relabel; the
+/// reuse the radix-partitioned GFTR path for that case; the
 /// bucket-chain machinery below is the wide-join path, where the ID detour
 /// (and its skew-sensitive atomic partitioning) is unavoidable.
 pub fn phj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
     if r.num_payloads() <= 1 && s.num_payloads() <= 1 {
-        let mut out = crate::phj_om::phj_om(dev, r, s, config);
-        out.stats.algorithm = Algorithm::PhjUm;
-        return out;
+        return crate::phj_om::phj_om(dev, r, s, config);
     }
     fn typed<K: ColumnElement>(
         r_keys: &DeviceBuffer<K>,
@@ -298,7 +296,7 @@ pub fn phj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> 
             keys: K::wrap(adj.keys),
             r_payloads,
             s_payloads,
-            stats: JoinStats::new(Algorithm::PhjUm, phases, rows, dev.mem_report().peak_bytes),
+            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))

@@ -9,7 +9,7 @@
 //! later joins materialize ever wider tuples and the GFTR implementations
 //! pull ahead as the sequence grows.
 
-use crate::{run_join, timed, Algorithm, JoinConfig, JoinStats};
+use crate::{run_join, timed, Algorithm, JoinConfig};
 use columnar::{Column, Relation};
 use primitives::gather_column;
 use sim::{Device, OpStats, PhaseTimes, SimTime};
@@ -59,7 +59,7 @@ pub struct StepStats {
     /// Time to materialize this step's FK column from the surviving IDs.
     pub fk_fetch: SimTime,
     /// The join itself.
-    pub join: JoinStats,
+    pub join: OpStats,
 }
 
 /// Result of a join sequence.

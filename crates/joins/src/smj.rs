@@ -16,12 +16,12 @@
 //!   peak memory below GFUR's (Tables 1-2).
 
 use crate::kinds::{apply_kind_timed, JoinKind};
-use crate::{timed_phase, Algorithm, JoinConfig, JoinOutput, JoinStats};
+use crate::{timed_phase, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{
     gather, gather_column, gather_column_or_null, merge_join, sort_pairs, MatchResult,
 };
-use sim::{Device, DeviceBuffer, PhaseTimes};
+use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 /// Generate physical tuple identifiers `0..n` (one streaming write).
 pub(crate) fn iota(dev: &Device, n: usize, label: &'static str) -> DeviceBuffer<u32> {
@@ -77,12 +77,10 @@ pub(crate) use dispatch_keys;
 /// `(key, value)` pair instead of taking the ID + gather detour, which makes
 /// it operationally identical to SMJ-OM — exactly the paper's observation
 /// ("since the joins are narrow, SMJ-OM is identical to SMJ-UM",
-/// Section 5.2.2). We reuse the GFTR code path for that case and relabel.
+/// Section 5.2.2). We reuse the GFTR code path for that case.
 pub fn smj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
     if r.num_payloads() <= 1 && s.num_payloads() <= 1 {
-        let mut out = smj_om(dev, r, s, config);
-        out.stats.algorithm = Algorithm::SmjUm;
-        return out;
+        return smj_om(dev, r, s, config);
     }
     fn typed<K: ColumnElement>(
         r_keys: &DeviceBuffer<K>,
@@ -170,7 +168,7 @@ pub fn smj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> 
             keys: K::wrap(adj.keys),
             r_payloads,
             s_payloads,
-            stats: JoinStats::new(Algorithm::SmjUm, phases, rows, dev.mem_report().peak_bytes),
+            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))
@@ -280,7 +278,7 @@ pub fn smj_om(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> 
             keys: K::wrap(adj.keys),
             r_payloads,
             s_payloads,
-            stats: JoinStats::new(Algorithm::SmjOm, phases, rows, dev.mem_report().peak_bytes),
+            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
         }
     }
     dispatch_keys!(r, s, typed(dev, r, s, config))

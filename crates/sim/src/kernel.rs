@@ -113,8 +113,8 @@ impl<'d> KernelBuilder<'d> {
                 *slot = a / SECTOR_BYTES;
                 lanes += 1;
             }
-            let mut st = dev.inner.state.lock();
-            let l2 = st.l2_for(dev.query);
+            let mut st = dev.lock();
+            let l2 = &mut st.lane(dev.query).l2;
             // Only the stream's last warp can be partial.
             for warp in sectors[..lanes].chunks(WARP_SIZE) {
                 let (distinct, dram) = l2.access_warp(warp);
@@ -220,24 +220,18 @@ impl<'d> KernelBuilder<'d> {
                 atomics: self.atomics_total,
             },
         };
-        let mut guard = self.dev.inner.state.lock();
-        let st = &mut *guard;
+        let mut st = self.dev.lock();
+        let lane = st.lane(self.dev.query);
+        let start = lane.clock;
+        lane.clock += t;
         match self.dev.query {
-            None => {
-                let start = st.clock;
-                st.clock += t;
-                st.record_kernel(&k, start, None, cfg.clock_hz);
-            }
+            None => st.record_kernel(&k, start, None, cfg.clock_hz),
+            // Nothing device-wide moves: the session loop replays the
+            // charge through `record_kernel` at the query's turn.
             Some(qid) => {
-                let q = &mut st.queries[qid as usize];
-                let start = q.clock;
-                q.clock += t;
-                k.bump(&mut q.counters, cfg.clock_hz);
-                if let Some(tr) = q.trace.as_deref_mut() {
-                    let dropped = tr.push_kernel(k.event(start, Some(qid)));
-                    crate::note_trace_drops(&mut st.metrics, dropped);
-                }
-                q.timeline.push_back(k);
+                let dropped = lane.record_kernel(&k, start, Some(qid), cfg.clock_hz);
+                st.note_trace_drops(dropped);
+                st.queries[qid as usize].timeline.push_back(k);
             }
         }
         SimTime::from_secs(t)
@@ -441,8 +435,7 @@ mod tests {
                 let penalty = dev.config().uncoalesced_penalty;
                 for warp in addrs.chunks(super::WARP_SIZE) {
                     let sectors: Vec<u64> = warp.iter().map(|a| a / SECTOR_BYTES).collect();
-                    let (distinct, dram) =
-                        dev.inner.state.lock().l2.access_warp_reference(&sectors);
+                    let (distinct, dram) = dev.lock().base.l2.access_warp_reference(&sectors);
                     k.charge_warp(distinct, dram, ideal, penalty);
                 }
             }

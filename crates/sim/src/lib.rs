@@ -54,6 +54,13 @@
 //! byte of state) is a pure function of simulated time — concurrent
 //! execution is bit-identical to serial.
 //!
+//! Inside the crate that private state is one `Lane`, and the base device
+//! is a `Lane` as well, so every [`Device`] method is a single path over
+//! "this handle's lane". The few things that do differ — the capacity, what
+//! exceeding it raises, where a launch is delivered, who feeds [`metrics`],
+//! the trace name, a buffer outliving its session — are each decided in one
+//! place (`DESIGN.md`, "Multi-query execution", lists them).
+//!
 //! ## Quick example
 //!
 //! ```
@@ -100,8 +107,7 @@ pub use stats::OpStats;
 pub use time::{PhaseTimes, SimTime};
 pub use trace::{LifecycleEvent, LifecycleStage, SpanCat, Trace, TraceEvent};
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 thread_local! {
     /// Set while the current thread executes a planning-phase closure (see
@@ -125,19 +131,6 @@ impl Drop for PlanningGuard {
     }
 }
 
-/// Fold flight-recorder evictions into the `trace_events_dropped_total`
-/// counter. Called under the state lock right after a trace push, with the
-/// trace borrow already released; a no-op when nothing dropped or metrics
-/// are off.
-pub(crate) fn note_trace_drops(metrics: &mut Option<Box<metrics::DeviceMetrics>>, dropped: u64) {
-    if dropped > 0 {
-        if let Some(m) = metrics.as_deref_mut() {
-            m.registry
-                .counter_add("trace_events_dropped_total", Vec::new(), dropped);
-        }
-    }
-}
-
 /// Number of 32-bit lanes in a warp. Fixed across all NVIDIA architectures
 /// the paper evaluates.
 pub const WARP_SIZE: usize = 32;
@@ -154,66 +147,132 @@ pub const SECTOR_BYTES: u64 = 32;
 /// and simulated times — independent of which co-tenants run beside it.
 pub(crate) const QUERY_ADDR_BASE: u64 = 1 << 40;
 
-/// Per-query virtual device state: everything a query can observe about its
-/// own execution. Touched only by that query's kernels, in program order, so
-/// it evolves identically under any scheduling policy.
-pub(crate) struct QueryState {
+/// One private copy of the device: everything a handle can observe about
+/// its own execution. The base handle and every query handle read and write
+/// exactly one of these, so a query's lane evolves under its own kernels in
+/// program order — identically under any scheduling policy — and the base
+/// lane evolves under the turns the session loop replays onto it.
+pub(crate) struct Lane {
     pub(crate) counters: Counters,
     pub(crate) l2: L2Cache,
     pub(crate) mem: memory::MemLedger,
-    /// The query's private clock: sum of its own kernel times.
+    /// Simulated seconds: the sum of the kernel times charged to this lane.
     pub(crate) clock: f64,
+    /// Opt-in event recorder (see [`trace`]); `None` costs nothing.
     pub(crate) trace: Option<Box<Trace>>,
-    /// The reservation this query's sub-ledger is capped at.
-    pub(crate) budget_bytes: u64,
+    /// The bytes `mem` may hold: the device's global memory on the base
+    /// lane, the query's reservation on a query lane.
+    pub(crate) capacity: u64,
+}
+
+impl Lane {
+    fn new(config: &DeviceConfig, addr_base: u64, capacity: u64) -> Self {
+        Lane {
+            counters: Counters::default(),
+            l2: L2Cache::new(config.l2_bytes),
+            mem: memory::MemLedger::with_base(addr_base),
+            clock: 0.0,
+            trace: None,
+            capacity,
+        }
+    }
+
+    /// Fold a kernel that started at `start` on this lane's clock into its
+    /// counters and trace. Returns the flight-recorder evictions the push
+    /// caused, for [`DeviceState::note_trace_drops`].
+    pub(crate) fn record_kernel(
+        &mut self,
+        k: &kernel::KernelCharge,
+        start: f64,
+        query: Option<QueryId>,
+        clock_hz: f64,
+    ) -> u64 {
+        k.bump(&mut self.counters, clock_hz);
+        self.trace
+            .as_deref_mut()
+            .map_or(0, |tr| tr.push_kernel(k.event(start, query)))
+    }
+}
+
+/// A query of the current scheduling session: its lane, and what the session
+/// loop still owes the device on its behalf.
+pub(crate) struct QueryState {
+    pub(crate) lane: Lane,
     /// The kernels the query launched that the session loop has not yet
     /// charged to the device, in program order; one leaves per turn.
     pub(crate) timeline: std::collections::VecDeque<kernel::KernelCharge>,
 }
 
-impl QueryState {
-    fn new(config: &DeviceConfig, budget_bytes: u64) -> Self {
-        QueryState {
-            counters: Counters::default(),
-            l2: L2Cache::new(config.l2_bytes),
-            mem: memory::MemLedger::with_base(QUERY_ADDR_BASE),
-            clock: 0.0,
-            trace: None,
-            budget_bytes,
-            timeline: Default::default(),
-        }
-    }
-}
-
 pub(crate) struct DeviceState {
-    pub(crate) counters: Counters,
-    pub(crate) l2: L2Cache,
-    pub(crate) mem: memory::MemLedger,
-    /// Simulated wall-clock, in seconds, advanced by every kernel launch.
-    pub(crate) clock: f64,
-    /// Opt-in event recorder (see [`trace`]); `None` costs nothing.
-    pub(crate) trace: Option<Box<Trace>>,
+    pub(crate) base: Lane,
     /// Opt-in service-level metrics recorder (see [`metrics`]); like the
     /// trace, `None` costs one branch per launch.
     pub(crate) metrics: Option<Box<metrics::DeviceMetrics>>,
-    /// Virtual state of the current scheduling session's queries, indexed by
-    /// [`QueryId`]. Cleared by the next [`Device::sched_start`].
+    /// The current scheduling session's queries, indexed by [`QueryId`].
+    /// Cleared by the next [`Device::sched_start`].
     pub(crate) queries: Vec<QueryState>,
     /// Policy state of the scheduling session (see [`sched`]).
     pub(crate) sched: sched::SchedState,
 }
 
 impl DeviceState {
-    /// The L2 image a kernel probes: the query's private image for a query
-    /// handle, the device image otherwise.
-    pub(crate) fn l2_for(&mut self, query: Option<QueryId>) -> &mut L2Cache {
+    /// The lane a handle routes to, or `None` for a query handle whose
+    /// session is gone: the next [`Device::sched_start`] clears the query
+    /// slots, and a buffer may legally be dropped after that.
+    pub(crate) fn try_lane(&mut self, query: Option<QueryId>) -> Option<&mut Lane> {
         match query {
-            Some(q) => &mut self.queries[q as usize].l2,
-            None => &mut self.l2,
+            Some(q) => self.queries.get_mut(q as usize).map(|q| &mut q.lane),
+            None => Some(&mut self.base),
         }
     }
 
-    /// Fold a kernel that occupied the device over `[start, self.clock]`
+    /// The lane a handle routes to.
+    pub(crate) fn lane(&mut self, query: Option<QueryId>) -> &mut Lane {
+        self.try_lane(query)
+            .expect("query handle used after its session's slots were cleared")
+    }
+
+    /// The metrics recorder as `query`'s lane may feed it beyond per-kernel
+    /// turns: only the base lane does. Base allocations and resets are
+    /// program-ordered on the device clock, while a query's run ahead of it
+    /// and would race co-tenant sample points (query peaks are reported per
+    /// query instead).
+    fn lane_metrics(&mut self, query: Option<QueryId>) -> Option<&mut metrics::DeviceMetrics> {
+        match query {
+            Some(_) => None,
+            None => self.metrics.as_deref_mut(),
+        }
+    }
+
+    /// Fold flight-recorder evictions into the `trace_events_dropped_total`
+    /// counter, whichever lane's trace dropped them. Called right after a
+    /// trace push; a no-op when nothing dropped or metrics are off.
+    pub(crate) fn note_trace_drops(&mut self, dropped: u64) {
+        if dropped > 0 {
+            if let Some(m) = self.metrics.as_deref_mut() {
+                m.registry
+                    .counter_add("trace_events_dropped_total", Vec::new(), dropped);
+            }
+        }
+    }
+
+    /// Sample the occupancy of `query`'s ledger, at its lane's clock, into
+    /// the lane's trace and (base lane only) the metrics occupancy series.
+    /// Called after every allocation and every free that moved the ledger.
+    pub(crate) fn note_mem(&mut self, query: Option<QueryId>) {
+        let lane = self.lane(query);
+        let current = lane.mem.report().current_bytes;
+        let dropped = lane
+            .trace
+            .as_deref_mut()
+            .map_or(0, |tr| tr.push_mem(lane.clock, current));
+        self.note_trace_drops(dropped);
+        if let Some(m) = self.lane_metrics(query) {
+            m.on_mem(current);
+        }
+    }
+
+    /// Fold a kernel that occupied the device over `[start, base.clock]`
     /// into the device-wide counters, trace and metrics. `query` tags a
     /// session turn charged on behalf of that query.
     pub(crate) fn record_kernel(
@@ -223,13 +282,10 @@ impl DeviceState {
         query: Option<QueryId>,
         clock_hz: f64,
     ) {
-        k.bump(&mut self.counters, clock_hz);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            let dropped = tr.push_kernel(k.event(start, query));
-            note_trace_drops(&mut self.metrics, dropped);
-        }
+        let dropped = self.base.record_kernel(k, start, query, clock_hz);
+        self.note_trace_drops(dropped);
         if let Some(m) = self.metrics.as_deref_mut() {
-            m.on_kernel(self.clock, query, k.secs, &k.work);
+            m.on_kernel(self.base.clock, query, k.secs, &k.work);
         }
     }
 
@@ -242,8 +298,8 @@ impl DeviceState {
             .pop_front()
             .expect("a runnable query has kernels left");
         let exhausted = timeline.is_empty();
-        let start = self.clock;
-        self.sched.complete_turn(&mut self.clock, qid, k.secs);
+        let start = self.base.clock;
+        self.sched.complete_turn(&mut self.base.clock, qid, k.secs);
         self.record_kernel(&k, start, Some(qid), clock_hz);
         if exhausted {
             self.retire(qid);
@@ -253,7 +309,7 @@ impl DeviceState {
     /// Retire `qid` at the current clock: release its reservation
     /// (possibly admitting queued queries) and record its lifecycle.
     fn retire(&mut self, qid: QueryId) {
-        self.sched.retire(qid, self.clock);
+        self.sched.retire(qid, self.base.clock);
         if let Some(m) = self.metrics.as_deref_mut() {
             let stats = self.sched.stats(qid);
             m.push_lifecycle(QueryLifecycle {
@@ -296,22 +352,35 @@ pub struct Device {
 impl Device {
     /// Create a device from an explicit configuration.
     pub fn new(config: DeviceConfig) -> Self {
-        let l2 = L2Cache::new(config.l2_bytes);
+        let state = DeviceState {
+            base: Lane::new(&config, 0, config.global_mem_bytes),
+            metrics: None,
+            queries: Vec::new(),
+            sched: sched::SchedState::default(),
+        };
         Device {
             inner: Arc::new(DeviceInner {
                 config,
-                state: Mutex::new(DeviceState {
-                    counters: Counters::default(),
-                    l2,
-                    mem: memory::MemLedger::default(),
-                    clock: 0.0,
-                    trace: None,
-                    metrics: None,
-                    queries: Vec::new(),
-                    sched: sched::SchedState::default(),
-                }),
+                state: Mutex::new(state),
             }),
             query: None,
+        }
+    }
+
+    /// Lock the device state. Never poisoned: a budget overrun unwinds out
+    /// of a query (see [`BudgetError`]) with the state valid at every step,
+    /// and must not take the device — or its co-tenants — down with it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, DeviceState> {
+        self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The name this handle's trace goes by: the device's, suffixed
+    /// `#q<id>` on a query handle.
+    fn trace_name(&self) -> String {
+        let name = &self.inner.config.name;
+        match self.query {
+            Some(qid) => format!("{name}#q{qid}"),
+            None => name.clone(),
         }
     }
 
@@ -341,10 +410,7 @@ impl Device {
     /// query handle, the device's global memory otherwise. Out-of-core
     /// planning (`joins::chunked`) sizes chunks against this.
     pub fn mem_capacity(&self) -> u64 {
-        match self.query {
-            Some(q) => self.inner.state.lock().queries[q as usize].budget_bytes,
-            None => self.inner.config.global_mem_bytes,
-        }
+        self.lock().lane(self.query).capacity
     }
 
     /// Begin describing a kernel launch. Call accounting methods on the
@@ -356,41 +422,25 @@ impl Device {
     /// Snapshot of the cumulative hardware counters (this query's own
     /// counters on a query handle; device-wide totals otherwise).
     pub fn counters(&self) -> Counters {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].counters.clone(),
-            None => st.counters.clone(),
-        }
+        self.lock().lane(self.query).counters.clone()
     }
 
     /// Total simulated time elapsed: the query's private clock (sum of its
     /// own kernels) on a query handle, the device clock otherwise.
     pub fn elapsed(&self) -> SimTime {
-        let st = self.inner.state.lock();
-        SimTime::from_secs(match self.query {
-            Some(q) => st.queries[q as usize].clock,
-            None => st.clock,
-        })
+        SimTime::from_secs(self.lock().lane(self.query).clock)
     }
 
     /// Current and peak device-memory usage (the query's sub-ledger on a
     /// query handle).
     pub fn mem_report(&self) -> MemReport {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].mem.report(),
-            None => st.mem.report(),
-        }
+        self.lock().lane(self.query).mem.report()
     }
 
     /// Reset the peak-memory watermark to the current usage. Call between
     /// experiments that share a device.
     pub fn reset_peak_mem(&self) {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].mem.reset_peak(),
-            None => st.mem.reset_peak(),
-        }
+        self.lock().lane(self.query).mem.reset_peak();
     }
 
     /// Reset counters, simulated clock, and the peak-memory watermark. Live
@@ -401,36 +451,20 @@ impl Device {
     /// events after the reset restart at timestamp zero, so a multi-reset
     /// trace is a sequence of overlapping timelines separated by markers.
     pub fn reset_stats(&self) {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(qid) => {
-                let q = &mut st.queries[qid as usize];
-                let clock = q.clock;
-                let mut dropped = 0;
-                if let Some(tr) = q.trace.as_deref_mut() {
-                    dropped = tr.push_instant("reset_stats", clock);
-                }
-                q.counters = Counters::default();
-                q.clock = 0.0;
-                q.mem.reset_peak();
-                note_trace_drops(&mut st.metrics, dropped);
-            }
-            None => {
-                let clock = st.clock;
-                let mut dropped = 0;
-                if let Some(tr) = st.trace.as_deref_mut() {
-                    dropped = tr.push_instant("reset_stats", clock);
-                }
-                st.counters = Counters::default();
-                st.clock = 0.0;
-                st.mem.reset_peak();
-                note_trace_drops(&mut st.metrics, dropped);
-                if let Some(m) = st.metrics.as_deref_mut() {
-                    // Cumulative metrics totals stay monotone across the
-                    // reset; only the sample grid rebases to the new clock.
-                    m.on_reset();
-                }
-            }
+        let mut st = self.lock();
+        let lane = st.lane(self.query);
+        let dropped = lane
+            .trace
+            .as_deref_mut()
+            .map_or(0, |tr| tr.push_instant("reset_stats", lane.clock));
+        lane.counters = Counters::default();
+        lane.clock = 0.0;
+        lane.mem.reset_peak();
+        st.note_trace_drops(dropped);
+        if let Some(m) = st.lane_metrics(self.query) {
+            // Cumulative metrics totals stay monotone across the reset;
+            // only the sample grid rebases to the new clock.
+            m.on_reset();
         }
     }
 
@@ -439,21 +473,10 @@ impl Device {
     /// query handle this starts the query's private trace, named
     /// `"<device>#q<id>"`.
     pub fn enable_tracing(&self) {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(qid) => {
-                let name = format!("{}#q{qid}", self.inner.config.name);
-                let q = &mut st.queries[qid as usize];
-                if q.trace.is_none() {
-                    q.trace = Some(Box::new(Trace::new(name)));
-                }
-            }
-            None => {
-                if st.trace.is_none() {
-                    st.trace = Some(Box::new(Trace::new(self.inner.config.name.clone())));
-                }
-            }
-        }
+        self.lock()
+            .lane(self.query)
+            .trace
+            .get_or_insert_with(|| Box::new(Trace::new(self.trace_name())));
     }
 
     /// [`Device::enable_tracing`] in bounded flight-recorder mode: the
@@ -463,51 +486,28 @@ impl Device {
     /// can keep tracing on without unbounded memory. Calling this on an
     /// already-tracing handle keeps the event log and (re)sets the cap.
     pub fn enable_tracing_ring(&self, capacity: usize) {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(qid) => {
-                let name = format!("{}#q{qid}", self.inner.config.name);
-                let q = &mut st.queries[qid as usize];
-                q.trace
-                    .get_or_insert_with(|| Box::new(Trace::new(name)))
-                    .set_capacity(capacity);
-            }
-            None => {
-                let name = self.inner.config.name.clone();
-                st.trace
-                    .get_or_insert_with(|| Box::new(Trace::new(name)))
-                    .set_capacity(capacity);
-            }
-        }
+        self.lock()
+            .lane(self.query)
+            .trace
+            .get_or_insert_with(|| Box::new(Trace::new(self.trace_name())))
+            .set_capacity(capacity);
     }
 
     /// Whether this handle is currently recording trace events. Check this
     /// before doing work (string formatting, snapshotting `elapsed`) whose
     /// only purpose is a [`Device::trace_span`] call.
     pub fn tracing_enabled(&self) -> bool {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].trace.is_some(),
-            None => st.trace.is_some(),
-        }
+        self.lock().lane(self.query).trace.is_some()
     }
 
     /// Stop tracing and return the recorded event log, if tracing was on.
     pub fn take_trace(&self) -> Option<Trace> {
-        let mut st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].trace.take().map(|b| *b),
-            None => st.trace.take().map(|b| *b),
-        }
+        self.lock().lane(self.query).trace.take().map(|b| *b)
     }
 
     /// Clone the event log recorded so far without stopping the recorder.
     pub fn trace_snapshot(&self) -> Option<Trace> {
-        let st = self.inner.state.lock();
-        match self.query {
-            Some(q) => st.queries[q as usize].trace.as_deref().cloned(),
-            None => st.trace.as_deref().cloned(),
-        }
+        self.lock().lane(self.query).trace.as_deref().cloned()
     }
 
     /// Record a retroactive span `[start, end]` on the simulated clock.
@@ -515,16 +515,13 @@ impl Device {
     /// an interval they already bracket with [`Device::elapsed`]; children
     /// therefore appear in the log before their enclosing parent.
     pub fn trace_span(&self, cat: SpanCat, name: &str, start: SimTime, end: SimTime) {
-        let mut st = self.inner.state.lock();
-        let tr = match self.query {
-            Some(q) => st.queries[q as usize].trace.as_deref_mut(),
-            None => st.trace.as_deref_mut(),
-        };
-        let mut dropped = 0;
-        if let Some(tr) = tr {
-            dropped = tr.push_span(cat, name.to_string(), start, end);
-        }
-        note_trace_drops(&mut st.metrics, dropped);
+        let mut st = self.lock();
+        let dropped = st
+            .lane(self.query)
+            .trace
+            .as_deref_mut()
+            .map_or(0, |tr| tr.push_span(cat, name.to_string(), start, end));
+        st.note_trace_drops(dropped);
     }
 
     /// Record a query-lifecycle stage `[start, end]` (equal for instants)
@@ -539,12 +536,11 @@ impl Device {
         start: SimTime,
         end: SimTime,
     ) {
-        let mut st = self.inner.state.lock();
-        let mut dropped = 0;
-        if let Some(tr) = st.trace.as_deref_mut() {
-            dropped = tr.push_lifecycle(query, stage, start.secs(), end.secs());
-        }
-        note_trace_drops(&mut st.metrics, dropped);
+        let mut st = self.lock();
+        let dropped = st.base.trace.as_deref_mut().map_or(0, |tr| {
+            tr.push_lifecycle(query, stage, start.secs(), end.secs())
+        });
+        st.note_trace_drops(dropped);
     }
 
     /// Start recording service-level metrics (see the [`metrics`] module):
@@ -555,10 +551,10 @@ impl Device {
     /// already-recording device keeps the existing recorder and interval.
     pub fn enable_metrics(&self, interval: SimTime) {
         assert!(self.query.is_none(), "enable_metrics on a query handle");
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         if st.metrics.is_none() {
-            let clock = st.clock;
-            let current = st.mem.report().current_bytes;
+            let clock = st.base.clock;
+            let current = st.base.mem.report().current_bytes;
             let mut m =
                 metrics::DeviceMetrics::new(self.inner.config.name.clone(), interval.secs(), clock);
             m.on_mem(current);
@@ -568,22 +564,17 @@ impl Device {
 
     /// Whether this device is currently recording service-level metrics.
     pub fn metrics_enabled(&self) -> bool {
-        self.inner.state.lock().metrics.is_some()
+        self.lock().metrics.is_some()
     }
 
     /// Snapshot the metrics recorded so far without stopping the recorder.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.inner
-            .state
-            .lock()
-            .metrics
-            .as_deref()
-            .map(|m| m.snapshot())
+        self.lock().metrics.as_deref().map(|m| m.snapshot())
     }
 
     /// Stop recording metrics and return the final snapshot, if enabled.
     pub fn take_metrics(&self) -> Option<MetricsSnapshot> {
-        self.inner.state.lock().metrics.take().map(|m| m.snapshot())
+        self.lock().metrics.take().map(|m| m.snapshot())
     }
 
     /// Run `f` against the open metrics registry (no-op when metrics are
@@ -594,7 +585,7 @@ impl Device {
     /// a session runs ahead of the device clock; see the [`metrics`] module
     /// docs for the determinism rules.
     pub fn with_metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         if let Some(m) = st.metrics.as_deref_mut() {
             f(&mut m.registry);
         }
@@ -617,8 +608,7 @@ impl Device {
     /// Invalidate the modeled L2 (the query's private image on a query
     /// handle), e.g. to measure a cold run.
     pub fn flush_l2(&self) {
-        let mut st = self.inner.state.lock();
-        st.l2_for(self.query).clear();
+        self.lock().lane(self.query).l2.clear();
     }
 
     /// Allocate a zero-initialized buffer of `len` elements.
@@ -651,14 +641,14 @@ impl Device {
     /// [`QuerySchedStats::shed`] is set.
     pub fn sched_start_with(&self, policy: SchedPolicy, limits: QueueLimits) {
         assert!(self.query.is_none(), "sched_start on a query handle");
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         st.queries.clear();
-        let used = st.mem.report().current_bytes;
-        let available = self.inner.config.global_mem_bytes.saturating_sub(used);
+        let used = st.base.mem.report().current_bytes;
+        let available = st.base.capacity.saturating_sub(used);
         st.sched.start(policy, available, limits);
         // Exec slices exist for the lifecycle timeline; record them only
         // when the base trace will consume them.
-        st.sched.record_slices = st.trace.is_some();
+        st.sched.record_slices = st.base.trace.is_some();
     }
 
     /// Register a query that is present now, with no cost prediction and
@@ -699,8 +689,8 @@ impl Device {
             self.query.is_none(),
             "sched_register_spec on a query handle"
         );
-        let mut st = self.inner.state.lock();
-        let now = st.clock;
+        let mut st = self.lock();
+        let now = st.base.clock;
         let qid = st.sched.register_spec(
             now,
             weight,
@@ -710,8 +700,10 @@ impl Device {
             class,
         )?;
         debug_assert_eq!(st.queries.len(), qid as usize);
-        st.queries
-            .push(QueryState::new(&self.inner.config, budget_bytes));
+        st.queries.push(QueryState {
+            lane: Lane::new(&self.inner.config, QUERY_ADDR_BASE, budget_bytes),
+            timeline: Default::default(),
+        });
         st.sched.on_register(qid, now);
         Ok(Device {
             inner: Arc::clone(&self.inner),
@@ -740,14 +732,14 @@ impl Device {
     pub fn sched_run(&self, mut exec: impl FnMut(QueryId)) {
         assert!(self.query.is_none(), "sched_run on a query handle");
         let clock_hz = self.inner.config.clock_hz;
-        let mut st = self.inner.state.lock();
+        let mut st = self.lock();
         assert!(st.sched.active(), "sched_run outside a session");
         loop {
             while let Some(qid) = st.sched.pop_admitted() {
                 // The query's launches take the lock themselves.
                 drop(st);
                 exec(qid);
-                st = self.inner.state.lock();
+                st = self.lock();
                 if st.queries[qid as usize].timeline.is_empty() {
                     st.retire(qid);
                 }
@@ -756,7 +748,7 @@ impl Device {
             match dev.sched.designated() {
                 Some(qid) => dev.replay_turn(qid, clock_hz),
                 None => {
-                    if !dev.sched.idle_advance(&mut dev.clock) {
+                    if !dev.sched.idle_advance(&mut dev.base.clock) {
                         return;
                     }
                 }
@@ -769,9 +761,7 @@ impl Device {
     /// the query handle.
     pub fn sched_label(&self, class: &str, slo: Option<SimTime>) {
         let qid = self.query.expect("sched_label on a non-query handle");
-        self.inner
-            .state
-            .lock()
+        self.lock()
             .sched
             .annotate(qid, Some(class.to_string()), slo.map(|s| s.secs()));
     }
@@ -781,7 +771,7 @@ impl Device {
     /// just-finished session. Empty unless the base trace was enabled when
     /// the session started.
     pub fn sched_query_slices(&self, query: QueryId) -> Vec<(f64, f64)> {
-        self.inner.state.lock().sched.slices(query)
+        self.lock().sched.slices(query)
     }
 
     /// End the session. Call on the base handle after [`Device::sched_run`]
@@ -789,13 +779,13 @@ impl Device {
     /// [`Device::sched_start`].
     pub fn sched_finish(&self) {
         assert!(self.query.is_none(), "sched_finish on a query handle");
-        self.inner.state.lock().sched.finish();
+        self.lock().sched.finish();
     }
 
     /// Scheduling outcome (busy time, completion time, budget) of a query in
     /// the current or just-finished session.
     pub fn sched_query_stats(&self, query: QueryId) -> QuerySchedStats {
-        self.inner.state.lock().sched.stats(query)
+        self.lock().sched.stats(query)
     }
 }
 
@@ -952,6 +942,146 @@ mod tests {
         assert_eq!(s1.completion_secs, s0.completion_secs + t1);
         assert_eq!(dev.counters().kernel_launches, 3);
         assert_eq!(dev.elapsed().secs(), s1.completion_secs);
+    }
+
+    /// Everything a handle can do to its lane, once. Returns the lane's
+    /// counters and clock as they stood just before its `reset_stats`.
+    fn lane_program(dev: &Device) -> (Counters, SimTime) {
+        // Small enough that the program below evicts.
+        dev.enable_tracing_ring(6);
+        let a = dev.alloc::<i32>(1 << 12, "a");
+        let view = a.alias();
+        let empty = dev.alloc::<i64>(0, "empty");
+        let b = dev.upload(vec![7i64; 300], "b");
+        let t0 = dev.elapsed();
+        stream(dev, 1 << 20);
+        dev.kernel("gather")
+            .warp_loads(4, (0..a.len()).map(|i| a.addr_of((i * 769) % a.len())))
+            .launch();
+        dev.trace_span(SpanCat::Phase, "transform", t0, dev.elapsed());
+        drop(view);
+        drop(b);
+        dev.reset_peak_mem();
+        let before_reset = (dev.counters(), dev.elapsed());
+        dev.reset_stats();
+        // Exactly one kernel after the reset, so "before + after" below is
+        // the same f64 sum the device accumulates kernel by kernel.
+        dev.kernel("regather")
+            .warp_loads(4, (0..a.len()).map(|i| a.addr_of(i)))
+            .launch();
+        drop(empty);
+        let _c = dev.alloc::<u8>(100, "c");
+        before_reset
+    }
+
+    #[test]
+    fn base_and_query_lanes_run_one_program_identically() {
+        type Observed = (Counters, SimTime, MemReport, u64);
+        let observe = |h: &Device| -> Observed {
+            (h.counters(), h.elapsed(), h.mem_report(), h.mem_capacity())
+        };
+
+        let base = Device::a100();
+        lane_program(&base);
+        let base_seen = observe(&base);
+        let base_trace = base.take_trace().unwrap();
+
+        let dev = Device::a100();
+        dev.sched_start(SchedPolicy::Serial);
+        let q = dev
+            .sched_register(1.0, dev.config().global_mem_bytes)
+            .unwrap();
+        let mut seen = None;
+        dev.sched_run(|_| {
+            let before_reset = lane_program(&q);
+            seen = Some((before_reset, observe(&q)));
+        });
+        dev.sched_finish();
+        let (before_reset, query_seen) = seen.unwrap();
+        let mut query_trace = q.take_trace().unwrap();
+
+        assert_eq!(query_seen, base_seen);
+        assert!(
+            base_trace.dropped_events() > 0,
+            "the ring must have evicted"
+        );
+        assert_eq!(query_trace.dropped_events(), base_trace.dropped_events());
+        // The streams differ only in the trace name and the kernels' tag.
+        assert_eq!(base_trace.device, dev.config().name);
+        assert_eq!(query_trace.device, format!("{}#q0", dev.config().name));
+        for e in &mut query_trace.events {
+            if let TraceEvent::Kernel(k) = e {
+                assert_eq!(k.query.take(), Some(0));
+            }
+        }
+        assert_eq!(query_trace.events, base_trace.events);
+
+        // The session replayed every kernel of the query onto the base
+        // lane, which no `reset_stats` of the query's rewinds.
+        assert_eq!(dev.counters(), before_reset.0 + &q.counters());
+        assert_eq!(dev.elapsed(), before_reset.1 + q.elapsed());
+        assert_eq!(
+            dev.mem_report(),
+            MemReport::default(),
+            "base ledger unmoved"
+        );
+    }
+
+    #[test]
+    fn what_differs_between_the_base_lane_and_a_query_lane() {
+        let mut cfg = DeviceConfig::a100();
+        cfg.global_mem_bytes = 1 << 20;
+        let dev = Device::new(cfg);
+        let cap = dev.config().global_mem_bytes;
+        dev.enable_metrics(SimTime::from_secs(1e-9));
+        let resident = dev.alloc::<u8>(4096, "resident");
+
+        // Over capacity on the base lane: the device OOM panic.
+        let oom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dev.alloc::<u8>(cap as usize, "too.big")
+        }));
+        let msg = *oom.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            msg.starts_with("device out of memory allocating 1048576 bytes for 'too.big': "),
+            "{msg}"
+        );
+        assert_eq!(dev.mem_report().current_bytes, 4096);
+
+        // On a query lane: a typed `BudgetError` against the lane capacity,
+        // with the lock released and nothing device-wide touched.
+        dev.sched_start(SchedPolicy::Serial);
+        let q = dev.sched_register(1.0, cap / 2).unwrap();
+        let mut outlives = None;
+        dev.sched_run(|_| {
+            let kept = q.alloc::<u8>(1 << 16, "kept");
+            stream(&q, 1 << 16);
+            let over = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                q.alloc::<u8>(cap as usize / 2, "over.budget")
+            }));
+            let err = over.unwrap_err().downcast::<BudgetError>().unwrap();
+            assert_eq!(err.budget_bytes, q.mem_capacity());
+            assert_eq!((err.query, err.in_use_bytes), (0, 1 << 16));
+            assert_eq!(q.mem_report().current_bytes, 1 << 16);
+            stream(&q, 1 << 16);
+            outlives = Some(kept);
+        });
+        dev.sched_finish();
+        assert_eq!(dev.mem_report().current_bytes, 4096);
+        let snap = dev.metrics_snapshot().unwrap();
+        for name in ["mem_current_bytes", "mem_high_water_bytes"] {
+            let series = snap.series.iter().find(|s| s.name == name).unwrap();
+            assert!(series.points.len() >= 2, "{name}: one point per kernel");
+            assert!(series.points.iter().all(|&(_, v)| v == 4096.0), "{name}");
+        }
+
+        // A query buffer may outlive its session: once the next
+        // `sched_start` has cleared the slots its drop credits nothing.
+        dev.sched_start(SchedPolicy::Serial);
+        drop(outlives);
+        assert_eq!(dev.mem_report().current_bytes, 4096);
+        dev.sched_finish();
+        drop(resident);
+        assert_eq!(dev.mem_report().live_allocations, 0);
     }
 
     #[test]

@@ -63,9 +63,9 @@ impl MemLedger {
                 in_use_bytes: self.current,
             });
         }
-        // Mirror of free(): zero-byte allocations charge nothing and are
-        // not counted live (their drop is a no-op), but still receive a
-        // distinct address range.
+        // Zero-byte allocations charge nothing and are not counted live
+        // (`DeviceBuffer`'s drop skips them), but still receive a distinct
+        // address range.
         if rounded > 0 {
             self.current += rounded;
             self.live += 1;
@@ -76,24 +76,9 @@ impl MemLedger {
         Ok(addr)
     }
 
-    /// Reserve `bytes` and return the base address; panics on OOM.
-    pub(crate) fn alloc(&mut self, bytes: u64, capacity: u64, label: &str) -> u64 {
-        match self.try_alloc(bytes, capacity) {
-            Ok(addr) => addr,
-            Err(f) => panic!(
-                "device out of memory allocating {bytes} bytes for '{label}': \
-                 {} in use of {capacity} capacity",
-                f.in_use_bytes + f.requested_bytes
-            ),
-        }
-    }
-
+    /// Credit a charged (non-zero) allocation back.
     pub(crate) fn free(&mut self, bytes: u64) {
-        // Zero-charged drops (aliasing views, empty buffers) never entered
-        // the ledger, so freeing them must not disturb the live count.
-        if bytes == 0 {
-            return;
-        }
+        debug_assert!(bytes > 0, "zero-byte allocations were never counted live");
         let rounded = bytes.div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
         self.current = self.current.saturating_sub(rounded);
         self.live = self.live.saturating_sub(1);
@@ -131,65 +116,40 @@ pub struct DeviceBuffer<T: Element> {
 impl<T: Element> DeviceBuffer<T> {
     pub(crate) fn from_vec(dev: Device, data: Vec<T>, label: &'static str) -> Self {
         let bytes = data.len() as u64 * T::SIZE;
-        let base_addr = match dev.query {
-            None => {
-                let mut guard = dev.inner.state.lock();
-                let st = &mut *guard;
-                let cap = dev.inner.config.global_mem_bytes;
-                let addr = st.mem.alloc(bytes, cap, label);
-                let current = st.mem.report().current_bytes;
-                let mut dropped = 0;
-                if let Some(tr) = st.trace.as_deref_mut() {
-                    dropped = tr.push_mem(st.clock, current);
+        let mut st = dev.lock();
+        let lane = st.lane(dev.query);
+        let capacity = lane.capacity;
+        let base_addr = match lane.mem.try_alloc(bytes, capacity) {
+            Ok(addr) => addr,
+            Err(f) => match dev.query {
+                None => panic!(
+                    "device out of memory allocating {bytes} bytes for '{label}': \
+                     {} in use of {capacity} capacity",
+                    f.in_use_bytes + f.requested_bytes
+                ),
+                // Exceeding a query's budget raises a *typed* panic that a
+                // scheduler can catch and convert, leaving co-tenants
+                // untouched — the base ledger and every other query's
+                // sub-ledger never move.
+                Some(query) => {
+                    let err = crate::BudgetError {
+                        query,
+                        budget_bytes: capacity,
+                        requested_bytes: f.requested_bytes,
+                        in_use_bytes: f.in_use_bytes,
+                        label: label.to_string(),
+                    };
+                    drop(st);
+                    // resume_unwind rather than panic_any: budget overruns
+                    // are typed control flow the scheduler catches per
+                    // tenant, not programmer errors — skip the default
+                    // panic hook's stderr noise.
+                    std::panic::resume_unwind(Box::new(err));
                 }
-                crate::note_trace_drops(&mut st.metrics, dropped);
-                // Only the base ledger feeds the metrics occupancy series:
-                // base allocations are program-ordered, while query-handle
-                // allocations race co-tenant sample points (their peaks are
-                // reported per query instead).
-                if let Some(m) = st.metrics.as_deref_mut() {
-                    m.on_mem(current);
-                }
-                addr
-            }
-            Some(qid) => {
-                // Query allocations charge the query's private sub-ledger,
-                // capped at its reserved budget. Exceeding the budget raises
-                // a *typed* panic (`sim::BudgetError`) that a scheduler can
-                // catch and convert, leaving co-tenants untouched — the base
-                // ledger and every other query's sub-ledger never move.
-                let mut guard = dev.inner.state.lock();
-                let q = &mut guard.queries[qid as usize];
-                let budget = q.budget_bytes;
-                match q.mem.try_alloc(bytes, budget) {
-                    Ok(addr) => {
-                        let clock = q.clock;
-                        let current = q.mem.report().current_bytes;
-                        let mut dropped = 0;
-                        if let Some(tr) = q.trace.as_deref_mut() {
-                            dropped = tr.push_mem(clock, current);
-                        }
-                        crate::note_trace_drops(&mut guard.metrics, dropped);
-                        addr
-                    }
-                    Err(f) => {
-                        let err = crate::BudgetError {
-                            query: qid,
-                            budget_bytes: budget,
-                            requested_bytes: f.requested_bytes,
-                            in_use_bytes: f.in_use_bytes,
-                            label: label.to_string(),
-                        };
-                        drop(guard);
-                        // resume_unwind rather than panic_any: budget
-                        // overruns are typed control flow the scheduler
-                        // catches per tenant, not programmer errors — skip
-                        // the default panic hook's stderr noise.
-                        std::panic::resume_unwind(Box::new(err));
-                    }
-                }
-            }
+            },
         };
+        st.note_mem(dev.query);
+        drop(st);
         DeviceBuffer {
             data,
             base_addr,
@@ -282,43 +242,18 @@ impl<T: Element> std::ops::DerefMut for DeviceBuffer<T> {
 
 impl<T: Element> Drop for DeviceBuffer<T> {
     fn drop(&mut self) {
-        let mut guard = self.dev.inner.state.lock();
-        let st = &mut *guard;
-        match self.dev.query {
-            None => {
-                st.mem.free(self.charged_bytes);
-                // Zero-charged drops (aliases, empty buffers) never moved
-                // the ledger, so they produce no timeline sample either.
-                if self.charged_bytes > 0 {
-                    let current = st.mem.report().current_bytes;
-                    let mut dropped = 0;
-                    if let Some(tr) = st.trace.as_deref_mut() {
-                        dropped = tr.push_mem(st.clock, current);
-                    }
-                    crate::note_trace_drops(&mut st.metrics, dropped);
-                    if let Some(m) = st.metrics.as_deref_mut() {
-                        m.on_mem(current);
-                    }
-                }
-            }
-            // `get_mut`: a query buffer may legally outlive its scheduling
-            // session (the next sched_start clears the per-query slots), in
-            // which case the credit has nowhere to go and is dropped.
-            Some(qid) => {
-                if let Some(q) = st.queries.get_mut(qid as usize) {
-                    q.mem.free(self.charged_bytes);
-                    if self.charged_bytes > 0 {
-                        let clock = q.clock;
-                        let current = q.mem.report().current_bytes;
-                        let mut dropped = 0;
-                        if let Some(tr) = q.trace.as_deref_mut() {
-                            dropped = tr.push_mem(clock, current);
-                        }
-                        crate::note_trace_drops(&mut st.metrics, dropped);
-                    }
-                }
-            }
+        // Zero-charged buffers (aliasing views, empty buffers) never entered
+        // the ledger: nothing to free, no timeline sample.
+        if self.charged_bytes == 0 {
+            return;
         }
+        let mut st = self.dev.lock();
+        // A query buffer that outlived its session has nowhere to credit.
+        let Some(lane) = st.try_lane(self.dev.query) else {
+            return;
+        };
+        lane.mem.free(self.charged_bytes);
+        st.note_mem(self.dev.query);
     }
 }
 

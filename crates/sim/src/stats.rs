@@ -13,9 +13,10 @@ use serde::{Deserialize, Serialize};
 
 /// Execution report of one physical operator.
 ///
-/// Produced by `joins::run_join`, `groupby::run_group_by`, every
-/// `engine` plan node and `core::pipeline`; the operator-specific stats
-/// types (`JoinStats`, `GroupByStats`) wrap this and `Deref` to it.
+/// Produced by `joins::run_join` (`JoinOutput::stats`),
+/// `groupby::run_group_by` (`GroupByOutput::stats`), every `engine` plan
+/// node and `core::pipeline`. Which algorithm ran is not part of the
+/// report: the caller chose it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OpStats {
     /// The paper's three-phase breakdown (zero for operators without one,

@@ -18,8 +18,7 @@ use rand::{Rng, SeedableRng};
 fn main() {
     // Paper-regime scaled A100 (see quickstart.rs): 2^21 samples against a
     // proportionally shrunken L2 puts us in the paper's cache regime.
-    let exec = Executor::with_config(DeviceConfig::a100().scaled(64.0));
-    let dev = exec.device();
+    let dev = Device::new(DeviceConfig::a100().scaled(64.0));
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 
     // samples(entity_id, label) — 2M training rows referencing 1M entities.
@@ -34,11 +33,11 @@ fn main() {
     // features(entity_id, f1..f4): four feature columns to merge in.
     let features = Relation::new(
         "features",
-        Column::from_i32(dev, entity_ids.clone(), "entity_id"),
+        Column::from_i32(&dev, entity_ids.clone(), "entity_id"),
         (0..4)
             .map(|f| {
                 Column::from_i32(
-                    dev,
+                    &dev,
                     entity_ids.iter().map(|&e| e.wrapping_mul(13 + f)).collect(),
                     "feature",
                 )
@@ -50,9 +49,9 @@ fn main() {
         .collect();
     let samples = Relation::new(
         "samples",
-        Column::from_i32(dev, sample_refs.clone(), "entity_id"),
+        Column::from_i32(&dev, sample_refs.clone(), "entity_id"),
         vec![Column::from_i32(
-            dev,
+            &dev,
             sample_refs.iter().map(|&e| e % 16).collect(), // 16 labels
             "label",
         )],
@@ -63,7 +62,7 @@ fn main() {
         n_samples, n_entities
     );
     for alg in [Algorithm::PhjUm, Algorithm::PhjOm] {
-        let out = exec.join(alg, &features, &samples, &JoinConfig::default());
+        let out = run_join(&dev, alg, &features, &samples, &JoinConfig::default());
         println!(
             "{:<8} total {:>10}   (materialization share {:>4.0}%)",
             alg.name(),
@@ -81,7 +80,7 @@ fn main() {
     // Downstream of the join: per-label statistics over the first feature
     // (a grouped aggregation on the augmented table).
     let stats = join_then_group_by(
-        dev,
+        &dev,
         &features,
         &samples,
         &PipelineSpec::new(

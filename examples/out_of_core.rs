@@ -16,14 +16,13 @@ fn main() {
     // working state (output reservation + transformed columns) does not.
     let mut cfg = DeviceConfig::a100().scaled(128.0);
     cfg.global_mem_bytes = 48 << 20;
-    let exec = Executor::with_config(cfg);
-    let dev = exec.device();
+    let dev = Device::new(cfg);
 
     let w = JoinWorkload {
         s_tuples: 1 << 20,
         ..JoinWorkload::wide(1 << 18)
     };
-    let (r, s) = w.generate(dev);
+    let (r, s) = w.generate(&dev);
     println!(
         "device memory: {} MB; build side {} KB; probe side {} MB\n",
         dev.config().global_mem_bytes >> 20,
@@ -32,20 +31,20 @@ fn main() {
     );
 
     // Statistics an optimizer would have, estimated from a 512-row sample.
-    let profile = estimate_profile(dev, &r, &s, 512);
+    let profile = estimate_profile(&dev, &r, &s, 512);
     let rec = choose_join(&profile);
     println!(
         "estimated match ratio {:.2}, skewed: {} -> decision tree picks {}",
         profile.match_ratio, profile.skewed, rec.algorithm
     );
 
-    let plan = plan_chunks(dev, &r, &s).expect("build side fits");
+    let plan = plan_chunks(&dev, &r, &s).expect("build side fits");
     println!(
         "chunk plan: {} chunks of {} probe rows\n",
         plan.chunks, plan.chunk_rows
     );
 
-    let (out, plan) = chunked_join(dev, rec.algorithm, &r, &s, &JoinConfig::default());
+    let (out, plan) = chunked_join(&dev, rec.algorithm, &r, &s, &JoinConfig::default());
     println!(
         "joined {} rows in {} simulated time across {} chunks (peak {} MB of {} MB)",
         out.len(),

@@ -17,9 +17,8 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(1 << 18);
     // Paper-regime scaled device (see quickstart.rs).
-    let exec = Executor::with_config(DeviceConfig::a100().scaled(64.0));
-    let dev = exec.device();
-    let catalog = tpch_mini(dev, orders, 2026);
+    let dev = Device::new(DeviceConfig::a100().scaled(64.0));
+    let catalog = tpch_mini(&dev, orders, 2026);
     println!(
         "catalog: {} orders, ~{} lineitems, {} customers\n",
         orders,
@@ -32,7 +31,7 @@ fn main() {
         ("Q3-like (two joins + group by)", q3_like()),
         ("Q18-like (join + group by + having)", q18_like()),
     ] {
-        let out = execute(dev, &catalog, &plan).expect("demo plans bind");
+        let out = execute(&dev, &catalog, &plan).expect("demo plans bind");
         println!("=== {name} ===");
         println!(
             "{} rows out in {} simulated device time",

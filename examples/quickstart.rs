@@ -12,15 +12,14 @@ fn main() {
     // Paper-regime scaling: the study's headline runs join 2^27 tuples
     // against a 40 MB L2; demoing at 2^20 tuples, we shrink the device's
     // capacity parameters by 2^7 so the data:cache ratio (and therefore the
-    // GFUR-vs-GFTR picture) matches the paper. Use `Executor::a100()` for
+    // GFUR-vs-GFTR picture) matches the paper. Use `Device::a100()` for
     // the real hardware parameters.
-    let exec = Executor::with_config(DeviceConfig::a100().scaled(128.0));
-    let dev = exec.device();
+    let dev = Device::new(DeviceConfig::a100().scaled(128.0));
 
     // A wide join in the paper's default shape: |S| = 2|R|, two 4-byte
     // payload columns per relation, 100% match ratio.
     let workload = JoinWorkload::wide(1 << 20);
-    let (r, s) = workload.generate(dev);
+    let (r, s) = workload.generate(&dev);
     println!(
         "R: {} tuples x {} payload cols, S: {} tuples x {} payload cols ({:.1} MB total)\n",
         r.len(),
@@ -42,7 +41,7 @@ fn main() {
         Algorithm::Nphj,
         Algorithm::CpuRadix,
     ] {
-        let out = exec.join(alg, &r, &s, &JoinConfig::default());
+        let out = run_join(&dev, alg, &r, &s, &JoinConfig::default());
         let p = out.stats.phases;
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>12} {:>14.1}",

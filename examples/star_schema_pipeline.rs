@@ -15,12 +15,11 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(4);
     // Paper-regime scaled A100 (see quickstart.rs).
-    let exec = Executor::with_config(DeviceConfig::a100().scaled(128.0));
-    let dev = exec.device();
+    let dev = Device::new(DeviceConfig::a100().scaled(128.0));
 
     let fact_rows = 1 << 20;
     let dim_rows = 1 << 18;
-    let (fact, dims) = star_schema(dev, fact_rows, dim_rows, num_joins, 42);
+    let (fact, dims) = star_schema(&dev, fact_rows, dim_rows, num_joins, 42);
     println!(
         "star schema: |F| = {} with {} FKs, |D_i| = {}\n",
         fact_rows, num_joins, dim_rows
@@ -37,7 +36,7 @@ fn main() {
         Algorithm::PhjUm,
         Algorithm::PhjOm,
     ] {
-        let out = join_sequence(dev, &fact, &dims, alg, &JoinConfig::default());
+        let out = join_sequence(&dev, &fact, &dims, alg, &JoinConfig::default());
         println!(
             "{:<12} {:>12} {:>14.1} {:>10}",
             alg.name(),
@@ -50,7 +49,7 @@ fn main() {
 
     // Per-step cost growth for the GFTR hash join: later joins carry more
     // payload columns, so each step gets more expensive.
-    let out = join_sequence(dev, &fact, &dims, Algorithm::PhjOm, &JoinConfig::default());
+    let out = join_sequence(&dev, &fact, &dims, Algorithm::PhjOm, &JoinConfig::default());
     println!("\nPHJ-OM per-step breakdown:");
     for (i, step) in out.steps.iter().enumerate() {
         println!(

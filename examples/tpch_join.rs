@@ -19,11 +19,10 @@ fn main() {
         .unwrap_or(0.01);
     // Paper-regime scaled A100: capacity parameters shrink with the chosen
     // fraction of the benchmark scale (see quickstart.rs).
-    let exec = Executor::with_config(DeviceConfig::a100().scaled((1.0 / scale).max(1.0)));
-    let dev = exec.device();
+    let dev = Device::new(DeviceConfig::a100().scaled((1.0 / scale).max(1.0)));
 
     for id in TpcJoinId::ALL {
-        let inst = generate(dev, id, scale, DType::I32);
+        let inst = generate(&dev, id, scale, DType::I32);
         println!(
             "\n{} ({} {}): |R| = {}, |S| = {}, payloads {}+{}",
             inst.spec.id,
@@ -36,7 +35,7 @@ fn main() {
         );
         let mut best: Option<(Algorithm, SimTime)> = None;
         for alg in Algorithm::GPU_VARIANTS {
-            let out = exec.join(alg, &inst.r, &inst.s, &inst.config);
+            let out = run_join(&dev, alg, &inst.r, &inst.s, &inst.config);
             let t = out.stats.phases.total();
             println!(
                 "  {:<8} {:>10}  ({} rows out)",

@@ -7,18 +7,18 @@ use gpu_join::workloads::JoinWorkload;
 use std::panic::AssertUnwindSafe;
 
 /// A device too small for the intermediate state of a wide join.
-fn tiny_device() -> Executor {
+fn tiny_device() -> Device {
     let mut cfg = DeviceConfig::a100();
     cfg.global_mem_bytes = 1 << 20; // 1 MiB
-    Executor::with_config(cfg)
+    Device::new(cfg)
 }
 
 #[test]
 fn join_oom_panics_with_allocation_context() {
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let exec = tiny_device();
-        let (r, s) = JoinWorkload::wide(1 << 16).generate(exec.device());
-        exec.join(Algorithm::PhjOm, &r, &s, &JoinConfig::default())
+        let dev = tiny_device();
+        let (r, s) = JoinWorkload::wide(1 << 16).generate(&dev);
+        run_join(&dev, Algorithm::PhjOm, &r, &s, &JoinConfig::default())
     }));
     let err = match result {
         Ok(_) => panic!("a 1 MiB device cannot hold this join"),
@@ -38,18 +38,17 @@ fn join_oom_panics_with_allocation_context() {
 #[test]
 fn workload_that_fits_barely_succeeds() {
     // Same device, much smaller join: must complete.
-    let exec = tiny_device();
-    let (r, s) = JoinWorkload::narrow(1 << 8).generate(exec.device());
-    let out = exec.join(Algorithm::PhjOm, &r, &s, &JoinConfig::default());
+    let dev = tiny_device();
+    let (r, s) = JoinWorkload::narrow(1 << 8).generate(&dev);
+    let out = run_join(&dev, Algorithm::PhjOm, &r, &s, &JoinConfig::default());
     assert_eq!(out.len(), 1 << 9);
 }
 
 #[test]
 fn mismatched_key_types_rejected_for_every_algorithm() {
-    let exec = Executor::a100();
-    let dev = exec.device();
-    let r = Relation::new("R", Column::from_i32(dev, vec![1], "k"), vec![]);
-    let s = Relation::new("S", Column::from_i64(dev, vec![1], "k"), vec![]);
+    let dev = Device::a100();
+    let r = Relation::new("R", Column::from_i32(&dev, vec![1], "k"), vec![]);
+    let s = Relation::new("S", Column::from_i64(&dev, vec![1], "k"), vec![]);
     for alg in [
         Algorithm::SmjUm,
         Algorithm::SmjOm,
@@ -59,7 +58,7 @@ fn mismatched_key_types_rejected_for_every_algorithm() {
         Algorithm::CpuRadix,
     ] {
         let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            joins::run_join(dev, alg, &r, &s, &JoinConfig::default())
+            joins::run_join(&dev, alg, &r, &s, &JoinConfig::default())
         }));
         assert!(res.is_err(), "{alg} must reject mixed key types");
     }
@@ -67,15 +66,15 @@ fn mismatched_key_types_rejected_for_every_algorithm() {
 
 #[test]
 fn aggregation_spec_arity_checked() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     let input = Relation::new(
         "T",
-        Column::from_i32(dev, vec![1, 2], "k"),
-        vec![Column::from_i32(dev, vec![3, 4], "v")],
+        Column::from_i32(&dev, vec![1, 2], "k"),
+        vec![Column::from_i32(&dev, vec![3, 4], "v")],
     );
     let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        exec.group_by(
+        run_group_by(
+            &dev,
             GroupByAlgorithm::HashGlobal,
             &input,
             &[AggFn::Sum, AggFn::Sum], // two aggs, one payload
@@ -89,8 +88,7 @@ fn aggregation_spec_arity_checked() {
 fn ledger_balances_after_oom_unwind() {
     // After an OOM panic unwinds, dropped buffers must leave the ledger
     // balanced (no phantom allocations).
-    let exec = tiny_device();
-    let dev = exec.device().clone();
+    let dev = tiny_device();
     let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let (r, s) = JoinWorkload::wide(1 << 16).generate(&dev);
         joins::run_join(&dev, Algorithm::SmjOm, &r, &s, &JoinConfig::default())

@@ -17,30 +17,28 @@ const ALL_GPU: [Algorithm; 5] = [
 
 #[test]
 fn every_algorithm_agrees_on_every_tpc_extract() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     for id in TpcJoinId::ALL {
         // Tiny scale keeps J5's exploding output manageable.
         let scale = if id == TpcJoinId::J5 { 0.0002 } else { 0.001 };
-        let inst = generate(dev, id, scale, DType::I32);
+        let inst = generate(&dev, id, scale, DType::I32);
         let expected = hash_join_oracle(&inst.r, &inst.s);
         for alg in ALL_GPU {
-            let out = exec.join(alg, &inst.r, &inst.s, &inst.config);
+            let out = run_join(&dev, alg, &inst.r, &inst.s, &inst.config);
             assert_eq!(out.rows_sorted(), expected, "{id} via {alg}");
         }
-        let out = exec.join(Algorithm::CpuRadix, &inst.r, &inst.s, &inst.config);
+        let out = run_join(&dev, Algorithm::CpuRadix, &inst.r, &inst.s, &inst.config);
         assert_eq!(out.rows_sorted(), expected, "{id} via CPU");
     }
 }
 
 #[test]
 fn tpc_extracts_work_with_8_byte_keys() {
-    let exec = Executor::a100();
-    let dev = exec.device();
-    let inst = generate(dev, TpcJoinId::J1, 0.001, DType::I64);
+    let dev = Device::a100();
+    let inst = generate(&dev, TpcJoinId::J1, 0.001, DType::I64);
     let expected = hash_join_oracle(&inst.r, &inst.s);
     for alg in [Algorithm::SmjOm, Algorithm::PhjOm] {
-        let out = exec.join(alg, &inst.r, &inst.s, &inst.config);
+        let out = run_join(&dev, alg, &inst.r, &inst.s, &inst.config);
         assert_eq!(out.rows_sorted(), expected, "{alg}");
     }
 }
@@ -49,9 +47,9 @@ fn tpc_extracts_work_with_8_byte_keys() {
 fn deterministic_replay_same_seed_same_results_and_times() {
     let w = JoinWorkload::wide(1 << 14);
     let run = || {
-        let exec = Executor::a100();
-        let (r, s) = w.generate(exec.device());
-        let out = exec.join(Algorithm::PhjOm, &r, &s, &JoinConfig::default());
+        let dev = Device::a100();
+        let (r, s) = w.generate(&dev);
+        let out = run_join(&dev, Algorithm::PhjOm, &r, &s, &JoinConfig::default());
         (out.rows_sorted(), out.stats.phases.total().secs())
     };
     let (rows1, t1) = run();
@@ -62,45 +60,44 @@ fn deterministic_replay_same_seed_same_results_and_times() {
 
 #[test]
 fn match_ratio_controls_output_size_for_all_algorithms() {
-    let exec = Executor::a100();
+    let dev = Device::a100();
     let w = JoinWorkload {
         match_ratio: 0.5,
         ..JoinWorkload::wide(1 << 12)
     };
-    let (r, s) = w.generate(exec.device());
+    let (r, s) = w.generate(&dev);
     let expected = hash_join_oracle(&r, &s);
     let frac = expected.len() as f64 / s.len() as f64;
     assert!((frac - 0.5).abs() < 0.05);
     for alg in ALL_GPU {
-        let out = exec.join(alg, &r, &s, &JoinConfig::default());
+        let out = run_join(&dev, alg, &r, &s, &JoinConfig::default());
         assert_eq!(out.rows_sorted(), expected, "{alg}");
     }
 }
 
 #[test]
 fn skewed_workloads_join_correctly() {
-    let exec = Executor::a100();
+    let dev = Device::a100();
     let w = JoinWorkload {
         zipf: 1.5,
         ..JoinWorkload::wide(1 << 12)
     };
-    let (r, s) = w.generate(exec.device());
+    let (r, s) = w.generate(&dev);
     let expected = hash_join_oracle(&r, &s);
     for alg in ALL_GPU {
-        let out = exec.join(alg, &r, &s, &JoinConfig::default());
+        let out = run_join(&dev, alg, &r, &s, &JoinConfig::default());
         assert_eq!(out.rows_sorted(), expected, "{alg}");
     }
 }
 
 #[test]
 fn join_groupby_pipeline_matches_two_stage_oracle() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     let w = JoinWorkload::narrow(1 << 12);
-    let (r, s) = w.generate(dev);
+    let (r, s) = w.generate(&dev);
 
     let out = join_then_group_by(
-        dev,
+        &dev,
         &r,
         &s,
         &PipelineSpec::new(
@@ -129,22 +126,21 @@ fn join_groupby_pipeline_matches_two_stage_oracle() {
 
 #[test]
 fn dictionary_round_trips_through_a_join() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     let mut dict = DictionaryEncoder::new();
     let ship_modes = ["AIR", "SHIP", "RAIL", "TRUCK"];
     let r_codes: Vec<i32> = (0..64).map(|i| dict.encode(ship_modes[i % 4])).collect();
     let r = Relation::new(
         "modes",
-        Column::from_i32(dev, (0..64).collect(), "k"),
-        vec![Column::from_i32(dev, r_codes, "mode")],
+        Column::from_i32(&dev, (0..64).collect(), "k"),
+        vec![Column::from_i32(&dev, r_codes, "mode")],
     );
     let s = Relation::new(
         "orders",
-        Column::from_i32(dev, (0..256).map(|i| i % 64).collect(), "k"),
-        vec![Column::from_i32(dev, (0..256).collect(), "qty")],
+        Column::from_i32(&dev, (0..256).map(|i| i % 64).collect(), "k"),
+        vec![Column::from_i32(&dev, (0..256).collect(), "qty")],
     );
-    let out = exec.join(Algorithm::PhjOm, &r, &s, &JoinConfig::default());
+    let out = run_join(&dev, Algorithm::PhjOm, &r, &s, &JoinConfig::default());
     // Every materialized mode code decodes back to one of the four strings.
     for code in out.r_payloads[0].iter_i64() {
         let s = dict.decode(code as i32).expect("code is in the dictionary");
@@ -154,28 +150,27 @@ fn dictionary_round_trips_through_a_join() {
 
 #[test]
 fn peak_memory_is_reported_and_bounded_by_device_capacity() {
-    let exec = Executor::a100();
-    let (r, s) = JoinWorkload::wide(1 << 14).generate(exec.device());
+    let dev = Device::a100();
+    let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
     for alg in ALL_GPU {
-        let out = exec.join(alg, &r, &s, &JoinConfig::default());
+        let out = run_join(&dev, alg, &r, &s, &JoinConfig::default());
         assert!(out.stats.peak_mem_bytes > 0, "{alg}");
-        assert!(out.stats.peak_mem_bytes < exec.device().config().global_mem_bytes);
+        assert!(out.stats.peak_mem_bytes < dev.config().global_mem_bytes);
     }
 }
 
 #[test]
 fn groupby_algorithms_agree_on_a_tpc_shaped_input() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     let w = gpu_join::workloads::agg::AggWorkload {
         payloads: vec![DType::I32, DType::I64],
         ..gpu_join::workloads::agg::AggWorkload::uniform(1 << 13, 321)
     };
-    let input = w.generate(dev);
+    let input = w.generate(&dev);
     let aggs = [AggFn::Sum, AggFn::Min];
     let expected = gpu_join::groupby::oracle::group_by_oracle(&input, &aggs);
     for alg in GroupByAlgorithm::ALL {
-        let out = exec.group_by(alg, &input, &aggs, &GroupByConfig::default());
+        let out = run_group_by(&dev, alg, &input, &aggs, &GroupByConfig::default());
         assert_eq!(out.rows_sorted(), expected, "{alg}");
     }
 }

@@ -17,19 +17,19 @@ const ALGS: [Algorithm; 7] = [
 ];
 
 fn check_kind(kind: JoinKind, match_ratio: f64) {
-    let exec = Executor::a100();
+    let dev = Device::a100();
     let w = JoinWorkload {
         match_ratio,
         ..JoinWorkload::wide(1 << 11)
     };
-    let (r, s) = w.generate(exec.device());
+    let (r, s) = w.generate(&dev);
     let expected = join_oracle_kind(&r, &s, kind);
     let config = JoinConfig {
         kind,
         ..JoinConfig::default()
     };
     for alg in ALGS {
-        let out = exec.join(alg, &r, &s, &config);
+        let out = run_join(&dev, alg, &r, &s, &config);
         assert_eq!(out.rows_sorted(), expected, "{alg} {}", kind.name());
         if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
             assert!(
@@ -58,9 +58,10 @@ fn outer_join_all_algorithms() {
 #[test]
 fn full_match_degenerate_cases() {
     // 100% match: anti is empty, semi = distinct probe rows, outer = inner.
-    let exec = Executor::a100();
-    let (r, s) = JoinWorkload::wide(1 << 10).generate(exec.device());
-    let anti = exec.join(
+    let dev = Device::a100();
+    let (r, s) = JoinWorkload::wide(1 << 10).generate(&dev);
+    let anti = run_join(
+        &dev,
         Algorithm::PhjOm,
         &r,
         &s,
@@ -70,7 +71,8 @@ fn full_match_degenerate_cases() {
         },
     );
     assert!(anti.is_empty());
-    let semi = exec.join(
+    let semi = run_join(
+        &dev,
         Algorithm::PhjOm,
         &r,
         &s,
@@ -80,7 +82,8 @@ fn full_match_degenerate_cases() {
         },
     );
     assert_eq!(semi.len(), s.len(), "PK-FK: every probe row matches once");
-    let outer = exec.join(
+    let outer = run_join(
+        &dev,
         Algorithm::PhjOm,
         &r,
         &s,
@@ -89,28 +92,27 @@ fn full_match_degenerate_cases() {
             ..JoinConfig::default()
         },
     );
-    let inner = exec.join(Algorithm::PhjOm, &r, &s, &JoinConfig::default());
+    let inner = run_join(&dev, Algorithm::PhjOm, &r, &s, &JoinConfig::default());
     assert_eq!(outer.rows_sorted(), inner.rows_sorted());
 }
 
 #[test]
 fn duplicates_on_build_side_dedup_in_semi() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     let r = Relation::new(
         "R",
-        Column::from_i32(dev, vec![7, 7, 7, 9], "k"),
+        Column::from_i32(&dev, vec![7, 7, 7, 9], "k"),
         vec![
-            Column::from_i32(dev, vec![1, 2, 3, 4], "p"),
-            Column::from_i32(dev, vec![5, 6, 7, 8], "q"),
+            Column::from_i32(&dev, vec![1, 2, 3, 4], "p"),
+            Column::from_i32(&dev, vec![5, 6, 7, 8], "q"),
         ],
     );
     let s = Relation::new(
         "S",
-        Column::from_i32(dev, vec![7, 8], "k"),
+        Column::from_i32(&dev, vec![7, 8], "k"),
         vec![
-            Column::from_i64(dev, vec![70, 80], "x"),
-            Column::from_i64(dev, vec![71, 81], "y"),
+            Column::from_i64(&dev, vec![70, 80], "x"),
+            Column::from_i64(&dev, vec![71, 81], "y"),
         ],
     );
     let config = JoinConfig {
@@ -119,7 +121,7 @@ fn duplicates_on_build_side_dedup_in_semi() {
         ..JoinConfig::default()
     };
     for alg in ALGS {
-        let out = joins::run_join(dev, alg, &r, &s, &config);
+        let out = joins::run_join(&dev, alg, &r, &s, &config);
         assert_eq!(
             out.rows_sorted(),
             vec![vec![7, 70, 71]],
@@ -130,26 +132,25 @@ fn duplicates_on_build_side_dedup_in_semi() {
 
 #[test]
 fn outer_join_nulls_are_type_sentinels() {
-    let exec = Executor::a100();
-    let dev = exec.device();
+    let dev = Device::a100();
     let r = Relation::new(
         "R",
-        Column::from_i32(dev, vec![1], "k"),
+        Column::from_i32(&dev, vec![1], "k"),
         vec![
-            Column::from_i32(dev, vec![10], "p32"),
-            Column::from_i64(dev, vec![100], "p64"),
+            Column::from_i32(&dev, vec![10], "p32"),
+            Column::from_i64(&dev, vec![100], "p64"),
         ],
     );
     let s = Relation::new(
         "S",
-        Column::from_i32(dev, vec![1, 2], "k"),
-        vec![Column::from_i32(dev, vec![11, 22], "q")],
+        Column::from_i32(&dev, vec![1, 2], "k"),
+        vec![Column::from_i32(&dev, vec![11, 22], "q")],
     );
     let config = JoinConfig {
         kind: JoinKind::Outer,
         ..JoinConfig::default()
     };
-    let out = exec.join(Algorithm::SmjOm, &r, &s, &config);
+    let out = run_join(&dev, Algorithm::SmjOm, &r, &s, &config);
     assert_eq!(
         out.rows_sorted(),
         vec![vec![1, 10, 100, 11], vec![2, i32::MIN as i64, i64::MIN, 22],]

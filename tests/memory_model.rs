@@ -6,9 +6,9 @@ use gpu_join::prelude::*;
 use gpu_join::workloads::JoinWorkload;
 
 fn measure(alg: Algorithm, w: &JoinWorkload) -> u64 {
-    let exec = Executor::a100();
-    let (r, s) = w.generate(exec.device());
-    exec.join(alg, &r, &s, &JoinConfig::default())
+    let dev = Device::a100();
+    let (r, s) = w.generate(&dev);
+    run_join(&dev, alg, &r, &s, &JoinConfig::default())
         .stats
         .peak_mem_bytes
 }

@@ -189,7 +189,7 @@ fn disabled_metrics_leaves_results_untouched() {
         }
         let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
         let out = gpu_join::joins::run_join(&dev, Algorithm::PhjUm, &r, &s, &JoinConfig::default());
-        (out.len(), out.stats.op.total_time(), dev.counters().cycles)
+        (out.len(), out.stats.total_time(), dev.counters().cycles)
     };
     assert_eq!(
         run(false),

@@ -97,10 +97,10 @@ fn phase_spans_reproduce_reported_phase_times() {
         // run_join attributes every simulated instant to a phase
         // (`other` stays zero), so the covering span *is* the phase total.
         assert!(
-            (join.dur() - out.stats.op.total_time().secs()).abs() <= NS,
+            (join.dur() - out.stats.total_time().secs()).abs() <= NS,
             "{alg:?}: join span {}s vs OpStats::total_time {}s",
             join.dur(),
-            out.stats.op.total_time().secs()
+            out.stats.total_time().secs()
         );
 
         let phase_secs: f64 = spans_of(&trace, SpanCat::Phase)
@@ -231,7 +231,7 @@ fn disabled_tracing_leaves_results_untouched() {
         }
         let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
         let out = gpu_join::joins::run_join(&dev, Algorithm::PhjUm, &r, &s, &JoinConfig::default());
-        (out.len(), out.stats.op.total_time(), dev.counters().cycles)
+        (out.len(), out.stats.total_time(), dev.counters().cycles)
     };
     assert_eq!(
         run(false),
