@@ -118,8 +118,8 @@ impl Column {
 
     /// A zero-cost aliasing view of the column (see
     /// [`sim::DeviceBuffer::alias`]): same simulated addresses, no ledger
-    /// charge. Used by the query engine to hand columns between operators
-    /// without copying.
+    /// charge, same host vector. Used by the query engine to hand columns
+    /// between operators without copying.
     pub fn alias(&self) -> Column {
         match self {
             Column::I32(b) => Column::I32(b.alias()),

@@ -10,6 +10,7 @@ use columnar::Column;
 use primitives::STREAM_WARP_INSTR;
 use serde::{Deserialize, Serialize};
 use sim::{Device, DeviceBuffer};
+use std::borrow::Cow;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -304,51 +305,70 @@ impl Expr {
     }
 
     fn eval_values(&self, input: &Table) -> Result<Vec<i64>, EngineError> {
-        let n = input.num_rows();
-        Ok(match self {
-            Expr::Col(name) => input.column(name)?.to_vec_i64(),
-            Expr::Lit(v) => vec![*v; n],
-            Expr::Add(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                x.wrapping_add(y)
-            }),
-            Expr::Sub(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                x.wrapping_sub(y)
-            }),
-            Expr::Mul(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                x.wrapping_mul(y)
-            }),
-            Expr::Div(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                if y == 0 {
-                    0
-                } else {
-                    x.wrapping_div(y)
-                }
-            }),
-            Expr::Mod(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                if y == 0 {
-                    0
-                } else {
-                    x.wrapping_rem(y)
-                }
-            }),
-            Expr::Pack(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                (x << 32) | (y & 0xFFFF_FFFF)
-            }),
-            Expr::Cmp(op, a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                op.apply(x, y) as i64
-            }),
-            Expr::And(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                ((x != 0) && (y != 0)) as i64
-            }),
-            Expr::Or(a, b) => zip(a.eval_values(input)?, b.eval_values(input)?, |x, y| {
-                ((x != 0) || (y != 0)) as i64
-            }),
+        Ok(match self.operand(input)? {
+            Operand::I32(s) => s.iter().map(|&v| v as i64).collect(),
+            Operand::I64(v) => v.into_owned(),
+            Operand::Lit(v) => vec![v; input.num_rows()],
         })
+    }
+
+    /// Column and literal leaves are read where they are; each interior
+    /// node writes one result vector.
+    fn operand<'a>(&self, input: &'a Table) -> Result<Operand<'a>, EngineError> {
+        match self {
+            Expr::Col(name) => Ok(match input.column(name)? {
+                Column::I32(b) => Operand::I32(b.as_slice()),
+                Column::I64(b) => Operand::I64(Cow::Borrowed(b.as_slice())),
+            }),
+            Expr::Lit(v) => Ok(Operand::Lit(*v)),
+            Expr::Add(a, b) => zip(a, b, input, |x, y| x.wrapping_add(y)),
+            Expr::Sub(a, b) => zip(a, b, input, |x, y| x.wrapping_sub(y)),
+            Expr::Mul(a, b) => zip(a, b, input, |x, y| x.wrapping_mul(y)),
+            Expr::Div(a, b) => zip(a, b, input, |x, y| match y {
+                0 => 0,
+                _ => x.wrapping_div(y),
+            }),
+            Expr::Mod(a, b) => zip(a, b, input, |x, y| match y {
+                0 => 0,
+                _ => x.wrapping_rem(y),
+            }),
+            Expr::Pack(a, b) => zip(a, b, input, |x, y| (x << 32) | (y & 0xFFFF_FFFF)),
+            Expr::Cmp(op, a, b) => zip(a, b, input, |x, y| op.apply(x, y) as i64),
+            Expr::And(a, b) => zip(a, b, input, |x, y| ((x != 0) && (y != 0)) as i64),
+            Expr::Or(a, b) => zip(a, b, input, |x, y| ((x != 0) || (y != 0)) as i64),
+        }
     }
 }
 
-fn zip(a: Vec<i64>, b: Vec<i64>, f: impl Fn(i64, i64) -> i64) -> Vec<i64> {
-    a.into_iter().zip(b).map(|(x, y)| f(x, y)).collect()
+/// One side of a binary node, widened to `i64` on read.
+enum Operand<'a> {
+    I32(&'a [i32]),
+    I64(Cow<'a, [i64]>),
+    Lit(i64),
+}
+
+impl Operand<'_> {
+    #[inline]
+    fn get(&self, i: usize) -> i64 {
+        match self {
+            Operand::I32(s) => s[i] as i64,
+            Operand::I64(s) => s[i],
+            Operand::Lit(v) => *v,
+        }
+    }
+}
+
+fn zip<'a>(
+    a: &Expr,
+    b: &Expr,
+    input: &'a Table,
+    f: impl Fn(i64, i64) -> i64,
+) -> Result<Operand<'a>, EngineError> {
+    let (a, b) = (a.operand(input)?, b.operand(input)?);
+    let out = (0..input.num_rows())
+        .map(|i| f(a.get(i), b.get(i)))
+        .collect();
+    Ok(Operand::I64(Cow::Owned(out)))
 }
 
 #[cfg(test)]
@@ -378,6 +398,26 @@ mod tests {
         assert_eq!(
             p.eval_mask(&dev, &t).unwrap(),
             vec![false, true, true, false]
+        );
+    }
+
+    #[test]
+    fn leaves_evaluate_at_the_root_and_on_either_side() {
+        let dev = Device::a100();
+        let t = table(&dev);
+        assert_eq!(
+            Expr::col("a").eval(&dev, &t).unwrap().to_vec_i64(),
+            vec![1, 2, 3, 4]
+        );
+        assert_eq!(
+            Expr::lit(7).eval(&dev, &t).unwrap().to_vec_i64(),
+            vec![7; 4]
+        );
+        let e = Expr::lit(100).sub(Expr::col("b")).sub(Expr::col("a"));
+        assert_eq!(e.eval(&dev, &t).unwrap().to_vec_i64(), vec![89, 78, 67, 56]);
+        assert_eq!(
+            Expr::lit(2).lt(Expr::lit(3)).eval_mask(&dev, &t).unwrap(),
+            vec![true; 4]
         );
     }
 

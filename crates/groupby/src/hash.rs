@@ -54,6 +54,7 @@ pub fn hash_groupby(
         // random table slots.
         let t0 = dev.elapsed();
         {
+            let row_group = row_group.as_mut_slice();
             let touched =
                 linear_probe_slots(keys.iter().map(|k| k.to_radix()), slots - 1, |i, _, s| {
                     let g = match occupied[s] {
@@ -95,12 +96,12 @@ pub fn hash_groupby(
         let mut aggregates = Vec::with_capacity(aggs.len());
         for (j, agg) in aggs.iter().enumerate() {
             let col = input.payload(j);
-            let accs = dev.alloc::<i64>(groups, "hash_gb.accs");
-            let mut accs = accs;
-            accs.as_mut_slice().fill(agg.identity());
-            for i in 0..n {
-                let g = row_group[i] as usize;
-                accs[g] = agg.fold(accs[g], col.value(i));
+            let mut accs = dev.alloc::<i64>(groups, "hash_gb.accs");
+            let acc = accs.as_mut_slice();
+            acc.fill(agg.identity());
+            for (i, &g) in row_group.iter().enumerate() {
+                let g = g as usize;
+                acc[g] = agg.fold(acc[g], col.value(i));
             }
             if privatized {
                 dev.kernel("hash_gb.aggregate.privatized")

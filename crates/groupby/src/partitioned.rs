@@ -135,8 +135,8 @@ pub fn partitioned_groupby(
             // Streaming fold into shared-memory accumulators (group ids are
             // partition-local on hardware; charged as a streaming pass).
             let mut accs = vec![agg.identity(); groups];
-            for i in 0..ordered.len() {
-                let g = row_group[i] as usize;
+            for (i, &g) in row_group.iter().enumerate() {
+                let g = g as usize;
                 accs[g] = agg.fold(accs[g], ordered.value(i));
             }
             dev.kernel("part_gb.aggregate")

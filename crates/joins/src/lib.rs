@@ -104,21 +104,20 @@ impl std::fmt::Display for Algorithm {
 /// (Section 4.4 assumes "the output relation is already allocated"; Section
 /// 5.2.6: "we allocate the majority of the consumed memory before executing
 /// the join"). One reservation piece per output column, released right
-/// before the real column is written so nothing is double-counted.
+/// before the real column is written so nothing is double-counted. No
+/// kernel touches reserved memory, so the pieces are ledger charges only
+/// ([`Device::reserve`]) with no host bytes behind them.
 pub(crate) struct OutputReservation {
-    keys: Option<sim::DeviceBuffer<u32>>,
-    r_cols: Vec<Option<sim::DeviceBuffer<u32>>>,
-    s_cols: Vec<Option<sim::DeviceBuffer<u32>>>,
+    keys: Option<sim::Reservation>,
+    r_cols: Vec<Option<sim::Reservation>>,
+    s_cols: Vec<Option<sim::Reservation>>,
 }
 
 impl OutputReservation {
     /// Reserve space for `rows` output rows of `r ⋈ s`'s schema.
     pub(crate) fn new(dev: &Device, r: &Relation, s: &Relation, rows: usize) -> Self {
         let piece = |dtype: columnar::DType| {
-            Some(dev.alloc::<u32>(
-                (rows as u64 * dtype.size() / 4) as usize,
-                "output_reservation",
-            ))
+            Some(dev.reserve(rows as u64 * dtype.size(), "output_reservation"))
         };
         OutputReservation {
             keys: piece(r.key().dtype()),

@@ -88,6 +88,7 @@ fn bucket_partition<K: ColumnElement>(
     // Blocks race to append; the seeded schedule decides the interleaving.
     const BLOCK_TUPLES: usize = 4096;
     let num_blocks = n.div_ceil(BLOCK_TUPLES);
+    let (pool_k, pool_i) = (pool_keys.as_mut_slice(), pool_ids.as_mut_slice());
     for b in scheduled_blocks(num_blocks, config.scheduler_seed) {
         let lo = b * BLOCK_TUPLES;
         let hi = (lo + BLOCK_TUPLES).min(n);
@@ -104,8 +105,8 @@ fn bucket_partition<K: ColumnElement>(
             }
             let slot = chains[p].last_mut().expect("chain has a bucket");
             let pos = slot.0 as usize + slot.1 as usize;
-            pool_keys[pos] = keys[i];
-            pool_ids[pos] = ids[i];
+            pool_k[pos] = keys[i];
+            pool_i[pos] = ids[i];
             slot.1 += 1;
         }
     }

@@ -61,8 +61,9 @@ pub fn scatter<T: Element>(
 ) -> DeviceBuffer<T> {
     assert_eq!(src.len(), map.len(), "scatter source/map length mismatch");
     let mut out = dev.alloc::<T>(out_len, "scatter.out");
+    let slots = out.as_mut_slice();
     for (i, (&m, &v)) in map.iter().zip(src.iter()).enumerate() {
-        match out.as_mut_slice().get_mut(m as usize) {
+        match slots.get_mut(m as usize) {
             Some(slot) => *slot = v,
             None => panic!("scatter map[{i}] = {m} out of bounds for output of {out_len} rows"),
         }

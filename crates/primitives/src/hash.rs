@@ -218,8 +218,12 @@ impl<K: Element + Eq> GlobalHashTable<K> {
 
     /// Build the table from `build_keys`, storing each key's position.
     pub fn build(&mut self, dev: &Device, build_keys: &DeviceBuffer<K>) {
-        let (slots, vals, occupied) = (&mut self.keys, &mut self.vals, &mut self.occupied);
-        let base = slots.addr_of(0);
+        let base = self.keys.addr_of(0);
+        let (slots, vals, occupied) = (
+            self.keys.as_mut_slice(),
+            self.vals.as_mut_slice(),
+            &mut self.occupied,
+        );
         let touched = linear_probe_slots(
             build_keys.iter().map(|k| k.to_radix()),
             self.mask,

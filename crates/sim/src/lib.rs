@@ -97,7 +97,7 @@ pub use counters::{Counters, CountersDelta};
 pub use element::Element;
 pub use kernel::KernelBuilder;
 pub use l2::L2Cache;
-pub use memory::{DeviceBuffer, MemReport};
+pub use memory::{DeviceBuffer, MemReport, Reservation};
 pub use metrics::{
     metrics_json, openmetrics, secs_to_ticks, HdrHistogram, MetricsRegistry, MetricsSnapshot,
     QueryLifecycle, SECONDS_SCALE,
@@ -614,6 +614,15 @@ impl Device {
     /// Allocate a zero-initialized buffer of `len` elements.
     pub fn alloc<T: Element>(&self, len: usize, label: &'static str) -> DeviceBuffer<T> {
         DeviceBuffer::zeroed(self.clone(), len, label)
+    }
+
+    /// Charge `bytes` of device memory to the ledger without backing them
+    /// with host storage: the same ledger entry, address range and timeline
+    /// sample as an [`alloc`](Device::alloc) of that size, credited when the
+    /// guard drops. For memory the simulated protocol holds but no kernel
+    /// touches.
+    pub fn reserve(&self, bytes: u64, label: &'static str) -> Reservation {
+        Reservation::new(self.clone(), bytes, label)
     }
 
     /// Move a host vector into device memory, charging the allocation to the

@@ -8,6 +8,7 @@
 
 use crate::{Device, Element};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// CUDA's `cudaMalloc` alignment.
 const ALLOC_ALIGN: u64 = 256;
@@ -97,25 +98,24 @@ impl MemLedger {
     }
 }
 
-/// A typed allocation in simulated device memory.
-///
-/// Dereferences to a slice for host-side algorithm execution; the memory
-/// ledger is charged on construction and credited on drop. The buffer's
-/// *simulated address* ([`DeviceBuffer::addr_of`]) feeds the coalescing and
-/// L2 models.
-pub struct DeviceBuffer<T: Element> {
-    data: Vec<T>,
+/// One charge on a lane's memory ledger: a simulated address range that is
+/// credited back on drop. It owns no host memory. Every [`DeviceBuffer`]
+/// holds one; [`Device::reserve`] hands out a bare one for memory the
+/// simulation accounts for but never reads or writes (the joins' output
+/// reservation).
+#[derive(Debug)]
+pub struct Reservation {
     base_addr: u64,
-    /// Bytes charged to the ledger at construction; freed exactly once on
-    /// drop even if the data vector is moved out via [`DeviceBuffer::into_vec`].
+    /// Bytes charged to the ledger at construction (before alignment
+    /// rounding); zero for aliasing views and empty ranges, which never
+    /// entered the ledger.
     charged_bytes: u64,
     label: &'static str,
     dev: Device,
 }
 
-impl<T: Element> DeviceBuffer<T> {
-    pub(crate) fn from_vec(dev: Device, data: Vec<T>, label: &'static str) -> Self {
-        let bytes = data.len() as u64 * T::SIZE;
+impl Reservation {
+    pub(crate) fn new(dev: Device, bytes: u64, label: &'static str) -> Self {
         let mut st = dev.lock();
         let lane = st.lane(dev.query);
         let capacity = lane.capacity;
@@ -150,12 +150,62 @@ impl<T: Element> DeviceBuffer<T> {
         };
         st.note_mem(dev.query);
         drop(st);
-        DeviceBuffer {
-            data,
+        Reservation {
             base_addr,
             charged_bytes: bytes,
             label,
             dev,
+        }
+    }
+
+    /// The same address range with no charge of its own.
+    fn view(&self) -> Reservation {
+        Reservation {
+            base_addr: self.base_addr,
+            charged_bytes: 0,
+            label: self.label,
+            dev: self.dev.clone(),
+        }
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        if self.charged_bytes == 0 {
+            return;
+        }
+        let mut st = self.dev.lock();
+        // A query's charge that outlived its session has nowhere to credit.
+        let Some(lane) = st.try_lane(self.dev.query) else {
+            return;
+        };
+        lane.mem.free(self.charged_bytes);
+        st.note_mem(self.dev.query);
+    }
+}
+
+/// A typed allocation in simulated device memory.
+///
+/// Dereferences to a slice for host-side algorithm execution; the memory
+/// ledger is charged on construction and credited on drop. The buffer's
+/// *simulated address* ([`DeviceBuffer::addr_of`]) feeds the coalescing and
+/// L2 models.
+///
+/// The host vector is shared between a buffer and its
+/// [aliases](DeviceBuffer::alias) and is copy-on-write: the first mutable
+/// borrow of a shared vector gives that handle a private copy, so the other
+/// handles keep reading what they were given.
+pub struct DeviceBuffer<T: Element> {
+    data: Arc<Vec<T>>,
+    mem: Reservation,
+}
+
+impl<T: Element> DeviceBuffer<T> {
+    pub(crate) fn from_vec(dev: Device, data: Vec<T>, label: &'static str) -> Self {
+        let mem = Reservation::new(dev, data.len() as u64 * T::SIZE, label);
+        DeviceBuffer {
+            data: Arc::new(data),
+            mem,
         }
     }
 
@@ -181,17 +231,17 @@ impl<T: Element> DeviceBuffer<T> {
     /// Simulated device address of element `i`.
     #[inline]
     pub fn addr_of(&self, i: usize) -> u64 {
-        self.base_addr + i as u64 * T::SIZE
+        self.mem.base_addr + i as u64 * T::SIZE
     }
 
     /// The label given at allocation time (for debugging OOMs).
     pub fn label(&self) -> &'static str {
-        self.label
+        self.mem.label
     }
 
     /// The device this buffer lives on.
     pub fn device(&self) -> &Device {
-        &self.dev
+        &self.mem.dev
     }
 
     /// View as a host slice (the simulator executes on the host).
@@ -199,30 +249,30 @@ impl<T: Element> DeviceBuffer<T> {
         &self.data
     }
 
-    /// Mutable host view.
+    /// Mutable host view. If the host vector is shared with an alias this
+    /// copies it first (copy-on-write), so the check costs one atomic
+    /// operation per borrow: loops take the slice once, outside.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume the buffer, returning the host vector. The ledger is credited
-    /// as if the buffer were freed.
-    pub fn into_vec(mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
+    /// Consume the buffer, returning the host vector (copied only if an
+    /// alias still shares it). The ledger is credited as if the buffer were
+    /// freed.
+    pub fn into_vec(self) -> Vec<T> {
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// A zero-cost aliasing view: the same simulated address range, no
-    /// additional ledger charge, no kernel traffic. This models passing a
-    /// column pointer between operators (the host data is duplicated only
-    /// because the simulator has no shared ownership; the device model —
-    /// addresses, L2 behaviour, memory accounting — is identical). Callers
-    /// must not mutate either alias afterwards.
+    /// A zero-cost aliasing view: the same simulated address range and the
+    /// same host vector, no additional ledger charge, no kernel traffic, no
+    /// copy. This models passing a column pointer between operators.
+    /// Mutating either handle afterwards is copy-on-write on the host and
+    /// leaves the other's contents unchanged; the simulated address range
+    /// stays common to both.
     pub fn alias(&self) -> DeviceBuffer<T> {
         DeviceBuffer {
-            data: self.data.clone(),
-            base_addr: self.base_addr,
-            charged_bytes: 0,
-            label: self.label,
-            dev: self.dev.clone(),
+            data: Arc::clone(&self.data),
+            mem: self.mem.view(),
         }
     }
 }
@@ -236,40 +286,25 @@ impl<T: Element> std::ops::Deref for DeviceBuffer<T> {
 
 impl<T: Element> std::ops::DerefMut for DeviceBuffer<T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T: Element> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        // Zero-charged buffers (aliasing views, empty buffers) never entered
-        // the ledger: nothing to free, no timeline sample.
-        if self.charged_bytes == 0 {
-            return;
-        }
-        let mut st = self.dev.lock();
-        // A query buffer that outlived its session has nowhere to credit.
-        let Some(lane) = st.try_lane(self.dev.query) else {
-            return;
-        };
-        lane.mem.free(self.charged_bytes);
-        st.note_mem(self.dev.query);
+        self.as_mut_slice()
     }
 }
 
 impl<T: Element> std::fmt::Debug for DeviceBuffer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceBuffer")
-            .field("label", &self.label)
+            .field("label", &self.mem.label)
             .field("len", &self.data.len())
-            .field("base_addr", &self.base_addr)
+            .field("base_addr", &self.mem.base_addr)
             .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::Device;
+    use super::MemReport;
+    use crate::trace::MemEvent;
+    use crate::{BudgetError, Device, DeviceConfig, SchedPolicy};
 
     #[test]
     fn ledger_tracks_current_and_peak() {
@@ -334,6 +369,121 @@ mod tests {
     }
 
     #[test]
+    fn mutating_one_alias_leaves_the_other_unchanged() {
+        let dev = Device::a100();
+        let mut a = dev.upload(vec![1i32, 2, 3], "a");
+        let mut view = a.alias();
+        let held = dev.mem_report();
+        // Mutate through the owner first, then through the alias: each
+        // write lands in that handle only.
+        a.as_mut_slice()[0] = 10;
+        assert_eq!(
+            (a.as_slice(), view.as_slice()),
+            (&[10, 2, 3][..], &[1, 2, 3][..])
+        );
+        view[1] = 20;
+        assert_eq!(
+            (a.as_slice(), view.as_slice()),
+            (&[10, 2, 3][..], &[1, 20, 3][..])
+        );
+        // The simulated side never moved: one address range, one charge.
+        assert_eq!(view.addr_of(2), a.addr_of(2));
+        assert_eq!(dev.mem_report(), held);
+        assert_eq!((held.current_bytes, held.live_allocations), (256, 1));
+        assert_eq!(view.into_vec(), vec![1, 20, 3]);
+        assert_eq!(a.into_vec(), vec![10, 2, 3]);
+        assert_eq!(dev.mem_report().current_bytes, 0);
+    }
+
+    #[test]
+    fn alias_and_owner_drop_in_either_order() {
+        let dev = Device::a100();
+        for owner_first in [true, false] {
+            let a = dev.upload(vec![7i64; 100], "a");
+            let view = a.alias();
+            let held = dev.mem_report();
+            if owner_first {
+                // The charge goes with the owner; the alias keeps the data.
+                drop(a);
+                assert_eq!(dev.mem_report().current_bytes, 0);
+                assert_eq!(view.as_slice(), &[7i64; 100][..]);
+                drop(view);
+            } else {
+                drop(view);
+                assert_eq!(dev.mem_report(), held);
+                assert_eq!(a.into_vec(), vec![7i64; 100]);
+            }
+            let after = dev.mem_report();
+            assert_eq!((after.current_bytes, after.live_allocations), (0, 0));
+            assert_eq!(after.peak_bytes, held.peak_bytes);
+        }
+    }
+
+    /// One charge seen from outside: the report while it is held, the
+    /// address the next allocation gets, the report once it is released,
+    /// and the traced ledger timeline.
+    fn ledger_view<G>(hold: impl Fn(&Device) -> G) -> (MemReport, u64, MemReport, Vec<MemEvent>) {
+        let dev = Device::a100();
+        dev.enable_tracing();
+        let _resident = dev.alloc::<i32>(100, "resident");
+        dev.kernel("k").items(32, 1.0).launch();
+        let guard = hold(&dev);
+        let held = dev.mem_report();
+        let next = dev.alloc::<u8>(1, "next").addr_of(0);
+        dev.kernel("k").items(32, 1.0).launch();
+        drop(guard);
+        let released = dev.mem_report();
+        let trace = dev.take_trace().unwrap();
+        (held, next, released, trace.mem_samples().cloned().collect())
+    }
+
+    #[test]
+    fn reserve_charges_the_ledger_exactly_like_alloc() {
+        // Empty, sub-alignment, exactly aligned, large.
+        for n in [0usize, 3, 32, (1 << 20) + 1] {
+            let reserved = ledger_view(|d| d.reserve(n as u64 * 8, "x"));
+            assert_eq!(reserved, ledger_view(|d| d.alloc::<i64>(n, "x")), "n={n}");
+            assert!(reserved.3.len() >= 2, "n={n}: the timeline was traced");
+        }
+    }
+
+    /// The typed error a query handle raises when `over` exceeds its budget.
+    fn budget_error_of<G>(over: impl Fn(&Device) -> G) -> String {
+        let mut cfg = DeviceConfig::a100();
+        cfg.global_mem_bytes = 1 << 20;
+        let dev = Device::new(cfg);
+        dev.sched_start(SchedPolicy::Serial);
+        let q = dev.sched_register(1.0, 1 << 19).unwrap();
+        let mut seen = String::new();
+        dev.sched_run(|_| {
+            let _kept = q.alloc::<u8>(1000, "kept");
+            let before = q.mem_report();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| over(&q)));
+            let Err(payload) = unwound else {
+                panic!("the charge fit the budget");
+            };
+            let err = payload.downcast::<BudgetError>().unwrap();
+            assert_eq!(q.mem_report(), before, "a refused charge leaves no trace");
+            seen = format!("{err:?}");
+        });
+        dev.sched_finish();
+        seen
+    }
+
+    #[test]
+    fn reserve_over_budget_raises_the_same_budget_error_as_alloc() {
+        let reserved = budget_error_of(|q| q.reserve((1 << 19) - 7, "big"));
+        assert_eq!(
+            reserved,
+            budget_error_of(|q| q.alloc::<u8>((1 << 19) - 7, "big"))
+        );
+        assert!(
+            reserved.contains("requested_bytes: 524288, in_use_bytes: 1024"),
+            "{reserved}"
+        );
+    }
+
+    #[test]
     fn zero_length_buffers_balance() {
         let dev = Device::a100();
         {
@@ -356,7 +506,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "device out of memory")]
     fn oom_panics() {
-        let mut cfg = crate::DeviceConfig::a100();
+        let mut cfg = DeviceConfig::a100();
         cfg.global_mem_bytes = 1024;
         let dev = Device::new(cfg);
         let _a = dev.alloc::<i64>(1024, "too big");

@@ -7,7 +7,9 @@
 # "Benchmark API surface" in perf/README.md, and one observed release-mode
 # run whose artifacts CI uploads. Run from anywhere; CI runs exactly this
 # script. Not run here because it takes minutes: scripts/stress_serving.sh N
-# repeats the two serving suites N times under host contention. Not a check
+# repeats the two serving suites N times under host contention, and
+# scripts/bench_pair.sh <workload> <parent-ref> runs the two-clock benchmark
+# in alternating parent/change pairs (medians, quartiles, wins). Not a check
 # but reported by every deletion PR: scripts/loc.sh prints the code-only
 # line count per crate (no blanks, comments or trailing test modules).
 set -euo pipefail
