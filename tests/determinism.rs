@@ -1,7 +1,8 @@
-//! Cross-cutting exactness of the warp-traffic core: full `gather` and
-//! PHJ-OM runs must reproduce, bit for bit, the `Counters` (including the
-//! f64 cycle total) and `SimTime` of the sort-per-warp reference core the
-//! streaming core replaced.
+//! Cross-cutting exactness of the simulated clock, in two layers.
+//!
+//! **The warp-traffic core**: full `gather` and PHJ-OM runs must reproduce,
+//! bit for bit, the `Counters` (including the f64 cycle total) and `SimTime`
+//! of the sort-per-warp reference core the streaming core replaced.
 //!
 //! That reference now lives only as `#[cfg(test)]` code inside `sim::l2`
 //! (where `sim`'s own property suite compares the two warp by warp), so this
@@ -11,9 +12,20 @@
 //! come from the generator below, not from a crate, so the rows mean the
 //! same on every toolchain. A change that *intends* to move the cost model
 //! re-records them: a failing case prints its observed row.
+//!
+//! **The operator drivers**: every GPU join algorithm x {narrow, wide} x
+//! {inner, outer, semi} and every group-by algorithm x {0, 1, 3} aggregate
+//! columns must reproduce its recorded [`OpRow`] — the same eleven words
+//! plus the operator's own report (`peak_mem_bytes`, `rows`, the three
+//! `PhaseTimes`). The memory ledger hands out addresses by bumping a
+//! pointer and the L2 maps by absolute address, so a driver that allocates,
+//! launches or frees in a different order moves these rows; "bit-identical"
+//! for a driver refactor means these rows pass unmodified. They were
+//! recorded at commit a0f76cf (six hand-written join drivers).
 
 use columnar::{Column, Relation};
-use joins::{Algorithm, JoinConfig};
+use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
+use joins::{Algorithm, JoinConfig, JoinKind};
 use primitives::gather;
 use sim::{Device, DeviceConfig};
 
@@ -141,4 +153,205 @@ fn phj_om_reproduces_the_reference_core() {
             reference,
         );
     }
+}
+
+/// [`Row`] plus what the operator reports about itself: `peak_mem_bytes`,
+/// `rows`, then the transform / match-finding / materialize phase times as
+/// f64 bits.
+type OpRow = [u64; 16];
+
+fn observe_op(dev: &Device, stats: &sim::OpStats) -> OpRow {
+    let mut row = [0; 16];
+    row[..11].copy_from_slice(&observe(dev));
+    row[11] = stats.peak_mem_bytes;
+    row[12] = stats.rows as u64;
+    row[13] = stats.phases.transform.secs().to_bits();
+    row[14] = stats.phases.match_find.secs().to_bits();
+    row[15] = stats.phases.materialize.secs().to_bits();
+    row
+}
+
+/// Compare a whole table at once so that a re-recording run prints every
+/// row, ready to paste.
+fn assert_reference_table(what: &str, observed: &[(String, OpRow)], reference: &[OpRow]) {
+    let rows: Vec<OpRow> = observed.iter().map(|(_, row)| *row).collect();
+    if rows.as_slice() != reference {
+        let table: String = observed
+            .iter()
+            .map(|(case, row)| format!("        {row:?}, // {case}\n"))
+            .collect();
+        let moved: Vec<&str> = observed
+            .iter()
+            .zip(reference)
+            .filter(|((_, o), r)| o != *r)
+            .map(|((case, _), _)| case.as_str())
+            .collect();
+        panic!("{what}: {moved:?} left the recorded rows; observed table:\n{table}");
+    }
+}
+
+/// `len` seeded values of `0..domain`, each as key and as the base of the
+/// payload columns `10k + 1`, `10k + 2`, ...
+fn keys_in(state: &mut u64, len: usize, domain: u64) -> Vec<i64> {
+    (0..len).map(|_| (next(state) % domain) as i64).collect()
+}
+
+/// A relation over `keys`: narrow is an i32 key with one payload column,
+/// wide an i64 key with two payload columns of mixed width.
+fn op_relation(dev: &Device, name: &'static str, keys: &[i64], dtypes: &[bool]) -> Relation {
+    let wide_key = dtypes.len() > 1;
+    let key = if wide_key {
+        Column::from_i64(dev, keys.to_vec(), "k")
+    } else {
+        Column::from_i32(dev, keys.iter().map(|&k| k as i32).collect(), "k")
+    };
+    let payloads = dtypes
+        .iter()
+        .enumerate()
+        .map(|(j, &is_i64)| {
+            let vals = keys.iter().map(|&k| k * 10 + j as i64 + 1);
+            if is_i64 {
+                Column::from_i64(dev, vals.collect(), "p")
+            } else {
+                Column::from_i32(dev, vals.map(|v| v as i32).collect(), "p")
+            }
+        })
+        .collect();
+    Relation::new(name, key, payloads)
+}
+
+const JOIN_ALGS: [Algorithm; 6] = [
+    Algorithm::SmjUm,
+    Algorithm::SmjOm,
+    Algorithm::PhjUm,
+    Algorithm::PhjOm,
+    Algorithm::PhjOmGfur,
+    Algorithm::Nphj,
+];
+
+/// One join on a fresh shrunken device: 3000 x 7000 keys of `0..4000`, so
+/// both sides hold duplicates and part of S dangles.
+fn join_op_run(alg: Algorithm, wide: bool, kind: JoinKind) -> OpRow {
+    let dev = device(1024.0);
+    let mut state = if wide { 22 } else { 21 };
+    let (r_types, s_types): (&[bool], &[bool]) = if wide {
+        (&[false, true], &[true, false])
+    } else {
+        (&[true], &[false])
+    };
+    let r = op_relation(&dev, "R", &keys_in(&mut state, 3_000, 4_000), r_types);
+    let s = op_relation(&dev, "S", &keys_in(&mut state, 7_000, 4_000), s_types);
+    let config = JoinConfig {
+        unique_build: false,
+        kind,
+        ..JoinConfig::default()
+    };
+    let out = joins::run_join(&dev, alg, &r, &s, &config);
+    assert_eq!(
+        out.rows_sorted(),
+        joins::oracle::join_oracle_kind(&r, &s, kind),
+        "{alg} {} output",
+        kind.name()
+    );
+    observe_op(&dev, &out.stats)
+}
+
+#[test]
+fn every_join_driver_reproduces_its_recorded_row() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [29, 4652608711860378003, 70506, 748928, 503376, 664, 3186, 288, 2898, 0, 4517405713622555236, 353536, 5298, 4515137214410803799, 4504554509758601240, 4503892692054446508], // SMJ-UM narrow inner
+        [32, 4653990134064239558, 81329, 938012, 671155, 1169, 6149, 1202, 4947, 0, 4518760317090033234, 461824, 8527, 4515137214410803799, 4510718813451814406, 4505949629647109416], // SMJ-UM narrow outer
+        [31, 4652821487766829050, 72241, 789928, 500136, 708, 3853, 336, 3517, 0, 4517614358727483092, 378112, 3771, 4515137214410803799, 4508572568737358314, 4498002526218364352], // SMJ-UM narrow semi
+        [59, 4659183032593032407, 123480, 2143968, 1272768, 2004, 18246, 9259, 8987, 0, 4523939833666896358, 669696, 5340, 4522051489750530786, 4510258190317578912, 4512047815754337664], // SMJ-UM wide inner
+        [62, 4660338676479107565, 138155, 2449616, 1527563, 2820, 24507, 10926, 13581, 0, 4525073042045096166, 669696, 8580, 4522051489750530786, 4514573732074044004, 4513718931099950508], // SMJ-UM wide outer
+        [60, 4659272256214779540, 121188, 2186256, 1249888, 1612, 14315, 4674, 9641, 0, 4524027325113799238, 669696, 3760, 4522051489750530786, 4512893554014773348, 4509825656242829912], // SMJ-UM wide semi
+        [29, 4652608711860378003, 70506, 748928, 503376, 664, 3186, 288, 2898, 0, 4517405713622555236, 353536, 5298, 4515137214410803799, 4504554509758601240, 4503892692054446508], // SMJ-OM narrow inner
+        [32, 4653990134064239558, 81329, 938012, 671155, 1169, 6149, 1202, 4947, 0, 4518760317090033234, 461824, 8527, 4515137214410803799, 4510718813451814406, 4505949629647109416], // SMJ-OM narrow outer
+        [31, 4652821487766829050, 72241, 789928, 500136, 708, 3853, 336, 3517, 0, 4517614358727483092, 378112, 3771, 4515137214410803799, 4508572568737358314, 4498002526218364352], // SMJ-OM narrow semi
+        [103, 4662852637412173899, 190940, 3973536, 2486496, 1336, 6628, 979, 5649, 0, 4527625629543952388, 685312, 5340, 4522749753419241524, 4508309675707134536, 4522905550371842443], // SMJ-OM wide inner
+        [106, 4663395995771877957, 205615, 4265680, 2741291, 2152, 12319, 2498, 9821, 0, 4528158439220878674, 780032, 8580, 4522749753419241524, 4513428287155329776, 4523228660728409012], // SMJ-OM wide outer
+        [80, 4661942552215595656, 165576, 3424688, 2071392, 944, 6479, 393, 6086, 0, 4526733212613386796, 685312, 3760, 4522749753419241524, 4511231766793865328, 4519896884369761836], // SMJ-OM wide semi
+        [14, 4647488395565536294, 24860, 307424, 220192, 664, 4531, 1581, 2950, 0, 4512209937928578424, 332800, 5298, 4507632786726303914, 4500819960775368516, 4504666123546305188], // PHJ-UM narrow inner
+        [17, 4650392570166657767, 35683, 497372, 387971, 1169, 7619, 2593, 5026, 0, 4515145163542217527, 461824, 8527, 4507632786726303914, 4509614374944370749, 4506697519789601720], // PHJ-UM narrow outer
+        [16, 4647848189241921330, 26595, 348136, 216952, 708, 3890, 330, 3560, 0, 4512650178870914050, 378112, 3771, 4507632786726303914, 4506691536176560880, 4498310988790690232], // PHJ-UM narrow semi
+        [12, 4656171686939256560, 34770, 574752, 493600, 1336, 18102, 11391, 6711, 20000, 4520899517604346655, 782592, 5340, 4517868868085462268, 4505054391120120240, 4512674935191386586], // PHJ-UM wide inner
+        [15, 4657591862585067447, 49445, 872848, 748395, 2152, 24363, 13294, 11069, 20000, 4522379554409685045, 782592, 8580, 4517868868085462268, 4512734041444751232, 4514024842258841436], // PHJ-UM wide outer
+        [13, 4656164586143474236, 32478, 608144, 470720, 944, 11439, 4352, 7087, 20000, 4520892554662415001, 782592, 3760, 4517868868085462268, 4509506111247345048, 4509787889801457884], // PHJ-UM wide semi
+        [14, 4647488395565536294, 24860, 307424, 220192, 664, 4531, 1581, 2950, 0, 4512209937928578424, 332800, 5298, 4507632786726303914, 4500819960775368516, 4504666123546305188], // PHJ-OM narrow inner
+        [17, 4650392570166657767, 35683, 497372, 387971, 1169, 7619, 2593, 5026, 0, 4515145163542217527, 461824, 8527, 4507632786726303914, 4509614374944370749, 4506697519789601720], // PHJ-OM narrow outer
+        [16, 4647848189241921330, 26595, 348136, 216952, 708, 3890, 330, 3560, 0, 4512650178870914050, 378112, 3771, 4507632786726303914, 4506691536176560880, 4498310988790690232], // PHJ-OM narrow semi
+        [26, 4653194823700852222, 43662, 872224, 495680, 1336, 9057, 3114, 5943, 0, 4517980446770188829, 602880, 5340, 4510548849127557273, 4503937373509506882, 4514165519967644189], // PHJ-OM wide inner
+        [29, 4655529071461146117, 58337, 1180240, 750475, 2152, 15303, 4692, 10611, 0, 4520269377772751277, 780032, 8580, 4510548849127557273, 4512297438372553097, 4515604812913335881], // PHJ-OM wide outer
+        [22, 4652666025302011108, 37578, 812240, 424280, 944, 6757, 340, 6417, 0, 4517461914389092996, 663296, 3760, 4510548849127557273, 4508940991109693795, 4510729392929660948], // PHJ-OM wide semi
+        [18, 4649586984750436284, 33506, 377792, 290576, 1328, 12699, 7175, 5524, 0, 4514355217647969623, 363264, 5298, 4508202090848650135, 4506507488726521528, 4507487602403833718], // PHJ-OM/GFUR narrow inner
+        [21, 4652297377405405736, 44329, 567868, 458355, 1833, 15786, 8182, 7604, 0, 4517090420489204412, 369408, 8527, 4508202090848650135, 4511760489536729793, 4508810688708783904], // PHJ-OM/GFUR narrow outer
+        [20, 4649671831619058700, 35241, 418472, 287336, 1372, 10237, 4104, 6133, 0, 4514438417311417406, 363264, 3771, 4508202090848650135, 4509545902999546039, 4503078994195345592], // PHJ-OM/GFUR narrow semi
+        [20, 4652958299923302086, 39762, 658336, 417360, 2004, 21831, 12540, 9291, 0, 4517748514831991520, 617984, 5340, 4510436126069876859, 4508185610163686191, 4512675362665090027], // PHJ-OM/GFUR wide inner
+        [23, 4655249014556843922, 54437, 956464, 672155, 2820, 28092, 14442, 13650, 0, 4519994757853802206, 631808, 8580, 4510436126069876859, 4513537441997097642, 4514026625106075348], // PHJ-OM/GFUR wide outer
+        [21, 4652948010636221097, 37470, 691760, 394480, 1612, 15133, 5465, 9668, 0, 4517738425299682843, 617984, 3760, 4510436126069876859, 4511106301019693297, 4509782849719701248], // PHJ-OM/GFUR wide semi
+        [4, 4649351311824335747, 9898, 334880, 194608, 1289, 20152, 10937, 9215, 0, 4514124120042911534, 338688, 5298, 0, 4512015316750968286, 4506348221162361084], // NPHJ narrow inner
+        [7, 4652140965833288224, 20721, 524956, 362387, 1794, 23239, 11944, 11295, 0, 4516859616101269109, 369408, 8527, 0, 4514538637525370530, 4508241584522293158], // NPHJ narrow outer
+        [6, 4649168803565653317, 11633, 375592, 191368, 1333, 16532, 6707, 9825, 0, 4513945154973895336, 338688, 3771, 0, 4513431866286022831, 4498301447494344592], // NPHJ narrow semi
+        [6, 4651600395703785144, 16116, 466464, 282240, 1959, 28440, 16363, 12077, 0, 4516329540524234815, 552960, 5340, 0, 4512746404490644032, 4510765899437677566], // NPHJ wide inner
+        [9, 4654253726664678603, 30791, 777264, 537035, 2775, 34701, 17869, 16832, 0, 4519018792340798826, 631808, 8580, 0, 4515887628093280083, 4513142757333576577], // NPHJ wide outer
+        [7, 4650907743254929678, 13824, 505936, 259360, 1567, 19366, 6723, 12643, 0, 4515650335132607294, 552960, 3760, 0, 4514206097276534197, 4504872979167417892], // NPHJ wide semi
+    ];
+    let mut observed = Vec::new();
+    for alg in JOIN_ALGS {
+        for wide in [false, true] {
+            for kind in [JoinKind::Inner, JoinKind::Outer, JoinKind::Semi] {
+                let shape = if wide { "wide" } else { "narrow" };
+                let case = format!("{alg} {shape} {}", kind.name());
+                observed.push((case, join_op_run(alg, wide, kind)));
+            }
+        }
+    }
+    assert_reference_table("join drivers", &observed, REFERENCE);
+}
+
+/// One grouped aggregation of 20000 rows over 1500 groups with `cols`
+/// aggregate columns on a fresh shrunken device.
+fn group_by_op_run(alg: GroupByAlgorithm, cols: usize) -> OpRow {
+    let dev = device(1024.0);
+    let mut state = 31;
+    let keys = keys_in(&mut state, 20_000, 1_500);
+    let input = op_relation(&dev, "T", &keys, &[true, false, true][..cols]);
+    let aggs = &[AggFn::Sum, AggFn::Min, AggFn::Max][..cols];
+    let out = groupby::run_group_by(&dev, alg, &input, aggs, &GroupByConfig::default());
+    assert_eq!(
+        out.rows_sorted(),
+        groupby::oracle::group_by_oracle(&input, aggs),
+        "{alg} x{cols} output"
+    );
+    observe_op(&dev, &out.stats)
+}
+
+#[test]
+fn every_group_by_driver_reproduces_its_recorded_row() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [2, 4653757261129026656, 23884, 1097280, 86000, 625, 19783, 12569, 7214, 0, 4518531965117233474, 684544, 1500, 0, 4514393580745664098, 4513663150234061858], // HASH x0
+        [3, 4655534052080846473, 30134, 1349280, 98000, 1250, 38018, 30429, 7589, 20000, 4520274261699401242, 868608, 1500, 0, 4514393580745664098, 4517129084825502441], // HASH x1
+        [5, 4657922586320358793, 42634, 1854912, 128000, 2500, 74488, 66098, 8390, 60000, 4522703857520892190, 1212672, 1500, 0, 4514979869986712008, 4520355367667383640], // HASH x3
+        [15, 4654863359567381528, 86126, 1097632, 736116, 94, 1674, 1, 1673, 0, 4519616589916067002, 480768, 1500, 4518679676337388042, 4499617188173799104, 4504078956343535136], // SORT-OM x0
+        [15, 4657095570011315328, 86126, 1577632, 988116, 94, 1674, 1, 1673, 0, 4521892896790161526, 720384, 1500, 4520620622097906144, 4499617188173799104, 4508548019765740672], // SORT-OM x1
+        [77, 4669699220300676049, 472406, 11518592, 7118676, 94, 1688, 0, 1688, 0, 4534426726084938389, 1384192, 1500, 4527296450032232601, 4503842442993374272, 4531511351270525944], // SORT-OM x3
+        [15, 4654863359567381528, 86126, 1097632, 736116, 94, 1674, 1, 1673, 0, 4519616589916067002, 480768, 1500, 4518679676337388042, 4499617188173799104, 4504078956343535136], // SORT-UM x0
+        [17, 4659569845856561384, 102689, 1879712, 908116, 1344, 24116, 3003, 21113, 0, 4524319137392128323, 640768, 1500, 4518679676337388042, 4499617188173799104, 4520637351688499856], // SORT-UM x1
+        [33, 4666405156237378918, 211071, 5559712, 2462228, 3844, 68957, 12972, 55985, 0, 4531196612518091342, 1120512, 1500, 4526252704786796396, 4503842442993374272, 4526984995518075022], // SORT-UM x3
+        [10, 4651554003170501632, 57700, 643080, 489092, 0, 0, 0, 0, 0, 4516284048649067856, 480768, 1500, 4515097472761945929, 4503842331291613212, 0], // PART-OM x0
+        [10, 4653637625448676045, 57700, 1043080, 581092, 0, 0, 0, 0, 0, 4518414652027155716, 720384, 1500, 4516745329061755407, 4503842331291613212, 4506243919154431944], // PART-OM x1
+        [28, 4662077273248354765, 155600, 4009240, 1897276, 0, 0, 0, 0, 0, 4526865318190962990, 1464320, 1500, 4518882658475754830, 4506243919154431936, 4524028351736111929], // PART-OM x3
+        [10, 4651554003170501632, 57700, 643080, 489092, 0, 0, 0, 0, 0, 4516284048649067856, 480768, 1500, 4515097472761945929, 4503842331291613212, 0], // PART-UM x0
+        [12, 4658222452588794089, 74263, 1505032, 661092, 1250, 22438, 3002, 19436, 0, 4522997902227765056, 652544, 1500, 4515097472761945929, 4503842331291613212, 4520291367749951448], // PART-UM x1
+        [16, 4663880791826615865, 107389, 3501864, 1091092, 3750, 67239, 12902, 54337, 0, 4528633823513191265, 1120512, 1500, 4518058730325850091, 4506243919154431944, 4527047475981434664], // PART-UM x3
+    ];
+    let mut observed = Vec::new();
+    for alg in GroupByAlgorithm::ALL {
+        for cols in [0, 1, 3] {
+            observed.push((format!("{alg} x{cols}"), group_by_op_run(alg, cols)));
+        }
+    }
+    assert_reference_table("group-by drivers", &observed, REFERENCE);
 }
