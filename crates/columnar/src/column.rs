@@ -156,6 +156,31 @@ impl ColumnElement for i64 {
     }
 }
 
+/// Instantiate `$body` once per physical type with `$k` bound to the typed
+/// [`DeviceBuffer`] behind a [`Column`] — the single type dispatch of every
+/// join and group-by driver written over `K: ColumnElement`. The two-column
+/// form binds the buffers of a pair of join keys, which must share a type.
+#[macro_export]
+macro_rules! dispatch_column {
+    ($col:expr, |$k:ident| $body:expr) => {
+        match $col {
+            $crate::Column::I32($k) => $body,
+            $crate::Column::I64($k) => $body,
+        }
+    };
+    ($r:expr, $s:expr, |$rk:ident, $sk:ident| $body:expr) => {
+        match ($r, $s) {
+            ($crate::Column::I32($rk), $crate::Column::I32($sk)) => $body,
+            ($crate::Column::I64($rk), $crate::Column::I64($sk)) => $body,
+            (a, b) => panic!(
+                "join keys must share a physical type, got {:?} vs {:?}",
+                a.dtype(),
+                b.dtype()
+            ),
+        }
+    };
+}
+
 impl std::fmt::Debug for Column {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Column")

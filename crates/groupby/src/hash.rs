@@ -8,19 +8,8 @@
 
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{linear_probe_slots, GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
+use primitives::{linear_probe_slots, timed_phase, GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
 use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
-
-pub(crate) fn dispatch_key_column<R>(
-    col: &Column,
-    f32: impl FnOnce(&DeviceBuffer<i32>) -> R,
-    f64_: impl FnOnce(&DeviceBuffer<i64>) -> R,
-) -> R {
-    match col {
-        Column::I32(b) => f32(b),
-        Column::I64(b) => f64_(b),
-    }
-}
 
 /// Global hash aggregation (see module docs).
 pub fn hash_groupby(
@@ -52,8 +41,7 @@ pub fn hash_groupby(
 
         // Group finding: one pass assigning each row its group id, chasing
         // random table slots.
-        let t0 = dev.elapsed();
-        {
+        let ((), t) = timed_phase(dev, "match_find", || {
             let row_group = row_group.as_mut_slice();
             let touched =
                 linear_probe_slots(keys.iter().map(|k| k.to_radix()), slots - 1, |i, _, s| {
@@ -79,8 +67,8 @@ pub fn hash_groupby(
                 .warp_loads(12, touched)
                 .seq_write_bytes(n as u64 * 4)
                 .launch();
-        }
-        phases.match_find = crate::phase_mark(dev, "match_find", t0);
+        });
+        phases.match_find = t;
         let groups = group_keys.len();
         let hottest = group_counts.iter().copied().max().unwrap_or(0);
 
@@ -92,44 +80,46 @@ pub fn hash_groupby(
         // (atomics, contended on the hottest group).
         let privatized = (groups as u64) <= dev.config().shared_mem_tuples(16);
         let blocks = (dev.config().sms * 4) as u64;
-        let t0 = dev.elapsed();
-        let mut aggregates = Vec::with_capacity(aggs.len());
-        for (j, agg) in aggs.iter().enumerate() {
-            let col = input.payload(j);
-            let mut accs = dev.alloc::<i64>(groups, "hash_gb.accs");
-            let acc = accs.as_mut_slice();
-            acc.fill(agg.identity());
-            for (i, &g) in row_group.iter().enumerate() {
-                let g = g as usize;
-                acc[g] = agg.fold(acc[g], col.value(i));
+        let (aggregates, t) = timed_phase(dev, "materialize", || {
+            let mut aggregates = Vec::with_capacity(aggs.len());
+            for (j, agg) in aggs.iter().enumerate() {
+                let col = input.payload(j);
+                let mut accs = dev.alloc::<i64>(groups, "hash_gb.accs");
+                let acc = accs.as_mut_slice();
+                acc.fill(agg.identity());
+                for (i, &g) in row_group.iter().enumerate() {
+                    let g = g as usize;
+                    acc[g] = agg.fold(acc[g], col.value(i));
+                }
+                if privatized {
+                    dev.kernel("hash_gb.aggregate.privatized")
+                        .items(n as u64, STREAM_WARP_INSTR)
+                        .seq_read_bytes(n as u64 * (col.dtype().size() + 4))
+                        // Cross-block merge: one partial table per block.
+                        .seq_write_bytes(blocks * groups as u64 * 8)
+                        .atomics(blocks * groups as u64, blocks)
+                        .launch();
+                } else {
+                    let accs_addrs = row_group.iter().map(|&g| accs.addr_of(g as usize));
+                    dev.kernel("hash_gb.aggregate.global")
+                        .items(n as u64, STREAM_WARP_INSTR)
+                        .seq_read_bytes(n as u64 * (col.dtype().size() + 4))
+                        .warp_stores(8, accs_addrs)
+                        .atomics(n as u64, hottest)
+                        .launch();
+                }
+                aggregates.push(Column::from_i64(dev, accs.to_vec(), "hash_gb.out"));
             }
-            if privatized {
-                dev.kernel("hash_gb.aggregate.privatized")
-                    .items(n as u64, STREAM_WARP_INSTR)
-                    .seq_read_bytes(n as u64 * (col.dtype().size() + 4))
-                    // Cross-block merge: one partial table per block.
-                    .seq_write_bytes(blocks * groups as u64 * 8)
-                    .atomics(blocks * groups as u64, blocks)
-                    .launch();
-            } else {
-                let accs_addrs = row_group.iter().map(|&g| accs.addr_of(g as usize));
-                dev.kernel("hash_gb.aggregate.global")
-                    .items(n as u64, STREAM_WARP_INSTR)
-                    .seq_read_bytes(n as u64 * (col.dtype().size() + 4))
-                    .warp_stores(8, accs_addrs)
-                    .atomics(n as u64, hottest)
-                    .launch();
-            }
-            aggregates.push(Column::from_i64(dev, accs.to_vec(), "hash_gb.out"));
-        }
-        // Compact the table into the output key column (streaming scan of
-        // the slots).
-        dev.kernel("hash_gb.compact")
-            .items(slots as u64, STREAM_WARP_INSTR)
-            .seq_read_bytes(slots as u64 * 12)
-            .seq_write_bytes(groups as u64 * K::SIZE)
-            .launch();
-        phases.materialize = crate::phase_mark(dev, "materialize", t0);
+            // Compact the table into the output key column (streaming scan of
+            // the slots).
+            dev.kernel("hash_gb.compact")
+                .items(slots as u64, STREAM_WARP_INSTR)
+                .seq_read_bytes(slots as u64 * 12)
+                .seq_write_bytes(groups as u64 * K::SIZE)
+                .launch();
+            aggregates
+        });
+        phases.materialize = t;
         drop((table_keys, row_group));
 
         GroupByOutput {
@@ -138,11 +128,7 @@ pub fn hash_groupby(
             stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
         }
     }
-    dispatch_key_column(
-        input.key(),
-        |k| typed(k, dev, input, aggs, config),
-        |k| typed(k, dev, input, aggs, config),
-    )
+    columnar::dispatch_column!(input.key(), |k| typed(k, dev, input, aggs, config))
 }
 
 #[cfg(test)]

@@ -26,17 +26,7 @@ pub mod sort;
 
 use columnar::{Column, Relation};
 use serde::{Deserialize, Serialize};
-use sim::{Device, OpStats, SimTime};
-
-/// Close a paper-phase measurement started at `t0`: records the interval
-/// as a phase span on the device trace (no-op when tracing is off) and
-/// returns its duration — exactly the value the caller stores in
-/// [`PhaseTimes`], so phase-span sums reproduce the reported phases.
-pub(crate) fn phase_mark(dev: &Device, phase: &'static str, t0: SimTime) -> SimTime {
-    let t1 = dev.elapsed();
-    dev.trace_span(sim::SpanCat::Phase, phase, t0, t1);
-    t1 - t0
-}
+use sim::{Device, OpStats};
 
 /// Aggregate function applied to one payload column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

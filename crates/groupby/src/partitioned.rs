@@ -6,31 +6,14 @@
 //! layouts identical) and aggregates each with a streaming pass; GFUR
 //! partitions `(key, ID)` once and fetches values with unclustered gathers.
 
-use crate::hash::dispatch_key_column;
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{gather_column, radix_partition, BUILD_WARP_INSTR, STREAM_WARP_INSTR};
+use primitives::{
+    gather_column, iota, radix_partition, radix_partition_column, timed_phase, BUILD_WARP_INSTR,
+    STREAM_WARP_INSTR,
+};
 use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 use std::collections::HashMap;
-
-/// Partition one payload column with the keys.
-fn partition_col_with_key<K: ColumnElement>(
-    dev: &Device,
-    keys: &DeviceBuffer<K>,
-    col: &Column,
-    bits: u32,
-) -> (DeviceBuffer<K>, Column, Vec<u32>) {
-    match col {
-        Column::I32(v) => {
-            let p = radix_partition(dev, keys, v, bits);
-            (p.keys, Column::I32(p.vals), p.offsets)
-        }
-        Column::I64(v) => {
-            let p = radix_partition(dev, keys, v, bits);
-            (p.keys, Column::I64(p.vals), p.offsets)
-        }
-    }
-}
 
 fn choose_bits(dev: &Device, n: usize, key_bytes: u64, config: &GroupByConfig) -> u32 {
     if let Some(b) = config.radix_bits {
@@ -64,29 +47,24 @@ pub fn partitioned_groupby(
 
         // Transformation: partition keys with col_0 (GFTR) or with IDs
         // (GFUR). Offsets come from the partitioner's histogram + scan.
-        let t0 = dev.elapsed();
-        let (part_keys, mut first_col, part_ids, _offsets) = if gftr && !input.payloads().is_empty()
-        {
-            let (k, c, off) = partition_col_with_key(dev, keys, input.payload(0), bits);
-            (k, Some(c), None, off)
-        } else {
-            let ids = dev.upload((0..n as u32).collect::<Vec<u32>>(), "part_gb.ids");
-            dev.kernel("iota")
-                .items(n as u64, STREAM_WARP_INSTR)
-                .seq_write_bytes(n as u64 * 4)
-                .launch();
-            let p = radix_partition(dev, keys, &ids, bits);
-            (p.keys, None, Some(p.vals), p.offsets)
-        };
-        phases.transform = crate::phase_mark(dev, "transform", t0);
+        let ((part_keys, mut first_col, part_ids), t) = timed_phase(dev, "transform", || {
+            if gftr && !input.payloads().is_empty() {
+                let (k, c, _) = radix_partition_column(dev, keys, input.payload(0), bits);
+                (k, Some(c), None)
+            } else {
+                let ids = iota(dev, n, "part_gb.ids");
+                let p = radix_partition(dev, keys, &ids, bits);
+                (p.keys, None, Some(p.vals))
+            }
+        });
+        phases.transform = t;
 
         // Group finding: per-partition shared-memory tables assign each row
         // a global group id (one streaming pass writing the group-id column
         // and the distinct keys).
-        let t0 = dev.elapsed();
-        let mut group_keys: Vec<K> = Vec::new();
-        let mut row_group: Vec<u32> = Vec::with_capacity(n);
-        {
+        let ((group_keys, row_group), t) = timed_phase(dev, "match_find", || {
+            let mut group_keys: Vec<K> = Vec::new();
+            let mut row_group: Vec<u32> = Vec::with_capacity(n);
             // Partitions are contiguous; a single scan suffices because the
             // partition boundary only resets the (simulated) shared table.
             let mut local: HashMap<u64, u32> = HashMap::new();
@@ -110,43 +88,43 @@ pub fn partitioned_groupby(
                 .seq_read_bytes(n as u64 * K::SIZE)
                 .seq_write_bytes(n as u64 * 4 + group_keys.len() as u64 * K::SIZE)
                 .launch();
-        }
-        let row_group = dev.upload(row_group, "part_gb.row_group");
-        phases.match_find = crate::phase_mark(dev, "match_find", t0);
+            (group_keys, dev.upload(row_group, "part_gb.row_group"))
+        });
+        phases.match_find = t;
         let groups = group_keys.len();
 
         // Aggregation: per column. GFTR re-partitions the column (identical
         // layout by stability) and streams; GFUR gathers unclustered.
-        let t0 = dev.elapsed();
-        let mut aggregates = Vec::with_capacity(aggs.len());
-        for (j, agg) in aggs.iter().enumerate() {
-            let ordered: Column = if gftr {
-                if j == 0 {
-                    first_col
-                        .take()
-                        .expect("gftr with payloads partitions col 0")
+        let (aggregates, t) = timed_phase(dev, "materialize", || {
+            let mut aggregates = Vec::with_capacity(aggs.len());
+            for (j, agg) in aggs.iter().enumerate() {
+                let ordered: Column = if gftr {
+                    // Column 0 was partitioned in the transformation phase.
+                    first_col.take().unwrap_or_else(|| {
+                        radix_partition_column(dev, keys, input.payload(j), bits).1
+                    })
                 } else {
-                    partition_col_with_key(dev, keys, input.payload(j), bits).1
+                    let ids = part_ids.as_ref().expect("gfur partitioned ids");
+                    gather_column(dev, input.payload(j), ids)
+                };
+                // Streaming fold into shared-memory accumulators (group ids
+                // are partition-local on hardware; charged as a streaming
+                // pass).
+                let mut accs = vec![agg.identity(); groups];
+                for (i, &g) in row_group.iter().enumerate() {
+                    let g = g as usize;
+                    accs[g] = agg.fold(accs[g], ordered.value(i));
                 }
-            } else {
-                let ids = part_ids.as_ref().expect("gfur partitioned ids");
-                gather_column(dev, input.payload(j), ids)
-            };
-            // Streaming fold into shared-memory accumulators (group ids are
-            // partition-local on hardware; charged as a streaming pass).
-            let mut accs = vec![agg.identity(); groups];
-            for (i, &g) in row_group.iter().enumerate() {
-                let g = g as usize;
-                accs[g] = agg.fold(accs[g], ordered.value(i));
+                dev.kernel("part_gb.aggregate")
+                    .items(n as u64, STREAM_WARP_INSTR)
+                    .seq_read_bytes(n as u64 * (ordered.dtype().size() + 4))
+                    .seq_write_bytes(groups as u64 * 8)
+                    .launch();
+                aggregates.push(Column::from_i64(dev, accs, "part_gb.out"));
             }
-            dev.kernel("part_gb.aggregate")
-                .items(n as u64, STREAM_WARP_INSTR)
-                .seq_read_bytes(n as u64 * (ordered.dtype().size() + 4))
-                .seq_write_bytes(groups as u64 * 8)
-                .launch();
-            aggregates.push(Column::from_i64(dev, accs, "part_gb.out"));
-        }
-        phases.materialize = crate::phase_mark(dev, "materialize", t0);
+            aggregates
+        });
+        phases.materialize = t;
 
         GroupByOutput {
             keys: K::wrap(dev.upload(group_keys, "part_gb.group_keys")),
@@ -154,11 +132,7 @@ pub fn partitioned_groupby(
             stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
         }
     }
-    dispatch_key_column(
-        input.key(),
-        |k| typed(k, dev, input, aggs, config, gftr),
-        |k| typed(k, dev, input, aggs, config, gftr),
-    )
+    columnar::dispatch_column!(input.key(), |k| typed(k, dev, input, aggs, config, gftr))
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! fetches values through unclustered gathers — cheaper transform, costlier
 //! aggregation, exactly the join study's trade-off.
 
-use crate::hash::dispatch_key_column;
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{gather_column, run_boundaries, sort_pairs, STREAM_WARP_INSTR};
+use primitives::{
+    gather_column, iota, run_boundaries, sort_column, sort_pairs, timed_phase, STREAM_WARP_INSTR,
+};
 use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 /// Segmented fold of a (already ordered) column: one streaming read, one
@@ -33,25 +34,6 @@ fn segmented_fold(dev: &Device, col: &Column, boundaries: &[u32], agg: AggFn) ->
     Column::from_i64(dev, out, "sort_gb.agg")
 }
 
-/// Sort a payload column with the keys (GFTR helper shared with the join
-/// code path shape).
-fn sort_col_with_key<K: ColumnElement>(
-    dev: &Device,
-    keys: &DeviceBuffer<K>,
-    col: &Column,
-) -> (DeviceBuffer<K>, Column) {
-    match col {
-        Column::I32(v) => {
-            let (k, v) = sort_pairs(dev, keys, v);
-            (k, Column::I32(v))
-        }
-        Column::I64(v) => {
-            let (k, v) = sort_pairs(dev, keys, v);
-            (k, Column::I64(v))
-        }
-    }
-}
-
 /// Sort-based grouped aggregation; `gftr` selects the materialization
 /// pattern (see module docs).
 pub fn sort_groupby(
@@ -70,54 +52,50 @@ pub fn sort_groupby(
     ) -> GroupByOutput {
         dev.reset_peak_mem();
         let mut phases = PhaseTimes::default();
-        let n = keys.len();
 
         // Transformation: GFTR sorts (key, col_0); GFUR sorts (key, ID).
-        let t0 = dev.elapsed();
-        let (sorted_keys, mut first_col, sorted_ids) = if gftr && !input.payloads().is_empty() {
-            let (k, c) = sort_col_with_key(dev, keys, input.payload(0));
-            (k, Some(c), None)
-        } else {
-            let ids = dev.upload((0..n as u32).collect::<Vec<u32>>(), "sort_gb.ids");
-            dev.kernel("iota")
-                .items(n as u64, STREAM_WARP_INSTR)
-                .seq_write_bytes(n as u64 * 4)
-                .launch();
-            let (k, v) = sort_pairs(dev, keys, &ids);
-            (k, None, Some(v))
-        };
-        phases.transform = crate::phase_mark(dev, "transform", t0);
+        let ((sorted_keys, mut first_col, sorted_ids), t) = timed_phase(dev, "transform", || {
+            if gftr && !input.payloads().is_empty() {
+                let (k, c) = sort_column(dev, keys, input.payload(0));
+                (k, Some(c), None)
+            } else {
+                let ids = iota(dev, keys.len(), "sort_gb.ids");
+                let (k, v) = sort_pairs(dev, keys, &ids);
+                (k, None, Some(v))
+            }
+        });
+        phases.transform = t;
 
         // Group finding: boundary detection over the sorted keys.
-        let t0 = dev.elapsed();
-        let boundaries = run_boundaries(dev, sorted_keys.as_slice());
-        phases.match_find = crate::phase_mark(dev, "match_find", t0);
+        let (boundaries, t) = timed_phase(dev, "match_find", || {
+            run_boundaries(dev, sorted_keys.as_slice())
+        });
+        phases.match_find = t;
         let groups = boundaries.len() - 1;
 
-        // Aggregation.
-        let t0 = dev.elapsed();
-        let mut aggregates = Vec::with_capacity(aggs.len());
-        for (j, agg) in aggs.iter().enumerate() {
-            let ordered: Column = if gftr {
-                if j == 0 {
-                    // Already sorted in the transformation phase.
+        // Aggregation. (`_starts` is handed out of the phase: it is freed
+        // with the rest of the working state, after the phase closes.)
+        let ((aggregates, group_keys, _starts), t) = timed_phase(dev, "materialize", || {
+            let mut aggregates = Vec::with_capacity(aggs.len());
+            for (j, agg) in aggs.iter().enumerate() {
+                let ordered: Column = if gftr {
+                    // Column 0 was sorted in the transformation phase.
                     first_col
                         .take()
-                        .expect("gftr with payloads always sorts col 0")
+                        .unwrap_or_else(|| sort_column(dev, keys, input.payload(j)).1)
                 } else {
-                    sort_col_with_key(dev, keys, input.payload(j)).1
-                }
-            } else {
-                // GFUR: unclustered gather through the sorted IDs.
-                let ids = sorted_ids.as_ref().expect("gfur sorted ids");
-                gather_column(dev, input.payload(j), ids)
-            };
-            aggregates.push(segmented_fold(dev, &ordered, &boundaries, *agg));
-        }
-        // Group keys: one value per segment start (clustered gather).
-        let starts = dev.upload(boundaries[..groups].to_vec(), "sort_gb.starts");
-        let group_keys = primitives::gather(dev, &sorted_keys, &starts);
-        phases.materialize = crate::phase_mark(dev, "materialize", t0);
+                    // GFUR: unclustered gather through the sorted IDs.
+                    let ids = sorted_ids.as_ref().expect("gfur sorted ids");
+                    gather_column(dev, input.payload(j), ids)
+                };
+                aggregates.push(segmented_fold(dev, &ordered, &boundaries, *agg));
+            }
+            // Group keys: one value per segment start (clustered gather).
+            let starts = dev.upload(boundaries[..groups].to_vec(), "sort_gb.starts");
+            let group_keys = primitives::gather(dev, &sorted_keys, &starts);
+            (aggregates, group_keys, starts)
+        });
+        phases.materialize = t;
 
         GroupByOutput {
             keys: K::wrap(group_keys),
@@ -125,11 +103,7 @@ pub fn sort_groupby(
             stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
         }
     }
-    dispatch_key_column(
-        input.key(),
-        |k| typed(k, dev, input, aggs, gftr),
-        |k| typed(k, dev, input, aggs, gftr),
-    )
+    columnar::dispatch_column!(input.key(), |k| typed(k, dev, input, aggs, gftr))
 }
 
 #[cfg(test)]

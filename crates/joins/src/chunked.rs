@@ -38,9 +38,10 @@ fn chunk_bytes_needed(r: &Relation, s: &Relation, chunk_rows: usize, out_rows: u
     let out_row: u64 = r.key().dtype().size()
         + r.payloads().iter().map(|c| c.dtype().size()).sum::<u64>()
         + s.payloads().iter().map(|c| c.dtype().size()).sum::<u64>();
-    let m_c = (chunk_rows.max(r.len()) as u64) * 8; // widest column pairs
-                                                    // Transformation intermediates: histograms and scans sized to the
-                                                    // fan-out the build side needs, plus fixed kernel scratch.
+    // Widest column pairs.
+    let m_c = (chunk_rows.max(r.len()) as u64) * 8;
+    // Transformation intermediates: histograms and scans sized to the
+    // fan-out the build side needs, plus fixed kernel scratch.
     let m_t = (64 << 10) + (r.len() as u64 / 512) * 16;
     chunk_rows as u64 * s_row           // staged probe chunk
         + out_rows as u64 * out_row     // output reservation for the chunk

@@ -10,7 +10,6 @@
 //! materialization by tuple ID.
 
 use crate::kinds::JoinKind;
-use crate::smj::dispatch_keys;
 use crate::{JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes, SimTime};
@@ -302,7 +301,7 @@ pub fn cpu_radix_join(dev: &Device, r: &Relation, s: &Relation, config: &JoinCon
             stats: OpStats::new(phases, rows, 0),
         }
     }
-    dispatch_keys!(r, s, typed(dev, r, s, config))
+    columnar::dispatch_column!(r.key(), s.key(), |rk, sk| typed(rk, sk, dev, r, s, config))
 }
 
 #[cfg(test)]

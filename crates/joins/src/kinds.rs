@@ -9,9 +9,8 @@
 //! gather R payloads as the type's null sentinel (`i32::MIN` / `i64::MIN`)
 //! through [`primitives::gather_or`].
 
-use crate::timed_phase;
 use columnar::ColumnElement;
-use primitives::{gather, MatchResult, NULL_ID, STREAM_WARP_INSTR};
+use primitives::{gather, timed_phase, MatchResult, NULL_ID, STREAM_WARP_INSTR};
 use serde::{Deserialize, Serialize};
 use sim::{Device, DeviceBuffer, SimTime};
 
@@ -56,7 +55,7 @@ pub(crate) struct KindAdjusted<K: sim::Element> {
     pub time: SimTime,
 }
 
-/// Mark which S positions appear in a (non-decreasing) match list and
+/// Mark which S positions appear in a match list (in any order) and
 /// return the unmatched ones. One streaming pass, charged.
 fn unmatched_positions(dev: &Device, s_idx: &DeviceBuffer<u32>, s_len: usize) -> Vec<u32> {
     let mut matched = vec![false; s_len];
@@ -85,10 +84,11 @@ pub(crate) fn apply_kind<K: ColumnElement>(
     s_keys_src: &DeviceBuffer<K>,
     s_len: usize,
 ) -> KindAdjusted<K> {
-    // Every match-finding kernel emits all matches of one probe row
-    // contiguously (probe-major order); in GFUR drivers the values are
-    // physical IDs, so they are grouped rather than sorted — which is all
-    // the semi-join deduplication below needs.
+    // No order is assumed of the match list. The merge join and the global
+    // hash table emit all matches of one probe row contiguously, but the
+    // partitioned hash joins re-stream the probe partition once per build
+    // chunk / bucket, so a probe row's matches recur once per chunk there;
+    // and under GFUR the values are physical IDs, grouped at best.
     let t0 = dev.elapsed();
     match kind {
         JoinKind::Inner => KindAdjusted {
@@ -99,11 +99,12 @@ pub(crate) fn apply_kind<K: ColumnElement>(
             time: SimTime::ZERO,
         },
         JoinKind::Semi => {
-            // Keep the first match of each S row: s_idx is non-decreasing,
-            // so "first" is "differs from predecessor" — one streaming pass
-            // plus a compaction gather.
+            // Keep the first match of each S row, by a seen-bitmap over S
+            // (as `unmatched_positions` does) — one streaming pass plus a
+            // compaction gather.
+            let mut seen = vec![false; s_len];
             let keep: Vec<u32> = (0..m.s_idx.len() as u32)
-                .filter(|&i| i == 0 || m.s_idx[i as usize] != m.s_idx[i as usize - 1])
+                .filter(|&i| !std::mem::replace(&mut seen[m.s_idx[i as usize] as usize], true))
                 .collect();
             dev.kernel("kind.semi_flags")
                 .items(m.s_idx.len() as u64, STREAM_WARP_INSTR)

@@ -1,20 +1,26 @@
 //! # joins — the paper's join implementations
 //!
-//! Four GPU join variants around the two transformation strategies (sort,
-//! partition) and the two materialization patterns (GFUR, GFTR):
+//! Every GPU join is one three-phase computation — transform, match
+//! finding, materialize (the paper's Algorithm 1) — with two free choices:
+//! the transformation and where payloads are gathered from (GFUR: the
+//! untransformed relations; GFTR: the transformed ones). `driver.rs` holds
+//! that computation once; an [`Algorithm`] is a row of this table
+//! (`Algorithm::recipe` in code):
 //!
-//! | name                        | transform        | materialization | section |
-//! |-----------------------------|------------------|-----------------|---------|
-//! | [`smj::smj_um`] (SMJ-UM)    | sort (key, ID)   | GFUR, unclustered gathers | 3.1 |
-//! | [`smj::smj_om`] (SMJ-OM)    | sort all columns | GFTR, clustered gathers   | 4.2 |
-//! | [`phj_um::phj_um`] (PHJ-UM) | bucket-chain partition (key, ID) | GFUR | 3.2 |
-//! | [`phj_om::phj_om`] (PHJ-OM) | stable radix partition, all columns | GFTR (or GFUR) | 4.3 |
+//! | algorithm   | transform                        | pattern | narrow join ⇒ | section |
+//! |-------------|----------------------------------|---------|---------------|---------|
+//! | SMJ-UM      | sort `(key, ID)`                 | GFUR, unclustered gathers | SMJ-OM | 3.1 |
+//! | SMJ-OM      | sort every column with the keys  | GFTR, clustered gathers   |        | 4.2 |
+//! | PHJ-UM      | bucket-chain partition `(key, ID)` (`phj_um.rs`) | GFUR      | PHJ-OM | 3.2 |
+//! | PHJ-OM      | stable radix partition, every column | GFTR                  |        | 4.3 |
+//! | PHJ-OM/GFUR | stable radix partition `(key, ID)`   | GFUR                  |        | 4.3 |
+//! | NPHJ        | none (global hash table, cuDF stand-in) | GFUR               |        | 5.2.2 |
 //!
-//! plus the two baselines of the evaluation:
-//!
-//! * [`nphj::nphj`] — non-partitioned global-hash-table join (cuDF stand-in);
-//! * [`cpu::cpu_radix_join`] — a real multi-threaded CPU radix join
-//!   (Balkesen et al. stand-in), measured in host wall-clock.
+//! A *narrow* join (at most one payload column per side) carries its payload
+//! as the pair value, so the UM variants *are* the OM paths there. The one
+//! baseline outside the table is [`cpu::cpu_radix_join`] — a real
+//! multi-threaded CPU radix join (Balkesen et al. stand-in), measured in
+//! host wall-clock.
 //!
 //! All of them consume [`columnar::Relation`]s and produce a [`JoinOutput`]
 //! with the materialized result plus per-phase timing and peak memory.
@@ -24,13 +30,17 @@
 
 pub mod chunked;
 pub mod cpu;
+mod driver;
 pub mod kinds;
-pub mod nphj;
 pub mod oracle;
-pub mod phj_om;
-pub mod phj_um;
+mod phj_um;
 pub mod plan;
-pub mod smj;
+
+// Per-algorithm test suites: each module holds only the documentation of its
+// algorithm's row and the unit tests that drive it through `run_join`.
+mod nphj;
+mod phj_om;
+mod smj;
 
 pub use kinds::JoinKind;
 
@@ -78,10 +88,10 @@ impl Algorithm {
     /// for gather-from-untransformed-relations, `"CPU"` for the host
     /// baseline.
     pub fn materialization(self) -> &'static str {
-        match self {
-            Algorithm::SmjOm | Algorithm::PhjOm => "GFTR",
-            Algorithm::SmjUm | Algorithm::PhjUm | Algorithm::PhjOmGfur | Algorithm::Nphj => "GFUR",
-            Algorithm::CpuRadix => "CPU",
+        match self.recipe(false) {
+            Some((_, driver::Pattern::Gftr, _)) => "GFTR",
+            Some((_, driver::Pattern::Gfur, _)) => "GFUR",
+            None => "CPU",
         }
     }
 
@@ -109,8 +119,10 @@ impl std::fmt::Display for Algorithm {
 /// ([`Device::reserve`]) with no host bytes behind them.
 pub(crate) struct OutputReservation {
     keys: Option<sim::Reservation>,
-    r_cols: Vec<Option<sim::Reservation>>,
-    s_cols: Vec<Option<sim::Reservation>>,
+    /// One piece per R payload column; set to `None` to release it.
+    pub(crate) r_cols: Vec<Option<sim::Reservation>>,
+    /// One piece per S payload column.
+    pub(crate) s_cols: Vec<Option<sim::Reservation>>,
 }
 
 impl OutputReservation {
@@ -130,16 +142,6 @@ impl OutputReservation {
     /// keys are written).
     pub(crate) fn release_keys(&mut self) {
         self.keys = None;
-    }
-
-    /// Release R payload column `i`'s reservation.
-    pub(crate) fn release_r(&mut self, i: usize) {
-        self.r_cols[i] = None;
-    }
-
-    /// Release S payload column `i`'s reservation.
-    pub(crate) fn release_s(&mut self, i: usize) {
-        self.s_cols[i] = None;
     }
 }
 
@@ -239,14 +241,12 @@ pub fn run_join(
 ) -> JoinOutput {
     let before = dev.counters();
     let t0 = dev.elapsed();
-    let mut out = match algorithm {
-        Algorithm::SmjUm => smj::smj_um(dev, r, s, config),
-        Algorithm::SmjOm => smj::smj_om(dev, r, s, config),
-        Algorithm::PhjUm => phj_um::phj_um(dev, r, s, config),
-        Algorithm::PhjOm => phj_om::phj_om(dev, r, s, config),
-        Algorithm::PhjOmGfur => phj_om::phj_om_gfur(dev, r, s, config),
-        Algorithm::Nphj => nphj::nphj(dev, r, s, config),
-        Algorithm::CpuRadix => cpu::cpu_radix_join(dev, r, s, config),
+    let narrow = r.num_payloads() <= 1 && s.num_payloads() <= 1;
+    let mut out = match algorithm.recipe(narrow) {
+        Some(recipe) => columnar::dispatch_column!(r.key(), s.key(), |rk, sk| {
+            driver::typed(rk, sk, dev, r, s, config, recipe)
+        }),
+        None => cpu::cpu_radix_join(dev, r, s, config),
     };
     out.stats.counters = dev.counters().delta_since(&before).0;
     out.stats.query = dev.query_id();
@@ -259,22 +259,6 @@ pub(crate) fn timed<T>(dev: &Device, f: impl FnOnce() -> T) -> (T, SimTime) {
     let t0 = dev.elapsed();
     let out = f();
     (out, dev.elapsed() - t0)
-}
-
-/// Time a closure in simulated device time *and* record it as a paper-phase
-/// span (`transform` / `match_find` / `materialize`) on the device trace.
-/// The returned duration is exactly the recorded span's, so phase-span sums
-/// in a trace reproduce [`sim::PhaseTimes`] bit for bit.
-pub(crate) fn timed_phase<T>(
-    dev: &Device,
-    phase: &'static str,
-    f: impl FnOnce() -> T,
-) -> (T, SimTime) {
-    let t0 = dev.elapsed();
-    let out = f();
-    let t1 = dev.elapsed();
-    dev.trace_span(sim::SpanCat::Phase, phase, t0, t1);
-    (out, t1 - t0)
 }
 
 /// Pick the radix fan-out: partitions sized to the shared-memory hash table,

@@ -1,5 +1,6 @@
-//! NPHJ: the traditional non-partitioned hash join over a global hash table
-//! in device memory — the cuDF baseline of the evaluation (Section 5.2.2).
+//! NPHJ through [`crate::run_join`]: the traditional non-partitioned hash
+//! join over a global hash table in device memory — the cuDF baseline of the
+//! evaluation (Section 5.2.2), `Transform::None` in [`crate::driver`].
 //!
 //! There is no transformation phase: R's keys go straight into a global
 //! table, S's keys probe it. Both steps are dominated by random accesses
@@ -8,91 +9,16 @@
 //! fits in L2). Materialization gathers the probe side clustered (matches
 //! come out in probe order) and the build side unclustered.
 
-use crate::kinds::{apply_kind_timed, JoinKind};
-use crate::smj::dispatch_keys;
-use crate::{timed_phase, JoinConfig, JoinOutput};
-use columnar::{Column, ColumnElement, Relation};
-use primitives::{gather_column, gather_column_or_null, GlobalHashTable};
-use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
-
-/// Non-partitioned (global hash table) join, GFUR materialization.
-pub fn nphj(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
-    #[allow(clippy::too_many_arguments)]
-    fn typed<K: ColumnElement>(
-        r_keys: &DeviceBuffer<K>,
-        s_keys: &DeviceBuffer<K>,
-        dev: &Device,
-        r: &Relation,
-        s: &Relation,
-        config: &JoinConfig,
-    ) -> JoinOutput {
-        dev.reset_peak_mem();
-        let mut reservation =
-            crate::OutputReservation::new(dev, r, s, crate::estimated_out_rows(config, s));
-        let mut phases = PhaseTimes::default();
-
-        // Match finding: build + probe (no transformation phase at all —
-        // the cuDF structure the paper describes for Figure 8).
-        let (m, t) = timed_phase(dev, "match_find", || {
-            let mut ht = GlobalHashTable::new(dev, r_keys.len());
-            ht.build(dev, r_keys);
-            reservation.release_keys();
-            ht.probe(dev, s_keys)
-        });
-        phases.match_find = t;
-        // Kind adjustment in physical-ID space (NPHJ never transforms).
-        let adj = apply_kind_timed(dev, config.kind, m, s_keys, s.len());
-        phases.match_find += adj.time;
-
-        // Materialization: r_map is a random permutation (hash order), s_map
-        // is the probe order — clustered.
-        let ((r_payloads, s_payloads), t) = timed_phase(dev, "materialize", || {
-            let rp: Vec<Column> = if adj.materialize_r {
-                r.payloads()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        reservation.release_r(i);
-                        if config.kind == JoinKind::Outer {
-                            gather_column_or_null(dev, c, &adj.r_map)
-                        } else {
-                            gather_column(dev, c, &adj.r_map)
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let sp: Vec<Column> = s
-                .payloads()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    reservation.release_s(i);
-                    gather_column(dev, c, &adj.s_map)
-                })
-                .collect();
-            (rp, sp)
-        });
-        phases.materialize = t;
-
-        let rows = adj.keys.len();
-        JoinOutput {
-            keys: K::wrap(adj.keys),
-            r_payloads,
-            s_payloads,
-            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
-        }
-    }
-    dispatch_keys!(r, s, typed(dev, r, s, config))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::oracle::hash_join_oracle;
-    use columnar::Column;
+    use crate::{run_join, Algorithm, JoinConfig, JoinOutput};
+    use columnar::{Column, Relation};
     use sim::Device;
+
+    fn nphj(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
+        run_join(dev, Algorithm::Nphj, r, s, config)
+    }
 
     #[test]
     fn nphj_matches_oracle() {

@@ -1,6 +1,7 @@
-//! PHJ-UM: the bucket-chain partitioned hash join of Sioulas et al.
-//! (Section 3.2, Figure 3) — the GFUR state of the art the paper improves
-//! on.
+//! PHJ-UM's transformation and match finding: the bucket-chain partitioned
+//! hash join of Sioulas et al. (Section 3.2, Figure 3) — the GFUR state of
+//! the art the paper improves on. [`crate::driver`] runs it as
+//! `Transform::BucketChain`.
 //!
 //! Partitions live in chains of fixed-size buckets carved out of a
 //! pre-allocated pool. Buckets are claimed and filled with atomic
@@ -14,23 +15,18 @@
 //!   positional lookup into a partitioned column is not O(1).
 //!
 //! Together these are why the GFTR pattern cannot be retrofitted onto
-//! bucket chaining (Section 4.3) and why this implementation always
+//! bucket chaining (Section 4.3) and why this transform always
 //! materializes through unclustered gathers. The atomic bookkeeping also
 //! makes the partitioner collapse under heavy skew (Figure 14), which the
 //! cost model charges via the hottest partition's serialized atomics.
 
-use crate::kinds::{apply_kind_timed, JoinKind};
-use crate::smj::{dispatch_keys, iota};
-use crate::{choose_radix_bits, timed_phase, JoinConfig, JoinOutput};
-use columnar::{Column, ColumnElement, Relation};
-use primitives::{
-    gather_column, gather_column_or_null, MatchResult, BUILD_WARP_INSTR, PROBE_WARP_INSTR,
-    SCATTER_WARP_INSTR,
-};
-use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes};
+use crate::JoinConfig;
+use columnar::ColumnElement;
+use primitives::{iota, BUILD_WARP_INSTR, PROBE_WARP_INSTR, SCATTER_WARP_INSTR};
+use sim::{Device, DeviceBuffer, Element};
 
 /// A relation's keys and physical IDs, partitioned into bucket chains.
-struct BucketChains<K: Element> {
+pub(crate) struct BucketChains<K: Element> {
     /// Bucket pool for keys; buckets are `bucket_tuples` wide.
     pool_keys: DeviceBuffer<K>,
     /// Bucket pool for physical tuple IDs.
@@ -55,7 +51,7 @@ fn scheduled_blocks(num_blocks: usize, seed: u64) -> Vec<usize> {
 
 /// Partition `(keys, physical IDs)` into bucket chains, charging the
 /// two-pass atomic partitioning cost of Sioulas et al.
-fn bucket_partition<K: ColumnElement>(
+pub(crate) fn bucket_partition<K: ColumnElement>(
     dev: &Device,
     keys: &DeviceBuffer<K>,
     bits: u32,
@@ -135,7 +131,7 @@ fn bucket_partition<K: ColumnElement>(
 /// Join co-partitions bucket by bucket: build a shared-memory table per
 /// build bucket, stream the probe chain through it (block-nested-loop when
 /// a build partition has several buckets — Section 3.2).
-fn bucket_join<K: ColumnElement>(
+pub(crate) fn bucket_join<K: ColumnElement>(
     dev: &Device,
     r: &BucketChains<K>,
     s: &BucketChains<K>,
@@ -202,114 +198,14 @@ fn bucket_join<K: ColumnElement>(
     (out_keys, out_r, out_s)
 }
 
-/// PHJ-UM: bucket-chain partitioned hash join with GFUR materialization.
-///
-/// For *narrow* joins (at most one payload column per side) the classic
-/// implementation carries the payload directly as the pair value, so no
-/// materialization gather happens at all — which is why the paper finds
-/// PHJ-UM and PHJ-OM "very close" on narrow inputs (Section 5.2.2). We
-/// reuse the radix-partitioned GFTR path for that case; the
-/// bucket-chain machinery below is the wide-join path, where the ID detour
-/// (and its skew-sensitive atomic partitioning) is unavoidable.
-pub fn phj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
-    if r.num_payloads() <= 1 && s.num_payloads() <= 1 {
-        return crate::phj_om::phj_om(dev, r, s, config);
-    }
-    fn typed<K: ColumnElement>(
-        r_keys: &DeviceBuffer<K>,
-        s_keys: &DeviceBuffer<K>,
-        dev: &Device,
-        r: &Relation,
-        s: &Relation,
-        config: &JoinConfig,
-    ) -> JoinOutput {
-        dev.reset_peak_mem();
-        let mut reservation =
-            crate::OutputReservation::new(dev, r, s, crate::estimated_out_rows(config, s));
-        let mut phases = PhaseTimes::default();
-        let bits = choose_radix_bits(dev, r.len().max(1), K::SIZE, config);
-
-        let ((rc, sc), t) = timed_phase(dev, "transform", || {
-            (
-                bucket_partition(dev, r_keys, bits, config),
-                bucket_partition(dev, s_keys, bits, config),
-            )
-        });
-        phases.transform = t;
-
-        let ((keys, r_ids, s_ids), t) = timed_phase(dev, "match_find", || {
-            reservation.release_keys();
-            let (k, ri, si) = bucket_join(dev, &rc, &sc);
-            (
-                dev.upload(k, "phj_um.out_keys"),
-                dev.upload(ri, "phj_um.out_r_ids"),
-                dev.upload(si, "phj_um.out_s_ids"),
-            )
-        });
-        phases.match_find = t;
-        drop((rc, sc));
-        // Kind adjustment in physical-ID space.
-        let adj = apply_kind_timed(
-            dev,
-            config.kind,
-            MatchResult {
-                keys,
-                r_idx: r_ids,
-                s_idx: s_ids,
-            },
-            s_keys,
-            s.len(),
-        );
-        phases.match_find += adj.time;
-
-        let ((r_payloads, s_payloads), t) = timed_phase(dev, "materialize", || {
-            let rp: Vec<Column> = if adj.materialize_r {
-                r.payloads()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        reservation.release_r(i);
-                        if config.kind == JoinKind::Outer {
-                            gather_column_or_null(dev, c, &adj.r_map)
-                        } else {
-                            gather_column(dev, c, &adj.r_map)
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let sp: Vec<Column> = s
-                .payloads()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    reservation.release_s(i);
-                    gather_column(dev, c, &adj.s_map)
-                })
-                .collect();
-            (rp, sp)
-        });
-        phases.materialize = t;
-
-        let rows = adj.keys.len();
-        JoinOutput {
-            keys: K::wrap(adj.keys),
-            r_payloads,
-            s_payloads,
-            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
-        }
-    }
-    dispatch_keys!(r, s, typed(dev, r, s, config))
-}
-
 /// Fingerprint of the bucket-pool layout a given scheduler seed produces for
 /// a relation's keys — used to *demonstrate* the non-determinism of bucket
 /// chaining (Section 4.3): different seeds generally give different
 /// fingerprints while the join result stays identical.
-pub fn layout_fingerprint(dev: &Device, rel: &Relation, config: &JoinConfig) -> u64 {
+#[cfg(test)]
+fn layout_fingerprint(dev: &Device, rel: &columnar::Relation, config: &JoinConfig) -> u64 {
     fn typed<K: ColumnElement>(keys: &DeviceBuffer<K>, dev: &Device, config: &JoinConfig) -> u64 {
-        let bits = choose_radix_bits(dev, keys.len().max(1), K::SIZE, config);
+        let bits = crate::choose_radix_bits(dev, keys.len().max(1), K::SIZE, config);
         let chains = bucket_partition(dev, keys, bits, config);
         let mut h = 0xcbf29ce484222325u64;
         for part in &chains.chains {
@@ -322,18 +218,19 @@ pub fn layout_fingerprint(dev: &Device, rel: &Relation, config: &JoinConfig) -> 
         }
         h
     }
-    match rel.key() {
-        Column::I32(k) => typed(k, dev, config),
-        Column::I64(k) => typed(k, dev, config),
-    }
+    columnar::dispatch_column!(rel.key(), |k| typed(k, dev, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::hash_join_oracle;
-    use columnar::Column;
-    use sim::Device;
+    use crate::{run_join, Algorithm, JoinOutput};
+    use columnar::{Column, Relation};
+
+    fn phj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
+        run_join(dev, Algorithm::PhjUm, r, s, config)
+    }
 
     fn inputs(dev: &Device, nr: usize, ns: usize) -> (Relation, Relation) {
         let pk: Vec<i32> = (0..nr as i32).map(|i| (i * 37 + 11) % nr as i32).collect();

@@ -1,9 +1,7 @@
-//! Sort-merge joins: SMJ-UM (Section 3.1, the GFUR state of the art) and
-//! SMJ-OM (Section 4.2, the paper's GFTR variant).
-//!
-//! Both sort with [`primitives::sort_pairs`] and match with the merge-path
-//! merge join. They differ only in what gets sorted and where payload values
-//! are gathered from:
+//! Sort-merge joins through [`crate::run_join`]: SMJ-UM (Section 3.1, the
+//! GFUR state of the art) and SMJ-OM (Section 4.2, the paper's GFTR variant)
+//! are `Transform::Sort` in [`crate::driver`] and differ only in what gets
+//! sorted and where payload values are gathered from:
 //!
 //! * **SMJ-UM** sorts `(key, physical ID)` and materializes by gathering
 //!   payloads from the *original* relations — the IDs are a random
@@ -15,281 +13,20 @@
 //!   lazily in the materialization phase, one at a time, which also keeps
 //!   peak memory below GFUR's (Tables 1-2).
 
-use crate::kinds::{apply_kind_timed, JoinKind};
-use crate::{timed_phase, JoinConfig, JoinOutput};
-use columnar::{Column, ColumnElement, Relation};
-use primitives::{
-    gather, gather_column, gather_column_or_null, merge_join, sort_pairs, MatchResult,
-};
-use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
-
-/// Generate physical tuple identifiers `0..n` (one streaming write).
-pub(crate) fn iota(dev: &Device, n: usize, label: &'static str) -> DeviceBuffer<u32> {
-    let ids = dev.upload((0..n as u32).collect(), label);
-    dev.kernel("iota")
-        .items(n as u64, primitives::STREAM_WARP_INSTR)
-        .seq_write_bytes(n as u64 * 4)
-        .launch();
-    ids
-}
-
-/// Sort a payload column by the relation's key column, returning the sorted
-/// keys and the co-sorted payload. Stability of the radix sort guarantees
-/// every payload column of a relation ends up in the *same* order.
-pub(crate) fn sort_payload_with_key<K: ColumnElement>(
-    dev: &Device,
-    keys: &DeviceBuffer<K>,
-    payload: &Column,
-) -> (DeviceBuffer<K>, Column) {
-    match payload {
-        Column::I32(v) => {
-            let (k, v) = sort_pairs(dev, keys, v);
-            (k, Column::I32(v))
-        }
-        Column::I64(v) => {
-            let (k, v) = sort_pairs(dev, keys, v);
-            (k, Column::I64(v))
-        }
-    }
-}
-
-/// Dispatch a typed join body over the (matching) key types of two
-/// relations.
-macro_rules! dispatch_keys {
-    ($r:expr, $s:expr, $body:ident($($args:expr),*)) => {
-        match ($r.key(), $s.key()) {
-            (Column::I32(rk), Column::I32(sk)) => $body(rk, sk $(, $args)*),
-            (Column::I64(rk), Column::I64(sk)) => $body(rk, sk $(, $args)*),
-            (a, b) => panic!(
-                "join keys must share a physical type, got {:?} vs {:?}",
-                a.dtype(),
-                b.dtype()
-            ),
-        }
-    };
-}
-pub(crate) use dispatch_keys;
-
-/// SMJ-UM: sort-merge join with unoptimized (GFUR) materialization.
-///
-/// For *narrow* joins (at most one payload column per side) the classic
-/// implementation sorts the payload directly as the value of the
-/// `(key, value)` pair instead of taking the ID + gather detour, which makes
-/// it operationally identical to SMJ-OM — exactly the paper's observation
-/// ("since the joins are narrow, SMJ-OM is identical to SMJ-UM",
-/// Section 5.2.2). We reuse the GFTR code path for that case.
-pub fn smj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
-    if r.num_payloads() <= 1 && s.num_payloads() <= 1 {
-        return smj_om(dev, r, s, config);
-    }
-    fn typed<K: ColumnElement>(
-        r_keys: &DeviceBuffer<K>,
-        s_keys: &DeviceBuffer<K>,
-        dev: &Device,
-        r: &Relation,
-        s: &Relation,
-        config: &JoinConfig,
-    ) -> JoinOutput {
-        dev.reset_peak_mem();
-        let mut reservation =
-            crate::OutputReservation::new(dev, r, s, crate::estimated_out_rows(config, s));
-        let mut phases = PhaseTimes::default();
-
-        // Transformation: associate physical IDs, sort (key, ID) pairs.
-        let ((rs, ss), t) = timed_phase(dev, "transform", || {
-            let r_ids = iota(dev, r_keys.len(), "smj_um.r_ids");
-            let s_ids = iota(dev, s_keys.len(), "smj_um.s_ids");
-            (
-                sort_pairs(dev, r_keys, &r_ids),
-                sort_pairs(dev, s_keys, &s_ids),
-            )
-        });
-        phases.transform = t;
-
-        // Match finding: merge the sorted keys, then translate the merge
-        // positions into physical IDs (clustered lookups into the sorted ID
-        // arrays — on hardware the IDs ride through the merge kernel).
-        let ((keys, r_ids, s_ids), t) = timed_phase(dev, "match_find", || {
-            reservation.release_keys();
-            let m = merge_join(dev, &rs.0, &ss.0, config.unique_build);
-            let r_ids = gather(dev, &rs.1, &m.r_idx);
-            let s_ids = gather(dev, &ss.1, &m.s_idx);
-            (m.keys, r_ids, s_ids)
-        });
-        phases.match_find = t;
-        drop((rs, ss));
-        // Kind adjustment in physical-ID space (original S keys source).
-        let adj = apply_kind_timed(
-            dev,
-            config.kind,
-            MatchResult {
-                keys,
-                r_idx: r_ids,
-                s_idx: s_ids,
-            },
-            s_keys,
-            s.len(),
-        );
-        phases.match_find += adj.time;
-
-        // Materialization: unclustered gathers from the original columns.
-        let ((r_payloads, s_payloads), t) = timed_phase(dev, "materialize", || {
-            let rp: Vec<Column> = if adj.materialize_r {
-                r.payloads()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        reservation.release_r(i);
-                        if config.kind == JoinKind::Outer {
-                            gather_column_or_null(dev, c, &adj.r_map)
-                        } else {
-                            gather_column(dev, c, &adj.r_map)
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let sp: Vec<Column> = s
-                .payloads()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    reservation.release_s(i);
-                    gather_column(dev, c, &adj.s_map)
-                })
-                .collect();
-            (rp, sp)
-        });
-        phases.materialize = t;
-
-        let rows = adj.keys.len();
-        JoinOutput {
-            keys: K::wrap(adj.keys),
-            r_payloads,
-            s_payloads,
-            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
-        }
-    }
-    dispatch_keys!(r, s, typed(dev, r, s, config))
-}
-
-/// SMJ-OM: sort-merge join with optimized (GFTR) materialization —
-/// Algorithm 1 with `transform = sort`.
-pub fn smj_om(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
-    fn typed<K: ColumnElement>(
-        r_keys: &DeviceBuffer<K>,
-        s_keys: &DeviceBuffer<K>,
-        dev: &Device,
-        r: &Relation,
-        s: &Relation,
-        config: &JoinConfig,
-    ) -> JoinOutput {
-        dev.reset_peak_mem();
-        let mut reservation =
-            crate::OutputReservation::new(dev, r, s, crate::estimated_out_rows(config, s));
-        let mut phases = PhaseTimes::default();
-
-        // Transformation (Algorithm 1, lines 1-2): sort keys together with
-        // the *first* payload column of each side. Payload-less sides sort
-        // keys alone (modeled as a key-only pair sort with 4-byte IDs).
-        let ((rt, st), t) = timed_phase(dev, "transform", || {
-            let rt = match r.payloads().first() {
-                Some(p) => {
-                    let (k, p) = sort_payload_with_key(dev, r_keys, p);
-                    (k, Some(p))
-                }
-                None => {
-                    let ids = iota(dev, r_keys.len(), "smj_om.r_ids");
-                    (sort_pairs(dev, r_keys, &ids).0, None)
-                }
-            };
-            let st = match s.payloads().first() {
-                Some(p) => {
-                    let (k, p) = sort_payload_with_key(dev, s_keys, p);
-                    (k, Some(p))
-                }
-                None => {
-                    let ids = iota(dev, s_keys.len(), "smj_om.s_ids");
-                    (sort_pairs(dev, s_keys, &ids).0, None)
-                }
-            };
-            (rt, st)
-        });
-        phases.transform = t;
-
-        // Match finding (line 3): virtual IDs fall straight out of the
-        // merge — they are positions in the sorted relations.
-        let (rt_keys, mut rt_p0) = rt;
-        let (st_keys, mut st_p0) = st;
-        let (m, t) = timed_phase(dev, "match_find", || {
-            reservation.release_keys();
-            merge_join(dev, &rt_keys, &st_keys, config.unique_build)
-        });
-        phases.match_find = t;
-        // Kind adjustment in transformed (sorted) space — the sorted S keys
-        // supply unmatched-row key values for anti/outer joins.
-        let adj = apply_kind_timed(dev, config.kind, m, &st_keys, st_keys.len());
-        phases.match_find += adj.time;
-        // GFTR frees the transformed *keys* after match finding but keeps
-        // the transformed payload columns (Section 4.4).
-        drop((rt_keys, st_keys));
-
-        // Materialization (lines 4-9): clustered gather of the two already
-        // sorted payload columns; remaining columns are sorted on demand,
-        // one at a time, then gathered (and each transformed column is
-        // released as soon as its gather completes — Table 2).
-        let gather_r = |src: &Column, map| {
-            if config.kind == JoinKind::Outer {
-                gather_column_or_null(dev, src, map)
-            } else {
-                gather_column(dev, src, map)
-            }
-        };
-        let ((r_payloads, s_payloads), t) = timed_phase(dev, "materialize", || {
-            let mut rp = Vec::with_capacity(r.num_payloads());
-            if adj.materialize_r {
-                if let Some(p0) = rt_p0.take() {
-                    reservation.release_r(0);
-                    rp.push(gather_r(&p0, &adj.r_map));
-                }
-                for (i, c) in r.payloads().iter().enumerate().skip(1) {
-                    let (_, sorted) = sort_payload_with_key(dev, r_keys, c);
-                    reservation.release_r(i);
-                    rp.push(gather_r(&sorted, &adj.r_map));
-                }
-            }
-            let mut sp = Vec::with_capacity(s.num_payloads());
-            if let Some(p0) = st_p0.take() {
-                reservation.release_s(0);
-                sp.push(gather_column(dev, &p0, &adj.s_map));
-            }
-            for (i, c) in s.payloads().iter().enumerate().skip(1) {
-                let (_, sorted) = sort_payload_with_key(dev, s_keys, c);
-                reservation.release_s(i);
-                sp.push(gather_column(dev, &sorted, &adj.s_map));
-            }
-            (rp, sp)
-        });
-        phases.materialize = t;
-
-        let rows = adj.keys.len();
-        JoinOutput {
-            keys: K::wrap(adj.keys),
-            r_payloads,
-            s_payloads,
-            stats: OpStats::new(phases, rows, dev.mem_report().peak_bytes),
-        }
-    }
-    dispatch_keys!(r, s, typed(dev, r, s, config))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::oracle::hash_join_oracle;
-    use columnar::Column;
+    use crate::{run_join, Algorithm, JoinConfig, JoinOutput};
+    use columnar::{Column, Relation};
     use sim::Device;
+
+    fn smj_um(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
+        run_join(dev, Algorithm::SmjUm, r, s, config)
+    }
+
+    fn smj_om(dev: &Device, r: &Relation, s: &Relation, config: &JoinConfig) -> JoinOutput {
+        run_join(dev, Algorithm::SmjOm, r, s, config)
+    }
 
     fn pk_fk_inputs(dev: &Device, nr: usize, ns: usize) -> (Relation, Relation) {
         // Shuffled primary keys 0..nr; foreign keys cycle with stride.

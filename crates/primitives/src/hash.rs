@@ -89,8 +89,10 @@ pub fn linear_probe_slots<'a>(
 /// partition once per chunk.
 ///
 /// Returned positions are *global* indices into the partitioned arrays, and
-/// the probe-side (`s_idx`) output is non-decreasing — the clustering that
-/// GFTR's cheap materialization relies on.
+/// the probe-side (`s_idx`) output is non-decreasing within each build
+/// chunk — the clustering that GFTR's cheap materialization relies on. (A
+/// build partition of several chunks re-streams its probe partition, so a
+/// probe row's matches then recur once per chunk.)
 pub fn join_copartitions<K: Element + Eq>(
     dev: &Device,
     r_keys: &DeviceBuffer<K>,

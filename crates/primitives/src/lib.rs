@@ -19,6 +19,9 @@
 //!   (the match-finding kernel of the paper's PHJ-OM, Section 4.3).
 //! * [`GlobalHashTable`] — a non-partitioned global hash table (the cuDF
 //!   baseline's core).
+//! * [`sort_column`] / [`radix_partition_column`] — transform one payload
+//!   [`columnar::Column`] with its relation's keys; [`iota`] — the physical
+//!   ID column transformed instead when payloads stay put (GFUR).
 //! * [`exclusive_scan`], [`run_boundaries`] — support primitives for
 //!   partition offsets and sort-based grouped aggregation.
 //! * [`compact_mask`] — prefix-sum stream compaction of a predicate byte
@@ -38,6 +41,25 @@ pub use gather::{gather, gather_column, gather_column_or_null, gather_or, scatte
 pub use hash::{join_copartitions, CoPartitionCost};
 pub use hash::{linear_probe_slots, GlobalHashTable, MatchResult};
 pub use merge::{merge_join, merge_path_partitions};
-pub use partition::{partition_of, radix_partition, radix_partition_pass, PartitionedPairs};
-pub use scan::{compact_mask, exclusive_scan, run_boundaries};
-pub use sort::{sort_pairs, sort_pairs_bits};
+pub use partition::{
+    partition_of, radix_partition, radix_partition_column, radix_partition_pass, PartitionedPairs,
+};
+pub use scan::{compact_mask, exclusive_scan, iota, run_boundaries};
+pub use sort::{sort_column, sort_pairs, sort_pairs_bits};
+
+/// Time a closure in simulated device time *and* record it as a paper-phase
+/// span (`transform` / `match_find` / `materialize`) on the device trace —
+/// the one phase bracket of every join and group-by driver. The returned
+/// duration is exactly the recorded span's, so phase-span sums in a trace
+/// reproduce [`sim::PhaseTimes`] bit for bit.
+pub fn timed_phase<T>(
+    dev: &sim::Device,
+    phase: &'static str,
+    f: impl FnOnce() -> T,
+) -> (T, sim::SimTime) {
+    let t0 = dev.elapsed();
+    let out = f();
+    let t1 = dev.elapsed();
+    dev.trace_span(sim::SpanCat::Phase, phase, t0, t1);
+    (out, t1 - t0)
+}

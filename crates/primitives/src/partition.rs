@@ -7,6 +7,7 @@
 //! column identically to its key column.
 
 use crate::{exclusive_scan, HISTOGRAM_WARP_INSTR, SCATTER_WARP_INSTR};
+use columnar::{Column, ColumnElement};
 use sim::{Device, DeviceBuffer, Element};
 
 /// Output of [`radix_partition`]: reordered pairs plus partition offsets.
@@ -167,6 +168,21 @@ pub fn radix_partition<K: Element, V: Element>(
         offsets,
         bits,
     }
+}
+
+/// [`radix_partition`] a payload column with its relation's keys, returning
+/// the partitioned keys, the column and the partition offsets. Stability
+/// gives every column partitioned with the same keys an identical layout.
+pub fn radix_partition_column<K: Element>(
+    dev: &Device,
+    keys: &DeviceBuffer<K>,
+    col: &Column,
+    bits: u32,
+) -> (DeviceBuffer<K>, Column, Vec<u32>) {
+    columnar::dispatch_column!(col, |v| {
+        let p = radix_partition(dev, keys, v, bits);
+        (p.keys, ColumnElement::wrap(p.vals), p.offsets)
+    })
 }
 
 #[cfg(test)]

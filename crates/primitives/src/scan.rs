@@ -1,7 +1,19 @@
-//! Prefix scans, sorted-run boundary detection and mask compaction.
+//! Prefix scans, ID generation, sorted-run boundary detection and mask
+//! compaction.
 
 use crate::STREAM_WARP_INSTR;
 use sim::{Device, DeviceBuffer};
+
+/// Generate physical tuple identifiers `0..n` (one streaming write) — the
+/// ID column GFUR transforms with the keys instead of the payloads.
+pub fn iota(dev: &Device, n: usize, label: &'static str) -> DeviceBuffer<u32> {
+    let ids = dev.upload((0..n as u32).collect(), label);
+    dev.kernel("iota")
+        .items(n as u64, STREAM_WARP_INSTR)
+        .seq_write_bytes(n as u64 * 4)
+        .launch();
+    ids
+}
 
 /// Exclusive prefix sum of `counts`, returning a vector one element longer:
 /// `out[i]` is the sum of `counts[..i]`, `out[counts.len()]` the grand total.

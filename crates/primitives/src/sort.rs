@@ -5,6 +5,7 @@
 //! of key and payload arrays quoted in Section 4.2.
 
 use crate::partition::radix_partition_pass;
+use columnar::{Column, ColumnElement};
 use sim::{Device, DeviceBuffer, Element};
 
 /// Sort pairs by the low `bits` of the key's radix image.
@@ -47,6 +48,21 @@ pub fn sort_pairs<K: Element, V: Element>(
     vals: &DeviceBuffer<V>,
 ) -> (DeviceBuffer<K>, DeviceBuffer<V>) {
     sort_pairs_bits(dev, keys, vals, (K::SIZE * 8) as u32)
+}
+
+/// Sort a payload column by its relation's keys, returning the sorted keys
+/// and the co-sorted column. Stability of the radix sort guarantees every
+/// column of a relation sorted this way ends up in the *same* order — what
+/// lets GFTR sort columns one at a time (Algorithm 1).
+pub fn sort_column<K: Element>(
+    dev: &Device,
+    keys: &DeviceBuffer<K>,
+    col: &Column,
+) -> (DeviceBuffer<K>, Column) {
+    columnar::dispatch_column!(col, |v| {
+        let (k, v) = sort_pairs(dev, keys, v);
+        (k, ColumnElement::wrap(v))
+    })
 }
 
 #[cfg(test)]

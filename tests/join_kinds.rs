@@ -107,26 +107,42 @@ fn duplicates_on_build_side_dedup_in_semi() {
             Column::from_i32(&dev, vec![5, 6, 7, 8], "q"),
         ],
     );
-    let s = Relation::new(
-        "S",
-        Column::from_i32(&dev, vec![7, 8], "k"),
-        vec![
-            Column::from_i64(&dev, vec![70, 80], "x"),
-            Column::from_i64(&dev, vec![71, 81], "y"),
-        ],
-    );
+    let probe = |keys: Vec<i32>| {
+        let x = keys.iter().map(|&k| k as i64 * 10).collect();
+        let y = keys.iter().map(|&k| k as i64 * 10 + 1).collect();
+        Relation::new(
+            "S",
+            Column::from_i32(&dev, keys, "k"),
+            vec![
+                Column::from_i64(&dev, x, "x"),
+                Column::from_i64(&dev, y, "y"),
+            ],
+        )
+    };
     let config = JoinConfig {
         unique_build: false,
         kind: JoinKind::Semi,
         ..JoinConfig::default()
     };
-    for alg in ALGS {
-        let out = joins::run_join(&dev, alg, &r, &s, &config);
-        assert_eq!(
-            out.rows_sorted(),
-            vec![vec![7, 70, 71]],
-            "{alg}: one semi row despite 3 build matches"
-        );
+    // Second input: two-tuple buckets spread key 7's three build rows over
+    // two buckets of one chain, so the bucket-chain join emits each probe
+    // row's matches once per bucket rather than contiguously.
+    let chained = JoinConfig {
+        bucket_tuples: 2,
+        ..config.clone()
+    };
+    for (s, config, expected) in [
+        (probe(vec![7, 8]), &config, vec![vec![7, 70, 71]]),
+        (probe(vec![7, 7, 8]), &chained, vec![vec![7, 70, 71]; 2]),
+    ] {
+        for alg in ALGS {
+            let out = joins::run_join(&dev, alg, &r, &s, config);
+            assert_eq!(
+                out.rows_sorted(),
+                expected,
+                "{alg}: one semi row per matching probe row despite 3 build matches"
+            );
+        }
     }
 }
 

@@ -155,6 +155,51 @@ proptest! {
     }
 
     #[test]
+    fn join_kinds_match_oracle_with_duplicate_heavy_keys(
+        r in rel_strategy(150, 3),
+        s in rel_strategy(150, 3),
+        kind_sel in 0usize..4,
+        bucket_sel in 0usize..2,
+    ) {
+        // Six distinct keys on both sides (the many-to-many blow-up), tiny
+        // buckets and, on the shrunken device, build partitions of several
+        // shared-memory chunks: the partitioned hash joins re-stream the
+        // probe side once per bucket / chunk, so one probe row's matches
+        // are *not* contiguous in the match list the kind adjustment sees.
+        use joins::JoinKind;
+        let kind = [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti, JoinKind::Outer][kind_sel];
+        let dev = Device::new(sim::DeviceConfig::a100().scaled(1024.0));
+        let rr = build(&dev, &r, "R");
+        let ss = build(&dev, &s, "S");
+        let expected = joins::oracle::join_oracle_kind(&rr, &ss, kind);
+        let config = JoinConfig {
+            unique_build: false,
+            kind,
+            bucket_tuples: [2, 16][bucket_sel],
+            radix_bits: Some(1),
+            ..JoinConfig::default()
+        };
+        for alg in [
+            Algorithm::SmjUm,
+            Algorithm::SmjOm,
+            Algorithm::PhjUm,
+            Algorithm::PhjOm,
+            Algorithm::PhjOmGfur,
+            Algorithm::Nphj,
+        ] {
+            let out = joins::run_join(&dev, alg, &rr, &ss, &config);
+            prop_assert_eq!(
+                out.rows_sorted(),
+                expected.clone(),
+                "{} {} bucket_tuples={}",
+                alg,
+                kind.name(),
+                config.bucket_tuples
+            );
+        }
+    }
+
+    #[test]
     fn memory_model_dominance(m_t in 0u64..1_000_000, m_c in 1u64..1_000_000_000) {
         prop_assert!(
             gpu_join::memory_model::gftr_peak(m_t, m_c)
