@@ -158,8 +158,8 @@ pub fn run(session: &mut Session) -> Report {
         // report; under --observe, record the round-robin round's.
         if policy == Policy::RoundRobin {
             for r in &s.reports {
-                if let Some(ex) = &r.explain {
-                    session.record_explain(&format!("m01 round-robin tenant {}", r.query), ex);
+                if let Some(ex) = r.explain(dev.config()) {
+                    session.record_explain(&format!("m01 round-robin tenant {}", r.query), &ex);
                 }
             }
         }

@@ -125,12 +125,12 @@ pub fn run(session: &mut Session) -> Report {
             .fold(0.0, f64::max);
         let span = last_completion - first_arrival;
         let achieved_qps = reports.len() as f64 / span;
-        let busy: f64 = snap.lifecycles.iter().map(|l| l.busy_secs).sum();
+        let busy: f64 = snap.lifecycles.iter().map(|l| l.sched.busy_secs).sum();
         let utilization = busy / span;
         let in_system: f64 = snap
             .lifecycles
             .iter()
-            .map(|l| l.completion_secs - l.arrival_secs)
+            .map(|l| l.sched.completion_secs - l.sched.arrival_secs)
             .sum::<f64>()
             / span;
 
@@ -192,7 +192,7 @@ pub fn run(session: &mut Session) -> Report {
             if let Some(trace) = dev.trace_snapshot() {
                 let explains: Vec<_> = reports
                     .iter()
-                    .filter_map(|r| r.explain.clone().map(|e| (r.query, e)))
+                    .filter_map(|r| r.explain(dev.config()).map(|e| (r.query, e)))
                     .collect();
                 let digest = engine::slow_queries(&trace, &snap, &explains);
                 session.record_digest(&format!("m02_serving rho={rho:.2}"), &digest);

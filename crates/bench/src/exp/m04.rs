@@ -108,7 +108,7 @@ pub fn run(session: &mut Session) -> Report {
         let trace = dev.trace_snapshot().expect("trace recorder is on");
         let explains: Vec<_> = reports
             .iter()
-            .filter_map(|r| r.explain.clone().map(|e| (r.query, e)))
+            .filter_map(|r| r.explain(dev.config()).map(|e| (r.query, e)))
             .collect();
         let digest = engine::slow_queries(&trace, &snap, &explains);
         assert_eq!(digest.queries, ARRIVALS_PER_STEP);

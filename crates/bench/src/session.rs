@@ -285,7 +285,8 @@ mod tests {
                 .metrics_snapshot()
                 .unwrap()
                 .totals
-                .launches,
+                .work
+                .kernel_launches,
             1
         );
     }

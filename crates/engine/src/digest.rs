@@ -208,7 +208,7 @@ pub fn slow_queries(
     let mut slow: Vec<SlowQueryReport> = Vec::new();
     for (id, acc, latency_ns) in &completed {
         let lifecycle = metrics.lifecycles.iter().find(|l| l.query == *id);
-        let slo_ns = lifecycle.and_then(|l| l.slo_secs).map(secs_to_ticks);
+        let slo_ns = lifecycle.and_then(|l| l.sched.slo_secs).map(secs_to_ticks);
         // Against an SLO a query is slow when it *misses* the target
         // (latency strictly above); against the p99 the rank statistic
         // itself is slow (latency at or above), so the digest is never
@@ -245,7 +245,7 @@ pub fn slow_queries(
             .or_else(|| acc.plan_cache.map(str::to_string));
         slow.push(SlowQueryReport {
             query: *id,
-            class: lifecycle.and_then(|l| l.class.clone()),
+            class: lifecycle.and_then(|l| l.sched.class.clone()),
             latency_ns: *latency_ns,
             slo_ns,
             attribution,
@@ -381,7 +381,7 @@ mod tests {
         let snap = dev.metrics_snapshot().unwrap();
         let explains: Vec<_> = reports
             .iter()
-            .filter_map(|r| r.explain.clone().map(|e| (r.query, e)))
+            .filter_map(|r| r.explain(dev.config()).map(|e| (r.query, e)))
             .collect();
         let digest = slow_queries(&trace, &snap, &explains);
         assert_eq!(digest.queries, 4);

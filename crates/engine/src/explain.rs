@@ -80,7 +80,7 @@ impl ExplainNode {
             phases: stats.op.phases,
             roofline: roofline(&stats.op.counters, cfg),
             patterns: diagnose(&stats.op.counters, cfg),
-            counters: stats.op.counters.clone(),
+            counters: stats.op.counters,
             provenance: stats.provenance.clone(),
             children: stats
                 .children

@@ -68,7 +68,7 @@
 use crate::explain::QueryExplain;
 use crate::{cost, execute, Catalog, EngineError, NodeStats, Plan, QueryOutput};
 use serde::Serialize;
-use sim::{Device, OpStats, QueueLimits, SimTime, Trace};
+use sim::{Device, DeviceConfig, OpStats, QueueLimits, SimTime, Trace};
 use std::panic::{resume_unwind, AssertUnwindSafe};
 
 /// The scheduling policies a session can run under (re-exported from
@@ -269,17 +269,28 @@ pub struct QueryReport {
     /// session start (events on the query's own clock, named
     /// `"<device>#q<id>"`).
     pub trace: Option<Trace>,
+}
+
+impl QueryReport {
     /// The query's operators, flattened in pre-order — the per-tenant
     /// stats breakdown. Empty when the query failed. Byte-identical to the
     /// breakdown of a solo run of the same plan (modulo [`OpStats::query`]
     /// tagging), the property `tests/scheduler_equivalence.rs` proves.
-    pub breakdown: Vec<OperatorBreakdown>,
-    /// The query's attributed EXPLAIN ANALYZE report. `None` when the
-    /// query failed.
-    pub explain: Option<QueryExplain>,
-}
+    pub fn breakdown(&self) -> Vec<OperatorBreakdown> {
+        let mut rows = Vec::new();
+        if let Ok(out) = &self.result {
+            flatten_breakdown(&out.stats, &mut rows);
+        }
+        rows
+    }
 
-impl QueryReport {
+    /// The query's attributed EXPLAIN ANALYZE report against the device it
+    /// ran on. `None` when the query failed.
+    pub fn explain(&self, cfg: &DeviceConfig) -> Option<QueryExplain> {
+        let out = self.result.as_ref().ok()?;
+        Some(QueryExplain::from_stats(cfg, &out.stats))
+    }
+
     /// Admission-queue wait, `admitted - arrival`. Zero for shed and
     /// rejected queries (which were never admitted).
     pub fn queue_wait(&self) -> SimTime {
@@ -573,8 +584,6 @@ fn run_session(
                     completion: SimTime::ZERO,
                     peak_mem_bytes: 0,
                     trace: None,
-                    breakdown: Vec::new(),
-                    explain: None,
                 }
             }
             Registered::Query { qdev } => {
@@ -591,17 +600,6 @@ fn run_session(
                 if was_tracing {
                     emit_lifecycle(dev, qid, &sched, &result);
                 }
-                let (breakdown, explain) = match &result {
-                    Ok(out) => {
-                        let mut rows = Vec::new();
-                        flatten_breakdown(&out.stats, &mut rows);
-                        (
-                            rows,
-                            Some(QueryExplain::from_stats(dev.config(), &out.stats)),
-                        )
-                    }
-                    Err(_) => (Vec::new(), None),
-                };
                 QueryReport {
                     query: i as u32,
                     result,
@@ -613,8 +611,6 @@ fn run_session(
                     completion: SimTime::from_secs(sched.completion_secs),
                     peak_mem_bytes: qdev.mem_report().peak_bytes,
                     trace: qdev.take_trace(),
-                    breakdown,
-                    explain,
                 }
             }
         })

@@ -100,11 +100,6 @@ pub fn explain_choose_composite(p: &CompositeProfile) -> Explained<CompositeStra
     walk_tree(&COMPOSITE_TREE, p, CompositeStrategy::name)
 }
 
-/// The choice alone.
-pub fn choose_composite(p: &CompositeProfile) -> CompositeStrategy {
-    explain_choose_composite(p).algorithm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,7 @@
 //! bit-identical across re-runs and scheduling policies, like the counters
 //! they are derived from.
 
-use crate::trace::{kernel_stats, KernelStat, Trace};
+use crate::trace::{kernel_stats, Trace};
 use crate::{Counters, DeviceConfig, SECTOR_BYTES};
 use serde::Serialize;
 
@@ -298,40 +298,25 @@ pub struct KernelAnalysis {
     pub patterns: Vec<Diagnosis>,
 }
 
-/// The counters a [`KernelStat`] aggregates, as a [`Counters`] record so
-/// the same analysis entry points apply.
-fn stat_counters(s: &KernelStat, cfg: &DeviceConfig) -> Counters {
-    Counters {
-        kernel_launches: s.launches,
-        cycles: s.total_secs * cfg.clock_hz,
-        warp_instructions: s.warp_instructions,
-        // The per-name aggregate does not split reads from writes; book
-        // everything as reads — `dram_bytes()` (all the analysis uses,
-        // except the scatter diagnosis) is unaffected.
-        dram_read_bytes: s.dram_bytes,
-        dram_write_bytes: 0,
-        load_requests: s.load_requests,
-        sectors_requested: s.sectors_requested,
-        l2_hits: s.l2_hits,
-        l2_misses: s.l2_misses,
-        atomics: s.atomics,
-    }
-}
-
 /// Analyze every kernel name appearing in `traces`, in
 /// [`kernel_stats`]'s order (total time descending).
 pub fn analyze_kernels(traces: &[Trace], cfg: &DeviceConfig) -> Vec<KernelAnalysis> {
     kernel_stats(traces)
         .into_iter()
         .map(|s| {
-            let c = stat_counters(&s, cfg);
+            // The name's time is the summed durations the summary prints;
+            // the summed per-launch cycle products round differently.
+            let c = Counters {
+                cycles: s.total_secs * cfg.clock_hz,
+                ..s.work
+            };
             KernelAnalysis {
                 name: s.name,
-                launches: s.launches,
+                launches: c.kernel_launches,
                 total_secs: s.total_secs,
-                dram_bytes: s.dram_bytes,
-                sectors_per_request: s.sectors_per_request(),
-                l2_hit_rate: s.l2_hit_rate(),
+                dram_bytes: c.dram_bytes(),
+                sectors_per_request: c.sectors_per_request(),
+                l2_hit_rate: c.l2_hit_rate(),
                 roofline: roofline(&c, cfg),
                 patterns: diagnose(&c, cfg),
             }
@@ -453,6 +438,7 @@ mod tests {
     #[test]
     fn scattered_stores_diagnose_partition_scatter() {
         let dev = Device::a100();
+        dev.enable_tracing();
         let n = 1usize << 18;
         let buf = dev.alloc::<i32>(n * 64, "parts");
         let before = dev.counters();
@@ -466,6 +452,20 @@ mod tests {
             pats.iter()
                 .any(|p| p.pattern == AccessPattern::PartitionScatter),
             "scatter store must be diagnosed: {pats:?}"
+        );
+        // The per-kernel analysis reads the same record off the trace —
+        // reads == RMW write-backs here, so the writes must be in it.
+        let tr = dev.take_trace().unwrap();
+        let ka = analyze_kernels(&[tr], dev.config());
+        assert_eq!(ka[0].name, "scatter");
+        assert_eq!(ka[0].dram_bytes, d.dram_bytes());
+        assert!(
+            ka[0]
+                .patterns
+                .iter()
+                .any(|p| p.pattern == AccessPattern::PartitionScatter),
+            "per-kernel analysis must see the write-backs: {:?}",
+            ka[0].patterns
         );
     }
 

@@ -8,7 +8,12 @@ use serde::{Deserialize, Serialize};
 /// The fields correspond to the profiler metrics of Table 4: total cycles,
 /// warp instructions, DRAM traffic, load requests and the sectors they
 /// touched, plus L2 hit/miss totals from the simulator's cache model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// This is also the record of *one* launch: [`crate::KernelBuilder::launch`]
+/// builds a `Counters` with `kernel_launches: 1`, and the lane counters, the
+/// trace's kernel events and per-name stats, and the metrics totals are all
+/// that record folded with `+=`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Counters {
     /// Number of kernel launches.
     pub kernel_launches: u64,
@@ -148,7 +153,7 @@ mod tests {
             atomics: 7,
             ..Default::default()
         };
-        let sum = a.clone() + &b;
+        let sum = a + &b;
         assert_eq!(sum.kernel_launches, 3);
         assert_eq!(sum.cycles, 15.0);
         assert_eq!(sum.dram_read_bytes, 64);

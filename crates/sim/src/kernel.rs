@@ -14,8 +14,7 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
-use crate::metrics::KernelDelta;
-use crate::{Device, SimTime, SECTOR_BYTES, WARP_SIZE};
+use crate::{Counters, Device, SimTime, SECTOR_BYTES, WARP_SIZE};
 
 /// Warps per stack chunk of [`KernelBuilder::warp_loads`]: addresses are
 /// pulled 1024 at a time (8 KiB of sector ids), so the stream needs no heap
@@ -208,7 +207,9 @@ impl<'d> KernelBuilder<'d> {
         let k = KernelCharge {
             name: self.name,
             secs: t,
-            work: KernelDelta {
+            work: Counters {
+                kernel_launches: 1,
+                cycles: t * cfg.clock_hz,
                 warp_instructions: self.warp_instructions,
                 dram_read_bytes: self.seq_read_bytes + self.dram_gather_sectors * SECTOR_BYTES,
                 dram_write_bytes: self.seq_write_bytes
@@ -225,11 +226,11 @@ impl<'d> KernelBuilder<'d> {
         let start = lane.clock;
         lane.clock += t;
         match self.dev.query {
-            None => st.record_kernel(&k, start, None, cfg.clock_hz),
+            None => st.record_kernel(&k, start, None),
             // Nothing device-wide moves: the session loop replays the
             // charge through `record_kernel` at the query's turn.
             Some(qid) => {
-                let dropped = lane.record_kernel(&k, start, Some(qid), cfg.clock_hz);
+                let dropped = lane.record_kernel(&k, start, Some(qid));
                 st.note_trace_drops(dropped);
                 st.queries[qid as usize].timeline.push_back(k);
             }
@@ -238,56 +239,18 @@ impl<'d> KernelBuilder<'d> {
     }
 }
 
-/// One launched kernel as the device accounts it: its simulated duration
-/// and the work behind it. Counter bumps, the trace event and the metrics
-/// delta are all derived from this one record, so they cross-check exactly
-/// — and a query's timeline of charges is all the session loop needs to
-/// replay its kernels onto the device clock.
+/// One launched kernel as the device accounts it: its name, its simulated
+/// duration and its work as a one-launch [`Counters`] record. Every lane's
+/// counters, the trace event and the metrics totals fold or embed `work`
+/// itself, so they cross-check exactly — and a query's timeline of charges
+/// is all the session loop needs to replay its kernels onto the device
+/// clock. `work.cycles` is computed once, in `launch`, so the base lane adds
+/// the very f64 the query's lane added.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KernelCharge {
-    name: &'static str,
+    pub(crate) name: &'static str,
     pub(crate) secs: f64,
-    pub(crate) work: KernelDelta,
-}
-
-impl KernelCharge {
-    /// Fold this launch's work into a counter set.
-    pub(crate) fn bump(&self, c: &mut crate::Counters, clock_hz: f64) {
-        let w = &self.work;
-        c.kernel_launches += 1;
-        c.cycles += self.secs * clock_hz;
-        c.warp_instructions += w.warp_instructions;
-        c.dram_read_bytes += w.dram_read_bytes;
-        c.dram_write_bytes += w.dram_write_bytes;
-        c.load_requests += w.load_requests;
-        c.sectors_requested += w.sectors_requested;
-        c.l2_hits += w.l2_hits;
-        c.l2_misses += w.l2_misses;
-        c.atomics += w.atomics;
-    }
-
-    /// The trace record of this launch starting at `start` on some clock.
-    pub(crate) fn event(
-        &self,
-        start: f64,
-        query: Option<crate::QueryId>,
-    ) -> crate::trace::KernelEvent {
-        let w = &self.work;
-        crate::trace::KernelEvent {
-            name: self.name,
-            start,
-            dur: self.secs,
-            query,
-            warp_instructions: w.warp_instructions,
-            dram_read_bytes: w.dram_read_bytes,
-            dram_write_bytes: w.dram_write_bytes,
-            load_requests: w.load_requests,
-            sectors_requested: w.sectors_requested,
-            l2_hits: w.l2_hits,
-            l2_misses: w.l2_misses,
-            atomics: w.atomics,
-        }
-    }
+    pub(crate) work: Counters,
 }
 
 #[cfg(test)]

@@ -39,6 +39,19 @@
 //! simulated times are **bit-identical** to sorting every warp; `DESIGN.md`
 //! ("Warp-traffic accounting") has the argument.
 //!
+//! ## One record per observed thing
+//!
+//! What a kernel did is a [`Counters`]: [`KernelBuilder::launch`] builds
+//! one with `kernel_launches: 1`, and that value — not a copy of its
+//! fields — is what the lane's counters add, what the trace's
+//! [`trace::KernelEvent`] and per-name [`trace::KernelStat`] hold as
+//! `work`, and what [`metrics::KernelTotals`] folds. What the scheduler
+//! decided about a query is a [`QuerySchedStats`]: the session updates it
+//! in place, [`Device::sched_query_stats`] clones it, and
+//! [`QueryLifecycle`] embeds it. "Metrics totals == counter deltas == trace
+//! sums" therefore holds by construction, and a new consumer of either
+//! record has one type to read.
+//!
 //! ## Multi-query scheduling
 //!
 //! A device can host several concurrent queries (see [`sched`]). The base
@@ -185,12 +198,17 @@ impl Lane {
         k: &kernel::KernelCharge,
         start: f64,
         query: Option<QueryId>,
-        clock_hz: f64,
     ) -> u64 {
-        k.bump(&mut self.counters, clock_hz);
-        self.trace
-            .as_deref_mut()
-            .map_or(0, |tr| tr.push_kernel(k.event(start, query)))
+        self.counters += &k.work;
+        self.trace.as_deref_mut().map_or(0, |tr| {
+            tr.push_kernel(trace::KernelEvent {
+                name: k.name,
+                start,
+                dur: k.secs,
+                query,
+                work: k.work,
+            })
+        })
     }
 }
 
@@ -280,9 +298,8 @@ impl DeviceState {
         k: &kernel::KernelCharge,
         start: f64,
         query: Option<QueryId>,
-        clock_hz: f64,
     ) {
-        let dropped = self.base.record_kernel(k, start, query, clock_hz);
+        let dropped = self.base.record_kernel(k, start, query);
         self.note_trace_drops(dropped);
         if let Some(m) = self.metrics.as_deref_mut() {
             m.on_kernel(self.base.clock, query, k.secs, &k.work);
@@ -292,7 +309,7 @@ impl DeviceState {
     /// One step of the session loop with the turn at `qid`: charge the
     /// query's next recorded kernel to the device, complete the turn, and
     /// retire the query if that was its last kernel.
-    fn replay_turn(&mut self, qid: QueryId, clock_hz: f64) {
+    fn replay_turn(&mut self, qid: QueryId) {
         let timeline = &mut self.queries[qid as usize].timeline;
         let k = timeline
             .pop_front()
@@ -300,7 +317,7 @@ impl DeviceState {
         let exhausted = timeline.is_empty();
         let start = self.base.clock;
         self.sched.complete_turn(&mut self.base.clock, qid, k.secs);
-        self.record_kernel(&k, start, Some(qid), clock_hz);
+        self.record_kernel(&k, start, Some(qid));
         if exhausted {
             self.retire(qid);
         }
@@ -311,16 +328,9 @@ impl DeviceState {
     fn retire(&mut self, qid: QueryId) {
         self.sched.retire(qid, self.base.clock);
         if let Some(m) = self.metrics.as_deref_mut() {
-            let stats = self.sched.stats(qid);
             m.push_lifecycle(QueryLifecycle {
                 query: qid,
-                arrival_secs: stats.arrival_secs,
-                admitted_secs: stats.admitted_secs,
-                completion_secs: stats.completion_secs,
-                busy_secs: stats.busy_secs,
-                budget_bytes: stats.budget_bytes,
-                class: stats.class,
-                slo_secs: stats.slo_secs,
+                sched: self.sched.stats(qid),
             });
         }
     }
@@ -422,7 +432,7 @@ impl Device {
     /// Snapshot of the cumulative hardware counters (this query's own
     /// counters on a query handle; device-wide totals otherwise).
     pub fn counters(&self) -> Counters {
-        self.lock().lane(self.query).counters.clone()
+        self.lock().lane(self.query).counters
     }
 
     /// Total simulated time elapsed: the query's private clock (sum of its
@@ -570,11 +580,6 @@ impl Device {
     /// Snapshot the metrics recorded so far without stopping the recorder.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.lock().metrics.as_deref().map(|m| m.snapshot())
-    }
-
-    /// Stop recording metrics and return the final snapshot, if enabled.
-    pub fn take_metrics(&self) -> Option<MetricsSnapshot> {
-        self.lock().metrics.take().map(|m| m.snapshot())
     }
 
     /// Run `f` against the open metrics registry (no-op when metrics are
@@ -740,7 +745,6 @@ impl Device {
     /// then it retires and releases its reservation like any other).
     pub fn sched_run(&self, mut exec: impl FnMut(QueryId)) {
         assert!(self.query.is_none(), "sched_run on a query handle");
-        let clock_hz = self.inner.config.clock_hz;
         let mut st = self.lock();
         assert!(st.sched.active(), "sched_run outside a session");
         loop {
@@ -755,7 +759,7 @@ impl Device {
             }
             let dev = &mut *st;
             match dev.sched.designated() {
-                Some(qid) => dev.replay_turn(qid, clock_hz),
+                Some(qid) => dev.replay_turn(qid),
                 None => {
                     if !dev.sched.idle_advance(&mut dev.base.clock) {
                         return;
@@ -1091,6 +1095,61 @@ mod tests {
         dev.sched_finish();
         drop(resident);
         assert_eq!(dev.mem_report().live_allocations, 0);
+    }
+
+    #[test]
+    fn one_launch_is_one_record_in_counters_trace_and_metrics() {
+        let dev = Device::a100();
+        dev.enable_tracing();
+        dev.enable_metrics(SimTime::from_secs(1e-6));
+        let buf = dev.alloc::<i32>(1 << 12, "x");
+        let launch = |h: &Device| {
+            h.kernel("k")
+                .items(1 << 12, 2.0)
+                .seq_read_bytes(4096)
+                .warp_stores(
+                    4,
+                    (0..buf.len()).map(|i| buf.addr_of((i * 769) % buf.len())),
+                )
+                .atomics(64, 8)
+                .launch();
+        };
+        let totals = |d: &Device| d.metrics_snapshot().unwrap().totals.work;
+        let last_kernel = |tr: Trace| tr.kernels().last().unwrap().clone();
+
+        // Base lane, everything at zero before: the counter delta and the
+        // metrics totals are the event's record itself, cycles included.
+        launch(&dev);
+        let work = last_kernel(dev.trace_snapshot().unwrap()).work;
+        assert_eq!(work.kernel_launches, 1);
+        assert!(work.dram_write_bytes > 0 && work.atomics == 64);
+        assert_eq!(dev.counters().delta_since(&Counters::default()).0, work);
+        assert_eq!(totals(&dev), work);
+
+        // Query lane: the private counters start at zero, so they equal the
+        // record bit for bit; the turn replays that same record onto the
+        // base lane, whose counters and metrics totals grow by it together.
+        let (c0, t0) = (dev.counters(), totals(&dev));
+        dev.sched_start(SchedPolicy::Serial);
+        let q = dev.sched_register(1.0, 1 << 20).unwrap();
+        q.enable_tracing();
+        dev.sched_run(|_| launch(&q));
+        dev.sched_finish();
+        let work = last_kernel(q.take_trace().unwrap()).work;
+        assert_eq!(q.counters(), work);
+        let turn = last_kernel(dev.take_trace().unwrap());
+        assert_eq!((turn.query, turn.work), (Some(0), work));
+        let grown = dev.counters().delta_since(&c0).0;
+        assert_eq!(grown, totals(&dev).delta_since(&t0).0);
+        // `(a + b) - a` on the f64 cycles; the integers are exact.
+        assert!((grown.cycles - work.cycles).abs() <= 1e-9 * work.cycles);
+        assert_eq!(
+            Counters {
+                cycles: work.cycles,
+                ..grown
+            },
+            work
+        );
     }
 
     #[test]

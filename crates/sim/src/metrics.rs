@@ -41,6 +41,16 @@
 //! device-wide totals *and* `tenant_*`-labelled counters for its query id,
 //! exactly as it lands in both counter sets and both traces.
 //!
+//! ## Records
+//!
+//! This module declares no launch-work or schedule fields of its own.
+//! [`KernelTotals`] and the sampler's window embed a [`Counters`] and fold
+//! each launch's record — the one `KernelBuilder::launch` built and the
+//! lane counters and trace event also hold — with `+=`, adding only the
+//! integer `busy_ns`. [`QueryLifecycle`] embeds the scheduler's
+//! [`QuerySchedStats`] as of the query's retire. The exporters print
+//! those records' fields under the names they always had.
+//!
 //! ## Cadence
 //!
 //! The sampler emits at most one point per kernel launch: when a launch's
@@ -56,7 +66,7 @@
 //! the recorded min/max. Merging two histograms is bucket-wise addition —
 //! exactly the histogram of the concatenated stream.
 
-use crate::QueryId;
+use crate::{Counters, QueryId, QuerySchedStats};
 
 /// Scale for histograms that record seconds as integer nanoseconds.
 pub const SECONDS_SCALE: f64 = 1e-9;
@@ -383,50 +393,11 @@ impl MetricsRegistry {
 /// the exported `*_total` series are monotone by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelTotals {
-    /// Kernel launches since metrics were enabled.
-    pub launches: u64,
     /// Busy simulated time, integer nanoseconds.
     pub busy_ns: u64,
-    /// DRAM bytes read.
-    pub dram_read_bytes: u64,
-    /// DRAM bytes written.
-    pub dram_write_bytes: u64,
-    /// Warp instructions issued.
-    pub warp_instructions: u64,
-    /// Warp-level load requests.
-    pub load_requests: u64,
-    /// Sectors requested by those loads.
-    pub sectors_requested: u64,
-    /// L2 sector hits.
-    pub l2_hits: u64,
-    /// L2 sector misses.
-    pub l2_misses: u64,
-    /// Global atomic updates.
-    pub atomics: u64,
-}
-
-/// The work of one kernel launch: what the kernel builder accounted, held
-/// once. `DeviceMetrics::on_kernel`, the [`crate::Counters`] bump and the
-/// trace event all read these same quantities, so metrics totals
-/// cross-check against counter deltas and trace sums exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelDelta {
-    /// Warp instructions issued by this launch.
-    pub warp_instructions: u64,
-    /// DRAM bytes read.
-    pub dram_read_bytes: u64,
-    /// DRAM bytes written.
-    pub dram_write_bytes: u64,
-    /// Warp-level load requests.
-    pub load_requests: u64,
-    /// Sectors requested.
-    pub sectors_requested: u64,
-    /// L2 sector hits.
-    pub l2_hits: u64,
-    /// L2 sector misses.
-    pub l2_misses: u64,
-    /// Global atomic updates.
-    pub atomics: u64,
+    /// Every launch's [`Counters`] record since metrics were enabled,
+    /// folded with `+=`.
+    pub work: Counters,
 }
 
 /// One sampled time-series: points are `(simulated seconds, value)`.
@@ -440,25 +411,15 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
-/// Deterministic lifecycle record of one query, written at retire.
+/// Deterministic lifecycle record of one query, written at retire: the
+/// scheduler's own record of it (`arrival ≤ admitted ≤ completion`, busy
+/// time, budget, class and latency target), tagged with its id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryLifecycle {
     /// Device-side query id.
     pub query: QueryId,
-    /// Simulated arrival time (registration time for closed-loop queries).
-    pub arrival_secs: f64,
-    /// When the memory-budget reservation was granted.
-    pub admitted_secs: f64,
-    /// Device clock at retire.
-    pub completion_secs: f64,
-    /// Kernel time the query received.
-    pub busy_secs: f64,
-    /// The reservation it ran under, bytes.
-    pub budget_bytes: u64,
-    /// Serving class, when the session annotated one.
-    pub class: Option<String>,
-    /// Per-class latency target (seconds), when one was set.
-    pub slo_secs: Option<f64>,
+    /// The query's scheduling outcome as of its retire.
+    pub sched: QuerySchedStats,
 }
 
 /// Per-query busy series are emitted only for the first few query ids —
@@ -470,11 +431,7 @@ const PER_QUERY_SERIES_CAP: u32 = 8;
 #[derive(Debug, Clone, Default)]
 struct Window {
     busy_ns: u64,
-    launches: u64,
-    dram_read_bytes: u64,
-    dram_write_bytes: u64,
-    l2_hits: u64,
-    l2_misses: u64,
+    work: Counters,
     query_busy_ns: Vec<(QueryId, u64)>,
     mem_high_water: u64,
 }
@@ -538,26 +495,20 @@ impl Sampler {
             "dram_read_bw_gbps",
             Vec::new(),
             tick,
-            rate(w.dram_read_bytes as f64) / 1e9,
+            rate(w.work.dram_read_bytes as f64) / 1e9,
         );
         self.push_point(
             "dram_write_bw_gbps",
             Vec::new(),
             tick,
-            rate(w.dram_write_bytes as f64) / 1e9,
+            rate(w.work.dram_write_bytes as f64) / 1e9,
         );
-        let sectors = w.l2_hits + w.l2_misses;
-        let hit_rate = if sectors == 0 {
-            0.0
-        } else {
-            w.l2_hits as f64 / sectors as f64
-        };
-        self.push_point("l2_hit_rate", Vec::new(), tick, hit_rate);
+        self.push_point("l2_hit_rate", Vec::new(), tick, w.work.l2_hit_rate());
         self.push_point(
             "kernel_launch_rate",
             Vec::new(),
             tick,
-            rate(w.launches as f64),
+            rate(w.work.kernel_launches as f64),
         );
         self.push_point(
             "busy_fraction",
@@ -590,13 +541,13 @@ impl Sampler {
             "kernel_launches_total",
             Vec::new(),
             tick,
-            totals.launches as f64,
+            totals.work.kernel_launches as f64,
         );
         self.push_point(
             "dram_bytes_total",
             Vec::new(),
             tick,
-            (totals.dram_read_bytes + totals.dram_write_bytes) as f64,
+            totals.work.dram_bytes() as f64,
         );
     }
 }
@@ -631,33 +582,20 @@ impl DeviceMetrics {
     }
 
     /// Fold one kernel launch in (called under the device lock, after the
-    /// counters bump; `clock` is the device clock at launch completion).
+    /// counters bump; `clock` is the device clock at launch completion and
+    /// `work` the launch's one-kernel [`Counters`] record).
     pub(crate) fn on_kernel(
         &mut self,
         clock: f64,
         query: Option<QueryId>,
         dur_secs: f64,
-        d: &KernelDelta,
+        work: &Counters,
     ) {
         let ns = secs_to_ticks(dur_secs);
-        self.totals.launches += 1;
         self.totals.busy_ns += ns;
-        self.totals.dram_read_bytes += d.dram_read_bytes;
-        self.totals.dram_write_bytes += d.dram_write_bytes;
-        self.totals.warp_instructions += d.warp_instructions;
-        self.totals.load_requests += d.load_requests;
-        self.totals.sectors_requested += d.sectors_requested;
-        self.totals.l2_hits += d.l2_hits;
-        self.totals.l2_misses += d.l2_misses;
-        self.totals.atomics += d.atomics;
-
-        let w = &mut self.sampler.window;
-        w.launches += 1;
-        w.busy_ns += ns;
-        w.dram_read_bytes += d.dram_read_bytes;
-        w.dram_write_bytes += d.dram_write_bytes;
-        w.l2_hits += d.l2_hits;
-        w.l2_misses += d.l2_misses;
+        self.totals.work += work;
+        self.sampler.window.busy_ns += ns;
+        self.sampler.window.work += work;
         if let Some(q) = query {
             // Dual accounting: the device-wide totals above, plus the
             // query's own labelled counters.
@@ -703,8 +641,9 @@ impl DeviceMetrics {
         let mut lifecycles = self.lifecycles.clone();
         lifecycles.sort_by_key(|lc| lc.query);
         let mut series = self.sampler.series.clone();
-        series.extend(lifecycle_series(&lifecycles, self.sampler.interval));
-        series.extend(slo_burn_series(&lifecycles, self.sampler.interval));
+        let scheds: Vec<&QuerySchedStats> = lifecycles.iter().map(|l| &l.sched).collect();
+        series.extend(lifecycle_series(&scheds, self.sampler.interval));
+        series.extend(slo_burn_series(&scheds, self.sampler.interval));
         series.sort_by(|a, b| (a.name, &a.labels).cmp(&(b.name, &b.labels)));
         MetricsSnapshot {
             device: self.device.clone(),
@@ -723,7 +662,7 @@ impl DeviceMetrics {
 /// Derived from the lifecycle timestamps rather than sampled live: the
 /// sampler only sees kernel charges, and arrivals, idle gaps, shed and
 /// zero-kernel queries move the depths without one.
-fn lifecycle_series(lifecycles: &[QueryLifecycle], interval: f64) -> Vec<Series> {
+fn lifecycle_series(lifecycles: &[&QuerySchedStats], interval: f64) -> Vec<Series> {
     if lifecycles.is_empty() {
         return Vec::new();
     }
@@ -780,7 +719,7 @@ fn lifecycle_series(lifecycles: &[QueryLifecycle], interval: f64) -> Vec<Series>
 /// second — the classic burn rate). Like the depth series this is computed
 /// at snapshot time from deterministic timestamps, never sampled live, and
 /// its size is bounded by the number of completions.
-fn slo_burn_series(lifecycles: &[QueryLifecycle], interval: f64) -> Vec<Series> {
+fn slo_burn_series(lifecycles: &[&QuerySchedStats], interval: f64) -> Vec<Series> {
     // (class, tick) -> accumulated debt ticks in the window ending at tick.
     let mut classes: Vec<(&str, Vec<(f64, u64)>)> = Vec::new();
     for l in lifecycles {
@@ -896,10 +835,10 @@ pub fn openmetrics(snaps: &[MetricsSnapshot]) -> String {
     for (i, snap) in snaps.iter().enumerate() {
         let dev = format!("{}#{i}", snap.device);
         let extra = [("device", dev.as_str())];
-        let t = &snap.totals;
+        let (busy_ns, t) = (snap.totals.busy_ns, &snap.totals.work);
         for (name, v) in [
-            ("sim_kernel_launches_total", t.launches),
-            ("sim_busy_ns_total", t.busy_ns),
+            ("sim_kernel_launches_total", t.kernel_launches),
+            ("sim_busy_ns_total", busy_ns),
             ("sim_dram_read_bytes_total", t.dram_read_bytes),
             ("sim_dram_write_bytes_total", t.dram_write_bytes),
             ("sim_warp_instructions_total", t.warp_instructions),
@@ -1008,13 +947,13 @@ pub fn metrics_json(snaps: &[MetricsSnapshot]) -> String {
             "{{\"device\":\"{dev}\",\"sample_interval_s\":{},",
             fmt_f64(snap.interval_secs)
         ));
-        let t = &snap.totals;
+        let t = &snap.totals.work;
         out.push_str(&format!(
             "\"totals\":{{\"kernel_launches\":{},\"busy_ns\":{},\"dram_read_bytes\":{},\
              \"dram_write_bytes\":{},\"warp_instructions\":{},\"load_requests\":{},\
              \"sectors_requested\":{},\"l2_hits\":{},\"l2_misses\":{},\"atomics\":{}}},",
-            t.launches,
-            t.busy_ns,
+            t.kernel_launches,
+            snap.totals.busy_ns,
             t.dram_read_bytes,
             t.dram_write_bytes,
             t.warp_instructions,
@@ -1101,23 +1040,23 @@ pub fn metrics_json(snaps: &[MetricsSnapshot]) -> String {
                 // Class and SLO fields appear only when set, keeping
                 // non-serving exports byte-identical to their history.
                 let mut extra = String::new();
-                if let Some(class) = &l.class {
+                if let Some(class) = &l.sched.class {
                     let mut escaped = String::new();
                     escape_into(&mut escaped, class);
                     extra.push_str(&format!(",\"class\":\"{escaped}\""));
                 }
-                if let Some(slo) = l.slo_secs {
+                if let Some(slo) = l.sched.slo_secs {
                     extra.push_str(&format!(",\"slo_s\":{}", fmt_f64(slo)));
                 }
                 format!(
                     "{{\"query\":{},\"arrival_s\":{},\"admitted_s\":{},\"completion_s\":{},\
                      \"busy_s\":{},\"budget_bytes\":{}{extra}}}",
                     l.query,
-                    fmt_f64(l.arrival_secs),
-                    fmt_f64(l.admitted_secs),
-                    fmt_f64(l.completion_secs),
-                    fmt_f64(l.busy_secs),
-                    l.budget_bytes
+                    fmt_f64(l.sched.arrival_secs),
+                    fmt_f64(l.sched.admitted_secs),
+                    fmt_f64(l.sched.completion_secs),
+                    fmt_f64(l.sched.busy_secs),
+                    l.sched.budget_bytes
                 )
             })
             .collect();
@@ -1328,7 +1267,8 @@ mod tests {
     #[test]
     fn sampler_emits_on_tick_crossings_with_monotone_totals() {
         let mut m = DeviceMetrics::new("dev".into(), 1.0, 0.0);
-        let d = KernelDelta {
+        let d = Counters {
+            kernel_launches: 1,
             warp_instructions: 10,
             dram_read_bytes: 1 << 20,
             dram_write_bytes: 1 << 19,
@@ -1336,7 +1276,7 @@ mod tests {
             sectors_requested: 16,
             l2_hits: 12,
             l2_misses: 4,
-            atomics: 0,
+            ..Default::default()
         };
         let mut clock = 0.0;
         for _ in 0..10 {
@@ -1362,33 +1302,19 @@ mod tests {
         for (_, v) in &busy.points {
             assert!((*v - 1.0).abs() < 1e-6, "fully busy device: {v}");
         }
-        assert_eq!(snap.totals.launches, 10);
+        assert_eq!(snap.totals.work.kernel_launches, 10);
     }
 
     #[test]
     fn lifecycle_series_count_in_system_queries() {
-        let lcs = vec![
-            QueryLifecycle {
-                query: 0,
-                arrival_secs: 0.0,
-                admitted_secs: 0.0,
-                completion_secs: 4.0,
-                busy_secs: 4.0,
-                budget_bytes: 1,
-                class: None,
-                slo_secs: None,
-            },
-            QueryLifecycle {
-                query: 1,
-                arrival_secs: 1.0,
-                admitted_secs: 4.0,
-                completion_secs: 6.0,
-                busy_secs: 2.0,
-                budget_bytes: 1,
-                class: None,
-                slo_secs: None,
-            },
-        ];
+        let lc = |arrival_secs, admitted_secs, completion_secs| QuerySchedStats {
+            arrival_secs,
+            admitted_secs,
+            completion_secs,
+            ..Default::default()
+        };
+        let lcs = [lc(0.0, 0.0, 4.0), lc(1.0, 4.0, 6.0)];
+        let lcs: Vec<&QuerySchedStats> = lcs.iter().collect();
         let series = lifecycle_series(&lcs, 1.0);
         let queue = &series[0];
         assert_eq!(queue.name, "queue_depth");

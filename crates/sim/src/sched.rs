@@ -167,8 +167,11 @@ impl std::fmt::Display for AdmissionError {
     }
 }
 
-/// Scheduling outcome of one retired query, for fairness reporting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Scheduling outcome of one query, for fairness reporting — and the
+/// scheduler's own per-query record: the session updates these fields in
+/// place, [`crate::Device::sched_query_stats`] clones them, and the metrics
+/// lifecycle row written at retire embeds them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuerySchedStats {
     /// Simulated seconds of kernel time this query received.
     pub busy_secs: f64,
@@ -198,34 +201,24 @@ pub struct QuerySchedStats {
 /// Per-query scheduling bookkeeping.
 pub(crate) struct QuerySched {
     weight: f64,
-    budget_bytes: u64,
     /// Predicted execution time (seconds) from the engine's cost model;
     /// the ranking key of the shortest-job policies. Zero when the caller
     /// has no estimate.
     predicted_secs: f64,
     /// Admission class index, for per-class queue depth limits.
-    class: Option<u32>,
+    admission_class: Option<u32>,
     admitted: bool,
     finished: bool,
-    shed: bool,
-    busy_secs: f64,
-    admitted_secs: f64,
-    completion_secs: f64,
-    /// Simulated time at which the query enters the system. Until then it
-    /// is invisible to admission and designation.
-    arrival_secs: f64,
+    /// Whether the clock has reached `stats.arrival_secs`. Until then the
+    /// query is invisible to admission and designation.
     arrived: bool,
-    /// Device clock at the first completed kernel turn.
-    first_turn_secs: Option<f64>,
     /// Contiguous runs of this query's kernel turns `[(start, end)]` on the
     /// device clock, recorded only when [`SchedState::record_slices`] is
     /// set (lifecycle tracing active). Consecutive turns with no foreign
     /// clock advance in between coalesce into one slice.
     slices: Vec<(f64, f64)>,
-    /// Serving class label attached by the session for lifecycle exports.
-    class_name: Option<String>,
-    /// Per-class latency target attached by the session.
-    slo_secs: Option<f64>,
+    /// What the session reports about the query, kept up to date in place.
+    stats: QuerySchedStats,
 }
 
 /// The policy state of a scheduling session. Lives in the device state,
@@ -317,21 +310,17 @@ impl SchedState {
         let id = self.queries.len() as QueryId;
         self.queries.push(QuerySched {
             weight,
-            budget_bytes,
             predicted_secs,
-            class,
+            admission_class: class,
             admitted: false,
             finished: false,
-            shed: false,
-            busy_secs: 0.0,
-            admitted_secs: 0.0,
-            completion_secs: 0.0,
-            arrival_secs,
             arrived: arrival_secs <= now,
-            first_turn_secs: None,
             slices: Vec::new(),
-            class_name: None,
-            slo_secs: None,
+            stats: QuerySchedStats {
+                arrival_secs,
+                budget_bytes,
+                ..Default::default()
+            },
         });
         Ok(id)
     }
@@ -344,9 +333,9 @@ impl SchedState {
         class_name: Option<String>,
         slo_secs: Option<f64>,
     ) {
-        let q = &mut self.queries[id as usize];
-        q.class_name = class_name;
-        q.slo_secs = slo_secs;
+        let stats = &mut self.queries[id as usize].stats;
+        stats.class = class_name;
+        stats.slo_secs = slo_secs;
     }
 
     /// The exec slices recorded for a query (empty unless
@@ -361,7 +350,7 @@ impl SchedState {
     fn mark_arrivals(&mut self, now: f64) -> Vec<QueryId> {
         let mut newly = Vec::new();
         for (i, q) in self.queries.iter_mut().enumerate() {
-            if !q.arrived && q.arrival_secs <= now {
+            if !q.arrived && q.stats.arrival_secs <= now {
                 q.arrived = true;
                 newly.push(i as QueryId);
             }
@@ -383,7 +372,7 @@ impl SchedState {
             Some(SchedPolicy::SjfAging) => {
                 // A job's rank decays with its time in system, so waiting
                 // long jobs eventually outrank fresh short ones.
-                q.predicted_secs / (1.0 + (now - q.arrival_secs).max(0.0))
+                q.predicted_secs / (1.0 + (now - q.stats.arrival_secs).max(0.0))
             }
             _ => q.predicted_secs,
         }
@@ -412,12 +401,12 @@ impl SchedState {
         }
         for id in order {
             let q = &mut self.queries[id as usize];
-            if self.reserved_bytes + q.budget_bytes > self.available_bytes {
+            if self.reserved_bytes + q.stats.budget_bytes > self.available_bytes {
                 break;
             }
-            self.reserved_bytes += q.budget_bytes;
+            self.reserved_bytes += q.stats.budget_bytes;
             q.admitted = true;
-            q.admitted_secs = now;
+            q.stats.admitted_secs = now;
             self.to_run.push(id);
         }
         if self.designated.is_none() {
@@ -447,13 +436,15 @@ impl SchedState {
             if !Self::waiting(&self.queries[id as usize]) {
                 continue;
             }
-            let class = self.queries[id as usize].class;
+            let class = self.queries[id as usize].admission_class;
             let others = |st: &SchedState, same_class: bool| {
                 st.queries
                     .iter()
                     .enumerate()
                     .filter(|(i, q)| {
-                        *i as QueryId != id && Self::waiting(q) && (!same_class || q.class == class)
+                        *i as QueryId != id
+                            && Self::waiting(q)
+                            && (!same_class || q.admission_class == class)
                     })
                     .count()
             };
@@ -471,8 +462,8 @@ impl SchedState {
             if shed {
                 let q = &mut self.queries[id as usize];
                 q.finished = true;
-                q.shed = true;
-                q.completion_secs = q.arrival_secs;
+                q.stats.shed = true;
+                q.stats.completion_secs = q.stats.arrival_secs;
             }
         }
     }
@@ -505,8 +496,8 @@ impl SchedState {
         let next = self
             .queries
             .iter()
-            .filter(|q| !q.arrived && !q.finished && q.arrival_secs > *clock)
-            .map(|q| q.arrival_secs)
+            .filter(|q| !q.arrived && !q.finished && q.stats.arrival_secs > *clock)
+            .map(|q| q.stats.arrival_secs)
             .fold(f64::INFINITY, f64::min);
         if !next.is_finite() {
             return false;
@@ -530,10 +521,8 @@ impl SchedState {
         let clock = *clock;
         {
             let q = &mut self.queries[id as usize];
-            q.busy_secs += kernel_secs;
-            if q.first_turn_secs.is_none() {
-                q.first_turn_secs = Some(turn_start);
-            }
+            q.stats.busy_secs += kernel_secs;
+            q.stats.started_secs.get_or_insert(turn_start);
             if self.record_slices {
                 match q.slices.last_mut() {
                     // Back-to-back turns share a boundary: extend the slice.
@@ -556,25 +545,14 @@ impl SchedState {
         let q = &mut self.queries[id as usize];
         assert!(q.admitted && !q.finished, "retire of a query not running");
         q.finished = true;
-        q.completion_secs = now;
-        self.reserved_bytes -= q.budget_bytes;
+        q.stats.completion_secs = now;
+        self.reserved_bytes -= q.stats.budget_bytes;
         self.admit_pass(now);
         self.redesignate(now);
     }
 
     pub(crate) fn stats(&self, id: QueryId) -> QuerySchedStats {
-        let q = &self.queries[id as usize];
-        QuerySchedStats {
-            busy_secs: q.busy_secs,
-            completion_secs: q.completion_secs,
-            admitted_secs: q.admitted_secs,
-            arrival_secs: q.arrival_secs,
-            started_secs: q.first_turn_secs,
-            budget_bytes: q.budget_bytes,
-            shed: q.shed,
-            class: q.class_name.clone(),
-            slo_secs: q.slo_secs,
-        }
+        self.queries[id as usize].stats.clone()
     }
 
     /// Recompute the designated query from simulated state only.
@@ -595,8 +573,8 @@ impl SchedState {
                 .enumerate()
                 .filter(|(_, q)| runnable(q))
                 .min_by(|(_, a), (_, b)| {
-                    (a.busy_secs / a.weight)
-                        .partial_cmp(&(b.busy_secs / b.weight))
+                    (a.stats.busy_secs / a.weight)
+                        .partial_cmp(&(b.stats.busy_secs / b.weight))
                         .unwrap()
                 })
                 .map(|(i, _)| i as QueryId),
@@ -690,7 +668,7 @@ mod tests {
         }
 
         fn shed(&self, id: QueryId) -> bool {
-            self.st.queries[id as usize].shed
+            self.st.queries[id as usize].stats.shed
         }
 
         fn stats(&self, id: QueryId) -> QuerySchedStats {

@@ -9,9 +9,10 @@
 //!
 //! Three event classes:
 //!
-//! * [`KernelEvent`] — one per kernel launch, carrying that launch's
-//!   counter delta (warp instructions, DRAM bytes, sectors/request, L2 hit
-//!   rate, atomics) plus its simulated start time and duration.
+//! * [`KernelEvent`] — one per kernel launch: its simulated start time and
+//!   duration plus `work`, the launch's own [`Counters`] record (warp
+//!   instructions, DRAM bytes, load requests and sectors, L2 hits and
+//!   misses, atomics) — the same value the lane's counters were bumped by.
 //! * [`SpanEvent`] — nested intervals opened by the execution harnesses:
 //!   one per operator node (`engine::op::run_operator`), per join / grouped
 //!   aggregation (`joins::run_join`, `groupby::run_group_by`), per
@@ -36,7 +37,7 @@
 //! * [`render_kernel_summary`] — an `nsys stats`-style per-kernel-name
 //!   aggregation table (launches, total time, % of kernel time, traffic).
 
-use crate::SimTime;
+use crate::{Counters, SimTime};
 
 /// Category of a [`SpanEvent`] — which harness opened it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +67,7 @@ impl SpanCat {
     }
 }
 
-/// One kernel launch: simulated interval plus that launch's counter delta.
+/// One kernel launch: simulated interval plus that launch's work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelEvent {
     /// The name passed to [`crate::Device::kernel`].
@@ -81,48 +82,10 @@ pub struct KernelEvent {
     /// base device's trace the same launch appears at its device-clock
     /// position, tagged with this id — the multi-tenant timeline.
     pub query: Option<u32>,
-    /// Warp instructions issued by this launch.
-    pub warp_instructions: u64,
-    /// DRAM bytes read by this launch (sequential + gather misses).
-    pub dram_read_bytes: u64,
-    /// DRAM bytes written by this launch (sequential + RMW write-back).
-    pub dram_write_bytes: u64,
-    /// Warp-level load requests issued by this launch.
-    pub load_requests: u64,
-    /// Sectors touched by those requests, before the L2 filter.
-    pub sectors_requested: u64,
-    /// Gather sectors served by the modeled L2.
-    pub l2_hits: u64,
-    /// Gather sectors that missed L2.
-    pub l2_misses: u64,
-    /// Global atomic updates performed.
-    pub atomics: u64,
-}
-
-impl KernelEvent {
-    /// Average sectors per warp load request (Table 4's coalescing metric).
-    pub fn sectors_per_request(&self) -> f64 {
-        if self.load_requests == 0 {
-            0.0
-        } else {
-            self.sectors_requested as f64 / self.load_requests as f64
-        }
-    }
-
-    /// L2 hit rate over this launch's gather traffic.
-    pub fn l2_hit_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_hits as f64 / total as f64
-        }
-    }
-
-    /// Total DRAM traffic of this launch, bytes.
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram_read_bytes + self.dram_write_bytes
-    }
+    /// The launch's one-kernel [`Counters`] record (`kernel_launches: 1`,
+    /// `cycles: dur * clock_hz`) — the very value the lane's counters were
+    /// bumped by, so a trace's `work` records sum to the counter delta.
+    pub work: Counters,
 }
 
 /// A nested interval opened by one of the execution harnesses.
@@ -528,13 +491,13 @@ pub fn chrome_trace_json(traces: &[Trace]) -> String {
                              \"atomics\":{at}}}}}",
                             ts = us(k.start),
                             dur = us(k.dur),
-                            wi = k.warp_instructions,
-                            dr = k.dram_read_bytes,
-                            dw = k.dram_write_bytes,
-                            lr = k.load_requests,
-                            spr = k.sectors_per_request(),
-                            l2 = k.l2_hit_rate(),
-                            at = k.atomics,
+                            wi = k.work.warp_instructions,
+                            dr = k.work.dram_read_bytes,
+                            dw = k.work.dram_write_bytes,
+                            lr = k.work.load_requests,
+                            spr = k.work.sectors_per_request(),
+                            l2 = k.work.l2_hit_rate(),
+                            at = k.work.atomics,
                         ),
                     ));
                 }
@@ -651,14 +614,14 @@ pub fn jsonl(traces: &[Trace]) -> String {
                          \"l2_hits\":{},\"l2_misses\":{},\"atomics\":{}}}\n",
                         k.start,
                         k.dur,
-                        k.warp_instructions,
-                        k.dram_read_bytes,
-                        k.dram_write_bytes,
-                        k.load_requests,
-                        k.sectors_requested,
-                        k.l2_hits,
-                        k.l2_misses,
-                        k.atomics,
+                        k.work.warp_instructions,
+                        k.work.dram_read_bytes,
+                        k.work.dram_write_bytes,
+                        k.work.load_requests,
+                        k.work.sectors_requested,
+                        k.work.l2_hits,
+                        k.work.l2_misses,
+                        k.work.atomics,
                     ));
                 }
                 TraceEvent::Span(s) => {
@@ -713,45 +676,11 @@ pub fn jsonl(traces: &[Trace]) -> String {
 pub struct KernelStat {
     /// Kernel name.
     pub name: &'static str,
-    /// Number of launches.
-    pub launches: u64,
     /// Summed simulated duration, seconds.
     pub total_secs: f64,
-    /// Summed warp instructions.
-    pub warp_instructions: u64,
-    /// Summed DRAM traffic, bytes.
-    pub dram_bytes: u64,
-    /// Summed warp load requests.
-    pub load_requests: u64,
-    /// Summed sectors requested.
-    pub sectors_requested: u64,
-    /// Summed L2 hits.
-    pub l2_hits: u64,
-    /// Summed L2 misses.
-    pub l2_misses: u64,
-    /// Summed atomic updates.
-    pub atomics: u64,
-}
-
-impl KernelStat {
-    /// Average sectors per warp load request across all launches.
-    pub fn sectors_per_request(&self) -> f64 {
-        if self.load_requests == 0 {
-            0.0
-        } else {
-            self.sectors_requested as f64 / self.load_requests as f64
-        }
-    }
-
-    /// L2 hit rate across all launches.
-    pub fn l2_hit_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_hits as f64 / total as f64
-        }
-    }
+    /// Every launch's [`KernelEvent::work`], folded with `+=`
+    /// (`work.kernel_launches` is the launch count).
+    pub work: Counters,
 }
 
 /// Aggregate kernel events by name, sorted by total simulated time
@@ -765,28 +694,14 @@ pub fn kernel_stats(traces: &[Trace]) -> Vec<KernelStat> {
                 None => {
                     by_name.push(KernelStat {
                         name: k.name,
-                        launches: 0,
                         total_secs: 0.0,
-                        warp_instructions: 0,
-                        dram_bytes: 0,
-                        load_requests: 0,
-                        sectors_requested: 0,
-                        l2_hits: 0,
-                        l2_misses: 0,
-                        atomics: 0,
+                        work: Counters::default(),
                     });
                     by_name.last_mut().unwrap()
                 }
             };
-            stat.launches += 1;
             stat.total_secs += k.dur;
-            stat.warp_instructions += k.warp_instructions;
-            stat.dram_bytes += k.dram_bytes();
-            stat.load_requests += k.load_requests;
-            stat.sectors_requested += k.sectors_requested;
-            stat.l2_hits += k.l2_hits;
-            stat.l2_misses += k.l2_misses;
-            stat.atomics += k.atomics;
+            stat.work += &k.work;
         }
     }
     by_name.sort_by(|a, b| {
@@ -824,12 +739,12 @@ pub fn render_kernel_summary(traces: &[Trace]) -> String {
         out.push_str(&format!(
             "{:<name_w$}  {:>8}  {:>12}  {:>5.1}%  {:>8.2}  {:>5.1}%  {:>14}\n",
             s.name,
-            s.launches,
+            s.work.kernel_launches,
             format!("{}", SimTime::from_secs(s.total_secs)),
             pct,
-            s.sectors_per_request(),
-            100.0 * s.l2_hit_rate(),
-            crate::analysis::human_bytes(s.dram_bytes),
+            s.work.sectors_per_request(),
+            100.0 * s.work.l2_hit_rate(),
+            crate::analysis::human_bytes(s.work.dram_bytes()),
         ));
     }
     out
@@ -860,15 +775,18 @@ mod tests {
         assert_eq!(kernels[0].name, "a");
         assert_eq!(kernels[0].start, 0.0);
         assert!(kernels[0].dur > 0.0);
-        assert_eq!(kernels[0].dram_read_bytes, 4096);
-        assert_eq!(kernels[0].atomics, 0);
+        assert_eq!(kernels[0].work.dram_read_bytes, 4096);
+        assert_eq!(kernels[0].work.atomics, 0);
         assert_eq!(kernels[1].name, "b");
         assert_eq!(kernels[1].start, kernels[0].dur);
-        assert_eq!(kernels[1].atomics, 64);
+        assert_eq!(kernels[1].work.atomics, 64);
         // The per-launch deltas sum back to the cumulative counters.
         let c = dev.counters();
         assert_eq!(
-            kernels.iter().map(|k| k.warp_instructions).sum::<u64>(),
+            kernels
+                .iter()
+                .map(|k| k.work.warp_instructions)
+                .sum::<u64>(),
             c.warp_instructions
         );
         let t_sum: f64 = kernels.iter().map(|k| k.dur).sum();
@@ -1115,9 +1033,9 @@ mod tests {
         assert_eq!(stats.len(), 2);
         // Sorted by total time descending: the big streaming kernel first.
         assert_eq!(stats[0].name, "big");
-        assert_eq!(stats[0].launches, 1);
+        assert_eq!(stats[0].work.kernel_launches, 1);
         assert_eq!(stats[1].name, "small");
-        assert_eq!(stats[1].launches, 3);
+        assert_eq!(stats[1].work.kernel_launches, 3);
         let table = render_kernel_summary(&[tr]);
         assert!(table.contains("kernel"));
         assert!(table.contains("big"));

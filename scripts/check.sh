@@ -9,9 +9,14 @@
 # script. Not run here because it takes minutes: scripts/stress_serving.sh N
 # repeats the two serving suites N times under host contention, and
 # scripts/bench_pair.sh <workload> <parent-ref> runs the two-clock benchmark
-# in alternating parent/change pairs (medians, quartiles, wins). Not a check
+# in alternating parent/change pairs (medians, quartiles, wins), and
+# scripts/artifact_pair.sh <parent-ref> runs the observed smoke-run on both
+# sides and lists the artifact files that differ (the evidence behind "every
+# artifact byte-identical"; only fig08.json and summary.md, which hold wall
+# clock, differ for a change that moves no simulated number). Not a check
 # but reported by every deletion PR: scripts/loc.sh prints the code-only
-# line count per crate (no blanks, comments or trailing test modules).
+# line count per crate (no blanks, comments or trailing test modules); its
+# total is this script's last informational line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,3 +47,4 @@ fi
 echo "    $(ls target/smoke | wc -l) artifact files"
 
 echo "All checks passed."
+echo "    code-only Rust lines (scripts/loc.sh): $(bash scripts/loc.sh | awk '/^total/ { print $2 }')"

@@ -221,16 +221,7 @@ fn over_budget_tenant_fails_typed_while_cotenants_match_oracle() {
     let mut launched = gpu_join::sim::Counters::default();
     for r in &reports {
         for k in r.trace.as_ref().expect("tracing was on").kernels() {
-            launched.kernel_launches += 1;
-            launched.cycles += k.dur * dev.config().clock_hz;
-            launched.warp_instructions += k.warp_instructions;
-            launched.dram_read_bytes += k.dram_read_bytes;
-            launched.dram_write_bytes += k.dram_write_bytes;
-            launched.load_requests += k.load_requests;
-            launched.sectors_requested += k.sectors_requested;
-            launched.l2_hits += k.l2_hits;
-            launched.l2_misses += k.l2_misses;
-            launched.atomics += k.atomics;
+            launched += &k.work;
         }
     }
     // Cycles are an f64 sum taken in a different order; the rest is exact.

@@ -171,21 +171,8 @@ proptest! {
     }
 }
 
-fn add_counters(acc: &mut Counters, c: &Counters) {
-    acc.kernel_launches += c.kernel_launches;
-    acc.cycles += c.cycles;
-    acc.warp_instructions += c.warp_instructions;
-    acc.dram_read_bytes += c.dram_read_bytes;
-    acc.dram_write_bytes += c.dram_write_bytes;
-    acc.load_requests += c.load_requests;
-    acc.sectors_requested += c.sectors_requested;
-    acc.l2_hits += c.l2_hits;
-    acc.l2_misses += c.l2_misses;
-    acc.atomics += c.atomics;
-}
-
 fn sum_tree(stats: &NodeStats, acc: &mut Counters) {
-    add_counters(acc, &stats.op.counters);
+    *acc += &stats.op.counters;
     for child in &stats.children {
         sum_tree(child, acc);
     }

@@ -238,9 +238,10 @@ fn digest_and_lifecycle_trace_are_byte_identical_across_host_threads() {
     for policy in POLICIES {
         let run = |threads: usize| -> (String, String, String) {
             let (trace, snap, reports) = session(threads, policy, &serving);
+            let cfg = DeviceConfig::a100().scaled(8192.0);
             let explains: Vec<_> = reports
                 .iter()
-                .filter_map(|r| r.explain.clone().map(|e| (r.query, e)))
+                .filter_map(|r| r.explain(&cfg).map(|e| (r.query, e)))
                 .collect();
             let digest = slow_queries(&trace, &snap, &explains);
             let lifecycle_lines: String = gpu_join::sim::trace::jsonl(&[trace])

@@ -89,26 +89,19 @@ fn totals_match_counters_and_trace_exactly() {
         .totals;
 
     // Metrics were enabled from device creation with no resets in between,
-    // so the cumulative totals equal the counters field for field.
-    assert_eq!(t.launches, c.kernel_launches);
-    assert_eq!(t.dram_read_bytes, c.dram_read_bytes);
-    assert_eq!(t.dram_write_bytes, c.dram_write_bytes);
-    assert_eq!(t.warp_instructions, c.warp_instructions);
-    assert_eq!(t.load_requests, c.load_requests);
-    assert_eq!(t.sectors_requested, c.sectors_requested);
-    assert_eq!(t.l2_hits, c.l2_hits);
-    assert_eq!(t.l2_misses, c.l2_misses);
-    assert_eq!(t.atomics, c.atomics);
+    // and both fold the same per-launch record in the same order, so the
+    // cumulative totals equal the counters — cycles included, bit for bit.
+    assert_eq!(t.work, c);
 
     // Busy time is recorded per launch as integer nanoseconds of the same
     // kernel durations the trace carries — the sums agree exactly, and
     // both agree with the counters' cycle total up to per-launch rounding.
-    assert_eq!(trace.kernels().count() as u64, t.launches);
+    assert_eq!(trace.kernels().count() as u64, c.kernel_launches);
     let trace_ns: u64 = trace.kernels().map(|k| secs_to_ticks(k.dur)).sum();
     assert_eq!(t.busy_ns, trace_ns);
     let counter_secs = c.cycles / dev.config().clock_hz;
     assert!(
-        (t.busy_ns as f64 * 1e-9 - counter_secs).abs() <= t.launches as f64 * 1e-9,
+        (t.busy_ns as f64 * 1e-9 - counter_secs).abs() <= c.kernel_launches as f64 * 1e-9,
         "metrics busy {}ns vs counters {}s",
         t.busy_ns,
         counter_secs
@@ -249,8 +242,8 @@ fn open_loop_arrivals_respect_the_simulated_clock() {
     assert_eq!(snap.lifecycles.len(), 2);
     for (l, r) in snap.lifecycles.iter().zip(&reports) {
         assert_eq!(l.query, r.query);
-        assert_eq!(l.arrival_secs, r.arrival.secs());
-        assert_eq!(l.completion_secs, r.completion.secs());
+        assert_eq!(l.sched.arrival_secs, r.arrival.secs());
+        assert_eq!(l.sched.completion_secs, r.completion.secs());
     }
 }
 

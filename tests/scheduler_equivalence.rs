@@ -218,13 +218,14 @@ fn assert_reports_identical(a: &QueryReport, b: &QueryReport, ctx: &str) {
     // The flattened breakdown and the attributed explain are derived from
     // the same stats, so they must agree byte-for-byte across policies too.
     assert_eq!(
-        canonical_breakdown(&a.breakdown, false),
-        canonical_breakdown(&b.breakdown, false),
+        canonical_breakdown(&a.breakdown(), false),
+        canonical_breakdown(&b.breakdown(), false),
         "{ctx}: per-operator breakdown"
     );
+    let cfg = DeviceConfig::a100().scaled(8192.0);
     assert_eq!(
-        a.explain.as_ref().map(|e| e.render()),
-        b.explain.as_ref().map(|e| e.render()),
+        a.explain(&cfg).map(|e| e.render()),
+        b.explain(&cfg).map(|e| e.render()),
         "{ctx}: rendered explain"
     );
     let (ta, tb) = (&a.trace, &b.trace);
@@ -298,7 +299,7 @@ fn eight_concurrent_queries_match_solo_execution() {
         canonical_tree(&solo.stats, true, &mut solo_flat);
         assert_eq!(
             solo_flat,
-            canonical_breakdown(&report.breakdown, true),
+            canonical_breakdown(&report.breakdown(), true),
             "q{}: per-tenant breakdown must equal the solo-run breakdown",
             report.query
         );

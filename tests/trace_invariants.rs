@@ -412,7 +412,10 @@ mod multi_query {
         let base = dev.take_trace().expect("tracing was enabled");
         let snap = dev.metrics_snapshot().expect("metrics recorder is on");
 
-        assert_eq!(snap.totals.launches, base.kernels().count() as u64);
+        assert_eq!(
+            snap.totals.work.kernel_launches,
+            base.kernels().count() as u64
+        );
         let trace_ns: u64 = base
             .kernels()
             .map(|k| gpu_join::sim::secs_to_ticks(k.dur))
