@@ -31,8 +31,9 @@ use sim::{secs_to_ticks, LifecycleStage, MetricsSnapshot, QueryId, Trace, SECOND
 pub struct StageAttribution {
     /// Admission-queue wait: arrival to budget grant.
     pub queue_ns: u64,
-    /// Planning time. Always zero: planning kernels run charge-free
-    /// under `with_planning`, so the simulated clock never advances.
+    /// Planning time. Always zero: planning kernels launch on the
+    /// charge-free `Device::planning` handle, so the simulated clock never
+    /// advances.
     pub planning_ns: u64,
     /// Time the query actually held the device (its exec slices).
     pub exec_ns: u64,

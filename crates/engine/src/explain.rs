@@ -130,7 +130,8 @@ impl ExplainNode {
                 let strategy = self
                     .provenance
                     .as_ref()
-                    .map(|p| format!(" ({} materialization)", p.materialization()))
+                    .and_then(Provenance::decision)
+                    .map(|d| format!(" ({} materialization)", d.materialization))
                     .unwrap_or_default();
                 let _ = writeln!(
                     out,
@@ -150,45 +151,46 @@ impl ExplainNode {
 
 fn render_provenance(p: &Provenance, out: &mut String, pad: &str) {
     use std::fmt::Write;
-    match p {
+    let mut stats = String::new();
+    let d = match p {
         Provenance::Join(j) => {
-            let _ = writeln!(
-                out,
-                "{pad}  decision: {} via \"{}\" — {}",
-                j.choice, j.guard, j.rationale
-            );
             let _ = write!(
-                out,
-                "{pad}    stats: build {} rows, probe {} rows, {} free",
+                stats,
+                "build {} rows, probe {} rows, {} free",
                 j.build_rows,
                 j.probe_rows,
                 human_bytes(j.free_mem_bytes)
             );
             if let Some(s) = &j.sampled {
                 let _ = write!(
-                    out,
+                    stats,
                     "; sampled {} rows: match ratio {:.2}, top key {:.1}%",
                     s.sample_size,
                     s.match_ratio,
                     100.0 * s.top_key_share
                 );
             }
-            if let Some(prof) = &j.profile {
-                if prof.skewed {
-                    let _ = write!(out, " (skewed)");
-                }
+            if j.profile.is_some_and(|prof| prof.skewed) {
+                stats.push_str(" (skewed)");
             }
             if j.chunks > 1 {
-                let _ = write!(out, "; out-of-core in {} chunks", j.chunks);
+                let _ = write!(stats, "; out-of-core in {} chunks", j.chunks);
             }
-            let _ = writeln!(out);
-            for r in &j.rejected {
-                let _ = writeln!(
-                    out,
-                    "{pad}    rejected: {} (guard \"{}\" did not hold)",
-                    r.algorithm, r.guard
+            &j.decision
+        }
+        Provenance::GroupBy(g) => {
+            let _ = write!(stats, "{} input rows", g.rows);
+            if let Some(s) = &g.sampled {
+                let _ = write!(
+                    stats,
+                    "; sampled {} rows: ~{} groups (Chao1), top key {:.1}%{}",
+                    s.sample_size,
+                    s.est_groups,
+                    100.0 * s.top_key_share,
+                    if s.skewed() { " (skewed)" } else { "" }
                 );
             }
+            &g.decision
         }
         Provenance::Fusion(f) => {
             let _ = writeln!(
@@ -219,33 +221,21 @@ fn render_provenance(p: &Provenance, out: &mut String, pad: &str) {
                 f.computed_cols,
                 f.boundary
             );
+            return;
         }
-        Provenance::GroupBy(g) => {
-            let _ = writeln!(
-                out,
-                "{pad}  decision: {} via \"{}\" — {}",
-                g.choice, g.guard, g.rationale
-            );
-            let _ = write!(out, "{pad}    stats: {} input rows", g.rows);
-            if let Some(s) = &g.sampled {
-                let _ = write!(
-                    out,
-                    "; sampled {} rows: ~{} groups (Chao1), top key {:.1}%{}",
-                    s.sample_size,
-                    s.est_groups,
-                    100.0 * s.top_key_share,
-                    if s.skewed() { " (skewed)" } else { "" }
-                );
-            }
-            let _ = writeln!(out);
-            for r in &g.rejected {
-                let _ = writeln!(
-                    out,
-                    "{pad}    rejected: {} (guard \"{}\" did not hold)",
-                    r.algorithm, r.guard
-                );
-            }
-        }
+    };
+    let _ = writeln!(
+        out,
+        "{pad}  decision: {} via \"{}\" — {}",
+        d.choice, d.guard, d.rationale
+    );
+    let _ = writeln!(out, "{pad}    stats: {stats}");
+    for r in &d.rejected {
+        let _ = writeln!(
+            out,
+            "{pad}    rejected: {} (guard \"{}\" did not hold)",
+            r.algorithm, r.guard
+        );
     }
 }
 

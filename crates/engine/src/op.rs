@@ -38,8 +38,8 @@ use crate::{AggSpec, EngineError, Expr, Plan, Table};
 use columnar::{Column, DType, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use heuristics::{
-    explain_choose_group_by, explain_choose_join, profile_from_stats, sample_group_stats,
-    sample_stats, AggProfile, GroupByProvenance, JoinProvenance, Provenance, SideShape,
+    choose_group_by, choose_join, profile_from_stats, sample_group_stats, sample_stats, AggProfile,
+    Decision, GroupByProvenance, JoinProvenance, Provenance, SideShape,
 };
 use joins::{chunked, Algorithm, JoinConfig};
 use primitives::{gather_column, gather_column_or_null, NULL_ID, STREAM_WARP_INSTR};
@@ -62,13 +62,13 @@ pub enum SiteSample {
 enum PlanningMode {
     /// Normal execution: sampling kernels charge the query like any other.
     Off,
-    /// First (cold) run through a cacheable plan: sampling kernels run in
-    /// the device's planning scope (charged to the device/session, not the
-    /// query's private clock) and every observation is recorded in order.
+    /// First (cold) run through a cacheable plan: sampling kernels launch
+    /// on the device's charge-free planning handle and every observation is
+    /// recorded in order.
     Record(Vec<SiteSample>),
     /// Cached run: serve recorded observations positionally instead of
-    /// sampling. A shape mismatch falls back to live sampling inside the
-    /// planning scope, preserving byte-identity with the recorded run.
+    /// sampling. A shape mismatch falls back to live sampling on the
+    /// planning handle, preserving byte-identity with the recorded run.
     Replay {
         samples: Vec<SiteSample>,
         cursor: usize,
@@ -99,7 +99,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// A context that records every sampling-site observation (cold run of
-    /// a cacheable plan). Sampling runs in the device planning scope.
+    /// a cacheable plan). Sampling runs on the device's planning handle.
     pub(crate) fn with_recording(dev: &'a Device, catalog: Option<&'a Catalog>) -> Self {
         ExecContext {
             dev,
@@ -131,47 +131,43 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Resolve a sampling site under the current planning mode. The
-    /// `sample` closure must not touch `self.planning` (it launches
-    /// kernels; the borrow is released before it runs).
-    fn sample_site<S: SiteStats>(&self, sample: impl FnOnce() -> S) -> S {
-        enum Action<S> {
-            Live,
-            Planned,
-            Serve(S),
-        }
-        let action = {
-            let mut mode = self.planning.borrow_mut();
-            match &mut *mode {
-                PlanningMode::Off => Action::Live,
-                PlanningMode::Record(_) => Action::Planned,
-                PlanningMode::Replay { samples, cursor } => {
-                    match samples.get(*cursor).and_then(S::from_sample) {
-                        Some(s) => {
-                            *cursor += 1;
-                            Action::Serve(s)
-                        }
-                        // Shape mismatch: the cached trace does not line up
-                        // with this plan's sites. Fall back to live sampling
-                        // in the planning scope so the query-private clock
-                        // still matches the recorded run.
-                        None => Action::Planned,
-                    }
-                }
-            }
-        };
-        match action {
-            Action::Live => sample(),
-            Action::Serve(s) => s,
-            Action::Planned => {
-                let s = self.dev.with_planning(sample);
-                if let PlanningMode::Record(samples) = &mut *self.planning.borrow_mut() {
-                    samples.push(s.into_sample());
-                }
+    /// Resolve a sampling site under the current planning mode. `sample`
+    /// launches its kernels on the handle it is given — this context's
+    /// device, or its charge-free [`Device::planning`] handle — and must not
+    /// touch `self.planning` (the borrow is held while it runs).
+    fn sample_site<S: SiteStats>(&self, sample: impl FnOnce(&Device) -> S) -> S {
+        match &mut *self.planning.borrow_mut() {
+            PlanningMode::Off => sample(self.dev),
+            PlanningMode::Record(samples) => {
+                let s = sample(&self.dev.planning());
+                samples.push(s.into_sample());
                 s
+            }
+            PlanningMode::Replay { samples, cursor } => {
+                match samples.get(*cursor).and_then(S::from_sample) {
+                    Some(s) => {
+                        *cursor += 1;
+                        s
+                    }
+                    // Shape mismatch: the cached trace does not line up
+                    // with this plan's sites. Fall back to live sampling
+                    // on the planning handle so the query-private clock
+                    // still matches the recorded run.
+                    None => sample(&self.dev.planning()),
+                }
             }
         }
     }
+}
+
+/// The decision of an operator whose plan fixed its algorithm.
+fn pinned_by_plan(choice: &str, materialization: &str) -> Decision {
+    Decision::pinned(
+        choice,
+        materialization,
+        "pinned by plan",
+        "algorithm fixed by the plan; no decision tree ran",
+    )
 }
 
 /// The statistics one kind of adaptive site samples, as a [`SiteSample`]
@@ -750,7 +746,6 @@ fn prepare_join_side(dev: &Device, value: Value, key: &str) -> Result<PreparedSi
                 None
             };
             let shape = SideShape {
-                rows,
                 num_payloads: cols.len(),
                 has_8byte,
                 size_bytes,
@@ -915,14 +910,12 @@ impl PhysicalOperator for JoinOp {
         // Decision provenance: everything below is captured as it happens —
         // the sampled stats behind the profile, the branch taken and the
         // branches rejected — so `engine::explain` can replay the choice.
-        let (alg, profile, sampled, guard, rationale, rejected) = match self.algorithm {
-            Some(pinned) => (
-                pinned,
+        let (alg, profile, sampled, decision) = match self.algorithm {
+            Some(alg) => (
+                alg,
                 None,
                 None,
-                "pinned by plan".to_string(),
-                "algorithm fixed by the plan; no decision tree ran".to_string(),
-                Vec::new(),
+                pinned_by_plan(alg.name(), alg.materialization()),
             ),
             None => {
                 // No optimizer statistics here: sample them (match ratio,
@@ -931,22 +924,17 @@ impl PhysicalOperator for JoinOp {
                 // profile is built from the *logical* side shapes, so ticket
                 // inputs pick the same algorithm their materialized twins
                 // would — fusion changes the cost, never the plan.
-                let stats = ctx.sample_site(|| sample_stats(ctx.dev, l_rel, r_rel, 512));
+                let stats = ctx.sample_site(|dev| sample_stats(dev, l_rel, r_rel, 512));
                 let profile = profile_from_stats(
                     &stats,
                     &l_prep.shape,
                     &r_prep.shape,
                     ctx.dev.config().l2_bytes,
                 );
-                let e = explain_choose_join(&profile);
-                (
-                    e.algorithm,
-                    Some(profile),
-                    Some(stats),
-                    e.guard.to_string(),
-                    e.rationale.to_string(),
-                    e.rejected,
-                )
+                let e = choose_join(&profile);
+                let alg = e.algorithm;
+                let decision = Decision::walked(e, alg.name(), alg.materialization());
+                (alg, Some(profile), Some(stats), decision)
             }
         };
         // Plan-level memory budget: run the Section 4.4 model against the
@@ -975,12 +963,7 @@ impl PhysicalOperator for JoinOp {
             profile,
             sampled,
             chunks,
-            pinned: self.algorithm.is_some(),
-            choice: alg.name().to_string(),
-            materialization: alg.materialization().to_string(),
-            guard,
-            rationale,
-            rejected,
+            decision,
         });
         let phases = joined.stats.phases;
 
@@ -1265,12 +1248,12 @@ impl PhysicalOperator for DistinctOp {
                 rows,
                 profile: None,
                 sampled: None,
-                pinned: true,
-                choice: alg.name().to_string(),
-                materialization: alg.materialization().to_string(),
-                guard: "pinned by operator".to_string(),
-                rationale: "Distinct always sorts: keys alone, no aggregates to gather".to_string(),
-                rejected: Vec::new(),
+                decision: Decision::pinned(
+                    alg.name(),
+                    alg.materialization(),
+                    "pinned by operator",
+                    "Distinct always sorts: keys alone, no aggregates to gather",
+                ),
             })),
         })
     }
@@ -1350,19 +1333,17 @@ impl PhysicalOperator for AggregateOp {
             }
         };
         let rows = key.len();
-        let (alg, profile, sampled, guard, rationale, rejected) = match self.algorithm {
-            Some(pinned) => (
-                pinned,
+        let (alg, profile, sampled, decision) = match self.algorithm {
+            Some(alg) => (
+                alg,
                 None,
                 None,
-                "pinned by plan".to_string(),
-                "algorithm fixed by the plan; no decision tree ran".to_string(),
-                Vec::new(),
+                pinned_by_plan(alg.name(), alg.materialization()),
             ),
             None => {
                 // Sample the grouping key for a distinct-count and skew
                 // estimate, then let the aggregation decision tree pick.
-                let sampled = ctx.sample_site(|| sample_group_stats(ctx.dev, &key, 512));
+                let sampled = ctx.sample_site(|dev| sample_group_stats(dev, &key, 512));
                 let profile = AggProfile {
                     rows,
                     est_groups: sampled.est_groups,
@@ -1370,15 +1351,10 @@ impl PhysicalOperator for AggregateOp {
                     wide: fns.len() > 1,
                     l2_bytes: ctx.dev.config().l2_bytes,
                 };
-                let e = explain_choose_group_by(&profile);
-                (
-                    e.algorithm,
-                    Some(profile),
-                    Some(sampled),
-                    e.guard.to_string(),
-                    e.rationale.to_string(),
-                    e.rejected,
-                )
+                let e = choose_group_by(&profile);
+                let alg = e.algorithm;
+                let decision = Decision::walked(e, alg.name(), alg.materialization());
+                (alg, Some(profile), Some(sampled), decision)
             }
         };
         let rel = Relation::new("agg_input", key, payloads);
@@ -1396,12 +1372,7 @@ impl PhysicalOperator for AggregateOp {
                 rows,
                 profile,
                 sampled,
-                pinned: self.algorithm.is_some(),
-                choice: alg.name().to_string(),
-                materialization: alg.materialization().to_string(),
-                guard,
-                rationale,
-                rejected,
+                decision,
             })),
         })
     }

@@ -12,9 +12,9 @@
 //! **Byte-identity contract.** A cache hit replays the recorded sampling
 //! observations positionally into the same operator tree, so its output
 //! table, `OpStats`, and EXPLAIN tree are byte-identical to the recording
-//! (cold) run. The cold run itself executes its sampling kernels inside
-//! [`sim::Device::with_planning`] — charge-free on every clock — which is
-//! what makes the two runs indistinguishable to every observer. The
+//! (cold) run. The cold run itself launches its sampling kernels on the
+//! query's [`sim::Device::planning`] handle — charge-free on every clock —
+//! which is what makes the two runs indistinguishable to every observer. The
 //! property suite (`tests/admission_invariants.rs`) holds the cache to
 //! exactly this contract.
 //!

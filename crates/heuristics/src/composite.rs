@@ -95,8 +95,9 @@ static COMPOSITE_TREE: [Branch<CompositeProfile, CompositeStrategy>; 3] = [
     },
 ];
 
-/// Walk the composite-key tree with full provenance.
-pub fn explain_choose_composite(p: &CompositeProfile) -> Explained<CompositeStrategy> {
+/// Walk the composite-key tree. ORDER BY asks with `fd_available: false`:
+/// ordering needs the actual lexicographic value, so only PACK serves it.
+pub fn choose_composite(p: &CompositeProfile) -> Explained<CompositeStrategy> {
     walk_tree(&COMPOSITE_TREE, p, CompositeStrategy::name)
 }
 
@@ -115,14 +116,14 @@ mod tests {
 
     #[test]
     fn narrow_ranges_pack() {
-        let e = explain_choose_composite(&profile(55, false));
+        let e = choose_composite(&profile(55, false));
         assert_eq!(e.algorithm, CompositeStrategy::Pack);
         assert!(e.rejected.is_empty());
     }
 
     #[test]
     fn wide_ranges_fall_back_to_the_functional_dependency() {
-        let e = explain_choose_composite(&profile(76, true));
+        let e = choose_composite(&profile(76, true));
         assert_eq!(e.algorithm, CompositeStrategy::FdReduce);
         assert_eq!(e.rejected.len(), 1);
         assert_eq!(e.rejected[0].algorithm, "PACK");
@@ -130,7 +131,7 @@ mod tests {
 
     #[test]
     fn wide_ranges_without_fd_reject() {
-        let e = explain_choose_composite(&profile(76, false));
+        let e = choose_composite(&profile(76, false));
         assert_eq!(e.algorithm, CompositeStrategy::Reject);
         assert_eq!(e.rejected.len(), 2);
     }

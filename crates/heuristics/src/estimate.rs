@@ -25,12 +25,16 @@ pub struct EstimatedStats {
     pub sample_size: usize,
 }
 
+/// The skew verdict both trees want from a sample: is the hottest key
+/// heavy enough to serialize atomics (bucket-chain partitioning, a global
+/// hash table's hot group)? The 5% threshold maps to roughly Zipf ≥ 1 over
+/// realistic domains (compare Figure 14).
+const SKEWED_TOP_KEY_SHARE: f64 = 0.05;
+
 impl EstimatedStats {
-    /// The skew verdict the decision tree wants: is the hottest key heavy
-    /// enough to serialize bucket-chain atomics? The 5% threshold maps to
-    /// roughly Zipf ≥ 1 over realistic domains (compare Figure 14).
+    /// The skew verdict the join tree branches on.
     pub fn skewed(&self) -> bool {
-        self.top_key_share > 0.05
+        self.top_key_share > SKEWED_TOP_KEY_SHARE
     }
 }
 
@@ -75,20 +79,26 @@ pub fn sample_stats(
         .seq_read_bytes(taken as u64 * s.key().dtype().size())
         .launch();
 
-    let top = freq.values().copied().max().unwrap_or(0);
     EstimatedStats {
-        match_ratio: if taken == 0 {
-            0.0
-        } else {
-            matched as f64 / taken as f64
-        },
-        top_key_share: if taken == 0 {
-            0.0
-        } else {
-            top as f64 / taken as f64
-        },
+        match_ratio: share(matched, taken),
+        top_key_share: top_key_share(&freq, taken),
         sample_size: taken,
     }
+}
+
+/// `part / whole`, and 0 for an empty sample.
+fn share(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// The skew signal: the share of a `taken`-key sample held by its most
+/// frequent key.
+fn top_key_share(freq: &HashMap<i64, usize>, taken: usize) -> f64 {
+    share(freq.values().copied().max().unwrap_or(0), taken)
 }
 
 /// Statistics estimated from a grouping-key sample.
@@ -105,10 +115,9 @@ pub struct EstimatedGroupStats {
 }
 
 impl EstimatedGroupStats {
-    /// Is the hottest group heavy enough to serialize atomic updates on the
-    /// global hash table? Same 5% threshold as the join-side estimator.
+    /// The skew verdict the group-by tree branches on.
     pub fn skewed(&self) -> bool {
-        self.top_key_share > 0.05
+        self.top_key_share > SKEWED_TOP_KEY_SHARE
     }
 }
 
@@ -154,14 +163,9 @@ pub fn sample_group_stats(dev: &Device, key: &Column, sample_size: usize) -> Est
         (f1 * (f1.saturating_sub(1))) as f64 / 2.0
     };
     let est_groups = ((d as f64 + extra).round() as usize).clamp(d, n.max(d));
-    let top = freq.values().copied().max().unwrap_or(0);
     EstimatedGroupStats {
         est_groups,
-        top_key_share: if taken == 0 {
-            0.0
-        } else {
-            top as f64 / taken as f64
-        },
+        top_key_share: top_key_share(&freq, taken),
         sample_size: taken,
     }
 }
@@ -174,26 +178,13 @@ pub fn estimate_profile(
     s: &Relation,
     sample_size: usize,
 ) -> WorkloadProfile {
-    estimate_profile_with_stats(dev, r, s, sample_size).0
-}
-
-/// [`estimate_profile`] keeping the raw sample behind the profile — the
-/// provenance-capturing variant. Identical device cost and identical
-/// profile: the plain version is implemented on top of this one.
-pub fn estimate_profile_with_stats(
-    dev: &Device,
-    r: &Relation,
-    s: &Relation,
-    sample_size: usize,
-) -> (WorkloadProfile, EstimatedStats) {
     let stats = sample_stats(dev, r, s, sample_size);
-    let profile = profile_from_stats(
+    profile_from_stats(
         &stats,
         &SideShape::of(r),
         &SideShape::of(s),
         dev.config().l2_bytes,
-    );
-    (profile, stats)
+    )
 }
 
 #[cfg(test)]
@@ -393,17 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn with_stats_variant_matches_plain_profile_and_device_cost() {
+    fn estimate_profile_is_the_sample_through_the_profile_rule() {
         let dev = Device::a100();
         let r = rel(&dev, (0..512).collect());
         let s = rel(&dev, (0..2048).map(|i| i % 512).collect());
-        let plain = estimate_profile(&dev, &r, &s, 256);
-        let t_plain = dev.elapsed().secs();
+        let profile = estimate_profile(&dev, &r, &s, 256);
+        let t_profile = dev.elapsed().secs();
         dev.reset_stats();
-        let (profile, stats) = estimate_profile_with_stats(&dev, &r, &s, 256);
-        assert_eq!(dev.elapsed().secs().to_bits(), t_plain.to_bits());
-        assert_eq!(profile.match_ratio.to_bits(), plain.match_ratio.to_bits());
-        assert_eq!(profile.skewed, plain.skewed);
+        let stats = sample_stats(&dev, &r, &s, 256);
+        assert_eq!(dev.elapsed().secs().to_bits(), t_profile.to_bits());
+        let shapes = (SideShape::of(&r), SideShape::of(&s));
+        let composed = profile_from_stats(&stats, &shapes.0, &shapes.1, dev.config().l2_bytes);
+        assert_eq!(profile, composed);
         assert_eq!(stats.sample_size, 256);
     }
 }

@@ -4,9 +4,23 @@
 //! can apply from workload statistics it already has: payload widths, match
 //! ratio estimates, skew estimates, and input sizes.
 //!
+//! Every tree is data walked by one function, and each has one entry point
+//! that returns the walk itself as an [`Explained`] — the pick, the guard
+//! that fired, its rationale and the branches rejected on the way:
+//!
 //! * [`choose_join`] encodes Figure 18a — picking among all four GPU
 //!   implementations;
 //! * [`choose_smj`] encodes Figure 18b — the SMJ-OM vs SMJ-UM subtree;
+//! * [`choose_group_by`] is the grouped-aggregation tree;
+//! * [`composite::choose_composite`] picks how a multi-column GROUP BY /
+//!   ORDER BY key maps onto the single-key kernels.
+//!
+//! A planner that acts on a walk records it as one [`Decision`] (or a
+//! pinned one when the plan fixed the algorithm), which the join and
+//! group-by [`Provenance`] embed and EXPLAIN renders.
+//!
+//! The trees' inputs come from two places:
+//!
 //! * [`profile_of`] derives a [`WorkloadProfile`] from actual relations, so
 //!   the recommendation can be validated against measured runs (the
 //!   `fig18_decision_tree` experiment does exactly that);
@@ -18,8 +32,7 @@ pub mod composite;
 pub mod estimate;
 
 pub use estimate::{
-    estimate_profile, estimate_profile_with_stats, sample_group_stats, sample_stats,
-    EstimatedGroupStats, EstimatedStats,
+    estimate_profile, sample_group_stats, sample_stats, EstimatedGroupStats, EstimatedStats,
 };
 
 use columnar::{DType, Relation};
@@ -65,8 +78,6 @@ impl WorkloadProfile {
 /// profile and pick the same algorithm.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SideShape {
-    /// Rows in this input.
-    pub rows: usize,
     /// Payload (non-key) columns the query materializes from this side.
     pub num_payloads: usize,
     /// Any 8-byte key or payload column on this side.
@@ -79,7 +90,6 @@ impl SideShape {
     /// The shape of a concrete relation (the eager-materialization case).
     pub fn of(rel: &Relation) -> SideShape {
         SideShape {
-            rows: rel.len(),
             num_payloads: rel.num_payloads(),
             has_8byte: rel.key().dtype() == DType::I64
                 || rel.payloads().iter().any(|c| c.dtype() == DType::I64),
@@ -89,8 +99,8 @@ impl SideShape {
 }
 
 /// Compose sampled statistics with the two sides' schema facts into the
-/// profile the join tree branches on. [`estimate::estimate_profile_with_stats`]
-/// is this function applied to [`SideShape::of`] the physical relations;
+/// profile the join tree branches on. [`estimate::estimate_profile`] is
+/// this function applied to [`SideShape::of`] the physical relations;
 /// late-materializing callers pass logical shapes instead.
 pub fn profile_from_stats(
     stats: &EstimatedStats,
@@ -98,22 +108,41 @@ pub fn profile_from_stats(
     s: &SideShape,
     l2_bytes: u64,
 ) -> WorkloadProfile {
+    profile(r, s, stats.match_ratio, stats.skewed(), l2_bytes)
+}
+
+/// Derive a profile from concrete relations plus distribution estimates the
+/// caller knows (match ratio and skew are generator/optimizer knowledge, not
+/// derivable from a cheap scan).
+pub fn profile_of(
+    r: &Relation,
+    s: &Relation,
+    match_ratio: f64,
+    zipf: f64,
+    l2_bytes: u64,
+) -> WorkloadProfile {
+    let (r, s) = (SideShape::of(r), SideShape::of(s));
+    profile(&r, &s, match_ratio, zipf >= 1.0, l2_bytes)
+}
+
+/// The profile rule, once: wide when either side materializes more than one
+/// payload, 8-byte when either side has an 8-byte column, and "small" when
+/// the larger side fits in half the L2 — room to spare for the gather's
+/// working set.
+fn profile(
+    r: &SideShape,
+    s: &SideShape,
+    match_ratio: f64,
+    skewed: bool,
+    l2_bytes: u64,
+) -> WorkloadProfile {
     WorkloadProfile {
         wide: r.num_payloads > 1 || s.num_payloads > 1,
-        match_ratio: stats.match_ratio,
-        skewed: stats.skewed(),
+        match_ratio,
+        skewed,
         has_8byte: r.has_8byte || s.has_8byte,
         small_inputs: r.size_bytes.max(s.size_bytes) < l2_bytes / 2,
     }
-}
-
-/// A recommendation plus the branch of the tree that produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Recommendation {
-    /// The implementation to run.
-    pub algorithm: Algorithm,
-    /// Human-readable rationale (the tree path taken).
-    pub rationale: &'static str,
 }
 
 /// One branch of a decision tree: a named guard over the profile and the
@@ -121,10 +150,9 @@ pub struct Recommendation {
 /// branch whose guard is always true, so a walk always terminates on a
 /// branch.
 ///
-/// The trees are data, not control flow, so [`choose_join`] and the
-/// provenance-producing [`explain_choose_join`] (etc.) walk the *same*
-/// branches by construction — the explain layer can never describe a
-/// different tree than the one the planner ran.
+/// The trees are data, not control flow, so the pick and its provenance
+/// come from the *same* walk by construction — the explain layer can never
+/// describe a different tree than the one the planner ran.
 struct Branch<P: 'static, A: 'static> {
     /// The predicate as the paper's figure states it (shown in provenance).
     guard: &'static str,
@@ -143,8 +171,9 @@ pub struct RejectedBranch {
     pub guard: String,
 }
 
-/// The outcome of walking a decision tree with full provenance: the choice,
-/// the guard that fired, and every branch rejected on the way down.
+/// The outcome of walking a decision tree — what every `choose_*` returns:
+/// the choice, the guard that fired, and every branch rejected on the way
+/// down.
 #[derive(Debug, Clone)]
 pub struct Explained<A> {
     /// The algorithm the tree picked.
@@ -271,32 +300,13 @@ static SMJ_TREE: [Branch<WorkloadProfile, Algorithm>; 6] = [
 ];
 
 /// Figure 18a: choose among SMJ-UM, SMJ-OM, PHJ-UM and PHJ-OM.
-pub fn choose_join(p: &WorkloadProfile) -> Recommendation {
-    let e = explain_choose_join(p);
-    Recommendation {
-        algorithm: e.algorithm,
-        rationale: e.rationale,
-    }
-}
-
-/// [`choose_join`] with full provenance: the same walk over the same tree,
-/// also reporting the guard taken and the branches rejected.
-pub fn explain_choose_join(p: &WorkloadProfile) -> Explained<Algorithm> {
+pub fn choose_join(p: &WorkloadProfile) -> Explained<Algorithm> {
     walk_tree(&JOIN_TREE, p, Algorithm::name)
 }
 
 /// Figure 18b: within the sort-merge family, does optimized materialization
 /// pay off?
-pub fn choose_smj(p: &WorkloadProfile) -> Recommendation {
-    let e = explain_choose_smj(p);
-    Recommendation {
-        algorithm: e.algorithm,
-        rationale: e.rationale,
-    }
-}
-
-/// [`choose_smj`] with full provenance.
-pub fn explain_choose_smj(p: &WorkloadProfile) -> Explained<Algorithm> {
+pub fn choose_smj(p: &WorkloadProfile) -> Explained<Algorithm> {
     walk_tree(&SMJ_TREE, p, Algorithm::name)
 }
 
@@ -326,16 +336,6 @@ impl AggProfile {
         // occupancy, against half the L2 to leave room for the input stream.
         (self.est_groups as u64) * 16 * 2 <= self.l2_bytes / 2
     }
-}
-
-/// A grouped-aggregation recommendation plus the branch that produced it —
-/// the counterpart of [`Recommendation`] for [`GroupByAlgorithm`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GroupByRecommendation {
-    /// The implementation to run.
-    pub algorithm: GroupByAlgorithm,
-    /// Human-readable rationale (the tree path taken).
-    pub rationale: &'static str,
 }
 
 /// The grouped-aggregation tree as data: global hash table while it is
@@ -374,26 +374,60 @@ static GROUP_BY_TREE: [Branch<AggProfile, GroupByAlgorithm>; 4] = [
     },
 ];
 
-/// The grouped-aggregation decision (the winning branch's rationale, from
-/// the static group-by tree).
-pub fn choose_group_by(p: &AggProfile) -> GroupByRecommendation {
-    let e = explain_choose_group_by(p);
-    GroupByRecommendation {
-        algorithm: e.algorithm,
-        rationale: e.rationale,
-    }
-}
-
-/// [`choose_group_by`] with full provenance: the same walk over the same
-/// tree, also reporting the guard taken and the branches rejected.
-pub fn explain_choose_group_by(p: &AggProfile) -> Explained<GroupByAlgorithm> {
+/// The grouped-aggregation decision.
+pub fn choose_group_by(p: &AggProfile) -> Explained<GroupByAlgorithm> {
     walk_tree(&GROUP_BY_TREE, p, GroupByAlgorithm::name)
 }
 
+/// One planner decision as EXPLAIN reports it: what was chosen, how it
+/// materializes, and — for a tree walk — the guard that fired, its
+/// rationale and the branches rejected before it. The one record every
+/// decision kind embeds ([`JoinProvenance`], [`GroupByProvenance`]) and
+/// `engine::explain` renders.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Decision {
+    /// True when the plan pinned the algorithm and no tree ran.
+    pub pinned: bool,
+    /// Display name of the chosen algorithm.
+    pub choice: String,
+    /// Materialization strategy of the choice (`"GFTR"` / `"GFUR"` / ...).
+    pub materialization: String,
+    /// The guard that fired (`"pinned by plan"` when pinned).
+    pub guard: String,
+    /// The taken branch's rationale.
+    pub rationale: String,
+    /// Branches rejected before the taken one, in tree order.
+    pub rejected: Vec<RejectedBranch>,
+}
+
+impl Decision {
+    /// The record of a tree walk that picked the algorithm displayed as
+    /// `choice`, which materializes as `materialization`.
+    pub fn walked<A>(e: Explained<A>, choice: &str, materialization: &str) -> Decision {
+        Decision {
+            pinned: false,
+            rejected: e.rejected,
+            ..Decision::pinned(choice, materialization, e.guard, e.rationale)
+        }
+    }
+
+    /// The record of a choice fixed without walking a tree: `guard` says
+    /// who pinned it, `rationale` why.
+    pub fn pinned(choice: &str, materialization: &str, guard: &str, rationale: &str) -> Decision {
+        Decision {
+            pinned: true,
+            choice: choice.to_string(),
+            materialization: materialization.to_string(),
+            guard: guard.to_string(),
+            rationale: rationale.to_string(),
+            rejected: Vec::new(),
+        }
+    }
+}
+
 /// Everything the planner knew when it picked a join algorithm: the inputs
-/// it looked at, the statistics it sampled, the branch it took and the
-/// branches it rejected. Captured at plan time by `engine::op`, rendered by
-/// `engine::explain`.
+/// it looked at, the statistics it sampled, and the [`Decision`] it made.
+/// Captured at plan time by `engine::op`, rendered by `engine::explain`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JoinProvenance {
     /// Build-side rows at plan time.
@@ -410,18 +444,8 @@ pub struct JoinProvenance {
     pub sampled: Option<EstimatedStats>,
     /// Chunk count the out-of-core planner settled on (1 = in-core).
     pub chunks: usize,
-    /// True when the plan pinned the algorithm and no tree ran.
-    pub pinned: bool,
-    /// Display name of the chosen algorithm.
-    pub choice: String,
-    /// Materialization strategy of the choice (`"GFTR"` / `"GFUR"` / ...).
-    pub materialization: String,
-    /// The guard that fired (`"pinned by plan"` when pinned).
-    pub guard: String,
-    /// The taken branch's rationale.
-    pub rationale: String,
-    /// Branches rejected before the taken one, in tree order.
-    pub rejected: Vec<RejectedBranch>,
+    /// The choice and how it was made.
+    pub decision: Decision,
 }
 
 /// Everything the planner knew when it picked a grouped-aggregation
@@ -434,18 +458,8 @@ pub struct GroupByProvenance {
     pub profile: Option<AggProfile>,
     /// The sampled grouping-key statistics (Chao1 estimate, skew signal).
     pub sampled: Option<EstimatedGroupStats>,
-    /// True when the plan pinned the algorithm and no tree ran.
-    pub pinned: bool,
-    /// Display name of the chosen algorithm.
-    pub choice: String,
-    /// Materialization strategy of the choice.
-    pub materialization: String,
-    /// The guard that fired (`"pinned by plan"` when pinned).
-    pub guard: String,
-    /// The taken branch's rationale.
-    pub rationale: String,
-    /// Branches rejected before the taken one, in tree order.
-    pub rejected: Vec<RejectedBranch>,
+    /// The choice and how it was made.
+    pub decision: Decision,
 }
 
 /// What the plan-rewrite fusion pass did at one fused node: which adjacent
@@ -488,56 +502,14 @@ pub enum Provenance {
 }
 
 impl Provenance {
-    /// Display name of the chosen algorithm.
-    pub fn choice(&self) -> &str {
+    /// The planner decision this node records; `None` for a fusion
+    /// rewrite, which describes its strategy in its own terms.
+    pub fn decision(&self) -> Option<&Decision> {
         match self {
-            Provenance::Join(j) => &j.choice,
-            Provenance::GroupBy(g) => &g.choice,
-            Provenance::Fusion(_) => "fused pipeline",
+            Provenance::Join(j) => Some(&j.decision),
+            Provenance::GroupBy(g) => Some(&g.decision),
+            Provenance::Fusion(_) => None,
         }
-    }
-
-    /// Materialization strategy label of the choice.
-    pub fn materialization(&self) -> &str {
-        match self {
-            Provenance::Join(j) => &j.materialization,
-            Provenance::GroupBy(g) => &g.materialization,
-            // Deferred tickets are the plan-wide form of the paper's GFTR
-            // late materialization; materializing in place is the GFUR form.
-            Provenance::Fusion(f) => {
-                if f.materialized_here {
-                    "GFUR"
-                } else {
-                    "GFTR"
-                }
-            }
-        }
-    }
-}
-
-/// Derive a profile from concrete relations plus distribution estimates the
-/// caller knows (match ratio and skew are generator/optimizer knowledge, not
-/// derivable from a cheap scan).
-pub fn profile_of(
-    r: &Relation,
-    s: &Relation,
-    match_ratio: f64,
-    zipf: f64,
-    l2_bytes: u64,
-) -> WorkloadProfile {
-    let has_8byte = r.key().dtype() == DType::I64
-        || s.key().dtype() == DType::I64
-        || r.payloads().iter().any(|c| c.dtype() == DType::I64)
-        || s.payloads().iter().any(|c| c.dtype() == DType::I64);
-    // "Small" when the larger side's payload data fits in L2 with room to
-    // spare for the gather's working set.
-    let small_inputs = r.size_bytes().max(s.size_bytes()) < l2_bytes / 2;
-    WorkloadProfile {
-        wide: r.num_payloads() > 1 || s.num_payloads() > 1,
-        match_ratio,
-        skewed: zipf >= 1.0,
-        has_8byte,
-        small_inputs,
     }
 }
 
@@ -671,7 +643,6 @@ mod tests {
         );
         // The logical input it stands for: two payloads, one 8-byte.
         let logical = SideShape {
-            rows: 4096,
             num_payloads: 2,
             has_8byte: true,
             size_bytes: 4096 * (4 + 4 + 8),
@@ -714,8 +685,8 @@ mod tests {
     }
 
     #[test]
-    fn fusion_provenance_reports_strategy() {
-        let f = FusionProvenance {
+    fn only_planner_decisions_carry_a_decision() {
+        let fusion = Provenance::Fusion(FusionProvenance {
             steps: vec!["Filter".into(), "Project".into()],
             predicates: 1,
             input_rows: 100,
@@ -724,15 +695,16 @@ mod tests {
             computed_cols: 1,
             materialized_here: false,
             boundary: "Join gathers through tickets".into(),
-        };
-        let p = Provenance::Fusion(f);
-        assert_eq!(p.choice(), "fused pipeline");
-        assert_eq!(p.materialization(), "GFTR");
-        let Provenance::Fusion(mut f) = p else {
-            unreachable!()
-        };
-        f.materialized_here = true;
-        assert_eq!(Provenance::Fusion(f).materialization(), "GFUR");
+        });
+        assert!(fusion.decision().is_none());
+        let decision = Decision::pinned("HASH", "GFUR", "pinned by plan", "fixed");
+        let group_by = Provenance::GroupBy(GroupByProvenance {
+            rows: 100,
+            profile: None,
+            sampled: None,
+            decision: decision.clone(),
+        });
+        assert_eq!(group_by.decision(), Some(&decision));
     }
 
     #[test]

@@ -193,14 +193,14 @@ impl<'d> KernelBuilder<'d> {
         let t_atomic = self.atomics_hottest as f64 * cfg.atomic_serialize_cycles / cfg.clock_hz;
         let t = t_comp.max(t_mem) + t_atomic + cfg.kernel_launch_overhead;
 
-        // Planning-scope launches (the planner's statistics samplers, see
-        // `Device::with_planning`) charge nothing — no clock, counters,
+        // Launches on a planning handle (the planner's statistics samplers,
+        // see `Device::planning`) charge nothing — no clock, counters,
         // trace, metrics or timeline record. They model work a cached plan
         // skips, so a recorded (cold) run and its cached replay must
         // observe identical bytes on every clock. Safe because sampling
         // kernels stream charges only (no `warp_loads`): they never mutate
         // the shared L2 image or the memory ledger.
-        if crate::planning_active() {
+        if self.dev.planning {
             return SimTime::from_secs(t);
         }
 

@@ -122,28 +122,6 @@ pub use trace::{LifecycleEvent, LifecycleStage, SpanCat, Trace, TraceEvent};
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-thread_local! {
-    /// Set while the current thread executes a planning-phase closure (see
-    /// [`Device::with_planning`]).
-    static PLANNING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Whether the current thread is inside [`Device::with_planning`]. Read by
-/// the kernel launch path to make planning work charge-free.
-pub(crate) fn planning_active() -> bool {
-    PLANNING.with(|p| p.get())
-}
-
-/// Restores the thread's planning flag even if the closure unwinds (a
-/// budget OOM can fire inside a planning kernel).
-struct PlanningGuard(bool);
-
-impl Drop for PlanningGuard {
-    fn drop(&mut self) {
-        PLANNING.with(|p| p.set(self.0));
-    }
-}
-
 /// Number of 32-bit lanes in a warp. Fixed across all NVIDIA architectures
 /// the paper evaluates.
 pub const WARP_SIZE: usize = 32;
@@ -351,12 +329,15 @@ pub(crate) struct DeviceInner {
 /// shares the physical device but routes counters, clock, L2, memory and
 /// tracing to that query's private virtual state; its kernel launches reach
 /// the device-wide state when [`Device::sched_run`] replays them in the
-/// order the session's scheduling policy designates.
+/// order the session's scheduling policy designates. A handle returned by
+/// [`Device::planning`] routes like its parent but launches for free.
 #[derive(Clone)]
 pub struct Device {
     pub(crate) inner: Arc<DeviceInner>,
     /// `Some(q)` on a query handle; `None` on the base device handle.
     pub(crate) query: Option<QueryId>,
+    /// Set on a [`Device::planning`] handle: kernel launches charge nothing.
+    pub(crate) planning: bool,
 }
 
 impl Device {
@@ -374,6 +355,7 @@ impl Device {
                 state: Mutex::new(state),
             }),
             query: None,
+            planning: false,
         }
     }
 
@@ -596,18 +578,19 @@ impl Device {
         }
     }
 
-    /// Run `f` with this thread marked as *planning*: kernels launched
-    /// inside `f` (the planner's statistics-sampling kernels) charge
-    /// nothing — no clock, counters, trace, metrics or timeline record, on
-    /// either the device or a query handle. Planning work models what a
-    /// plan-cache hit skips, so a recording (cold) run and its cached
-    /// replay observe identical bytes on every clock. Only valid for
-    /// kernels that stream charges without touching shared state (no
-    /// `warp_loads`, no allocations) — the sampling estimators qualify.
-    pub fn with_planning<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = PLANNING.with(|p| p.replace(true));
-        let _restore = PlanningGuard(prev);
-        f()
+    /// A *planning* handle on this handle's lane (same query, if any):
+    /// kernels launched through it (the planner's statistics-sampling
+    /// kernels) charge nothing — no clock, counters, trace, metrics or
+    /// timeline record. Planning work models what a plan-cache hit skips, so
+    /// a recording (cold) run and its cached replay observe identical bytes
+    /// on every clock. Only launches are charge-free, so only kernels that
+    /// stream charges without touching shared state (no `warp_loads`, no
+    /// allocations) belong on it — the sampling estimators qualify.
+    pub fn planning(&self) -> Device {
+        Device {
+            planning: true,
+            ..self.clone()
+        }
     }
 
     /// Invalidate the modeled L2 (the query's private image on a query
@@ -722,6 +705,7 @@ impl Device {
         Ok(Device {
             inner: Arc::clone(&self.inner),
             query: Some(qid),
+            planning: false,
         })
     }
 
@@ -1150,6 +1134,41 @@ mod tests {
             },
             work
         );
+    }
+
+    #[test]
+    fn a_planning_handle_launches_for_free_on_its_lane() {
+        let dev = Device::a100();
+        dev.enable_tracing();
+        assert!(stream(&dev.planning(), 1 << 20) > 0.0);
+        assert_eq!(dev.counters(), Counters::default());
+        assert_eq!(dev.trace_snapshot().unwrap().events.len(), 0);
+
+        dev.sched_start(SchedPolicy::Serial);
+        let q = dev.sched_register(1.0, 1 << 20).unwrap();
+        q.enable_tracing();
+        let observe = |h: &Device| {
+            let events = h.trace_snapshot().unwrap().events.len();
+            let timeline = h.lock().queries[0].timeline.len();
+            (h.counters(), h.elapsed(), events, timeline)
+        };
+        let mut t = 0.0;
+        dev.sched_run(|_| {
+            let plan = q.planning();
+            assert_eq!(plan.query_id(), Some(0), "same lane as its parent");
+            let before = observe(&q);
+            assert!(stream(&plan, 1 << 20) > 0.0, "still reports its duration");
+            assert_eq!(observe(&q), before, "query lane unmoved");
+            t = stream(&q, 1 << 20);
+            let (counters, elapsed, events, timeline) = observe(&q);
+            assert_eq!(counters.kernel_launches, 1);
+            assert_eq!((elapsed.secs(), events, timeline), (t, 1, 1));
+        });
+        dev.sched_finish();
+        // Only the query handle's launch reached the base lane.
+        assert_eq!(dev.counters(), q.counters());
+        assert_eq!(dev.elapsed().secs(), t);
+        assert_eq!(dev.trace_snapshot().unwrap().kernels().count(), 1);
     }
 
     #[test]

@@ -26,9 +26,7 @@
 use crate::logical::LogicalPlan;
 use engine::{AggSpec, Catalog, EngineError, Expr, Plan};
 use groupby::AggFn;
-use heuristics::composite::{
-    bits_for_span, explain_choose_composite, CompositeProfile, CompositeStrategy,
-};
+use heuristics::composite::{bits_for_span, choose_composite, CompositeProfile, CompositeStrategy};
 use std::collections::{HashMap, HashSet};
 
 /// The lowered plan plus the composite-key decisions taken on the way.
@@ -499,7 +497,7 @@ fn lower_node(
                 rows: info.rows.min(usize::MAX as u64) as usize,
                 fd_available: fd.is_some(),
             };
-            let e = explain_choose_composite(&profile);
+            let e = choose_composite(&profile);
             notes.push(format!(
                 "GROUP BY ({}): {} ({} bits{}) — {}",
                 group_by.join(", "),
@@ -677,7 +675,13 @@ fn lower_sort(
     // lexicographic value.
     let widths: Vec<u32> = keys.iter().map(|(k, _)| info.range(k).bits()).collect();
     let bits: u32 = widths.iter().sum();
-    if bits > 63 {
+    let profile = CompositeProfile {
+        columns: keys.len(),
+        bits_required: bits,
+        rows: info.rows.min(usize::MAX as u64) as usize,
+        fd_available: false,
+    };
+    if choose_composite(&profile).algorithm != CompositeStrategy::Pack {
         return Err(EngineError::SqlUnsupported {
             message: format!(
                 "ORDER BY ({}) needs {bits} key bits (> 63); composite sort keys must pack",
@@ -866,6 +870,47 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn composite_keys_pack_at_63_bits_and_reject_at_64() {
+        let dev = Device::a100();
+        // `b` spans 32 bits, `a` 31 or 32: 63 or 64 together, no key.
+        let catalog = |a_bits: u32| {
+            let mut cat = Catalog::new();
+            cat.insert(Table::new(
+                "t",
+                vec![
+                    ("a", Column::from_i64(&dev, vec![0, (1 << a_bits) - 1], "a")),
+                    ("b", Column::from_i64(&dev, vec![0, (1 << 32) - 1], "b")),
+                ],
+            ));
+            cat
+        };
+        let group = "SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b";
+        let order = "SELECT a, b FROM t ORDER BY a, b";
+        let at_63 = catalog(31);
+        for sql in [group, order] {
+            let notes = plan_sql(sql, &at_63).expect("63 bits pack").notes;
+            assert!(
+                notes.iter().any(|n| n.contains(": PACK (63 bits) — ")),
+                "{sql}: {notes:?}"
+            );
+        }
+        let at_64 = catalog(32);
+        let rejection = |sql| match plan_sql(sql, &at_64) {
+            Err(EngineError::SqlUnsupported { message, .. }) => message,
+            other => panic!("{sql}: 64 bits must reject, got {other:?}"),
+        };
+        assert_eq!(
+            rejection(group),
+            "GROUP BY (a, b) needs 64 key bits (> 63) and no grouping column \
+             functionally determines the others"
+        );
+        assert_eq!(
+            rejection(order),
+            "ORDER BY (a, b) needs 64 key bits (> 63); composite sort keys must pack"
+        );
     }
 
     #[test]

@@ -75,7 +75,10 @@ fn main() {
     // match ratio, uniform keys.
     let profile = profile_of(&features, &samples, 1.0, 0.0, dev.config().l2_bytes);
     let rec = choose_join(&profile);
-    println!("\ndecision tree: {} — {}\n", rec.algorithm, rec.rationale);
+    println!(
+        "\ndecision tree: {} via \"{}\" — {}\n",
+        rec.algorithm, rec.guard, rec.rationale
+    );
 
     // Downstream of the join: per-label statistics over the first feature
     // (a grouped aggregation on the augmented table).

@@ -34,8 +34,8 @@ fn main() {
     let profile = estimate_profile(&dev, &r, &s, 512);
     let rec = choose_join(&profile);
     println!(
-        "estimated match ratio {:.2}, skewed: {} -> decision tree picks {}",
-        profile.match_ratio, profile.skewed, rec.algorithm
+        "estimated match ratio {:.2}, skewed: {} -> decision tree picks {} via \"{}\"",
+        profile.match_ratio, profile.skewed, rec.algorithm, rec.guard
     );
 
     let plan = plan_chunks(&dev, &r, &s).expect("build side fits");

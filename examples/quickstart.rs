@@ -59,7 +59,7 @@ fn main() {
     let profile = profile_of(&r, &s, 1.0, 0.0, dev.config().l2_bytes);
     let rec = choose_join(&profile);
     println!(
-        "\ndecision tree picks {} — {}",
-        rec.algorithm, rec.rationale
+        "\ndecision tree picks {} via \"{}\" — {}",
+        rec.algorithm, rec.guard, rec.rationale
     );
 }

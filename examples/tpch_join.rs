@@ -52,9 +52,10 @@ fn main() {
         let profile = profile_of(&inst.r, &inst.s, 1.0, 0.0, dev.config().l2_bytes);
         let rec = choose_join(&profile);
         println!(
-            "  measured best: {} | decision tree: {}",
+            "  measured best: {} | decision tree: {} via \"{}\"",
             best_alg.name(),
-            rec.algorithm.name()
+            rec.algorithm.name(),
+            rec.guard
         );
     }
 }

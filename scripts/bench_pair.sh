@@ -15,9 +15,9 @@
 # must differ by; fails if a run fails or the two sides' sim_fingerprint
 # differ. Raw rows stay in target/bench_pair/<workload>-s<seed>.tsv.
 #
-# Building here rewrites perf/Cargo.lock when it is stale (`git checkout
-# perf/Cargo.lock` afterwards). Takes minutes (2 x pairs x ~run_seconds),
-# so it is not part of scripts/check.sh.
+# Building here rewrites perf/Cargo.lock when it is stale; the script saves
+# the file before that build and puts it back on exit. Takes minutes
+# (2 x pairs x ~run_seconds), so it is not part of scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,9 @@ if [[ ! -x "$parent_dir/perf/target/release/perf" ]]; then
     git archive "$ref" | tar -x -C "$parent_dir"
     cargo build --release --offline --quiet --manifest-path "$parent_dir/perf/Cargo.toml"
 fi
+mkdir -p "$root"
+cp perf/Cargo.lock "$root/perf-Cargo.lock"
+trap 'cmp -s "$root/perf-Cargo.lock" perf/Cargo.lock || cp "$root/perf-Cargo.lock" perf/Cargo.lock' EXIT
 cargo build --release --offline --quiet --manifest-path perf/Cargo.toml
 cp "$parent_dir/perf/target/release/perf" "$root/perf_parent"
 cp perf/target/release/perf "$root/perf_change"

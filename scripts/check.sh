@@ -17,8 +17,23 @@
 # but reported by every deletion PR: scripts/loc.sh prints the code-only
 # line count per crate (no blanks, comments or trailing test modules); its
 # total is this script's last informational line.
+#
+# The script leaves the tree as it found it: building perf/ makes cargo
+# rewrite the stale perf/Cargo.lock, so the file is saved first and put
+# back on exit, and the run fails if the set of modified tracked files at
+# its end differs from the set at its start.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+modified() { git diff --name-only HEAD; }
+modified_at_start=$(modified)
+mkdir -p target
+cp perf/Cargo.lock target/check-perf-Cargo.lock
+restore_perf_lock() {
+    cmp -s target/check-perf-Cargo.lock perf/Cargo.lock ||
+        cp target/check-perf-Cargo.lock perf/Cargo.lock
+}
+trap restore_perf_lock EXIT
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -45,6 +60,13 @@ if ! cargo run --release --quiet -p bench -- \
     exit 1
 fi
 echo "    $(ls target/smoke | wc -l) artifact files"
+
+restore_perf_lock
+if [[ "$(modified)" != "$modified_at_start" ]]; then
+    echo "FAIL: the run changed the set of modified tracked files:"
+    diff <(echo "$modified_at_start") <(modified) || true
+    exit 1
+fi
 
 echo "All checks passed."
 echo "    code-only Rust lines (scripts/loc.sh): $(bash scripts/loc.sh | awk '/^total/ { print $2 }')"

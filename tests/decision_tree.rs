@@ -124,3 +124,68 @@ fn smj_subtree_predicts_materialization_winner() {
         om.stats.phases.total()
     );
 }
+
+/// The grouped-aggregation tree's grid at 2^17 rows: (groups, Zipf,
+/// aggregate columns, bound on the pick's regret). The bound is the join
+/// grid's 1.35 except where the tree misses; each miss is pinned at its
+/// measured regret rounded up to the next 0.05, so it stays in view and
+/// cannot grow. Two misses repeat: PART-OM beats the PART-UM the tree picks
+/// for one aggregate column, and HASH's privatized shared-memory tables
+/// shrug off skew over few groups.
+const GROUP_BY_GRID: [(usize, f64, usize, f64); 12] = [
+    (1 << 6, 0.0, 1, 1.35),
+    (1 << 6, 0.0, 3, 1.35),
+    (1 << 6, 1.25, 1, 2.55), // HASH best, PART-UM picked (2.504x)
+    (1 << 6, 1.25, 3, 2.80), // HASH best, PART-UM picked (2.761x)
+    (1 << 12, 0.0, 1, 1.35),
+    (1 << 12, 0.0, 3, 1.35),
+    (1 << 12, 1.25, 1, 1.60), // PART-OM best, PART-UM picked (1.585x)
+    (1 << 12, 1.25, 3, 1.35),
+    (1 << 16, 0.0, 1, 1.65),  // PART-OM best, PART-UM picked (1.633x)
+    (1 << 16, 0.0, 3, 1.55),  // HASH best, PART-OM picked (1.503x)
+    (1 << 16, 1.25, 1, 1.60), // PART-OM best, PART-UM picked (1.588x)
+    (1 << 16, 1.25, 3, 1.35),
+];
+
+#[test]
+fn group_by_tree_grid() {
+    use gpu_join::heuristics::{choose_group_by, sample_group_stats, AggProfile};
+    use gpu_join::workloads::agg::AggWorkload;
+
+    let dev = test_device();
+    let rows = 1 << 17;
+    for (groups, zipf, columns, bound) in GROUP_BY_GRID {
+        let input = AggWorkload {
+            payloads: vec![DType::I32; columns],
+            zipf,
+            ..AggWorkload::uniform(rows, groups)
+        }
+        .generate(&dev);
+        let aggs = vec![AggFn::Sum; columns];
+        let measured: Vec<(GroupByAlgorithm, f64)> = GroupByAlgorithm::ALL
+            .iter()
+            .map(|&alg| {
+                let out = run_group_by(&dev, alg, &input, &aggs, &GroupByConfig::default());
+                (alg, out.stats.phases.total().secs())
+            })
+            .collect();
+        let best = measured.iter().map(|m| m.1).fold(f64::INFINITY, f64::min);
+
+        // The profile exactly as `engine::op::AggregateOp` builds it.
+        let sampled = sample_group_stats(&dev, input.key(), 512);
+        let profile = AggProfile {
+            rows,
+            est_groups: sampled.est_groups,
+            skewed: sampled.skewed(),
+            wide: columns > 1,
+            l2_bytes: dev.config().l2_bytes,
+        };
+        let pick = choose_group_by(&profile).algorithm;
+        let regret = measured.iter().find(|m| m.0 == pick).expect("measured").1 / best;
+        assert!(
+            regret <= bound,
+            "groups={groups} zipf={zipf} columns={columns}: tree picked {pick} at \
+             {regret:.3}x the best (bound {bound}); measurements: {measured:?}"
+        );
+    }
+}

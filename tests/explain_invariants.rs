@@ -6,9 +6,9 @@
 //!    measured around `execute`: every byte, sector, atomic and launch is
 //!    attributed to exactly one plan node.
 //! 2. **Provenance replay** — feeding a recorded decision profile back
-//!    through the decision trees reproduces the recorded choice, guard and
-//!    rejection list: the explain cannot claim a branch the tree would not
-//!    take.
+//!    through the decision trees reproduces the recorded [`Decision`] whole
+//!    (choice, materialization, guard, rationale, rejection list): the
+//!    explain cannot claim a branch the tree would not take.
 //! 3. **Determinism** — rendered text and JSON are byte-identical across
 //!    `host_threads` settings and scheduler policies, and between a solo
 //!    run and a multi-tenant session of the same plan: attribution is a
@@ -17,7 +17,7 @@
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::scheduler::{Policy, QuerySpec};
 use engine::{execute, NodeStats, Plan};
-use heuristics::{explain_choose_group_by, explain_choose_join, Provenance};
+use heuristics::{choose_group_by, choose_join, Decision, Provenance};
 use sim::{Counters, Device, DeviceConfig};
 
 fn device(host_threads: usize) -> Device {
@@ -62,40 +62,36 @@ fn check_replay(stats: &NodeStats, seen: &mut usize, rejected_seen: &mut usize) 
     if let Some(p) = &stats.provenance {
         *seen += 1;
         match p {
-            Provenance::Join(j) if !j.pinned => {
+            Provenance::Join(j) if !j.decision.pinned => {
                 let profile = j
                     .profile
                     .as_ref()
                     .expect("unpinned join decisions carry their profile");
-                let replayed = explain_choose_join(profile);
+                let e = choose_join(profile);
+                let alg = e.algorithm;
+                let replayed = Decision::walked(e, alg.name(), alg.materialization());
                 assert_eq!(
-                    replayed.algorithm.name(),
-                    j.choice,
-                    "replaying the recorded profile must reproduce the recorded choice"
+                    replayed, j.decision,
+                    "replaying the recorded profile must reproduce the recorded decision"
                 );
-                assert_eq!(replayed.guard, j.guard);
-                assert_eq!(replayed.rejected, j.rejected);
-                *rejected_seen += j.rejected.len();
+                *rejected_seen += j.decision.rejected.len();
             }
-            Provenance::GroupBy(g) if !g.pinned => {
+            Provenance::GroupBy(g) if !g.decision.pinned => {
                 let profile = g
                     .profile
                     .as_ref()
                     .expect("unpinned group-by decisions carry their profile");
-                let replayed = explain_choose_group_by(profile);
-                assert_eq!(replayed.algorithm.name(), g.choice);
-                assert_eq!(replayed.guard, g.guard);
-                assert_eq!(replayed.rejected, g.rejected);
-                *rejected_seen += g.rejected.len();
+                let e = choose_group_by(profile);
+                let alg = e.algorithm;
+                let replayed = Decision::walked(e, alg.name(), alg.materialization());
+                assert_eq!(replayed, g.decision);
+                *rejected_seen += g.decision.rejected.len();
             }
             Provenance::Join(j) => {
-                assert_eq!(j.guard, "pinned by plan");
-                assert!(j.rejected.is_empty());
+                assert_eq!(j.decision.guard, "pinned by plan");
+                assert!(j.decision.rejected.is_empty());
             }
-            Provenance::GroupBy(g) => {
-                assert!(g.pinned);
-                assert!(g.rejected.is_empty());
-            }
+            Provenance::GroupBy(g) => assert!(g.decision.rejected.is_empty()),
             Provenance::Fusion(f) => {
                 assert!(
                     f.selected_rows <= f.input_rows,
