@@ -22,12 +22,20 @@
 //! launches or frees in a different order moves these rows; "bit-identical"
 //! for a driver refactor means these rows pass unmodified. They were
 //! recorded at commit a0f76cf (six hand-written join drivers).
+//!
+//! **The transforms**: SMJ-OM, PHJ-OM and PHJ-OM/GFUR on four mixed-width
+//! payload columns per side over spread i64 keys (no constant radix digit),
+//! and `sort_pairs` / `radix_partition` at 9 and 16 bits on i32 and i64 keys
+//! with and without constant high digits, in the same 16-word format. These
+//! rows were recorded at commit 1db8202, whose host ran every transform pass
+//! by pass for every column; a host that computes one order per key column
+//! and replays it must reproduce them unmodified.
 
 use columnar::{Column, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use joins::{Algorithm, JoinConfig, JoinKind};
 use primitives::gather;
-use sim::{Device, DeviceConfig};
+use sim::{Device, DeviceConfig, Element};
 
 /// Everything the simulation lets a caller observe, as exact bits:
 /// the ten `Counters` fields in declaration order, then `elapsed`.
@@ -197,7 +205,7 @@ fn keys_in(state: &mut u64, len: usize, domain: u64) -> Vec<i64> {
 }
 
 /// A relation over `keys`: narrow is an i32 key with one payload column,
-/// wide an i64 key with two payload columns of mixed width.
+/// wide an i64 key with two or more payload columns of mixed width.
 fn op_relation(dev: &Device, name: &'static str, keys: &[i64], dtypes: &[bool]) -> Relation {
     let wide_key = dtypes.len() > 1;
     let key = if wide_key {
@@ -209,7 +217,9 @@ fn op_relation(dev: &Device, name: &'static str, keys: &[i64], dtypes: &[bool]) 
         .iter()
         .enumerate()
         .map(|(j, &is_i64)| {
-            let vals = keys.iter().map(|&k| k * 10 + j as i64 + 1);
+            let vals = keys
+                .iter()
+                .map(|&k| k.wrapping_mul(10).wrapping_add(j as i64 + 1));
             if is_i64 {
                 Column::from_i64(dev, vals.collect(), "p")
             } else {
@@ -308,6 +318,146 @@ fn every_join_driver_reproduces_its_recorded_row() {
         }
     }
     assert_reference_table("join drivers", &observed, REFERENCE);
+}
+
+/// Keys of `0..domain` spread over the whole i64 range by an odd (so
+/// injective) multiplier: negatives, more than 32 significant bits, and no
+/// radix digit on which all keys agree.
+fn spread_keys_in(state: &mut u64, len: usize, domain: u64) -> Vec<i64> {
+    let keys = keys_in(state, len, domain);
+    keys.iter()
+        .map(|&k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64))
+        .collect()
+}
+
+/// One GFTR-heavy join on a fresh shrunken device: the 3000 x 7000 shape of
+/// [`join_op_run`] with spread i64 keys and four mixed-width payload columns
+/// per side, so every column after the first is transformed lazily.
+fn wide4_join_op_run(alg: Algorithm, kind: JoinKind) -> OpRow {
+    let dev = device(1024.0);
+    let mut state = 23;
+    let r_keys = spread_keys_in(&mut state, 3_000, 4_000);
+    let s_keys = spread_keys_in(&mut state, 7_000, 4_000);
+    let r = op_relation(&dev, "R", &r_keys, &[false, true, true, false]);
+    let s = op_relation(&dev, "S", &s_keys, &[true, false, false, true]);
+    let config = JoinConfig {
+        unique_build: false,
+        kind,
+        ..JoinConfig::default()
+    };
+    let out = joins::run_join(&dev, alg, &r, &s, &config);
+    assert_eq!(
+        out.rows_sorted(),
+        joins::oracle::join_oracle_kind(&r, &s, kind),
+        "{alg} {} output",
+        kind.name()
+    );
+    observe_op(&dev, &out.stats)
+}
+
+#[test]
+fn four_column_joins_on_spread_keys_reproduce_their_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [203, 4667206449349192720, 355436, 7712064, 4885440, 2656, 13158, 1704, 11454, 0, 4531982349438125673, 974080, 5307, 4522749753419241524, 4508302303390904488, 4530229892906939822], // SMJ-OM wide4 inner
+        [206, 4667555650601603653, 377822, 8070524, 5220963, 4098, 22705, 5009, 17696, 0, 4532324771346533712, 1083904, 8593, 4522749753419241524, 4513417895109329440, 4530544320461098562], // SMJ-OM wide4 outer
+        [130, 4665806117642514883, 275970, 5995884, 3698592, 1404, 9707, 779, 8928, 0, 4530597182013800323, 974080, 3714, 4522749753419241524, 4511204350870012896, 4527302223211763499], // SMJ-OM wide4 semi
+        [50, 4657365738779805703, 81038, 1654464, 903808, 2656, 17870, 6296, 11574, 0, 4522157820540176763, 890880, 5307, 4510548849127557273, 4503922628877046786, 4520360984619370064], // PHJ-OM wide4 inner
+        [53, 4658899890341909928, 103424, 2049404, 1239331, 4098, 28357, 9401, 18956, 0, 4523662188299616249, 1068544, 8593, 4510548849127557273, 4512294940073305553, 4521706621492132396], // PHJ-OM wide4 outer
+        [34, 4655717042913094157, 59412, 1335276, 664072, 1404, 10303, 694, 9609, 0, 4520453699973367365, 951040, 3714, 4510548849127557273, 4508912896137431665, 4517388077342368130], // PHJ-OM wide4 semi
+        [24, 4655243185771167764, 51932, 856224, 543144, 3320, 39817, 24342, 15475, 0, 4519989042227351409, 905472, 5307, 4510436126069876859, 4508158037352476317, 4517140315057011115], // PHJ-OM/GFUR wide4 inner
+        [27, 4657495445497386499, 74318, 1240380, 878667, 4762, 50490, 27970, 22520, 0, 4522285009149784307, 920320, 8593, 4510436126069876859, 4513543436170510246, 4518526763158423540], // PHJ-OM/GFUR wide4 outer
+        [23, 4654495185953211630, 41682, 815244, 436968, 2068, 23156, 9625, 13531, 0, 4519255563972662929, 905472, 3714, 4510436126069876859, 4511058005552451341, 4514253263252050270], // PHJ-OM/GFUR wide4 semi
+    ];
+    let mut observed = Vec::new();
+    for alg in [Algorithm::SmjOm, Algorithm::PhjOm, Algorithm::PhjOmGfur] {
+        for kind in [JoinKind::Inner, JoinKind::Outer, JoinKind::Semi] {
+            let case = format!("{alg} wide4 {}", kind.name());
+            observed.push((case, wide4_join_op_run(alg, kind)));
+        }
+    }
+    assert_reference_table("four-column joins", &observed, REFERENCE);
+}
+
+/// FNV-1a over 64-bit words.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// One transform primitive on a fresh shrunken device: 5000 keys, either
+/// small non-negative (constant high radix digits) or full-width seeded
+/// values, with their row number as the value. The last five words are the
+/// ledger peak, the row count, and digests of the output keys, of the output
+/// values with the partition offsets, and of both outputs' simulated base
+/// addresses (which fix every allocation before them).
+fn transform_run<K: Element, V: Element>(
+    bits: Option<u32>,
+    small: bool,
+    key: fn(u64) -> K,
+    val: fn(u32) -> V,
+) -> OpRow {
+    let dev = device(1024.0);
+    let mut state = 41;
+    let n = 5_000;
+    let modulus = if small { 200 } else { u64::MAX };
+    let keys: Vec<K> = (0..n).map(|_| key(next(&mut state) % modulus)).collect();
+    let keys = dev.upload(keys, "d.keys");
+    let vals = dev.upload((0..n as u32).map(val).collect(), "d.vals");
+    let (k, v, offsets) = match bits {
+        None => {
+            let (k, v) = primitives::sort_pairs(&dev, &keys, &vals);
+            (k, v, Vec::new())
+        }
+        Some(bits) => {
+            let p = primitives::radix_partition(&dev, &keys, &vals, bits);
+            (p.keys, p.vals, p.offsets)
+        }
+    };
+    let mut row = [0; 16];
+    row[..11].copy_from_slice(&observe(&dev));
+    row[11] = dev.mem_report().peak_bytes;
+    row[12] = n as u64;
+    row[13] = digest(k.iter().map(|k| k.to_radix()));
+    let offsets = offsets.iter().map(|&o| o as u64);
+    row[14] = digest(v.iter().map(|v| v.to_radix()).chain(offsets));
+    row[15] = digest([k.addr_of(0), v.addr_of(0)]);
+    row
+}
+
+#[test]
+fn sort_pairs_and_radix_partition_reproduce_their_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [12, 4645197384487153558, 19096, 244096, 164112, 0, 0, 0, 0, 0, 4509963404217065284, 121344, 5000, 16189031026581353752, 10583000699630302013, 17851011092526023405], // sort_pairs i32/u32 small
+        [24, 4653807531019430601, 38192, 968192, 648224, 0, 0, 0, 0, 0, 4518581259075055037, 241152, 5000, 9452937515060737304, 8596201070689357741, 6284078543150987501], // sort_pairs i64/i64 small
+        [12, 4645197384487153558, 19096, 244096, 164112, 0, 0, 0, 0, 0, 4509963404217065284, 121344, 5000, 5342154433379432238, 17071448184717113101, 17851011092526023405], // sort_pairs i32/u32 full-width
+        [24, 4653807531019430601, 38192, 968192, 648224, 0, 0, 0, 0, 0, 4518581259075055037, 241152, 5000, 4145390089772906758, 4562083301153579177, 6284078543150987501], // sort_pairs i64/i64 full-width
+        [8, 4641548069775958685, 11190, 143080, 83092, 0, 0, 0, 0, 0, 4506297504538653783, 121344, 5000, 16189031026581353752, 12598790291541302062, 6849843137098586861], // radix_partition 9 bits i32/u32 small
+        [8, 4645512257365308160, 11190, 283080, 163092, 0, 0, 0, 0, 0, 4510272164197446885, 241152, 5000, 9452937515060737304, 13605661658656995742, 17282994589492961517], // radix_partition 9 bits i64/i64 small
+        [8, 4641548069775958685, 11190, 143080, 83092, 0, 0, 0, 0, 0, 4506297504538653783, 121344, 5000, 1148753132159966502, 17012113423407292428, 6849843137098586861], // radix_partition 9 bits i32/u32 full-width
+        [8, 4645512257365308160, 11190, 283080, 163092, 0, 0, 0, 0, 0, 4510272164197446885, 241152, 5000, 5040588243637312806, 16491744312686274556, 17282994589492961517], // radix_partition 9 bits i64/i64 full-width
+        [8, 4648765223418495012, 27502, 404192, 344204, 0, 0, 0, 0, 0, 4513549409874954745, 121344, 5000, 16189031026581353752, 6569542647469185838, 6849843137098586861], // radix_partition 16 bits i32/u32 small
+        [8, 4650331530702414076, 27502, 544192, 424204, 0, 0, 0, 0, 0, 4515085309089548118, 241152, 5000, 9452937515060737304, 15193317773872920990, 17282994589492961517], // radix_partition 16 bits i64/i64 small
+        [8, 4648765223418495012, 27502, 404192, 344204, 0, 0, 0, 0, 0, 4513549409874954745, 121344, 5000, 16744728111200432178, 8726425285628415246, 6849843137098586861], // radix_partition 16 bits i32/u32 full-width
+        [8, 4650331530702414076, 27502, 544192, 424204, 0, 0, 0, 0, 0, 4515085309089548118, 241152, 5000, 16560146157873492018, 8209817717703512958, 17282994589492961517], // radix_partition 16 bits i64/i64 full-width
+    ];
+    let mut observed = Vec::new();
+    for bits in [None, Some(9), Some(16)] {
+        for small in [true, false] {
+            let what = match bits {
+                None => "sort_pairs".to_string(),
+                Some(b) => format!("radix_partition {b} bits"),
+            };
+            let keys = if small { "small" } else { "full-width" };
+            let i32_row = transform_run(bits, small, |k| k as i32, |v| v);
+            observed.push((format!("{what} i32/u32 {keys}"), i32_row));
+            let i64_row = transform_run(bits, small, |k| k as i64, |v| v as i64 * -3);
+            observed.push((format!("{what} i64/i64 {keys}"), i64_row));
+        }
+    }
+    assert_reference_table("transform primitives", &observed, REFERENCE);
 }
 
 /// One grouped aggregation of 20000 rows over 1500 groups with `cols`
