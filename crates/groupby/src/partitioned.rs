@@ -8,10 +8,7 @@
 
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{
-    gather_column, iota, radix_partition, radix_partition_column, timed_phase, BUILD_WARP_INSTR,
-    STREAM_WARP_INSTR,
-};
+use primitives::{gather_column, iota, timed_phase, KeyOrder, BUILD_WARP_INSTR, STREAM_WARP_INSTR};
 use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 use std::collections::HashMap;
 
@@ -46,15 +43,17 @@ pub fn partitioned_groupby(
         let bits = choose_bits(dev, n.max(1), K::SIZE, config);
 
         // Transformation: partition keys with col_0 (GFTR) or with IDs
-        // (GFUR). Offsets come from the partitioner's histogram + scan.
+        // (GFUR). Offsets come from the partitioner's histogram + scan. The
+        // keys' order is computed once for every column GFTR partitions.
+        let order = KeyOrder::partition(keys, bits, if gftr { aggs.len() } else { 1 });
         let ((part_keys, mut first_col, part_ids), t) = timed_phase(dev, "transform", || {
             if gftr && !input.payloads().is_empty() {
-                let (k, c, _) = radix_partition_column(dev, keys, input.payload(0), bits);
+                let (k, c, _) = order.apply_column(dev, input.payload(0));
                 (k, Some(c), None)
             } else {
                 let ids = iota(dev, n, "part_gb.ids");
-                let p = radix_partition(dev, keys, &ids, bits);
-                (p.keys, None, Some(p.vals))
+                let (k, v, _) = order.apply(dev, &ids);
+                (k, None, Some(v))
             }
         });
         phases.transform = t;
@@ -100,9 +99,9 @@ pub fn partitioned_groupby(
             for (j, agg) in aggs.iter().enumerate() {
                 let ordered: Column = if gftr {
                     // Column 0 was partitioned in the transformation phase.
-                    first_col.take().unwrap_or_else(|| {
-                        radix_partition_column(dev, keys, input.payload(j), bits).1
-                    })
+                    first_col
+                        .take()
+                        .unwrap_or_else(|| order.apply_column(dev, input.payload(j)).1)
                 } else {
                     let ids = part_ids.as_ref().expect("gfur partitioned ids");
                     gather_column(dev, input.payload(j), ids)

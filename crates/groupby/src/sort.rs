@@ -9,9 +9,7 @@
 
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{
-    gather_column, iota, run_boundaries, sort_column, sort_pairs, timed_phase, STREAM_WARP_INSTR,
-};
+use primitives::{gather_column, iota, run_boundaries, timed_phase, KeyOrder, STREAM_WARP_INSTR};
 use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 
 /// Segmented fold of a (already ordered) column: one streaming read, one
@@ -53,14 +51,16 @@ pub fn sort_groupby(
         dev.reset_peak_mem();
         let mut phases = PhaseTimes::default();
 
-        // Transformation: GFTR sorts (key, col_0); GFUR sorts (key, ID).
+        // Transformation: GFTR sorts (key, col_0); GFUR sorts (key, ID). The
+        // keys' order is computed once for every column GFTR sorts.
+        let order = KeyOrder::sort(keys, if gftr { aggs.len() } else { 1 });
         let ((sorted_keys, mut first_col, sorted_ids), t) = timed_phase(dev, "transform", || {
             if gftr && !input.payloads().is_empty() {
-                let (k, c) = sort_column(dev, keys, input.payload(0));
+                let (k, c, _) = order.apply_column(dev, input.payload(0));
                 (k, Some(c), None)
             } else {
                 let ids = iota(dev, keys.len(), "sort_gb.ids");
-                let (k, v) = sort_pairs(dev, keys, &ids);
+                let (k, v, _) = order.apply(dev, &ids);
                 (k, None, Some(v))
             }
         });
@@ -82,7 +82,7 @@ pub fn sort_groupby(
                     // Column 0 was sorted in the transformation phase.
                     first_col
                         .take()
-                        .unwrap_or_else(|| sort_column(dev, keys, input.payload(j)).1)
+                        .unwrap_or_else(|| order.apply_column(dev, input.payload(j)).1)
                 } else {
                     // GFUR: unclustered gather through the sorted IDs.
                     let ids = sorted_ids.as_ref().expect("gfur sorted ids");

@@ -28,15 +28,19 @@
 //! * Each further GFTR column is transformed lazily, its keys dropped at
 //!   once, its output reservation released, gathered, then freed — one
 //!   transformed column alive at a time (Table 2).
+//! * One order serves a side: each side's stable order is computed on the
+//!   host at most once per join ([`KeyOrder`]) and replayed for its first
+//!   and every lazily transformed GFTR column, while every application is
+//!   charged the whole transform — so the host's order never shows in the
+//!   simulated sequence above.
 
 use crate::kinds::{apply_kind_timed, JoinKind};
 use crate::phj_um::{bucket_join, bucket_partition, BucketChains};
 use crate::{choose_radix_bits, estimated_out_rows, Algorithm, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{
-    gather, gather_column, gather_column_or_null, iota, join_copartitions, merge_join,
-    radix_partition, radix_partition_column, sort_column, sort_pairs, timed_phase, GlobalHashTable,
-    MatchResult,
+    gather, gather_column, gather_column_or_null, iota, join_copartitions, merge_join, timed_phase,
+    GlobalHashTable, KeyOrder, MatchResult,
 };
 use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes};
 
@@ -116,9 +120,9 @@ enum Transformed<K: Element> {
 }
 
 /// Run the join `transform` x `pattern` on typed keys: Algorithm 1.
-pub(crate) fn typed<K: ColumnElement>(
-    r_keys: &DeviceBuffer<K>,
-    s_keys: &DeviceBuffer<K>,
+pub(crate) fn typed<'a, K: ColumnElement>(
+    r_keys: &'a DeviceBuffer<K>,
+    s_keys: &'a DeviceBuffer<K>,
     dev: &Device,
     r: &Relation,
     s: &Relation,
@@ -130,19 +134,25 @@ pub(crate) fn typed<K: ColumnElement>(
     let mut phases = PhaseTimes::default();
     let bits = choose_radix_bits(dev, r.len().max(1), K::SIZE, config);
 
-    // The two ways a column rides through `transform` with its keys: an ID
-    // column (kept only when GFUR will translate positions through it) ...
-    let ids_with_keys = |keys: &DeviceBuffer<K>, ids: &DeviceBuffer<u32>, keep: bool| {
-        let (keys, ids, offsets) = match transform {
-            Transform::Sort => {
-                let (k, v) = sort_pairs(dev, keys, ids);
-                (k, v, Vec::new())
-            }
-            _ => {
-                let p = radix_partition(dev, keys, ids, bits);
-                (p.keys, p.vals, p.offsets)
-            }
+    // Each side's stable order, computed at most once per join: replayed
+    // for every GFTR column when several ride with the keys, while a lone
+    // column (or GFUR's ID column) rides the host passes itself.
+    let order_of = |keys: &'a DeviceBuffer<K>, rel: &Relation| {
+        let columns = match pattern {
+            Pattern::Gftr => rel.payloads().len(),
+            Pattern::Gfur => 1,
         };
+        match transform {
+            Transform::Sort => KeyOrder::sort(keys, columns),
+            _ => KeyOrder::partition(keys, bits, columns),
+        }
+    };
+    let (r_order, s_order) = (order_of(r_keys, r), order_of(s_keys, s));
+
+    // An ID column riding through `transform` with its keys, kept only when
+    // GFUR will translate positions through it.
+    let ids_with_keys = |order: &KeyOrder<K>, ids: &DeviceBuffer<u32>, keep: bool| {
+        let (keys, ids, offsets) = order.apply(dev, ids);
         let ids = keep.then_some(ids);
         Pairs {
             keys,
@@ -150,14 +160,6 @@ pub(crate) fn typed<K: ColumnElement>(
             payload0: None,
             offsets,
         }
-    };
-    // ... or a payload column.
-    let column_with_keys = |keys: &DeviceBuffer<K>, col: &Column| match transform {
-        Transform::Sort => {
-            let (k, c) = sort_column(dev, keys, col);
-            (k, c, Vec::new())
-        }
-        _ => radix_partition_column(dev, keys, col, bits),
     };
 
     // Transformation (Algorithm 1, lines 1-2). GFTR carries the *first*
@@ -174,15 +176,14 @@ pub(crate) fn typed<K: ColumnElement>(
             let r_ids = iota(dev, r_keys.len(), id_labels[0]);
             let s_ids = iota(dev, s_keys.len(), id_labels[1]);
             Transformed::Pairs(
-                ids_with_keys(r_keys, &r_ids, true),
-                ids_with_keys(s_keys, &s_ids, true),
+                ids_with_keys(&r_order, &r_ids, true),
+                ids_with_keys(&s_order, &s_ids, true),
             )
         }
         (_, Pattern::Gftr) => {
-            let side = |keys: &DeviceBuffer<K>, rel: &Relation, label| match rel.payloads().first()
-            {
+            let side = |order: &KeyOrder<K>, rel: &Relation, label| match rel.payloads().first() {
                 Some(p) => {
-                    let (keys, p, offsets) = column_with_keys(keys, p);
+                    let (keys, p, offsets) = order.apply_column(dev, p);
                     Pairs {
                         keys,
                         ids: None,
@@ -190,9 +191,12 @@ pub(crate) fn typed<K: ColumnElement>(
                         offsets,
                     }
                 }
-                None => ids_with_keys(keys, &iota(dev, keys.len(), label), false),
+                None => ids_with_keys(order, &iota(dev, rel.len(), label), false),
             };
-            Transformed::Pairs(side(r_keys, r, id_labels[0]), side(s_keys, s, id_labels[1]))
+            Transformed::Pairs(
+                side(&r_order, r, id_labels[0]),
+                side(&s_order, s, id_labels[1]),
+            )
         }
     };
     let transformed = if transform == Transform::None {
@@ -268,14 +272,14 @@ pub(crate) fn typed<K: ColumnElement>(
     // the untransformed column. GFTR gathers from the transformed one: the
     // first rode along in phase 1, the rest are transformed now.
     let materialize = |rel: &Relation,
-                       keys: &DeviceBuffer<K>,
+                       order: &KeyOrder<K>,
                        first: &mut Option<Column>,
                        map: &DeviceBuffer<u32>,
                        reserved: &mut [Option<sim::Reservation>],
                        nulls: bool| {
         let columns = rel.payloads().iter().enumerate().map(|(i, c)| {
             let transformed = (pattern == Pattern::Gftr)
-                .then(|| first.take().unwrap_or_else(|| column_with_keys(keys, c).1));
+                .then(|| first.take().unwrap_or_else(|| order.apply_column(dev, c).1));
             reserved[i] = None;
             let src = transformed.as_ref().unwrap_or(c);
             if nulls {
@@ -290,11 +294,11 @@ pub(crate) fn typed<K: ColumnElement>(
         let (r_out, s_out) = (&mut reservation.r_cols, &mut reservation.s_cols);
         let rp = if adj.materialize_r {
             let nulls = config.kind == JoinKind::Outer;
-            materialize(r, r_keys, &mut r_first, &adj.r_map, r_out, nulls)
+            materialize(r, &r_order, &mut r_first, &adj.r_map, r_out, nulls)
         } else {
             Vec::new()
         };
-        let sp = materialize(s, s_keys, &mut s_first, &adj.s_map, s_out, false);
+        let sp = materialize(s, &s_order, &mut s_first, &adj.s_map, s_out, false);
         (rp, sp)
     });
     phases.materialize = t;

@@ -4,12 +4,15 @@
 //! substrate with the same cost structure as their CUB/Thrust/ModernGPU
 //! originals:
 //!
-//! * [`radix_partition`] / [`radix_partition_pass`] — stable LSD radix
-//!   partitioning, at most 8 bits per pass (the Ampere limit the paper
-//!   cites), with partition offsets computed by histogram + prefix sum.
+//! * [`radix_partition`] — stable LSD radix partitioning, at most 8 bits
+//!   per pass (the Ampere limit the paper cites), with partition offsets
+//!   computed by histogram + prefix sum.
 //! * [`sort_pairs`] — least-significant-digit radix sort of (key, value)
 //!   pairs, built from partition passes exactly like CUB's OneSweep; for
 //!   4-byte keys this is the "~17 sequential passes" of Section 4.2.
+//! * [`KeyOrder`] — how the host runs both: one stable order per key
+//!   column, computed once and replayed for every column transformed with
+//!   those keys, while the device is charged every pass of every column.
 //! * [`gather`] / [`gather_column`] / [`scatter`] — the Thrust-style gather
 //!   with warp-level coalescing accounting; this is where clustered vs
 //!   unclustered maps (Table 4) diverge.
@@ -32,6 +35,7 @@ mod costs;
 mod gather;
 mod hash;
 mod merge;
+mod order;
 mod partition;
 mod scan;
 mod sort;
@@ -41,9 +45,8 @@ pub use gather::{gather, gather_column, gather_column_or_null, gather_or, scatte
 pub use hash::{join_copartitions, CoPartitionCost};
 pub use hash::{linear_probe_slots, GlobalHashTable, MatchResult};
 pub use merge::{merge_join, merge_path_partitions};
-pub use partition::{
-    partition_of, radix_partition, radix_partition_column, radix_partition_pass, PartitionedPairs,
-};
+pub use order::KeyOrder;
+pub use partition::{partition_of, radix_partition, radix_partition_column, PartitionedPairs};
 pub use scan::{compact_mask, exclusive_scan, iota, run_boundaries};
 pub use sort::{sort_column, sort_pairs, sort_pairs_bits};
 

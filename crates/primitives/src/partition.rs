@@ -6,8 +6,8 @@
 //! property Section 4.3 of the paper relies on to partition every payload
 //! column identically to its key column.
 
-use crate::{exclusive_scan, HISTOGRAM_WARP_INSTR, SCATTER_WARP_INSTR};
-use columnar::{Column, ColumnElement};
+use crate::KeyOrder;
+use columnar::Column;
 use sim::{Device, DeviceBuffer, Element};
 
 /// Output of [`radix_partition`]: reordered pairs plus partition offsets.
@@ -44,10 +44,48 @@ pub fn partition_of<K: Element>(key: K, bits: u32) -> usize {
     (key.to_radix() & ((1u64 << bits) - 1)) as usize
 }
 
-/// One stable counting pass on `bits` starting at `shift`. Panics if `bits`
-/// exceeds the device's per-pass limit — compose passes instead, as the
-/// hardware primitive requires (Section 2.3).
-pub fn radix_partition_pass<K: Element, V: Element>(
+/// Partition pairs into `2^bits` partitions by the low `bits` of the key's
+/// radix image, composing as many ≤8-bit passes as needed (two for the
+/// 15-16 bits the paper's PHJ-OM uses — Section 4.3).
+///
+/// The result is stable and contiguous, and comes with partition offsets
+/// (histogram + prefix sum, as described for Figure 6 step 1). The host
+/// runs it as one order carrying the values (see [`crate::KeyOrder`]);
+/// the device is charged every pass.
+pub fn radix_partition<K: Element, V: Element>(
+    dev: &Device,
+    keys: &DeviceBuffer<K>,
+    vals: &DeviceBuffer<V>,
+    bits: u32,
+) -> PartitionedPairs<K, V> {
+    let (keys, vals, offsets) = KeyOrder::partition(keys, bits, 1).apply(dev, vals);
+    PartitionedPairs {
+        keys,
+        vals,
+        offsets,
+        bits,
+    }
+}
+
+/// [`radix_partition`] a payload column with its relation's keys, returning
+/// the partitioned keys, the column and the partition offsets. Stability
+/// gives every column partitioned with the same keys an identical layout.
+pub fn radix_partition_column<K: Element>(
+    dev: &Device,
+    keys: &DeviceBuffer<K>,
+    col: &Column,
+    bits: u32,
+) -> (DeviceBuffer<K>, Column, Vec<u32>) {
+    KeyOrder::partition(keys, bits, 1).apply_column(dev, col)
+}
+
+/// One stable counting pass on `bits` starting at `shift`, executed on the
+/// host as the device runs it. Panics if `bits` exceeds the device's
+/// per-pass limit — compose passes instead, as the hardware primitive
+/// requires (Section 2.3). The pass-by-pass reference the order-based host
+/// execution is checked against.
+#[cfg(test)]
+pub(crate) fn radix_partition_pass<K: Element, V: Element>(
     dev: &Device,
     keys: &DeviceBuffer<K>,
     vals: &DeviceBuffer<V>,
@@ -71,11 +109,11 @@ pub fn radix_partition_pass<K: Element, V: Element>(
         hist[((k.to_radix() >> shift) & mask) as usize] += 1;
     }
     dev.kernel("radix_partition.histogram")
-        .items(n as u64, HISTOGRAM_WARP_INSTR)
+        .items(n as u64, crate::HISTOGRAM_WARP_INSTR)
         .seq_read_bytes(n as u64 * K::SIZE)
         .launch();
 
-    let offsets = exclusive_scan(dev, &hist);
+    let offsets = crate::exclusive_scan(dev, &hist);
     let mut cursor: Vec<u32> = offsets[..buckets].to_vec();
 
     // Scatter kernel: reads both arrays, writes both. Writes are staged per
@@ -91,7 +129,7 @@ pub fn radix_partition_pass<K: Element, V: Element>(
         out_v[pos] = vals[i];
     }
     dev.kernel("radix_partition.scatter")
-        .items(n as u64, SCATTER_WARP_INSTR)
+        .items(n as u64, crate::SCATTER_WARP_INSTR)
         .seq_read_bytes(n as u64 * (K::SIZE + V::SIZE))
         .seq_write_bytes(n as u64 * (K::SIZE + V::SIZE))
         .launch();
@@ -102,13 +140,10 @@ pub fn radix_partition_pass<K: Element, V: Element>(
     )
 }
 
-/// Partition pairs into `2^bits` partitions by the low `bits` of the key's
-/// radix image, composing as many ≤8-bit passes as needed (two for the
-/// 15-16 bits the paper's PHJ-OM uses — Section 4.3).
-///
-/// The result is stable and contiguous, and comes with partition offsets
-/// (histogram + prefix sum, as described for Figure 6 step 1).
-pub fn radix_partition<K: Element, V: Element>(
+/// [`radix_partition`] pass by pass on the host, every intermediate pass a
+/// host vector: the reference for the order-based execution.
+#[cfg(test)]
+pub(crate) fn radix_partition_reference<K: Element, V: Element>(
     dev: &Device,
     keys: &DeviceBuffer<K>,
     vals: &DeviceBuffer<V>,
@@ -123,7 +158,7 @@ pub fn radix_partition<K: Element, V: Element>(
         let out_k = dev.upload(keys.to_vec(), "radix_partition.keys");
         let out_v = dev.upload(vals.to_vec(), "radix_partition.vals");
         dev.kernel("radix_partition.copy")
-            .items(n as u64, SCATTER_WARP_INSTR)
+            .items(n as u64, crate::SCATTER_WARP_INSTR)
             .seq_read_bytes(n as u64 * (K::SIZE + V::SIZE))
             .seq_write_bytes(n as u64 * (K::SIZE + V::SIZE))
             .launch();
@@ -157,10 +192,10 @@ pub fn radix_partition<K: Element, V: Element>(
         hist[(k.to_radix() & mask) as usize] += 1;
     }
     dev.kernel("radix_partition.offsets")
-        .items(n as u64, HISTOGRAM_WARP_INSTR)
+        .items(n as u64, crate::HISTOGRAM_WARP_INSTR)
         .seq_read_bytes(n as u64 * K::SIZE)
         .launch();
-    let offsets = exclusive_scan(dev, &hist);
+    let offsets = crate::exclusive_scan(dev, &hist);
 
     PartitionedPairs {
         keys: cur_k,
@@ -168,21 +203,6 @@ pub fn radix_partition<K: Element, V: Element>(
         offsets,
         bits,
     }
-}
-
-/// [`radix_partition`] a payload column with its relation's keys, returning
-/// the partitioned keys, the column and the partition offsets. Stability
-/// gives every column partitioned with the same keys an identical layout.
-pub fn radix_partition_column<K: Element>(
-    dev: &Device,
-    keys: &DeviceBuffer<K>,
-    col: &Column,
-    bits: u32,
-) -> (DeviceBuffer<K>, Column, Vec<u32>) {
-    columnar::dispatch_column!(col, |v| {
-        let p = radix_partition(dev, keys, v, bits);
-        (p.keys, ColumnElement::wrap(p.vals), p.offsets)
-    })
 }
 
 #[cfg(test)]

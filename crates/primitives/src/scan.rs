@@ -31,12 +31,18 @@ pub fn exclusive_scan(dev: &Device, counts: &[u32]) -> Vec<u32> {
             .expect("prefix sum overflowed u32 — partition too large");
         out.push(acc);
     }
-    dev.kernel("scan.exclusive")
-        .items(counts.len() as u64, STREAM_WARP_INSTR)
-        .seq_read_bytes(counts.len() as u64 * 4)
-        .seq_write_bytes(out.len() as u64 * 4)
-        .launch();
+    charge_exclusive_scan(dev, counts.len());
     out
+}
+
+/// The device charge of [`exclusive_scan`] over `len` counts, for a caller
+/// that already holds the scanned values.
+pub(crate) fn charge_exclusive_scan(dev: &Device, len: usize) {
+    dev.kernel("scan.exclusive")
+        .items(len as u64, STREAM_WARP_INSTR)
+        .seq_read_bytes(len as u64 * 4)
+        .seq_write_bytes((len as u64 + 1) * 4)
+        .launch();
 }
 
 /// Boundaries of equal-key runs in a sorted slice: returns `b` with

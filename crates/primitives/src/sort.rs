@@ -4,8 +4,8 @@
 //! 8-bit passes; with a 4-byte payload that is the "~17 sequential scans"
 //! of key and payload arrays quoted in Section 4.2.
 
-use crate::partition::radix_partition_pass;
-use columnar::{Column, ColumnElement};
+use crate::order::{KeyOrder, Radix};
+use columnar::Column;
 use sim::{Device, DeviceBuffer, Element};
 
 /// Sort pairs by the low `bits` of the key's radix image.
@@ -13,31 +13,16 @@ use sim::{Device, DeviceBuffer, Element};
 /// Exposed separately from [`sort_pairs`] so callers that know their key
 /// domain (e.g. keys in `0..|R|`) can run fewer passes — an ablation the
 /// benchmark harness uses; the paper's implementations sort the full width.
+/// The host runs it as one order carrying the values (see
+/// [`crate::KeyOrder`]); the device is charged every pass.
 pub fn sort_pairs_bits<K: Element, V: Element>(
     dev: &Device,
     keys: &DeviceBuffer<K>,
     vals: &DeviceBuffer<V>,
     bits: u32,
 ) -> (DeviceBuffer<K>, DeviceBuffer<V>) {
-    let per_pass = dev.config().max_radix_bits_per_pass;
-    let mut shift = 0u32;
-    let mut cur: Option<(DeviceBuffer<K>, DeviceBuffer<V>)> = None;
-    while shift < bits {
-        let b = (bits - shift).min(per_pass);
-        let (k, v) = match &cur {
-            None => radix_partition_pass(dev, keys, vals, shift, b),
-            Some((ck, cv)) => radix_partition_pass(dev, ck, cv, shift, b),
-        };
-        cur = Some((k, v));
-        shift += b;
-    }
-    cur.unwrap_or_else(|| {
-        // bits == 0: the sort is a no-op copy.
-        (
-            dev.upload(keys.to_vec(), "sort_pairs.keys"),
-            dev.upload(vals.to_vec(), "sort_pairs.vals"),
-        )
-    })
+    let (keys, vals, _) = KeyOrder::new(keys, Radix::Sort(bits), 1).apply(dev, vals);
+    (keys, vals)
 }
 
 /// Sort pairs by the full key width (ascending, signed-aware), the way the
@@ -59,9 +44,37 @@ pub fn sort_column<K: Element>(
     keys: &DeviceBuffer<K>,
     col: &Column,
 ) -> (DeviceBuffer<K>, Column) {
-    columnar::dispatch_column!(col, |v| {
-        let (k, v) = sort_pairs(dev, keys, v);
-        (k, ColumnElement::wrap(v))
+    let (keys, col, _) = KeyOrder::sort(keys, 1).apply_column(dev, col);
+    (keys, col)
+}
+
+/// [`sort_pairs_bits`] pass by pass on the host, every intermediate pass a
+/// host vector: the reference for the order-based execution.
+#[cfg(test)]
+pub(crate) fn sort_pairs_bits_reference<K: Element, V: Element>(
+    dev: &Device,
+    keys: &DeviceBuffer<K>,
+    vals: &DeviceBuffer<V>,
+    bits: u32,
+) -> (DeviceBuffer<K>, DeviceBuffer<V>) {
+    let per_pass = dev.config().max_radix_bits_per_pass;
+    let mut shift = 0u32;
+    let mut cur: Option<(DeviceBuffer<K>, DeviceBuffer<V>)> = None;
+    while shift < bits {
+        let b = (bits - shift).min(per_pass);
+        let (k, v) = match &cur {
+            None => crate::partition::radix_partition_pass(dev, keys, vals, shift, b),
+            Some((ck, cv)) => crate::partition::radix_partition_pass(dev, ck, cv, shift, b),
+        };
+        cur = Some((k, v));
+        shift += b;
+    }
+    cur.unwrap_or_else(|| {
+        // bits == 0: the sort is a no-op copy.
+        (
+            dev.upload(keys.to_vec(), "sort_pairs.keys"),
+            dev.upload(vals.to_vec(), "sort_pairs.vals"),
+        )
     })
 }
 

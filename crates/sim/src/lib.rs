@@ -620,6 +620,19 @@ impl Device {
         DeviceBuffer::from_vec(self.clone(), data, label)
     }
 
+    /// [`Device::upload`] of a host vector other holders keep sharing: a
+    /// new allocation with its own ledger charge and address range, but no
+    /// host copy (the buffer is copy-on-write, like an alias). For one
+    /// result several allocations hold, e.g. the keys every application of
+    /// one transform order produces.
+    pub fn upload_shared<T: Element>(
+        &self,
+        data: &Arc<Vec<T>>,
+        label: &'static str,
+    ) -> DeviceBuffer<T> {
+        DeviceBuffer::from_shared(self.clone(), Arc::clone(data), label)
+    }
+
     // --- Multi-query scheduling session (see the `sched` module) ---
 
     /// Begin a scheduling session on this device. Call on the base handle.

@@ -202,11 +202,12 @@ pub struct DeviceBuffer<T: Element> {
 
 impl<T: Element> DeviceBuffer<T> {
     pub(crate) fn from_vec(dev: Device, data: Vec<T>, label: &'static str) -> Self {
+        Self::from_shared(dev, Arc::new(data), label)
+    }
+
+    pub(crate) fn from_shared(dev: Device, data: Arc<Vec<T>>, label: &'static str) -> Self {
         let mem = Reservation::new(dev, data.len() as u64 * T::SIZE, label);
-        DeviceBuffer {
-            data: Arc::new(data),
-            mem,
-        }
+        DeviceBuffer { data, mem }
     }
 
     pub(crate) fn zeroed(dev: Device, len: usize, label: &'static str) -> Self {

@@ -7,9 +7,11 @@
 # "Benchmark API surface" in perf/README.md, and one observed release-mode
 # run whose artifacts CI uploads. Run from anywhere; CI runs exactly this
 # script. Not run here because it takes minutes: scripts/stress_serving.sh N
-# repeats the two serving suites N times under host contention, and
+# repeats the two serving suites N times under host contention,
 # scripts/bench_pair.sh <workload> <parent-ref> runs the two-clock benchmark
-# in alternating parent/change pairs (medians, quartiles, wins), and
+# in alternating parent/change pairs (medians, quartiles, wins),
+# scripts/layer_pair.sh <parent-ref> does the same for the per-layer probes
+# (medians and their ratio; fails if a simulated probe moved), and
 # scripts/artifact_pair.sh <parent-ref> runs the observed smoke-run on both
 # sides and lists the artifact files that differ (the evidence behind "every
 # artifact byte-identical"; only fig08.json and summary.md, which hold wall
