@@ -30,6 +30,17 @@
 //! rows were recorded at commit 1db8202, whose host ran every transform pass
 //! by pass for every column; a host that computes one order per key column
 //! and replays it must reproduce them unmodified.
+//!
+//! **Output order**: the driver rows above hash counters and stats, not the
+//! order in which groups or matches come out, so a group finder that
+//! numbered the same groups differently would pass them. The last two tables
+//! digest the outputs themselves, in output order: every group-by algorithm
+//! on i32 keys and on i64 keys that differ only above bit 32, PART-OM and
+//! PART-UM at 1, 5, 12 and 16 radix bits, a skewed input whose partition 0
+//! holds nine rows in ten, and `join_copartitions` with duplicates on both
+//! sides and build partitions of several shared-memory chunks. They were
+//! recorded at commit 96bbd0b, whose PART group finding used a SipHash map
+//! per partition.
 
 use columnar::{Column, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
@@ -504,4 +515,193 @@ fn every_group_by_driver_reproduces_its_recorded_row() {
         }
     }
     assert_reference_table("group-by drivers", &observed, REFERENCE);
+}
+
+/// `len` seeded values of `-bound..bound`.
+fn values_in(state: &mut u64, len: usize, bound: u64) -> Vec<i64> {
+    (0..len)
+        .map(|_| (next(state) % (2 * bound)) as i64 - bound as i64)
+        .collect()
+}
+
+/// One grouped aggregation of `keys` (i64 when `wide_key`, else i32) on a
+/// fresh shrunken device, with four payload columns of seeded values (i32,
+/// i64, i32, i64) drawn independently of the keys, so every aggregate
+/// depends on which rows its group holds. The last five words are the
+/// ledger peak, the group count, and digests of the output keys, of every
+/// aggregate column in output order, and of the three phase times: a group
+/// finder that numbered the same groups differently moves words 13 and 14.
+fn ordered_group_by_run(
+    alg: GroupByAlgorithm,
+    keys: &[i64],
+    wide_key: bool,
+    radix_bits: Option<u32>,
+) -> OpRow {
+    let dev = device(1024.0);
+    let mut state = 53;
+    let n = keys.len();
+    let key = if wide_key {
+        Column::from_i64(&dev, keys.to_vec(), "k")
+    } else {
+        Column::from_i32(&dev, keys.iter().map(|&k| k as i32).collect(), "k")
+    };
+    let mut narrow = |bound| {
+        values_in(&mut state, n, bound)
+            .iter()
+            .map(|&v| v as i32)
+            .collect()
+    };
+    let (p0, p2) = (narrow(1_000), narrow(1 << 20));
+    let payloads = vec![
+        Column::from_i32(&dev, p0, "p"),
+        Column::from_i64(&dev, values_in(&mut state, n, 1 << 40), "p"),
+        Column::from_i32(&dev, p2, "p"),
+        Column::from_i64(&dev, values_in(&mut state, n, 7), "p"),
+    ];
+    let input = Relation::new("T", key, payloads);
+    let aggs = [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count];
+    let config = GroupByConfig {
+        radix_bits,
+        ..GroupByConfig::default()
+    };
+    let out = groupby::run_group_by(&dev, alg, &input, &aggs, &config);
+    assert_eq!(
+        out.rows_sorted(),
+        groupby::oracle::group_by_oracle(&input, &aggs),
+        "{alg} output"
+    );
+    let mut row = [0; 16];
+    row[..11].copy_from_slice(&observe(&dev));
+    row[11] = out.stats.peak_mem_bytes;
+    row[12] = out.stats.rows as u64;
+    row[13] = digest(out.keys.iter_i64().map(|k| k as u64));
+    row[14] = digest(
+        out.aggregates
+            .iter()
+            .flat_map(|c| c.iter_i64())
+            .map(|v| v as u64),
+    );
+    let p = &out.stats.phases;
+    row[15] = digest([p.transform, p.match_find, p.materialize].map(|t| t.secs().to_bits()));
+    row
+}
+
+#[test]
+fn group_by_output_order_reproduces_its_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [6, 4658510261893477042, 48884, 1945824, 134000, 3125, 92772, 84041, 8731, 80000, 4523280124043084184, 1224960, 1500, 7084455493747195509, 15725998959622279142, 5855960104074773375], // HASH i32
+        [6, 4659240612577851396, 48884, 2158208, 140000, 3125, 92772, 79904, 12868, 80000, 4523996295801988082, 1304832, 1500, 3305402661970229149, 15725998959622279142, 15020549677673925047], // HASH i64
+        [54, 4664478634908196723, 326894, 5110016, 3276452, 94, 1676, 0, 1676, 0, 4529220060153266528, 1156864, 1500, 10395444509572005805, 1202226708108406496, 5083988620037087173], // SORT-OM i32
+        [102, 4671151315906059512, 627918, 14806784, 9058900, 94, 1688, 0, 1688, 0, 4535938063160243411, 1476352, 1500, 15947752299197357065, 1202226708108406496, 18377681597761294716], // SORT-OM i64
+        [23, 4665397186872157001, 152378, 3812224, 1264116, 5094, 91384, 19880, 71504, 0, 4530120779478582958, 961024, 1500, 10395444509572005805, 1202226708108406496, 4902320792231119029], // SORT-UM i32
+        [35, 4667186158688614145, 227634, 6136704, 2554228, 5094, 91396, 19880, 71516, 0, 4531962452697577902, 1200640, 1500, 15947752299197357065, 1202226708108406496, 152043599162640141], // SORT-UM i64
+        [37, 4661479091355851208, 204550, 3452320, 1746368, 0, 0, 0, 0, 0, 4526278749317592633, 1236992, 1500, 9710994431792550369, 12034439902614368846, 2192980925420442060], // PART-OM i32
+        [37, 4663549108823121517, 204550, 5132320, 2392368, 0, 0, 0, 0, 0, 4528308579756879100, 1556480, 1500, 7549607476732680777, 468475652212419168, 9484560656482586834], // PART-OM i64
+        [18, 4664923271890233483, 123952, 3674120, 1017092, 5000, 89648, 19928, 69720, 0, 4529656065015467446, 1008896, 1500, 9710994431792550369, 12034439902614368846, 17968979519209772684], // PART-UM i32
+        [18, 4665355840152405187, 123952, 4158152, 1183092, 5000, 87180, 17334, 69846, 0, 4530080235458233434, 1200640, 1500, 7549607476732680777, 468475652212419168, 2319381193217439077], // PART-UM i64
+        [25, 4660618216190112506, 128814, 3360064, 1260096, 0, 0, 0, 0, 0, 4525347154811465920, 1236480, 1500, 1527932473423873979, 7905719030797944140, 10561108901399736638], // PART-OM i64 1 bits
+        [25, 4660621592589742357, 128814, 3361024, 1261056, 0, 0, 0, 0, 0, 4525350465662148217, 1236480, 1500, 8736603403177318841, 2829899895411317374, 10966182553402460461], // PART-OM i64 5 bits
+        [37, 4663651563548283949, 208134, 5189888, 2449936, 0, 0, 0, 0, 0, 4528409045440416387, 1556480, 1500, 7549607476732680777, 468475652212419168, 9121484437953924905], // PART-OM i64 12 bits
+        [37, 4665408105971413549, 269798, 6176768, 3436816, 0, 0, 0, 0, 0, 4530131486595982191, 1556480, 1500, 7549607476732680777, 468475652212419168, 6613745563318384589], // PART-OM i64 16 bits
+        [15, 4659891033197831630, 105018, 2758864, 940024, 5000, 40328, 1614, 38714, 0, 4524634089247526699, 1168640, 1500, 1527932473423873979, 7905719030797944140, 12443964707034730587], // PART-UM i64 1 bits
+        [15, 4664562900245129503, 105018, 3745536, 940264, 5000, 84290, 14750, 69540, 0, 4529302689574799111, 1168640, 1500, 8736603403177318841, 2829899895411317374, 17420863164689444680], // PART-UM i64 5 bits
+        [18, 4665381453833695795, 124848, 4172544, 1197484, 5000, 87180, 17334, 69846, 0, 4530105351879117754, 1200640, 1500, 7549607476732680777, 468475652212419168, 143399769179026420], // PART-UM i64 12 bits
+        [18, 4665774901697656026, 140264, 4419264, 1444204, 5000, 87180, 17334, 69846, 0, 4530535962168009206, 1200640, 1500, 7549607476732680777, 468475652212419168, 415732400962253449], // PART-UM i64 16 bits
+        [6, 4659363723585624407, 48884, 1770272, 127372, 3126, 82067, 78822, 3245, 80000, 4524117016749970430, 1218560, 1315, 1333148208605580638, 18301560137693952755, 17771123848761518318], // HASH skewed
+        [54, 4664355602462659784, 326801, 5076160, 3269052, 84, 644, 26, 618, 0, 4529099416242324047, 1153024, 1315, 10498271609846526246, 17732930127296198173, 7350892890750470948], // SORT-OM skewed
+        [23, 4665208076606994218, 152285, 3766144, 1256716, 5084, 89820, 19756, 70064, 0, 4529935340573511713, 961024, 1315, 10498271609846526246, 17732930127296198173, 5485988754878197345], // SORT-UM skewed
+        [37, 4661473164306697287, 204550, 3452320, 1739708, 0, 0, 0, 0, 0, 4526272937335337411, 1233152, 1315, 16024033963370955102, 5978592409107643423, 3770490739808408053], // PART-OM skewed
+        [18, 4659386245633920235, 123952, 2429000, 1010432, 5000, 34850, 4040, 30810, 0, 4524139101558388127, 1003776, 1315, 16024033963370955102, 5978592409107643423, 1414417331184022549], // PART-UM skewed
+    ];
+    let mut state = 51;
+    let base = keys_in(&mut state, 20_000, 1_500);
+    // i32: negatives. i64: negatives, and 64 keys per low-33-bit pattern
+    // that differ only above bit 32 (so at most 64 partitions at 16 bits).
+    let i32_keys: Vec<i64> = base.iter().map(|&k| k - 750).collect();
+    let i64_keys: Vec<i64> = base
+        .iter()
+        .map(|&k| (k % 64 - 32) + ((k / 64) << 33))
+        .collect();
+    // Nine rows in ten fall in partition 0 at any fan-out up to 2^16, over
+    // 200 groups; the rest spread over 1500 keys.
+    let skewed: Vec<i64> = (0..20_000)
+        .map(|_| {
+            let r = next(&mut state);
+            let k = (r >> 8) as i64;
+            if r.is_multiple_of(10) {
+                k % 1_500
+            } else {
+                (k % 200) << 16
+            }
+        })
+        .collect();
+    let mut observed = Vec::new();
+    for alg in GroupByAlgorithm::ALL {
+        let i32_row = ordered_group_by_run(alg, &i32_keys, false, None);
+        observed.push((format!("{alg} i32"), i32_row));
+        let i64_row = ordered_group_by_run(alg, &i64_keys, true, None);
+        observed.push((format!("{alg} i64"), i64_row));
+    }
+    for alg in [
+        GroupByAlgorithm::PartitionedGftr,
+        GroupByAlgorithm::PartitionedGfur,
+    ] {
+        for bits in [1, 5, 12, 16] {
+            let row = ordered_group_by_run(alg, &i64_keys, true, Some(bits));
+            observed.push((format!("{alg} i64 {bits} bits"), row));
+        }
+    }
+    for alg in GroupByAlgorithm::ALL {
+        let row = ordered_group_by_run(alg, &skewed, false, None);
+        observed.push((format!("{alg} skewed"), row));
+    }
+    assert_reference_table("group-by output order", &observed, REFERENCE);
+}
+
+/// PHJ match finding on its own: 1200 x 2000 keys of `0..300` and `0..400`
+/// partitioned 3 bits wide, so both sides hold duplicates and every build
+/// partition (~150 rows) spans several 64-tuple shared-memory chunks. The
+/// last five words are the ledger peak, the match count, and digests of the
+/// matched keys, of `r_idx` then `s_idx` in output order, and of the chunk
+/// diagnostics with the outputs' simulated base addresses.
+#[test]
+fn copartition_join_reproduces_its_recorded_row() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [12, 4640631946091520568, 8564, 79124, 99028, 0, 0, 0, 0, 0, 4505399166350582382, 99840, 6107, 18028399502021924337, 5156425201525373329, 11425628763070848551], // copartition join 1200 x 2000
+    ];
+    let dev = device(1024.0);
+    let mut state = 61;
+    let mut side = |len: usize, domain: u64| {
+        let keys: Vec<i32> = keys_in(&mut state, len, domain)
+            .iter()
+            .map(|&k| k as i32)
+            .collect();
+        let ids = dev.upload((0..len as u32).collect(), "d.ids");
+        let pairs = primitives::radix_partition(&dev, &dev.upload(keys.clone(), "d.keys"), &ids, 3);
+        (keys, pairs)
+    };
+    let (r, rp) = side(1_200, 300);
+    let (s, sp) = side(2_000, 400);
+    let (m, cost) =
+        primitives::join_copartitions(&dev, &rp.keys, &rp.offsets, &sp.keys, &sp.offsets);
+    assert!(cost.max_build_chunks > 1, "{cost:?}");
+    let pairs: usize = r.iter().map(|k| s.iter().filter(|&v| v == k).count()).sum();
+    assert_eq!(m.len(), pairs);
+    let mut row = [0; 16];
+    row[..11].copy_from_slice(&observe(&dev));
+    row[11] = dev.mem_report().peak_bytes;
+    row[12] = m.len() as u64;
+    row[13] = digest(m.keys.iter().map(|k| k.to_radix()));
+    row[14] = digest(m.r_idx.iter().chain(m.s_idx.iter()).map(|&i| i as u64));
+    row[15] = digest([
+        cost.max_build_chunks as u64,
+        cost.probe_rereads,
+        m.keys.addr_of(0),
+        m.r_idx.addr_of(0),
+        m.s_idx.addr_of(0),
+    ]);
+    let observed = [("copartition join 1200 x 2000".to_string(), row)];
+    assert_reference_table("copartition join", &observed, REFERENCE);
 }
