@@ -9,7 +9,7 @@
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{linear_probe_slots, timed_phase, GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
-use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
+use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes};
 
 /// Global hash aggregation (see module docs).
 pub fn hash_groupby(
@@ -33,7 +33,9 @@ pub fn hash_groupby(
         // row its own group) unless told otherwise.
         let cap = config.expected_groups.unwrap_or(n).max(1);
         let slots = (cap * 2).next_power_of_two();
-        let table_keys = dev.alloc::<u64>(slots, "hash_gb.keys");
+        // The table's keys live in simulated memory only: the L2 model reads
+        // their slot addresses, the host never their contents.
+        let table_keys = dev.reserve(slots as u64 * u64::SIZE, "hash_gb.keys");
         let mut occupied: Vec<u32> = vec![u32::MAX; slots]; // group index per slot
         let mut group_keys: Vec<K> = Vec::new();
         let mut group_counts: Vec<u64> = Vec::new();
@@ -60,7 +62,7 @@ pub fn hash_groupby(
                     row_group[i] = g;
                     false
                 })
-                .map(|s| table_keys.addr_of(s));
+                .map(|s| table_keys.base_addr() + s as u64 * u64::SIZE);
             dev.kernel("hash_gb.build")
                 .items(n as u64, GLOBAL_HASH_WARP_INSTR)
                 .seq_read_bytes(n as u64 * K::SIZE)
@@ -87,10 +89,7 @@ pub fn hash_groupby(
                 let mut accs = dev.alloc::<i64>(groups, "hash_gb.accs");
                 let acc = accs.as_mut_slice();
                 acc.fill(agg.identity());
-                for (i, &g) in row_group.iter().enumerate() {
-                    let g = g as usize;
-                    acc[g] = agg.fold(acc[g], col.value(i));
-                }
+                agg.fold_by_group(col, &row_group, acc);
                 if privatized {
                     dev.kernel("hash_gb.aggregate.privatized")
                         .items(n as u64, STREAM_WARP_INSTR)

@@ -52,15 +52,28 @@ impl AggFn {
         }
     }
 
-    /// Fold one value into an accumulator.
+    /// Fold one value, widened to `i64`, into an accumulator.
     #[inline]
-    pub fn fold(self, acc: i64, v: i64) -> i64 {
+    pub fn fold(self, acc: i64, v: impl Into<i64>) -> i64 {
+        let v = v.into();
         match self {
             AggFn::Sum => acc + v,
             AggFn::Min => acc.min(v),
             AggFn::Max => acc.max(v),
             AggFn::Count => acc + 1,
         }
+    }
+
+    /// Fold `col` into one accumulator per group, row `i` into
+    /// `accs[row_group[i]]`: the per-row loop of the HASH and PART
+    /// aggregation kernels, with one type dispatch per column.
+    pub(crate) fn fold_by_group(self, col: &Column, row_group: &[u32], accs: &mut [i64]) {
+        columnar::dispatch_column!(col, |vals| {
+            for (&g, &v) in row_group.iter().zip(vals.iter()) {
+                let acc = &mut accs[g as usize];
+                *acc = self.fold(*acc, v);
+            }
+        })
     }
 
     /// Merge two partial accumulators (used by per-block pre-aggregation).

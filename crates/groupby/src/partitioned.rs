@@ -5,12 +5,18 @@
 //! GFTR partitions every aggregate column with the keys (stability makes the
 //! layouts identical) and aggregates each with a streaming pass; GFUR
 //! partitions `(key, ID)` once and fetches values with unclustered gathers.
+//!
+//! Group finding probes [`primitives::PartitionTable`], the host's one
+//! shared-memory table (PHJ match finding's too), sized per partition; its
+//! kernel charges streaming traffic only, so the table moves no simulated
+//! number.
 
 use crate::{AggFn, GroupByConfig, GroupByOutput};
 use columnar::{Column, ColumnElement, Relation};
-use primitives::{gather_column, iota, timed_phase, KeyOrder, BUILD_WARP_INSTR, STREAM_WARP_INSTR};
+use primitives::{
+    gather_column, iota, timed_phase, KeyOrder, PartitionTable, BUILD_WARP_INSTR, STREAM_WARP_INSTR,
+};
 use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
-use std::collections::HashMap;
 
 fn choose_bits(dev: &Device, n: usize, key_bytes: u64, config: &GroupByConfig) -> u32 {
     if let Some(b) = config.radix_bits {
@@ -46,41 +52,39 @@ pub fn partitioned_groupby(
         // (GFUR). Offsets come from the partitioner's histogram + scan. The
         // keys' order is computed once for every column GFTR partitions.
         let order = KeyOrder::partition(keys, bits, if gftr { aggs.len() } else { 1 });
-        let ((part_keys, mut first_col, part_ids), t) = timed_phase(dev, "transform", || {
-            if gftr && !input.payloads().is_empty() {
-                let (k, c, _) = order.apply_column(dev, input.payload(0));
-                (k, Some(c), None)
-            } else {
-                let ids = iota(dev, n, "part_gb.ids");
-                let (k, v, _) = order.apply(dev, &ids);
-                (k, None, Some(v))
-            }
-        });
+        let ((part_keys, offsets, mut first_col, part_ids), t) =
+            timed_phase(dev, "transform", || {
+                if gftr && !input.payloads().is_empty() {
+                    let (k, c, offsets) = order.apply_column(dev, input.payload(0));
+                    (k, offsets, Some(c), None)
+                } else {
+                    let ids = iota(dev, n, "part_gb.ids");
+                    let (k, v, offsets) = order.apply(dev, &ids);
+                    (k, offsets, None, Some(v))
+                }
+            });
         phases.transform = t;
 
         // Group finding: per-partition shared-memory tables assign each row
-        // a global group id (one streaming pass writing the group-id column
-        // and the distinct keys).
+        // a global group id, in first-seen order of the partitioned scan
+        // (one streaming pass writing the group-id column and the distinct
+        // keys).
         let ((group_keys, row_group), t) = timed_phase(dev, "match_find", || {
             let mut group_keys: Vec<K> = Vec::new();
             let mut row_group: Vec<u32> = Vec::with_capacity(n);
-            // Partitions are contiguous; a single scan suffices because the
-            // partition boundary only resets the (simulated) shared table.
-            let mut local: HashMap<u64, u32> = HashMap::new();
-            let mask = (1u64 << bits) - 1;
-            let mut current_part = u64::MAX;
-            for pk in part_keys.iter() {
-                let part = pk.to_radix() & mask;
-                if part != current_part {
-                    local.clear();
-                    current_part = part;
+            let mut table = PartitionTable::default();
+            for w in offsets.windows(2) {
+                let part = &part_keys[w[0] as usize..w[1] as usize];
+                if part.is_empty() {
+                    continue;
                 }
-                let g = *local.entry(pk.to_radix()).or_insert_with(|| {
-                    let g = group_keys.len() as u32;
-                    group_keys.push(*pk);
-                    g
-                });
-                row_group.push(g);
+                table.reset(part.len());
+                for pk in part {
+                    row_group.push(table.get_or_insert(pk.to_radix(), || {
+                        group_keys.push(*pk);
+                        group_keys.len() as u32 - 1
+                    }));
+                }
             }
             dev.kernel("part_gb.group_find")
                 .items(n as u64, BUILD_WARP_INSTR)
@@ -110,10 +114,7 @@ pub fn partitioned_groupby(
                 // are partition-local on hardware; charged as a streaming
                 // pass).
                 let mut accs = vec![agg.identity(); groups];
-                for (i, &g) in row_group.iter().enumerate() {
-                    let g = g as usize;
-                    accs[g] = agg.fold(accs[g], ordered.value(i));
-                }
+                agg.fold_by_group(&ordered, &row_group, &mut accs);
                 dev.kernel("part_gb.aggregate")
                     .items(n as u64, STREAM_WARP_INSTR)
                     .seq_read_bytes(n as u64 * (ordered.dtype().size() + 4))

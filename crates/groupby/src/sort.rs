@@ -16,14 +16,16 @@ use sim::{Device, DeviceBuffer, OpStats, PhaseTimes};
 /// `|G|`-sized write.
 fn segmented_fold(dev: &Device, col: &Column, boundaries: &[u32], agg: AggFn) -> Column {
     let groups = boundaries.len().saturating_sub(1);
-    let mut out = Vec::with_capacity(groups);
-    for g in 0..groups {
-        let mut acc = agg.identity();
-        for i in boundaries[g]..boundaries[g + 1] {
-            acc = agg.fold(acc, col.value(i as usize));
-        }
-        out.push(acc);
-    }
+    let out = columnar::dispatch_column!(col, |vals| {
+        boundaries
+            .windows(2)
+            .map(|w| {
+                vals[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .fold(agg.identity(), |acc, &v| agg.fold(acc, v))
+            })
+            .collect()
+    });
     dev.kernel("segmented_fold")
         .items(col.len() as u64, STREAM_WARP_INSTR)
         .seq_read_bytes(col.len() as u64 * col.dtype().size())

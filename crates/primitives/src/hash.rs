@@ -1,6 +1,11 @@
 //! Hash-based match finding: the per-partition shared-memory join kernel
 //! (PHJ match finding, Sections 3.2 and 4.3) and the global hash table of
 //! the non-partitioned baseline (cuDF's join, Section 5.2.2).
+//!
+//! A thread block's shared-memory table runs on the host as one flat
+//! [`PartitionTable`], shared by PHJ match finding and PART group finding;
+//! its kernels charge streaming traffic only, so its layout moves no
+//! simulated number.
 
 use crate::{BUILD_WARP_INSTR, GLOBAL_HASH_WARP_INSTR, PROBE_WARP_INSTR};
 use sim::{Device, DeviceBuffer, Element};
@@ -44,6 +49,76 @@ pub struct CoPartitionCost {
 #[inline]
 fn slot_of(key: u64, mask: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
+/// The host stand-in for a thread block's shared-memory hash table: one
+/// flat open-addressing array of `(radix key, value)` slots, Fibonacci
+/// hashed and linearly probed, refilled per partition (or build chunk) by
+/// [`PartitionTable::reset`]. A value of `u32::MAX` marks an empty slot, so
+/// values must stay below it.
+#[derive(Debug, Default)]
+pub struct PartitionTable {
+    slots: Vec<(u64, u32)>,
+    mask: usize,
+}
+
+/// The in-band empty marker of [`PartitionTable`].
+const EMPTY: u32 = u32::MAX;
+
+impl PartitionTable {
+    /// Empty the table and size it for `rows` entries at a load factor of
+    /// at most 1/2: `(2 * rows).next_power_of_two()` slots.
+    pub fn reset(&mut self, rows: usize) {
+        let slots = (rows * 2).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(slots, (u64::MAX, EMPTY));
+        self.mask = slots - 1;
+    }
+
+    /// Insert `(key, value)`, keeping earlier entries of an equal key (a
+    /// PHJ build).
+    #[inline]
+    pub fn insert(&mut self, key: u64, value: u32) {
+        debug_assert_ne!(value, EMPTY, "u32::MAX marks an empty slot");
+        let mut s = slot_of(key, self.mask);
+        while self.slots[s].1 != EMPTY {
+            s = (s + 1) & self.mask;
+        }
+        self.slots[s] = (key, value);
+    }
+
+    /// Call `f` with the value of every entry equal to `key`, in probe
+    /// order: the chain is walked to the first empty slot (a PHJ probe).
+    #[inline]
+    pub fn for_each_match(&self, key: u64, mut f: impl FnMut(u32)) {
+        let mut s = slot_of(key, self.mask);
+        while self.slots[s].1 != EMPTY {
+            if self.slots[s].0 == key {
+                f(self.slots[s].1);
+            }
+            s = (s + 1) & self.mask;
+        }
+    }
+
+    /// The value stored for `key`, inserting `new()` first if there is none
+    /// (group finding: `new` hands out the next group id).
+    #[inline]
+    pub fn get_or_insert(&mut self, key: u64, new: impl FnOnce() -> u32) -> u32 {
+        let mut s = slot_of(key, self.mask);
+        loop {
+            let (k, v) = self.slots[s];
+            if v == EMPTY {
+                let v = new();
+                debug_assert_ne!(v, EMPTY, "u32::MAX marks an empty slot");
+                self.slots[s] = (key, v);
+                return v;
+            }
+            if k == key {
+                return v;
+            }
+            s = (s + 1) & self.mask;
+        }
+    }
 }
 
 /// The slots linear probing visits, as a lazy stream: each radix key in
@@ -114,8 +189,8 @@ pub fn join_copartitions<K: Element + Eq>(
     let mut s_idx = Vec::new();
     let mut cost = CoPartitionCost::default();
 
-    // Reusable open-addressing table: (radix key, global r position).
-    let mut table: Vec<(u64, u32)> = Vec::new();
+    // Radix key -> global r position.
+    let mut table = PartitionTable::default();
 
     let mut probe_tuples_read = 0u64;
     let mut build_tuples_read = 0u64;
@@ -136,35 +211,21 @@ pub fn join_copartitions<K: Element + Eq>(
             let chunk_start = r_range.start + chunk * cap;
             let chunk_end = (chunk_start + cap).min(r_range.end);
 
-            // Build: open addressing sized to the next power of two ≥ 2x.
             let chunk_len = chunk_end - chunk_start;
-            let slots = (chunk_len * 2).next_power_of_two();
-            let mask = slots - 1;
-            table.clear();
-            table.resize(slots, (u64::MAX, u32::MAX));
-            for gi in chunk_start..chunk_end {
-                let k = r_keys[gi].to_radix();
-                let mut s = slot_of(k, mask);
-                while table[s].1 != u32::MAX {
-                    s = (s + 1) & mask;
-                }
-                table[s] = (k, gi as u32);
+            table.reset(chunk_len);
+            for (gi, k) in (chunk_start..).zip(&r_keys[chunk_start..chunk_end]) {
+                table.insert(k.to_radix(), gi as u32);
             }
             build_tuples_read += chunk_len as u64;
 
             // Probe: stream the S co-partition; duplicates on the build side
             // are found by continuing the probe chain to the first empty slot.
-            for (sg, sk) in s_range.clone().map(|i| (i, s_keys[i])) {
-                let k = sk.to_radix();
-                let mut s = slot_of(k, mask);
-                while table[s].1 != u32::MAX {
-                    if table[s].0 == k {
-                        keys.push(sk);
-                        r_idx.push(table[s].1);
-                        s_idx.push(sg as u32);
-                    }
-                    s = (s + 1) & mask;
-                }
+            for (sg, &sk) in (s_range.start..).zip(&s_keys[s_range.clone()]) {
+                table.for_each_match(sk.to_radix(), |r| {
+                    keys.push(sk);
+                    r_idx.push(r);
+                    s_idx.push(sg as u32);
+                });
             }
             probe_tuples_read += s_range.len() as u64;
         }
@@ -293,6 +354,90 @@ mod tests {
     use super::*;
     use crate::radix_partition;
     use sim::Device;
+    use std::collections::HashMap;
+
+    /// splitmix64.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Group ids per row, then the distinct keys in id order, from one scan
+    /// over `partitions`, restarting the table at each: what PART group
+    /// finding does with [`PartitionTable::get_or_insert`].
+    fn scan_with_table(partitions: &[Vec<u64>]) -> (Vec<u32>, Vec<u64>) {
+        let (mut ids, mut distinct) = (Vec::new(), Vec::new());
+        let mut table = PartitionTable::default();
+        for part in partitions.iter().filter(|p| !p.is_empty()) {
+            table.reset(part.len());
+            for &k in part {
+                ids.push(table.get_or_insert(k, || {
+                    distinct.push(k);
+                    distinct.len() as u32 - 1
+                }));
+            }
+        }
+        (ids, distinct)
+    }
+
+    /// The same scan with a `HashMap` per partition.
+    fn scan_with_hash_map(partitions: &[Vec<u64>]) -> (Vec<u32>, Vec<u64>) {
+        let (mut ids, mut distinct) = (Vec::new(), Vec::new());
+        for part in partitions {
+            let mut map = HashMap::new();
+            for &k in part {
+                ids.push(*map.entry(k).or_insert_with(|| {
+                    distinct.push(k);
+                    distinct.len() as u32 - 1
+                }));
+            }
+        }
+        (ids, distinct)
+    }
+
+    #[test]
+    fn partition_table_groups_like_a_hash_map() {
+        const SIZES: [usize; 4] = [0, 1, 33, 4097];
+        // Keys whose home slot is 0 in the largest table, hence in every
+        // smaller one (its mask keeps a superset of their bits).
+        let largest = (2 * SIZES[3]).next_power_of_two() - 1;
+        let home_zero: Vec<u64> = (0u64..)
+            .map(|i| i.to_radix())
+            .filter(|&k| slot_of(k, largest) == 0)
+            .take(48)
+            .collect();
+        let key_sets: [(&str, &dyn Fn(u64) -> u64); 5] = [
+            ("all equal", &|_| 7i32.to_radix()),
+            // Distinct keys that agree on their low 12 bits (one radix
+            // partition at any fan-out up to 2^12).
+            ("shared low bits", &|r| {
+                ((((r % 500) as i64) << 12) | 0x5A5).to_radix()
+            }),
+            ("negatives", &|r| (-((r % 700) as i32) - 1).to_radix()),
+            // Fibonacci hashing maps these to even slots only.
+            ("i64 multiples of 2^33", &|r| {
+                (((r % 300) as i64 - 150) << 33).to_radix()
+            }),
+            ("home-slot collisions", &|r| home_zero[(r % 48) as usize]),
+        ];
+        for (name, key) in key_sets {
+            for seed in 0..4 {
+                let mut state = seed;
+                let partitions: Vec<Vec<u64>> = SIZES
+                    .iter()
+                    .map(|&len| (0..len).map(|_| key(next(&mut state))).collect())
+                    .collect();
+                assert_eq!(
+                    scan_with_table(&partitions),
+                    scan_with_hash_map(&partitions),
+                    "{name}, seed {seed}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn copartition_join_matches_oracle() {

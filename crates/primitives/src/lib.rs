@@ -19,7 +19,9 @@
 //! * [`merge_join`] — merge-path-balanced sorted merge join (ModernGPU /
 //!   Rui et al. style).
 //! * [`join_copartitions`] — per-partition shared-memory hash join
-//!   (the match-finding kernel of the paper's PHJ-OM, Section 4.3).
+//!   (the match-finding kernel of the paper's PHJ-OM, Section 4.3), over
+//!   [`PartitionTable`], the host's one shared-memory table, which PART
+//!   group finding probes too.
 //! * [`GlobalHashTable`] — a non-partitioned global hash table (the cuDF
 //!   baseline's core).
 //! * [`sort_column`] / [`radix_partition_column`] — transform one payload
@@ -43,7 +45,7 @@ mod sort;
 pub use costs::*;
 pub use gather::{gather, gather_column, gather_column_or_null, gather_or, scatter, NULL_ID};
 pub use hash::{join_copartitions, CoPartitionCost};
-pub use hash::{linear_probe_slots, GlobalHashTable, MatchResult};
+pub use hash::{linear_probe_slots, GlobalHashTable, MatchResult, PartitionTable};
 pub use merge::{merge_join, merge_path_partitions};
 pub use order::KeyOrder;
 pub use partition::{partition_of, radix_partition, radix_partition_column, PartitionedPairs};

@@ -158,6 +158,11 @@ impl Reservation {
         }
     }
 
+    /// Simulated device address of the range's first byte.
+    pub fn base_addr(&self) -> u64 {
+        self.base_addr
+    }
+
     /// The same address range with no charge of its own.
     fn view(&self) -> Reservation {
         Reservation {

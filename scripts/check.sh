@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Repo-wide checks: formatting, lints (warnings are errors), docs (warnings
-# are errors), the full test suite — which smoke-runs every registry
+# Repo-wide checks: formatting, the one-table gate (no std::collections
+# HashMap/HashSet in crates/{primitives,joins,groupby}/src outside oracle.rs
+# and trailing #[cfg(test)] modules: operators find matches and groups in
+# the simulator's own tables, primitives::{PartitionTable, GlobalHashTable}),
+# lints (warnings are errors), docs (warnings are errors), the full test
+# suite — which smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
 # directory (crates/bench/tests/{smoke,artifacts}.rs) — the benchmark
 # package's own tests, which compile every public item listed under
@@ -39,6 +43,25 @@ trap restore_perf_lock EXIT
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> one-table gate: no std HashMap/HashSet in operator code"
+# Skips each file's trailing `#[cfg(test)] mod`, as scripts/loc.sh does.
+hash_uses=$(find crates/primitives/src crates/joins/src crates/groupby/src \
+    -name '*.rs' ! -name oracle.rs -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_tests = 0; pending = 0 }
+        in_tests { next }
+        pending {
+            pending = 0
+            if ($0 ~ /^(pub(\([a-z]+\))? )?mod /) { in_tests = 1; next }
+        }
+        /^#\[cfg\(test\)\]$/ { pending = 1 }
+        /Hash(Map|Set)/ { print FILENAME ":" FNR ": " $0 }
+    ')
+if [[ -n "$hash_uses" ]]; then
+    echo "FAIL: std hash collections in operator code (use primitives::PartitionTable):"
+    echo "$hash_uses"
+    exit 1
+fi
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
