@@ -13,6 +13,14 @@
 //! same on every toolchain. A change that *intends* to move the cost model
 //! re-records them: a failing case prints its observed row.
 //!
+//! **Gathers**: `gather` on i32 and i64 sources and `gather_or` on i32 with
+//! every third map entry `NULL_ID`, each through an identity, a sorted
+//! with repeats and a shuffled map, on a full-size and a 1024x shrunken L2,
+//! in the same 11-word format. A row runs the gather back to back on one
+//! device for lengths from 0 through many 1024-lane chunks, so L2 state
+//! carries across kernels. These rows were recorded at commit d770981,
+//! whose gathers charged the map read lane by lane through `warp_loads`.
+//!
 //! **The operator drivers**: every GPU join algorithm x {narrow, wide} x
 //! {inner, outer, semi} and every group-by algorithm x {0, 1, 3} aggregate
 //! columns must reproduce its recorded [`OpRow`] — the same eleven words
@@ -45,7 +53,7 @@
 use columnar::{Column, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use joins::{Algorithm, JoinConfig, JoinKind};
-use primitives::gather;
+use primitives::{gather, gather_or, NULL_ID};
 use sim::{Device, DeviceConfig, Element};
 
 /// Everything the simulation lets a caller observe, as exact bits:
@@ -85,15 +93,20 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Seeded Fisher-Yates shuffle.
+fn shuffle(map: &mut [u32], state: &mut u64) {
+    for i in (1..map.len()).rev() {
+        map.swap(i, (next(state) % (i as u64 + 1)) as usize);
+    }
+}
+
 /// Unclustered gather of `n` elements through a seeded permutation.
 fn gather_run(shrink: f64, n: usize, seed: u64) -> Row {
     let dev = device(shrink);
     let src = dev.upload((0..n as i32).collect::<Vec<_>>(), "d.src");
     let mut map: Vec<u32> = (0..n as u32).collect();
     let mut state = seed;
-    for i in (1..n).rev() {
-        map.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
-    }
+    shuffle(&mut map, &mut state);
     let map = dev.upload(map, "d.map");
     let out = gather(&dev, &src, &map);
     assert!(out.iter().zip(map.iter()).all(|(&o, &m)| o == m as i32));
@@ -154,6 +167,117 @@ fn gather_reproduces_the_reference_core() {
     }
 }
 
+/// How a gather-table map orders its `n` entries of `0..n`.
+#[derive(Clone, Copy, Debug)]
+enum MapShape {
+    Identity,
+    /// Seeded draws, sorted: clustered, with repeats and gaps.
+    SortedRepeats,
+    Shuffled,
+}
+
+fn map_of(shape: MapShape, n: usize, state: &mut u64) -> Vec<u32> {
+    match shape {
+        MapShape::Identity => (0..n as u32).collect(),
+        MapShape::SortedRepeats => {
+            let mut map: Vec<u32> = (0..n).map(|_| (next(state) % n as u64) as u32).collect();
+            map.sort_unstable();
+            map
+        }
+        MapShape::Shuffled => {
+            let mut map: Vec<u32> = (0..n as u32).collect();
+            shuffle(&mut map, state);
+            map
+        }
+    }
+}
+
+/// Map lengths of one gather-table row: empty, a partial, whole and
+/// overhanging warp, the same around a 1024-lane chunk, and many chunks
+/// with a partial last warp.
+const GATHER_LENGTHS: [usize; 9] = [0, 1, 31, 32, 33, 1023, 1024, 1025, 33 * 1024 + 7];
+
+/// One gather-table row: on one device, a gather of `value(0..n)` through a
+/// `shape` map for every length of [`GATHER_LENGTHS`], back to back, so each
+/// kernel starts from the L2 state the one before left. With a `fallback`
+/// the gather is `gather_or` and every third map entry is `NULL_ID`. Each
+/// output is checked against the host.
+fn gather_table_run<T: Element>(
+    shrink: f64,
+    shape: MapShape,
+    fallback: Option<T>,
+    value: fn(usize) -> T,
+) -> Row {
+    let dev = device(shrink);
+    let mut state = 71;
+    for n in GATHER_LENGTHS {
+        let vals: Vec<T> = (0..n).map(value).collect();
+        let mut map = map_of(shape, n, &mut state);
+        if fallback.is_some() {
+            for m in map.iter_mut().skip(2).step_by(3) {
+                *m = NULL_ID;
+            }
+        }
+        let src = dev.upload(vals.clone(), "d.src");
+        let map = dev.upload(map, "d.map");
+        let out = match fallback {
+            None => gather(&dev, &src, &map),
+            Some(f) => gather_or(&dev, &src, &map, f),
+        };
+        assert_eq!(out.len(), n);
+        for (i, (&o, &m)) in out.iter().zip(map.iter()).enumerate() {
+            let want = match fallback {
+                Some(f) if m == NULL_ID => f,
+                _ => vals[m as usize],
+            };
+            assert_eq!(o.to_radix(), want.to_radix(), "{shape:?} n {n}: out[{i}]");
+        }
+    }
+    observe(&dev)
+}
+
+#[test]
+fn gathers_by_source_kind_and_map_shape_reproduce_their_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[Row] = &[
+        [9, 4673954720709727187, 21444, 295936, 147872, 2318, 9248, 0, 9248, 0, 4538687043057321482], // gather i32 Identity shrink 1
+        [9, 4674020519854808914, 21444, 443808, 295744, 2318, 13869, 0, 13869, 0, 4538751564787054536], // gather i64 Identity shrink 1
+        [9, 4673960447342744552, 21444, 295904, 147872, 1934, 9247, 0, 9247, 0, 4538692658514290836], // gather_or i32 Identity shrink 1
+        [9, 4673959600505397890, 21444, 295872, 147872, 2318, 10255, 1009, 9246, 0, 4538691828117325326], // gather i32 SortedRepeats shrink 1
+        [9, 4674027073647796928, 21444, 438976, 295744, 2318, 14597, 879, 13718, 0, 4538757991345627200], // gather i64 SortedRepeats shrink 1
+        [9, 4673963975564099620, 21444, 295744, 147872, 1934, 9814, 572, 9242, 0, 4538696118239252724], // gather_or i32 SortedRepeats shrink 1
+        [9, 4674095367538558938, 21444, 295936, 147872, 2318, 41068, 31820, 9248, 0, 4538824959388398760], // gather i32 Shuffled shrink 1
+        [9, 4674210164184905435, 21444, 443808, 295744, 2318, 41323, 27454, 13869, 0, 4538937527388798004], // gather i64 Shuffled shrink 1
+        [9, 4674072059789972711, 21444, 295904, 147872, 1934, 28946, 19699, 9247, 0, 4538802104133165602], // gather_or i32 Shuffled shrink 1
+        [9, 4645534990870049953, 21444, 295936, 147872, 2318, 9248, 0, 9248, 0, 4510294456357124844], // gather i32 Identity shrink 1024
+        [9, 4648730475800816185, 21444, 443808, 295744, 2318, 13869, 0, 13869, 0, 4513515336842638656], // gather i64 Identity shrink 1024
+        [9, 4645901495383161314, 21444, 295904, 147872, 1934, 9247, 0, 9247, 0, 4510653845603163587], // gather_or i32 Identity shrink 1024
+        [9, 4645847297792974972, 21444, 295872, 147872, 2318, 10255, 1009, 9246, 0, 4510600700197370814], // gather i32 SortedRepeats shrink 1024
+        [9, 4648940197176432588, 21444, 438976, 295744, 2318, 14597, 879, 13718, 0, 4513720986716963903], // gather i64 SortedRepeats shrink 1024
+        [9, 4646127301549885662, 21444, 295744, 147872, 1934, 9814, 572, 9242, 0, 4510875268000724363], // gather_or i32 SortedRepeats shrink 1024
+        [9, 4658247387459370591, 21444, 1013856, 147872, 2318, 41068, 9385, 31683, 0, 4523022353016271008], // gather i32 Shuffled shrink 1024
+        [9, 4658701835249847467, 21444, 1156928, 295744, 2318, 41323, 5169, 36154, 0, 4523467978221256771], // gather i64 Shuffled shrink 1024
+        [9, 4656192216719753103, 21444, 729568, 147872, 1934, 28946, 6147, 22799, 0, 4520919648822571932], // gather_or i32 Shuffled shrink 1024
+    ];
+    let mut observed = Vec::new();
+    for shrink in [1.0, 1024.0] {
+        for shape in [
+            MapShape::Identity,
+            MapShape::SortedRepeats,
+            MapShape::Shuffled,
+        ] {
+            let case = |kind: &str| format!("{kind} {shape:?} shrink {shrink}");
+            let i32_row = gather_table_run(shrink, shape, None, |i| i as i32 * 3 - 50_000);
+            observed.push((case("gather i32"), i32_row));
+            let i64_row = gather_table_run(shrink, shape, None, |i| (i as i64 - 9) << 33);
+            observed.push((case("gather i64"), i64_row));
+            let or_row = gather_table_run(shrink, shape, Some(i32::MIN), |i| 7 - i as i32);
+            observed.push((case("gather_or i32"), or_row));
+        }
+    }
+    assert_reference_table("gathers", &observed, REFERENCE);
+}
+
 #[test]
 fn phj_om_reproduces_the_reference_core() {
     // (shrink, |R|, |S|, key domain, seed, reference row)
@@ -192,8 +316,12 @@ fn observe_op(dev: &Device, stats: &sim::OpStats) -> OpRow {
 
 /// Compare a whole table at once so that a re-recording run prints every
 /// row, ready to paste.
-fn assert_reference_table(what: &str, observed: &[(String, OpRow)], reference: &[OpRow]) {
-    let rows: Vec<OpRow> = observed.iter().map(|(_, row)| *row).collect();
+fn assert_reference_table<const W: usize>(
+    what: &str,
+    observed: &[(String, [u64; W])],
+    reference: &[[u64; W]],
+) {
+    let rows: Vec<[u64; W]> = observed.iter().map(|(_, row)| *row).collect();
     if rows.as_slice() != reference {
         let table: String = observed
             .iter()
