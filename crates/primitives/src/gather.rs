@@ -8,6 +8,12 @@
 //! warp load requests — which is why Table 4 reports ~18 sectors/request
 //! for the unclustered case (32 for the data + 4 for the map, averaged) and
 //! ~6 for the clustered one.
+//!
+//! The map read is a contiguous stream whose sectors are known before any
+//! lane is looked at, so it is charged as one range per warp
+//! ([`sim::KernelBuilder::contiguous_loads`]); the data read goes lane by
+//! lane through [`sim::KernelBuilder::warp_loads`], since only the map says
+//! which sectors it touches.
 
 use crate::GATHER_WARP_INSTR;
 use columnar::Column;
@@ -43,7 +49,7 @@ pub fn gather<T: Element>(
     dev.kernel("gather")
         .items(n as u64, GATHER_WARP_INSTR)
         // The map itself is streamed with coalesced warp loads.
-        .warp_loads(4, (0..n).map(|i| map.addr_of(i)))
+        .contiguous_loads(map)
         // The data reads coalesce only as well as the map is clustered.
         .warp_loads(T::SIZE, map.iter().map(|&m| src.addr_of(m as usize)))
         .seq_write_bytes(n as u64 * T::SIZE)
@@ -107,7 +113,7 @@ pub fn gather_or<T: Element>(
         .map(|&m| src.addr_of(m as usize));
     dev.kernel("gather_or")
         .items(n as u64, GATHER_WARP_INSTR)
-        .warp_loads(4, (0..n).map(|i| map.addr_of(i)))
+        .contiguous_loads(map)
         .warp_loads(T::SIZE, data_addrs)
         .seq_write_bytes(n as u64 * T::SIZE)
         .launch();

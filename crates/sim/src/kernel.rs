@@ -14,7 +14,7 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
-use crate::{Counters, Device, SimTime, SECTOR_BYTES, WARP_SIZE};
+use crate::{Counters, Device, DeviceBuffer, Element, SimTime, SECTOR_BYTES, WARP_SIZE};
 
 /// Warps per stack chunk of [`KernelBuilder::warp_loads`]: addresses are
 /// pulled 1024 at a time (8 KiB of sector ids), so the stream needs no heap
@@ -98,7 +98,7 @@ impl<'d> KernelBuilder<'d> {
     where
         I: IntoIterator<Item = u64>,
     {
-        let ideal = (elem_size * WARP_SIZE as u64).div_ceil(SECTOR_BYTES).max(1) as f64;
+        let ideal = ideal_sectors(elem_size);
         let dev = self.dev;
         let penalty = dev.inner.config.uncoalesced_penalty;
         let mut sectors = [0u64; CHUNK_WARPS * WARP_SIZE];
@@ -124,6 +124,34 @@ impl<'d> KernelBuilder<'d> {
                 return self;
             }
         }
+    }
+
+    /// Charge warp-level loads of every element of `buf`, in order — by
+    /// definition
+    /// `warp_loads(T::SIZE, (0..buf.len()).map(|i| buf.addr_of(i)))`,
+    /// charged by sector instead of by lane.
+    ///
+    /// An element is at most one sector wide, so consecutive lanes advance
+    /// by at most one sector: a warp's distinct sectors are exactly the
+    /// range from its first lane's sector to its last's, already ascending.
+    /// Each is probed once, and the warps are folded in order, so every
+    /// counter and f64 is the per-lane path's (`DESIGN.md`, "Warp-traffic
+    /// accounting"). Nothing is allocated.
+    pub fn contiguous_loads<T: Element>(mut self, buf: &DeviceBuffer<T>) -> Self {
+        const { assert!(T::SIZE <= SECTOR_BYTES) };
+        let ideal = ideal_sectors(T::SIZE);
+        let dev = self.dev;
+        let penalty = dev.inner.config.uncoalesced_penalty;
+        let sector = |i: usize| buf.addr_of(i) / SECTOR_BYTES;
+        let mut st = dev.lock();
+        let l2 = &mut st.lane(dev.query).l2;
+        for start in (0..buf.len()).step_by(WARP_SIZE) {
+            let last = (start + WARP_SIZE).min(buf.len()) - 1;
+            let (distinct, dram) = l2.access_range(sector(start), sector(last));
+            self.charge_warp(distinct, dram, ideal, penalty);
+        }
+        drop(st);
+        self
     }
 
     /// Fold one warp request's outcome into the builder, in warp order: the
@@ -239,6 +267,11 @@ impl<'d> KernelBuilder<'d> {
     }
 }
 
+/// Sectors a fully coalesced warp of `elem_size`-byte lanes touches.
+fn ideal_sectors(elem_size: u64) -> f64 {
+    (elem_size * WARP_SIZE as u64).div_ceil(SECTOR_BYTES).max(1) as f64
+}
+
 /// One launched kernel as the device accounts it: its name, its simulated
 /// duration and its work as a one-launch [`Counters`] record. Every lane's
 /// counters, the trace event and the metrics totals fold or embed `work`
@@ -255,7 +288,8 @@ pub(crate) struct KernelCharge {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Device, SECTOR_BYTES};
+    use crate::{Counters, Device, Element, SECTOR_BYTES};
+    use proptest::prelude::*;
 
     #[test]
     fn streaming_kernel_is_bandwidth_bound() {
@@ -408,6 +442,79 @@ mod tests {
         let core = run(false);
         assert!(core.0.l2_hits > 0 && core.0.l2_misses > 0);
         assert_eq!(core, run(true));
+    }
+
+    /// `contiguous_loads(&buf)` and the stream that defines it, each on one
+    /// of two twin devices with an L2 of `sets` sets that one scattered
+    /// stream over and around the buffer has warmed. The buffer is charged
+    /// twice, so the second pass starts from the first's L2 state. Returns
+    /// both sides' charge as `(counters, cycles, kernel time, clock)`, the
+    /// f64s as bits.
+    fn range_and_definition<T: Element>(
+        sets: u64,
+        len: usize,
+        warm: &[u64],
+    ) -> [(Counters, u64, u64, u64); 2] {
+        [true, false].map(|by_range| {
+            let mut cfg = crate::DeviceConfig::a100();
+            cfg.l2_bytes = sets * SECTOR_BYTES;
+            let dev = Device::new(cfg);
+            let buf = dev.alloc::<T>(len, "x");
+            let span = (len as u64 * T::SIZE).max(1) + 8 * sets * SECTOR_BYTES;
+            let warm = warm.iter().map(|&w| buf.addr_of(0) + w % span);
+            dev.kernel("warm").warp_loads(4, warm).launch();
+            let warmed = dev.counters();
+            let mut k = dev.kernel("range");
+            for _ in 0..2 {
+                k = if by_range {
+                    k.contiguous_loads(&buf)
+                } else {
+                    k.warp_loads(T::SIZE, (0..buf.len()).map(|i| buf.addr_of(i)))
+                };
+            }
+            let t = k.launch();
+            let c = dev.counters().delta_since(&warmed).0;
+            let elapsed = dev.elapsed().secs().to_bits();
+            (c, c.cycles.to_bits(), t.secs().to_bits(), elapsed)
+        })
+    }
+
+    /// Lengths around the warp and the 1024-lane chunk.
+    const EDGE_LENGTHS: [usize; 9] = [0, 1, 31, 32, 33, 1023, 1024, 1025, 5000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn range_charge_matches_its_defining_stream(
+            set_bits in 0u32..=6,
+            elem in 0usize..3,
+            edge in any::<bool>(),
+            edge_len in 0usize..EDGE_LENGTHS.len(),
+            any_len in 0usize..=5000,
+            warm in collection::vec(any::<u64>(), 1..600),
+        ) {
+            let sets = 1u64 << set_bits;
+            let len = if edge { EDGE_LENGTHS[edge_len] } else { any_len };
+            let [range, definition] = match elem {
+                0 => range_and_definition::<u8>(sets, len, &warm),
+                1 => range_and_definition::<u32>(sets, len, &warm),
+                _ => range_and_definition::<i64>(sets, len, &warm),
+            };
+            prop_assert_eq!(range, definition, "{} sets, len {}, elem {}", sets, len, elem);
+        }
+    }
+
+    #[test]
+    fn range_charge_sees_hits_and_misses() {
+        // The property above is only as good as the L2 states it reaches:
+        // its warm-up must leave sectors for the buffer to hit as well as
+        // miss.
+        let warm: Vec<u64> = (0..500u64).map(|i| i * 2654435761).collect();
+        let [range, definition] = range_and_definition::<u32>(16, 1025, &warm);
+        assert_eq!(range, definition);
+        let c = range.0;
+        assert!(c.l2_hits > 0 && c.l2_misses > 0, "{c:?}");
     }
 
     #[test]

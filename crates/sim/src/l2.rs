@@ -8,8 +8,11 @@
 //!
 //! Kernels charge it one warp request at a time through
 //! [`L2Cache::access_warp`], whose contract is "sort the lane sectors,
-//! drop duplicates, probe in ascending order" — computed without the sort
-//! (see `DESIGN.md`, "Warp-traffic accounting").
+//! drop duplicates, probe in ascending order" — computed without the sort,
+//! and for unordered warps in a lane pass without data-dependent branches.
+//! A warp known to cover a gap-free ascending sector range (a contiguous
+//! stream, charged by `KernelBuilder::contiguous_loads`) skips the lanes
+//! and probes the range. See `DESIGN.md`, "Warp-traffic accounting".
 
 use crate::WARP_SIZE;
 
@@ -68,8 +71,8 @@ impl L2Cache {
     /// be probed in any interleaving as long as each one sees its own
     /// distinct sectors ascending:
     ///
-    /// * lanes already non-decreasing (map streams, clustered gathers) are
-    ///   that order — drop adjacent duplicates and probe;
+    /// * lanes already non-decreasing (clustered gathers) are that
+    ///   order — drop adjacent duplicates and probe;
     /// * otherwise probe in lane order. A set touched once, or again only
     ///   by the sector it now holds, has seen exactly its ascending
     ///   sequence. A set asked for a second distinct sector is *conflicting*:
@@ -100,6 +103,15 @@ impl L2Cache {
         (distinct, dram)
     }
 
+    /// Probe every sector of the ascending range `first..=last` once — an
+    /// ordered warp whose lanes cover each sector between its first and
+    /// last; `(distinct, missed)`.
+    #[inline]
+    pub(crate) fn access_range(&mut self, first: u64, last: u64) -> (u64, u64) {
+        let dram = (first..=last).filter(|&s| !self.access(s)).count();
+        (last - first + 1, dram as u64)
+    }
+
     fn access_warp_unordered(&mut self, sectors: &[u64]) -> (u64, u64) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -114,18 +126,25 @@ impl L2Cache {
         // Lanes that found their set holding a different sector of this warp.
         let mut conflicts = 0u32;
         let (mut distinct, mut dram) = (0, 0);
-        for (lane, &s) in sectors.iter().enumerate() {
-            let set = self.set_of(s);
-            let tag = self.tags[set];
-            if self.stamps[set] != epoch {
-                self.stamps[set] = epoch;
-                pre[lane] = tag;
-                self.tags[set] = s;
-                distinct += 1;
-                dram += u64::from(tag != s);
-            } else if tag != s {
-                conflicts |= 1 << lane;
-            }
+        // No data-dependent branch: whether a lane is its set's first touch
+        // and whether it differs from the set's tag are flags, the tag is
+        // written through a select and the counts add 0 or 1. A repeat touch
+        // writes back the tag it read, so only first touches move a set.
+        // The slices are taken once, so the loop checks one bound per lane.
+        let tags = &mut self.tags[..];
+        let stamps = &mut self.stamps[..tags.len()];
+        let mask = self.mask as usize;
+        for (lane, (&s, pre_tag)) in sectors.iter().zip(&mut pre).enumerate() {
+            let set = s as usize & mask;
+            let tag = tags[set];
+            let first = stamps[set] != epoch;
+            let differs = tag != s;
+            stamps[set] = epoch;
+            *pre_tag = tag;
+            tags[set] = if first { s } else { tag };
+            distinct += u64::from(first);
+            dram += u64::from(first & differs);
+            conflicts |= u32::from(!first & differs) << lane;
         }
         while conflicts != 0 {
             let lane = conflicts.trailing_zeros() as usize;

@@ -34,10 +34,14 @@
 //! simulated address per lane, 32 lanes per request. It is a single
 //! sequential, allocation-free stream — addresses are pulled into a stack
 //! chunk outside the device lock, and [`L2Cache::access_warp`] charges each
-//! warp without sorting it, rolling back and replaying only the sets that
-//! two distinct sectors of one warp map to. Counters, hit/miss outcomes and
-//! simulated times are **bit-identical** to sorting every warp; `DESIGN.md`
-//! ("Warp-traffic accounting") has the argument.
+//! warp without sorting it, in a branch-free lane pass that rolls back and
+//! replays only the sets that two distinct sectors of one warp map to. A
+//! stream whose sectors are known without its lanes — every element of a
+//! buffer in order, as a gather reads its map — goes through
+//! [`KernelBuilder::contiguous_loads`] instead, which probes each warp's
+//! sector range once. Counters, hit/miss outcomes and simulated times are
+//! **bit-identical** to sorting every warp of the per-lane stream;
+//! `DESIGN.md` ("Warp-traffic accounting") has the argument.
 //!
 //! ## One record per observed thing
 //!

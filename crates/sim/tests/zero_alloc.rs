@@ -1,6 +1,7 @@
 //! Charging warp traffic must not touch the heap: `warp_loads` and
-//! `warp_stores` stream addresses through a stack chunk, and `launch()` on
-//! an untraced, unmetered device only bumps counters.
+//! `warp_stores` stream addresses through a stack chunk,
+//! `contiguous_loads` charges sector ranges computed on the fly, and
+//! `launch()` on an untraced, unmetered device only bumps counters.
 //!
 //! This file holds a single test on purpose — the counting allocator is
 //! process-wide, and although it only counts the thread that asked, a lone
@@ -62,14 +63,18 @@ fn warp_traffic_and_launch_do_not_allocate() {
         .kernel("z.scattered")
         .warp_loads(4, (0..N).map(scattered))
         .warp_stores(4, (0..N).map(|i| scattered(i + N)))
+        .contiguous_loads(&buf)
         .launch();
     COUNTING.with(|c| c.set(false));
 
     assert_eq!(
         ALLOCATIONS.load(Ordering::Relaxed),
         0,
-        "heap allocations while charging 2^17 scattered addresses"
+        "heap allocations while charging 2^17 scattered addresses and a 2^20-element range"
     );
     assert!(t.secs() > 0.0);
-    assert_eq!(dev.counters().load_requests, 2 * (N as u64 / 32));
+    assert_eq!(
+        dev.counters().load_requests,
+        2 * (N as u64 / 32) + buf.len() as u64 / 32
+    );
 }

@@ -3,8 +3,12 @@
 # HashMap/HashSet in crates/{primitives,joins,groupby}/src outside oracle.rs
 # and trailing #[cfg(test)] modules: operators find matches and groups in
 # the simulator's own tables, primitives::{PartitionTable, GlobalHashTable}),
-# lints (warnings are errors), docs (warnings are errors), the full test
-# suite — which smoke-runs every registry
+# the range gate (no whole-buffer contiguous stream `(0..n).map(|i|
+# buf.addr_of(i))` in non-test code under crates/*/src, same skips: such a
+# stream is charged by sector through sim::KernelBuilder::contiguous_loads,
+# not lane by lane through warp_loads/warp_stores), lints (warnings are
+# errors), docs (warnings are errors), the full test suite — which
+# smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
 # directory (crates/bench/tests/{smoke,artifacts}.rs) — the benchmark
 # package's own tests, which compile every public item listed under
@@ -44,10 +48,12 @@ trap restore_perf_lock EXIT
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> one-table gate: no std HashMap/HashSet in operator code"
-# Skips each file's trailing `#[cfg(test)] mod`, as scripts/loc.sh does.
-hash_uses=$(find crates/primitives/src crates/joins/src crates/groupby/src \
-    -name '*.rs' ! -name oracle.rs -print0 | sort -z | xargs -0 awk '
+# Prints "file:line: text" for every line of the .rs files under the given
+# directories that matches the ERE in $PATTERN, skipping host oracles
+# (oracle.rs), `//` comment lines and each file's trailing `#[cfg(test)]
+# mod`, as scripts/loc.sh does.
+code_matching() {
+    find "$@" -name '*.rs' ! -name oracle.rs -print0 | sort -z | xargs -0 awk '
         FNR == 1 { in_tests = 0; pending = 0 }
         in_tests { next }
         pending {
@@ -55,11 +61,27 @@ hash_uses=$(find crates/primitives/src crates/joins/src crates/groupby/src \
             if ($0 ~ /^(pub(\([a-z]+\))? )?mod /) { in_tests = 1; next }
         }
         /^#\[cfg\(test\)\]$/ { pending = 1 }
-        /Hash(Map|Set)/ { print FILENAME ":" FNR ": " $0 }
-    ')
+        /^[ \t]*\/\// { next }
+        $0 ~ ENVIRON["PATTERN"] { print FILENAME ":" FNR ": " $0 }
+    '
+}
+
+echo "==> one-table gate: no std HashMap/HashSet in operator code"
+hash_uses=$(PATTERN='Hash(Map|Set)' code_matching \
+    crates/primitives/src crates/joins/src crates/groupby/src)
 if [[ -n "$hash_uses" ]]; then
     echo "FAIL: std hash collections in operator code (use primitives::PartitionTable):"
     echo "$hash_uses"
+    exit 1
+fi
+
+echo "==> range gate: no whole-buffer contiguous stream charged lane by lane"
+ident='[A-Za-z0-9_]+'
+lane_streams=$(PATTERN="\(0\.\.$ident(\.len\(\))?\)\.map\(\|$ident\| *$ident\.addr_of\($ident\)\)" \
+    code_matching crates/*/src)
+if [[ -n "$lane_streams" ]]; then
+    echo "FAIL: (0..n).map(|i| buf.addr_of(i)) charged per lane (use KernelBuilder::contiguous_loads):"
+    echo "$lane_streams"
     exit 1
 fi
 
