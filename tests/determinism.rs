@@ -49,12 +49,22 @@
 //! sides and build partitions of several shared-memory chunks. They were
 //! recorded at commit 96bbd0b, whose PART group finding used a SipHash map
 //! per partition.
+//!
+//! **Group-by phases and ledger steps**: the driver rows pin totals, not
+//! when each allocation, free and phase boundary happens. Three more
+//! group-by tables do, for every algorithm: a digest of a traced run's
+//! spans and `mem` samples at 0 and 3 aggregate columns; the sequence of
+//! budget errors a query lane raises as its budget is raised to just past
+//! each failing ledger step; and the 16-word driver row on 0 and 1 input
+//! rows. They were recorded at commit c442524, whose group-by ran three
+//! hand-written bodies (HASH, SORT, PART).
 
 use columnar::{Column, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use joins::{Algorithm, JoinConfig, JoinKind};
 use primitives::{gather, gather_or, NULL_ID};
-use sim::{Device, DeviceConfig, Element};
+use sim::{BudgetError, Device, DeviceConfig, Element, SchedPolicy};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Everything the simulation lets a caller observe, as exact bits:
 /// the ten `Counters` fields in declaration order, then `elapsed`.
@@ -599,14 +609,24 @@ fn sort_pairs_and_radix_partition_reproduce_their_recorded_rows() {
     assert_reference_table("transform primitives", &observed, REFERENCE);
 }
 
-/// One grouped aggregation of 20000 rows over 1500 groups with `cols`
-/// aggregate columns on a fresh shrunken device.
-fn group_by_op_run(alg: GroupByAlgorithm, cols: usize) -> OpRow {
-    let dev = device(1024.0);
+/// The aggregate functions of the group-by driver rows, one per column.
+static GROUP_BY_AGGS: [AggFn; 3] = [AggFn::Sum, AggFn::Min, AggFn::Max];
+
+/// The input of the group-by driver rows: `rows` seeded keys of `0..1500`
+/// with the first `cols` of three mixed-width payload columns, and their
+/// aggregate functions.
+fn group_by_input(dev: &Device, rows: usize, cols: usize) -> (Relation, &'static [AggFn]) {
     let mut state = 31;
-    let keys = keys_in(&mut state, 20_000, 1_500);
-    let input = op_relation(&dev, "T", &keys, &[true, false, true][..cols]);
-    let aggs = &[AggFn::Sum, AggFn::Min, AggFn::Max][..cols];
+    let keys = keys_in(&mut state, rows, 1_500);
+    let input = op_relation(dev, "T", &keys, &[true, false, true][..cols]);
+    (input, &GROUP_BY_AGGS[..cols])
+}
+
+/// One grouped aggregation of `rows` rows over up to 1500 groups with
+/// `cols` aggregate columns on a fresh shrunken device.
+fn group_by_op_run(alg: GroupByAlgorithm, rows: usize, cols: usize) -> OpRow {
+    let dev = device(1024.0);
+    let (input, aggs) = group_by_input(&dev, rows, cols);
     let out = groupby::run_group_by(&dev, alg, &input, aggs, &GroupByConfig::default());
     assert_eq!(
         out.rows_sorted(),
@@ -639,10 +659,172 @@ fn every_group_by_driver_reproduces_its_recorded_row() {
     let mut observed = Vec::new();
     for alg in GroupByAlgorithm::ALL {
         for cols in [0, 1, 3] {
-            observed.push((format!("{alg} x{cols}"), group_by_op_run(alg, cols)));
+            observed.push((format!("{alg} x{cols}"), group_by_op_run(alg, 20_000, cols)));
         }
     }
     assert_reference_table("group-by drivers", &observed, REFERENCE);
+}
+
+#[test]
+fn group_by_on_zero_and_one_rows_reproduces_its_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[OpRow] = &[
+        [2, 4618931681167222585, 8, 24, 0, 0, 0, 0, 0, 0, 4483683026068701268, 256, 0, 0, 4479157979703206996, 4479200873179454548], // HASH n=0 x0
+        [5, 4657953598488502932, 8, 24, 0, 0, 0, 0, 0, 0, 4522734267623165507, 256, 0, 0, 4479157979703206996, 4522727350094137866], // HASH n=0 x3
+        [2, 4618971778633690913, 20, 60, 8, 1, 1, 0, 1, 0, 4483722345088594859, 768, 1, 0, 4479229468830286251, 4479208022092162475], // HASH n=1 x0
+        [5, 4657972201947288752, 125, 96, 10380, 1, 1, 0, 1, 1296, 4522752509917018836, 2560, 1, 0, 4479236617742994177, 4522745515593030465], // HASH n=1 x3
+        [14, 4632452634793233596, 256, 4096, 4112, 0, 0, 0, 0, 0, 4497203782551942367, 0, 0, 4496761060694173338, 0, 4479157979703206992], // SORT-OM n=0 x0
+        [76, 4643697992342256014, 1536, 24576, 24672, 0, 0, 0, 0, 0, 4508493121060395364, 0, 0, 4500821938463774808, 0, 4505768259948914332], // SORT-OM n=0 x3
+        [15, 4632956174103200036, 411, 4212, 4160, 2, 2, 0, 2, 0, 4497697546220562522, 1536, 1, 4496801951132854707, 4479198870141888368, 4479279511219241728], // SORT-OM n=1 x0
+        [77, 4643786076866804773, 2307, 25212, 25064, 2, 2, 0, 2, 0, 4508579495524372674, 2816, 1, 4500860273250038589, 4479198870141888352, 4505810522106190408], // SORT-OM n=1 x3
+        [14, 4632452634793233596, 256, 4096, 4112, 0, 0, 0, 0, 0, 4497203782551942367, 0, 0, 4496761060694173338, 0, 4479157979703206992], // SORT-UM n=0 x0
+        [32, 4637859208344915131, 512, 8192, 8224, 0, 0, 0, 0, 0, 4502592825894850928, 0, 0, 4501043299392659323, 0, 4491783334869780436], // SORT-UM n=0 x3
+        [15, 4632956174103200036, 411, 4212, 4160, 2, 2, 0, 2, 0, 4497697546220562522, 1536, 1, 4496801951132854707, 4479198870141888368, 4479279511219241728], // SORT-UM n=1 x0
+        [33, 4638144952794961889, 868, 8572, 8384, 8, 8, 2, 6, 0, 4502873022942331364, 2816, 1, 4501082912005131896, 4479198870141888352, 4491855117589438660], // SORT-UM n=1 x3
+        [7, 4627024460151443608, 16, 16, 24, 0, 0, 0, 0, 0, 4491793557479450768, 0, 0, 4490908113763912709, 4479157979703207000, 0], // PART-OM n=0 x0
+        [19, 4633790707089160420, 48, 48, 72, 0, 0, 0, 0, 0, 4498515877700501580, 0, 0, 4489956511608364789, 4479157979703206996, 4495854435249052234], // PART-OM n=0 x3
+        [7, 4627064857023101156, 78, 36, 44, 0, 0, 0, 0, 0, 4491833170091923342, 1280, 1, 4490938781592923734, 4479229537970899392, 0], // PART-OM n=1 x0
+        [19, 4633842180522401488, 206, 180, 152, 0, 0, 0, 0, 0, 4498566351835748895, 2560, 1, 4490007624656716498, 4479229537970899392, 4495887658730480846], // PART-OM n=1 x3
+        [7, 4627024460151443608, 16, 16, 24, 0, 0, 0, 0, 0, 4491793557479450768, 0, 0, 4490908113763912709, 4479157979703207000, 0], // PART-UM n=0 x0
+        [13, 4631071360317089868, 16, 16, 24, 0, 0, 0, 0, 0, 4495849323944217062, 0, 0, 4490908113763912709, 4479157979703207000, 4490897891154242364], // PART-UM n=0 x3
+        [7, 4627064857023101156, 78, 36, 44, 0, 0, 0, 0, 0, 4491833170091923342, 1280, 1, 4490938781592923734, 4479229537970899392, 0], // PART-UM n=1 x0
+        [13, 4631119958943252301, 159, 212, 96, 6, 6, 2, 4, 0, 4495896979083486055, 2816, 1, 4490938781592923734, 4479229537970899392, 4490953588820307776], // PART-UM n=1 x3
+    ];
+    let mut observed = Vec::new();
+    for alg in GroupByAlgorithm::ALL {
+        for rows in [0, 1] {
+            for cols in [0, 3] {
+                let row = group_by_op_run(alg, rows, cols);
+                observed.push((format!("{alg} n={rows} x{cols}"), row));
+            }
+        }
+    }
+    assert_reference_table("group-by on 0 and 1 rows", &observed, REFERENCE);
+}
+
+/// A string as digest words: its length, then its bytes.
+fn text_words(s: &str) -> impl Iterator<Item = u64> + '_ {
+    std::iter::once(s.len() as u64).chain(s.bytes().map(u64::from))
+}
+
+/// The trace of one group-by driver run on the input of the driver rows,
+/// recorded from the call on: the span count, a digest of every span's
+/// name and start/end bits, the `mem` sample count, and a digest of every
+/// sample's time bits, in-use and high-water bytes. The driver rows pin
+/// totals; these pin where each phase opens and closes and what is alive
+/// at each instant, so a free moved across a span or an allocation moves
+/// them.
+fn group_by_trace_run(alg: GroupByAlgorithm, cols: usize) -> [u64; 4] {
+    let dev = device(1024.0);
+    let (input, aggs) = group_by_input(&dev, 20_000, cols);
+    dev.enable_tracing();
+    let out = groupby::run_group_by(&dev, alg, &input, aggs, &GroupByConfig::default());
+    let trace = dev.take_trace().expect("tracing was enabled");
+    drop(out);
+    let spans: Vec<_> = trace.spans().collect();
+    let samples: Vec<_> = trace.mem_samples().collect();
+    let span_words = spans
+        .iter()
+        .flat_map(|s| text_words(&s.name).chain([s.start.to_bits(), s.end.to_bits()]));
+    let sample_words = samples
+        .iter()
+        .flat_map(|m| [m.ts.to_bits(), m.current_bytes, m.high_water_bytes]);
+    [
+        spans.len() as u64,
+        digest(span_words),
+        samples.len() as u64,
+        digest(sample_words),
+    ]
+}
+
+#[test]
+fn group_by_traces_reproduce_their_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[[u64; 4]] = &[
+        [3, 8957308758271624134, 2, 5371074551501568679], // HASH x0
+        [3, 14506170230249531394, 6, 549323190975321112], // HASH x3
+        [4, 9145684674705153485, 8, 15049330549020071810], // SORT-OM x0
+        [4, 15488312772042153011, 29, 11882303708814530689], // SORT-OM x3
+        [4, 10008027262158007331, 8, 15049330549020071810], // SORT-UM x0
+        [4, 13937002615750616243, 17, 3509797960310400618], // SORT-UM x3
+        [4, 11764158880487066370, 6, 2299376584242367576], // PART-OM x0
+        [4, 9420019903736881546, 13, 3158469247684696719], // PART-OM x3
+        [4, 6349276077527671852, 6, 2299376584242367576], // PART-UM x0
+        [4, 2482477736513607228, 12, 17350151266609226224], // PART-UM x3
+    ];
+    let mut observed = Vec::new();
+    for alg in GroupByAlgorithm::ALL {
+        for cols in [0, 3] {
+            observed.push((format!("{alg} x{cols}"), group_by_trace_run(alg, cols)));
+        }
+    }
+    assert_reference_table("group-by traces", &observed, REFERENCE);
+}
+
+/// The budget error one group-by run on 2000 rows raises on a query lane
+/// of `budget` bytes, as (label, requested bytes, in-use bytes); `None` if
+/// it fits.
+fn group_by_budget_error(
+    alg: GroupByAlgorithm,
+    cols: usize,
+    budget: u64,
+) -> Option<(String, u64, u64)> {
+    let dev = device(1024.0);
+    let (input, aggs) = group_by_input(&dev, 2_000, cols);
+    dev.sched_start(SchedPolicy::Serial);
+    let q = dev
+        .sched_register(1.0, budget)
+        .expect("the device has room");
+    let mut seen = None;
+    dev.sched_run(|_| {
+        let run = || groupby::run_group_by(&q, alg, &input, aggs, &GroupByConfig::default());
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+            let err = payload.downcast::<BudgetError>().expect("a budget error");
+            seen = Some((err.label.clone(), err.requested_bytes, err.in_use_bytes));
+        }
+    });
+    dev.sched_finish();
+    seen
+}
+
+/// Every ledger step of one group-by run: starting from a zero budget,
+/// each run's budget is raised to just past the step the last one failed
+/// at, so it fails at the next step that raises the high-water mark. The
+/// row is the step count and a digest of the (label, requested, in-use)
+/// sequence.
+fn group_by_budget_sweep(alg: GroupByAlgorithm, cols: usize) -> [u64; 2] {
+    let (mut budget, mut steps) = (0, 0);
+    let mut words = Vec::new();
+    while let Some((label, requested, in_use)) = group_by_budget_error(alg, cols, budget) {
+        budget = in_use + requested;
+        steps += 1;
+        words.extend(text_words(&label).chain([requested, in_use]));
+    }
+    [steps, digest(words)]
+}
+
+#[test]
+fn group_by_budget_errors_reproduce_their_recorded_steps() {
+    #[rustfmt::skip]
+    const REFERENCE: &[[u64; 2]] = &[
+        [2, 341252319716061882], // HASH x0
+        [6, 17954139572760045491], // HASH x3
+        [5, 2721345188438482662], // SORT-OM x0
+        [8, 14856575410707104445], // SORT-OM x3
+        [5, 2721345188438482662], // SORT-UM x0
+        [7, 12148318892232296173], // SORT-UM x3
+        [4, 15273361681256995356], // PART-OM x0
+        [7, 16435798680557767186], // PART-OM x3
+        [4, 15273361681256995356], // PART-UM x0
+        [8, 10461481549752097539], // PART-UM x3
+    ];
+    let mut observed = Vec::new();
+    for alg in GroupByAlgorithm::ALL {
+        for cols in [0, 3] {
+            observed.push((format!("{alg} x{cols}"), group_by_budget_sweep(alg, cols)));
+        }
+    }
+    assert_reference_table("group-by budget steps", &observed, REFERENCE);
 }
 
 /// `len` seeded values of `-bound..bound`.
