@@ -1,141 +1,30 @@
-//! Global hash-table aggregation: the baseline grouped aggregation, one
-//! atomic update per row per aggregate column into a table in device memory.
+//! Global hash-table aggregation (HASH) through [`crate::run_group_by`]:
+//! the baseline grouped aggregation, `Transform::None` in [`crate::driver`].
+//! Group finding assigns every row a group id in one global table in device
+//! memory; aggregation then makes one atomic update per row per aggregate
+//! column, or pre-aggregates per thread block when the groups fit shared
+//! memory.
 //!
 //! Strong when the group count is small (the table is L2-resident) but
 //! degrades on large group cardinalities (random misses) and on heavy key
 //! skew (atomic serialization on the hottest group) — the same two effects
 //! that shape the non-partitioned hash *join*.
 
-use crate::{AggFn, GroupByConfig, GroupByOutput};
-use columnar::{Column, ColumnElement, Relation};
-use primitives::{linear_probe_slots, timed_phase, GLOBAL_HASH_WARP_INSTR, STREAM_WARP_INSTR};
-use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes};
+#[cfg(test)]
+mod tests {
+    use crate::oracle::group_by_oracle;
+    use crate::{run_group_by, AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput};
+    use columnar::{Column, Relation};
+    use sim::Device;
 
-/// Global hash aggregation (see module docs).
-pub fn hash_groupby(
-    dev: &Device,
-    input: &Relation,
-    aggs: &[AggFn],
-    config: &GroupByConfig,
-) -> GroupByOutput {
-    fn typed<K: ColumnElement>(
-        keys: &DeviceBuffer<K>,
+    fn hash_groupby(
         dev: &Device,
         input: &Relation,
         aggs: &[AggFn],
         config: &GroupByConfig,
     ) -> GroupByOutput {
-        dev.reset_peak_mem();
-        let mut phases = PhaseTimes::default();
-        let n = keys.len();
-
-        // Real GPU implementations size the table for the worst case (every
-        // row its own group) unless told otherwise.
-        let cap = config.expected_groups.unwrap_or(n).max(1);
-        let slots = (cap * 2).next_power_of_two();
-        // The table's keys live in simulated memory only: the L2 model reads
-        // their slot addresses, the host never their contents.
-        let table_keys = dev.reserve(slots as u64 * u64::SIZE, "hash_gb.keys");
-        let mut occupied: Vec<u32> = vec![u32::MAX; slots]; // group index per slot
-        let mut group_keys: Vec<K> = Vec::new();
-        let mut group_counts: Vec<u64> = Vec::new();
-        let mut row_group = dev.alloc::<u32>(n, "hash_gb.row_group");
-
-        // Group finding: one pass assigning each row its group id, chasing
-        // random table slots.
-        let ((), t) = timed_phase(dev, "match_find", || {
-            let row_group = row_group.as_mut_slice();
-            let touched =
-                linear_probe_slots(keys.iter().map(|k| k.to_radix()), slots - 1, |i, _, s| {
-                    let g = match occupied[s] {
-                        u32::MAX => {
-                            let g = group_keys.len() as u32;
-                            occupied[s] = g;
-                            group_keys.push(keys[i]);
-                            group_counts.push(0);
-                            g
-                        }
-                        g if group_keys[g as usize] == keys[i] => g,
-                        _ => return true,
-                    };
-                    group_counts[g as usize] += 1;
-                    row_group[i] = g;
-                    false
-                })
-                .map(|s| table_keys.base_addr() + s as u64 * u64::SIZE);
-            dev.kernel("hash_gb.build")
-                .items(n as u64, GLOBAL_HASH_WARP_INSTR)
-                .seq_read_bytes(n as u64 * K::SIZE)
-                .warp_loads(12, touched)
-                .seq_write_bytes(n as u64 * 4)
-                .launch();
-        });
-        phases.match_find = t;
-        let groups = group_keys.len();
-        let hottest = group_counts.iter().copied().max().unwrap_or(0);
-
-        // Aggregation: one pass per column. When the group set fits in
-        // shared memory, thread blocks pre-aggregate into private tables and
-        // merge once per block at the end — the standard privatization that
-        // keeps low-cardinality aggregation off the global atomic units.
-        // Otherwise every row's update lands at a random global accumulator
-        // (atomics, contended on the hottest group).
-        let privatized = (groups as u64) <= dev.config().shared_mem_tuples(16);
-        let blocks = (dev.config().sms * 4) as u64;
-        let (aggregates, t) = timed_phase(dev, "materialize", || {
-            let mut aggregates = Vec::with_capacity(aggs.len());
-            for (j, agg) in aggs.iter().enumerate() {
-                let col = input.payload(j);
-                let mut accs = dev.alloc::<i64>(groups, "hash_gb.accs");
-                let acc = accs.as_mut_slice();
-                acc.fill(agg.identity());
-                agg.fold_by_group(col, &row_group, acc);
-                if privatized {
-                    dev.kernel("hash_gb.aggregate.privatized")
-                        .items(n as u64, STREAM_WARP_INSTR)
-                        .seq_read_bytes(n as u64 * (col.dtype().size() + 4))
-                        // Cross-block merge: one partial table per block.
-                        .seq_write_bytes(blocks * groups as u64 * 8)
-                        .atomics(blocks * groups as u64, blocks)
-                        .launch();
-                } else {
-                    let accs_addrs = row_group.iter().map(|&g| accs.addr_of(g as usize));
-                    dev.kernel("hash_gb.aggregate.global")
-                        .items(n as u64, STREAM_WARP_INSTR)
-                        .seq_read_bytes(n as u64 * (col.dtype().size() + 4))
-                        .warp_stores(8, accs_addrs)
-                        .atomics(n as u64, hottest)
-                        .launch();
-                }
-                aggregates.push(Column::from_i64(dev, accs.to_vec(), "hash_gb.out"));
-            }
-            // Compact the table into the output key column (streaming scan of
-            // the slots).
-            dev.kernel("hash_gb.compact")
-                .items(slots as u64, STREAM_WARP_INSTR)
-                .seq_read_bytes(slots as u64 * 12)
-                .seq_write_bytes(groups as u64 * K::SIZE)
-                .launch();
-            aggregates
-        });
-        phases.materialize = t;
-        drop((table_keys, row_group));
-
-        GroupByOutput {
-            keys: K::wrap(dev.upload(group_keys, "hash_gb.group_keys")),
-            aggregates,
-            stats: OpStats::new(phases, groups, dev.mem_report().peak_bytes),
-        }
+        run_group_by(dev, GroupByAlgorithm::HashGlobal, input, aggs, config)
     }
-    columnar::dispatch_column!(input.key(), |k| typed(k, dev, input, aggs, config))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::oracle::group_by_oracle;
-    use columnar::Column;
-    use sim::Device;
 
     fn check(dev: &Device, input: &Relation, aggs: &[AggFn]) {
         let out = hash_groupby(dev, input, aggs, &GroupByConfig::default());

@@ -2,16 +2,18 @@
 //!
 //! The grouped-aggregation half of *Efficiently Processing Joins and Grouped
 //! Aggregations on GPUs*: the same three-phase framework as the joins
-//! (transform → group finding → per-column aggregation/materialization) with
-//! the same two transformation strategies and the same GFUR/GFTR choice:
+//! (transform → group finding → per-column aggregation) with the same two
+//! transformation strategies and the same GFUR/GFTR choice. `driver.rs`
+//! holds that computation once; a [`GroupByAlgorithm`] is a row of this
+//! table (`GroupByAlgorithm::recipe` in code):
 //!
-//! | variant | transform | per-column aggregation |
-//! |---|---|---|
-//! | [`hash::hash_groupby`] | none | atomic updates into a global table (random access) |
-//! | [`sort::sort_groupby`] GFTR | sort `(key, col_i)` per column | streaming segmented reduce |
-//! | [`sort::sort_groupby`] GFUR | sort `(key, ID)` once | unclustered gather, then segmented reduce |
-//! | [`partitioned::partitioned_groupby`] GFTR | stable radix partition per column | shared-memory tables, streaming |
-//! | [`partitioned::partitioned_groupby`] GFUR | partition `(key, ID)` once | unclustered gather, shared-memory tables |
+//! | algorithm | transform | pattern | group finding | per-column aggregation |
+//! |---|---|---|---|---|
+//! | HASH    | none | in-place | global hash table, row → group id | atomic updates into global accumulators (random access), privatized when the groups fit shared memory |
+//! | SORT-OM | sort every column with the keys | GFTR | segment boundaries of the sorted keys | streaming segmented reduce |
+//! | SORT-UM | sort `(key, ID)` once | GFUR | segment boundaries of the sorted keys | unclustered gather, then segmented reduce |
+//! | PART-OM | stable radix partition, every column | GFTR | shared-memory table per partition | streaming fold into shared-memory accumulators |
+//! | PART-UM | stable radix partition `(key, ID)` once | GFUR | shared-memory table per partition | unclustered gather, then the same fold |
 //!
 //! The trade-off mirrors the join study: with many aggregated columns and
 //! large inputs, transforming every column (GFTR) converts the random
@@ -19,12 +21,18 @@
 //! hash table is L2-resident and hard to beat (but suffers atomic contention
 //! on heavily skewed keys).
 
-pub mod hash;
+mod driver;
 pub mod oracle;
-pub mod partitioned;
-pub mod sort;
+
+// Per-algorithm test suites: each module holds only the documentation of its
+// algorithm's row and the unit tests that drive it through `run_group_by`.
+mod hash;
+mod partitioned;
+mod sort;
 
 use columnar::{Column, Relation};
+use driver::Transform;
+use primitives::Pattern;
 use serde::{Deserialize, Serialize};
 use sim::{Device, OpStats};
 
@@ -114,15 +122,30 @@ impl GroupByAlgorithm {
         }
     }
 
+    /// The `(transform, pattern)` of an algorithm plus the allocation label
+    /// of the ID column a sort/radix transform creates. HASH transforms
+    /// nothing and aggregates the input columns where they are, so its
+    /// pattern is GFUR's and it has no ID column.
+    #[rustfmt::skip]
+    pub(crate) fn recipe(self) -> (Transform, Pattern, &'static str) {
+        use {GroupByAlgorithm::*, Pattern::*, Transform as T};
+        match self {
+            HashGlobal      => (T::None,  Gfur, ""),
+            SortGftr        => (T::Sort,  Gftr, "sort_gb.ids"),
+            SortGfur        => (T::Sort,  Gfur, "sort_gb.ids"),
+            PartitionedGftr => (T::Radix, Gftr, "part_gb.ids"),
+            PartitionedGfur => (T::Radix, Gfur, "part_gb.ids"),
+        }
+    }
+
     /// The materialization strategy label: `"GFTR"` when every aggregated
     /// column is transformed with the keys, `"GFUR"` when only (key, ID)
     /// pairs are transformed and values are gathered unclustered,
     /// `"in-place"` for the global hash table (no transformation at all).
     pub fn materialization(self) -> &'static str {
-        match self {
-            GroupByAlgorithm::HashGlobal => "in-place",
-            GroupByAlgorithm::SortGftr | GroupByAlgorithm::PartitionedGftr => "GFTR",
-            GroupByAlgorithm::SortGfur | GroupByAlgorithm::PartitionedGfur => "GFUR",
+        match self.recipe() {
+            (Transform::None, _, _) => "in-place",
+            (_, pattern, _) => pattern.label(),
         }
     }
 
@@ -147,10 +170,6 @@ impl std::fmt::Display for GroupByAlgorithm {
 pub struct GroupByConfig {
     /// Radix bits for the partitioned variant; `None` auto-sizes.
     pub radix_bits: Option<u32>,
-    /// Expected number of distinct groups, if known; used to size the global
-    /// hash table (`None` falls back to the row count — the conservative
-    /// allocation real GPU implementations make).
-    pub expected_groups: Option<usize>,
 }
 
 /// Result of a grouped aggregation: one row per group.
@@ -207,17 +226,9 @@ pub fn run_group_by(
     );
     let before = dev.counters();
     let t0 = dev.elapsed();
-    let mut out = match algorithm {
-        GroupByAlgorithm::HashGlobal => hash::hash_groupby(dev, input, aggs, config),
-        GroupByAlgorithm::SortGftr => sort::sort_groupby(dev, input, aggs, config, true),
-        GroupByAlgorithm::SortGfur => sort::sort_groupby(dev, input, aggs, config, false),
-        GroupByAlgorithm::PartitionedGftr => {
-            partitioned::partitioned_groupby(dev, input, aggs, config, true)
-        }
-        GroupByAlgorithm::PartitionedGfur => {
-            partitioned::partitioned_groupby(dev, input, aggs, config, false)
-        }
-    };
+    let mut out = columnar::dispatch_column!(input.key(), |k| {
+        driver::typed(k, dev, input, aggs, config, algorithm.recipe())
+    });
     out.stats.counters = dev.counters().delta_since(&before).0;
     out.stats.query = dev.query_id();
     dev.trace_span(sim::SpanCat::GroupBy, algorithm.name(), t0, dev.elapsed());

@@ -10,7 +10,7 @@ mod byte_counting;
 
 use byte_counting::host_bytes;
 use columnar::{Column, Relation};
-use groupby::{hash::hash_groupby, AggFn, GroupByConfig};
+use groupby::{run_group_by, AggFn, GroupByAlgorithm, GroupByConfig};
 use sim::Device;
 
 #[test]
@@ -30,11 +30,11 @@ fn hash_groupby_holds_no_host_copy_of_its_table_keys() {
         Column::from_i32(&dev, keys, "k"),
         vec![Column::from_i32(&dev, (0..N as i32).collect(), "v")],
     );
-    let (allocated, out) =
-        host_bytes(|| hash_groupby(&dev, &input, &[AggFn::Sum], &GroupByConfig::default()));
+    let (hash, config) = (GroupByAlgorithm::HashGlobal, GroupByConfig::default());
+    let (allocated, out) = host_bytes(|| run_group_by(&dev, hash, &input, &[AggFn::Sum], &config));
     assert!(
         allocated <= WITH_HOST_TABLE - TABLE,
-        "hash_groupby allocated {allocated} host bytes; with a host table it took {WITH_HOST_TABLE}"
+        "HASH allocated {allocated} host bytes; with a host table it took {WITH_HOST_TABLE}"
     );
     assert_eq!(out.len(), 4096);
 }

@@ -36,11 +36,11 @@
 
 use crate::kinds::{apply_kind_timed, JoinKind};
 use crate::phj_um::{bucket_join, bucket_partition, BucketChains};
-use crate::{choose_radix_bits, estimated_out_rows, Algorithm, JoinConfig, JoinOutput};
+use crate::{estimated_out_rows, Algorithm, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{
-    gather, gather_column, gather_column_or_null, iota, join_copartitions, merge_join, timed_phase,
-    GlobalHashTable, KeyOrder, MatchResult,
+    choose_radix_bits, gather, gather_column, gather_column_or_null, iota, join_copartitions,
+    merge_join, timed_phase, GlobalHashTable, KeyOrder, MatchResult, Pairs, Pattern,
 };
 use sim::{Device, DeviceBuffer, Element, OpStats, PhaseTimes};
 
@@ -56,17 +56,6 @@ pub(crate) enum Transform {
     BucketChain,
     /// No transformation: a global hash table over the original keys.
     None,
-}
-
-/// Where materialization gathers payloads from.
-#[derive(Clone, Copy, PartialEq)]
-pub(crate) enum Pattern {
-    /// Gather From Untransformed Relations: transform `(key, physical ID)`,
-    /// gather from the original columns — unclustered.
-    Gfur,
-    /// Gather From Transformed Relations: transform every payload column
-    /// with the keys, gather by virtual ID — clustered.
-    Gftr,
 }
 
 impl Algorithm {
@@ -100,18 +89,6 @@ impl Algorithm {
     }
 }
 
-/// One relation after a sort or radix transformation.
-struct Pairs<K: Element> {
-    /// Keys in transformed order.
-    keys: DeviceBuffer<K>,
-    /// Physical tuple IDs in transformed order (GFUR).
-    ids: Option<DeviceBuffer<u32>>,
-    /// The first payload column in transformed order (GFTR).
-    payload0: Option<Column>,
-    /// Partition offsets (radix; empty when sorted).
-    offsets: Vec<u32>,
-}
-
 /// Both relations after the transformation phase.
 enum Transformed<K: Element> {
     Pairs(Pairs<K>, Pairs<K>),
@@ -132,7 +109,7 @@ pub(crate) fn typed<'a, K: ColumnElement>(
     dev.reset_peak_mem();
     let mut reservation = crate::OutputReservation::new(dev, r, s, estimated_out_rows(config, s));
     let mut phases = PhaseTimes::default();
-    let bits = choose_radix_bits(dev, r.len().max(1), K::SIZE, config);
+    let bits = choose_radix_bits(dev, r.len().max(1), K::SIZE + 4, config.radix_bits);
 
     // Each side's stable order, computed at most once per join: replayed
     // for every GFTR column when several ride with the keys, while a lone
@@ -149,19 +126,6 @@ pub(crate) fn typed<'a, K: ColumnElement>(
     };
     let (r_order, s_order) = (order_of(r_keys, r), order_of(s_keys, s));
 
-    // An ID column riding through `transform` with its keys, kept only when
-    // GFUR will translate positions through it.
-    let ids_with_keys = |order: &KeyOrder<K>, ids: &DeviceBuffer<u32>, keep: bool| {
-        let (keys, ids, offsets) = order.apply(dev, ids);
-        let ids = keep.then_some(ids);
-        Pairs {
-            keys,
-            ids,
-            payload0: None,
-            offsets,
-        }
-    };
-
     // Transformation (Algorithm 1, lines 1-2). GFTR carries the *first*
     // payload column of each side with the keys; a payload-less side sorts
     // keys alone (modeled as a key-ID pair transform, as GFUR's is). NPHJ
@@ -176,22 +140,18 @@ pub(crate) fn typed<'a, K: ColumnElement>(
             let r_ids = iota(dev, r_keys.len(), id_labels[0]);
             let s_ids = iota(dev, s_keys.len(), id_labels[1]);
             Transformed::Pairs(
-                ids_with_keys(&r_order, &r_ids, true),
-                ids_with_keys(&s_order, &s_ids, true),
+                r_order.carry_ids(dev, &r_ids),
+                s_order.carry_ids(dev, &s_ids),
             )
         }
         (_, Pattern::Gftr) => {
+            // A payload-less side drops its transformed IDs at once.
             let side = |order: &KeyOrder<K>, rel: &Relation, label| match rel.payloads().first() {
-                Some(p) => {
-                    let (keys, p, offsets) = order.apply_column(dev, p);
-                    Pairs {
-                        keys,
-                        ids: None,
-                        payload0: Some(p),
-                        offsets,
-                    }
-                }
-                None => ids_with_keys(order, &iota(dev, rel.len(), label), false),
+                Some(p) => order.carry_column(dev, p),
+                None => Pairs {
+                    ids: None,
+                    ..order.carry_ids(dev, &iota(dev, rel.len(), label))
+                },
             };
             Transformed::Pairs(
                 side(&r_order, r, id_labels[0]),

@@ -88,11 +88,8 @@ impl Algorithm {
     /// for gather-from-untransformed-relations, `"CPU"` for the host
     /// baseline.
     pub fn materialization(self) -> &'static str {
-        match self.recipe(false) {
-            Some((_, driver::Pattern::Gftr, _)) => "GFTR",
-            Some((_, driver::Pattern::Gfur, _)) => "GFUR",
-            None => "CPU",
-        }
+        self.recipe(false)
+            .map_or("CPU", |(_, pattern, _)| pattern.label())
     }
 
     /// All GPU variants compared throughout Section 5.
@@ -259,20 +256,4 @@ pub(crate) fn timed<T>(dev: &Device, f: impl FnOnce() -> T) -> (T, SimTime) {
     let t0 = dev.elapsed();
     let out = f();
     (out, dev.elapsed() - t0)
-}
-
-/// Pick the radix fan-out: partitions sized to the shared-memory hash table,
-/// clamped to the 2-pass range the paper uses (Section 4.3).
-pub(crate) fn choose_radix_bits(
-    dev: &Device,
-    build_rows: usize,
-    key_bytes: u64,
-    config: &JoinConfig,
-) -> u32 {
-    if let Some(bits) = config.radix_bits {
-        return bits;
-    }
-    let target = dev.config().shared_mem_tuples(key_bytes + 4).max(64);
-    let parts = (build_rows as u64).div_ceil(target).max(1);
-    (64 - (parts - 1).leading_zeros()).clamp(1, 16)
 }

@@ -205,7 +205,8 @@ pub(crate) fn bucket_join<K: ColumnElement>(
 #[cfg(test)]
 fn layout_fingerprint(dev: &Device, rel: &columnar::Relation, config: &JoinConfig) -> u64 {
     fn typed<K: ColumnElement>(keys: &DeviceBuffer<K>, dev: &Device, config: &JoinConfig) -> u64 {
-        let bits = crate::choose_radix_bits(dev, keys.len().max(1), K::SIZE, config);
+        let bits =
+            primitives::choose_radix_bits(dev, keys.len().max(1), K::SIZE + 4, config.radix_bits);
         let chains = bucket_partition(dev, keys, bits, config);
         let mut h = 0xcbf29ce484222325u64;
         for part in &chains.chains {

@@ -6,13 +6,17 @@
 //!
 //! * [`radix_partition`] — stable LSD radix partitioning, at most 8 bits
 //!   per pass (the Ampere limit the paper cites), with partition offsets
-//!   computed by histogram + prefix sum.
+//!   computed by histogram + prefix sum; [`choose_radix_bits`] is the one
+//!   fan-out rule of the partitioned joins and group-bys.
 //! * [`sort_pairs`] — least-significant-digit radix sort of (key, value)
 //!   pairs, built from partition passes exactly like CUB's OneSweep; for
 //!   4-byte keys this is the "~17 sequential passes" of Section 4.2.
 //! * [`KeyOrder`] — how the host runs both: one stable order per key
 //!   column, computed once and replayed for every column transformed with
 //!   those keys, while the device is charged every pass of every column.
+//!   Its [`Pairs`] are what the join and group-by drivers carry out of the
+//!   transform phase: the keys with either the first payload column or an
+//!   ID column, as the [`Pattern`] (GFTR or GFUR) asks.
 //! * [`gather`] / [`gather_column`] / [`scatter`] — the Thrust-style gather
 //!   with warp-level coalescing accounting; this is where clustered vs
 //!   unclustered maps (Table 4) diverge.
@@ -47,8 +51,10 @@ pub use gather::{gather, gather_column, gather_column_or_null, gather_or, scatte
 pub use hash::{join_copartitions, CoPartitionCost};
 pub use hash::{linear_probe_slots, GlobalHashTable, MatchResult, PartitionTable};
 pub use merge::{merge_join, merge_path_partitions};
-pub use order::KeyOrder;
-pub use partition::{partition_of, radix_partition, radix_partition_column, PartitionedPairs};
+pub use order::{KeyOrder, Pairs, Pattern};
+pub use partition::{
+    choose_radix_bits, partition_of, radix_partition, radix_partition_column, PartitionedPairs,
+};
 pub use scan::{compact_mask, exclusive_scan, iota, run_boundaries};
 pub use sort::{sort_column, sort_pairs, sort_pairs_bits};
 

@@ -120,6 +120,64 @@ impl<'k, K: Element> KeyOrder<'k, K> {
             (k, ColumnElement::wrap(v), offsets)
         })
     }
+
+    /// [`KeyOrder::apply`] to a physical ID column, which the pairs keep.
+    pub fn carry_ids(&self, dev: &Device, ids: &[u32]) -> Pairs<K> {
+        let (keys, ids, offsets) = self.apply(dev, ids);
+        Pairs {
+            keys,
+            ids: Some(ids),
+            payload0: None,
+            offsets,
+        }
+    }
+
+    /// [`KeyOrder::apply_column`] to the first payload column.
+    pub fn carry_column(&self, dev: &Device, col: &Column) -> Pairs<K> {
+        let (keys, payload0, offsets) = self.apply_column(dev, col);
+        Pairs {
+            keys,
+            ids: None,
+            payload0: Some(payload0),
+            offsets,
+        }
+    }
+}
+
+/// Where an operator reads payload columns from after its transform — the
+/// paper's materialization choice (Section 4.2), the same for joins and
+/// grouped aggregations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pattern {
+    /// Gather From Untransformed Relations: transform `(key, physical ID)`,
+    /// gather from the original columns — unclustered.
+    Gfur,
+    /// Gather From Transformed Relations: transform every payload column
+    /// with the keys, gather by virtual ID — clustered.
+    Gftr,
+}
+
+impl Pattern {
+    /// `"GFUR"` or `"GFTR"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Pattern::Gfur => "GFUR",
+            Pattern::Gftr => "GFTR",
+        }
+    }
+}
+
+/// One relation after a sort or radix transform: its keys and the one
+/// column that rode with them.
+pub struct Pairs<K: Element> {
+    /// Keys in transformed order.
+    pub keys: DeviceBuffer<K>,
+    /// Physical tuple IDs in transformed order (GFUR).
+    pub ids: Option<DeviceBuffer<u32>>,
+    /// The first payload column in transformed order (GFTR).
+    pub payload0: Option<Column>,
+    /// Partition offsets (radix; empty when sorted).
+    pub offsets: Vec<u32>,
 }
 
 /// The host half of a transform: `keys` in order, `carry(i)` moved along

@@ -44,6 +44,18 @@ pub fn partition_of<K: Element>(key: K, bits: u32) -> usize {
     (key.to_radix() & ((1u64 << bits) - 1)) as usize
 }
 
+/// The radix fan-out for `rows` tuples of `tuple_bytes` each: `pinned` if
+/// set, else partitions sized to the shared-memory hash table, clamped to
+/// the 2-pass range the paper uses (Section 4.3).
+pub fn choose_radix_bits(dev: &Device, rows: usize, tuple_bytes: u64, pinned: Option<u32>) -> u32 {
+    if let Some(bits) = pinned {
+        return bits;
+    }
+    let target = dev.config().shared_mem_tuples(tuple_bytes).max(64);
+    let parts = (rows as u64).div_ceil(target).max(1);
+    (64 - (parts - 1).leading_zeros()).clamp(1, 16)
+}
+
 /// Partition pairs into `2^bits` partitions by the low `bits` of the key's
 /// radix image, composing as many ≤8-bit passes as needed (two for the
 /// 15-16 bits the paper's PHJ-OM uses — Section 4.3).

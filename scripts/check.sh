@@ -6,7 +6,11 @@
 # the range gate (no whole-buffer contiguous stream `(0..n).map(|i|
 # buf.addr_of(i))` in non-test code under crates/*/src, same skips: such a
 # stream is charged by sector through sim::KernelBuilder::contiguous_loads,
-# not lane by lane through warp_loads/warp_stores), lints (warnings are
+# not lane by lane through warp_loads/warp_stores), the one-skeleton gate
+# (`timed_phase(dev, "transform"` in non-test code only in
+# crates/joins/src/driver.rs and crates/groupby/src/driver.rs, same skips:
+# every join and group-by runs Algorithm 1 through its crate's one driver
+# and recipe table), lints (warnings are
 # errors), docs (warnings are errors), the full test suite — which
 # smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
@@ -82,6 +86,16 @@ lane_streams=$(PATTERN="\(0\.\.$ident(\.len\(\))?\)\.map\(\|$ident\| *$ident\.ad
 if [[ -n "$lane_streams" ]]; then
     echo "FAIL: (0..n).map(|i| buf.addr_of(i)) charged per lane (use KernelBuilder::contiguous_loads):"
     echo "$lane_streams"
+    exit 1
+fi
+
+echo "==> one-skeleton gate: transform phases open only in the two drivers"
+drivers='^crates/(joins|groupby)/src/driver\.rs:'
+skeletons=$(PATTERN='timed_phase\(dev, "transform"' code_matching crates/*/src |
+    grep -Ev "$drivers" || true)
+if [[ -n "$skeletons" ]]; then
+    echo "FAIL: a transform phase outside joins::driver / groupby::driver (add a recipe row instead):"
+    echo "$skeletons"
     exit 1
 fi
 

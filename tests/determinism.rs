@@ -870,10 +870,7 @@ fn ordered_group_by_run(
     ];
     let input = Relation::new("T", key, payloads);
     let aggs = [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count];
-    let config = GroupByConfig {
-        radix_bits,
-        ..GroupByConfig::default()
-    };
+    let config = GroupByConfig { radix_bits };
     let out = groupby::run_group_by(&dev, alg, &input, &aggs, &config);
     assert_eq!(
         out.rows_sorted(),
