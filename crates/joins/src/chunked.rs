@@ -15,7 +15,7 @@
 //! validate, so a workload that OOMs the direct path runs chunked without
 //! trial and error.
 
-use crate::{estimated_out_rows, run_join, Algorithm, JoinConfig, JoinOutput};
+use crate::{run_join, Algorithm, JoinConfig, JoinOutput};
 use columnar::{Column, Relation};
 use primitives::gather_column;
 use sim::{Device, OpStats, PhaseTimes};
@@ -131,12 +131,7 @@ pub fn chunked_join(
             .map(|col| gather_column(dev, col, &sel))
             .collect();
         let chunk = Relation::new(format!("{}#{}", s.name(), c), key, payloads);
-
-        let chunk_config = JoinConfig {
-            expected_out_rows: Some(estimated_out_rows(config, &chunk).min(chunk.len() * 2)),
-            ..config.clone()
-        };
-        let out = run_join(dev, algorithm, r, &chunk, &chunk_config);
+        let out = run_join(dev, algorithm, r, &chunk, config);
         phases += out.stats.phases;
         peak = peak.max(out.stats.peak_mem_bytes);
         out_keys.extend(out.keys.iter_i64());

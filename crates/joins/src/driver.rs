@@ -36,7 +36,7 @@
 
 use crate::kinds::{apply_kind_timed, JoinKind};
 use crate::phj_um::{bucket_join, bucket_partition, BucketChains};
-use crate::{estimated_out_rows, Algorithm, JoinConfig, JoinOutput};
+use crate::{Algorithm, JoinConfig, JoinOutput};
 use columnar::{Column, ColumnElement, Relation};
 use primitives::{
     choose_radix_bits, gather, gather_column, gather_column_or_null, iota, join_copartitions,
@@ -107,7 +107,7 @@ pub(crate) fn typed<'a, K: ColumnElement>(
     (transform, pattern, id_labels): (Transform, Pattern, [&'static str; 2]),
 ) -> JoinOutput {
     dev.reset_peak_mem();
-    let mut reservation = crate::OutputReservation::new(dev, r, s, estimated_out_rows(config, s));
+    let mut reservation = crate::OutputReservation::new(dev, r, s);
     let mut phases = PhaseTimes::default();
     let bits = choose_radix_bits(dev, r.len().max(1), K::SIZE + 4, config.radix_bits);
 

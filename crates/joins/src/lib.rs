@@ -123,11 +123,12 @@ pub(crate) struct OutputReservation {
 }
 
 impl OutputReservation {
-    /// Reserve space for `rows` output rows of `r ⋈ s`'s schema.
-    pub(crate) fn new(dev: &Device, r: &Relation, s: &Relation, rows: usize) -> Self {
-        let piece = |dtype: columnar::DType| {
-            Some(dev.reserve(rows as u64 * dtype.size(), "output_reservation"))
-        };
+    /// Reserve space for `|S|` output rows of `r ⋈ s`'s schema: the PK-FK
+    /// output size `|T| = |S|` (the paper's setting).
+    pub(crate) fn new(dev: &Device, r: &Relation, s: &Relation) -> Self {
+        let rows = s.len() as u64;
+        let piece =
+            |dtype: columnar::DType| Some(dev.reserve(rows * dtype.size(), "output_reservation"));
         OutputReservation {
             keys: piece(r.key().dtype()),
             r_cols: r.payloads().iter().map(|c| piece(c.dtype())).collect(),
@@ -140,12 +141,6 @@ impl OutputReservation {
     pub(crate) fn release_keys(&mut self) {
         self.keys = None;
     }
-}
-
-/// The output-size estimate used for the reservation: the caller's explicit
-/// expectation, else the PK-FK default `|T| = |S|` (the paper's setting).
-pub(crate) fn estimated_out_rows(config: &JoinConfig, s: &Relation) -> usize {
-    config.expected_out_rows.unwrap_or_else(|| s.len())
 }
 
 /// Tuning knobs shared by the join implementations.
@@ -163,10 +158,6 @@ pub struct JoinConfig {
     /// Seed for the simulated block scheduler — different seeds expose
     /// PHJ-UM's non-deterministic partition layouts (Section 4.3).
     pub scheduler_seed: u64,
-    /// Expected output cardinality, used to pre-allocate the output
-    /// relation (the paper's protocol). `None` assumes the PK-FK case
-    /// `|T| = |S|`.
-    pub expected_out_rows: Option<usize>,
     /// Join semantics: inner (the paper's setting), or probe-side
     /// semi/anti/outer (see [`kinds::JoinKind`]).
     pub kind: JoinKind,
@@ -179,7 +170,6 @@ impl Default for JoinConfig {
             radix_bits: None,
             bucket_tuples: 0,
             scheduler_seed: 0,
-            expected_out_rows: None,
             kind: JoinKind::Inner,
         }
     }

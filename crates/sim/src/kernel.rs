@@ -14,7 +14,8 @@
 //! The calibration is validated against Table 4 of the paper in
 //! `tests/calibration.rs` of the `primitives` crate.
 
-use crate::{Counters, Device, DeviceBuffer, Element, SimTime, SECTOR_BYTES, WARP_SIZE};
+use crate::trace::{KernelEvent, TraceEvent};
+use crate::{Counters, Device, DeviceBuffer, Element, QueryId, SimTime, SECTOR_BYTES, WARP_SIZE};
 
 /// Warps per stack chunk of [`KernelBuilder::warp_loads`]: addresses are
 /// pulled 1024 at a time (8 KiB of sector ids), so the stream needs no heap
@@ -249,19 +250,17 @@ impl<'d> KernelBuilder<'d> {
                 atomics: self.atomics_total,
             },
         };
+        let query = self.dev.query;
         let mut st = self.dev.lock();
-        let lane = st.lane(self.dev.query);
+        let lane = st.lane(query);
         let start = lane.clock;
         lane.clock += t;
-        match self.dev.query {
-            None => st.record_kernel(&k, start, None),
-            // Nothing device-wide moves: the session loop replays the
-            // charge through `record_kernel` at the query's turn.
-            Some(qid) => {
-                let dropped = lane.record_kernel(&k, start, Some(qid));
-                st.note_trace_drops(dropped);
-                st.queries[qid as usize].timeline.push_back(k);
-            }
+        lane.counters += &k.work;
+        st.emit(query, |_| k.event(start, query));
+        // On a query lane nothing device-wide moved: the session loop
+        // replays the charge onto the base lane at the query's turn.
+        if let Some(qid) = query {
+            st.queries[qid as usize].timeline.push_back(k);
         }
         SimTime::from_secs(t)
     }
@@ -284,6 +283,20 @@ pub(crate) struct KernelCharge {
     pub(crate) name: &'static str,
     pub(crate) secs: f64,
     pub(crate) work: Counters,
+}
+
+impl KernelCharge {
+    /// The trace event of this charge, started at `start` on the clock it
+    /// is charged to and tagged with the query it ran for.
+    pub(crate) fn event(&self, start: f64, query: Option<QueryId>) -> TraceEvent {
+        TraceEvent::Kernel(KernelEvent {
+            name: self.name,
+            start,
+            dur: self.secs,
+            query,
+            work: self.work,
+        })
+    }
 }
 
 #[cfg(test)]

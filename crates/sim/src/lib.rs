@@ -56,6 +56,14 @@
 //! sums" therefore holds by construction, and a new consumer of either
 //! record has one type to read.
 //!
+//! Each record is also *delivered* once. Every simulated-clock observation
+//! — a launch, a memory-ledger sample, a span, a lifecycle stage, the
+//! `reset_stats` marker — is one [`TraceEvent`] emitted at one private
+//! site, which pushes it into the lane's [`Trace`] if one is attached and,
+//! on the base lane only, folds the same value into the [`metrics`]
+//! recorder. With neither attached the event is never built. The retired
+//! query's [`QueryLifecycle`] is the one record metrics receive directly.
+//!
 //! ## Multi-query scheduling
 //!
 //! A device can host several concurrent queries (see [`sched`]). The base
@@ -172,24 +180,14 @@ impl Lane {
         }
     }
 
-    /// Fold a kernel that started at `start` on this lane's clock into its
-    /// counters and trace. Returns the flight-recorder evictions the push
-    /// caused, for [`DeviceState::note_trace_drops`].
-    pub(crate) fn record_kernel(
-        &mut self,
-        k: &kernel::KernelCharge,
-        start: f64,
-        query: Option<QueryId>,
-    ) -> u64 {
-        self.counters += &k.work;
-        self.trace.as_deref_mut().map_or(0, |tr| {
-            tr.push_kernel(trace::KernelEvent {
-                name: k.name,
-                start,
-                dur: k.secs,
-                query,
-                work: k.work,
-            })
+    /// A sample of this lane's ledger occupancy at its clock, emitted
+    /// after every allocation and every free that moved the ledger.
+    pub(crate) fn mem_sample(&self) -> TraceEvent {
+        let current_bytes = self.mem.report().current_bytes;
+        TraceEvent::Mem(trace::MemEvent {
+            ts: self.clock,
+            current_bytes,
+            high_water_bytes: current_bytes,
         })
     }
 }
@@ -232,59 +230,41 @@ impl DeviceState {
             .expect("query handle used after its session's slots were cleared")
     }
 
-    /// The metrics recorder as `query`'s lane may feed it beyond per-kernel
-    /// turns: only the base lane does. Base allocations and resets are
-    /// program-ordered on the device clock, while a query's run ahead of it
-    /// and would race co-tenant sample points (query peaks are reported per
-    /// query instead).
-    fn lane_metrics(&mut self, query: Option<QueryId>) -> Option<&mut metrics::DeviceMetrics> {
-        match query {
-            Some(_) => None,
-            None => self.metrics.as_deref_mut(),
+    /// The one observation site: deliver `event` to the trace of the lane
+    /// `query` routes to and, on the base lane only, to the metrics
+    /// recorder. Metrics thus see exactly the base lane's events: a query's
+    /// lane runs ahead of the device clock in an order the policy decides,
+    /// so its allocations and resets would race co-tenant sample points
+    /// (query peaks are reported per query instead), while its kernels
+    /// reach the base lane, tagged with the query, at their session turn.
+    /// Events a lane's flight recorder evicts count into
+    /// `trace_events_dropped_total`. With neither recorder attached the
+    /// event is never built.
+    pub(crate) fn emit(&mut self, query: Option<QueryId>, event: impl FnOnce(&Lane) -> TraceEvent) {
+        let DeviceState {
+            base,
+            metrics,
+            queries,
+            ..
+        } = self;
+        let lane = match query {
+            Some(q) => &mut queries[q as usize].lane,
+            None => base,
+        };
+        let mut metrics = metrics.as_deref_mut();
+        if lane.trace.is_none() && (query.is_some() || metrics.is_none()) {
+            return;
         }
-    }
-
-    /// Fold flight-recorder evictions into the `trace_events_dropped_total`
-    /// counter, whichever lane's trace dropped them. Called right after a
-    /// trace push; a no-op when nothing dropped or metrics are off.
-    pub(crate) fn note_trace_drops(&mut self, dropped: u64) {
-        if dropped > 0 {
-            if let Some(m) = self.metrics.as_deref_mut() {
+        let event = event(lane);
+        if let (None, Some(m)) = (query, metrics.as_mut()) {
+            m.observe(&event);
+        }
+        if let Some(tr) = lane.trace.as_deref_mut() {
+            let dropped = tr.record(event);
+            if let Some(m) = metrics.filter(|_| dropped > 0) {
                 m.registry
                     .counter_add("trace_events_dropped_total", Vec::new(), dropped);
             }
-        }
-    }
-
-    /// Sample the occupancy of `query`'s ledger, at its lane's clock, into
-    /// the lane's trace and (base lane only) the metrics occupancy series.
-    /// Called after every allocation and every free that moved the ledger.
-    pub(crate) fn note_mem(&mut self, query: Option<QueryId>) {
-        let lane = self.lane(query);
-        let current = lane.mem.report().current_bytes;
-        let dropped = lane
-            .trace
-            .as_deref_mut()
-            .map_or(0, |tr| tr.push_mem(lane.clock, current));
-        self.note_trace_drops(dropped);
-        if let Some(m) = self.lane_metrics(query) {
-            m.on_mem(current);
-        }
-    }
-
-    /// Fold a kernel that occupied the device over `[start, base.clock]`
-    /// into the device-wide counters, trace and metrics. `query` tags a
-    /// session turn charged on behalf of that query.
-    pub(crate) fn record_kernel(
-        &mut self,
-        k: &kernel::KernelCharge,
-        start: f64,
-        query: Option<QueryId>,
-    ) {
-        let dropped = self.base.record_kernel(k, start, query);
-        self.note_trace_drops(dropped);
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.on_kernel(self.base.clock, query, k.secs, &k.work);
         }
     }
 
@@ -299,7 +279,8 @@ impl DeviceState {
         let exhausted = timeline.is_empty();
         let start = self.base.clock;
         self.sched.complete_turn(&mut self.base.clock, qid, k.secs);
-        self.record_kernel(&k, start, Some(qid));
+        self.base.counters += &k.work;
+        self.emit(None, |_| k.event(start, Some(qid)));
         if exhausted {
             self.retire(qid);
         }
@@ -448,20 +429,16 @@ impl Device {
     /// trace is a sequence of overlapping timelines separated by markers.
     pub fn reset_stats(&self) {
         let mut st = self.lock();
+        st.emit(self.query, |lane| {
+            TraceEvent::Instant(trace::InstantEvent {
+                name: "reset_stats",
+                ts: lane.clock,
+            })
+        });
         let lane = st.lane(self.query);
-        let dropped = lane
-            .trace
-            .as_deref_mut()
-            .map_or(0, |tr| tr.push_instant("reset_stats", lane.clock));
         lane.counters = Counters::default();
         lane.clock = 0.0;
         lane.mem.reset_peak();
-        st.note_trace_drops(dropped);
-        if let Some(m) = st.lane_metrics(self.query) {
-            // Cumulative metrics totals stay monotone across the reset;
-            // only the sample grid rebases to the new clock.
-            m.on_reset();
-        }
     }
 
     /// Start recording trace events (see the [`trace`] module). Idempotent:
@@ -511,13 +488,14 @@ impl Device {
     /// an interval they already bracket with [`Device::elapsed`]; children
     /// therefore appear in the log before their enclosing parent.
     pub fn trace_span(&self, cat: SpanCat, name: &str, start: SimTime, end: SimTime) {
-        let mut st = self.lock();
-        let dropped = st
-            .lane(self.query)
-            .trace
-            .as_deref_mut()
-            .map_or(0, |tr| tr.push_span(cat, name.to_string(), start, end));
-        st.note_trace_drops(dropped);
+        self.lock().emit(self.query, |_| {
+            TraceEvent::Span(trace::SpanEvent {
+                cat,
+                name: name.to_string(),
+                start: start.secs(),
+                end: end.secs(),
+            })
+        });
     }
 
     /// Record a query-lifecycle stage `[start, end]` (equal for instants)
@@ -532,11 +510,14 @@ impl Device {
         start: SimTime,
         end: SimTime,
     ) {
-        let mut st = self.lock();
-        let dropped = st.base.trace.as_deref_mut().map_or(0, |tr| {
-            tr.push_lifecycle(query, stage, start.secs(), end.secs())
+        self.lock().emit(None, |_| {
+            TraceEvent::Lifecycle(LifecycleEvent {
+                query,
+                stage,
+                start: start.secs(),
+                end: end.secs(),
+            })
         });
-        st.note_trace_drops(dropped);
     }
 
     /// Start recording service-level metrics (see the [`metrics`] module):
@@ -549,11 +530,12 @@ impl Device {
         assert!(self.query.is_none(), "enable_metrics on a query handle");
         let mut st = self.lock();
         if st.metrics.is_none() {
-            let clock = st.base.clock;
-            let current = st.base.mem.report().current_bytes;
-            let mut m =
-                metrics::DeviceMetrics::new(self.inner.config.name.clone(), interval.secs(), clock);
-            m.on_mem(current);
+            let m = metrics::DeviceMetrics::new(
+                self.inner.config.name.clone(),
+                interval.secs(),
+                st.base.clock,
+                st.base.mem.report().current_bytes,
+            );
             st.metrics = Some(Box::new(m));
         }
     }

@@ -6,7 +6,7 @@
 //! carry a fake, monotonically increasing base address so the L2 model can
 //! distinguish sectors of different buffers.
 
-use crate::{Device, Element};
+use crate::{Device, Element, Lane};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -148,7 +148,7 @@ impl Reservation {
                 }
             },
         };
-        st.note_mem(dev.query);
+        st.emit(dev.query, Lane::mem_sample);
         drop(st);
         Reservation {
             base_addr,
@@ -185,7 +185,7 @@ impl Drop for Reservation {
             return;
         };
         lane.mem.free(self.charged_bytes);
-        st.note_mem(self.dev.query);
+        st.emit(self.dev.query, Lane::mem_sample);
     }
 }
 

@@ -36,10 +36,24 @@
 //!    them in; exporters sort by (name, labels), so the text is identical
 //!    under every policy. The sorted order is the file format.
 //!
-//! The per-query **dual accounting** mirrors the scheduler's virtualized
-//! handles: a kernel charged to the device on a query's turn bumps the
-//! device-wide totals *and* `tenant_*`-labelled counters for its query id,
-//! exactly as it lands in both counter sets and both traces.
+//! ## One stream, base lane only
+//!
+//! The recorder is a fold over the device's one observation stream, the
+//! [`crate::trace::TraceEvent`]s the trace also keeps: the emit site hands
+//! every *base-lane* event to `DeviceMetrics::observe` — a kernel charged
+//! to the device clock, a base-ledger memory sample, the `reset_stats`
+//! marker — and no query-lane event (rule 2). What a trace's flight
+//! recorder evicts is already folded, so a ring-capped trace changes no
+//! metric but `trace_events_dropped_total`, which counts the evictions.
+//! The retired query's [`QueryLifecycle`] is the one record delivered
+//! directly; engine layers add their own instruments through
+//! [`crate::Device::with_metrics`].
+//!
+//! The per-query **dual accounting** follows from that rule: a kernel
+//! charged on a query's turn reaches the base lane tagged with its query
+//! id, so it bumps the device-wide totals *and* `tenant_*`-labelled
+//! counters for that id, just as the launch's record lands in the query's
+//! trace at launch and, tagged, in the base trace at its turn.
 //!
 //! ## Records
 //!
@@ -66,6 +80,7 @@
 //! the recorded min/max. Merging two histograms is bucket-wise addition —
 //! exactly the histogram of the concatenated stream.
 
+use crate::trace::TraceEvent;
 use crate::{Counters, QueryId, QuerySchedStats};
 
 /// Scale for histograms that record seconds as integer nanoseconds.
@@ -451,13 +466,16 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    fn new(interval: f64, start_clock: f64) -> Self {
+    fn new(interval: f64, start_clock: f64, start_mem: u64) -> Self {
         Sampler {
             interval,
             next_tick: start_clock + interval,
             window_start: start_clock,
-            window: Window::default(),
-            mem_current: 0,
+            window: Window {
+                mem_high_water: start_mem,
+                ..Window::default()
+            },
+            mem_current: start_mem,
             series: Vec::new(),
         }
     }
@@ -567,67 +585,77 @@ pub struct DeviceMetrics {
 }
 
 impl DeviceMetrics {
-    pub(crate) fn new(device: String, interval_secs: f64, start_clock: f64) -> Self {
+    /// A recorder attached at device clock `start_clock` with `start_mem`
+    /// bytes of the base ledger in use.
+    pub(crate) fn new(
+        device: String,
+        interval_secs: f64,
+        start_clock: f64,
+        start_mem: u64,
+    ) -> Self {
         assert!(
             interval_secs > 0.0 && interval_secs.is_finite(),
             "metrics sample interval must be positive"
         );
         DeviceMetrics {
             registry: MetricsRegistry::default(),
-            sampler: Sampler::new(interval_secs, start_clock),
+            sampler: Sampler::new(interval_secs, start_clock, start_mem),
             totals: KernelTotals::default(),
             lifecycles: Vec::new(),
             device,
         }
     }
 
-    /// Fold one kernel launch in (called under the device lock, after the
-    /// counters bump; `clock` is the device clock at launch completion and
-    /// `work` the launch's one-kernel [`Counters`] record).
-    pub(crate) fn on_kernel(
-        &mut self,
-        clock: f64,
-        query: Option<QueryId>,
-        dur_secs: f64,
-        work: &Counters,
-    ) {
-        let ns = secs_to_ticks(dur_secs);
-        self.totals.busy_ns += ns;
-        self.totals.work += work;
-        self.sampler.window.busy_ns += ns;
-        self.sampler.window.work += work;
-        if let Some(q) = query {
-            // Dual accounting: the device-wide totals above, plus the
-            // query's own labelled counters.
-            let tenant = || vec![("tenant", q.to_string())];
-            self.registry
-                .counter_add("tenant_kernel_launches_total", tenant(), 1);
-            self.registry
-                .counter_add("tenant_busy_ns_total", tenant(), ns);
-            if q < PER_QUERY_SERIES_CAP {
-                let w = &mut self.sampler.window;
-                match w.query_busy_ns.iter_mut().find(|(id, _)| *id == q) {
-                    Some((_, b)) => *b += ns,
-                    None => w.query_busy_ns.push((q, ns)),
+    /// Fold one base-lane event in — the recorder's only input besides the
+    /// retire record, called from the device's one emit site under its
+    /// lock. A kernel adds its `work` record to the totals and the sampler
+    /// window (plus its query's `tenant_*` counters on a session turn) and
+    /// may emit a sample at its completion; a memory sample moves the
+    /// occupancy series; the `reset_stats` marker re-bases the sample grid
+    /// to the rewound clock. Spans and lifecycle stages are the trace's
+    /// alone.
+    pub(crate) fn observe(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Kernel(k) => {
+                let ns = secs_to_ticks(k.dur);
+                self.totals.busy_ns += ns;
+                self.totals.work += &k.work;
+                self.sampler.window.busy_ns += ns;
+                self.sampler.window.work += &k.work;
+                if let Some(q) = k.query {
+                    // Dual accounting: the device-wide totals above, plus the
+                    // query's own labelled counters.
+                    let tenant = || vec![("tenant", q.to_string())];
+                    self.registry
+                        .counter_add("tenant_kernel_launches_total", tenant(), 1);
+                    self.registry
+                        .counter_add("tenant_busy_ns_total", tenant(), ns);
+                    if q < PER_QUERY_SERIES_CAP {
+                        let w = &mut self.sampler.window;
+                        match w.query_busy_ns.iter_mut().find(|(id, _)| *id == q) {
+                            Some((_, b)) => *b += ns,
+                            None => w.query_busy_ns.push((q, ns)),
+                        }
+                    }
                 }
+                // The device clock at the launch's completion: `start + dur` is
+                // the very sum that advanced it.
+                self.sampler.maybe_emit(k.start + k.dur, &self.totals);
             }
+            TraceEvent::Mem(m) => {
+                self.sampler.mem_current = m.current_bytes;
+                let w = &mut self.sampler.window;
+                w.mem_high_water = w.mem_high_water.max(m.current_bytes);
+            }
+            TraceEvent::Instant(i) if i.name == "reset_stats" => {
+                // Cumulative totals stay monotone across the reset; only
+                // the sample grid rebases.
+                self.sampler.next_tick = self.sampler.interval;
+                self.sampler.window_start = 0.0;
+                self.sampler.window = Window::default();
+            }
+            _ => {}
         }
-        self.sampler.maybe_emit(clock, &self.totals);
-    }
-
-    /// Track a base-ledger occupancy change (program-ordered: queries
-    /// allocate ahead of the device clock, so only the base ledger — not
-    /// co-tenant sub-ledgers — may feed the live series).
-    pub(crate) fn on_mem(&mut self, current_bytes: u64) {
-        self.sampler.mem_current = current_bytes;
-        self.sampler.window.mem_high_water = self.sampler.window.mem_high_water.max(current_bytes);
-    }
-
-    /// Re-base the sample grid after `reset_stats` rewound the clock.
-    pub(crate) fn on_reset(&mut self) {
-        self.sampler.next_tick = self.sampler.interval;
-        self.sampler.window_start = 0.0;
-        self.sampler.window = Window::default();
     }
 
     /// Record a retired query's lifecycle. Pushed in retire order;
@@ -1266,7 +1294,7 @@ mod tests {
 
     #[test]
     fn sampler_emits_on_tick_crossings_with_monotone_totals() {
-        let mut m = DeviceMetrics::new("dev".into(), 1.0, 0.0);
+        let mut m = DeviceMetrics::new("dev".into(), 1.0, 0.0, 0);
         let d = Counters {
             kernel_launches: 1,
             warp_instructions: 10,
@@ -1280,8 +1308,14 @@ mod tests {
         };
         let mut clock = 0.0;
         for _ in 0..10 {
+            m.observe(&TraceEvent::Kernel(crate::trace::KernelEvent {
+                name: "k",
+                start: clock,
+                dur: 0.7,
+                query: None,
+                work: d,
+            }));
             clock += 0.7;
-            m.on_kernel(clock, None, 0.7, &d);
         }
         let snap = m.snapshot();
         let launches = snap

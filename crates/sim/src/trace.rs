@@ -22,11 +22,17 @@
 //!   allocation and free (peak memory becomes a timeline, not one number)
 //!   and point markers such as `reset_stats`.
 //!
-//! Tracing is opt-in per device ([`crate::Device::enable_tracing`]) and
-//! costs nothing when disabled: every record point checks an `Option` that
-//! is `None` by default. Because events are derived from state that is
-//! already bit-identical across host-thread counts, the exported bytes are
-//! too.
+//! [`TraceEvent`] is also the simulator's one observation stream. The
+//! device emits every event once, from one site, under its lock; a
+//! [`Trace`] is one of the two folds over that stream (it keeps the
+//! events, coalescing same-instant memory samples and evicting the oldest
+//! past a flight-recorder cap), and [`crate::metrics`] is the other (it
+//! folds the base lane's events into totals and time series). Tracing is
+//! opt-in per handle ([`crate::Device::enable_tracing`]) and costs nothing
+//! when no fold is attached: the emit site checks two `Option`s and
+//! returns before building the event. Because events are derived from
+//! state that is already bit-identical across re-runs, the exported bytes
+//! are too — and attaching metrics changes none of them.
 //!
 //! Exporters:
 //!
@@ -320,64 +326,22 @@ impl Trace {
         })
     }
 
-    pub(crate) fn push_kernel(&mut self, k: KernelEvent) -> u64 {
-        self.events.push(TraceEvent::Kernel(k));
-        self.enforce_capacity()
-    }
-
-    pub(crate) fn push_span(
-        &mut self,
-        cat: SpanCat,
-        name: String,
-        start: SimTime,
-        end: SimTime,
-    ) -> u64 {
-        self.events.push(TraceEvent::Span(SpanEvent {
-            cat,
-            name,
-            start: start.secs(),
-            end: end.secs(),
-        }));
-        self.enforce_capacity()
-    }
-
-    pub(crate) fn push_mem(&mut self, ts: f64, current_bytes: u64) -> u64 {
-        // The clock is frozen between kernel launches, so a burst of
-        // allocations lands on one instant; coalesce it into one sample.
-        if let Some(TraceEvent::Mem(last)) = self.events.last_mut() {
-            if last.ts == ts {
-                last.current_bytes = current_bytes;
-                last.high_water_bytes = last.high_water_bytes.max(current_bytes);
+    /// Append one event — the trace's only write. A memory sample that
+    /// lands on the same instant as the previous event's sample is folded
+    /// into it instead (the clock is frozen between kernel launches, so a
+    /// burst of allocations is one sample keeping the last value and the
+    /// within-instant high-water mark). Returns the events the flight
+    /// recorder evicted to make room.
+    pub(crate) fn record(&mut self, event: TraceEvent) -> u64 {
+        if let (TraceEvent::Mem(m), Some(TraceEvent::Mem(last))) = (&event, self.events.last_mut())
+        {
+            if last.ts == m.ts {
+                last.current_bytes = m.current_bytes;
+                last.high_water_bytes = last.high_water_bytes.max(m.high_water_bytes);
                 return 0;
             }
         }
-        self.events.push(TraceEvent::Mem(MemEvent {
-            ts,
-            current_bytes,
-            high_water_bytes: current_bytes,
-        }));
-        self.enforce_capacity()
-    }
-
-    pub(crate) fn push_instant(&mut self, name: &'static str, ts: f64) -> u64 {
-        self.events
-            .push(TraceEvent::Instant(InstantEvent { name, ts }));
-        self.enforce_capacity()
-    }
-
-    pub(crate) fn push_lifecycle(
-        &mut self,
-        query: Option<u32>,
-        stage: LifecycleStage,
-        start: f64,
-        end: f64,
-    ) -> u64 {
-        self.events.push(TraceEvent::Lifecycle(LifecycleEvent {
-            query,
-            stage,
-            start,
-            end,
-        }));
+        self.events.push(event);
         self.enforce_capacity()
     }
 }

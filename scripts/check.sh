@@ -10,7 +10,12 @@
 # (`timed_phase(dev, "transform"` in non-test code only in
 # crates/joins/src/driver.rs and crates/groupby/src/driver.rs, same skips:
 # every join and group-by runs Algorithm 1 through its crate's one driver
-# and recipe table), lints (warnings are
+# and recipe table), the one-emit gate (in non-test code under
+# crates/sim/src, same skips, `trace.as_deref_mut()` appears only in
+# DeviceState::emit and `metrics.as_deref_mut()` only there, in
+# Device::with_metrics and in the retire record: every simulated-clock
+# observation is one TraceEvent emitted once, which the trace and the
+# metrics recorder each fold), lints (warnings are
 # errors), docs (warnings are errors), the full test suite — which
 # smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
@@ -96,6 +101,44 @@ skeletons=$(PATTERN='timed_phase\(dev, "transform"' code_matching crates/*/src |
 if [[ -n "$skeletons" ]]; then
     echo "FAIL: a transform phase outside joins::driver / groupby::driver (add a recipe row instead):"
     echo "$skeletons"
+    exit 1
+fi
+
+# Prints the name of the last `fn` item opened at or above line $2 of file
+# $1: the function whose body holds that line.
+enclosing_fn() {
+    awk -v at="$2" '
+        NR > at { exit }
+        /^[ \t]*(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+            match($0, /fn [a-z_0-9]+/)
+            name = substr($0, RSTART + 3, RLENGTH - 3)
+        }
+        END { print name }
+    ' "$1"
+}
+
+# Prints "file:line: in fn NAME" for every non-test `$1.as_deref_mut()` in
+# crates/sim/src — on one line, or split by rustfmt after the field — whose
+# enclosing function, as "file.rs:NAME", does not match the ERE $2.
+writes_outside() {
+    PATTERN="(^|[^A-Za-z_])$1\.as_deref_mut\(\)|^[ \t]*\.as_deref_mut\(\)" \
+        code_matching crates/sim/src | while IFS=: read -r file line text; do
+        if [[ "$text" =~ ^[[:space:]]*\.as_deref_mut ]]; then
+            sed -n "$((line - 1))p" "$file" | grep -Eq "(^|[^A-Za-z_])$1[[:space:]]*$" || continue
+        fi
+        fn=$(enclosing_fn "$file" "$line")
+        [[ "$(basename "$file"):$fn" =~ ^($2)$ ]] || echo "$file:$line: in fn $fn"
+    done
+}
+
+echo "==> one-emit gate: sim delivers each observation once"
+stray_writes=$(
+    writes_outside trace 'lib\.rs:emit'
+    writes_outside metrics 'lib\.rs:(emit|with_metrics|retire)'
+)
+if [[ -n "$stray_writes" ]]; then
+    echo "FAIL: a trace or metrics write outside DeviceState::emit (emit one TraceEvent instead):"
+    echo "$stray_writes"
     exit 1
 fi
 

@@ -13,7 +13,8 @@
 //!   under every policy;
 //! * **zero observer effect** — enabling tracing changes no observable:
 //!   per-query timestamps and the full metrics export are byte-identical
-//!   to an untraced run;
+//!   to an untraced run, and a ring-capped trace's export differs only by
+//!   its `trace_events_dropped_total` (evicted events were folded anyway);
 //! * **flight recorder** — a ring-capacity trace never exceeds its
 //!   capacity and accounts every dropped event in
 //!   `trace_events_dropped_total`.
@@ -275,12 +276,10 @@ fn digest_and_lifecycle_trace_are_byte_identical_across_host_threads() {
 #[test]
 fn tracing_perturbs_no_observable() {
     for policy in POLICIES {
-        let run = |tracing: bool| {
+        let run = |attach_trace: fn(&Device)| {
             let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
             dev.enable_metrics(SimTime::from_secs(1e-9));
-            if tracing {
-                dev.enable_tracing();
-            }
+            attach_trace(&dev);
             let cat = catalog(&dev);
             let reports = engine::run_open_loop_with(
                 &dev,
@@ -301,18 +300,35 @@ fn tracing_perturbs_no_observable() {
                     )
                 })
                 .collect();
-            let export = metrics_json(&[dev.metrics_snapshot().unwrap()]);
-            (stamps, export)
+            let dropped = dev.take_trace().map_or(0, |t| t.dropped_events());
+            (stamps, dev.metrics_snapshot().unwrap(), dropped)
         };
-        let (stamps_off, export_off) = run(false);
-        let (stamps_on, export_on) = run(true);
+        let (stamps_off, mut snap_off, _) = run(|_| {});
+        let (stamps_on, snap_on, _) = run(Device::enable_tracing);
+        // A flight recorder far smaller than the session: what it evicts
+        // was folded into the metrics all the same.
+        let (stamps_ring, snap_ring, dropped) = run(|dev| dev.enable_tracing_ring(8));
         assert_eq!(
             stamps_off, stamps_on,
             "{policy:?}: tracing must not move any lifecycle timestamp"
         );
         assert_eq!(
-            export_off, export_on,
+            stamps_off, stamps_ring,
+            "{policy:?}: a ring-capped trace must not move any lifecycle timestamp"
+        );
+        assert_eq!(
+            metrics_json(std::slice::from_ref(&snap_off)),
+            metrics_json(&[snap_on]),
             "{policy:?}: tracing must not change the metrics export"
+        );
+        assert!(dropped > 0, "{policy:?}: the ring must have evicted");
+        snap_off
+            .registry
+            .counter_add("trace_events_dropped_total", Vec::new(), dropped);
+        assert_eq!(
+            metrics_json(&[snap_off]),
+            metrics_json(&[snap_ring]),
+            "{policy:?}: a ring-capped trace may change only trace_events_dropped_total"
         );
     }
 }

@@ -7,9 +7,10 @@
 //!   contains the other;
 //! * phase spans reproduce the reported [`PhaseTimes`], and operator spans
 //!   reproduce [`OpStats::total_time`], within 1 ns of simulated time;
-//! * traces are byte-identical across host-thread counts (the trace is
-//!   derived under the device lock from state that is itself
-//!   deterministic).
+//! * traces are byte-identical across host-thread counts and with metrics
+//!   on or off (the trace is derived under the device lock from state that
+//!   is itself deterministic, and the metrics fold only reads the events
+//!   it shares with the trace).
 
 use gpu_join::prelude::*;
 use gpu_join::sim::trace::{chrome_trace_json, jsonl, SpanEvent, Trace};
@@ -161,13 +162,18 @@ fn operator_span_durations_match_op_stats() {
 
 #[test]
 fn traces_are_byte_identical_across_host_threads() {
-    let run = |threads: usize| -> Trace {
+    let run = |threads: usize, metrics: bool| -> Trace {
         let dev = Device::new(
             DeviceConfig::a100()
                 .scaled(8192.0)
                 .with_host_threads(threads),
         );
         dev.enable_tracing();
+        if metrics {
+            // Attached to a live trace, with one sample per launch: the
+            // busiest metrics fold there is.
+            dev.enable_metrics(SimTime::from_secs(1e-9));
+        }
         let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
         let spec = PipelineSpec::new(
             Algorithm::PhjUm,
@@ -178,18 +184,22 @@ fn traces_are_byte_identical_across_host_threads() {
         let _ = join_then_group_by(&dev, &r, &s, &spec);
         dev.take_trace().expect("tracing was enabled")
     };
-    let (t1, t8) = (run(1), run(8));
-    let (a, b) = (std::slice::from_ref(&t1), std::slice::from_ref(&t8));
-    assert_eq!(
-        jsonl(a),
-        jsonl(b),
-        "JSONL export differs across host_threads"
-    );
-    assert_eq!(
-        chrome_trace_json(a),
-        chrome_trace_json(b),
-        "Chrome export differs across host_threads"
-    );
+    let t1 = run(1, false);
+    let a = std::slice::from_ref(&t1);
+    for (threads, metrics) in [(8, false), (1, true), (8, true)] {
+        let other = run(threads, metrics);
+        let b = std::slice::from_ref(&other);
+        assert_eq!(
+            jsonl(a),
+            jsonl(b),
+            "JSONL export differs at host_threads {threads}, metrics {metrics}"
+        );
+        assert_eq!(
+            chrome_trace_json(a),
+            chrome_trace_json(b),
+            "Chrome export differs at host_threads {threads}, metrics {metrics}"
+        );
+    }
 }
 
 /// Dropping a catalog frees its tables at one frozen instant, and the
