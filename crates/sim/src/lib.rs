@@ -431,7 +431,7 @@ impl Device {
         let mut st = self.lock();
         st.emit(self.query, |lane| {
             TraceEvent::Instant(trace::InstantEvent {
-                name: "reset_stats",
+                name: trace::RESET_STATS,
                 ts: lane.clock,
             })
         });

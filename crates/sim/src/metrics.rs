@@ -80,7 +80,7 @@
 //! the recorded min/max. Merging two histograms is bucket-wise addition —
 //! exactly the histogram of the concatenated stream.
 
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, RESET_STATS};
 use crate::{Counters, QueryId, QuerySchedStats};
 
 /// Scale for histograms that record seconds as integer nanoseconds.
@@ -647,7 +647,7 @@ impl DeviceMetrics {
                 let w = &mut self.sampler.window;
                 w.mem_high_water = w.mem_high_water.max(m.current_bytes);
             }
-            TraceEvent::Instant(i) if i.name == "reset_stats" => {
+            TraceEvent::Instant(i) if i.name == RESET_STATS => {
                 // Cumulative totals stay monotone across the reset; only
                 // the sample grid rebases.
                 self.sampler.next_tick = self.sampler.interval;

@@ -130,6 +130,10 @@ pub struct MemEvent {
     pub high_water_bytes: u64,
 }
 
+/// The [`InstantEvent`] name `Device::reset_stats` leaves at the old clock;
+/// the metrics fold rebases its sample grid on it.
+pub(crate) const RESET_STATS: &str = "reset_stats";
+
 /// A point marker (e.g. `reset_stats`, chunk boundaries).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstantEvent {
