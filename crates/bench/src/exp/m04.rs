@@ -84,9 +84,7 @@ pub fn run(session: &mut Session) -> Report {
         // the SLO counters need metrics, so both recorders are always on
         // here (an --observe run exports byte-identical supersets).
         let dev = session.metered_device();
-        if !dev.tracing_enabled() {
-            dev.enable_tracing();
-        }
+        dev.enable_tracing();
         let catalog = tpch_mini(&dev, orders, 99);
         let t0 = dev.elapsed().secs();
 

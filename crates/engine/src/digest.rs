@@ -106,8 +106,9 @@ pub struct SlowQueryReport {
 pub struct SlowQueryDigest {
     /// Device the trace came from.
     pub device: String,
-    /// Completed queries considered (shed/rejected queries never
-    /// complete and are excluded).
+    /// Completed queries considered (shed, rejected and failed queries
+    /// never complete and are excluded) — the sum of the metrics'
+    /// `query_completed_total` over the session.
     pub queries: usize,
     /// Population p99 latency (rank `ceil(0.99 n)` of the completed
     /// latencies), nanoseconds — the threshold for queries without an
@@ -182,10 +183,14 @@ pub fn slow_queries(
             LifecycleStage::Queued => acc.queued = Some((ev.start, ev.end)),
             LifecycleStage::ExecSlice => acc.exec.push((ev.start, ev.end)),
             LifecycleStage::Interference => acc.interference.push((ev.start, ev.end)),
-            LifecycleStage::Complete => acc.complete = Some(ev.end),
+            // A query that failed mid-run retires like any other, but
+            // its outcome says so: it did not complete.
+            LifecycleStage::Complete if !ev.outcome.as_ref().is_some_and(|o| o.failed) => {
+                acc.complete = Some(ev.end)
+            }
             LifecycleStage::PlanCacheHit => acc.plan_cache = Some("hit"),
             LifecycleStage::PlanCacheMiss => acc.plan_cache = Some("miss"),
-            LifecycleStage::Admitted | LifecycleStage::Shed | LifecycleStage::Rejected => {}
+            _ => {}
         }
     }
     accs.sort_by_key(|(id, _)| *id);

@@ -280,8 +280,10 @@ impl Evaluated {
 pub trait PhysicalOperator {
     /// One-line description of the node (operator + parameters).
     fn label(&self) -> String;
-    /// Stable operator-kind tag (`"join"`, `"aggregate"`, …) keying the
-    /// per-kind duration and rows/s distributions in the metrics registry.
+    /// Stable operator-kind tag (`"join"`, `"aggregate"`, …) that the
+    /// node's operator span carries ([`sim::OperatorRecord::kind`]): the
+    /// `op` label of the per-kind duration and rows/s distributions the
+    /// metrics recorder folds from that span.
     fn kind(&self) -> &'static str {
         "operator"
     }
@@ -333,41 +335,21 @@ fn run_operator_value(
         Some(d) => format!("{} via {}", op.label(), d),
         None => op.label(),
     };
-    // Service-level metrics: per-operator-kind duration and throughput
-    // distributions. Simulated durations are per-query deterministic and
-    // histogram recording commutes, so these families are byte-identical
-    // whatever order a serving session executes its queries in.
-    ctx.dev.with_metrics(|reg| {
-        let rows = op_stats.rows as u64;
-        let secs = op_stats.total_time().secs();
-        let labels = || vec![("op", op.kind().to_string())];
-        reg.hist_record(
-            "operator_seconds",
-            labels(),
-            sim::SECONDS_SCALE,
-            sim::secs_to_ticks(secs),
-        );
-        reg.counter_add("operator_rows_total", labels(), rows);
-        if secs > 0.0 {
-            reg.hist_record(
-                "operator_rows_per_sec",
-                labels(),
-                1.0,
-                (rows as f64 / secs).round() as u64,
-            );
-        }
-    });
-    if ctx.dev.tracing_enabled() {
-        // Operator covering span: its duration is exactly this node's
-        // `OpStats::total_time()` (other = elapsed - phases, so
-        // phases + other = elapsed). Operators without a phase breakdown
-        // additionally get one `other` phase span so every instant of the
-        // timeline is phase-attributed.
-        if ev.phases.is_none() && elapsed.secs() > 0.0 {
-            ctx.dev.trace_span(sim::SpanCat::Phase, "other", t0, t1);
-        }
-        ctx.dev.trace_span(sim::SpanCat::Operator, &label, t0, t1);
+    // Operators without a phase breakdown get one `other` phase span so
+    // every instant of the timeline is phase-attributed. The covering
+    // operator span carries the node's kind, rows and exact
+    // `OpStats::total_time()` (other = elapsed - phases, so phases + other
+    // = elapsed, up to the last bit) — the record the per-kind metrics
+    // distributions fold.
+    if ev.phases.is_none() && elapsed.secs() > 0.0 {
+        ctx.dev.trace_span(sim::SpanCat::Phase, "other", t0, t1);
     }
+    let record = sim::OperatorRecord {
+        kind: op.kind(),
+        rows: op_stats.rows as u64,
+        secs: op_stats.total_time().secs(),
+    };
+    ctx.dev.trace_operator(&label, record, t0, t1);
     Ok((
         ev.out,
         NodeStats {

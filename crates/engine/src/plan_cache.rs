@@ -18,11 +18,14 @@
 //! property suite (`tests/admission_invariants.rs`) holds the cache to
 //! exactly this contract.
 //!
-//! Hit, miss and eviction counts are exported through the device metrics
-//! registry (`plan_cache_hits_total`, `plan_cache_misses_total`,
-//! `plan_cache_evictions_total`) and each execution reports its
-//! [`PlanCacheInfo`], which [`crate::explain::QueryExplain::with_cache`]
-//! renders as cache provenance.
+//! Every hit, miss and eviction is one lifecycle instant
+//! (`plan_cache_hit`, `plan_cache_miss`, `plan_cache_evict`) on the
+//! device's base lane, whatever handle executes: the base trace keeps it,
+//! and the metrics recorder folds it into `plan_cache_hits_total`,
+//! `plan_cache_misses_total` and `plan_cache_evictions_total`. Each
+//! execution also reports its [`PlanCacheInfo`], which
+//! [`crate::explain::QueryExplain::with_cache`] renders as cache
+//! provenance.
 
 use crate::exec::{Catalog, QueryOutput};
 use crate::op::{compile, run_operator, BoxOp, ExecContext, SiteSample};
@@ -146,13 +149,7 @@ impl PlanCache {
         };
         if self.entries.contains_key(&key) {
             self.hits += 1;
-            dev.with_metrics(|reg| {
-                reg.counter_add("plan_cache_hits_total", Vec::new(), 1);
-            });
-            if dev.tracing_enabled() {
-                let now = dev.elapsed();
-                dev.trace_lifecycle(dev.query_id(), sim::LifecycleStage::PlanCacheHit, now, now);
-            }
+            instant(dev, sim::LifecycleStage::PlanCacheHit);
             self.touch(key);
             let entry = &self.entries[&key];
             let ctx = ExecContext::with_replay(dev, Some(catalog), entry.samples.clone());
@@ -160,13 +157,7 @@ impl PlanCache {
             return Ok((QueryOutput { table, stats }, info(CacheOutcome::Hit)));
         }
         self.misses += 1;
-        dev.with_metrics(|reg| {
-            reg.counter_add("plan_cache_misses_total", Vec::new(), 1);
-        });
-        if dev.tracing_enabled() {
-            let now = dev.elapsed();
-            dev.trace_lifecycle(dev.query_id(), sim::LifecycleStage::PlanCacheMiss, now, now);
-        }
+        instant(dev, sim::LifecycleStage::PlanCacheMiss);
         let op = compile(plan);
         let ctx = ExecContext::with_recording(dev, Some(catalog));
         let (table, stats) = run_operator(&ctx, op.as_ref())?;
@@ -187,13 +178,18 @@ impl PlanCache {
             let victim = self.recency.remove(0);
             self.entries.remove(&victim);
             self.evictions += 1;
-            dev.with_metrics(|reg| {
-                reg.counter_add("plan_cache_evictions_total", Vec::new(), 1);
-            });
+            instant(dev, sim::LifecycleStage::PlanCacheEvict);
         }
         self.entries.insert(key, entry);
         self.touch(key);
     }
+}
+
+/// One plan-cache lifecycle instant at the handle's clock, on the base
+/// lane: the base trace keeps it and the metrics recorder counts it.
+fn instant(dev: &Device, stage: sim::LifecycleStage) {
+    let now = dev.elapsed();
+    dev.trace_lifecycle(dev.query_id(), stage, now, now, None);
 }
 
 #[cfg(test)]
@@ -309,5 +305,34 @@ mod tests {
         let snap = dev.metrics_snapshot().unwrap();
         assert_eq!(snap.registry.counter("plan_cache_misses_total", &[]), 1);
         assert_eq!(snap.registry.counter("plan_cache_hits_total", &[]), 1);
+    }
+
+    #[test]
+    fn instants_reach_the_base_trace_from_an_untraced_query_handle() {
+        let dev = Device::a100();
+        let cat = catalog(&dev);
+        dev.enable_tracing();
+        dev.sched_start(sim::SchedPolicy::Serial);
+        let q = dev.sched_register(1.0, 1 << 30).unwrap();
+        let mut cache = PlanCache::new(4);
+        dev.sched_run(|_| {
+            assert!(!q.tracing_enabled());
+            cache.execute(&q, &cat, &plan()).unwrap();
+            cache.execute(&q, &cat, &plan()).unwrap();
+        });
+        dev.sched_finish();
+        let stages: Vec<_> = dev
+            .take_trace()
+            .unwrap()
+            .lifecycles()
+            .map(|l| (l.query, l.stage))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                (Some(0), sim::LifecycleStage::PlanCacheMiss),
+                (Some(0), sim::LifecycleStage::PlanCacheHit)
+            ]
+        );
     }
 }

@@ -431,10 +431,10 @@ fn run_session(
     if entries.is_empty() {
         return Vec::new();
     }
-    let was_tracing = dev.tracing_enabled();
-    // Clock at session start: the arrival timestamp lifecycle tracing
-    // assigns to queries rejected before registration (they never get a
-    // device-side arrival stamp).
+    // A traced device gives every query handle its own trace.
+    let trace_queries = dev.tracing_enabled();
+    // Clock at session start: the arrival stamp of a closed-loop query
+    // rejected before registration (it never gets a device-side one).
     let session_start = dev.elapsed();
 
     // Tenant classes index the device-side per-class queue limits. The
@@ -513,7 +513,7 @@ fn run_session(
             );
             match handle {
                 Ok(qdev) => {
-                    if was_tracing {
+                    if trace_queries {
                         qdev.enable_tracing();
                     }
                     // Label the scheduler-side record with the tenant
@@ -562,61 +562,58 @@ fn run_session(
         .zip(results)
         .zip(&entries)
         .enumerate()
-        .map(|(i, ((reg, result), entry))| match reg {
-            Registered::Rejected { budget, err } => {
-                if was_tracing {
+        .map(|(i, ((reg, result), entry))| {
+            let (query, sched, result, peak_mem_bytes, trace) = match reg {
+                Registered::Rejected { budget, err } => {
                     // Rejected before registration: no device query id
-                    // exists, so the terminal span carries `query: None`.
-                    // The arrival timestamp is the scheduled arrival for
-                    // open-loop requests, session start otherwise.
-                    let at = entry.arrival.unwrap_or(session_start);
-                    dev.trace_lifecycle(None, sim::LifecycleStage::Arrival, at, at);
-                    dev.trace_lifecycle(None, sim::LifecycleStage::Rejected, at, at);
+                    // exists, and every stamp is the arrival — the
+                    // scheduled one for open-loop requests, session start
+                    // otherwise.
+                    let at = entry.arrival.unwrap_or(session_start).secs();
+                    let class = entry.class.as_deref().unwrap_or("default");
+                    let sched = sim::QuerySchedStats {
+                        arrival_secs: at,
+                        admitted_secs: at,
+                        completion_secs: at,
+                        budget_bytes: budget,
+                        class: Some(class.to_string()),
+                        slo_secs: serving.slo_for(class),
+                        ..Default::default()
+                    };
+                    (None, sched, Err(err), 0, None)
                 }
-                QueryReport {
-                    query: i as u32,
-                    result: Err(err),
-                    budget_bytes: budget,
-                    busy: SimTime::ZERO,
-                    arrival: SimTime::ZERO,
-                    admitted: SimTime::ZERO,
-                    started: SimTime::ZERO,
-                    completion: SimTime::ZERO,
-                    peak_mem_bytes: 0,
-                    trace: None,
+                Registered::Query { qdev } => {
+                    let qid = qdev.query_id().expect("query handle");
+                    let sched = dev.sched_query_stats(qid);
+                    let result = if sched.shed {
+                        // Shed at the queue: never admitted, never run (the
+                        // device finalized it with completion = arrival).
+                        // Co-tenants see nothing.
+                        Err(EngineError::QueueShed { query: qid })
+                    } else {
+                        result.expect("every admitted query was executed")
+                    };
+                    let peak = qdev.mem_report().peak_bytes;
+                    (Some(qid), sched, result, peak, qdev.take_trace())
                 }
-            }
-            Registered::Query { qdev } => {
-                let qid = qdev.query_id().expect("query handle");
-                let sched = dev.sched_query_stats(qid);
-                let result = if sched.shed {
-                    // Shed at the queue: never admitted, never run (the
-                    // device finalized it with completion = arrival).
-                    // Co-tenants see nothing.
-                    Err(EngineError::QueueShed { query: qid })
-                } else {
-                    result.expect("every admitted query was executed")
-                };
-                if was_tracing {
-                    emit_lifecycle(dev, qid, &sched, &result);
-                }
-                QueryReport {
-                    query: i as u32,
-                    result,
-                    budget_bytes: sched.budget_bytes,
-                    busy: SimTime::from_secs(sched.busy_secs),
-                    arrival: SimTime::from_secs(sched.arrival_secs),
-                    admitted: SimTime::from_secs(sched.admitted_secs),
-                    started: SimTime::from_secs(sched.started_secs.unwrap_or(sched.admitted_secs)),
-                    completion: SimTime::from_secs(sched.completion_secs),
-                    peak_mem_bytes: qdev.mem_report().peak_bytes,
-                    trace: qdev.take_trace(),
-                }
-            }
+            };
+            let report = QueryReport {
+                query: i as u32,
+                budget_bytes: sched.budget_bytes,
+                busy: SimTime::from_secs(sched.busy_secs),
+                arrival: SimTime::from_secs(sched.arrival_secs),
+                admitted: SimTime::from_secs(sched.admitted_secs),
+                started: SimTime::from_secs(sched.started_secs.unwrap_or(sched.admitted_secs)),
+                completion: SimTime::from_secs(sched.completion_secs),
+                peak_mem_bytes,
+                trace,
+                result,
+            };
+            emit_lifecycle(dev, query, sched, &report.result);
+            report
         })
         .collect();
     dev.sched_finish();
-    record_latency_metrics(dev, &entries, &reports, serving);
     reports
 }
 
@@ -647,8 +644,11 @@ fn execute_tenant(
     }
 }
 
-/// Emit one finished query's lifecycle spans into the base trace, after
-/// the session, in spec order.
+/// Emit one finished query's lifecycle onto the base lane, after the
+/// session, in spec order: the base trace keeps the stages, and the
+/// metrics recorder folds the terminal instant's outcome into the
+/// per-class latency, outcome and SLO families. `q` is `None` for a spec
+/// rejected before registration.
 ///
 /// The span set *tiles* `[arrival, completion]` exactly:
 /// `queued` covers `[arrival, admitted]`, the recorded exec slices cover
@@ -658,137 +658,51 @@ fn execute_tenant(
 /// `tests/lifecycle_invariants.rs` asserts to the nanosecond.
 fn emit_lifecycle(
     dev: &Device,
-    qid: u32,
-    sched: &sim::QuerySchedStats,
+    q: Option<u32>,
+    sched: sim::QuerySchedStats,
     result: &Result<QueryOutput, EngineError>,
 ) {
     use sim::LifecycleStage as Stage;
-    let q = Some(qid);
-    let arrival = SimTime::from_secs(sched.arrival_secs);
-    dev.trace_lifecycle(q, Stage::Arrival, arrival, arrival);
-    if matches!(result, Err(EngineError::QueueShed { .. })) {
-        // Shed at the queue: terminal instant at arrival, no spans — the
-        // query never waited admitted, never ran.
-        dev.trace_lifecycle(q, Stage::Shed, arrival, arrival);
+    // Failed: ended in an error its terminal stage does not name.
+    let failed = !matches!(
+        result,
+        Ok(_) | Err(EngineError::QueueShed { .. } | EngineError::AdmissionRejected { .. })
+    );
+    let emit = |stage, start: f64, end: f64, outcome| {
+        let (start, end) = (SimTime::from_secs(start), SimTime::from_secs(end));
+        dev.trace_lifecycle(q, stage, start, end, outcome);
+    };
+    let (arrival, admitted) = (sched.arrival_secs, sched.admitted_secs);
+    emit(Stage::Arrival, arrival, arrival, None);
+    let (Some(qid), false) = (q, sched.shed) else {
+        // Rejected or shed: terminal instant at arrival (its completion
+        // stamp), no spans — the query never waited admitted, never ran.
+        let stage = if sched.shed {
+            Stage::Shed
+        } else {
+            Stage::Rejected
+        };
+        let at = sched.completion_secs;
+        emit(stage, at, at, Some(sim::QueryOutcome { sched, failed }));
         return;
-    }
-    let admitted = SimTime::from_secs(sched.admitted_secs);
-    let completion = SimTime::from_secs(sched.completion_secs);
-    dev.trace_lifecycle(q, Stage::Queued, arrival, admitted);
-    dev.trace_lifecycle(q, Stage::Admitted, admitted, admitted);
+    };
+    emit(Stage::Queued, arrival, admitted, None);
+    emit(Stage::Admitted, admitted, admitted, None);
     // Slice boundaries are exact mirrors of the scheduler clock, so gap
     // detection compares the same f64 values the stamps hold — equality
     // is exact, not approximate.
-    let mut prev = sched.admitted_secs;
+    let mut prev = admitted;
     for (start, end) in dev.sched_query_slices(qid) {
         if start > prev {
-            dev.trace_lifecycle(
-                q,
-                Stage::Interference,
-                SimTime::from_secs(prev),
-                SimTime::from_secs(start),
-            );
+            emit(Stage::Interference, prev, start, None);
         }
-        dev.trace_lifecycle(
-            q,
-            Stage::ExecSlice,
-            SimTime::from_secs(start),
-            SimTime::from_secs(end),
-        );
+        emit(Stage::ExecSlice, start, end, None);
         prev = end;
     }
-    if sched.completion_secs > prev {
-        dev.trace_lifecycle(q, Stage::Interference, SimTime::from_secs(prev), completion);
+    let completion = sched.completion_secs;
+    if completion > prev {
+        emit(Stage::Interference, prev, completion, None);
     }
-    dev.trace_lifecycle(q, Stage::Complete, completion, completion);
-}
-
-/// Record per-class service-level latency observations into the device's
-/// metrics registry (no-op when metrics are disabled). Runs in spec order
-/// *after* the session, so the gauges it sets see final values.
-fn record_latency_metrics(
-    dev: &Device,
-    entries: &[SessionEntry],
-    reports: &[QueryReport],
-    serving: &ServingConfig,
-) {
-    dev.with_metrics(|reg| {
-        // Classes with an SLO, in first-appearance spec order — the order
-        // the attainment-ratio gauges are (re)computed in below.
-        let mut slo_classes: Vec<&str> = Vec::new();
-        for (entry, report) in entries.iter().zip(reports) {
-            let class = entry.class.as_deref().unwrap_or("default");
-            let labels = || vec![("class", class.to_string())];
-            match &report.result {
-                Ok(_) => {
-                    let wait = (report.admitted - report.arrival).secs();
-                    let exec = (report.completion - report.admitted).secs();
-                    let latency = (report.completion - report.arrival).secs();
-                    reg.hist_record(
-                        "query_queue_wait_seconds",
-                        labels(),
-                        sim::SECONDS_SCALE,
-                        sim::secs_to_ticks(wait),
-                    );
-                    reg.hist_record(
-                        "query_exec_seconds",
-                        labels(),
-                        sim::SECONDS_SCALE,
-                        sim::secs_to_ticks(exec),
-                    );
-                    reg.hist_record(
-                        "query_latency_seconds",
-                        labels(),
-                        sim::SECONDS_SCALE,
-                        sim::secs_to_ticks(latency),
-                    );
-                    reg.counter_add("query_completed_total", labels(), 1);
-                    if let Some(slo) = serving.slo_for(class) {
-                        if !slo_classes.contains(&class) {
-                            slo_classes.push(class);
-                        }
-                        // Met/missed compare tick-quantized values — the
-                        // same quantization the latency histogram stores —
-                        // so the counters and the histogram never disagree
-                        // about which side of the target a query landed on.
-                        let latency_ticks = sim::secs_to_ticks(latency);
-                        let slo_ticks = sim::secs_to_ticks(slo);
-                        if latency_ticks <= slo_ticks {
-                            reg.counter_add("slo_met_total", labels(), 1);
-                        } else {
-                            reg.counter_add("slo_missed_total", labels(), 1);
-                            let debt = (latency_ticks - slo_ticks) as f64 * sim::SECONDS_SCALE;
-                            let prior = reg.gauge("slo_debt_seconds_total", &[("class", class)]);
-                            reg.gauge_set("slo_debt_seconds_total", labels(), prior + debt);
-                        }
-                    }
-                }
-                // Shed and rejected queries never ran: count them in
-                // their own families and keep them out of the latency
-                // histograms (a zero-latency observation would corrupt
-                // the percentiles the serving bench reports).
-                Err(EngineError::QueueShed { .. }) => {
-                    reg.counter_add("query_shed_total", labels(), 1)
-                }
-                Err(EngineError::AdmissionRejected { .. }) => {
-                    reg.counter_add("query_rejected_total", labels(), 1)
-                }
-                Err(_) => reg.counter_add("query_failed_total", labels(), 1),
-            }
-        }
-        // Attainment ratios roll up the *cumulative* met/missed counters
-        // (read back from the registry, not this session's tallies alone),
-        // so repeated sessions on one device keep the gauge consistent
-        // with the counters it summarizes.
-        for class in slo_classes {
-            let met = reg.counter("slo_met_total", &[("class", class)]);
-            let missed = reg.counter("slo_missed_total", &[("class", class)]);
-            let ratio = met as f64 / (met + missed).max(1) as f64;
-            reg.gauge_set(
-                "slo_attainment_ratio",
-                vec![("class", class.to_string())],
-                ratio,
-            );
-        }
-    });
+    let outcome = sim::QueryOutcome { sched, failed };
+    emit(Stage::Complete, completion, completion, Some(outcome));
 }

@@ -116,7 +116,6 @@ pub fn chunked_join(
     let mut out_s: Vec<Vec<i64>> = vec![Vec::new(); s.num_payloads()];
     let mut r_cols_present = r.num_payloads();
 
-    let tracing = dev.tracing_enabled();
     for c in 0..plan.chunks {
         let chunk_t0 = dev.elapsed();
         let lo = c * plan.chunk_rows;
@@ -142,15 +141,13 @@ pub fn chunked_join(
         for (acc, col) in out_s.iter_mut().zip(&out.s_payloads) {
             acc.extend(col.iter_i64());
         }
-        if tracing {
-            // Covers the staging gathers plus the chunk's join run.
-            dev.trace_span(
-                sim::SpanCat::Chunk,
-                &format!("chunk {}/{} [{lo}..{hi})", c + 1, plan.chunks),
-                chunk_t0,
-                dev.elapsed(),
-            );
-        }
+        // Covers the staging gathers plus the chunk's join run.
+        dev.trace_span(
+            sim::SpanCat::Chunk,
+            &format!("chunk {}/{} [{lo}..{hi})", c + 1, plan.chunks),
+            chunk_t0,
+            dev.elapsed(),
+        );
     }
 
     // Reassemble in the original column types.

@@ -15,7 +15,9 @@
 //! `tests/calibration.rs` of the `primitives` crate.
 
 use crate::trace::{KernelEvent, TraceEvent};
-use crate::{Counters, Device, DeviceBuffer, Element, QueryId, SimTime, SECTOR_BYTES, WARP_SIZE};
+use crate::{
+    Counters, Device, DeviceBuffer, Element, Fold, QueryId, SimTime, SECTOR_BYTES, WARP_SIZE,
+};
 
 /// Warps per stack chunk of [`KernelBuilder::warp_loads`]: addresses are
 /// pulled 1024 at a time (8 KiB of sector ids), so the stream needs no heap
@@ -256,7 +258,7 @@ impl<'d> KernelBuilder<'d> {
         let start = lane.clock;
         lane.clock += t;
         lane.counters += &k.work;
-        st.emit(query, |_| k.event(start, query));
+        st.emit(query, Fold::BaseLane, |_| k.event(start, query));
         // On a query lane nothing device-wide moved: the session loop
         // replays the charge onto the base lane at the query's turn.
         if let Some(qid) = query {

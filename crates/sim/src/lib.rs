@@ -56,13 +56,16 @@
 //! sums" therefore holds by construction, and a new consumer of either
 //! record has one type to read.
 //!
-//! Each record is also *delivered* once. Every simulated-clock observation
-//! — a launch, a memory-ledger sample, a span, a lifecycle stage, the
-//! `reset_stats` marker — is one [`TraceEvent`] emitted at one private
-//! site, which pushes it into the lane's [`Trace`] if one is attached and,
-//! on the base lane only, folds the same value into the [`metrics`]
-//! recorder. With neither attached the event is never built. The retired
-//! query's [`QueryLifecycle`] is the one record metrics receive directly.
+//! Each record is also *delivered* once. Every observation — a launch, a
+//! memory-ledger sample, a span, a lifecycle stage, the `reset_stats`
+//! marker, and the engine's operator spans, plan-cache instants and query
+//! outcomes among them — is one [`TraceEvent`] emitted at one private
+//! site, which pushes it into the lane's [`Trace`] if one is attached and
+//! folds the same value into the [`metrics`] recorder: from the base lane,
+//! and from a query lane only for an operator span, whose instruments are
+//! integer-only. With no recorder to take it the event is never built.
+//! The retired query's [`QueryLifecycle`] is the one record metrics
+//! receive directly; nothing outside this crate writes a metric.
 //!
 //! ## Multi-query scheduling
 //!
@@ -130,7 +133,9 @@ pub use metrics::{
 pub use sched::{AdmissionError, BudgetError, QueryId, QuerySchedStats, QueueLimits, SchedPolicy};
 pub use stats::OpStats;
 pub use time::{PhaseTimes, SimTime};
-pub use trace::{LifecycleEvent, LifecycleStage, SpanCat, Trace, TraceEvent};
+pub use trace::{
+    LifecycleEvent, LifecycleStage, OperatorRecord, QueryOutcome, SpanCat, Trace, TraceEvent,
+};
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -192,6 +197,19 @@ impl Lane {
     }
 }
 
+/// Which lanes an event reaches the metrics recorder from.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Fold {
+    /// The base lane only, the default: what an event may move — the
+    /// sampler, a gauge — must see events in device-clock order (metrics
+    /// rule 2).
+    BaseLane,
+    /// Any lane: the event feeds integer instruments alone, which commute
+    /// (metrics rule 1), so a query lane running ahead of the device clock
+    /// may deliver it.
+    AnyLane,
+}
+
 /// A query of the current scheduling session: its lane, and what the session
 /// loop still owes the device on its behalf.
 pub(crate) struct QueryState {
@@ -231,16 +249,21 @@ impl DeviceState {
     }
 
     /// The one observation site: deliver `event` to the trace of the lane
-    /// `query` routes to and, on the base lane only, to the metrics
-    /// recorder. Metrics thus see exactly the base lane's events: a query's
-    /// lane runs ahead of the device clock in an order the policy decides,
-    /// so its allocations and resets would race co-tenant sample points
-    /// (query peaks are reported per query instead), while its kernels
-    /// reach the base lane, tagged with the query, at their session turn.
-    /// Events a lane's flight recorder evicts count into
-    /// `trace_events_dropped_total`. With neither recorder attached the
-    /// event is never built.
-    pub(crate) fn emit(&mut self, query: Option<QueryId>, event: impl FnOnce(&Lane) -> TraceEvent) {
+    /// `query` routes to and to the metrics recorder — from the base lane
+    /// always, from a query lane only for [`Fold::AnyLane`] events. A
+    /// query's lane runs ahead of the device clock in an order the policy
+    /// decides, so its allocations and resets would race co-tenant sample
+    /// points (query peaks are reported per query instead), while its
+    /// kernels reach the base lane, tagged with the query, at their
+    /// session turn. Events a lane's flight recorder evicts count into
+    /// `trace_events_dropped_total`. With no recorder that would take it
+    /// the event is never built.
+    pub(crate) fn emit(
+        &mut self,
+        query: Option<QueryId>,
+        fold: Fold,
+        event: impl FnOnce(&Lane) -> TraceEvent,
+    ) {
         let DeviceState {
             base,
             metrics,
@@ -252,11 +275,12 @@ impl DeviceState {
             None => base,
         };
         let mut metrics = metrics.as_deref_mut();
-        if lane.trace.is_none() && (query.is_some() || metrics.is_none()) {
+        let folds = metrics.is_some() && (query.is_none() || fold == Fold::AnyLane);
+        if lane.trace.is_none() && !folds {
             return;
         }
         let event = event(lane);
-        if let (None, Some(m)) = (query, metrics.as_mut()) {
+        if let Some(m) = metrics.as_mut().filter(|_| folds) {
             m.observe(&event);
         }
         if let Some(tr) = lane.trace.as_deref_mut() {
@@ -280,7 +304,7 @@ impl DeviceState {
         let start = self.base.clock;
         self.sched.complete_turn(&mut self.base.clock, qid, k.secs);
         self.base.counters += &k.work;
-        self.emit(None, |_| k.event(start, Some(qid)));
+        self.emit(None, Fold::BaseLane, |_| k.event(start, Some(qid)));
         if exhausted {
             self.retire(qid);
         }
@@ -429,7 +453,7 @@ impl Device {
     /// trace is a sequence of overlapping timelines separated by markers.
     pub fn reset_stats(&self) {
         let mut st = self.lock();
-        st.emit(self.query, |lane| {
+        st.emit(self.query, Fold::BaseLane, |lane| {
             TraceEvent::Instant(trace::InstantEvent {
                 name: trace::RESET_STATS,
                 ts: lane.clock,
@@ -483,39 +507,61 @@ impl Device {
         self.lock().lane(self.query).trace.as_deref().cloned()
     }
 
-    /// Record a retroactive span `[start, end]` on the simulated clock.
-    /// No-op when tracing is disabled. Harnesses call this after measuring
-    /// an interval they already bracket with [`Device::elapsed`]; children
-    /// therefore appear in the log before their enclosing parent.
+    /// Record a retroactive span `[start, end]` on the simulated clock into
+    /// this handle's trace, if it has one. Harnesses call this after
+    /// measuring an interval they already bracket with [`Device::elapsed`];
+    /// children therefore appear in the log before their enclosing parent.
     pub fn trace_span(&self, cat: SpanCat, name: &str, start: SimTime, end: SimTime) {
-        self.lock().emit(self.query, |_| {
+        self.span(cat, name, None, start, end);
+    }
+
+    /// Record one operator node's [`SpanCat::Operator`] span, carrying its
+    /// [`OperatorRecord`]: the handle's trace keeps the span, and the
+    /// metrics recorder folds the record — from a query handle too, since
+    /// the families it feeds are integer-only.
+    pub fn trace_operator(&self, name: &str, op: OperatorRecord, start: SimTime, end: SimTime) {
+        self.span(SpanCat::Operator, name, Some(op), start, end);
+    }
+
+    fn span(&self, cat: SpanCat, name: &str, op: Option<OperatorRecord>, t0: SimTime, t1: SimTime) {
+        let fold = op.map_or(Fold::BaseLane, |_| Fold::AnyLane);
+        self.lock().emit(self.query, fold, |_| {
             TraceEvent::Span(trace::SpanEvent {
                 cat,
                 name: name.to_string(),
-                start: start.secs(),
-                end: end.secs(),
+                start: t0.secs(),
+                end: t1.secs(),
+                op,
             })
         });
     }
 
     /// Record a query-lifecycle stage `[start, end]` (equal for instants)
-    /// into the *base* device trace — the serving path's multi-tenant
-    /// timeline — regardless of which handle this is called on. No-op when
-    /// base tracing is disabled. `query` is `None` for stages that predate
-    /// a query id (admission-rejected specs, standalone plan-cache use).
+    /// on the *base* lane — the serving path's multi-tenant timeline —
+    /// regardless of which handle this is called on: into the base trace,
+    /// if one is attached, and into the metrics recorder, which counts the
+    /// plan-cache instants and folds a terminal instant's (`complete`,
+    /// `shed` or `rejected`) [`QueryOutcome`] into the query's latency,
+    /// outcome and SLO families. `query` is `None` for stages that predate
+    /// a query id (admission-rejected specs, standalone plan-cache use);
+    /// `outcome` is `Some` on terminal instants only. Record terminal
+    /// instants in a fixed order (the serving driver's spec order): the SLO
+    /// debt gauge is an `f64` sum.
     pub fn trace_lifecycle(
         &self,
         query: Option<QueryId>,
         stage: LifecycleStage,
         start: SimTime,
         end: SimTime,
+        outcome: Option<QueryOutcome>,
     ) {
-        self.lock().emit(None, |_| {
+        self.lock().emit(None, Fold::BaseLane, |_| {
             TraceEvent::Lifecycle(LifecycleEvent {
                 query,
                 stage,
                 start: start.secs(),
                 end: end.secs(),
+                outcome: outcome.map(Box::new),
             })
         });
     }
@@ -548,20 +594,6 @@ impl Device {
     /// Snapshot the metrics recorded so far without stopping the recorder.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.lock().metrics.as_deref().map(|m| m.snapshot())
-    }
-
-    /// Run `f` against the open metrics registry (no-op when metrics are
-    /// disabled — callers can record unconditionally). Engine layers use
-    /// this for their own instruments: per-operator duration histograms,
-    /// per-tenant latency histograms. Only integer instruments (counters,
-    /// histograms) may be recorded from inside a query's execution, which
-    /// a session runs ahead of the device clock; see the [`metrics`] module
-    /// docs for the determinism rules.
-    pub fn with_metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
-        let mut st = self.lock();
-        if let Some(m) = st.metrics.as_deref_mut() {
-            f(&mut m.registry);
-        }
     }
 
     /// A *planning* handle on this handle's lane (same query, if any):

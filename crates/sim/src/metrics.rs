@@ -17,11 +17,12 @@
 //!    buckets and an integer sum; counters are `u64`. A serving session
 //!    executes each query ahead of the device clock, at the moment its
 //!    reservation is granted — an order that depends on the policy — so
-//!    code inside a query's execution may record only these: bucket
+//!    the events a query delivers from inside its execution (its operator
+//!    spans, its plan-cache instants) may feed only these: bucket
 //!    increments and integer adds commute, and the exported bytes cannot
-//!    depend on execution order. (Gauges are last-writer-wins `f64`s: set
-//!    them only from code ordered by the device clock or after the
-//!    session.)
+//!    depend on execution order. (Gauges are last-writer-wins `f64`s: fold
+//!    them only from events ordered by the device clock or emitted after
+//!    the session.)
 //! 2. **The sampler advances only at device-clock kernel charges.** A
 //!    session charges kernels to the device one policy-designated turn at
 //!    a time, so their order and timestamps are a pure function of
@@ -39,15 +40,22 @@
 //! ## One stream, base lane only
 //!
 //! The recorder is a fold over the device's one observation stream, the
-//! [`crate::trace::TraceEvent`]s the trace also keeps: the emit site hands
-//! every *base-lane* event to `DeviceMetrics::observe` — a kernel charged
-//! to the device clock, a base-ledger memory sample, the `reset_stats`
-//! marker — and no query-lane event (rule 2). What a trace's flight
-//! recorder evicts is already folded, so a ring-capped trace changes no
-//! metric but `trace_events_dropped_total`, which counts the evictions.
-//! The retired query's [`QueryLifecycle`] is the one record delivered
-//! directly; engine layers add their own instruments through
-//! [`crate::Device::with_metrics`].
+//! [`crate::trace::TraceEvent`]s the trace also keeps, and nothing else
+//! writes it: the emit site hands every *base-lane* event to
+//! `DeviceMetrics::observe` — a kernel charged to the device clock, a
+//! base-ledger memory sample, the `reset_stats` marker, and the lifecycle
+//! stages the serving path records on the base lane (plan-cache hits,
+//! misses and evictions; each query's terminal instant with its
+//! [`crate::trace::QueryOutcome`], emitted in spec order after the
+//! session). From a query lane it folds one kind only: the operator span
+//! with its [`crate::trace::OperatorRecord`], whose families are
+//! integer-only (rule 1), so the order a policy executes queries in
+//! cannot reach them. Every other query-lane event stays out (rule 2).
+//! Metrics therefore never depend on a trace being attached, and what a
+//! trace's flight recorder evicts is already folded: a ring-capped trace
+//! changes no metric but `trace_events_dropped_total`, which the emit site
+//! counts. The retired query's [`QueryLifecycle`] is the one record
+//! delivered directly.
 //!
 //! The per-query **dual accounting** follows from that rule: a kernel
 //! charged on a query's turn reaches the base lane tagged with its query
@@ -80,7 +88,9 @@
 //! the recorded min/max. Merging two histograms is bucket-wise addition —
 //! exactly the histogram of the concatenated stream.
 
-use crate::trace::{TraceEvent, RESET_STATS};
+use crate::trace::{
+    LifecycleEvent, LifecycleStage, OperatorRecord, SpanEvent, TraceEvent, RESET_STATS,
+};
 use crate::{Counters, QueryId, QuerySchedStats};
 
 /// Scale for histograms that record seconds as integer nanoseconds.
@@ -350,8 +360,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current gauge value (0 when absent) — lets driver-ordered code
-    /// read-modify-write an accumulating gauge such as
+    /// Current gauge value (0 when absent) — lets the spec-ordered outcome
+    /// fold read-modify-write an accumulating gauge such as
     /// `slo_debt_seconds_total`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
         match self.get(name, labels) {
@@ -575,8 +585,7 @@ impl Sampler {
 /// costs one `Option` check and an enabled one perturbs nothing simulated.
 #[derive(Debug, Clone)]
 pub struct DeviceMetrics {
-    /// The open registry engine layers record into via
-    /// [`crate::Device::with_metrics`].
+    /// Counters, gauges and histograms folded from the event stream.
     pub registry: MetricsRegistry,
     sampler: Sampler,
     totals: KernelTotals,
@@ -606,14 +615,16 @@ impl DeviceMetrics {
         }
     }
 
-    /// Fold one base-lane event in — the recorder's only input besides the
-    /// retire record, called from the device's one emit site under its
-    /// lock. A kernel adds its `work` record to the totals and the sampler
-    /// window (plus its query's `tenant_*` counters on a session turn) and
-    /// may emit a sample at its completion; a memory sample moves the
+    /// Fold one event in — the recorder's only input besides the retire
+    /// record, called from the device's one emit site under its lock. A
+    /// kernel adds its `work` record to the totals and the sampler window
+    /// (plus its query's `tenant_*` counters on a session turn) and may
+    /// emit a sample at its completion; a memory sample moves the
     /// occupancy series; the `reset_stats` marker re-bases the sample grid
-    /// to the rewound clock. Spans and lifecycle stages are the trace's
-    /// alone.
+    /// to the rewound clock; an operator span records its node's duration
+    /// and rows; a plan-cache instant counts a hit, miss or eviction; a
+    /// terminal lifecycle instant records its query's outcome. Other spans
+    /// and stages are the trace's alone.
     pub(crate) fn observe(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::Kernel(k) => {
@@ -654,8 +665,91 @@ impl DeviceMetrics {
                 self.sampler.window_start = 0.0;
                 self.sampler.window = Window::default();
             }
+            TraceEvent::Span(SpanEvent { op: Some(op), .. }) => self.observe_operator(op),
+            TraceEvent::Lifecycle(l) => {
+                let cache = match l.stage {
+                    LifecycleStage::PlanCacheHit => "plan_cache_hits_total",
+                    LifecycleStage::PlanCacheMiss => "plan_cache_misses_total",
+                    LifecycleStage::PlanCacheEvict => "plan_cache_evictions_total",
+                    _ => return self.observe_outcome(l),
+                };
+                self.registry.counter_add(cache, Vec::new(), 1);
+            }
             _ => {}
         }
+    }
+
+    /// Per-operator-kind duration and throughput distributions. Integer
+    /// instruments only, so a query lane may deliver them ahead of the
+    /// device clock in any order and the exported bytes do not move.
+    fn observe_operator(&mut self, op: &OperatorRecord) {
+        let reg = &mut self.registry;
+        let labels = || vec![("op", op.kind.to_string())];
+        let ticks = secs_to_ticks(op.secs);
+        reg.hist_record("operator_seconds", labels(), SECONDS_SCALE, ticks);
+        reg.counter_add("operator_rows_total", labels(), op.rows);
+        if op.secs > 0.0 {
+            let rows_per_sec = (op.rows as f64 / op.secs).round() as u64;
+            reg.hist_record("operator_rows_per_sec", labels(), 1.0, rows_per_sec);
+        }
+    }
+
+    /// Per-class service-level observations of the query whose terminal
+    /// instant `l` is (other stages carry no outcome). A completed query
+    /// records its queue wait, execution time and latency and, against its
+    /// class's SLO target, met or missed plus the debt; a shed, rejected or
+    /// failed query only counts in its own family, since a zero-latency
+    /// observation would corrupt the percentiles. The serving driver emits
+    /// terminal instants in spec order, so the `f64` debt sum is a function
+    /// of the specs alone.
+    fn observe_outcome(&mut self, l: &LifecycleEvent) {
+        let Some(outcome) = &l.outcome else { return };
+        let reg = &mut self.registry;
+        let s = &outcome.sched;
+        let class = s.class.as_deref().unwrap_or("default");
+        let labels = || vec![("class", class.to_string())];
+        let family = match (l.stage, outcome.failed) {
+            (_, true) => "query_failed_total",
+            (LifecycleStage::Shed, _) => "query_shed_total",
+            (LifecycleStage::Rejected, _) => "query_rejected_total",
+            _ => "query_completed_total",
+        };
+        reg.counter_add(family, labels(), 1);
+        if family != "query_completed_total" {
+            return;
+        }
+        // `secs_to_ticks` clamps at zero, as `SimTime` subtraction does.
+        let (arrival, admitted, completion) = (s.arrival_secs, s.admitted_secs, s.completion_secs);
+        let latency_ticks = secs_to_ticks(completion - arrival);
+        for (name, ticks) in [
+            (
+                "query_queue_wait_seconds",
+                secs_to_ticks(admitted - arrival),
+            ),
+            ("query_exec_seconds", secs_to_ticks(completion - admitted)),
+            ("query_latency_seconds", latency_ticks),
+        ] {
+            reg.hist_record(name, labels(), SECONDS_SCALE, ticks);
+        }
+        let Some(slo) = s.slo_secs else { return };
+        // Met/missed compare tick-quantized values — the same quantization
+        // the latency histogram stores — so the counters and the histogram
+        // never disagree about which side of the target a query landed on.
+        let slo_ticks = secs_to_ticks(slo);
+        if latency_ticks <= slo_ticks {
+            reg.counter_add("slo_met_total", labels(), 1);
+        } else {
+            reg.counter_add("slo_missed_total", labels(), 1);
+            let debt = (latency_ticks - slo_ticks) as f64 * SECONDS_SCALE;
+            let prior = reg.gauge("slo_debt_seconds_total", &[("class", class)]);
+            reg.gauge_set("slo_debt_seconds_total", labels(), prior + debt);
+        }
+        // The attainment ratio rolls up the cumulative counters, so
+        // repeated sessions on one device keep it consistent with them.
+        let met = reg.counter("slo_met_total", &[("class", class)]);
+        let missed = reg.counter("slo_missed_total", &[("class", class)]);
+        let ratio = met as f64 / (met + missed).max(1) as f64;
+        reg.gauge_set("slo_attainment_ratio", labels(), ratio);
     }
 
     /// Record a retired query's lifecycle. Pushed in retire order;

@@ -27,12 +27,13 @@
 //! [`Trace`] is one of the two folds over that stream (it keeps the
 //! events, coalescing same-instant memory samples and evicting the oldest
 //! past a flight-recorder cap), and [`crate::metrics`] is the other (it
-//! folds the base lane's events into totals and time series). Tracing is
-//! opt-in per handle ([`crate::Device::enable_tracing`]) and costs nothing
-//! when no fold is attached: the emit site checks two `Option`s and
-//! returns before building the event. Because events are derived from
-//! state that is already bit-identical across re-runs, the exported bytes
-//! are too — and attaching metrics changes none of them.
+//! folds the base lane's events, and operator spans from any lane, into
+//! totals, distributions and time series). Tracing is opt-in per handle
+//! ([`crate::Device::enable_tracing`]) and costs nothing when no fold
+//! would take the event: the emit site checks two `Option`s and returns
+//! before building it. Because events are derived from state that is
+//! already bit-identical across re-runs, the exported bytes are too — and
+//! attaching metrics changes none of them.
 //!
 //! Exporters:
 //!
@@ -105,6 +106,24 @@ pub struct SpanEvent {
     pub start: f64,
     /// Simulated end time, seconds.
     pub end: f64,
+    /// What an operator span reports to the metrics fold; `None` on every
+    /// other span. The trace writers do not print it.
+    pub op: Option<OperatorRecord>,
+}
+
+/// The operator-node measurement an [`SpanCat::Operator`] span carries:
+/// the metrics recorder folds `operator_seconds`, `operator_rows_total`
+/// and `operator_rows_per_sec` from it, on any lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OperatorRecord {
+    /// Stable operator-kind tag (`"join"`, `"aggregate"`, …), the `op`
+    /// label of the metric families.
+    pub kind: &'static str,
+    /// Output rows.
+    pub rows: u64,
+    /// The node's `OpStats::total_time()`, seconds. Carried rather than
+    /// derived from the span: `end - start` may differ in the last bit.
+    pub secs: f64,
 }
 
 impl SpanEvent {
@@ -166,6 +185,9 @@ pub enum LifecycleStage {
     PlanCacheHit,
     /// The plan cache compiled and inserted a plan (instant).
     PlanCacheMiss,
+    /// The plan cache evicted its least recently used plan to make room
+    /// (instant).
+    PlanCacheEvict,
     /// One contiguous run of kernel turns designated to this query (span).
     ExecSlice,
     /// Runnable but not designated by the policy: device time spent
@@ -186,6 +208,7 @@ impl LifecycleStage {
             LifecycleStage::Rejected => "rejected",
             LifecycleStage::PlanCacheHit => "plan_cache_hit",
             LifecycleStage::PlanCacheMiss => "plan_cache_miss",
+            LifecycleStage::PlanCacheEvict => "plan_cache_evict",
             LifecycleStage::ExecSlice => "exec_slice",
             LifecycleStage::Interference => "interference",
             LifecycleStage::Complete => "complete",
@@ -220,6 +243,25 @@ pub struct LifecycleEvent {
     pub start: f64,
     /// Simulated end time, seconds.
     pub end: f64,
+    /// How the query ended, on its terminal instant (`complete`, `shed`
+    /// or `rejected`); `None` on every other stage. The trace writers do
+    /// not print it; the metrics recorder folds the `query_*` and `slo_*`
+    /// families from it.
+    pub outcome: Option<Box<QueryOutcome>>,
+}
+
+/// What a query's terminal lifecycle instant reports about it: the
+/// scheduler's record (class, SLO target, arrival, admission and
+/// completion stamps) and whether it ended in an error its terminal stage
+/// does not name — a budget overrun mid-run on `complete`, a budget the
+/// session can never grant on `rejected`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryOutcome {
+    /// The scheduler's record of the query as it ended.
+    pub sched: crate::QuerySchedStats,
+    /// The query failed rather than completed, was shed or was rejected by
+    /// the admission gate.
+    pub failed: bool,
 }
 
 impl LifecycleEvent {
@@ -822,18 +864,21 @@ mod tests {
             LifecycleStage::Arrival,
             crate::SimTime::from_secs(1e-6),
             crate::SimTime::from_secs(1e-6),
+            None,
         );
         dev.trace_lifecycle(
             Some(3),
             LifecycleStage::Queued,
             crate::SimTime::from_secs(1e-6),
             crate::SimTime::from_secs(3e-6),
+            None,
         );
         dev.trace_lifecycle(
             None,
             LifecycleStage::Rejected,
             crate::SimTime::from_secs(2e-6),
             crate::SimTime::from_secs(2e-6),
+            None,
         );
         let tr = dev.take_trace().unwrap();
         assert_eq!(tr.lifecycles().count(), 3);
@@ -880,6 +925,7 @@ mod tests {
             LifecycleStage::Rejected,
             LifecycleStage::PlanCacheHit,
             LifecycleStage::PlanCacheMiss,
+            LifecycleStage::PlanCacheEvict,
             LifecycleStage::Complete,
         ] {
             assert!(!s.is_span(), "{} is an instant", s.as_str());

@@ -12,10 +12,11 @@
 # every join and group-by runs Algorithm 1 through its crate's one driver
 # and recipe table), the one-emit gate (in non-test code under
 # crates/sim/src, same skips, `trace.as_deref_mut()` appears only in
-# DeviceState::emit and `metrics.as_deref_mut()` only there, in
-# Device::with_metrics and in the retire record: every simulated-clock
-# observation is one TraceEvent emitted once, which the trace and the
-# metrics recorder each fold), lints (warnings are
+# DeviceState::emit and `metrics.as_deref_mut()` only there and in the
+# retire record: every observation — the simulator's and the engine's
+# operator spans, plan-cache instants and query outcomes alike — is one
+# TraceEvent emitted once, which the trace and the metrics recorder each
+# fold, and nothing else writes a metric), lints (warnings are
 # errors), docs (warnings are errors), the full test suite — which
 # smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
@@ -134,7 +135,7 @@ writes_outside() {
 echo "==> one-emit gate: sim delivers each observation once"
 stray_writes=$(
     writes_outside trace 'lib\.rs:emit'
-    writes_outside metrics 'lib\.rs:(emit|with_metrics|retire)'
+    writes_outside metrics 'lib\.rs:(emit|retire)'
 )
 if [[ -n "$stray_writes" ]]; then
     echo "FAIL: a trace or metrics write outside DeviceState::emit (emit one TraceEvent instead):"

@@ -7,20 +7,25 @@
 //!   host-thread count;
 //! * **terminal spans** — shed queries record exactly `arrival` + `shed`
 //!   (no queued/exec/interference spans), and pre-registration rejections
-//!   record `arrival` + `rejected` with no query id;
+//!   record `arrival` + `rejected` with no query id, stamped — like every
+//!   stamp of their report — at their scheduled arrival;
 //! * **digest byte-identity** — the slow-query digest (JSON and text) and
 //!   the lifecycle trace are byte-identical across host-thread counts
-//!   under every policy;
+//!   under every policy, and the digest's population is exactly the
+//!   queries `query_completed_total` counts (a tenant that failed mid-run
+//!   retires, but never completes);
 //! * **zero observer effect** — enabling tracing changes no observable:
-//!   per-query timestamps and the full metrics export are byte-identical
-//!   to an untraced run, and a ring-capped trace's export differs only by
-//!   its `trace_events_dropped_total` (evicted events were folded anyway);
+//!   per-query timestamps and the full metrics export — of sessions with
+//!   gate rejections, sheds and budget failures, and of a plan cache that
+//!   evicts — are byte-identical to an untraced run, and a ring-capped
+//!   trace's export differs only by its `trace_events_dropped_total`
+//!   (evicted events were folded anyway);
 //! * **flight recorder** — a ring-capacity trace never exceeds its
 //!   capacity and accounts every dropped event in
 //!   `trace_events_dropped_total`.
 
 use gpu_join::engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
-use gpu_join::engine::{self, slow_queries, Catalog, EngineError, Expr, Plan, Table};
+use gpu_join::engine::{self, slow_queries, Catalog, EngineError, Expr, Plan, PlanCache, Table};
 use gpu_join::prelude::*;
 use gpu_join::sim::{metrics_json, secs_to_ticks, LifecycleStage, MetricsSnapshot, Trace};
 
@@ -75,6 +80,54 @@ fn arrivals() -> Vec<OpenQuery> {
                 ["a", "b", "c"][i % 3],
                 QuerySpec::new(plan_of(i)),
             )
+        })
+        .collect()
+}
+
+/// One session that ends every way a query can: `a` is admitted with a
+/// budget that passes the memory gate (exactly its predicted peak) but not
+/// its real peak, so it fails mid-run; `b` is refused by the gate; of the
+/// four-query `c` burst, two hold the pool, one waits in the one-slot
+/// queue and one is shed.
+fn mixed_arrivals(dev: &Device, cat: &Catalog) -> (Vec<OpenQuery>, ServingConfig) {
+    let free = dev.mem_capacity() - dev.mem_report().current_bytes;
+    let predicted = engine::cost::estimate(dev.config(), cat, &plan_of(2))
+        .unwrap()
+        .peak_bytes;
+    let at = |i: usize| SimTime::from_secs(i as f64 * 1e-9);
+    let mut arr = vec![
+        OpenQuery::new(
+            at(0),
+            "a",
+            QuerySpec::new(plan_of(2)).with_budget(predicted),
+        ),
+        OpenQuery::new(at(1), "b", QuerySpec::new(plan_of(0)).with_budget(4 << 10)),
+    ];
+    arr.extend((2..6).map(|i| {
+        OpenQuery::new(
+            at(2),
+            "c",
+            QuerySpec::new(plan_of(i)).with_budget(free * 2 / 5),
+        )
+    }));
+    let serving = ServingConfig::new()
+        .with_total_depth(1)
+        .with_memory_gate()
+        .with_slo("a", 0.0)
+        .with_slo("c", 1e-6);
+    (arr, serving)
+}
+
+/// Which way each query of a session ended.
+fn endings(reports: &[engine::QueryReport]) -> Vec<&'static str> {
+    reports
+        .iter()
+        .map(|r| match &r.result {
+            Ok(_) => "ok",
+            Err(EngineError::QueueShed { .. }) => "shed",
+            Err(EngineError::AdmissionRejected { .. }) => "rejected",
+            Err(EngineError::BudgetExceeded { .. }) => "failed",
+            Err(e) => panic!("unexpected error {e:?}"),
         })
         .collect()
 }
@@ -229,6 +282,77 @@ fn shed_and_rejected_record_terminal_spans_and_never_execute() {
 }
 
 #[test]
+fn a_rejected_arrival_is_stamped_at_its_scheduled_arrival() {
+    let dev = device(1);
+    let cat = catalog(&dev);
+    let at = SimTime::from_secs(5e-6);
+    let doomed = OpenQuery::new(
+        at,
+        "doomed",
+        QuerySpec::new(plan_of(0)).with_budget(4 << 10),
+    );
+    let serving = ServingConfig::new().with_memory_gate();
+    let reports = engine::run_open_loop_with(&dev, &cat, vec![doomed], Policy::Serial, &serving);
+    let r = &reports[0];
+    assert!(matches!(
+        r.result,
+        Err(EngineError::AdmissionRejected { .. })
+    ));
+    assert_eq!(
+        (r.arrival, r.admitted, r.started, r.completion),
+        (at, at, at, at)
+    );
+    assert_eq!(r.queue_wait(), SimTime::ZERO);
+    let trace = dev.take_trace().expect("tracing was enabled");
+    let stamps: Vec<(LifecycleStage, f64)> =
+        trace.lifecycles().map(|e| (e.stage, e.start)).collect();
+    assert_eq!(
+        stamps,
+        [
+            (LifecycleStage::Arrival, at.secs()),
+            (LifecycleStage::Rejected, at.secs())
+        ],
+        "the trace and the report agree on the one arrival stamp"
+    );
+}
+
+#[test]
+fn the_digest_counts_exactly_the_completed_queries() {
+    let dev = device(1);
+    let cat = catalog(&dev);
+    let (arr, serving) = mixed_arrivals(&dev, &cat);
+    let reports = engine::run_open_loop_with(&dev, &cat, arr, Policy::Serial, &serving);
+    assert_eq!(
+        endings(&reports),
+        ["failed", "rejected", "ok", "ok", "shed", "ok"]
+    );
+    let trace = dev.take_trace().expect("tracing was enabled");
+    let snap = dev.metrics_snapshot().expect("metrics were enabled");
+    let digest = slow_queries(&trace, &snap, &[]);
+    let completed: u64 = ["a", "b", "c"]
+        .iter()
+        .map(|c| {
+            snap.registry
+                .counter("query_completed_total", &[("class", c)])
+        })
+        .sum();
+    assert_eq!(completed, 3);
+    assert_eq!(digest.queries as u64, completed);
+    // Class `a`'s zero-second SLO would flag its query as slow had it
+    // completed; it failed.
+    assert_eq!(
+        snap.registry
+            .counter("query_failed_total", &[("class", "a")]),
+        1
+    );
+    assert!(
+        digest.slow.iter().all(|r| r.query != 0),
+        "{:?}",
+        digest.slow
+    );
+}
+
+#[test]
 fn digest_and_lifecycle_trace_are_byte_identical_across_host_threads() {
     // SLO of zero seconds marks every completed query slow, so the digest
     // exercises attribution for the full population.
@@ -281,16 +405,20 @@ fn tracing_perturbs_no_observable() {
             dev.enable_metrics(SimTime::from_secs(1e-9));
             attach_trace(&dev);
             let cat = catalog(&dev);
-            let reports = engine::run_open_loop_with(
-                &dev,
-                &cat,
-                arrivals(),
-                policy,
-                &ServingConfig::new().with_slo("a", 1e-6),
-            );
-            let stamps: Vec<(u32, u64, u64, u64, u64)> = reports
-                .iter()
-                .map(|r| {
+            let mixed = mixed_arrivals(&dev, &cat);
+            let mut stamps: Vec<(u32, u64, u64, u64, u64)> = Vec::new();
+            for (arrivals, serving) in [
+                (arrivals(), ServingConfig::new().with_slo("a", 1e-6)),
+                mixed,
+            ] {
+                let reports = engine::run_open_loop_with(&dev, &cat, arrivals, policy, &serving);
+                if serving.memory_gate {
+                    let mut ended = endings(&reports);
+                    ended.sort_unstable();
+                    ended.dedup();
+                    assert_eq!(ended, ["failed", "ok", "rejected", "shed"], "{policy:?}");
+                }
+                stamps.extend(reports.iter().map(|r| {
                     (
                         r.query,
                         secs_to_ticks(r.arrival.secs()),
@@ -298,12 +426,31 @@ fn tracing_perturbs_no_observable() {
                         secs_to_ticks(r.started.secs()),
                         secs_to_ticks(r.completion.secs()),
                     )
-                })
-                .collect();
+                }));
+            }
+            // A one-plan cache alternating two plans: every pass misses
+            // and all but the first evict.
+            let mut cache = PlanCache::new(1);
+            for i in [0, 1, 0] {
+                cache.execute(&dev, &cat, &plan_of(i)).unwrap();
+            }
+            assert_eq!(cache.stats(), (0, 3, 2));
             let dropped = dev.take_trace().map_or(0, |t| t.dropped_events());
             (stamps, dev.metrics_snapshot().unwrap(), dropped)
         };
         let (stamps_off, mut snap_off, _) = run(|_| {});
+        // Every family the comparison below covers was recorded untraced.
+        let reg = &snap_off.registry;
+        for (name, labels) in [
+            ("query_failed_total", [("class", "a")]),
+            ("query_rejected_total", [("class", "b")]),
+            ("query_shed_total", [("class", "c")]),
+            ("slo_met_total", [("class", "c")]),
+            ("operator_rows_total", [("op", "join")]),
+        ] {
+            assert!(reg.counter(name, &labels) > 0, "{policy:?}: {name}");
+        }
+        assert_eq!(reg.counter("plan_cache_evictions_total", &[]), 2);
         let (stamps_on, snap_on, _) = run(Device::enable_tracing);
         // A flight recorder far smaller than the session: what it evicts
         // was folded into the metrics all the same.
