@@ -10,8 +10,8 @@
 //!   (Section 4.3: the same partitioned join can skip payload partitioning,
 //!   which wins at low match ratios).
 
-use crate::exp::run_algorithms;
-use crate::{Report, Session};
+use crate::exp::{run_algorithms, total_of};
+use crate::{Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use primitives::{merge_join, sort_pairs_bits};
 use workloads::JoinWorkload;
@@ -24,16 +24,7 @@ pub fn radix_bits(session: &mut Session) -> Report {
         s_tuples: session.tuples() * 2,
         ..JoinWorkload::wide(session.tuples())
     };
-    println!(
-        "Ablation — PHJ-OM radix bits, |R| = {} ({})\n",
-        w.r_tuples, report.device
-    );
-    println!(
-        "{:<8} {:>12} {:>12} {:>12}",
-        "bits", "transform", "match", "total"
-    );
     let mut best = (0u32, f64::INFINITY);
-    let auto_time;
     for bits in [4u32, 8, 12, 14, 16, 18] {
         let cfg = JoinConfig {
             radix_bits: Some(bits),
@@ -42,12 +33,6 @@ pub fn radix_bits(session: &mut Session) -> Report {
         let (_, stats) = run_algorithms(&dev, &w, &[Algorithm::PhjOm], &cfg)
             .pop()
             .expect("one result");
-        println!(
-            "{bits:<8} {:>12} {:>12} {:>12}",
-            stats.phases.transform.to_string(),
-            stats.phases.match_find.to_string(),
-            stats.phases.total().to_string()
-        );
         report.push(serde_json::json!({
             "bits": bits,
             "transform_s": stats.phases.transform.secs(),
@@ -58,25 +43,16 @@ pub fn radix_bits(session: &mut Session) -> Report {
             best = (bits, stats.phases.total().secs());
         }
     }
-    {
-        let (_, stats) = run_algorithms(&dev, &w, &[Algorithm::PhjOm], &JoinConfig::default())
-            .pop()
-            .expect("one result");
-        auto_time = stats.phases.total().secs();
-        println!(
-            "{:<8} {:>12} {:>12} {:>12}",
-            "auto",
-            stats.phases.transform.to_string(),
-            stats.phases.match_find.to_string(),
-            stats.phases.total().to_string()
-        );
-    }
-    println!();
-    report.finding(format!(
-        "best fan-out is {} bits; the shared-memory auto-choice lands within {:.2}x of it",
-        best.0,
-        auto_time / best.1
-    ));
+    let auto_time = total_of(
+        &run_algorithms(&dev, &w, &[Algorithm::PhjOm], &JoinConfig::default()),
+        Algorithm::PhjOm,
+    );
+    let auto_gap = auto_time / best.1;
+    report.claim(Claim::new("auto_bits_gap", auto_gap).says(format!(
+        "best fan-out is {} bits; the shared-memory auto-choice lands within {auto_gap:.2}x \
+         of it",
+        best.0
+    )));
     report
 }
 
@@ -94,10 +70,6 @@ pub fn sort_bits(session: &mut Session) -> Report {
     let w = JoinWorkload::narrow(n);
     let (r, s) = w.generate(&dev);
     let domain_bits = usize::BITS - (n - 1).leading_zeros();
-    println!(
-        "Ablation — sort width for |R| = {n} (domain needs {domain_bits} bits) ({})\n",
-        report.device
-    );
 
     let mut rows = Vec::new();
     for (label, bits) in [("full 32-bit", 32u32), ("domain-restricted", domain_bits)] {
@@ -108,16 +80,14 @@ pub fn sort_bits(session: &mut Session) -> Report {
         let (sk, _) = sort_pairs_bits(&dev, s.key().as_i32(), &ids_s, bits);
         let m = merge_join(&dev, &rk, &sk, true);
         let t = dev.elapsed();
-        println!("{label:<20} {:>12}   ({} matches)", t.to_string(), m.len());
-        rows.push((label, t.secs(), m.len()));
+        rows.push((t.secs(), m.len()));
         report.push(serde_json::json!({"sort": label, "bits": bits, "total_s": t.secs()}));
     }
-    println!();
-    assert_eq!(rows[0].2, rows[1].2, "restriction must not change results");
-    report.finding(format!(
-        "domain-restricted sorting is {:.2}x faster and produces identical matches",
-        rows[0].1 / rows[1].1
-    ));
+    assert_eq!(rows[0].1, rows[1].1, "restriction must not change results");
+    let speedup = rows[0].0 / rows[1].0;
+    report.claim(Claim::new("restricted_sort_speedup", speedup).says(format!(
+        "domain-restricted sorting is {speedup:.2}x faster and produces identical matches"
+    )));
     report
 }
 
@@ -131,14 +101,6 @@ pub fn phj_patterns(session: &mut Session) -> Report {
     );
     let dev = session.device();
     let n = session.tuples();
-    println!(
-        "Ablation — one PHJ implementation, two patterns, |R| = |S| = {n} ({})\n",
-        report.device
-    );
-    println!(
-        "{:<10} {:>12} {:>12} {:>10}",
-        "match %", "GFTR", "GFUR", "winner"
-    );
     let mut crossover = None;
     for pct in [5.0f64, 15.0, 30.0, 60.0, 100.0] {
         let w = JoinWorkload {
@@ -155,27 +117,20 @@ pub fn phj_patterns(session: &mut Session) -> Report {
         );
         let gftr = results[0].1.phases.total();
         let gfur = results[1].1.phases.total();
-        let winner = if gftr < gfur { "GFTR" } else { "GFUR" };
-        if winner == "GFTR" && crossover.is_none() {
+        if gftr < gfur && crossover.is_none() {
             crossover = Some(pct);
         }
-        println!(
-            "{pct:<10} {:>12} {:>12} {:>10}",
-            gftr.to_string(),
-            gfur.to_string(),
-            winner
-        );
         report.push(serde_json::json!({
             "match_pct": pct, "gftr_s": gftr.secs(), "gfur_s": gfur.secs(),
         }));
     }
-    println!();
-    report.finding(match crossover {
+    let sentence = match crossover {
         Some(pct) => format!(
             "the GFTR pattern starts paying off at ~{pct}% match ratio; below that the \
              implementation should skip payload partitioning (Section 4.3)"
         ),
         None => "GFUR won at every match ratio — check the cache regime".to_string(),
-    });
+    };
+    report.claim(Claim::new("gftr_crossover_pct", crossover.unwrap_or(f64::NAN)).says(sentence));
     report
 }

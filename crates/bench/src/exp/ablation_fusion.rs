@@ -11,14 +11,10 @@
 //! between the two — DRAM bytes, cycles, kernel launches per selectivity —
 //! is the paper's late-materialization argument measured end to end.
 
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use columnar::Column;
 use engine::{execute, execute_unfused, Catalog, Expr, Plan, Table};
 use sim::Device;
-
-fn mib(bytes: u64) -> String {
-    format!("{:.2} MiB", bytes as f64 / (1 << 20) as f64)
-}
 
 /// Build-side table: an i32 join key, a uniform i32 selectivity column,
 /// and six i64 payload columns that ride the ticket when fused. The wide
@@ -151,21 +147,6 @@ pub fn run(session: &mut Session) -> Report {
     );
     let n = session.tuples();
     let key_range = (n / 4).max(64) as i32;
-    println!(
-        "Fusion ablation — Filter→Project→Join, {} fact rows, {} dim rows ({})\n",
-        n, key_range, report.device
-    );
-    println!(
-        "{:<6} {:>14} {:>14} {:>8} {:>12} {:>12} {:>8} {:>8}",
-        "sel%",
-        "unfused DRAM",
-        "fused DRAM",
-        "saved%",
-        "unfused cyc",
-        "fused cyc",
-        "cyc sv%",
-        "launches"
-    );
 
     let mut at_ten = None;
     for sel_pct in [1u32, 5, 10, 25, 50, 90] {
@@ -180,18 +161,6 @@ pub fn run(session: &mut Session) -> Report {
         );
         let dram_saved = 100.0 * (1.0 - fused.dram_bytes as f64 / unfused.dram_bytes as f64);
         let cyc_saved = 100.0 * (1.0 - fused.cycles / unfused.cycles);
-        println!(
-            "{:<6} {:>14} {:>14} {:>7.1}% {:>12.3e} {:>12.3e} {:>7.1}% {:>3} vs {:<3}",
-            sel_pct,
-            mib(unfused.dram_bytes),
-            mib(fused.dram_bytes),
-            dram_saved,
-            unfused.cycles,
-            fused.cycles,
-            cyc_saved,
-            fused.launches,
-            unfused.launches,
-        );
         report.push(serde_json::json!({
             "selectivity_pct": sel_pct,
             "rows_out": fused.rows,
@@ -210,11 +179,11 @@ pub fn run(session: &mut Session) -> Report {
     }
 
     let (dram_saved, cyc_saved, fl, ul) = at_ten.expect("sweep includes 10%");
-    report.finding(format!(
+    report.claim(Claim::new("dram_saved_pct_at_10", dram_saved).says(format!(
         "at 10% selectivity the fused Filter→Project→Join chain moves {dram_saved:.1}% \
          fewer DRAM bytes and spends {cyc_saved:.1}% fewer cycles than the fully \
          materialized plan, in {fl} kernel launches vs {ul}"
-    ));
+    )));
     assert!(
         dram_saved >= 20.0,
         "fusion must save at least 20% DRAM bytes at 10% selectivity (got {dram_saved:.1}%)"

@@ -5,7 +5,7 @@
 //! unclustered gathers") extrapolated one generation forward.
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use sim::{Device, DeviceConfig};
 use workloads::JoinWorkload;
@@ -21,14 +21,6 @@ pub fn run(session: &mut Session) -> Report {
         s_tuples: session.tuples() * 2,
         ..JoinWorkload::wide(session.tuples())
     };
-    println!(
-        "Ablation — wide join across devices, |R| = {} (paper-regime scaled)\n",
-        w.r_tuples
-    );
-    println!(
-        "{:<10} {:>12} {:>12} {:>12} {:>12} {:>14}",
-        "device", "SMJ-UM", "SMJ-OM", "PHJ-UM", "PHJ-OM", "PHJ OM/UM"
-    );
 
     let f = session.regime_factor();
     for cfg in [
@@ -41,15 +33,6 @@ pub fn run(session: &mut Session) -> Report {
         let results = run_algorithms(&dev, &w, &Algorithm::GPU_VARIANTS, &JoinConfig::default());
         let t = |a| total_of(&results, a);
         let ratio = t(Algorithm::PhjUm) / t(Algorithm::PhjOm);
-        println!(
-            "{:<10} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>13.2}x",
-            name,
-            t(Algorithm::SmjUm) * 1e3,
-            t(Algorithm::SmjOm) * 1e3,
-            t(Algorithm::PhjUm) * 1e3,
-            t(Algorithm::PhjOm) * 1e3,
-            ratio
-        );
         report.push(serde_json::json!({
             "device": name,
             "smj_um_s": t(Algorithm::SmjUm),
@@ -59,17 +42,16 @@ pub fn run(session: &mut Session) -> Report {
             "phj_om_over_um": ratio,
         }));
     }
-    println!();
     let first = report.rows.first().unwrap()["phj_om_over_um"]
         .as_f64()
         .unwrap();
     let last = report.rows.last().unwrap()["phj_om_over_um"]
         .as_f64()
         .unwrap();
-    report.finding(format!(
+    report.claim(Claim::new("phj_om_over_um_h100", last).says(format!(
         "PHJ-OM's advantage persists across generations ({first:.2}x on RTX 3090, \
          {last:.2}x on H100): growing L2 and bandwidth together does not fix \
          unclustered gathers, as the paper observed for A100 vs RTX 3090"
-    ));
+    )));
     report
 }

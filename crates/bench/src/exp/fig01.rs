@@ -4,8 +4,8 @@
 //! spend most of their time materializing (up to ~75% in the paper), and
 //! the paper's optimized variants claw that back (up to 2.3x end to end).
 
-use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Report, Session};
+use crate::exp::{breakdown_row, run_algorithms, total_of};
+use crate::{Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
@@ -17,10 +17,6 @@ pub fn run(session: &mut Session) -> Report {
         s_tuples: session.tuples() * 2,
         ..JoinWorkload::wide(session.tuples())
     };
-    println!(
-        "Figure 1 — {} ⋈ {} tuples (1:2 sizes), 2 payload columns each, {}\n",
-        w.r_tuples, w.s_tuples, report.device
-    );
 
     let algorithms = [
         Algorithm::Nphj,
@@ -29,30 +25,40 @@ pub fn run(session: &mut Session) -> Report {
         Algorithm::SmjOm,
         Algorithm::PhjOm,
     ];
-    print_breakdown_header();
     let results = run_algorithms(&dev, &w, &algorithms, &JoinConfig::default());
     for (alg, stats) in &results {
         report.push(breakdown_row(alg.name(), stats));
     }
-    println!();
 
-    let um_mat_frac = results
+    let um_mat_pct = results
         .iter()
         .filter(|(a, _)| matches!(a, Algorithm::SmjUm | Algorithm::PhjUm))
         .map(|(_, s)| s.phases.materialize_fraction())
-        .fold(0.0f64, f64::max);
-    report.finding(format!(
-        "materialization takes up to {:.0}% of the runtime of the GFUR implementations \
-         (paper: up to 75%)",
-        um_mat_frac * 100.0
-    ));
+        .fold(0.0f64, f64::max)
+        * 100.0;
+    report.claim(
+        Claim::new("gfur_materialize_pct", um_mat_pct)
+            .near(75.0, 0.25)
+            .says(format!(
+                "materialization takes up to {um_mat_pct:.0}% of the runtime of the GFUR \
+                 implementations (paper: up to 75%)"
+            )),
+    );
     let speedup = total_of(&results, Algorithm::PhjUm) / total_of(&results, Algorithm::PhjOm);
-    report.finding(format!(
-        "PHJ-OM is {speedup:.2}x faster than PHJ-UM end to end (paper: up to 2.3x)"
-    ));
+    report.claim(
+        Claim::new("phj_om_over_um", speedup)
+            .near(2.3, 0.25)
+            .says(format!(
+                "PHJ-OM is {speedup:.2}x faster than PHJ-UM end to end (paper: up to 2.3x)"
+            )),
+    );
     let nphj_vs = total_of(&results, Algorithm::Nphj) / total_of(&results, Algorithm::PhjOm);
-    report.finding(format!(
-        "PHJ-OM is {nphj_vs:.2}x faster than the non-partitioned hash join"
-    ));
+    report.claim(
+        Claim::new("phj_om_over_nphj", nphj_vs)
+            .band(1.0, f64::INFINITY)
+            .says(format!(
+                "PHJ-OM is {nphj_vs:.2}x faster than the non-partitioned hash join"
+            )),
+    );
     report
 }

@@ -3,7 +3,7 @@
 //! bars per device: the unclustered gather alone (what *-UM pays), sort +
 //! clustered gather (SMJ-OM), and partition + clustered gather (PHJ-OM).
 
-use crate::{mtps, Report, Session};
+use crate::{mtps, Claim, Report, Session};
 use primitives::{gather, radix_partition, sort_pairs};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -69,34 +69,35 @@ pub fn run(session: &mut Session) -> Report {
         session,
     );
     let n = session.tuples();
-    println!("Figure 7 — gather efficiency for {n} items, both devices (paper-regime scaled)\n");
-    println!(
-        "{:<32} {:>14} {:>14}",
-        "configuration", "A100 Mt/s", "3090 Mt/s"
-    );
-
     let f = session.regime_factor();
     let a100 = bars(&Device::new(DeviceConfig::a100().scaled(f)), n);
     let r3090 = bars(&Device::new(DeviceConfig::rtx3090().scaled(f)), n);
     for ((label, a), (_, r)) in a100.iter().zip(&r3090) {
-        println!("{label:<32} {a:>14.1} {r:>14.1}");
         report.push(serde_json::json!({
             "configuration": label, "a100_mtps": a, "rtx3090_mtps": r,
         }));
     }
-    println!();
 
     let speedup = |bars: &[(String, f64)], i: usize| bars[i].1 / bars[0].1;
-    report.finding(format!(
-        "partition+clustered beats the unclustered gather {:.2}x on A100 / {:.2}x on RTX 3090 \
-         (paper: 1.79x / 2.2x)",
-        speedup(&a100, 2),
-        speedup(&r3090, 2)
-    ));
-    report.finding(format!(
-        "sort+clustered beats it {:.2}x on A100 / {:.2}x on RTX 3090 (paper: 1.23x / 1.37x)",
-        speedup(&a100, 1),
-        speedup(&r3090, 1)
-    ));
+    let partition = speedup(&a100, 2);
+    report.claim(
+        Claim::new("partition_clustered_speedup_a100", partition)
+            .near(1.79, 0.25)
+            .says(format!(
+                "partition+clustered beats the unclustered gather {partition:.2}x on A100 / \
+                 {:.2}x on RTX 3090 (paper: 1.79x / 2.2x)",
+                speedup(&r3090, 2)
+            )),
+    );
+    let sort = speedup(&a100, 1);
+    report.claim(
+        Claim::new("sort_clustered_speedup_a100", sort)
+            .near(1.23, 0.15)
+            .says(format!(
+                "sort+clustered beats it {sort:.2}x on A100 / {:.2}x on RTX 3090 (paper: 1.23x \
+                 / 1.37x)",
+                speedup(&r3090, 1)
+            )),
+    );
     report
 }

@@ -2,7 +2,7 @@
 //! (|S| = 2|R|, one payload column per relation, 100% match ratio).
 
 use crate::exp::run_algorithms;
-use crate::{mtps, Report, Session};
+use crate::{mtps, Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use sim::SimTime;
 use workloads::JoinWorkload;
@@ -24,18 +24,6 @@ pub fn run(session: &mut Session) -> Report {
         session,
     );
     let dev = session.device();
-    println!(
-        "Figure 8 — narrow joins, |S| = 2|R|, sizes 2^{}..2^{} ({})\n",
-        session.scale_log2() - 3,
-        session.scale_log2(),
-        report.device
-    );
-    print!("{:<14}", "|R| tuples");
-    for alg in ALGS {
-        print!(" {:>12}", alg.name());
-    }
-    println!("  (M tuples/s)");
-
     let mut best_gpu_vs_cpu = 0.0f64;
     let mut best_vs_cudf = 0.0f64;
     for shift in (0..4).rev() {
@@ -45,7 +33,6 @@ pub fn run(session: &mut Session) -> Report {
         // The CPU baseline measures real wall-clock: repeat and keep the
         // median; the simulated joins are deterministic.
         let mut row = serde_json::json!({"r_tuples": r_tuples});
-        print!("{r_tuples:<14}");
         let mut cpu = f64::NAN;
         let mut nphj = f64::NAN;
         let mut best = 0.0f64;
@@ -71,7 +58,6 @@ pub fn run(session: &mut Session) -> Report {
                     .secs()
             };
             let tput = mtps(total, SimTime::from_secs(t));
-            print!(" {tput:>12.1}");
             row[alg.name()] = serde_json::json!(tput);
             match alg {
                 Algorithm::CpuRadix => cpu = tput,
@@ -79,18 +65,25 @@ pub fn run(session: &mut Session) -> Report {
                 _ => best = best.max(tput),
             }
         }
-        println!();
         best_gpu_vs_cpu = best_gpu_vs_cpu.max(best / cpu);
         best_vs_cudf = best_vs_cudf.max(best / nphj);
         report.push(row);
     }
-    println!();
-    report.finding(format!(
-        "best GPU join is {best_gpu_vs_cpu:.1}x faster than the CPU radix join \
-         (paper: up to 34.5x; the CPU here is this machine's, not a 2x36-core server)"
-    ));
-    report.finding(format!(
-        "best GPU join is {best_vs_cudf:.1}x faster than the cuDF-style NPHJ (paper: up to 4x)"
-    ));
+    report.claim(
+        Claim::new("gpu_over_cpu", best_gpu_vs_cpu)
+            .paper(34.5)
+            .says(format!(
+                "best GPU join is {best_gpu_vs_cpu:.1}x faster than the CPU radix join \
+                 (paper: up to 34.5x; the CPU here is this machine's, not a 2x36-core server)"
+            )),
+    );
+    report.claim(
+        Claim::new("gpu_over_nphj", best_vs_cudf)
+            .near(4.0, 0.25)
+            .says(format!(
+                "best GPU join is {best_vs_cudf:.1}x faster than the cuDF-style NPHJ (paper: up \
+                 to 4x)"
+            )),
+    );
     report
 }

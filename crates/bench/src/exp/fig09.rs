@@ -2,8 +2,8 @@
 //! bottom of each bar, match finding on top; narrow joins have no separate
 //! materialization phase — the single payload rides through the transform).
 
-use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Report, Session};
+use crate::exp::{breakdown_row, run_algorithms, total_of};
+use crate::{Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
@@ -21,11 +21,6 @@ pub fn run(session: &mut Session) -> Report {
     for shift in [2, 0] {
         let r_tuples = session.tuples() >> shift;
         let w = JoinWorkload::narrow(r_tuples);
-        println!(
-            "\nFigure 9 — narrow join, |R| = {} (|S| = 2|R|), {}",
-            r_tuples, report.device
-        );
-        print_breakdown_header();
         let results = run_algorithms(&dev, &w, &algorithms, &JoinConfig::default());
         for (alg, stats) in &results {
             let mut row = breakdown_row(alg.name(), stats);
@@ -33,27 +28,38 @@ pub fn run(session: &mut Session) -> Report {
             report.push(row);
         }
         if shift == 0 {
-            let smj = total_of(&results, Algorithm::SmjUm);
-            let phj = total_of(&results, Algorithm::PhjUm);
-            report.finding(format!(
-                "PHJ-* beat SMJ-* on narrow joins by {:.2}x (paper: partitioning needs 2 \
-                 RADIX-PARTITION passes, sorting 4)",
-                smj / phj
-            ));
+            let smj_over_phj =
+                total_of(&results, Algorithm::SmjUm) / total_of(&results, Algorithm::PhjUm);
+            report.claim(
+                Claim::new("phj_over_smj", smj_over_phj)
+                    .band(1.0, f64::INFINITY)
+                    .says(format!(
+                        "PHJ-* beat SMJ-* on narrow joins by {smj_over_phj:.2}x (paper: \
+                         partitioning needs 2 RADIX-PARTITION passes, sorting 4)"
+                    )),
+            );
             let um = total_of(&results, Algorithm::PhjUm);
             let om = total_of(&results, Algorithm::PhjOm);
-            report.finding(format!(
-                "PHJ-UM and PHJ-OM are nearly identical on narrow joins ({:.2}x apart; \
-                 paper: 'very close')",
-                um.max(om) / um.min(om)
-            ));
-            let nphj = total_of(&results, Algorithm::Nphj);
-            report.finding(format!(
-                "the non-partitioned join is the slowest GPU variant ({:.2}x behind PHJ-OM)",
-                nphj / om
-            ));
+            let apart = um.max(om) / um.min(om);
+            report.claim(
+                Claim::new("phj_um_om_apart", apart)
+                    .paper(1.0)
+                    .band(1.0, 1.1)
+                    .says(format!(
+                        "PHJ-UM and PHJ-OM are nearly identical on narrow joins ({apart:.2}x \
+                         apart; paper: 'very close')"
+                    )),
+            );
+            let nphj_behind = total_of(&results, Algorithm::Nphj) / om;
+            report.claim(
+                Claim::new("nphj_behind_phj_om", nphj_behind)
+                    .band(1.0, f64::INFINITY)
+                    .says(format!(
+                        "the non-partitioned join is the slowest GPU variant ({nphj_behind:.2}x \
+                         behind PHJ-OM)"
+                    )),
+            );
         }
     }
-    println!();
     report
 }

@@ -2,8 +2,8 @@
 //! relation) — where materialization dominates the GFUR implementations and
 //! the paper's GFTR variants win.
 
-use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Report, Session};
+use crate::exp::{breakdown_row, run_algorithms, total_of};
+use crate::{Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
@@ -25,11 +25,6 @@ pub fn run(session: &mut Session) -> Report {
             s_tuples: r_tuples * 2,
             ..JoinWorkload::wide(r_tuples)
         };
-        println!(
-            "\nFigure 10 — wide join, |R| = {} (|S| = 2|R|, 2 payload cols each), {}",
-            r_tuples, report.device
-        );
-        print_breakdown_header();
         let results = run_algorithms(&dev, &w, &algorithms, &JoinConfig::default());
         for (alg, stats) in &results {
             let mut row = breakdown_row(alg.name(), stats);
@@ -38,20 +33,31 @@ pub fn run(session: &mut Session) -> Report {
         }
         last = results;
     }
-    println!();
     let f = |a| total_of(&last, a);
-    report.finding(format!(
-        "SMJ-OM is {:.2}x faster than SMJ-UM (paper: ~1.6x)",
-        f(Algorithm::SmjUm) / f(Algorithm::SmjOm)
-    ));
-    report.finding(format!(
-        "PHJ-OM is {:.2}x faster than PHJ-UM (paper: ~2.3x)",
-        f(Algorithm::PhjUm) / f(Algorithm::PhjOm)
-    ));
-    report.finding(format!(
-        "PHJ-OM is {:.2}x faster than SMJ-OM (paper: ~1.4x — partitioning needs half \
-         the passes of sorting)",
-        f(Algorithm::SmjOm) / f(Algorithm::PhjOm)
-    ));
+    let smj = f(Algorithm::SmjUm) / f(Algorithm::SmjOm);
+    report.claim(
+        Claim::new("smj_om_over_um", smj)
+            .near(1.6, 0.25)
+            .says(format!(
+                "SMJ-OM is {smj:.2}x faster than SMJ-UM (paper: ~1.6x)"
+            )),
+    );
+    let phj = f(Algorithm::PhjUm) / f(Algorithm::PhjOm);
+    report.claim(
+        Claim::new("phj_om_over_um", phj)
+            .near(2.3, 0.25)
+            .says(format!(
+                "PHJ-OM is {phj:.2}x faster than PHJ-UM (paper: ~2.3x)"
+            )),
+    );
+    let om = f(Algorithm::SmjOm) / f(Algorithm::PhjOm);
+    report.claim(
+        Claim::new("phj_om_over_smj_om", om)
+            .near(1.4, 0.25)
+            .says(format!(
+                "PHJ-OM is {om:.2}x faster than SMJ-OM (paper: ~1.4x — partitioning needs half \
+                 the passes of sorting)"
+            )),
+    );
     report
 }

@@ -3,7 +3,7 @@
 //! GFUR implementations pull ahead.
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{mtps, Report, Session};
+use crate::{mtps, Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
@@ -12,16 +12,6 @@ pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new("fig13", "Effect of different match ratios", session);
     let dev = session.device();
     let n = session.tuples();
-    println!(
-        "Figure 13 — wide join, |R| = |S| = {}, match ratio swept ({})\n",
-        n, report.device
-    );
-    print!("{:<10}", "match %");
-    for alg in Algorithm::GPU_VARIANTS {
-        print!(" {:>10}", alg.name());
-    }
-    println!("  (M tuples/s)");
-
     let mut crossover: Option<f64> = None;
     let mut low_ratio_winner = Algorithm::PhjUm;
     for pct in [3.0f64, 6.0, 12.5, 25.0, 50.0, 100.0] {
@@ -32,14 +22,11 @@ pub fn run(session: &mut Session) -> Report {
             ..JoinWorkload::wide(n)
         };
         let results = run_algorithms(&dev, &w, &Algorithm::GPU_VARIANTS, &JoinConfig::default());
-        print!("{pct:<10}");
         let mut row = serde_json::json!({"match_ratio_pct": pct});
         for (alg, stats) in &results {
             let tput = mtps(w.total_tuples(), stats.phases.total());
-            print!(" {tput:>10.1}");
             row[alg.name()] = serde_json::json!(tput);
         }
-        println!();
         let om = total_of(&results, Algorithm::PhjOm);
         let um = total_of(&results, Algorithm::PhjUm);
         if om <= um && crossover.is_none() {
@@ -54,20 +41,33 @@ pub fn run(session: &mut Session) -> Report {
         }
         report.push(row);
     }
-    println!();
-    match crossover {
-        Some(pct) => report.finding(format!(
+    let sentence = match crossover {
+        Some(pct) => format!(
             "PHJ-OM overtakes PHJ-UM once the match ratio reaches ~{pct}% \
              (paper: *-OM lose below 25%)"
-        )),
-        None => report.finding(
-            "PHJ-OM never overtakes PHJ-UM in this sweep — check the scale/L2 regime".to_string(),
         ),
-    }
-    report.finding(format!(
-        "at low match ratios the winner is {} (paper: PHJ-UM, thanks to cheap \
-         unclustered gathers of tiny outputs)",
-        low_ratio_winner.name()
-    ));
+        None => {
+            "PHJ-OM never overtakes PHJ-UM in this sweep — check the scale/L2 regime".to_string()
+        }
+    };
+    report.claim(
+        Claim::new("crossover_pct", crossover.unwrap_or(f64::NAN))
+            .paper(25.0)
+            .band(12.5, 25.0)
+            .says(sentence),
+    );
+    report.claim(
+        Claim::yes_no(
+            "phj_um_wins_low_ratios",
+            low_ratio_winner == Algorithm::PhjUm,
+        )
+        .paper(1.0)
+        .band(1.0, 1.0)
+        .says(format!(
+            "at low match ratios the winner is {} (paper: PHJ-UM, thanks to cheap \
+             unclustered gathers of tiny outputs)",
+            low_ratio_winner.name()
+        )),
+    );
     report
 }

@@ -3,7 +3,7 @@
 //! serialization; the stable RADIX-PARTITION (PHJ-OM, SMJ-*) stays flat.
 
 use crate::exp::{run_algorithms, total_of};
-use crate::{mtps, Report, Session};
+use crate::{mtps, Claim, Report, Session};
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
@@ -12,16 +12,6 @@ pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new("fig14", "Effect of foreign key skewness", session);
     let dev = session.device();
     let n = session.tuples();
-    println!(
-        "Figure 14 — wide join, |R| = |S| = {}, Zipf factor swept ({})\n",
-        n, report.device
-    );
-    print!("{:<8}", "zipf");
-    for alg in Algorithm::GPU_VARIANTS {
-        print!(" {:>10}", alg.name());
-    }
-    println!("  (M tuples/s)");
-
     let mut phj_um_flat = (0.0f64, 0.0f64); // (t at zipf 0, t at max zipf)
     let mut phj_om_flat = (0.0f64, 0.0f64);
     let mut om_always_best = true;
@@ -33,14 +23,11 @@ pub fn run(session: &mut Session) -> Report {
             ..JoinWorkload::wide(n)
         };
         let results = run_algorithms(&dev, &w, &Algorithm::GPU_VARIANTS, &JoinConfig::default());
-        print!("{zipf:<8}");
         let mut row = serde_json::json!({"zipf": zipf});
         for (alg, stats) in &results {
             let tput = mtps(w.total_tuples(), stats.phases.total());
-            print!(" {tput:>10.1}");
             row[alg.name()] = serde_json::json!(tput);
         }
-        println!();
         let um = total_of(&results, Algorithm::PhjUm);
         let om = total_of(&results, Algorithm::PhjOm);
         if zipf == 0.0 {
@@ -57,19 +44,33 @@ pub fn run(session: &mut Session) -> Report {
         }
         report.push(row);
     }
-    println!();
-    report.finding(format!(
-        "PHJ-UM slows down {:.1}x from Zipf 0 to 1.75 (paper: bucket chaining is \
-         'particularly sensitive to data skewness')",
-        phj_um_flat.1 / phj_um_flat.0
-    ));
-    report.finding(format!(
-        "PHJ-OM stays within {:.2}x of its uniform performance across the sweep \
-         (paper: RADIX-PARTITION is distribution-robust)",
-        phj_om_flat.1 / phj_om_flat.0
-    ));
-    report.finding(format!(
-        "PHJ-OM is the best implementation at every Zipf factor: {om_always_best} (paper: yes)"
-    ));
+    let um_slowdown = phj_um_flat.1 / phj_um_flat.0;
+    report.claim(
+        Claim::new("phj_um_skew_slowdown", um_slowdown)
+            .band(2.0, f64::INFINITY)
+            .says(format!(
+                "PHJ-UM slows down {um_slowdown:.1}x from Zipf 0 to 1.75 (paper: bucket chaining \
+                 is 'particularly sensitive to data skewness')"
+            )),
+    );
+    let om_drift = phj_om_flat.1 / phj_om_flat.0;
+    report.claim(
+        Claim::new("phj_om_skew_drift", om_drift)
+            .paper(1.0)
+            .band(0.8, 1.25)
+            .says(format!(
+                "PHJ-OM stays within {om_drift:.2}x of its uniform performance across the sweep \
+                 (paper: RADIX-PARTITION is distribution-robust)"
+            )),
+    );
+    report.claim(
+        Claim::yes_no("phj_om_best_every_zipf", om_always_best)
+            .paper(1.0)
+            .band(1.0, 1.0)
+            .says(format!(
+                "PHJ-OM is the best implementation at every Zipf factor: {om_always_best} \
+                 (paper: yes)"
+            )),
+    );
     report
 }

@@ -3,8 +3,8 @@
 //! (SMJ-OM loses its edge); PHJ-OM keeps winning because partitioning needs
 //! half the passes of sorting.
 
-use crate::exp::{breakdown_row, print_breakdown_header, run_algorithms, total_of};
-use crate::{Report, Session};
+use crate::exp::{breakdown_row, run_algorithms, total_of};
+use crate::{Claim, Report, Session};
 use columnar::DType;
 use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
@@ -15,10 +15,10 @@ pub fn run(session: &mut Session) -> Report {
     let dev = session.device();
     let n = session.tuples();
     let mut phj_om_wins_everywhere = true;
-    for (key, payload, label) in [
-        (DType::I32, DType::I32, "4B key + 4B payload"),
-        (DType::I32, DType::I64, "4B key + 8B payload"),
-        (DType::I64, DType::I64, "8B key + 8B payload"),
+    for (key, payload, label, name) in [
+        (DType::I32, DType::I32, "4B key + 4B payload", "4b4b"),
+        (DType::I32, DType::I64, "4B key + 8B payload", "4b8b"),
+        (DType::I64, DType::I64, "8B key + 8B payload", "8b8b"),
     ] {
         let w = JoinWorkload {
             r_tuples: n,
@@ -28,11 +28,6 @@ pub fn run(session: &mut Session) -> Report {
             s_payloads: vec![payload; 2],
             ..JoinWorkload::narrow(n)
         };
-        println!(
-            "\nFigure 15 — {}, |R| = |S| = {} ({})",
-            label, n, report.device
-        );
-        print_breakdown_header();
         let results = run_algorithms(&dev, &w, &Algorithm::GPU_VARIANTS, &JoinConfig::default());
         for (alg, stats) in &results {
             let mut row = breakdown_row(alg.name(), stats);
@@ -50,15 +45,24 @@ pub fn run(session: &mut Session) -> Report {
         if payload == DType::I64 {
             let smj_gap =
                 total_of(&results, Algorithm::SmjUm) / total_of(&results, Algorithm::SmjOm);
-            report.finding(format!(
-                "{label}: SMJ-OM's edge over SMJ-UM shrinks to {smj_gap:.2}x (paper: the \
-                 8-byte sorting cost erodes it)"
-            ));
+            report.claim(
+                Claim::new(&format!("smj_om_edge_{name}"), smj_gap)
+                    .band(0.0, 1.1)
+                    .says(format!(
+                        "{label}: SMJ-OM's edge over SMJ-UM shrinks to {smj_gap:.2}x (paper: the \
+                         8-byte sorting cost erodes it)"
+                    )),
+            );
         }
     }
-    println!();
-    report.finding(format!(
-        "PHJ-OM is the fastest for every type combination: {phj_om_wins_everywhere} (paper: yes)"
-    ));
+    report.claim(
+        Claim::yes_no("phj_om_fastest_every_type", phj_om_wins_everywhere)
+            .paper(1.0)
+            .band(1.0, 1.0)
+            .says(format!(
+                "PHJ-OM is the fastest for every type combination: {phj_om_wins_everywhere} \
+                 (paper: yes)"
+            )),
+    );
     report
 }

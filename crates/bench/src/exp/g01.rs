@@ -2,9 +2,8 @@
 //! Few groups: the global hash table is L2-resident and unbeatable. Many
 //! groups: its random misses dominate and the transform-based variants win.
 
-use crate::{mtps, Report, Session};
+use crate::{mtps, Claim, Report, Session};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
-use sim::SimTime;
 use workloads::agg::AggWorkload;
 
 /// Run the experiment.
@@ -12,16 +11,6 @@ pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new("g01", "Grouped aggregation vs number of groups", session);
     let dev = session.device();
     let n = session.tuples();
-    println!(
-        "G1 — SUM over one column, {} rows, group count swept ({})\n",
-        n, report.device
-    );
-    print!("{:<12}", "groups");
-    for alg in GroupByAlgorithm::ALL {
-        print!(" {:>10}", alg.name());
-    }
-    println!("  (M rows/s)");
-
     let mut hash_small = 0.0;
     let mut hash_large = 0.0;
     let mut best_large = (GroupByAlgorithm::HashGlobal, 0.0f64);
@@ -32,13 +21,11 @@ pub fn run(session: &mut Session) -> Report {
     for &groups in &sweep {
         let w = AggWorkload::uniform(n, groups);
         let input = w.generate(&dev);
-        print!("{groups:<12}");
         let mut row = serde_json::json!({"groups": groups});
         for alg in GroupByAlgorithm::ALL {
             let out =
                 groupby::run_group_by(&dev, alg, &input, &[AggFn::Sum], &GroupByConfig::default());
             let tput = mtps(n, out.stats.phases.total());
-            print!(" {tput:>10.1}");
             row[alg.name()] = serde_json::json!(tput);
             if alg == GroupByAlgorithm::HashGlobal {
                 if groups == sweep[0] {
@@ -50,21 +37,21 @@ pub fn run(session: &mut Session) -> Report {
                 best_large = (alg, tput);
             }
         }
-        println!();
         report.push(row);
     }
-    println!();
-    report.finding(format!(
-        "the global hash aggregation slows down {:.1}x from {} to {} groups \
+    let slowdown = hash_small / hash_large;
+    report.claim(Claim::new("hash_slowdown", slowdown).says(format!(
+        "the global hash aggregation slows down {slowdown:.1}x from {} to {} groups \
          (L2 residency lost)",
-        hash_small / hash_large,
         sweep[0],
         sweep.last().unwrap()
-    ));
-    report.finding(format!(
-        "at the largest group count the best variant is {}",
-        best_large.0.name()
-    ));
-    let _ = SimTime::ZERO;
+    )));
+    let (best, best_mtps) = best_large;
+    report.claim(
+        Claim::new("best_at_most_groups_mtps", best_mtps).says(format!(
+            "at the largest group count the best variant is {}",
+            best.name()
+        )),
+    );
     report
 }

@@ -2,7 +2,7 @@
 //! the aggregation analog of Figure 15 — 8-byte columns double the
 //! transform cost of the GFTR variants while the hash table barely notices.
 
-use crate::{mtps, Report, Session};
+use crate::{mtps, Claim, Report, Session};
 use columnar::DType;
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use workloads::agg::AggWorkload;
@@ -12,16 +12,6 @@ pub fn run(session: &mut Session) -> Report {
     let mut report = Report::new("g05", "Grouped aggregation data types", session);
     let dev = session.device();
     let n = session.tuples();
-    println!(
-        "G5 — SUM over 2 columns, {} rows, 2^16 groups, type mixes ({})\n",
-        n, report.device
-    );
-    print!("{:<22}", "types");
-    for alg in GroupByAlgorithm::ALL {
-        print!(" {:>10}", alg.name());
-    }
-    println!("  (M rows/s)");
-
     let mut sort_4b = 0.0;
     let mut sort_8b = 0.0;
     for (key, val, label) in [
@@ -35,7 +25,6 @@ pub fn run(session: &mut Session) -> Report {
             ..AggWorkload::uniform(n, 1 << 16)
         };
         let input = w.generate(&dev);
-        print!("{label:<22}");
         let mut row = serde_json::json!({"types": label});
         for alg in GroupByAlgorithm::ALL {
             let out = groupby::run_group_by(
@@ -46,7 +35,6 @@ pub fn run(session: &mut Session) -> Report {
                 &GroupByConfig::default(),
             );
             let tput = mtps(n, out.stats.phases.total());
-            print!(" {tput:>10.1}");
             row[alg.name()] = serde_json::json!(tput);
             if alg == GroupByAlgorithm::SortGftr {
                 if val == DType::I32 {
@@ -56,14 +44,12 @@ pub fn run(session: &mut Session) -> Report {
                 }
             }
         }
-        println!();
         report.push(row);
     }
-    println!();
-    report.finding(format!(
-        "sort-GFTR loses {:.1}x of its throughput moving from all-4B to all-8B \
-         (wider sorting passes, the Figure 15 effect)",
-        sort_4b / sort_8b
-    ));
+    let loss = sort_4b / sort_8b;
+    report.claim(Claim::new("sort_gftr_8b_loss", loss).says(format!(
+        "sort-GFTR loses {loss:.1}x of its throughput moving from all-4B to all-8B (wider \
+         sorting passes, the Figure 15 effect)"
+    )));
     report
 }

@@ -3,7 +3,7 @@
 //! scan/filter/join/aggregate plans. Reports per-query times with the join
 //! implementation pinned to each variant vs the decision tree's pick.
 
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use engine::demo::{q18_like, q1_like, q3_like, tpch_mini};
 use engine::{execute, Plan};
 use joins::Algorithm;
@@ -73,23 +73,11 @@ pub fn run(session: &mut Session) -> Report {
     let dev = session.device();
     let orders = session.tuples() / 8; // lineitem = orders * 4 rows
     let catalog = tpch_mini(&dev, orders, 99);
-    println!(
-        "G6 — TPC-H-shaped plans, {} orders / ~{} lineitems ({})\n",
-        orders,
-        orders * 4,
-        report.device
-    );
-    println!(
-        "{:<38} {:>10} {:>10} {:>10} {:>10}",
-        "query", "SMJ-OM", "PHJ-UM", "PHJ-OM", "auto"
-    );
-
     for (name, plan) in [
         ("Q1-like (no join)", q1_like()),
         ("Q3-like (2 joins + agg)", q3_like()),
         ("Q18-like (join + agg + having)", q18_like()),
     ] {
-        print!("{name:<38}");
         let mut row = serde_json::json!({"query": name});
         let mut auto_t = 0.0;
         let mut best_pinned = f64::INFINITY;
@@ -105,7 +93,6 @@ pub fn run(session: &mut Session) -> Report {
             };
             let out = execute(&dev, &catalog, &p).expect("demo plans bind");
             let t = out.stats.total_time().secs();
-            print!(" {:>9.2}ms", t * 1e3);
             let label = pick.map_or("auto", |a| a.name());
             if pick.is_none() && session.observing() {
                 session.record_explain(
@@ -120,14 +107,13 @@ pub fn run(session: &mut Session) -> Report {
                 best_pinned = best_pinned.min(t);
             }
         }
-        println!();
         report.push(row);
         if name.contains("Q18") {
-            report.finding(format!(
-                "on the Q18 segment, the decision tree's pick lands within {:.2}x of the \
-                 best pinned join implementation",
-                auto_t / best_pinned
-            ));
+            let gap = auto_t / best_pinned;
+            report.claim(Claim::new("q18_auto_gap", gap).says(format!(
+                "on the Q18 segment, the decision tree's pick lands within {gap:.2}x of the \
+                 best pinned join implementation"
+            )));
         }
     }
     report

@@ -18,7 +18,7 @@
 //! number is deterministic simulated time.
 
 use super::serving::{mix, solo_busy};
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use engine::demo::tpch_mini;
 use engine::scheduler::{Policy, QuerySpec};
 use engine::{Catalog, NodeStats, Plan};
@@ -81,12 +81,6 @@ pub fn run(session: &mut Session) -> Report {
     dev.enable_tracing();
     let orders = session.tuples() / 16;
     let catalog = tpch_mini(&dev, orders, 99);
-    println!(
-        "M1 — concurrent tenants over the demo catalog, {} orders / ~{} lineitems ({})\n",
-        orders,
-        orders * 4,
-        report.device
-    );
 
     // Solo baselines: each mix shape alone on the device.
     let solo_busy = solo_busy(|plan| {
@@ -96,10 +90,6 @@ pub fn run(session: &mut Session) -> Report {
     });
 
     // -- Sweep 1: tenant count under round-robin -------------------------
-    println!(
-        "{:<9} {:>12} {:>14} {:>14} {:>14} {:>9}",
-        "tenants", "makespan", "throughput", "mean lat", "p99 lat", "stretch"
-    );
     for n in [1usize, 2, 4, 8] {
         let specs = (0..n).map(|i| QuerySpec::new(mix(i).1)).collect();
         let s = round(&dev, &catalog, specs, Policy::RoundRobin);
@@ -116,29 +106,20 @@ pub fn run(session: &mut Session) -> Report {
             .map(|(i, f)| f / (n as f64 * solo_busy[i % 3]))
             .fold(0.0_f64, f64::max);
         let throughput = n as f64 / s.makespan;
-        println!(
-            "{n:<9} {:>10.2}ms {:>11.1} q/s {:>12.2}ms {:>12.2}ms {:>9.3}",
-            s.makespan * 1e3,
-            throughput,
-            mean * 1e3,
-            p99v * 1e3,
-            stretch
-        );
         report.push(serde_json::json!({
             "sweep": "tenants", "tenants": n, "policy": "round-robin",
             "makespan_s": s.makespan, "throughput_qps": throughput,
             "mean_latency_s": mean, "p99_latency_s": p99v, "slowest_stretch": stretch,
         }));
         if n == 8 {
-            report.finding(format!(
+            report.claim(Claim::new("stretch_8_tenants", stretch).says(format!(
                 "8 round-robin tenants: the slowest finishes within {stretch:.2}x of N x its \
                  solo simulated time (fair-share ideal = 1.0)"
-            ));
+            )));
         }
     }
 
     // -- Sweep 2: policy at 4 tenants ------------------------------------
-    println!();
     let mut makespans = Vec::new();
     for (name, policy, weights) in [
         ("serial", Policy::Serial, [1.0, 1.0, 1.0, 1.0]),
@@ -165,12 +146,6 @@ pub fn run(session: &mut Session) -> Report {
         }
         let mean = s.finishes.iter().sum::<f64>() / 4.0;
         let p99v = p99(&s.finishes);
-        println!(
-            "policy {name:<18} makespan {:>8.2}ms   mean lat {:>8.2}ms   p99 lat {:>8.2}ms",
-            s.makespan * 1e3,
-            mean * 1e3,
-            p99v * 1e3
-        );
         report.push(serde_json::json!({
             "sweep": "policy", "tenants": 4, "policy": name,
             "makespan_s": s.makespan, "mean_latency_s": mean, "p99_latency_s": p99v,
@@ -179,14 +154,15 @@ pub fn run(session: &mut Session) -> Report {
     }
     let spread = makespans.iter().cloned().fold(0.0_f64, f64::max)
         / makespans.iter().cloned().fold(f64::INFINITY, f64::min);
-    report.finding(format!(
-        "the 4-tenant makespan is policy-invariant within {:.2}% (the simulated device is \
-         work-conserving); scheduling only redistributes who waits",
-        (spread - 1.0) * 100.0
-    ));
+    let spread_pct = (spread - 1.0) * 100.0;
+    report.claim(
+        Claim::new("makespan_policy_spread_pct", spread_pct).says(format!(
+            "the 4-tenant makespan is policy-invariant within {spread_pct:.2}% (the simulated \
+             device is work-conserving); scheduling only redistributes who waits"
+        )),
+    );
 
     // -- Sweep 3: budget splits at 4 tenants ------------------------------
-    println!();
     // The budget sweep runs a plain FK join (the operator the out-of-core
     // re-planner covers); its direct-path peak calibrates the splits.
     let budget_plan = || Plan::scan("orders").join(Plan::scan("lineitem"), "o_id", "l_oid");
@@ -244,12 +220,6 @@ pub fn run(session: &mut Session) -> Report {
             }
         }
         let p99v = p99(&s.finishes);
-        println!(
-            "budget {name:<16} completed {completed}/4   chunked joins {out_of_core:>2}   \
-             makespan {:>8.2}ms   p99 lat {:>8.2}ms",
-            s.makespan * 1e3,
-            p99v * 1e3
-        );
         report.push(serde_json::json!({
             "sweep": "budget", "tenants": 4, "split": name,
             "budget_bytes": budgets.to_vec(),
@@ -257,12 +227,14 @@ pub fn run(session: &mut Session) -> Report {
             "makespan_s": s.makespan, "p99_latency_s": p99v,
         }));
     }
-    report.finding(format!(
-        "per-tenant budgets hold: no tenant's ledger peak ever exceeded its reservation \
-         (solo join peak {:.1} MiB); undersized budgets re-plan joins out-of-core instead of \
-         OOMing co-tenants",
-        solo_peak as f64 / (1 << 20) as f64
-    ));
+    let solo_peak_mib = solo_peak as f64 / (1 << 20) as f64;
+    report.claim(
+        Claim::new("solo_join_peak_mib", solo_peak_mib).says(format!(
+            "per-tenant budgets hold: no tenant's ledger peak ever exceeded its reservation \
+             (solo join peak {solo_peak_mib:.1} MiB); undersized budgets re-plan joins \
+             out-of-core instead of OOMing co-tenants"
+        )),
+    );
 
     report
 }

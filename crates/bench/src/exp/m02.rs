@@ -16,7 +16,7 @@
 //! policy, so the whole curve is bit-identical across re-runs.
 
 use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use engine::demo::tpch_mini;
 use engine::scheduler::Policy;
 
@@ -66,31 +66,7 @@ pub fn run(session: &mut Session) -> Report {
     let orders = session.tuples() / 16;
 
     // -- Calibration: mean solo-Serial service time of the mix -------------
-    let Calibration {
-        solo_busy,
-        mean_service,
-        capacity_qps,
-    } = Calibration::fresh_devices(session, orders);
-    println!(
-        "M2 — open-loop serving over the demo catalog, {} orders / ~{} lineitems ({})",
-        orders,
-        orders * 4,
-        report.device
-    );
-    println!(
-        "calibrated mix service time {:.3}ms (q18 {:.3}ms / q3 {:.3}ms / q1 {:.3}ms) \
-         => capacity ~{:.0} q/s\n",
-        mean_service * 1e3,
-        solo_busy[0] * 1e3,
-        solo_busy[1] * 1e3,
-        solo_busy[2] * 1e3,
-        capacity_qps
-    );
-
-    println!(
-        "{:<6} {:>12} {:>12} {:>6} {:>10} {:>12} {:>12} {:>12}",
-        "rho", "offered", "achieved", "util", "in-sys", "q18 p99", "q3 p99", "q1 p99"
-    );
+    let capacity_qps = Calibration::fresh_devices(session, orders).capacity_qps;
 
     let mut curve: Vec<(f64, f64, f64)> = Vec::new(); // (rho, achieved, worst p99)
     for (step, &rho) in RHO_SWEEP.iter().enumerate() {
@@ -142,16 +118,6 @@ pub fn run(session: &mut Session) -> Report {
             classes.iter().map(|(_, s)| s.count).sum::<u64>(),
             ARRIVALS_PER_STEP as u64,
             "per-class histogram counts must add up to the arrivals"
-        );
-        println!(
-            "{rho:<6} {:>8.1} q/s {:>8.1} q/s {:>5.0}% {:>10.2} {:>10.2}ms {:>10.2}ms {:>10.2}ms",
-            lambda,
-            achieved_qps,
-            utilization * 100.0,
-            in_system,
-            classes[0].1.p99_s * 1e3,
-            classes[1].1.p99_s * 1e3,
-            classes[2].1.p99_s * 1e3
         );
 
         let class_json: Vec<(String, serde_json::Value)> = classes
@@ -205,19 +171,20 @@ pub fn run(session: &mut Session) -> Report {
     // The two ends of the latency-throughput curve, as findings.
     let below = &curve[0]; // rho = 0.25
     let above = curve.last().unwrap(); // rho = 1.5
-    report.finding(format!(
+    let achieved = above.1;
+    report.claim(Claim::new("achieved_qps_at_1_5", achieved).says(format!(
         "open-loop serving saturates at the calibrated capacity: offered 1.5x capacity \
-         achieves {:.1} q/s vs ~{:.0} q/s capacity, while worst-class p99 inflates \
-         {:.1}x over the rho=0.25 operating point",
-        above.1,
-        capacity_qps,
+         achieves {achieved:.1} q/s vs ~{capacity_qps:.0} q/s capacity, while worst-class \
+         p99 inflates {:.1}x over the rho=0.25 operating point",
         above.2 / below.2.max(1e-12)
-    ));
-    report.finding(format!(
-        "the whole curve is derived from `query_latency_seconds{{class=...}}` histograms \
-         ({} samples per step) and lifecycle records — no bench-side latency bookkeeping",
-        ARRIVALS_PER_STEP
-    ));
+    )));
+    report.claim(
+        Claim::new("samples_per_step", ARRIVALS_PER_STEP as f64).says(format!(
+            "the whole curve is derived from `query_latency_seconds{{class=...}}` histograms \
+             ({ARRIVALS_PER_STEP} samples per step) and lifecycle records — no bench-side \
+             latency bookkeeping"
+        )),
+    );
 
     report
 }

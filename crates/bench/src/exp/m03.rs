@@ -20,7 +20,7 @@
 //!    cache-hit EXPLAIN with its provenance line under `--observe`.
 
 use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use engine::demo::{q18_like, q3_like, tpch_mini};
 use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
 use engine::{EngineError, PlanCache, QueryExplain};
@@ -87,21 +87,15 @@ pub fn run(session: &mut Session) -> Report {
         mean_service,
         capacity_qps,
     } = Calibration::fresh_devices(session, orders);
-    println!(
-        "M3 — serving control over the demo catalog, {} orders / ~{} lineitems ({})",
-        orders,
-        orders * 4,
-        report.device
-    );
-    println!(
-        "calibrated mix service time {:.3}ms (q18 {:.3}ms / q3 {:.3}ms / q1 {:.3}ms) \
-         => capacity ~{:.0} q/s\n",
-        mean_service * 1e3,
-        solo_busy[0] * 1e3,
-        solo_busy[1] * 1e3,
-        solo_busy[2] * 1e3,
-        capacity_qps
-    );
+    // Every offered load below is a multiple of this capacity.
+    report.claim(Claim::new("capacity_qps", capacity_qps).says(format!(
+        "calibrated mix service time {:.2}us (q18 {:.2}us / q3 {:.2}us / q1 {:.2}us) \
+         => capacity ~{capacity_qps:.0} q/s",
+        mean_service * 1e6,
+        solo_busy[0] * 1e6,
+        solo_busy[1] * 1e6,
+        solo_busy[2] * 1e6,
+    )));
 
     // -- Step 1: policy sweep over offered load ----------------------------
     let policies: [(&str, Policy); 3] = [
@@ -109,10 +103,6 @@ pub fn run(session: &mut Session) -> Report {
         ("sjf", Policy::Sjf),
         ("sjf_aging", Policy::SjfAging),
     ];
-    println!(
-        "{:<6} {:<10} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "rho", "policy", "completed", "achieved", "q18 p99", "q3 p99", "q1 p99"
-    );
     // (rho, fifo q1 p99, sjf q1 p99, fifo completed, sjf completed)
     let mut contrast: Vec<(f64, f64, f64, u64, u64)> = Vec::new();
     for (step, &rho) in RHO_SWEEP.iter().enumerate() {
@@ -146,12 +136,6 @@ pub fn run(session: &mut Session) -> Report {
                 - first_arrival;
             let achieved_qps = done as f64 / span;
             let p99s: Vec<f64> = CLASSES.iter().map(|c| class_p99(&snap, c)).collect();
-            println!(
-                "{rho:<6} {label:<10} {done:>10} {achieved_qps:>8.1} q/s {:>10.2}ms {:>10.2}ms {:>10.2}ms",
-                p99s[0] * 1e3,
-                p99s[1] * 1e3,
-                p99s[2] * 1e3
-            );
             report.push(serde_json::json!({
                 "sweep": "policy", "rho": rho, "policy": label,
                 "queries": ARRIVALS_PER_STEP, "completed": done,
@@ -185,15 +169,14 @@ pub fn run(session: &mut Session) -> Report {
         sat.1 * 1e3
     );
     assert_eq!(sat.3, sat.4, "SJF must not trade goodput for latency");
-    report.finding(format!(
+    let cut = sat.1 / sat.2.max(1e-12);
+    report.claim(Claim::new("sjf_short_p99_cut", cut).says(format!(
         "past saturation (rho=1.25) SJF cuts the short class's p99 from {:.1}us (FIFO) \
-         to {:.1}us ({:.1}x) at identical goodput ({} of {} completed)",
+         to {:.1}us ({cut:.1}x) at identical goodput ({} of {ARRIVALS_PER_STEP} completed)",
         sat.1 * 1e6,
         sat.2 * 1e6,
-        sat.1 / sat.2.max(1e-12),
         sat.4,
-        ARRIVALS_PER_STEP
-    ));
+    )));
 
     // -- Step 2: bounded queue + predicted-memory gate ---------------------
     let dev = session.metered_device();
@@ -257,28 +240,19 @@ pub fn run(session: &mut Session) -> Report {
         (3, 7, 2),
         "counters match outcomes"
     );
-    println!(
-        "\nadmission: {n_burst}-query burst against 2/5-of-memory budgets, queue depth 1, \
-         memory gate on\n  completed {m_done}, shed {m_shed}, rejected {m_rejected} \
-         (query_completed/shed/rejected_total)"
-    );
     report.push(serde_json::json!({
         "sweep": "admission", "arrivals": n_burst + n_doomed, "queue_depth": 1,
         "completed": m_done, "shed": m_shed, "rejected": m_rejected,
         "lifecycle": lifecycle_json(&reports, |i| if i < n_burst { "burst" } else { "doomed" }),
     }));
-    report.finding(format!(
+    report.claim(Claim::new("burst_shed", m_shed as f64).says(format!(
         "a same-instant burst of {n_burst} against two-fifths budgets and a one-slot queue \
          completes 3, sheds {m_shed} with typed QueueShed, and the predicted-memory gate \
          rejects both doomed arrivals — counted in query_completed/shed/rejected_total"
-    ));
+    )));
 
     // -- Step 3: plan cache on repeat traffic ------------------------------
     let rounds = 4usize;
-    println!(
-        "\n{:<10} {:>6} {:>6} {:>10} {:>9}",
-        "cache", "hits", "misses", "evictions", "hit rate"
-    );
     for capacity in [4usize, 2] {
         let dev = session.metered_device();
         let catalog = tpch_mini(&dev, orders, 99);
@@ -317,23 +291,17 @@ pub fn run(session: &mut Session) -> Report {
             );
         }
         let hit_rate = hits as f64 / (hits + misses) as f64;
-        println!(
-            "{:<10} {hits:>6} {misses:>6} {evictions:>10} {:>8.0}%",
-            format!("cap {capacity}"),
-            hit_rate * 100.0
-        );
         report.push(serde_json::json!({
             "sweep": "plan_cache", "capacity": capacity, "rounds": rounds,
             "hits": hits, "misses": misses, "evictions": evictions,
             "hit_rate": hit_rate,
         }));
     }
-    report.finding(format!(
-        "a plan cache sized for the mix serves {} rounds of repeat traffic at 75% hit rate \
-         (3 cold misses, 0 evictions), while an undersized 2-entry cache thrashes to 0% — \
-         counts exported as plan_cache_hits/misses/evictions_total",
-        rounds
-    ));
+    report.claim(Claim::new("plan_cache_rounds", rounds as f64).says(format!(
+        "a plan cache sized for the mix serves {rounds} rounds of repeat traffic at 75% hit \
+         rate (3 cold misses, 0 evictions), while an undersized 2-entry cache thrashes to \
+         0% — counts exported as plan_cache_hits/misses/evictions_total"
+    )));
 
     report
 }

@@ -20,7 +20,7 @@
 //! bookkeeping.
 
 use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use engine::demo::tpch_mini;
 use engine::scheduler::{Policy, ServingConfig};
 
@@ -56,25 +56,6 @@ pub fn run(session: &mut Session) -> Report {
         .zip(&solo_busy)
         .map(|(&c, &b)| (c, b * SLO_FACTOR))
         .collect();
-    println!(
-        "M4 — SLO tracking over the demo catalog, {} orders / ~{} lineitems ({})",
-        orders,
-        orders * 4,
-        report.device
-    );
-    println!(
-        "calibrated capacity ~{:.0} q/s; per-class SLO = {SLO_FACTOR}x solo service \
-         (q18 {:.3}ms / q3 {:.3}ms / q1 {:.3}ms)\n",
-        capacity_qps,
-        slos[0].1 * 1e3,
-        slos[1].1 * 1e3,
-        slos[2].1 * 1e3
-    );
-
-    println!(
-        "{:<6} {:>10} {:>10} {:>12} {:>6} {:>14} {:>16}",
-        "rho", "met", "missed", "debt", "slow", "worst stage", "mean queue/exec"
-    );
 
     // (rho, worst slow query's dominant stage, mean queue wait, mean exec)
     let mut flips: Vec<(f64, Option<String>, f64, f64)> = Vec::new();
@@ -149,15 +130,6 @@ pub fn run(session: &mut Session) -> Report {
             reports.iter().map(|r| r.queue_wait().secs()).sum::<f64>() / reports.len() as f64;
         let mean_exec = reports.iter().map(|r| r.busy.secs()).sum::<f64>() / reports.len() as f64;
 
-        println!(
-            "{rho:<6} {met_total:>10} {missed_total:>10} {:>10.2}ms {:>6} {:>14} {:>7.2}/{:.2}ms",
-            debt_total * 1e3,
-            digest.slow.len(),
-            worst_stage.as_deref().unwrap_or("-"),
-            mean_queue * 1e3,
-            mean_exec * 1e3
-        );
-
         let lifecycle_json: Vec<serde_json::Value> = reports
             .iter()
             .enumerate()
@@ -207,24 +179,26 @@ pub fn run(session: &mut Session) -> Report {
         Some("queue"),
         "past saturation the digest must blame the admission queue for the worst query"
     );
-    report.finding(format!(
-        "slow-query attribution flips execute->queue across capacity: at rho={} mean \
-         exec/queue is {:.2}ms/{:.2}ms, at rho={} it is {:.2}ms/{:.2}ms and the digest \
-         pins the worst miss on the '{}' stage",
-        below.0,
-        below.3 * 1e3,
-        below.2 * 1e3,
-        above.0,
-        above.3 * 1e3,
-        above.2 * 1e3,
-        above.1.as_deref().unwrap_or("-")
-    ));
-    report.finding(format!(
+    let saturated_queue_ms = above.2 * 1e3;
+    report.claim(
+        Claim::new("saturated_mean_queue_ms", saturated_queue_ms).says(format!(
+            "slow-query attribution flips execute->queue across capacity: at rho={} mean \
+             exec/queue is {:.2}ms/{:.2}ms, at rho={} it is {:.2}ms/{saturated_queue_ms:.2}ms \
+             and the digest pins the worst miss on the '{}' stage",
+            below.0,
+            below.3 * 1e3,
+            below.2 * 1e3,
+            above.0,
+            above.3 * 1e3,
+            above.1.as_deref().unwrap_or("-")
+        )),
+    );
+    report.claim(Claim::new("slo_factor", SLO_FACTOR).says(format!(
         "SLO attainment and debt come from the registry (slo_met/missed_total, \
          slo_attainment_ratio, slo_debt_seconds_total) under per-class targets of \
          {SLO_FACTOR}x solo service; each stage attribution partitions its query's \
          latency exactly"
-    ));
+    )));
 
     report
 }

@@ -2,6 +2,14 @@
 //! [`REGISTRY`] that names them: the only place where an experiment's
 //! name, scale notch and run function are bound. The `bench` binary, the
 //! smoke tests and the report differ all read this table.
+//!
+//! An experiment records rows and claims and prints nothing. Every claim of
+//! a join artifact (Figures 1 and 7-18, Tables 1-2, 4 and 5) has a band:
+//! the paper's stated ratio or percentage ±25% (±15% where 25% would admit
+//! a reversal below 1x); `[1, ∞)` for an ordering the paper states without
+//! a ratio; exactly 1 for a yes/no the paper answers yes; otherwise the
+//! range the paper's wording gives ("very close", "equal or lower", "lose
+//! below 25%"). Wall-clock claims get none.
 
 mod ablation;
 mod ablation_fusion;
@@ -129,26 +137,9 @@ pub(crate) fn run_algorithms(
         .collect()
 }
 
-/// Print the standard per-phase breakdown table header.
-pub(crate) fn print_breakdown_header() {
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "algorithm", "transform", "match", "materialize", "total", "mat %"
-    );
-}
-
-/// Print one per-phase breakdown row and return its JSON form.
+/// One algorithm's per-phase breakdown as a JSON row.
 pub(crate) fn breakdown_row(label: &str, stats: &OpStats) -> serde_json::Value {
     let p = stats.phases;
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>7.0}%",
-        label,
-        p.transform.to_string(),
-        p.match_find.to_string(),
-        p.materialize.to_string(),
-        p.total().to_string(),
-        p.materialize_fraction() * 100.0
-    );
     serde_json::json!({
         "algorithm": label,
         "transform_s": p.transform.secs(),

@@ -3,14 +3,14 @@
 //! The end-to-end frontend demonstration: each query goes SQL → parse →
 //! bind → lower → adaptive execution, with the lowering's composite-key
 //! decisions (packed GROUP BY vs functional-dependency reduction, packed
-//! multi-key ORDER BY) printed alongside the timings. Every query runs
+//! multi-key ORDER BY) recorded alongside the timings. Every query runs
 //! both fused and unfused and the experiment asserts the outputs are
 //! byte-identical — the frontend must not perturb the engine.
 //!
 //! `--sql '<query>'` replaces the built-in pair with an ad-hoc query over
 //! the same catalog.
 
-use crate::{Report, Session};
+use crate::{Claim, Report, Session};
 use engine::demo::{q18_sql, q3_sql, tpch_full};
 use engine::{execute, execute_unfused};
 
@@ -20,12 +20,6 @@ pub fn run(session: &mut Session) -> Report {
     let dev = session.device();
     let lineitems = session.tuples() / 2;
     let catalog = tpch_full(&dev, lineitems, 42);
-    println!(
-        "Q — SQL frontend, ~{} lineitems / {} orders ({})\n",
-        lineitems,
-        lineitems / 4,
-        report.device
-    );
 
     let queries: Vec<(String, String)> = match session.sql() {
         Some(sql) => vec![("adhoc".to_string(), sql.to_string())],
@@ -39,14 +33,10 @@ pub fn run(session: &mut Session) -> Report {
         let lowered = match sql::plan_sql(text, &catalog) {
             Ok(l) => l,
             Err(e) => {
-                println!("{name}: SQL error: {e}");
                 report.push(serde_json::json!({"query": name, "error": e.to_string()}));
                 continue;
             }
         };
-        for note in &lowered.notes {
-            println!("{name}: {note}");
-        }
         let fused = execute(&dev, &catalog, &lowered.plan).expect("lowered plan runs");
         let unfused =
             execute_unfused(&dev, &catalog, &lowered.plan).expect("lowered plan runs unfused");
@@ -66,13 +56,6 @@ pub fn run(session: &mut Session) -> Report {
         }
         let t_fused = fused.stats.total_time().secs();
         let t_unfused = unfused.stats.total_time().secs();
-        println!(
-            "{name}: {} rows, fused {:.3}ms, unfused {:.3}ms ({:.2}x)\n",
-            fused.table.num_rows(),
-            t_fused * 1e3,
-            t_unfused * 1e3,
-            t_unfused / t_fused
-        );
         if session.observing() {
             session.record_explain(
                 &format!("q_tpch {name}"),
@@ -87,28 +70,23 @@ pub fn run(session: &mut Session) -> Report {
             "notes": lowered.notes,
         }));
         if name == "Q3" {
-            report.finding(format!(
+            let fusion = t_unfused / t_fused;
+            report.claim(Claim::new("q3_fusion_speedup", fusion).says(format!(
                 "Q3 from SQL lowers to a packed composite GROUP BY and a packed \
-                 two-key ORDER BY, and fusion wins {:.2}x over unfused execution",
-                t_unfused / t_fused
-            ));
+                 two-key ORDER BY, and fusion wins {fusion:.2}x over unfused execution"
+            )));
         }
         if name == "Q18" {
-            let strategy = lowered
-                .notes
-                .iter()
-                .find(|n| n.starts_with("GROUP BY"))
-                .map(|n| {
-                    if n.contains("FD-REDUCE") {
-                        "functional-dependency reduction"
-                    } else {
-                        "composite-key packing"
-                    }
-                })
-                .unwrap_or("single-key grouping");
-            report.finding(format!(
+            let group_by = lowered.notes.iter().find(|n| n.starts_with("GROUP BY"));
+            let fd_reduced = group_by.is_some_and(|n| n.contains("FD-REDUCE"));
+            let strategy = match group_by {
+                Some(_) if fd_reduced => "functional-dependency reduction",
+                Some(_) => "composite-key packing",
+                None => "single-key grouping",
+            };
+            report.claim(Claim::yes_no("q18_fd_reduced", fd_reduced).says(format!(
                 "Q18's five-column GROUP BY lowers via {strategy} at this scale"
-            ));
+            )));
         }
     }
     report

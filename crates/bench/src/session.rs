@@ -4,7 +4,7 @@
 
 use crate::args::SCALE_RANGE;
 use crate::exp::{Experiment, REGISTRY};
-use crate::{Config, DeviceKind, Report};
+use crate::{Claim, Config, DeviceKind, Report};
 use sim::Device;
 use std::path::Path;
 
@@ -36,15 +36,13 @@ impl Session {
     }
 
     /// Run one experiment at `--scale` plus its registry delta (floored at
-    /// the smallest accepted `--scale`) and keep its report.
+    /// the smallest accepted `--scale`), print its rendered report and keep
+    /// it.
     pub fn run(&mut self, exp: &Experiment) -> &Report {
         let floor = *SCALE_RANGE.start() as i32;
         self.scale_log2 = (self.config.scale_log2 as i32 + exp.scale_delta).max(floor) as u32;
-        println!(
-            "\n================ {} (scale 2^{}) ================\n",
-            exp.name, self.scale_log2
-        );
         let report = (exp.run)(self);
+        println!("{}", report.render());
         self.reports.push(report);
         self.reports.last().expect("just pushed")
     }
@@ -157,6 +155,7 @@ impl Session {
     /// |---|---|
     /// | `<experiment>.json` | one [`Report`] per experiment run |
     /// | `summary.md` | every finding — only when the whole registry ran, so a partial run never overwrites the full summary |
+    /// | `fidelity.json` | every [`crate::Claim`] with `holds` beside its band — only when the whole registry ran, as `summary.md` |
     /// | `trace.json`, `trace.jsonl` | Chrome `trace_event` timeline and JSONL event log of every device |
     /// | `explain.json` | recorded EXPLAIN ANALYZE reports plus the per-kernel roofline analysis |
     /// | `metrics.json`, `metrics.om` | service-level metrics snapshots, JSON and OpenMetrics text |
@@ -175,6 +174,9 @@ impl Session {
         let ran = |e: &Experiment| self.reports.iter().any(|r| r.experiment == e.name);
         if REGISTRY.iter().all(ran) {
             std::fs::write(dir.join("summary.md"), self.summary())?;
+            let claims: Vec<&Claim> = self.reports.iter().flat_map(|r| &r.claims).collect();
+            let data = serde_json::to_string_pretty(&claims).expect("claims serialize");
+            std::fs::write(dir.join("fidelity.json"), data)?;
         }
         if self.config.observe {
             self.write_observations(dir)?;
@@ -199,7 +201,7 @@ impl Session {
                 "\n## {} — {} (device {}, scale 2^{})\n",
                 r.experiment, r.title, r.device, r.scale_log2
             ));
-            for f in &r.findings {
+            for f in r.findings() {
                 md.push_str(&format!("- {f}\n"));
             }
         }

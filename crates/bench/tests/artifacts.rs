@@ -111,6 +111,73 @@ fn every_experiment_writes_a_report_with_rows_and_the_run_a_summary() {
     }
 }
 
+/// The paper's join artifacts: Figures 1 and 7-18, Tables 1-2, 4 and 5.
+const JOIN_ARTIFACTS: [&str; 16] = [
+    "fig01", "table04", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "fig15", "table05", "fig16", "fig17", "fig18", "table12",
+];
+
+#[test]
+fn fidelity_records_one_claim_per_finding_and_a_band_for_every_join_artifact() {
+    let doc = json("fidelity.json");
+    let claims = array(&doc, "fidelity.json");
+    let mut ids: Vec<&str> = Vec::new();
+    let mut at = 0;
+    for exp in REGISTRY {
+        for sentence in findings(exp.name) {
+            let claim = claims
+                .get(at)
+                .unwrap_or_else(|| panic!("{}: no claim for '{sentence}'", exp.name));
+            at += 1;
+            let id = claim["id"].as_str().expect("claim id is text");
+            assert!(
+                id.strip_prefix(exp.name)
+                    .is_some_and(|name| name.len() > 1 && name.starts_with('.')),
+                "{id}: not prefixed by {}",
+                exp.name
+            );
+            assert_eq!(claim["sentence"].as_str(), Some(sentence.as_str()), "{id}");
+            assert!(
+                claim["measured"].is_null() || claim["measured"].as_f64().is_some(),
+                "{id}: measured is not a number"
+            );
+            let band = claim["band"].as_array();
+            assert_eq!(
+                band.is_some(),
+                claim["holds"].as_bool().is_some(),
+                "{id}: holds must be present exactly when band is"
+            );
+            assert!(
+                band.is_none_or(|b| b.len() == 2),
+                "{id}: band is not a pair"
+            );
+            ids.push(id);
+        }
+    }
+    assert_eq!(
+        at,
+        claims.len(),
+        "fidelity.json has claims beyond the findings"
+    );
+    let mut unique = ids.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), ids.len(), "duplicate claim ids in {ids:?}");
+
+    for experiment in JOIN_ARTIFACTS {
+        assert!(
+            claims.iter().any(|c| {
+                c["id"]
+                    .as_str()
+                    .is_some_and(|id| id.starts_with(&format!("{experiment}.")))
+                    && c["paper"].as_f64().is_some()
+                    && c["band"].as_array().is_some()
+            }),
+            "{experiment}: no claim carries a paper value and a band"
+        );
+    }
+}
+
 #[test]
 fn trace_exports_are_valid_and_non_empty() {
     let events = json("trace.json");
@@ -340,6 +407,7 @@ fn digest_attributions_partition_latency_and_saturation_blames_the_queue() {
 #[test]
 fn headline_findings_are_reported() {
     assert_finding("m01_multi_query", "budgets hold");
+    assert_finding("m03_admission", "=> capacity ~");
     assert_finding("m02_serving", "saturates at the calibrated capacity");
     assert_finding("m03_admission", "SJF cuts the short class's p99");
     assert_finding("m03_admission", "rejects both doomed arrivals");

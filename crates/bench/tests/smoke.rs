@@ -31,9 +31,25 @@ fn scratch(name: &str) -> PathBuf {
 fn every_registry_experiment_runs_and_produces_rows() {
     let mut session = Session::new(tiny());
     for exp in REGISTRY {
-        let rows = catch_unwind(AssertUnwindSafe(|| session.run(exp).rows.len()))
-            .unwrap_or_else(|_| panic!("{}: panicked (see output above)", exp.name));
+        let (rows, text, findings) = catch_unwind(AssertUnwindSafe(|| {
+            let report = session.run(exp);
+            let findings: Vec<String> = report.findings().map(String::from).collect();
+            (report.rows.len(), report.render(), findings)
+        }))
+        .unwrap_or_else(|_| panic!("{}: panicked (see output above)", exp.name));
         assert!(rows > 0, "{}: no result rows", exp.name);
+        assert!(
+            text.lines().count() > rows,
+            "{}: fewer lines than rows in\n{text}",
+            exp.name
+        );
+        for sentence in findings {
+            assert!(
+                text.contains(&format!(">> {sentence}\n")),
+                "{}: finding '{sentence}' missing from\n{text}",
+                exp.name
+            );
+        }
     }
 }
 
@@ -106,4 +122,5 @@ fn a_partial_run_writes_its_reports_but_no_summary() {
     assert_eq!(parsed["experiment"], "fig10");
     assert!(parsed["rows"].as_array().is_some_and(|r| !r.is_empty()));
     assert!(!out.join("summary.md").exists());
+    assert!(!out.join("fidelity.json").exists());
 }

@@ -8,10 +8,11 @@
 # directory; no worktree is registered in .git), builds `bench` there and
 # here, runs `bench all --scale 14 --reps 1 --observe --out <dir>` on both
 # sides, then `diff -rq`s the two artifact directories and prints, for each
-# file that differs, how many lines differ. fig08.json and summary.md carry
-# the CPU baseline's wall clock and differ on every run; anything else that
-# differs is a change to a simulated number or to an exporter and belongs in
-# CHANGES.md. Exits 0 either way: this is a report, not a gate (the gate is
+# file that differs, how many lines differ. fig08.json, summary.md and
+# fidelity.json carry the CPU baseline's wall clock and differ on every run
+# (a parent that predates fidelity.json lists it as "Only in"); anything
+# else that differs is a change to a simulated number or to an exporter and
+# belongs in CHANGES.md. Exits 0 either way: this is a report, not a gate (the gate is
 # `bench gate`). Takes a few minutes the first time a ref is built, so it is
 # not part of scripts/check.sh.
 set -euo pipefail
@@ -58,4 +59,4 @@ while read -r line; do
     fi
 done < <(diff -rq "$root/artifacts-parent" "$root/artifacts-change" || true)
 total=$(find "$root/artifacts-change" -type f | wc -l)
-echo "$differing of $total files differ (fig08.json and summary.md hold wall-clock time)"
+echo "$differing of $total files differ (fig08.json, summary.md and fidelity.json hold wall-clock time)"

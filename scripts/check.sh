@@ -16,8 +16,12 @@
 # retire record: every observation — the simulator's and the engine's
 # operator spans, plan-cache instants and query outcomes alike — is one
 # TraceEvent emitted once, which the trace and the metrics recorder each
-# fold, and nothing else writes a metric), lints (warnings are
-# errors), docs (warnings are errors), the full test suite — which
+# fold, and nothing else writes a metric), the one-renderer gate (no
+# print!/println!/eprint!/eprintln! in non-test code under
+# crates/bench/src/exp, same skips: an experiment returns its rows and
+# claims, and Report::render is the one formatter Session::run prints),
+# lints (warnings are errors), docs (warnings are errors), the full test
+# suite — which
 # smoke-runs every registry
 # experiment, gates it against results/smoke14 and validates the artifact
 # directory (crates/bench/tests/{smoke,artifacts}.rs) — the benchmark
@@ -32,8 +36,8 @@
 # (medians and their ratio; fails if a simulated probe moved), and
 # scripts/artifact_pair.sh <parent-ref> runs the observed smoke-run on both
 # sides and lists the artifact files that differ (the evidence behind "every
-# artifact byte-identical"; only fig08.json and summary.md, which hold wall
-# clock, differ for a change that moves no simulated number). Not a check
+# artifact byte-identical"; only fig08.json, summary.md and fidelity.json,
+# which hold wall clock, differ for a change that moves no simulated number). Not a check
 # but reported by every deletion PR: scripts/loc.sh prints the code-only
 # line count per crate (no blanks, comments or trailing test modules); its
 # total is this script's last informational line.
@@ -140,6 +144,14 @@ stray_writes=$(
 if [[ -n "$stray_writes" ]]; then
     echo "FAIL: a trace or metrics write outside DeviceState::emit (emit one TraceEvent instead):"
     echo "$stray_writes"
+    exit 1
+fi
+
+echo "==> one-renderer gate: experiments print nothing"
+exp_prints=$(PATTERN='(^|[^A-Za-z_])e?print(ln)?!' code_matching crates/bench/src/exp)
+if [[ -n "$exp_prints" ]]; then
+    echo "FAIL: an experiment prints (push rows and claims; Report::render formats them):"
+    echo "$exp_prints"
     exit 1
 fi
 
