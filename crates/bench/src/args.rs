@@ -12,7 +12,7 @@ pub const USAGE: &str = "\
 usage: bench list
        bench all | <experiment>... [--scale LOG2] [--device a100|rtx3090] [--reps N]
                                    [--out DIR [--observe]] [--sql QUERY]
-       bench diff | gate [--baseline DIR] [--fresh DIR] [--tol FRACTION]";
+       bench gate [--baseline DIR] [--fresh DIR] [--tol FRACTION]";
 
 /// `--scale` bounds: below 2^10 the sweeps degenerate (empty ranges,
 /// devices too small for a single hash table); above 2^30 a relation no
@@ -80,17 +80,6 @@ impl Default for Config {
     }
 }
 
-/// The two report directories `diff` and `gate` compare.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Compare {
-    /// Checked-in baseline reports.
-    pub baseline: PathBuf,
-    /// Freshly produced reports (a `--out` directory).
-    pub fresh: PathBuf,
-    /// Relative tolerance.
-    pub tol: f64,
-}
-
 /// A parsed `bench` command line.
 #[derive(Debug)]
 pub enum Args {
@@ -103,18 +92,22 @@ pub enum Args {
         /// How to run it.
         config: Config,
     },
-    /// `bench diff`: drift table of fresh reports vs baselines (default
-    /// `results-fresh` vs `results`, 5%).
-    Diff(Compare),
-    /// `bench gate`: the same comparison as a verdict on simulated fields
-    /// only (default `target/smoke` vs `results/smoke14`, 1%).
-    Gate(Compare),
+    /// `bench gate`: the verdict on a fresh artifact directory's reports
+    /// and claims against a baseline's (see [`crate::gate`]).
+    Gate {
+        /// Baseline directory (default `results/smoke14`).
+        baseline: PathBuf,
+        /// Fresh `--out` directory (default `target/smoke`).
+        fresh: PathBuf,
+        /// Relative tolerance (default [`gate::DEFAULT_TOL`]).
+        tol: f64,
+    },
 }
 
 /// Why a command line was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgError {
-    /// No `list`, `all`, `diff`, `gate` or experiment name was given.
+    /// No `list`, `all`, `gate` or experiment name was given.
     MissingCommand,
     /// A `--flag` this binary does not know.
     UnknownFlag(String),
@@ -268,11 +261,6 @@ impl Args {
             }),
             None => Ok(()),
         };
-        let compare = |baseline_default: &str, fresh_default: &str, tol_default| Compare {
-            baseline: baseline.clone().unwrap_or_else(|| baseline_default.into()),
-            fresh: fresh.clone().unwrap_or_else(|| fresh_default.into()),
-            tol: tol.unwrap_or(tol_default),
-        };
         let names: Vec<&str> = words.iter().map(String::as_str).collect();
         match names.as_slice() {
             [] => Err(ArgError::MissingCommand),
@@ -280,17 +268,13 @@ impl Args {
                 reject(run_flag.or(compare_flag))?;
                 Ok(Args::List)
             }
-            ["diff"] => {
-                reject(run_flag)?;
-                Ok(Args::Diff(compare("results", "results-fresh", 0.05)))
-            }
             ["gate"] => {
                 reject(run_flag)?;
-                Ok(Args::Gate(compare(
-                    "results/smoke14",
-                    "target/smoke",
-                    gate::DEFAULT_TOL,
-                )))
+                Ok(Args::Gate {
+                    baseline: baseline.unwrap_or_else(|| "results/smoke14".into()),
+                    fresh: fresh.unwrap_or_else(|| "target/smoke".into()),
+                    tol: tol.unwrap_or(gate::DEFAULT_TOL),
+                })
             }
             names => {
                 reject(compare_flag)?;
@@ -366,19 +350,17 @@ mod tests {
 
     #[test]
     fn compare_commands_parse_with_their_defaults() {
-        let Ok(Args::Gate(c)) = parse("gate --fresh x") else {
+        let Ok(Args::Gate {
+            baseline,
+            fresh,
+            tol,
+        }) = parse("gate --fresh x")
+        else {
             panic!("gate must parse")
         };
         assert_eq!(
-            (c.baseline, c.fresh, c.tol),
+            (baseline, fresh, tol),
             ("results/smoke14".into(), "x".into(), gate::DEFAULT_TOL)
-        );
-        let Ok(Args::Diff(c)) = parse("diff --tol 0.1") else {
-            panic!("diff must parse")
-        };
-        assert_eq!(
-            (c.baseline, c.fresh, c.tol),
-            ("results".into(), "results-fresh".into(), 0.1)
         );
     }
 
@@ -430,6 +412,11 @@ mod tests {
         assert_eq!(
             parse("fig08 fig08_narrow_throughput").unwrap_err(),
             ArgError::UnknownExperiment("fig08_narrow_throughput".to_string())
+        );
+        // `gate` is the one comparison command.
+        assert_eq!(
+            parse("diff").unwrap_err(),
+            ArgError::UnknownExperiment("diff".to_string())
         );
     }
 

@@ -6,7 +6,7 @@
 //! behind one binary:
 //!
 //! ```text
-//! bench list | all | <experiment>... | diff | gate
+//! bench list | all | <experiment>... | gate
 //! ```
 //!
 //! Every experiment
@@ -24,16 +24,17 @@
 //!
 //! A run is one [`Session`]: it owns the parsed [`Config`], builds the
 //! devices, collects what the experiments record, and — with `--out DIR` —
-//! writes one artifact directory at the end (see [`Session::finish`]).
-//! Run everything with `cargo run --release -p bench -- all`.
+//! writes one artifact directory at the end (see [`Session::finish`]), whose
+//! `summary.md` is the claim scoreboard. `bench gate` judges a fresh
+//! directory's report rows and claims against a baseline's in one verdict
+//! (see [`gate`]). Run everything with `cargo run --release -p bench -- all`.
 
 mod args;
-pub mod diff;
 pub mod exp;
 pub mod gate;
 mod session;
 
-pub use args::{ArgError, Args, Compare, Config, DeviceKind, USAGE};
+pub use args::{ArgError, Args, Config, DeviceKind, USAGE};
 pub use session::Session;
 
 use serde::Serialize;

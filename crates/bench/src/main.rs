@@ -1,10 +1,9 @@
-//! The one harness binary: `bench list | all | <experiment>... | diff | gate`
-//! (see [`bench::USAGE`]). Exit codes: 0 success, 1 a diff or gate verdict
-//! failed, 2 the command line or the file system said no.
+//! The one harness binary: `bench list | all | <experiment>... | gate`
+//! (see [`bench::USAGE`]). Exit codes: 0 success, 1 the gate failed, 2 the
+//! command line or the file system said no.
 
-use bench::diff::{diff_dirs, render_drift_table, FigureDiff};
-use bench::gate::run_gate;
-use bench::{Args, Compare, Session};
+use bench::gate::{render_drift_table, run_gate, FigureDiff};
+use bench::{Args, Session};
 use std::process::exit;
 
 fn main() {
@@ -31,22 +30,24 @@ fn main() {
                 exit(2)
             }
         }
-        Args::Diff(c) => verdict(&c, diff_dirs(&c.baseline, &c.fresh, c.tol)),
-        Args::Gate(c) => verdict(&c, run_gate(&c.baseline, &c.fresh, c.tol).diffs),
-    }
-}
-
-fn verdict(c: &Compare, diffs: Vec<FigureDiff>) {
-    if diffs.is_empty() {
-        eprintln!(
-            "error: no experiment reports under {} or {}",
-            c.baseline.display(),
-            c.fresh.display()
-        );
-        exit(2)
-    }
-    print!("{}", render_drift_table(&diffs, c.tol));
-    if !diffs.iter().all(FigureDiff::ok) {
-        exit(1)
+        Args::Gate {
+            baseline,
+            fresh,
+            tol,
+        } => {
+            let diffs = run_gate(&baseline, &fresh, tol);
+            if diffs.is_empty() {
+                eprintln!(
+                    "error: no experiment reports under {} or {}",
+                    baseline.display(),
+                    fresh.display()
+                );
+                exit(2)
+            }
+            print!("{}", render_drift_table(&diffs, tol));
+            if !diffs.iter().all(FigureDiff::ok) {
+                exit(1)
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::args::SCALE_RANGE;
 use crate::exp::{Experiment, REGISTRY};
-use crate::{Claim, Config, DeviceKind, Report};
+use crate::{cell, Claim, Config, DeviceKind, Report};
 use sim::Device;
 use std::path::Path;
 
@@ -154,7 +154,7 @@ impl Session {
     /// | file | content |
     /// |---|---|
     /// | `<experiment>.json` | one [`Report`] per experiment run |
-    /// | `summary.md` | every finding — only when the whole registry ran, so a partial run never overwrites the full summary |
+    /// | `summary.md` | the claim scoreboard: one markdown table row per [`crate::Claim`] — only when the whole registry ran, so a partial run never overwrites the full scoreboard |
     /// | `fidelity.json` | every [`crate::Claim`] with `holds` beside its band — only when the whole registry ran, as `summary.md` |
     /// | `trace.json`, `trace.jsonl` | Chrome `trace_event` timeline and JSONL event log of every device |
     /// | `explain.json` | recorded EXPLAIN ANALYZE reports plus the per-kernel roofline analysis |
@@ -194,16 +194,29 @@ impl Session {
         Ok(())
     }
 
+    /// The scoreboard: every claim's `fidelity.json` entry as one table
+    /// row, numbers in [`Report::render`]'s cell format.
     fn summary(&self) -> String {
-        let mut md = String::from("# Experiment summary (auto-generated by `bench all`)\n");
-        for r in &self.reports {
+        let mut md = format!(
+            "# Claim scoreboard (auto-generated by `bench all`; device {}, --scale {})\n\n\
+             | claim | measured | paper | band | holds | sentence |\n\
+             |---|---|---|---|---|---|\n",
+            self.config.device.name(),
+            self.config.scale_log2
+        );
+        for c in self.reports.iter().flat_map(|r| &r.claims) {
+            let v = serde_json::to_value(c);
+            let band = v["band"].as_array().map_or("-".to_string(), |b| {
+                format!("{} – {}", cell(&b[0]), cell(&b[1]))
+            });
             md.push_str(&format!(
-                "\n## {} — {} (device {}, scale 2^{})\n",
-                r.experiment, r.title, r.device, r.scale_log2
+                "| {} | {} | {} | {band} | {} | {} |\n",
+                c.id,
+                cell(&v["measured"]),
+                cell(&v["paper"]),
+                cell(&v["holds"]),
+                c.sentence
             ));
-            for f in r.findings() {
-                md.push_str(&format!("- {f}\n"));
-            }
         }
         md
     }

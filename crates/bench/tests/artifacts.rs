@@ -104,11 +104,18 @@ fn every_experiment_writes_a_report_with_rows_and_the_run_a_summary() {
     let summary = text("summary.md");
     for exp in REGISTRY {
         assert!(
-            summary.contains(&format!("\n## {} — ", exp.name)),
-            "summary.md has no section for {}",
+            summary.contains(&format!("\n| {}.", exp.name)),
+            "summary.md has no claim row for {}",
             exp.name
         );
     }
+    let rows = summary.lines().filter(|l| l.starts_with("| ")).count();
+    let claims = array(&json("fidelity.json"), "fidelity.json").len();
+    assert_eq!(
+        rows,
+        1 + claims,
+        "summary.md: a header plus one row per claim"
+    );
 }
 
 /// The paper's join artifacts: Figures 1 and 7-18, Tables 1-2, 4 and 5.

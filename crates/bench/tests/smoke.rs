@@ -1,6 +1,7 @@
 //! Smoke tests driven by the experiment registry: every experiment must run
 //! end to end at a tiny scale, the registry must name exactly the checked-in
-//! smoke baselines, and a fresh run must pass the 1% perf gate against them.
+//! smoke baselines, and a fresh run's reports and claims must pass the 1%
+//! gate against them.
 //! A broken or drifting experiment fails here, under plain `cargo test`.
 
 use bench::exp::REGISTRY;
@@ -67,6 +68,7 @@ fn registry_names_are_unique_and_match_the_smoke14_baselines() {
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|e| e == "json"))
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .filter(|stem| stem != "fidelity")
         .collect();
     stems.sort_unstable();
     assert_eq!(names, stems, "registry vs results/smoke14/*.json");
@@ -95,8 +97,14 @@ fn fresh_scale_14_session_passes_the_gate() {
     session.finish().expect("artifact directory is writable");
 
     let verdict = gate::run_gate(&smoke14(), &out, gate::DEFAULT_TOL);
-    assert_eq!(verdict.diffs.len(), REGISTRY.len(), "{}", verdict.render());
-    assert!(verdict.passed(), "{}", verdict.render());
+    let table = gate::render_drift_table(&verdict, gate::DEFAULT_TOL);
+    assert_eq!(
+        verdict.len(),
+        REGISTRY.len() + 1,
+        "reports + claims:\n{table}"
+    );
+    assert_eq!(verdict.last().unwrap().name, "fidelity", "{table}");
+    assert!(verdict.iter().all(gate::FigureDiff::ok), "{table}");
     assert!(
         out.join("summary.md").exists(),
         "a full run writes summary.md"

@@ -20,11 +20,14 @@
 # print!/println!/eprint!/eprintln! in non-test code under
 # crates/bench/src/exp, same skips: an experiment returns its rows and
 # claims, and Report::render is the one formatter Session::run prints),
-# lints (warnings are errors), docs (warnings are errors), the full test
-# suite — which
-# smoke-runs every registry
-# experiment, gates it against results/smoke14 and validates the artifact
-# directory (crates/bench/tests/{smoke,artifacts}.rs) — the benchmark
+# the one-scoreboard gate (the claim rows between EXPERIMENTS.md's
+# scoreboard markers equal the join-artifact rows — Figures 1 and 7-18,
+# Tables 1-2, 4 and 5 — of the rendered results/summary.md: the join
+# verdicts are the claims' own `holds`, not hand-typed), lints (warnings
+# are errors), docs (warnings are errors), the full test suite — which
+# smoke-runs every registry experiment, gates its reports and claims
+# against results/smoke14 and validates the artifact directory
+# (crates/bench/tests/{smoke,artifacts}.rs) — the benchmark
 # package's own tests, which compile every public item listed under
 # "Benchmark API surface" in perf/README.md, and one observed release-mode
 # run whose artifacts CI uploads. Run from anywhere; CI runs exactly this
@@ -152,6 +155,17 @@ exp_prints=$(PATTERN='(^|[^A-Za-z_])e?print(ln)?!' code_matching crates/bench/sr
 if [[ -n "$exp_prints" ]]; then
     echo "FAIL: an experiment prints (push rows and claims; Report::render formats them):"
     echo "$exp_prints"
+    exit 1
+fi
+
+echo "==> one-scoreboard gate: EXPERIMENTS.md's join table is results/summary.md's"
+join_rows='^\| (fig(01|0[7-9]|1[0-8])|table(04|05|12))\.'
+typed=$(sed -n '/<!-- scoreboard:begin -->/,/<!-- scoreboard:end -->/p' EXPERIMENTS.md |
+    grep -E '^\| [a-z0-9_]+\.[a-z0-9_]+ \|' || true)
+rendered=$(grep -E "$join_rows" results/summary.md || true)
+if [[ -z "$rendered" || "$typed" != "$rendered" ]]; then
+    echo "FAIL: EXPERIMENTS.md's scoreboard rows differ from results/summary.md's join rows (paste them):"
+    diff <(echo "$typed") <(echo "$rendered") || true
     exit 1
 fi
 
