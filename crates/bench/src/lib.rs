@@ -54,7 +54,8 @@ pub struct Report {
     /// One JSON object per result row.
     pub rows: Vec<Value>,
     /// Headline findings, one [`Claim`] each. The report file lists their
-    /// sentences as `findings` (these feed EXPERIMENTS.md).
+    /// sentences as `findings`; the session's `fidelity.json` and
+    /// `summary.md` scoreboard carry the claims whole.
     pub claims: Vec<Claim>,
 }
 
