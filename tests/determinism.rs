@@ -58,12 +58,21 @@
 //! each failing ledger step; and the 16-word driver row on 0 and 1 input
 //! rows. They were recorded at commit c442524, whose group-by ran three
 //! hand-written bodies (HASH, SORT, PART).
+//!
+//! **Serving sessions**: a traced, metered open-loop session that sends
+//! the demo's q18, q3 and q1 plans over and over, under every policy, in
+//! three digests: the base trace's JSONL, the metrics export and the
+//! slow-query digest. The session's queries share plans, so these pin
+//! what every later arrival of a plan contributes to the device-wide
+//! observables. They were recorded at commit 5369149, which executed
+//! every arrival.
 
 use columnar::{Column, Relation};
+use engine::scheduler::{OpenQuery, QuerySpec, ServingConfig};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use joins::{Algorithm, JoinConfig, JoinKind};
 use primitives::{gather, gather_or, NULL_ID};
-use sim::{BudgetError, Device, DeviceConfig, Element, SchedPolicy};
+use sim::{BudgetError, Device, DeviceConfig, Element, SchedPolicy, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Everything the simulation lets a caller observe, as exact bits:
@@ -1011,4 +1020,71 @@ fn copartition_join_reproduces_its_recorded_row() {
     ]);
     let observed = [("copartition join 1200 x 2000".to_string(), row)];
     assert_reference_table("copartition join", &observed, REFERENCE);
+}
+
+/// One repeated-spec serving session: 36 arrivals cycling through the
+/// demo's q18, q3 and q1 plans over `tpch_mini(256)`, 1e-7 simulated
+/// seconds apart, with per-class SLOs and a waiting room of four, traced
+/// and metered. The row is the number of completed queries, then digests
+/// of the base trace's JSONL, of the metrics JSON and of the slow-query
+/// digest's JSON.
+fn serving_session_run(policy: SchedPolicy) -> [u64; 4] {
+    let dev = device(8192.0);
+    dev.enable_tracing();
+    dev.enable_metrics(SimTime::from_secs(1e-7));
+    let catalog = engine::demo::tpch_mini(&dev, 256, 7);
+    let classes = ["q18", "q3", "q1"];
+    let plans = [
+        engine::demo::q18_like(),
+        engine::demo::q3_like(),
+        engine::demo::q1_like(),
+    ];
+    let arrivals = (0..36)
+        .map(|i| {
+            let at = SimTime::from_secs(i as f64 * 1e-7);
+            OpenQuery::new(at, classes[i % 3], QuerySpec::new(plans[i % 3].clone()))
+        })
+        .collect();
+    let serving = classes
+        .iter()
+        .fold(ServingConfig::new().with_total_depth(4), |c, class| {
+            c.with_slo(*class, 2e-6)
+        });
+    let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, policy, &serving);
+    let explains: Vec<_> = reports
+        .iter()
+        .filter_map(|r| Some((r.query, r.explain(dev.config())?)))
+        .collect();
+    let trace = dev.take_trace().expect("tracing was enabled");
+    let snap = dev.metrics_snapshot().expect("metrics were enabled");
+    let slow = engine::slow_queries(&trace, &snap, &explains);
+    [
+        reports.iter().filter(|r| r.result.is_ok()).count() as u64,
+        digest(text_words(&sim::trace::jsonl(std::slice::from_ref(&trace)))),
+        digest(text_words(&sim::metrics_json(std::slice::from_ref(&snap)))),
+        digest(text_words(&slow.to_json())),
+    ]
+}
+
+#[test]
+fn repeated_spec_serving_sessions_reproduce_their_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[[u64; 4]] = &[
+        [24, 18421346334533276083, 6947959382743796846, 5622707316815376379], // serial
+        [23, 11078518839412493539, 5679996989445582777, 6476461822001419076], // round_robin
+        [21, 7995781100738163892, 4947454299612256292, 10568674777070399373], // weighted_fair
+        [23, 5919287447005948236, 195186364479088084, 7781935657232210977], // sjf
+        [23, 5919287447005948236, 195186364479088084, 7781935657232210977], // sjf_aging
+    ];
+    let observed: Vec<_> = [
+        SchedPolicy::Serial,
+        SchedPolicy::RoundRobin,
+        SchedPolicy::WeightedFair,
+        SchedPolicy::Sjf,
+        SchedPolicy::SjfAging,
+    ]
+    .into_iter()
+    .map(|policy| (policy.name().to_string(), serving_session_run(policy)))
+    .collect();
+    assert_reference_table("repeated-spec serving sessions", &observed, REFERENCE);
 }

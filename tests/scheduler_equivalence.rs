@@ -11,7 +11,9 @@ use gpu_join::prelude::*;
 use gpu_join::sim::trace::jsonl;
 use proptest::prelude::*;
 
-use engine::scheduler::{Policy, QuerySpec};
+use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
+use engine::EngineError;
+use gpu_join::sim::QuerySchedStats;
 
 /// One proptest-chosen tenant: a plan shape, a predicate knob, a fair-share
 /// weight and a budget choice. Plain data so proptest can shrink it.
@@ -322,3 +324,220 @@ fn single_tenant_session_is_policy_invariant() {
         assert_reports_identical(&serial[0], &other[0], &format!("{policy:?}"));
     }
 }
+
+// --- Repeated-spec sessions -------------------------------------------------
+//
+// Open-loop serving sends the same few plans over and over. Each tenant of
+// such a session must be indistinguishable from the same arrival served
+// alone: same result bytes, same per-operator breakdown (query tags
+// included, once the solo run's id is mapped to the tenant's), same
+// per-query trace up to the query id, and the same schedule record.
+
+/// The three tenant classes of a repeated-spec session: a join feeding an
+/// aggregate with an ample budget, the same plan under a budget it
+/// overruns (so the two differ only in the budget, and the second fails
+/// with `BudgetExceeded`), and a distinct over one column.
+const CLASSES: [&str; 3] = ["ample", "tight", "distinct"];
+
+fn class_spec(class: usize) -> QuerySpec {
+    let join = TenantDesc {
+        shape: 2,
+        threshold: 0,
+        weight: 1,
+        budget: 1,
+    };
+    match class {
+        0 => spec_of(&join),
+        1 => QuerySpec::new(plan_of(&join)).with_budget(24 << 10),
+        _ => spec_of(&TenantDesc {
+            shape: 3,
+            weight: 2,
+            ..join
+        }),
+    }
+}
+
+/// `n` arrivals cycling through the classes, `gap` simulated seconds apart.
+fn repeated_arrivals(n: usize, gap: f64) -> Vec<OpenQuery> {
+    (0..n)
+        .map(|i| {
+            let class = i % CLASSES.len();
+            OpenQuery::new(
+                SimTime::from_secs(i as f64 * gap),
+                CLASSES[class],
+                class_spec(class),
+            )
+        })
+        .collect()
+}
+
+fn serving() -> ServingConfig {
+    CLASSES
+        .iter()
+        .fold(ServingConfig::new(), |c, class| c.with_slo(*class, 2e-6))
+}
+
+/// One traced, metered open-loop session on a fresh device; returns the
+/// reports and each registered query's schedule record.
+fn open_session(
+    arrivals: Vec<OpenQuery>,
+    policy: Policy,
+) -> (Vec<QueryReport>, Vec<QuerySchedStats>) {
+    let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
+    dev.enable_tracing();
+    dev.enable_metrics(SimTime::from_secs(1e-9));
+    let catalog = catalog(&dev);
+    let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, policy, &serving());
+    let sched = (0..reports.len() as u32)
+        .map(|q| dev.sched_query_stats(q))
+        .collect();
+    (reports, sched)
+}
+
+/// A per-query trace's JSONL with query id `q` renamed to 0.
+fn trace_as_q0(trace: &gpu_join::sim::Trace, q: u32) -> String {
+    jsonl(std::slice::from_ref(trace))
+        .replace(&format!("\"query\":{q},"), "\"query\":0,")
+        .replace(&format!("#q{q}\""), "#q0\"")
+}
+
+/// Tenant `q` of a session against the same arrival served alone: `full`
+/// also compares the schedule's clock stamps, which equal the solo
+/// session's only when no co-tenant delayed the tenant.
+fn assert_matches_solo(
+    arrival: &OpenQuery,
+    shared: (&QueryReport, &QuerySchedStats),
+    policy: Policy,
+    full: bool,
+) {
+    let (report, sched) = shared;
+    let q = report.query;
+    let ctx = format!("{policy:?} q{q} ({})", arrival.class);
+    let (solo, solo_sched) = open_session(vec![arrival.clone()], policy);
+    let solo = &solo[0];
+    match (&report.result, &solo.result) {
+        (Ok(x), Ok(y)) => {
+            assert_eq!(x.table.column_names(), y.table.column_names(), "{ctx}");
+            for ((_, a), (_, b)) in x.table.columns().iter().zip(y.table.columns()) {
+                assert_eq!(a.to_vec_i64(), b.to_vec_i64(), "{ctx}: result bytes");
+            }
+        }
+        (Err(x), Err(y)) => {
+            let rename =
+                |e: &EngineError| format!("{e:?}").replace(&format!("query: {q},"), "query: 0,");
+            assert_eq!(rename(x), format!("{y:?}"), "{ctx}: error");
+        }
+        (x, y) => panic!(
+            "{ctx}: outcome differs from the solo session: {:?} vs {:?}",
+            x.as_ref().err(),
+            y.as_ref().err()
+        ),
+    }
+    let tagged = |rows: Vec<engine::OperatorBreakdown>, from: u32| -> Vec<(String, String)> {
+        rows.into_iter()
+            .map(|mut r| {
+                assert_eq!(
+                    r.op.query,
+                    Some(from),
+                    "{ctx}: operator tagged with its query"
+                );
+                r.op.query = Some(q);
+                (
+                    r.label,
+                    serde_json::to_string(&r.op).expect("OpStats serializes"),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(
+        tagged(report.breakdown(), q),
+        tagged(solo.breakdown(), 0),
+        "{ctx}: breakdown"
+    );
+    assert_eq!(
+        report.peak_mem_bytes, solo.peak_mem_bytes,
+        "{ctx}: ledger peak"
+    );
+    let shared_trace = report.trace.as_ref().expect("traced session");
+    let solo_trace = solo.trace.as_ref().expect("traced session");
+    assert_eq!(
+        trace_as_q0(shared_trace, q),
+        jsonl(std::slice::from_ref(solo_trace)),
+        "{ctx}: per-query trace"
+    );
+    let solo_sched = &solo_sched[0];
+    assert_eq!(
+        sched.busy_secs.to_bits(),
+        solo_sched.busy_secs.to_bits(),
+        "{ctx}: busy"
+    );
+    assert_eq!(
+        sched.arrival_secs.to_bits(),
+        solo_sched.arrival_secs.to_bits(),
+        "{ctx}"
+    );
+    assert_eq!(
+        (sched.budget_bytes, sched.shed, &sched.class, sched.slo_secs),
+        (
+            solo_sched.budget_bytes,
+            solo_sched.shed,
+            &solo_sched.class,
+            solo_sched.slo_secs
+        ),
+        "{ctx}: schedule record"
+    );
+    if full {
+        assert_eq!(
+            format!("{sched:?}"),
+            format!("{solo_sched:?}"),
+            "{ctx}: schedule record, clock stamps included"
+        );
+    }
+}
+
+const ALL_POLICIES: [Policy; 5] = [
+    Policy::Serial,
+    Policy::RoundRobin,
+    Policy::WeightedFair,
+    Policy::Sjf,
+    Policy::SjfAging,
+];
+
+/// Thirty-three arrivals of three repeated specs, close enough that they
+/// queue and interleave, under every policy: each tenant is its solo
+/// session, up to the query id and the clock stamps co-tenants move.
+#[test]
+fn repeated_spec_tenants_match_their_solo_sessions() {
+    for policy in ALL_POLICIES {
+        let arrivals = repeated_arrivals(33, DENSE_GAP);
+        let (reports, sched) = open_session(arrivals.clone(), policy);
+        assert!(
+            reports.iter().any(|r| r.queue_wait() > SimTime::ZERO),
+            "{policy:?}: the session must queue"
+        );
+        for ((arrival, report), sched) in arrivals.iter().zip(&reports).zip(&sched) {
+            assert_matches_solo(arrival, (report, sched), policy, false);
+        }
+    }
+}
+
+/// The same specs spaced so each tenant finds the device idle: then even
+/// the schedule's clock stamps are the solo session's, bit for bit.
+#[test]
+fn spaced_repeated_spec_tenants_match_their_solo_sessions_exactly() {
+    for policy in ALL_POLICIES {
+        let arrivals = repeated_arrivals(12, SPACED_GAP);
+        let (reports, sched) = open_session(arrivals.clone(), policy);
+        for ((arrival, report), sched) in arrivals.iter().zip(&reports).zip(&sched) {
+            assert_eq!(
+                report.queue_wait(),
+                SimTime::ZERO,
+                "spaced arrivals never queue"
+            );
+            assert_matches_solo(arrival, (report, sched), policy, true);
+        }
+    }
+}
+
+const DENSE_GAP: f64 = 1e-7;
+const SPACED_GAP: f64 = 1e-3;
