@@ -126,6 +126,15 @@ impl Column {
             Column::I64(b) => Column::I64(b.alias()),
         }
     }
+
+    /// The column as the query of `dev` holds it after a replay (see
+    /// [`sim::DeviceBuffer::rebind`]): same values, addresses and charge.
+    pub fn rebind(&self, dev: &Device) -> Column {
+        match self {
+            Column::I32(b) => Column::I32(b.rebind(dev)),
+            Column::I64(b) => Column::I64(b.rebind(dev)),
+        }
+    }
 }
 
 /// Statically typed view of [`Column`] for generic operator code: wraps and

@@ -66,9 +66,10 @@
 //! ```
 
 use crate::explain::QueryExplain;
-use crate::{cost, execute, Catalog, EngineError, NodeStats, Plan, QueryOutput};
+use crate::{cost, execute, Catalog, EngineError, NodeStats, Plan, QueryOutput, Table};
 use serde::Serialize;
-use sim::{Device, DeviceConfig, OpStats, QueueLimits, SimTime, Trace};
+use sim::{Device, DeviceConfig, LaneRecord, OpStats, QueueLimits, SimTime, Trace};
+use std::collections::HashMap;
 use std::panic::{resume_unwind, AssertUnwindSafe};
 
 /// The scheduling policies a session can run under (re-exported from
@@ -552,9 +553,40 @@ fn run_session(
             Registered::Rejected { .. } => None,
         })
         .collect();
+    //
+    // One execution per (plan, budget): a query lane's history is a
+    // function of its plan, the resident catalog (borrowed for the whole
+    // session, so it cannot change) and its budget, so a later arrival with
+    // the same key gets the first one's recorded lane installed instead of
+    // executing. Keyed by the full plan rendering, never a hash: a
+    // collision would hand out another plan's rows. Only successes are
+    // recorded; a tenant that overran its budget runs again.
+    let mut recorded: HashMap<(String, u64), (usize, LaneRecord)> = HashMap::new();
     dev.sched_run(|qid| {
         let (i, qdev) = tenants[qid as usize];
-        results[i] = Some(execute_tenant(qdev, catalog, &entries[i].spec.plan));
+        let spec = &entries[i].spec;
+        let key = (
+            format!("{:?}", spec.plan),
+            spec.budget_bytes.unwrap_or(fallback_budget),
+        );
+        let result = match recorded.get(&key) {
+            Some((first, record)) => {
+                qdev.sched_install(record);
+                match &results[*first] {
+                    Some(Ok(out)) => Ok(replayed(out, qdev)),
+                    _ => unreachable!("only successful executions are recorded"),
+                }
+            }
+            None => {
+                let (result, record) =
+                    qdev.sched_record(|| execute_tenant(qdev, catalog, &spec.plan));
+                if result.is_ok() {
+                    recorded.insert(key, (i, record));
+                }
+                result
+            }
+        };
+        results[i] = Some(result);
     });
 
     let reports: Vec<QueryReport> = registered
@@ -617,6 +649,31 @@ fn run_session(
     reports
 }
 
+/// `out`, a recorded execution's result, as the query of `qdev` returns it
+/// once [`Device::sched_install`] gave it the recorded lane: the same rows,
+/// their buffers held for `qdev`'s lane, and every node tagged with
+/// `qdev`'s query.
+fn replayed(out: &QueryOutput, qdev: &Device) -> QueryOutput {
+    fn tag(stats: &mut NodeStats, query: Option<u32>) {
+        stats.op.query = query;
+        for child in &mut stats.children {
+            tag(child, query);
+        }
+    }
+    let columns = out
+        .table
+        .columns()
+        .iter()
+        .map(|(name, col)| (name.clone(), col.rebind(qdev)))
+        .collect();
+    let mut stats = out.stats.clone();
+    tag(&mut stats, qdev.query_id());
+    QueryOutput {
+        table: Table::from_columns(out.table.name(), columns),
+        stats,
+    }
+}
+
 /// Run one admitted tenant to completion on its query handle — the
 /// per-query isolation boundary. A budget overrun unwinds out of
 /// `DeviceBuffer` construction with a typed `sim::BudgetError`; it is
@@ -629,6 +686,8 @@ fn execute_tenant(
     catalog: &Catalog,
     plan: &Plan,
 ) -> Result<QueryOutput, EngineError> {
+    #[cfg(test)]
+    tests::EXECUTIONS.with(|n| n.set(n.get() + 1));
     match std::panic::catch_unwind(AssertUnwindSafe(|| execute(qdev, catalog, plan))) {
         Ok(res) => res,
         Err(payload) => match payload.downcast::<sim::BudgetError>() {
@@ -705,4 +764,66 @@ fn emit_lifecycle(
     }
     let outcome = sim::QueryOutcome { sched, failed };
     emit(Stage::Complete, completion, completion, Some(outcome));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Expr;
+    use columnar::Column;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Tenants this thread's sessions executed rather than replayed.
+        pub(super) static EXECUTIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A session of 11 tenants over three (plan, budget) keys that
+    /// succeed, plus two tenants of a fourth key that overrun their
+    /// budget, executes four plus two times: once per succeeding key, and
+    /// every overrunning tenant again.
+    #[test]
+    fn a_session_executes_once_per_plan_and_budget() {
+        let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
+        let mut catalog = Catalog::new();
+        catalog.insert(Table::new(
+            "t",
+            vec![
+                (
+                    "k",
+                    Column::from_i32(&dev, (0..512).map(|i| i % 37).collect(), "k"),
+                ),
+                ("v", Column::from_i64(&dev, (0..512).collect(), "v")),
+            ],
+        ));
+        let distinct = Plan::scan("t").distinct("k");
+        let filter = Plan::scan("t").filter(Expr::col("v").gt(Expr::lit(100)));
+        let mut specs = Vec::new();
+        for i in 0..11 {
+            specs.push(match i % 4 {
+                0 | 1 => QuerySpec::new(distinct.clone()),
+                2 => QuerySpec::new(filter.clone()),
+                _ => QuerySpec::new(distinct.clone()).with_budget(1 << 20),
+            });
+        }
+        specs.push(QuerySpec::new(distinct.clone()).with_budget(1024));
+        specs.push(QuerySpec::new(distinct.clone()).with_budget(1024));
+        EXECUTIONS.with(|n| n.set(0));
+        let reports = run_queries(&dev, &catalog, specs, Policy::RoundRobin);
+        assert_eq!(EXECUTIONS.with(Cell::get), 3 + 2);
+        for (i, r) in reports.iter().enumerate() {
+            match &r.result {
+                Ok(out) => {
+                    assert_eq!(out.stats.op.query, Some(i as u32));
+                    let rows = if i % 4 == 2 { 411 } else { 37 };
+                    assert_eq!(out.table.num_rows(), rows, "tenant {i}");
+                }
+                Err(e) => assert!(
+                    matches!(e, EngineError::BudgetExceeded { query, .. } if *query == i as u32),
+                    "tenant {i}: {e:?}"
+                ),
+            }
+        }
+        assert!(reports[11..].iter().all(|r| r.result.is_err()));
+    }
 }

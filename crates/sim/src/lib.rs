@@ -171,6 +171,10 @@ pub(crate) struct Lane {
     /// The bytes `mem` may hold: the device's global memory on the base
     /// lane, the query's reservation on a query lane.
     pub(crate) capacity: u64,
+    /// Every event [`DeviceState::emit`] built for this lane, with its
+    /// fold, while [`Device::sched_record`] runs the query; `None`
+    /// otherwise.
+    pub(crate) log: Option<Vec<(Fold, TraceEvent)>>,
 }
 
 impl Lane {
@@ -182,6 +186,7 @@ impl Lane {
             clock: 0.0,
             trace: None,
             capacity,
+            log: None,
         }
     }
 
@@ -217,6 +222,37 @@ pub(crate) struct QueryState {
     /// The kernels the query launched that the session loop has not yet
     /// charged to the device, in program order; one leaves per turn.
     pub(crate) timeline: std::collections::VecDeque<kernel::KernelCharge>,
+}
+
+/// What one query's execution left on its lane, recorded by
+/// [`Device::sched_record`] and installed on a later query of the same
+/// session by [`Device::sched_install`]: the kernel timeline, the lane's
+/// counters, clock and ledger (the live result buffers' charges and
+/// addresses included), and every event emitted on the lane, in order.
+///
+/// Installing it is exact because a query lane's history is a function of
+/// its plan, its data and its budget alone: every query lane starts at
+/// [`QUERY_ADDR_BASE`] with an empty ledger and a cold private L2, so two
+/// executions of one plan over one resident catalog under one budget
+/// allocate the same addresses, probe the same L2 image and charge the
+/// same kernels. The L2 image itself is not carried: nothing reads a
+/// query's L2 after the query has run.
+pub struct LaneRecord {
+    timeline: Vec<kernel::KernelCharge>,
+    counters: Counters,
+    clock: f64,
+    mem: memory::MemLedger,
+    events: Vec<(Fold, TraceEvent)>,
+}
+
+impl std::fmt::Debug for LaneRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaneRecord")
+            .field("kernels", &self.timeline.len())
+            .field("clock", &self.clock)
+            .field("events", &self.events.len())
+            .finish_non_exhaustive()
+    }
 }
 
 pub(crate) struct DeviceState {
@@ -280,6 +316,9 @@ impl DeviceState {
             return;
         }
         let event = event(lane);
+        if let Some(log) = lane.log.as_mut() {
+            log.push((fold, event.clone()));
+        }
         if let Some(m) = metrics.as_mut().filter(|_| folds) {
             m.observe(&event);
         }
@@ -781,6 +820,58 @@ impl Device {
                     }
                 }
             }
+        }
+    }
+
+    /// Run `exec` on this query handle — the query's whole execution — and
+    /// return its result with a [`LaneRecord`] of what it left on the
+    /// query's lane. Call from [`Device::sched_run`]'s callback, on the
+    /// handle of the query the callback was given.
+    pub fn sched_record<R>(&self, exec: impl FnOnce() -> R) -> (R, LaneRecord) {
+        let qid = self.query.expect("sched_record on a non-query handle");
+        self.lock().lane(self.query).log = Some(Vec::new());
+        let out = exec();
+        let mut st = self.lock();
+        let q = &mut st.queries[qid as usize];
+        let record = LaneRecord {
+            timeline: q.timeline.iter().copied().collect(),
+            counters: q.lane.counters,
+            clock: q.lane.clock,
+            mem: q.lane.mem.clone(),
+            events: q.lane.log.take().unwrap_or_default(),
+        };
+        (out, record)
+    }
+
+    /// Install `record`, made by [`Device::sched_record`] for another query
+    /// of this session with the same plan and budget, as this query's
+    /// execution: its lane takes the recorded counters, clock and ledger,
+    /// its timeline the recorded kernels, and every recorded event is
+    /// emitted again on this lane, kernels re-tagged with this query — so
+    /// its trace, the metrics fold and the session loop see what executing
+    /// the plan would have produced. Call from [`Device::sched_run`]'s
+    /// callback instead of executing; the result's buffers move to this
+    /// lane with [`DeviceBuffer::rebind`].
+    pub fn sched_install(&self, record: &LaneRecord) {
+        let qid = self.query.expect("sched_install on a non-query handle");
+        let mut st = self.lock();
+        let q = &mut st.queries[qid as usize];
+        assert!(
+            q.timeline.is_empty() && q.lane.clock == 0.0 && q.lane.mem.report().peak_bytes == 0,
+            "sched_install on a query lane that already ran"
+        );
+        q.timeline = record.timeline.iter().copied().collect();
+        q.lane.counters = record.counters;
+        q.lane.clock = record.clock;
+        q.lane.mem = record.mem.clone();
+        for (fold, event) in &record.events {
+            st.emit(Some(qid), *fold, |_| match event {
+                TraceEvent::Kernel(k) => TraceEvent::Kernel(trace::KernelEvent {
+                    query: Some(qid),
+                    ..k.clone()
+                }),
+                other => other.clone(),
+            });
         }
     }
 

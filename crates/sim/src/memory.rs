@@ -34,7 +34,7 @@ pub(crate) struct AllocFailure {
     pub(crate) in_use_bytes: u64,
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub(crate) struct MemLedger {
     next_addr: u64,
     current: u64,
@@ -163,6 +163,25 @@ impl Reservation {
         self.base_addr
     }
 
+    /// The same address range and charge, held for the lane of `dev` when
+    /// this one is held for a query lane (see [`DeviceBuffer::rebind`]);
+    /// a base-lane range keeps its handle.
+    fn rebind(&self, dev: &Device) -> Reservation {
+        let dev = match self.dev.query {
+            Some(_) => Device {
+                planning: self.dev.planning,
+                ..dev.clone()
+            },
+            None => self.dev.clone(),
+        };
+        Reservation {
+            base_addr: self.base_addr,
+            charged_bytes: self.charged_bytes,
+            label: self.label,
+            dev,
+        }
+    }
+
     /// The same address range with no charge of its own.
     fn view(&self) -> Reservation {
         Reservation {
@@ -267,6 +286,19 @@ impl<T: Element> DeviceBuffer<T> {
     /// freed.
     pub fn into_vec(self) -> Vec<T> {
         Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// This buffer as the query of `dev` holds it once
+    /// [`Device::sched_install`] gave that query the lane this buffer's
+    /// query left: the same host vector, simulated range and ledger charge,
+    /// credited to `dev`'s lane on drop. A buffer of the base lane (an
+    /// alias of a resident column) keeps its handle. No charge, traffic or
+    /// copy.
+    pub fn rebind(&self, dev: &Device) -> DeviceBuffer<T> {
+        DeviceBuffer {
+            data: Arc::clone(&self.data),
+            mem: self.mem.rebind(dev),
+        }
     }
 
     /// A zero-cost aliasing view: the same simulated address range and the
