@@ -249,12 +249,13 @@ fn partition_groups<K: Element>(dev: &Device, pairs: &Pairs<K>) -> Groups<K> {
     let mut keys: Vec<K> = Vec::new();
     let mut row_group: Vec<u32> = Vec::with_capacity(n);
     let mut table = PartitionTable::default();
+    let bits = (pairs.offsets.len() - 1).trailing_zeros();
     for w in pairs.offsets.windows(2) {
         let part = &pairs.keys[w[0] as usize..w[1] as usize];
         if part.is_empty() {
             continue;
         }
-        table.reset(part.len());
+        table.reset(part.len(), bits);
         for pk in part {
             row_group.push(table.get_or_insert(pk.to_radix(), || {
                 keys.push(*pk);
