@@ -4,7 +4,8 @@
 //! widths, sizes) are "typically available to an optimizer". This module
 //! produces them when they are *not* available, from a cheap device-side
 //! sample: one clustered gather of `sample_size` probe keys plus a build-side
-//! membership filter, a few microseconds at any realistic size.
+//! membership filter. On the host the filter is one pass over the build
+//! keys against the sample's distinct keys, which stops once all are found.
 
 use crate::{profile_from_stats, SideShape, WorkloadProfile};
 use columnar::{Column, Relation};
@@ -39,11 +40,13 @@ impl EstimatedStats {
 }
 
 /// Estimate match ratio and skew by sampling `sample_size` evenly spaced
-/// probe keys and testing membership against a build-side key set.
+/// probe keys and testing their membership among the build-side keys.
 ///
 /// Device cost: one strided sample gather of the probe keys and one
 /// build-side read to assemble the membership filter (on hardware this is a
-/// Bloom filter build; we charge the same streaming pass).
+/// Bloom filter build; we charge the same streaming pass). The host only
+/// looks each build key up among the sample's distinct keys, and stops
+/// once every one of them has been found.
 pub fn sample_stats(
     dev: &Device,
     r: &Relation,
@@ -52,8 +55,6 @@ pub fn sample_stats(
 ) -> EstimatedStats {
     let n = s.len();
     let sample_size = sample_size.clamp(1, n.max(1));
-    // Membership filter from R's keys (streaming read, like a Bloom build).
-    let build: std::collections::HashSet<i64> = r.key().iter_i64().collect();
     dev.kernel("estimate.filter_build")
         .items(r.len() as u64, primitives::STREAM_WARP_INSTR)
         .seq_read_bytes(r.key().size_bytes())
@@ -61,16 +62,11 @@ pub fn sample_stats(
 
     // Evenly spaced probe sample (clustered-ish strided gather).
     let stride = (n / sample_size).max(1);
-    let mut matched = 0usize;
     let mut freq: HashMap<i64, usize> = HashMap::new();
     let mut taken = 0usize;
     let mut i = 0usize;
     while i < n && taken < sample_size {
-        let k = s.key().value(i);
-        if build.contains(&k) {
-            matched += 1;
-        }
-        *freq.entry(k).or_insert(0) += 1;
+        *freq.entry(s.key().value(i)).or_insert(0) += 1;
         taken += 1;
         i += stride;
     }
@@ -78,6 +74,17 @@ pub fn sample_stats(
         .items(taken as u64, primitives::STREAM_WARP_INSTR)
         .seq_read_bytes(taken as u64 * s.key().dtype().size())
         .launch();
+
+    // A sampled key matches when R holds it: one pass over R, removing
+    // each sampled key the first time it shows up.
+    let mut unseen = freq.clone();
+    let mut matched = 0usize;
+    for k in r.key().iter_i64() {
+        if unseen.is_empty() {
+            break;
+        }
+        matched += unseen.remove(&k).unwrap_or(0);
+    }
 
     EstimatedStats {
         match_ratio: share(matched, taken),
@@ -200,6 +207,69 @@ mod tests {
             Column::from_i32(dev, keys, "k"),
             vec![Column::from_i32(dev, p, "p")],
         )
+    }
+
+    /// `sample_stats` as first defined: a membership set of every build
+    /// key, probed by each sampled key.
+    fn sample_stats_reference(r: &Relation, s: &Relation, sample_size: usize) -> [u64; 3] {
+        let n = s.len();
+        let sample_size = sample_size.clamp(1, n.max(1));
+        let build: std::collections::HashSet<i64> = r.key().iter_i64().collect();
+        let stride = (n / sample_size).max(1);
+        let (mut matched, mut taken, mut i) = (0usize, 0usize, 0usize);
+        let mut freq: HashMap<i64, usize> = HashMap::new();
+        while i < n && taken < sample_size {
+            let k = s.key().value(i);
+            matched += build.contains(&k) as usize;
+            *freq.entry(k).or_insert(0) += 1;
+            taken += 1;
+            i += stride;
+        }
+        let stats = EstimatedStats {
+            match_ratio: share(matched, taken),
+            top_key_share: top_key_share(&freq, taken),
+            sample_size: taken,
+        };
+        bits(&stats)
+    }
+
+    fn bits(e: &EstimatedStats) -> [u64; 3] {
+        [
+            e.match_ratio.to_bits(),
+            e.top_key_share.to_bits(),
+            e.sample_size as u64,
+        ]
+    }
+
+    #[test]
+    fn sample_stats_equals_its_first_definition() {
+        let dev = Device::a100();
+        let cases: [(&str, Vec<i32>, Vec<i32>); 6] = [
+            (
+                "duplicate-heavy",
+                (0..3000).map(|i| i % 7).collect(),
+                (0..5000).map(|i| i % 11).collect(),
+            ),
+            ("no match", (0..2000).collect(), (5000..9000).collect()),
+            (
+                "all match",
+                (0..2000).rev().collect(),
+                (0..6000).map(|i| (i * 17) % 2000).collect(),
+            ),
+            ("empty build", vec![], (0..1000).collect()),
+            ("empty probe", (0..1000).collect(), vec![]),
+            ("both empty", vec![], vec![]),
+        ];
+        for (name, r_keys, s_keys) in cases {
+            let (r, s) = (rel(&dev, r_keys), rel(&dev, s_keys));
+            for sample in [1, 64, 512, 10_000] {
+                assert_eq!(
+                    bits(&sample_stats(&dev, &r, &s, sample)),
+                    sample_stats_reference(&r, &s, sample),
+                    "{name}, sample {sample}"
+                );
+            }
+        }
     }
 
     #[test]
