@@ -11,12 +11,22 @@
 //!    rejected with [`EngineError::BudgetUnsatisfiable`]. Because granted
 //!    reservations never sum past the free capacity, no tenant can OOM a
 //!    co-tenant.
-//! 2. **Budgeted execution, ahead of the clock** — the moment a query's
-//!    reservation is granted it runs to completion on its own query
-//!    handle: private counters, clock, L2 image, trace, a sub-ledger
-//!    capped at its budget, and a timeline recording every kernel it
-//!    launched. A kernel's simulated cost depends only on its own traffic,
-//!    so nothing a co-tenant does can change that timeline.
+//! 2. **Budgeted execution, ahead of the clock: executed once per key per
+//!    session, then replayed** — the moment a query's reservation is
+//!    granted it runs to completion on its own query handle: private
+//!    counters, clock, L2 image, trace, a sub-ledger capped at its
+//!    budget, and a timeline recording every kernel it launched. A
+//!    kernel's simulated cost depends only on its own traffic, so nothing
+//!    a co-tenant does can change that timeline. Every query lane starts
+//!    at the same base address with an empty ledger and a cold L2 (the
+//!    `QUERY_ADDR_BASE` contract in `sim`), so over the catalog the
+//!    session borrows, a lane's whole history is a function of (plan,
+//!    budget). The first arrival of each (plan, budget) executes under
+//!    [`Device::sched_record`]; every later one gets that recorded lane
+//!    installed ([`Device::sched_install`]: timeline, counters, clock,
+//!    ledger, and the lane's events re-emitted under its own id) and the
+//!    recorded result rebound to its lane and re-tagged with its query,
+//!    instead of executing. Only successful executions are recorded.
 //!    `joins::chunked::plan_chunks` sizes chunks against the budget, so an
 //!    over-budget join re-plans out-of-core; an allocation that still
 //!    exceeds the budget unwinds with a typed `sim::BudgetError` which is

@@ -232,7 +232,7 @@ pub(crate) struct QueryState {
 ///
 /// Installing it is exact because a query lane's history is a function of
 /// its plan, its data and its budget alone: every query lane starts at
-/// [`QUERY_ADDR_BASE`] with an empty ledger and a cold private L2, so two
+/// `QUERY_ADDR_BASE` with an empty ledger and a cold private L2, so two
 /// executions of one plan over one resident catalog under one budget
 /// allocate the same addresses, probe the same L2 image and charge the
 /// same kernels. The L2 image itself is not carried: nothing reads a
@@ -792,6 +792,14 @@ impl Device {
     /// before any later turn, so the budget it frees is re-granted at its
     /// completion time — and jumps the clock to the next arrival when
     /// nothing is runnable. Shed queries are never passed to `exec`.
+    ///
+    /// `exec` may replay instead of executing: a query whose lane would
+    /// repeat one already recorded this session ([`Device::sched_record`])
+    /// — same plan, data and budget — gets that record installed
+    /// ([`Device::sched_install`]). The replay is exact because every query
+    /// lane starts at the same base address with an empty ledger and a cold
+    /// private L2, so its kernels, ledger and events depend on nothing a
+    /// co-tenant or an earlier query did.
     ///
     /// If `exec` unwinds, the session is left active and the device must
     /// not be used for another one; catch a query's own failures inside
