@@ -563,7 +563,6 @@ fn run_session(
             Registered::Rejected { .. } => None,
         })
         .collect();
-    //
     // One execution per (plan, budget): a query lane's history is a
     // function of its plan, the resident catalog (borrowed for the whole
     // session, so it cannot change) and its budget, so a later arrival with

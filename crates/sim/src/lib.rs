@@ -245,16 +245,6 @@ pub struct LaneRecord {
     events: Vec<(Fold, TraceEvent)>,
 }
 
-impl std::fmt::Debug for LaneRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LaneRecord")
-            .field("kernels", &self.timeline.len())
-            .field("clock", &self.clock)
-            .field("events", &self.events.len())
-            .finish_non_exhaustive()
-    }
-}
-
 pub(crate) struct DeviceState {
     pub(crate) base: Lane,
     /// Opt-in service-level metrics recorder (see [`metrics`]); like the

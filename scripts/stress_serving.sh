@@ -10,18 +10,13 @@
 # single-threaded session loop there is nothing left to race, and this
 # script is how that claim is re-checked. `scheduler_equivalence` also
 # holds the repeated-spec sessions, whose later arrivals replay the first
-# one's recorded lane; they run every round too, and alone with
-# `scripts/stress_serving.sh N repeated_spec`. Takes minutes at large N,
-# so it is not part of scripts/check.sh.
+# one's recorded lane, so every round re-checks the replay too. Takes
+# minutes at large N, so it is not part of scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-n="${1:?usage: scripts/stress_serving.sh N [test-name-filter]}"
-filter="${2:-}"
+n="${1:?usage: scripts/stress_serving.sh N}"
 suites=(scheduler_equivalence admission_invariants)
-if [[ -n "$filter" ]]; then
-    suites=(scheduler_equivalence)
-fi
 
 echo "==> building ${suites[*]} (debug)"
 build_json=$(cargo test --offline --no-run --message-format=json \
@@ -39,7 +34,7 @@ echo "==> $n rounds, ${#suites[@]} suites at a time"
 for round in $(seq 1 "$n"); do
     pids=()
     for i in "${!suites[@]}"; do
-        "${bins[$i]}" $filter >"$logs/${suites[$i]}.log" 2>&1 &
+        "${bins[$i]}" >"$logs/${suites[$i]}.log" 2>&1 &
         pids+=($!)
     done
     for i in "${!suites[@]}"; do
