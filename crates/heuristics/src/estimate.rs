@@ -12,6 +12,34 @@ use columnar::{Column, Relation};
 use serde::{Deserialize, Serialize};
 use sim::Device;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Sampled keys and how often each was drawn.
+type KeyCounts = HashMap<i64, usize, BuildHasherDefault<KeyHasher>>;
+
+/// One 64-bit finalizer (MurmurHash3's `fmix64`) per key. Sampled keys are
+/// not adversarial, and SipHash cost more than the sample itself.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        z ^ (z >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_i64(&mut self, key: i64) {
+        self.0 = key as u64;
+    }
+}
 
 /// Statistics estimated from a key sample.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -62,7 +90,7 @@ pub fn sample_stats(
 
     // Evenly spaced probe sample (clustered-ish strided gather).
     let stride = (n / sample_size).max(1);
-    let mut freq: HashMap<i64, usize> = HashMap::new();
+    let mut freq = KeyCounts::with_capacity_and_hasher(sample_size, Default::default());
     let mut taken = 0usize;
     let mut i = 0usize;
     while i < n && taken < sample_size {
@@ -104,7 +132,7 @@ fn share(part: usize, whole: usize) -> f64 {
 
 /// The skew signal: the share of a `taken`-key sample held by its most
 /// frequent key.
-fn top_key_share(freq: &HashMap<i64, usize>, taken: usize) -> f64 {
+fn top_key_share(freq: &KeyCounts, taken: usize) -> f64 {
     share(freq.values().copied().max().unwrap_or(0), taken)
 }
 
@@ -143,7 +171,7 @@ pub fn sample_group_stats(dev: &Device, key: &Column, sample_size: usize) -> Est
     // random sample, and a deterministic stride both aliases with cyclic
     // key layouts and never produces the duplicate draws the estimator
     // counts. With-replacement draws are fine at these sampling fractions.
-    let mut freq: HashMap<i64, usize> = HashMap::new();
+    let mut freq = KeyCounts::with_capacity_and_hasher(sample_size, Default::default());
     let mut taken = 0usize;
     if n > 0 {
         for j in 0..sample_size {
@@ -217,7 +245,7 @@ mod tests {
         let build: std::collections::HashSet<i64> = r.key().iter_i64().collect();
         let stride = (n / sample_size).max(1);
         let (mut matched, mut taken, mut i) = (0usize, 0usize, 0usize);
-        let mut freq: HashMap<i64, usize> = HashMap::new();
+        let mut freq = KeyCounts::default();
         while i < n && taken < sample_size {
             let k = s.key().value(i);
             matched += build.contains(&k) as usize;
