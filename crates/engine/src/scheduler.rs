@@ -11,18 +11,18 @@
 //!    rejected with [`EngineError::BudgetUnsatisfiable`]. Because granted
 //!    reservations never sum past the free capacity, no tenant can OOM a
 //!    co-tenant.
-//! 2. **Budgeted execution, ahead of the clock: executed once per key per
-//!    session, then replayed** — the moment a query's reservation is
-//!    granted it runs to completion on its own query handle: private
-//!    counters, clock, L2 image, trace, a sub-ledger capped at its
-//!    budget, and a timeline recording every kernel it launched. A
+//! 2. **Budgeted execution, ahead of the clock** — the moment a query's
+//!    reservation is granted it runs to completion on its own query
+//!    handle: private counters, clock, L2 image, trace, a sub-ledger capped
+//!    at its budget, and a timeline recording every kernel it launched. A
 //!    kernel's simulated cost depends only on its own traffic, so nothing
 //!    a co-tenant does can change that timeline. Every query lane starts
 //!    at the same base address with an empty ledger and a cold L2 (the
 //!    `QUERY_ADDR_BASE` contract in `sim`), so over the catalog the
 //!    session borrows, a lane's whole history is a function of (plan,
-//!    budget). The first arrival of each (plan, budget) executes under
-//!    [`Device::sched_record`]; every later one gets that recorded lane
+//!    budget). So with [`ServingConfig::replay`] each (plan, budget)
+//!    executes once per session: the first arrival executes under
+//!    [`Device::sched_record`], and every later one gets that recorded lane
 //!    installed ([`Device::sched_install`]: timeline, counters, clock,
 //!    ledger, and the lane's events re-emitted under its own id) and the
 //!    recorded result rebound to its lane and re-tagged with its query,
@@ -118,10 +118,18 @@ pub struct ServingConfig {
     /// `slo_attainment_ratio` and `slo_debt_seconds_total` gauges, and
     /// the windowed `slo_burn_rate` series in the metrics export.
     pub slo: Vec<(String, f64)>,
+    /// When set, each (plan, budget) executes once per session and every
+    /// later arrival with the same key gets the first one's recorded lane
+    /// installed instead of executing (module doc, step 2). Replay moves no
+    /// simulated number, export or result byte; it only saves host time.
+    /// Off by default while `perf`'s `serving_open` counts one host record
+    /// per arrival served into its `peak_rss_mb`, so that a faster session
+    /// reads as a larger one (ROADMAP item 10).
+    pub replay: bool,
 }
 
 impl ServingConfig {
-    /// The default: unbounded queue, no memory gate.
+    /// The default: unbounded queue, no memory gate, no replay.
     pub fn new() -> Self {
         ServingConfig::default()
     }
@@ -141,6 +149,13 @@ impl ServingConfig {
     /// Reject queries whose predicted peak memory exceeds their budget.
     pub fn with_memory_gate(mut self) -> Self {
         self.memory_gate = true;
+        self
+    }
+
+    /// Execute each (plan, budget) once per session and replay it for
+    /// every later arrival with the same key.
+    pub fn with_replay(mut self) -> Self {
+        self.replay = true;
         self
     }
 
@@ -563,17 +578,21 @@ fn run_session(
             Registered::Rejected { .. } => None,
         })
         .collect();
-    // One execution per (plan, budget): a query lane's history is a
-    // function of its plan, the resident catalog (borrowed for the whole
-    // session, so it cannot change) and its budget, so a later arrival with
-    // the same key gets the first one's recorded lane installed instead of
-    // executing. Keyed by the full plan rendering, never a hash: a
-    // collision would hand out another plan's rows. Only successes are
-    // recorded; a tenant that overran its budget runs again.
+    // With replay, one execution per (plan, budget): a query lane's
+    // history is a function of its plan, the resident catalog (borrowed for
+    // the whole session, so it cannot change) and its budget, so a later
+    // arrival with the same key gets the first one's recorded lane
+    // installed instead of executing. Keyed by the full plan rendering,
+    // never a hash: a collision would hand out another plan's rows. Only
+    // successes are recorded; a tenant that overran its budget runs again.
     let mut recorded: HashMap<(String, u64), (usize, LaneRecord)> = HashMap::new();
     dev.sched_run(|qid| {
         let (i, qdev) = tenants[qid as usize];
         let spec = &entries[i].spec;
+        if !serving.replay {
+            results[i] = Some(execute_tenant(qdev, catalog, &spec.plan));
+            return;
+        }
         let key = (
             format!("{:?}", spec.plan),
             spec.budget_bytes.unwrap_or(fallback_budget),
@@ -787,12 +806,11 @@ mod tests {
         pub(super) static EXECUTIONS: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// A session of 11 tenants over three (plan, budget) keys that
-    /// succeed, plus two tenants of a fourth key that overrun their
-    /// budget, executes four plus two times: once per succeeding key, and
-    /// every overrunning tenant again.
-    #[test]
-    fn a_session_executes_once_per_plan_and_budget() {
+    /// A closed-loop session of 11 tenants over three (plan, budget) keys
+    /// that succeed, plus two tenants of a fourth key that overrun their
+    /// budget, run under `RoundRobin` with or without replay; returns how
+    /// many tenants executed, and checks every tenant's outcome.
+    fn executions(replay: bool) -> usize {
         let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
         let mut catalog = Catalog::new();
         catalog.insert(Table::new(
@@ -817,9 +835,28 @@ mod tests {
         }
         specs.push(QuerySpec::new(distinct.clone()).with_budget(1024));
         specs.push(QuerySpec::new(distinct.clone()).with_budget(1024));
+        let n = specs.len() as u64;
+        let entries = specs
+            .into_iter()
+            .map(|spec| SessionEntry {
+                spec,
+                arrival: None,
+                class: None,
+            })
+            .collect();
+        let serving = ServingConfig {
+            replay,
+            ..ServingConfig::default()
+        };
         EXECUTIONS.with(|n| n.set(0));
-        let reports = run_queries(&dev, &catalog, specs, Policy::RoundRobin);
-        assert_eq!(EXECUTIONS.with(Cell::get), 3 + 2);
+        let reports = run_session(
+            &dev,
+            &catalog,
+            entries,
+            Policy::RoundRobin,
+            &serving,
+            |free| free / n,
+        );
         for (i, r) in reports.iter().enumerate() {
             match &r.result {
                 Ok(out) => {
@@ -834,5 +871,15 @@ mod tests {
             }
         }
         assert!(reports[11..].iter().all(|r| r.result.is_err()));
+        EXECUTIONS.with(Cell::get)
+    }
+
+    /// With replay the session executes three plus two times: once per
+    /// succeeding key, and every overrunning tenant again. Without it,
+    /// every tenant executes.
+    #[test]
+    fn a_replaying_session_executes_once_per_plan_and_budget() {
+        assert_eq!(executions(true), 3 + 2);
+        assert_eq!(executions(false), 13);
     }
 }

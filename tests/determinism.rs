@@ -64,8 +64,8 @@
 //! three digests: the base trace's JSONL, the metrics export and the
 //! slow-query digest. The session's queries share plans, so these pin
 //! what every later arrival of a plan contributes to the device-wide
-//! observables. They were recorded at commit 5369149, which executed
-//! every arrival.
+//! observables, executed and replayed alike. They were recorded at commit
+//! 5369149, which executed every arrival.
 
 use columnar::{Column, Relation};
 use engine::scheduler::{OpenQuery, QuerySpec, ServingConfig};
@@ -1027,8 +1027,9 @@ fn copartition_join_reproduces_its_recorded_row() {
 /// seconds apart, with per-class SLOs and a waiting room of four, traced
 /// and metered. The row is the number of completed queries, then digests
 /// of the base trace's JSONL, of the metrics JSON and of the slow-query
-/// digest's JSON.
-fn serving_session_run(policy: SchedPolicy) -> [u64; 4] {
+/// digest's JSON. `replay` serves every later arrival of a plan from the
+/// first one's recorded lane.
+fn serving_session_run(policy: SchedPolicy, replay: bool) -> [u64; 4] {
     let dev = device(8192.0);
     dev.enable_tracing();
     dev.enable_metrics(SimTime::from_secs(1e-7));
@@ -1045,11 +1046,14 @@ fn serving_session_run(policy: SchedPolicy) -> [u64; 4] {
             OpenQuery::new(at, classes[i % 3], QuerySpec::new(plans[i % 3].clone()))
         })
         .collect();
-    let serving = classes
-        .iter()
-        .fold(ServingConfig::new().with_total_depth(4), |c, class| {
-            c.with_slo(*class, 2e-6)
-        });
+    let serving = ServingConfig {
+        replay,
+        ..classes
+            .iter()
+            .fold(ServingConfig::new().with_total_depth(4), |c, class| {
+                c.with_slo(*class, 2e-6)
+            })
+    };
     let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, policy, &serving);
     let explains: Vec<_> = reports
         .iter()
@@ -1076,15 +1080,27 @@ fn repeated_spec_serving_sessions_reproduce_their_recorded_rows() {
         [23, 5919287447005948236, 195186364479088084, 7781935657232210977], // sjf
         [23, 5919287447005948236, 195186364479088084, 7781935657232210977], // sjf_aging
     ];
-    let observed: Vec<_> = [
-        SchedPolicy::Serial,
-        SchedPolicy::RoundRobin,
-        SchedPolicy::WeightedFair,
-        SchedPolicy::Sjf,
-        SchedPolicy::SjfAging,
-    ]
-    .into_iter()
-    .map(|policy| (policy.name().to_string(), serving_session_run(policy)))
-    .collect();
-    assert_reference_table("repeated-spec serving sessions", &observed, REFERENCE);
+    for replay in [false, true] {
+        let observed: Vec<_> = [
+            SchedPolicy::Serial,
+            SchedPolicy::RoundRobin,
+            SchedPolicy::WeightedFair,
+            SchedPolicy::Sjf,
+            SchedPolicy::SjfAging,
+        ]
+        .into_iter()
+        .map(|policy| {
+            (
+                policy.name().to_string(),
+                serving_session_run(policy, replay),
+            )
+        })
+        .collect();
+        let table = if replay {
+            "repeated-spec serving sessions, replayed"
+        } else {
+            "repeated-spec serving sessions, executed"
+        };
+        assert_reference_table(table, &observed, REFERENCE);
+    }
 }

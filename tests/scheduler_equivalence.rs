@@ -371,27 +371,45 @@ fn repeated_arrivals(n: usize, gap: f64) -> Vec<OpenQuery> {
         .collect()
 }
 
-fn serving() -> ServingConfig {
-    CLASSES
+fn serving(replay: bool) -> ServingConfig {
+    let config = CLASSES
         .iter()
-        .fold(ServingConfig::new(), |c, class| c.with_slo(*class, 2e-6))
+        .fold(ServingConfig::new(), |c, class| c.with_slo(*class, 2e-6));
+    if replay {
+        config.with_replay()
+    } else {
+        config
+    }
 }
 
-/// One traced, metered open-loop session on a fresh device; returns the
-/// reports and each registered query's schedule record.
-fn open_session(
-    arrivals: Vec<OpenQuery>,
-    policy: Policy,
-) -> (Vec<QueryReport>, Vec<QuerySchedStats>) {
+/// What one session leaves: the reports, each registered query's schedule
+/// record, and the device-wide base trace's JSONL and metrics export.
+struct Served {
+    reports: Vec<QueryReport>,
+    sched: Vec<QuerySchedStats>,
+    base_trace: String,
+    metrics: String,
+}
+
+/// One traced, metered open-loop session on a fresh device, with or
+/// without replay.
+fn open_session(arrivals: Vec<OpenQuery>, policy: Policy, replay: bool) -> Served {
     let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
     dev.enable_tracing();
     dev.enable_metrics(SimTime::from_secs(1e-9));
     let catalog = catalog(&dev);
-    let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, policy, &serving());
+    let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, policy, &serving(replay));
     let sched = (0..reports.len() as u32)
         .map(|q| dev.sched_query_stats(q))
         .collect();
-    (reports, sched)
+    let trace = dev.take_trace().expect("tracing was enabled");
+    let snap = dev.metrics_snapshot().expect("metrics were enabled");
+    Served {
+        reports,
+        sched,
+        base_trace: jsonl(std::slice::from_ref(&trace)),
+        metrics: gpu_join::sim::metrics_json(std::slice::from_ref(&snap)),
+    }
 }
 
 /// A per-query trace's JSONL with query id `q` renamed to 0.
@@ -413,7 +431,11 @@ fn assert_matches_solo(
     let (report, sched) = shared;
     let q = report.query;
     let ctx = format!("{policy:?} q{q} ({})", arrival.class);
-    let (solo, solo_sched) = open_session(vec![arrival.clone()], policy);
+    let Served {
+        reports: solo,
+        sched: solo_sched,
+        ..
+    } = open_session(vec![arrival.clone()], policy, false);
     let solo = &solo[0];
     match (&report.result, &solo.result) {
         (Ok(x), Ok(y)) => {
@@ -504,18 +526,22 @@ const ALL_POLICIES: [Policy; 5] = [
 ];
 
 /// Thirty-three arrivals of three repeated specs, close enough that they
-/// queue and interleave, under every policy: each tenant is its solo
-/// session, up to the query id and the clock stamps co-tenants move.
+/// queue and interleave, under every policy, executed and replayed: each
+/// tenant is its solo session, up to the query id and the clock stamps
+/// co-tenants move.
 #[test]
 fn repeated_spec_tenants_match_their_solo_sessions() {
-    for policy in ALL_POLICIES {
+    for (policy, replay) in ALL_POLICIES.iter().flat_map(|p| [(*p, false), (*p, true)]) {
         let arrivals = repeated_arrivals(33, DENSE_GAP);
-        let (reports, sched) = open_session(arrivals.clone(), policy);
+        let served = open_session(arrivals.clone(), policy, replay);
         assert!(
-            reports.iter().any(|r| r.queue_wait() > SimTime::ZERO),
+            served
+                .reports
+                .iter()
+                .any(|r| r.queue_wait() > SimTime::ZERO),
             "{policy:?}: the session must queue"
         );
-        for ((arrival, report), sched) in arrivals.iter().zip(&reports).zip(&sched) {
+        for ((arrival, report), sched) in arrivals.iter().zip(&served.reports).zip(&served.sched) {
             assert_matches_solo(arrival, (report, sched), policy, false);
         }
     }
@@ -525,10 +551,10 @@ fn repeated_spec_tenants_match_their_solo_sessions() {
 /// the schedule's clock stamps are the solo session's, bit for bit.
 #[test]
 fn spaced_repeated_spec_tenants_match_their_solo_sessions_exactly() {
-    for policy in ALL_POLICIES {
+    for (policy, replay) in ALL_POLICIES.iter().flat_map(|p| [(*p, false), (*p, true)]) {
         let arrivals = repeated_arrivals(12, SPACED_GAP);
-        let (reports, sched) = open_session(arrivals.clone(), policy);
-        for ((arrival, report), sched) in arrivals.iter().zip(&reports).zip(&sched) {
+        let served = open_session(arrivals.clone(), policy, replay);
+        for ((arrival, report), sched) in arrivals.iter().zip(&served.reports).zip(&served.sched) {
             assert_eq!(
                 report.queue_wait(),
                 SimTime::ZERO,
@@ -536,6 +562,30 @@ fn spaced_repeated_spec_tenants_match_their_solo_sessions_exactly() {
             );
             assert_matches_solo(arrival, (report, sched), policy, true);
         }
+    }
+}
+
+/// A replaying session is the executing one, byte for byte: every report,
+/// schedule record, base trace and metrics export, under every policy.
+#[test]
+fn replaying_a_repeated_spec_session_changes_no_observable() {
+    for policy in ALL_POLICIES {
+        let arrivals = repeated_arrivals(33, DENSE_GAP);
+        let executed = open_session(arrivals.clone(), policy, false);
+        let replayed = open_session(arrivals, policy, true);
+        for (a, b) in executed.reports.iter().zip(&replayed.reports) {
+            assert_reports_identical(a, b, &format!("{policy:?} q{}", a.query));
+        }
+        assert_eq!(
+            format!("{:?}", executed.sched),
+            format!("{:?}", replayed.sched),
+            "{policy:?}: schedule records"
+        );
+        assert_eq!(
+            executed.base_trace, replayed.base_trace,
+            "{policy:?}: base trace"
+        );
+        assert_eq!(executed.metrics, replayed.metrics, "{policy:?}: metrics");
     }
 }
 
