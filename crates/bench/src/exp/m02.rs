@@ -13,12 +13,14 @@
 //! `engine::scheduler`), not from ad-hoc bookkeeping — the bench exists to
 //! exercise that path end to end. Arrivals, admission and service all run
 //! on the simulated clock under the Serial (FIFO run-to-completion)
-//! policy, so the whole curve is bit-identical across re-runs.
+//! policy, so the whole curve is bit-identical across re-runs. Each step
+//! executes every plan once and replays it for later arrivals
+//! (`ServingConfig::with_replay`), which moves no number, only host time.
 
 use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
 use crate::{Claim, Report, Session};
 use engine::demo::tpch_mini;
-use engine::scheduler::Policy;
+use engine::scheduler::{Policy, ServingConfig};
 
 /// Arrivals per offered-load step: enough for stable medians while keeping
 /// the tail quantiles honest (p99 of 24 samples is the max by rank).
@@ -84,7 +86,9 @@ pub fn run(session: &mut Session) -> Report {
         let arrivals = arrivals(arrival_times(seed, t0, lambda, ARRIVALS_PER_STEP));
         let first_arrival = arrivals[0].at.secs();
 
-        let reports = engine::run_open_loop(&dev, &catalog, arrivals, Policy::Serial);
+        let serving = ServingConfig::new().with_replay();
+        let reports =
+            engine::run_open_loop_with(&dev, &catalog, arrivals, Policy::Serial, &serving);
         assert!(
             reports.iter().all(|r| r.result.is_ok()),
             "every open-loop request must complete"

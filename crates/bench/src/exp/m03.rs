@@ -18,6 +18,9 @@
 //!    [`engine::PlanCache`] at a capacity that fits the mix and one that
 //!    thrashes, reporting hit/miss/eviction counts and recording one
 //!    cache-hit EXPLAIN with its provenance line under `--observe`.
+//!
+//! Every session replays repeated (plan, budget) keys
+//! (`ServingConfig::with_replay`): no number moves, only host time.
 
 use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
 use crate::{Claim, Report, Session};
@@ -122,7 +125,8 @@ pub fn run(session: &mut Session) -> Report {
             let t0 = dev.elapsed().secs();
             let arrivals = arrivals(offsets.iter().map(|off| t0 + off));
             let first_arrival = arrivals[0].at.secs();
-            let reports = engine::run_open_loop(&dev, &catalog, arrivals, policy);
+            let serving = ServingConfig::new().with_replay();
+            let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, policy, &serving);
             assert!(
                 reports.iter().all(|r| r.result.is_ok()),
                 "unbounded queue: every request completes under {label}"
@@ -203,7 +207,10 @@ pub fn run(session: &mut Session) -> Report {
             QuerySpec::new(q18_like()).with_budget(tiny_budget),
         )
     }));
-    let serving = ServingConfig::new().with_total_depth(1).with_memory_gate();
+    let serving = ServingConfig::new()
+        .with_total_depth(1)
+        .with_memory_gate()
+        .with_replay();
     let reports = engine::run_open_loop_with(&dev, &catalog, arrivals, Policy::Sjf, &serving);
     let ok = reports.iter().filter(|r| r.result.is_ok()).count();
     let shed = reports

@@ -18,6 +18,9 @@
 //! metrics registry (`slo_met_total` / `slo_missed_total` /
 //! `slo_attainment_ratio` / `slo_debt_seconds_total`), not bench-side
 //! bookkeeping.
+//!
+//! Every session replays repeated (plan, budget) keys
+//! (`ServingConfig::with_replay`): no number moves, only host time.
 
 use super::serving::{arrival_times, arrivals, mix, Calibration, CLASSES};
 use crate::{Claim, Report, Session};
@@ -72,7 +75,7 @@ pub fn run(session: &mut Session) -> Report {
         let seed = 0x6d30_345f_736c_6f30_u64 ^ (step as u64); // "m04_slo0"
         let arrivals = arrivals(arrival_times(seed, t0, lambda, ARRIVALS_PER_STEP));
 
-        let mut serving = ServingConfig::new();
+        let mut serving = ServingConfig::new().with_replay();
         for (class, slo) in &slos {
             serving = serving.with_slo(*class, *slo);
         }

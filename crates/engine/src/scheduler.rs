@@ -122,8 +122,9 @@ pub struct ServingConfig {
     /// later arrival with the same key gets the first one's recorded lane
     /// installed instead of executing (module doc, step 2). Replay moves no
     /// simulated number, export or result byte; it only saves host time.
-    /// Off by default while `perf`'s `serving_open` counts one host record
-    /// per arrival served into its `peak_rss_mb`, so that a faster session
+    /// The serving experiments (`bench`'s m02–m04) turn it on. It is off by
+    /// default while `perf`'s `serving_open` counts one host record per
+    /// arrival served into its `peak_rss_mb`, so that a faster session
     /// reads as a larger one (ROADMAP item 10).
     pub replay: bool,
 }
