@@ -125,7 +125,7 @@ pub struct ServingConfig {
     /// The serving experiments (`bench`'s m02–m04) turn it on. It is off by
     /// default while `perf`'s `serving_open` counts one host record per
     /// arrival served into its `peak_rss_mb`, so that a faster session
-    /// reads as a larger one (ROADMAP item 10).
+    /// reads as a larger one (`DESIGN.md`, "Multi-query execution").
     pub replay: bool,
 }
 
