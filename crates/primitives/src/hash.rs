@@ -8,7 +8,7 @@
 //! simulated number.
 
 use crate::{BUILD_WARP_INSTR, GLOBAL_HASH_WARP_INSTR, PROBE_WARP_INSTR};
-use sim::{Device, DeviceBuffer, Element};
+use sim::{Device, DeviceBuffer, Element, Reservation};
 
 /// Matched tuples: the intermediate relation `T'(key, ID_R, ID_S)` of
 /// Section 2.2. Depending on the pattern, the index columns hold physical
@@ -280,12 +280,19 @@ pub fn join_copartitions<K: Element + Eq>(
 /// so small tables are cheap and large ones pay the paper's random-access
 /// tax (Section 5.2.2: "cuDF is the most inefficient of all because of the
 /// random accesses during the construction and probing of the hash table").
+///
+/// The key and value ranges live in simulated memory only: the L2 model
+/// reads their slot addresses, the host never their contents. The host
+/// keeps one build row per slot and compares probe keys against an alias
+/// of the build keys.
 pub struct GlobalHashTable<K: Element> {
-    keys: DeviceBuffer<u64>,
-    vals: DeviceBuffer<u32>,
-    occupied: Vec<bool>,
+    keys: Reservation,
+    _vals: Reservation,
+    /// Build row per slot; `u32::MAX` marks an empty slot.
+    rows: Vec<u32>,
+    /// The keys `rows` index, once built.
+    build_keys: Option<DeviceBuffer<K>>,
     mask: usize,
-    _marker: std::marker::PhantomData<K>,
 }
 
 impl<K: Element + Eq> GlobalHashTable<K> {
@@ -293,32 +300,26 @@ impl<K: Element + Eq> GlobalHashTable<K> {
     pub fn new(dev: &Device, n: usize) -> Self {
         let slots = (n.max(1) * 2).next_power_of_two();
         GlobalHashTable {
-            keys: dev.alloc::<u64>(slots, "global_ht.keys"),
-            vals: dev.alloc::<u32>(slots, "global_ht.vals"),
-            occupied: vec![false; slots],
+            keys: dev.reserve(slots as u64 * u64::SIZE, "global_ht.keys"),
+            _vals: dev.reserve(slots as u64 * u32::SIZE, "global_ht.vals"),
+            rows: vec![EMPTY; slots],
+            build_keys: None,
             mask: slots - 1,
-            _marker: std::marker::PhantomData,
         }
     }
 
     /// Build the table from `build_keys`, storing each key's position.
     pub fn build(&mut self, dev: &Device, build_keys: &DeviceBuffer<K>) {
-        let base = self.keys.addr_of(0);
-        let (slots, vals, occupied) = (
-            self.keys.as_mut_slice(),
-            self.vals.as_mut_slice(),
-            &mut self.occupied,
-        );
+        let base = self.keys.base_addr();
+        let rows = &mut self.rows;
         let touched = linear_probe_slots(
             build_keys.iter().map(|k| k.to_radix()),
             self.mask,
-            |i, k, s| {
-                if occupied[s] {
+            |i, _, s| {
+                if rows[s] != EMPTY {
                     return true;
                 }
-                occupied[s] = true;
-                slots[s] = k;
-                vals[s] = i as u32;
+                rows[s] = i as u32;
                 false
             },
         )
@@ -328,31 +329,34 @@ impl<K: Element + Eq> GlobalHashTable<K> {
             .seq_read_bytes(build_keys.len() as u64 * K::SIZE)
             .warp_stores(12, touched)
             .launch();
+        self.build_keys = Some(build_keys.alias());
     }
 
     /// Probe with `probe_keys`; returns matches in probe order (`s_idx`
     /// clustered, `r_idx` random — which is why the NPHJ's materialization
     /// of the build side stays expensive).
     pub fn probe(&self, dev: &Device, probe_keys: &DeviceBuffer<K>) -> MatchResult<K> {
+        let build: &[K] = self.build_keys.as_deref().unwrap_or(&[]);
         let mut keys = Vec::new();
         let mut r_idx = Vec::new();
         let mut s_idx = Vec::new();
         let touched = linear_probe_slots(
             probe_keys.iter().map(|k| k.to_radix()),
             self.mask,
-            |j, k, s| {
-                if !self.occupied[s] {
+            |j, _, s| {
+                let r = self.rows[s];
+                if r == EMPTY {
                     return false;
                 }
-                if self.keys[s] == k {
+                if build[r as usize] == probe_keys[j] {
                     keys.push(probe_keys[j]);
-                    r_idx.push(self.vals[s]);
+                    r_idx.push(r);
                     s_idx.push(j as u32);
                 }
                 true
             },
         )
-        .map(|s| self.keys.addr_of(s));
+        .map(|s| self.keys.base_addr() + s as u64 * u64::SIZE);
         let kernel = dev
             .kernel("global_ht.probe")
             .items(probe_keys.len() as u64, GLOBAL_HASH_WARP_INSTR)

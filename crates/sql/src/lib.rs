@@ -34,7 +34,7 @@ pub mod parser;
 pub use ast::Query;
 pub use binder::bind;
 pub use logical::LogicalPlan;
-pub use lower::{lower, Lowered};
+pub use lower::{lower, lower_unpruned, Lowered};
 pub use parser::parse;
 
 use engine::{Catalog, EngineError};

@@ -22,6 +22,18 @@
 //! Every composite decision is recorded in [`Lowered::notes`] — the same
 //! guard/rationale text the heuristics tree carries, so `explain.json` can
 //! show why a plan has the shape it has.
+//!
+//! The last step is **projection pushdown** (`prune`): a top-down walk
+//! that wraps every scan in a plain-column `Project` of exactly the columns
+//! its consumers read (catalog order), and every filter whose predicate
+//! reads columns nothing above it reads in a `Project` that drops them. A
+//! plain-column projection over a scan runs as aliases, so the narrowing
+//! is free; every join, gather and ticket above it carries fewer columns.
+//! Both join keys always stay, a scan never narrows to zero columns (a
+//! column-less table has no rows), and a probe-side column that stays
+//! keeps its build-side namesake (the join suffixes the probe side's copy
+//! of a colliding name, and the binder resolved every reference against
+//! those suffixes). Each pruned scan adds a `PRUNE` note.
 
 use crate::logical::LogicalPlan;
 use engine::{AggSpec, Catalog, EngineError, Expr, Plan};
@@ -29,18 +41,28 @@ use groupby::AggFn;
 use heuristics::composite::{bits_for_span, choose_composite, CompositeProfile, CompositeStrategy};
 use std::collections::{HashMap, HashSet};
 
-/// The lowered plan plus the composite-key decisions taken on the way.
+/// The lowered plan plus the decisions taken on the way.
 #[derive(Debug)]
 pub struct Lowered {
     /// The executable plan.
     pub plan: Plan,
-    /// One line per composite GROUP BY / ORDER BY rewrite: the strategy,
-    /// the bit budget and the decision-tree rationale.
+    /// One line per composite GROUP BY / ORDER BY rewrite (the strategy,
+    /// the bit budget and the decision-tree rationale), then one `PRUNE`
+    /// line per scan the projection pushdown narrowed.
     pub notes: Vec<String>,
 }
 
-/// Lower a bound logical plan against the catalog.
+/// Lower a bound logical plan against the catalog, projection pushdown
+/// included.
 pub fn lower(logical: &LogicalPlan, catalog: &Catalog) -> Result<Lowered, EngineError> {
+    let Lowered { plan, mut notes } = lower_unpruned(logical, catalog)?;
+    let (plan, _cols) = prune(plan, None, catalog, &mut notes)?;
+    Ok(Lowered { plan, notes })
+}
+
+/// [`lower()`] without the projection pushdown: every scan emits every
+/// catalog column. The reference the pushdown's tests compare against.
+pub fn lower_unpruned(logical: &LogicalPlan, catalog: &Catalog) -> Result<Lowered, EngineError> {
     let mut notes = Vec::new();
     let (plan, _info) = lower_node(logical, catalog, &mut notes)?;
     Ok(Lowered { plan, notes })
@@ -333,38 +355,25 @@ fn lower_node(
             } else {
                 li.rows.saturating_mul(ri.rows)
             };
-            // Output schema mirrors the engine join: key under the left
-            // name, left payloads, right payloads sans probe key,
-            // collisions suffixed `_n` in output order.
+            // Output schema mirrors the engine join (`join_columns`).
             let lk = li.range(left_key);
             let rk = ri.range(right_key);
             let key_range = Range {
                 min: lk.min.max(rk.min),
                 max: lk.max.min(rk.max),
             };
-            // (old name, side) in output order; side 0 = left, 1 = right.
-            let mut bases: Vec<(String, usize, Range)> = Vec::new();
-            bases.push((left_key.clone(), 0, key_range));
-            for (n, r) in li.cols.iter().filter(|(n, _)| n != left_key) {
-                bases.push((n.clone(), 0, *r));
-            }
-            for (n, r) in ri.cols.iter().filter(|(n, _)| n != right_key) {
-                bases.push((n.clone(), 1, *r));
-            }
-            let mut used: HashMap<String, usize> = HashMap::new();
+            let names = |i: &Info| i.cols.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
             let mut cols = Vec::new();
             // rename[side]: old name -> output name.
             let mut rename: [HashMap<String, String>; 2] = [HashMap::new(), HashMap::new()];
-            for (old, side, r) in &bases {
-                let n = used.entry(old.clone()).or_insert(0);
-                *n += 1;
-                let out = if *n == 1 {
-                    old.clone()
-                } else {
-                    format!("{old}_{n}")
+            for (out, side, old) in join_columns(&names(&li), &names(&ri), left_key, right_key) {
+                let r = match (cols.is_empty(), side) {
+                    (true, _) => key_range,
+                    (false, 0) => li.range(&old),
+                    (false, _) => ri.range(&old),
                 };
-                rename[*side].insert(old.clone(), out.clone());
-                cols.push((out, *r));
+                rename[side].insert(old, out.clone());
+                cols.push((out, r));
             }
             // The probe key's values surface as the output key column.
             rename[1].insert(right_key.clone(), rename[0][left_key].clone());
@@ -726,6 +735,248 @@ fn lower_sort(
     .project(post.iter().map(|(n, e)| (n.as_str(), e.clone())).collect());
     let rows = limit.map_or(info.rows, |l| info.rows.min(l as u64));
     Ok((plan, Info { rows, ..info }))
+}
+
+/// A plain-column projection keeping `cols` of `input` under their names.
+fn keep(input: Plan, cols: &[String]) -> Plan {
+    Plan::Project {
+        input: Box::new(input),
+        exprs: cols
+            .iter()
+            .map(|c| (c.clone(), Expr::col(c.clone())))
+            .collect(),
+    }
+}
+
+/// An inner join's output columns as `(output name, side, input name)`,
+/// side 0 = left: the key under the left name, left payloads, right
+/// payloads sans probe key, repeated names suffixed `_n` in output order —
+/// the engine join's naming.
+fn join_columns(
+    left: &[String],
+    right: &[String],
+    left_key: &str,
+    right_key: &str,
+) -> Vec<(String, usize, String)> {
+    let named = std::iter::once((0, left_key))
+        .chain(
+            left.iter()
+                .filter(|n| *n != left_key)
+                .map(|n| (0, n.as_str())),
+        )
+        .chain(
+            right
+                .iter()
+                .filter(|n| *n != right_key)
+                .map(|n| (1, n.as_str())),
+        );
+    let mut used: HashMap<&str, usize> = HashMap::new();
+    let mut cols = Vec::new();
+    for (side, n) in named {
+        let seen = used.entry(n).or_insert(0);
+        *seen += 1;
+        let out = if *seen == 1 {
+            n.to_string()
+        } else {
+            format!("{n}_{seen}")
+        };
+        cols.push((out, side, n.to_string()));
+    }
+    cols
+}
+
+/// Output columns of a lowered plan node, in order. The lowering emits
+/// inner joins only.
+fn output_columns(plan: &Plan, catalog: &Catalog) -> Result<Vec<String>, EngineError> {
+    Ok(match plan {
+        Plan::Scan { table } => catalog.schema(table)?.column_names(),
+        Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
+            output_columns(input, catalog)?
+        }
+        Plan::Project { exprs, .. } => exprs.iter().map(|(n, _)| n.clone()).collect(),
+        Plan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            ..
+        } => join_columns(
+            &output_columns(left, catalog)?,
+            &output_columns(right, catalog)?,
+            left_key,
+            right_key,
+        )
+        .into_iter()
+        .map(|(out, _, _)| out)
+        .collect(),
+        Plan::Aggregate { group_by, aggs, .. } => std::iter::once(group_by.clone())
+            .chain(aggs.iter().map(|a| a.output.clone()))
+            .collect(),
+        Plan::Distinct { column, .. } => vec![column.clone()],
+    })
+}
+
+/// Projection pushdown over a lowered plan whose consumers read `need` of
+/// its output (`None`: all of it). Returns the narrowed plan and its output
+/// columns; see the module doc for the rules.
+fn prune(
+    plan: Plan,
+    need: Option<&HashSet<String>>,
+    catalog: &Catalog,
+    notes: &mut Vec<String>,
+) -> Result<(Plan, Vec<String>), EngineError> {
+    // What a child must provide: the parent's needs plus `reads`.
+    let with = |reads: Vec<&str>| {
+        need.map(|n| {
+            let mut n = n.clone();
+            n.extend(reads.into_iter().map(str::to_string));
+            n
+        })
+    };
+    Ok(match plan {
+        Plan::Scan { table } => {
+            let all = catalog.schema(&table)?.column_names();
+            let Some(need) = need else {
+                return Ok((Plan::Scan { table }, all));
+            };
+            let mut kept: Vec<String> = all.iter().filter(|c| need.contains(*c)).cloned().collect();
+            if kept.is_empty() {
+                kept = all[..1.min(all.len())].to_vec();
+            }
+            if kept.len() == all.len() {
+                return Ok((Plan::Scan { table }, all));
+            }
+            notes.push(format!(
+                "PRUNE {table}: {} of {} columns ({})",
+                kept.len(),
+                all.len(),
+                kept.join(", ")
+            ));
+            (keep(Plan::Scan { table }, &kept), kept)
+        }
+        Plan::Filter { input, predicate } => {
+            let (input, cols) = prune(*input, with(predicate.columns()).as_ref(), catalog, notes)?;
+            let plan = input.filter(predicate);
+            // Drop what only the predicate read (never every column).
+            match need.map(|n| {
+                cols.iter()
+                    .filter(|c| n.contains(*c))
+                    .cloned()
+                    .collect::<Vec<_>>()
+            }) {
+                Some(kept) if !kept.is_empty() && kept.len() < cols.len() => {
+                    (keep(plan, &kept), kept)
+                }
+                _ => (plan, cols),
+            }
+        }
+        Plan::Project { input, exprs } => {
+            let reads: HashSet<String> = exprs
+                .iter()
+                .flat_map(|(_, e)| e.columns())
+                .map(str::to_string)
+                .collect();
+            let (input, _) = prune(*input, Some(&reads), catalog, notes)?;
+            let cols = exprs.iter().map(|(n, _)| n.clone()).collect();
+            (
+                Plan::Project {
+                    input: Box::new(input),
+                    exprs,
+                },
+                cols,
+            )
+        }
+        Plan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            kind,
+            algorithm,
+        } => {
+            let (left_all, right_all) = (
+                output_columns(&left, catalog)?,
+                output_columns(&right, catalog)?,
+            );
+            let sides = need.map(|need| {
+                let mut sides = [HashSet::new(), HashSet::new()];
+                sides[0].insert(left_key.clone());
+                sides[1].insert(right_key.clone());
+                for (out, side, n) in join_columns(&left_all, &right_all, &left_key, &right_key) {
+                    if need.contains(&out) {
+                        sides[side].insert(n);
+                    }
+                }
+                // A kept probe-side payload keeps its build-side namesake:
+                // that twin is what gives it its `_n` suffix.
+                let twins: Vec<String> = right_all
+                    .iter()
+                    .filter(|n| **n != right_key && sides[1].contains(*n) && left_all.contains(n))
+                    .cloned()
+                    .collect();
+                sides[0].extend(twins);
+                sides
+            });
+            let (l, r) = match &sides {
+                Some([l, r]) => (Some(l), Some(r)),
+                None => (None, None),
+            };
+            let (left, lcols) = prune(*left, l, catalog, notes)?;
+            let (right, rcols) = prune(*right, r, catalog, notes)?;
+            let cols = join_columns(&lcols, &rcols, &left_key, &right_key)
+                .into_iter()
+                .map(|(out, _, _)| out)
+                .collect();
+            (
+                Plan::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    left_key,
+                    right_key,
+                    kind,
+                    algorithm,
+                },
+                cols,
+            )
+        }
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            algorithm,
+        } => {
+            let reads: HashSet<String> = std::iter::once(group_by.clone())
+                .chain(aggs.iter().map(|a| a.column.clone()))
+                .collect();
+            let (input, _) = prune(*input, Some(&reads), catalog, notes)?;
+            let plan = Plan::Aggregate {
+                input: Box::new(input),
+                group_by,
+                aggs,
+                algorithm,
+            };
+            let cols = output_columns(&plan, catalog)?;
+            (plan, cols)
+        }
+        Plan::Distinct { input, column } => {
+            let reads: HashSet<String> = [column.clone()].into_iter().collect();
+            let (input, _) = prune(*input, Some(&reads), catalog, notes)?;
+            (input.distinct(&column), vec![column])
+        }
+        Plan::Sort {
+            input,
+            by,
+            desc,
+            limit,
+        } => {
+            let (input, cols) = prune(*input, with(vec![by.as_str()]).as_ref(), catalog, notes)?;
+            (input.sort_by(&by, desc, limit), cols)
+        }
+        Plan::Limit { input, count } => {
+            let (input, cols) = prune(*input, need, catalog, notes)?;
+            (input.limit(count), cols)
+        }
+    })
 }
 
 #[cfg(test)]

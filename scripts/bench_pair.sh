@@ -12,8 +12,10 @@
 # metric of BENCHMARK.json plus the child's user and sys CPU seconds, each
 # side's median and quartiles, the change's wins out of the pairs run (ties
 # count for neither side) and the parent's interquartile spread the medians
-# must differ by; fails if a run fails or the two sides' sim_fingerprint
-# differ. Raw rows stay in target/bench_pair/<workload>-s<seed>.tsv.
+# must differ by; fails if a run fails, if one side's sim_fingerprint varies
+# across its own runs (non-determinism), or if the two sides' fingerprints
+# differ, and says which. Raw rows stay in
+# target/bench_pair/<workload>-s<seed>.tsv.
 #
 # Building here rewrites perf/Cargo.lock when it is stale; the script saves
 # the file before that build and puts it back on exit. Takes minutes
@@ -88,7 +90,7 @@ function summarize(side, metric,    n, i, j, t, v) {
     for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
     med[side] = quantile(v, n, 0.5); q1[side] = quantile(v, n, 0.25); q3[side] = quantile(v, n, 0.75)
 }
-$3 == "sim_fingerprint" { fp[$1] = fp[$1] (index(fp[$1], $4) ? "" : " " $4); next }
+$3 == "sim_fingerprint" { if (!index(fp[$1], $4)) { fp[$1] = fp[$1] " " $4; nfp[$1]++ }; next }
 { val[$1, $2, $3] = $4; if ($2 > pairs) pairs = $2 }
 END {
     printf "%-22s %-6s %34s %34s %8s %6s %10s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins", "parent iqr"
@@ -105,5 +107,14 @@ END {
         printf "%-22s %-6s %12.6g [%9.6g,%9.6g] %12.6g [%9.6g,%9.6g] %+7.1f%% %3d/%-2d %10.4g\n", metric, d[2], med["parent"], q1["parent"], q3["parent"], med["change"], q1["change"], q3["change"], rel, wins, pairs, q3["parent"] - q1["parent"]
     }
     printf "sim_fingerprint parent%s change%s\n", fp["parent"], fp["change"]
-    if (fp["parent"] != fp["change"]) { print "FAIL: sim_fingerprint differs between the sides"; exit 1 }
+    varies = ""
+    for (side in nfp) if (nfp[side] > 1) varies = varies " " side
+    if (varies != "") {
+        printf "FAIL: sim_fingerprint varies across the runs of one side (non-determinism):%s\n", varies
+        exit 1
+    }
+    if (fp["parent"] != fp["change"]) {
+        printf "FAIL: sim_fingerprint differs between the sides (parent%s, change%s); expected only where the change moves simulated numbers\n", fp["parent"], fp["change"]
+        exit 1
+    }
 }' "$rows"

@@ -8,17 +8,21 @@
 //!    produce *byte-identical* outputs (names, values, row order) to the
 //!    same plans assembled by hand against the engine API, the packed
 //!    composite keys written out long-hand from the catalog statistics.
-//!    The equivalence must hold fused and unfused, across
-//!    `host_threads` 1 vs 4, and under every scheduler policy.
+//!    The equivalence must hold fused and unfused, on a fresh device, and
+//!    under every scheduler policy.
+//! 3. **Projection pushdown is exact** — every scan of a lowered plan emits
+//!    exactly the columns its consumers read, and the pruned plan's output
+//!    is byte-identical to the unpruned lowering's, fused and unfused.
 
 use columnar::date::parse_date;
+use columnar::Column;
 use engine::demo::{q18_sql, q3_sql, tpch_full};
 use engine::scheduler::{run_queries, Policy, QuerySpec};
 use engine::{execute, execute_unfused, AggSpec, Catalog, Expr, Plan, SqlSpan, Table};
 use groupby::AggFn;
 use heuristics::composite::bits_for_span;
 use proptest::prelude::*;
-use sim::{Device, DeviceConfig};
+use sim::Device;
 use sql::ast::{AggKind, AstExpr, BinOp, JoinClause, OrderItem, Query, SelectItem};
 
 fn sp() -> SqlSpan {
@@ -461,21 +465,25 @@ fn q18_from_sql_matches_hand_built_plan() {
     assert_same_output(q18_sql(), &hand, "Q18");
 }
 
+/// Two fresh devices, each with its own catalog, run Q3 and Q18 to the
+/// same bytes and the same simulated totals: time to the bit, and every
+/// hardware counter.
 #[test]
-fn sql_queries_are_bitwise_stable_across_host_threads() {
-    let mut outs = Vec::new();
-    for threads in [1usize, 4] {
-        let dev = Device::new(DeviceConfig::a100().with_host_threads(threads));
+fn sql_queries_are_bitwise_stable_across_fresh_devices() {
+    let run = || {
+        let dev = Device::a100();
         let cat = catalog(&dev);
-        let mut per_thread = Vec::new();
-        for text in [q3_sql(), q18_sql()] {
+        [q3_sql(), q18_sql()].map(|text| {
             let lowered = sql::plan_sql(text, &cat).expect("plans");
             let out = execute(&dev, &cat, &lowered.plan).unwrap();
-            per_thread.push(bytes_of(&out.table));
-        }
-        outs.push(per_thread);
-    }
-    assert_eq!(outs[0], outs[1], "host_threads must not change any byte");
+            (
+                bytes_of(&out.table),
+                out.stats.total_time().secs().to_bits(),
+                dev.counters(),
+            )
+        })
+    };
+    assert_eq!(run(), run(), "a fresh device must reproduce every byte");
 }
 
 #[test]
@@ -498,4 +506,282 @@ fn sql_queries_are_identical_under_every_scheduler_policy() {
     }
     assert_eq!(per_policy[0], per_policy[1], "Serial vs RoundRobin");
     assert_eq!(per_policy[0], per_policy[2], "Serial vs WeightedFair");
+}
+
+// ---------------------------------------------------------------------
+// 3. Projection pushdown
+// ---------------------------------------------------------------------
+
+/// The benchmark's Q1-style text: a filtered scan and a small group-by.
+const Q1S_SQL: &str = "SELECT l_discount, SUM(l_quantity) AS q, SUM(l_extendedprice) AS p, \
+     COUNT(*) AS n FROM lineitem WHERE l_quantity <= 45 GROUP BY l_discount ORDER BY l_discount";
+
+fn children(plan: &Plan) -> Vec<&Plan> {
+    match plan {
+        Plan::Scan { .. } => vec![],
+        Plan::Join { left, right, .. } => vec![left, right],
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::Distinct { input, .. }
+        | Plan::Aggregate { input, .. } => vec![input],
+    }
+}
+
+/// Each scan's table and the columns it hands its consumer: the names of a
+/// plain-column projection directly over it, else every catalog column.
+fn scan_emissions(plan: &Plan, cat: &Catalog, out: &mut Vec<(String, Vec<String>)>) {
+    match plan {
+        Plan::Project { input, exprs } if matches!(**input, Plan::Scan { .. }) => {
+            let Plan::Scan { table } = &**input else {
+                unreachable!()
+            };
+            let plain: Option<Vec<String>> = exprs
+                .iter()
+                .map(|(n, e)| matches!(e, Expr::Col(c) if c == n).then(|| n.clone()))
+                .collect();
+            match plain {
+                Some(names) => out.push((table.clone(), names)),
+                None => scan_emissions(input, cat, out),
+            }
+        }
+        Plan::Scan { table } => {
+            out.push((table.clone(), cat.schema(table).unwrap().column_names()));
+        }
+        _ => children(plan)
+            .into_iter()
+            .for_each(|c| scan_emissions(c, cat, out)),
+    }
+}
+
+/// `plan` with its scan of `table` replaced by `f(scan)`.
+fn at_scan(plan: &Plan, table: &str, f: &dyn Fn(Plan) -> Plan) -> Plan {
+    let sub = |p: &Plan| Box::new(at_scan(p, table, f));
+    match plan.clone() {
+        Plan::Scan { table: t } if t == table => f(plan.clone()),
+        Plan::Scan { table } => Plan::Scan { table },
+        Plan::Filter { input, predicate } => Plan::Filter {
+            input: sub(&input),
+            predicate,
+        },
+        Plan::Project { input, exprs } => Plan::Project {
+            input: sub(&input),
+            exprs,
+        },
+        Plan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+            kind,
+            algorithm,
+        } => Plan::Join {
+            left: sub(&left),
+            right: sub(&right),
+            left_key,
+            right_key,
+            kind,
+            algorithm,
+        },
+        Plan::Sort {
+            input,
+            by,
+            desc,
+            limit,
+        } => Plan::Sort {
+            input: sub(&input),
+            by,
+            desc,
+            limit,
+        },
+        Plan::Limit { input, count } => Plan::Limit {
+            input: sub(&input),
+            count,
+        },
+        Plan::Distinct { input, column } => Plan::Distinct {
+            input: sub(&input),
+            column,
+        },
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            algorithm,
+        } => Plan::Aggregate {
+            input: sub(&input),
+            group_by,
+            aggs,
+            algorithm,
+        },
+    }
+}
+
+/// Check the pushdown on `text` and return the lowering notes.
+///
+/// - Semantic: the pruned plan's output equals the unpruned lowering's,
+///   byte for byte, fused and unfused.
+/// - Structural: every scan emits exactly what its consumers read. The
+///   pruned plan runs (nothing read is missing), and withholding any one
+///   emitted column, directly at the scan, makes it fail or changes its
+///   output (nothing emitted goes unread).
+fn assert_pushdown_exact(dev: &Device, cat: &Catalog, text: &str) -> Vec<String> {
+    let logical = sql::bind(&sql::parse(text).expect("parses"), cat).expect("binds");
+    let pruned = sql::lower(&logical, cat).expect("lowers");
+    let unpruned = sql::lower_unpruned(&logical, cat).expect("lowers");
+    type Run = fn(&Device, &Catalog, &Plan) -> Result<engine::QueryOutput, engine::EngineError>;
+    let mut reference = Vec::new();
+    for (mode, run) in [
+        ("fused", execute as Run),
+        ("unfused", execute_unfused as Run),
+    ] {
+        let want = bytes_of(&run(dev, cat, &unpruned.plan).expect("unpruned runs").table);
+        let got = run(dev, cat, &pruned.plan)
+            .unwrap_or_else(|e| panic!("{text}: pruned plan fails {mode}: {e}"));
+        assert_eq!(bytes_of(&got.table), want, "{text}: {mode} output moved");
+        reference = want;
+    }
+    let mut scans = Vec::new();
+    scan_emissions(&pruned.plan, cat, &mut scans);
+    assert!(!scans.is_empty(), "{text}: no scan found");
+    for (table, emitted) in &scans {
+        for col in emitted {
+            let rest: Vec<(&str, Expr)> = emitted
+                .iter()
+                .filter(|c| *c != col)
+                .map(|c| (c.as_str(), Expr::col(c.clone())))
+                .collect();
+            let withheld = at_scan(&pruned.plan, table, &|scan| scan.project(rest.clone()));
+            if let Ok(out) = execute(dev, cat, &withheld) {
+                assert_ne!(
+                    bytes_of(&out.table),
+                    reference,
+                    "{text}: {table} emits {col} but nothing reads it"
+                );
+            }
+        }
+    }
+    pruned.notes
+}
+
+fn prune_notes(notes: &[String]) -> Vec<&str> {
+    notes
+        .iter()
+        .filter(|n| n.starts_with("PRUNE"))
+        .map(String::as_str)
+        .collect()
+}
+
+#[test]
+fn tpch_scans_emit_exactly_the_columns_their_consumers_read() {
+    let dev = Device::a100();
+    let cat = catalog(&dev);
+    let q3 = assert_pushdown_exact(&dev, &cat, q3_sql());
+    assert_eq!(prune_notes(&q3).len(), 3, "{q3:?}");
+    let q18 = assert_pushdown_exact(&dev, &cat, q18_sql());
+    assert_eq!(
+        prune_notes(&q18),
+        [
+            "PRUNE customer: 2 of 5 columns (c_custkey, c_name)",
+            "PRUNE orders: 4 of 5 columns (o_orderkey, o_custkey, o_orderdate, o_totalprice)",
+            "PRUNE lineitem: 2 of 5 columns (l_orderkey, l_quantity)",
+        ]
+    );
+    let q1s = assert_pushdown_exact(&dev, &cat, Q1S_SQL);
+    assert_eq!(
+        prune_notes(&q1s),
+        ["PRUNE lineitem: 3 of 5 columns (l_quantity, l_extendedprice, l_discount)"]
+    );
+}
+
+/// The binder's collision catalog: `tag` lives in both tables, so a join
+/// of the two names the probe side's `tag_2`.
+fn collision_catalog(dev: &Device) -> Catalog {
+    let mut c = Catalog::new();
+    c.insert(Table::new(
+        "orders",
+        vec![
+            ("o_id", Column::from_i32(dev, vec![1, 2, 3, 4], "o_id")),
+            (
+                "o_cust",
+                Column::from_i32(dev, vec![10, 11, 10, 12], "o_cust"),
+            ),
+            (
+                "o_price",
+                Column::from_i64(dev, vec![50, 60, 70, 80], "o_price"),
+            ),
+            ("tag", Column::from_i32(dev, vec![0, 0, 1, 1], "tag")),
+        ],
+    ));
+    c.insert(Table::new(
+        "customer",
+        vec![
+            ("c_id", Column::from_i32(dev, vec![10, 11, 12], "c_id")),
+            ("c_seg", Column::from_i32(dev, vec![0, 1, 0], "c_seg")),
+            ("tag", Column::from_i32(dev, vec![7, 8, 9], "tag")),
+        ],
+    ));
+    c.set_primary_key("customer", "c_id").unwrap();
+    c
+}
+
+#[test]
+fn ad_hoc_scans_emit_exactly_the_columns_their_consumers_read() {
+    let dev = Device::a100();
+    let cat = collision_catalog(&dev);
+    let cases: [(&str, &[&str]); 9] = [
+        // Every column read (the grammar has no `*`): nothing to prune.
+        ("SELECT o_id, o_cust, o_price, tag FROM orders", &[]),
+        // o_price is read only by WHERE.
+        (
+            "SELECT o_id FROM orders WHERE o_price > 55",
+            &["PRUNE orders: 2 of 4 columns (o_id, o_price)"],
+        ),
+        // ORDER BY an aggregate; HAVING reads a column nothing selects.
+        (
+            "SELECT o_cust, COUNT(*) AS n FROM orders GROUP BY o_cust \
+             HAVING SUM(o_price) > 60 ORDER BY n DESC",
+            &["PRUNE orders: 2 of 4 columns (o_cust, o_price)"],
+        ),
+        // Neither join key is selected.
+        (
+            "SELECT o_price, c_seg FROM orders, customer WHERE o_cust = c_id",
+            &[
+                "PRUNE orders: 2 of 4 columns (o_cust, o_price)",
+                "PRUNE customer: 2 of 3 columns (c_id, c_seg)",
+            ],
+        ),
+        // COUNT(*) alone reads only the grouping key.
+        (
+            "SELECT COUNT(*) AS n FROM orders GROUP BY o_cust",
+            &["PRUNE orders: 1 of 4 columns (o_cust)"],
+        ),
+        // A qualified reference to the suffixed `tag_2`: `tag` stays on
+        // both sides, or the probe side's would lose its suffix.
+        (
+            "SELECT customer.tag FROM orders, customer WHERE o_cust = c_id",
+            &[
+                "PRUNE orders: 2 of 4 columns (o_cust, tag)",
+                "PRUNE customer: 2 of 3 columns (c_id, tag)",
+            ],
+        ),
+        // Nothing read: the scan keeps one column, or it would have no rows.
+        (
+            "SELECT 1 AS one FROM orders",
+            &["PRUNE orders: 1 of 4 columns (o_id)"],
+        ),
+        (
+            "SELECT 1 AS one FROM orders WHERE o_price > 55",
+            &["PRUNE orders: 1 of 4 columns (o_price)"],
+        ),
+        // DISTINCT and LIMIT pass needs through.
+        (
+            "SELECT DISTINCT c_seg FROM customer WHERE tag > 7 LIMIT 5",
+            &["PRUNE customer: 2 of 3 columns (c_seg, tag)"],
+        ),
+    ];
+    for (text, want) in cases {
+        let notes = assert_pushdown_exact(&dev, &cat, text);
+        assert_eq!(prune_notes(&notes), want, "{text}");
+    }
 }
