@@ -3,9 +3,9 @@
 //! join-algorithm × aggregation-algorithm combinations end to end.
 
 use crate::{mtps, Claim, Report, Session};
-use gpu_join::pipeline::{join_then_group_by, GroupKey, PipelineSpec};
-use groupby::{AggFn, GroupByAlgorithm};
-use joins::Algorithm;
+use columnar::Relation;
+use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
+use joins::{Algorithm, JoinConfig};
 use workloads::JoinWorkload;
 
 /// Run the experiment.
@@ -26,18 +26,19 @@ pub fn run(session: &mut Session) -> Report {
     for join_alg in [Algorithm::PhjUm, Algorithm::PhjOm, Algorithm::SmjOm] {
         for group_alg in group_algs {
             let (r, s) = w.generate(&dev);
-            let out = join_then_group_by(
+            let join = joins::run_join(&dev, join_alg, &r, &s, &JoinConfig::default());
+            // Group the join output by its key and SUM every payload: R's,
+            // then S's.
+            let payloads = join.r_payloads.into_iter().chain(join.s_payloads).collect();
+            let input = Relation::new("joined", join.keys, payloads);
+            let groups = groupby::run_group_by(
                 &dev,
-                &r,
-                &s,
-                &PipelineSpec::new(
-                    join_alg,
-                    GroupKey::JoinKey,
-                    group_alg,
-                    &[AggFn::Sum, AggFn::Sum, AggFn::Sum, AggFn::Sum],
-                ),
+                group_alg,
+                &input,
+                &[AggFn::Sum; 4],
+                &GroupByConfig::default(),
             );
-            let total = out.total_time();
+            let total = join.stats.total_time() + groups.stats.total_time();
             let tput = mtps(w.total_tuples(), total);
             if total.secs() < best.1 {
                 best = (
@@ -48,10 +49,10 @@ pub fn run(session: &mut Session) -> Report {
             report.push(serde_json::json!({
                 "join": join_alg.name(),
                 "groupby": group_alg.name(),
-                "join_s": out.join_stats.phases.total().secs(),
-                "agg_s": out.groups.stats.phases.total().secs(),
+                "join_s": join.stats.phases.total().secs(),
+                "agg_s": groups.stats.phases.total().secs(),
                 "mtps": tput,
-                "groups": out.groups.len(),
+                "groups": groups.len(),
             }));
         }
     }

@@ -185,6 +185,58 @@ fn fidelity_records_one_claim_per_finding_and_a_band_for_every_join_artifact() {
     }
 }
 
+/// The checked-in artifact directories agree with themselves: each
+/// report's `findings` are, in order, the `sentence`s of that experiment's
+/// claims in the same directory's `fidelity.json`. A claim whose id the
+/// gate treats as wall clock (it contains `cpu`) is matched by position
+/// only: its sentence quotes a host measurement.
+#[test]
+fn checked_in_findings_match_their_fidelity_claims() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for dir in ["results", "results/smoke14"] {
+        let read = |file: &str| -> Value {
+            let path = root.join(dir).join(file);
+            let data = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            serde_json::from_str(&data).unwrap_or_else(|e| panic!("{}: {e:?}", path.display()))
+        };
+        let fidelity = read("fidelity.json");
+        let claims = array(&fidelity, "fidelity.json");
+        for exp in REGISTRY {
+            let report = read(&format!("{}.json", exp.name));
+            let found: Vec<&str> = array(&report["findings"], "findings")
+                .iter()
+                .map(|f| f.as_str().expect("finding is a string"))
+                .collect();
+            let own: Vec<(&str, &str)> = claims
+                .iter()
+                .map(|c| {
+                    let id = c["id"].as_str().expect("claim id is text");
+                    let sentence = c["sentence"].as_str().expect("claim sentence is text");
+                    (id, sentence)
+                })
+                .filter(|(id, _)| {
+                    id.strip_prefix(exp.name)
+                        .is_some_and(|rest| rest.starts_with('.'))
+                })
+                .collect();
+            assert_eq!(
+                found.len(),
+                own.len(),
+                "{dir}/{}.json: {} findings but {} claims",
+                exp.name,
+                found.len(),
+                own.len()
+            );
+            for (finding, (id, sentence)) in found.iter().zip(&own) {
+                if !id.contains("cpu") {
+                    assert_eq!(finding, sentence, "{dir}: {id}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn trace_exports_are_valid_and_non_empty() {
     let events = json("trace.json");

@@ -47,12 +47,10 @@
 //! | [`engine`] | a minimal columnar query engine (scan/filter/project/join/aggregate) |
 
 pub mod memory_model;
-pub mod pipeline;
 
 /// One-stop imports for applications.
 pub mod prelude {
     pub use crate::memory_model;
-    pub use crate::pipeline::{join_then_group_by, GroupKey, PipelineOutput, PipelineSpec};
     pub use columnar::{Column, DType, DictionaryEncoder, Relation};
     pub use groupby::{run_group_by, AggFn, GroupByAlgorithm, GroupByConfig, GroupByOutput};
     pub use heuristics::{choose_join, choose_smj, profile_of, WorkloadProfile};

@@ -5,7 +5,7 @@
 //! [`slow_queries`] is a *pure* function of its three inputs — it runs no
 //! kernels, reads no clocks, and allocates nothing on the device — so the
 //! digest it produces is byte-identical whenever its inputs are, which the
-//! lifecycle invariant suite holds across host-thread counts and policies.
+//! lifecycle invariant suite holds across re-runs under every policy.
 //!
 //! A query is *slow* against its own SLO target when the serving session
 //! configured one ([`crate::scheduler::ServingConfig::with_slo`]), and

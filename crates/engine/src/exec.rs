@@ -294,7 +294,7 @@ fn run_compiled(
     catalog: &Catalog,
     op: crate::op::BoxOp,
 ) -> Result<QueryOutput, EngineError> {
-    let ctx = ExecContext::new(dev, Some(catalog));
+    let ctx = ExecContext::new(dev, catalog);
     let (table, stats) = run_operator(&ctx, op.as_ref())?;
     Ok(QueryOutput { table, stats })
 }
@@ -323,7 +323,7 @@ mod tests {
     use super::*;
     use crate::{AggSpec, Expr};
     use columnar::Column;
-    use groupby::AggFn;
+    use groupby::{AggFn, GroupByAlgorithm};
     use joins::{Algorithm, JoinKind};
 
     fn catalog(dev: &Device) -> Catalog {
@@ -484,6 +484,94 @@ mod tests {
         assert!(out.stats.label.starts_with("Aggregate"));
         assert_eq!(out.stats.children.len(), 1);
         assert!(out.stats.render().contains("Join"));
+    }
+
+    #[test]
+    fn join_key_grouping_over_a_pinned_join() {
+        // Orders ⋈ lineitem, then per order MAX(o_custkey) (functionally
+        // dependent on the key) and SUM(l_quantity).
+        let dev = Device::a100();
+        let mut cat = Catalog::new();
+        cat.insert(Table::new(
+            "orders",
+            vec![
+                ("o_orderkey", Column::from_i32(&dev, vec![0, 1, 2, 3], "k")),
+                (
+                    "o_custkey",
+                    Column::from_i32(&dev, vec![100, 101, 102, 103], "c"),
+                ),
+            ],
+        ));
+        cat.insert(Table::new(
+            "lineitem",
+            vec![
+                (
+                    "l_orderkey",
+                    Column::from_i32(&dev, vec![0, 0, 1, 2, 2, 2], "k"),
+                ),
+                (
+                    "l_quantity",
+                    Column::from_i32(&dev, vec![5, 7, 11, 1, 2, 3], "q"),
+                ),
+            ],
+        ));
+        let plan = Plan::scan("orders")
+            .join(Plan::scan("lineitem"), "o_orderkey", "l_orderkey")
+            .with_join_algorithm(Algorithm::PhjOm)
+            .aggregate(
+                "o_orderkey",
+                vec![
+                    AggSpec::new(AggFn::Max, "o_custkey", "cust"),
+                    AggSpec::new(AggFn::Sum, "l_quantity", "qty"),
+                ],
+            )
+            .with_group_algorithm(GroupByAlgorithm::SortGftr);
+        let out = execute(&dev, &cat, &plan).unwrap();
+        assert_eq!(
+            out.table.rows_sorted(),
+            vec![vec![0, 100, 12], vec![1, 101, 11], vec![2, 102, 6]],
+        );
+        assert!(out.stats.total_time().secs() > 0.0);
+        // The stats tree reflects both stages with the shared record.
+        assert!(out.stats.label.starts_with("Aggregate"));
+        let join = &out.stats.children[0];
+        assert!(join.label.starts_with("Join"));
+        assert_eq!(join.rows(), 6);
+        assert!(join.op.counters.dram_bytes() > 0);
+    }
+
+    #[test]
+    fn build_payload_grouping_over_a_pinned_join() {
+        let dev = Device::a100();
+        let mut cat = Catalog::new();
+        cat.insert(Table::new(
+            "r",
+            vec![
+                ("k", Column::from_i32(&dev, vec![0, 1], "k")),
+                ("category", Column::from_i32(&dev, vec![7, 7], "category")),
+            ],
+        ));
+        cat.insert(Table::new(
+            "s",
+            vec![
+                ("k", Column::from_i32(&dev, vec![0, 0, 1], "k")),
+                ("v", Column::from_i32(&dev, vec![1, 2, 4], "v")),
+            ],
+        ));
+        let plan = Plan::scan("r")
+            .join(Plan::scan("s"), "k", "k")
+            .with_join_algorithm(Algorithm::SmjOm)
+            .aggregate(
+                "category",
+                vec![
+                    AggSpec::new(AggFn::Min, "k", "min_k"),
+                    AggSpec::new(AggFn::Sum, "v", "sum_v"),
+                ],
+            )
+            .with_group_algorithm(GroupByAlgorithm::HashGlobal);
+        let out = execute(&dev, &cat, &plan).unwrap();
+        // One group (category 7): min join key 0, sum v = 7.
+        assert_eq!(out.table.rows_sorted(), vec![vec![7, 0, 7]]);
     }
 
     #[test]

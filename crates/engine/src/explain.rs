@@ -242,7 +242,7 @@ fn render_provenance(p: &Provenance, out: &mut String, pad: &str) {
 impl QueryExplain {
     /// Attribute an executed plan tree against `cfg`'s roofline. A pure
     /// function of its inputs: equal `NodeStats` produce byte-equal
-    /// explains regardless of host threading or scheduling policy.
+    /// explains regardless of run or scheduling policy.
     pub fn from_stats(cfg: &DeviceConfig, stats: &NodeStats) -> QueryExplain {
         QueryExplain {
             device: cfg.name.clone(),

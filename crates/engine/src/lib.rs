@@ -8,11 +8,10 @@
 //! * [`Table`] — named columns (thin sugar over [`columnar`]);
 //! * [`Expr`] — column-at-a-time scalar expressions and predicates;
 //! * [`Plan`] — Scan / Filter / Project / Join / Aggregate nodes;
-//! * [`op`] — the physical-operator layer: every operator (and any caller
-//!   that assembles [`op::PhysicalOperator`] trees directly, like
-//!   `core::pipeline`) executes through one driver that reports the shared
-//!   [`sim::OpStats`] record per node and applies the Section 4.4 memory
-//!   budget, going out-of-core transparently when a join won't fit;
+//! * [`op`] — the physical-operator layer: every operator tree is compiled
+//!   from a [`Plan`] and executes through one driver that reports the
+//!   shared [`sim::OpStats`] record per node and applies the Section 4.4
+//!   memory budget, going out-of-core transparently when a join won't fit;
 //! * [`fuse`] — operator fusion and plan-wide late materialization:
 //!   adjacent Filter/Project chains collapse into one node that evaluates a
 //!   single combined predicate and hands consumers a row-id ticket
@@ -64,7 +63,7 @@ pub use exec::{
 };
 pub use explain::{ExplainNode, QueryExplain};
 pub use expr::{CmpOp, Expr};
-pub use plan::{AggSpec, Plan};
+pub use plan::{join_output_columns, AggSpec, Plan};
 pub use plan_cache::{CacheOutcome, PlanCache, PlanCacheInfo};
 pub use scheduler::{
     run_open_loop, run_open_loop_with, run_queries, OpenQuery, OperatorBreakdown, Policy,

@@ -3,7 +3,7 @@
 //! The paper's framework says joins and grouped aggregations are the *same*
 //! three-phase computation; this module is that claim as an interface. A
 //! [`PhysicalOperator`] binds its inputs, executes on a [`sim::Device`] and
-//! returns output columns — and the driver ([`run_operator`]) wraps every
+//! returns output columns — and the driver (`run_operator`) wraps every
 //! node in the same measurement harness: simulated time, peak device memory
 //! and the hardware-counter delta all land in one shared [`sim::OpStats`]
 //! per node, so a plan report reads like an Nsight profile of the tree.
@@ -19,22 +19,21 @@
 //! discipline applied plan-wide rather than per join.
 //!
 //! The layer is also where plan-level memory budgeting lives: before a join
-//! executes, [`JoinOp`] runs the Section 4.4 memory model
+//! executes, its operator runs the Section 4.4 memory model
 //! ([`joins::chunked::plan_chunks`]) against the device's free memory and
 //! transparently switches to the probe-side chunked join when the predicted
-//! peak does not fit. Callers — `engine::execute`, `core::pipeline`, the
-//! examples — get out-of-core execution without asking for it.
+//! peak does not fit. Callers of `engine::execute` get out-of-core
+//! execution without asking for it.
 //!
 //! [`compile`] lowers a logical [`Plan`] tree into operators with fusion on
 //! (adjacent Filter/Project chains collapse); [`compile_unfused`] keeps the
-//! one-node-per-plan-node lowering — the ablation baseline. Other crates
-//! can also assemble operator trees directly ([`ValuesOp`] feeds
-//! already-materialized tables, which is how `core::pipeline` routes the
-//! paper's join→group-by pipeline through this layer).
+//! one-node-per-plan-node lowering — the ablation baseline. These are the
+//! only way to build an operator tree: every tree the engine runs came from
+//! a `Plan`, and its scans read a [`Catalog`].
 
 use crate::exec::{to_relation, Catalog, NodeStats};
 use crate::fuse::{self, DCol, Deferred};
-use crate::{AggSpec, EngineError, Expr, Plan, Table};
+use crate::{join_output_columns, AggSpec, EngineError, Expr, Plan, Table};
 use columnar::{Column, DType, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
 use heuristics::{
@@ -75,14 +74,13 @@ enum PlanningMode {
     },
 }
 
-/// What an operator needs to execute: the device, and (for scans) the
-/// catalog. Operator trees built from materialized tables ([`ValuesOp`])
-/// run without a catalog.
+/// What an operator needs to execute: the device, and the catalog its
+/// scans read.
 pub struct ExecContext<'a> {
     /// The simulated device all kernels charge to.
     pub dev: &'a Device,
-    /// Table source for scans; `None` outside `engine::execute`.
-    pub catalog: Option<&'a Catalog>,
+    /// Table source for scans.
+    pub catalog: &'a Catalog,
     /// Sampling-site policy for plan caching; private so every
     /// construction goes through [`ExecContext::new`].
     planning: RefCell<PlanningMode>,
@@ -90,7 +88,7 @@ pub struct ExecContext<'a> {
 
 impl<'a> ExecContext<'a> {
     /// A context with planning off: sampling charges the query as usual.
-    pub fn new(dev: &'a Device, catalog: Option<&'a Catalog>) -> Self {
+    pub(crate) fn new(dev: &'a Device, catalog: &'a Catalog) -> Self {
         ExecContext {
             dev,
             catalog,
@@ -100,7 +98,7 @@ impl<'a> ExecContext<'a> {
 
     /// A context that records every sampling-site observation (cold run of
     /// a cacheable plan). Sampling runs on the device's planning handle.
-    pub(crate) fn with_recording(dev: &'a Device, catalog: Option<&'a Catalog>) -> Self {
+    pub(crate) fn with_recording(dev: &'a Device, catalog: &'a Catalog) -> Self {
         ExecContext {
             dev,
             catalog,
@@ -112,7 +110,7 @@ impl<'a> ExecContext<'a> {
     /// hit), skipping the sampling kernels entirely.
     pub(crate) fn with_replay(
         dev: &'a Device,
-        catalog: Option<&'a Catalog>,
+        catalog: &'a Catalog,
         samples: Vec<SiteSample>,
     ) -> Self {
         ExecContext {
@@ -274,7 +272,7 @@ impl Evaluated {
 /// The uniform operator contract: children to recurse into, a display
 /// label, and an `evaluate` that consumes the children's output values.
 ///
-/// Implementations do *not* measure themselves — [`run_operator`] brackets
+/// Implementations do *not* measure themselves — `run_operator` brackets
 /// every `evaluate` call with the device's clock, memory watermark and
 /// hardware counters so all nodes report identically.
 pub trait PhysicalOperator {
@@ -296,10 +294,9 @@ pub trait PhysicalOperator {
 
 /// Execute an operator tree: children first, then the node itself, each
 /// bracketed by the same measurement harness. Returns the root's output
-/// table and the per-node stats tree. (Roots compiled with fusion
-/// materialize themselves; a hand-built tree whose root defers pays its
-/// materialization outside any node bracket.)
-pub fn run_operator(
+/// table and the per-node stats tree. (Compiled roots materialize
+/// themselves, so the final `into_table` is free.)
+pub(crate) fn run_operator(
     ctx: &ExecContext<'_>,
     op: &dyn PhysicalOperator,
 ) -> Result<(Table, NodeStats), EngineError> {
@@ -424,8 +421,9 @@ fn compile_mode(plan: &Plan, fuse_runs: bool, materialize: bool, boundary: &'sta
             left_key,
             right_key,
             JoinConfig {
-                // Engine tables carry no uniqueness metadata; assume the
-                // general (duplicate-tolerant) build.
+                // Assume the general (duplicate-tolerant) build. Deriving
+                // uniqueness from the catalog's declared primary keys is
+                // ROADMAP item 12.
                 unique_build: false,
                 kind: *kind,
                 ..JoinConfig::default()
@@ -490,61 +488,13 @@ impl PhysicalOperator for ScanOp {
         ctx: &ExecContext<'_>,
         _inputs: Vec<Value>,
     ) -> Result<Evaluated, EngineError> {
-        let catalog = ctx
-            .catalog
-            .ok_or_else(|| EngineError::UnknownTable(self.table.clone()))?;
-        let src = catalog.get(&self.table)?;
+        let src = ctx.catalog.get(&self.table)?;
         let cols = src
             .columns()
             .iter()
             .map(|(n, c)| (n.clone(), c.alias()))
             .collect();
         Ok(Evaluated::plain(Table::from_columns(src.name(), cols)))
-    }
-}
-
-/// A leaf that feeds an already-materialized table into an operator tree —
-/// how callers with in-memory relations (e.g. `core::pipeline`) enter the
-/// layer without a catalog.
-pub struct ValuesOp {
-    table: Table,
-}
-
-impl ValuesOp {
-    /// Wrap a materialized table as a leaf operator.
-    pub fn new(table: Table) -> Self {
-        ValuesOp { table }
-    }
-}
-
-impl PhysicalOperator for ValuesOp {
-    fn kind(&self) -> &'static str {
-        "values"
-    }
-
-    fn label(&self) -> String {
-        format!("Values({})", self.table.name())
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &[]
-    }
-
-    fn evaluate(
-        &self,
-        _ctx: &ExecContext<'_>,
-        _inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let cols = self
-            .table
-            .columns()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.alias()))
-            .collect();
-        Ok(Evaluated::plain(Table::from_columns(
-            self.table.name(),
-            cols,
-        )))
     }
 }
 
@@ -821,7 +771,7 @@ fn reassemble_side(
 /// peak exceeds the device's free memory. Deferred inputs join by ticket:
 /// only the key (plus computed expressions) goes through the kernels, and
 /// base payloads are gathered once afterwards.
-pub struct JoinOp {
+pub(crate) struct JoinOp {
     children: Vec<BoxOp>,
     left_key: String,
     right_key: String,
@@ -833,7 +783,7 @@ impl JoinOp {
     /// Join `left` (build side) with `right` (probe side) on the named key
     /// columns. `algorithm: None` lets the decision tree choose from
     /// sampled statistics.
-    pub fn new(
+    pub(crate) fn new(
         left: BoxOp,
         right: BoxOp,
         left_key: &str,
@@ -949,29 +899,25 @@ impl PhysicalOperator for JoinOp {
         });
         let phases = joined.stats.phases;
 
-        // Reassemble with names: key, build payloads, probe payloads;
-        // ticketed payloads gather from their base now, once; colliding
-        // names get a `_n` suffix.
+        // Reassemble: key, build payloads, probe payloads; ticketed
+        // payloads gather from their base now, once.
         let l_cols = reassemble_side(ctx.dev, &l_prep, joined.r_payloads)?;
         let r_cols = reassemble_side(ctx.dev, &r_prep, joined.s_payloads)?;
-        let mut used: HashMap<String, usize> = HashMap::new();
-        let mut unique = |base: &str| -> String {
-            let n = used.entry(base.to_string()).or_insert(0);
-            *n += 1;
-            if *n == 1 {
-                base.to_string()
-            } else {
-                format!("{base}_{n}")
-            }
-        };
-        let mut cols = Vec::new();
-        cols.push((unique(&self.left_key), joined.keys));
-        for (name, col) in l_cols {
-            cols.push((unique(&name), col));
-        }
-        for (name, col) in r_cols {
-            cols.push((unique(&name), col));
-        }
+        let left: Vec<String> = std::iter::once(self.left_key.clone())
+            .chain(l_cols.iter().map(|(n, _)| n.clone()))
+            .collect();
+        let right: Vec<String> = std::iter::once(self.right_key.clone())
+            .chain(r_cols.iter().map(|(n, _)| n.clone()))
+            .collect();
+        let names = join_output_columns(&left, &right, &self.left_key, &self.right_key);
+        let values = std::iter::once(joined.keys)
+            .chain(l_cols.into_iter().map(|(_, c)| c))
+            .chain(r_cols.into_iter().map(|(_, c)| c));
+        let cols = names
+            .into_iter()
+            .map(|(out, _, _)| out)
+            .zip(values)
+            .collect();
         Ok(Evaluated {
             out: Value::Table(Table::from_columns("joined", cols)),
             phases: Some(phases),
@@ -1243,7 +1189,7 @@ impl PhysicalOperator for DistinctOp {
 
 /// Grouped aggregation: algorithm by the grouped-aggregation decision tree
 /// unless pinned (group count and skew sampled from the key column).
-pub struct AggregateOp {
+pub(crate) struct AggregateOp {
     children: Vec<BoxOp>,
     group_by: String,
     aggs: Vec<AggSpec>,
@@ -1254,7 +1200,7 @@ pub struct AggregateOp {
 impl AggregateOp {
     /// Group `input`'s rows by the named column. `algorithm: None` lets the
     /// decision tree choose from sampled statistics.
-    pub fn new(
+    pub(crate) fn new(
         input: BoxOp,
         group_by: &str,
         aggs: Vec<AggSpec>,

@@ -3,6 +3,7 @@
 use crate::Expr;
 use groupby::{AggFn, GroupByAlgorithm};
 use joins::{Algorithm, JoinKind};
+use std::collections::HashMap;
 
 /// One aggregate in an [`Plan::Aggregate`] node.
 #[derive(Debug, Clone)]
@@ -224,6 +225,48 @@ impl Plan {
             Plan::Distinct { column, .. } => format!("Distinct({column})"),
         }
     }
+}
+
+/// The output columns of a [`Plan::Join`] whose inputs have columns `left`
+/// and `right`, as `(output name, side, input name)` with side 0 = left:
+/// the key under the left name, the left payloads, then the right payloads
+/// (each side's payloads are its columns but the first one named after its
+/// key), repeated names suffixed `_n` in output order. The join operator
+/// names its output this way, and the SQL binder and lowering derive join
+/// schemas from it.
+pub fn join_output_columns(
+    left: &[String],
+    right: &[String],
+    left_key: &str,
+    right_key: &str,
+) -> Vec<(String, usize, String)> {
+    fn payloads<'a>(
+        side: usize,
+        cols: &'a [String],
+        key: &str,
+    ) -> impl Iterator<Item = (usize, &'a str)> {
+        let at = cols.iter().position(|n| n == key);
+        cols.iter()
+            .enumerate()
+            .filter(move |(i, _)| Some(*i) != at)
+            .map(move |(_, n)| (side, n.as_str()))
+    }
+    let named = std::iter::once((0, left_key))
+        .chain(payloads(0, left, left_key))
+        .chain(payloads(1, right, right_key));
+    let mut used: HashMap<&str, usize> = HashMap::new();
+    let mut cols = Vec::new();
+    for (side, n) in named {
+        let seen = used.entry(n).or_insert(0);
+        *seen += 1;
+        let out = if *seen == 1 {
+            n.to_string()
+        } else {
+            format!("{n}_{seen}")
+        };
+        cols.push((out, side, n.to_string()));
+    }
+    cols
 }
 
 #[cfg(test)]

@@ -152,14 +152,14 @@ impl PlanCache {
             instant(dev, sim::LifecycleStage::PlanCacheHit);
             self.touch(key);
             let entry = &self.entries[&key];
-            let ctx = ExecContext::with_replay(dev, Some(catalog), entry.samples.clone());
+            let ctx = ExecContext::with_replay(dev, catalog, entry.samples.clone());
             let (table, stats) = run_operator(&ctx, entry.op.as_ref())?;
             return Ok((QueryOutput { table, stats }, info(CacheOutcome::Hit)));
         }
         self.misses += 1;
         instant(dev, sim::LifecycleStage::PlanCacheMiss);
         let op = compile(plan);
-        let ctx = ExecContext::with_recording(dev, Some(catalog));
+        let ctx = ExecContext::with_recording(dev, catalog);
         let (table, stats) = run_operator(&ctx, op.as_ref())?;
         let samples = ctx.take_samples();
         self.insert(key, Entry { op, samples }, dev);

@@ -148,8 +148,8 @@ impl DeviceConfig {
 
     /// Does nothing: warp traffic is charged on one sequential path (see
     /// `kernel.rs`), so there is no thread count to set. Kept only because
-    /// the frozen `perf/` benchmark and the invariant suites still call it;
-    /// the next benchmark PR drops it.
+    /// the frozen `perf/` benchmark, its only caller, still calls it; the
+    /// next benchmark PR drops it.
     pub fn with_host_threads(self, _threads: usize) -> Self {
         self
     }

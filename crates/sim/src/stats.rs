@@ -14,9 +14,9 @@ use serde::{Deserialize, Serialize};
 /// Execution report of one physical operator.
 ///
 /// Produced by `joins::run_join` (`JoinOutput::stats`),
-/// `groupby::run_group_by` (`GroupByOutput::stats`), every `engine` plan
-/// node and `core::pipeline`. Which algorithm ran is not part of the
-/// report: the caller chose it.
+/// `groupby::run_group_by` (`GroupByOutput::stats`) and every `engine` plan
+/// node. Which algorithm ran is not part of the report: the caller chose
+/// it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OpStats {
     /// The paper's three-phase breakdown (zero for operators without one,

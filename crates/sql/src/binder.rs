@@ -21,7 +21,7 @@
 
 use crate::ast::{AggKind, AstExpr, BinOp, Query};
 use crate::logical::LogicalPlan;
-use engine::{AggSpec, Catalog, EngineError, Expr, SqlSpan};
+use engine::{join_output_columns, AggSpec, Catalog, EngineError, Expr, SqlSpan};
 use groupby::AggFn;
 use std::collections::{HashMap, HashSet};
 
@@ -481,31 +481,23 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<LogicalPlan, EngineError
             left_key: left_key.clone(),
             right_key: new.source.clone(),
         };
-        // Mirror the join's output schema: key (left name), left
-        // payloads, right payloads sans probe key, suffixed on collision.
-        let mut out: Vec<ColRef> = Vec::new();
-        let key_ref = schema.iter().find(|c| c.out == left_key).unwrap().clone();
-        out.push(key_ref);
-        for c in schema.iter().filter(|c| c.out != left_key) {
-            out.push(c.clone());
-        }
-        for name in catalog.schema(t)?.column_names() {
-            if name != new.source {
-                out.push(ColRef {
-                    out: name.clone(),
+        // Mirror the join's output schema.
+        let left: Vec<String> = schema.iter().map(|c| c.out.clone()).collect();
+        let right = catalog.schema(t)?.column_names();
+        let out: Vec<ColRef> = join_output_columns(&left, &right, &left_key, &new.source)
+            .into_iter()
+            .map(|(out, side, input)| match side {
+                0 => ColRef {
+                    out,
+                    ..schema.iter().find(|c| c.out == input).unwrap().clone()
+                },
+                _ => ColRef {
+                    out,
                     table: t.clone(),
-                    source: name,
-                });
-            }
-        }
-        let mut used: HashMap<String, usize> = HashMap::new();
-        for c in &mut out {
-            let n = used.entry(c.out.clone()).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                c.out = format!("{}_{n}", c.out);
-            }
-        }
+                    source: input,
+                },
+            })
+            .collect();
         schema = out;
         joined.insert(t.clone());
     }

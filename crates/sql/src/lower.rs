@@ -36,7 +36,7 @@
 //! those suffixes). Each pruned scan adds a `PRUNE` note.
 
 use crate::logical::LogicalPlan;
-use engine::{AggSpec, Catalog, EngineError, Expr, Plan};
+use engine::{join_output_columns, AggSpec, Catalog, EngineError, Expr, Plan};
 use groupby::AggFn;
 use heuristics::composite::{bits_for_span, choose_composite, CompositeProfile, CompositeStrategy};
 use std::collections::{HashMap, HashSet};
@@ -355,7 +355,7 @@ fn lower_node(
             } else {
                 li.rows.saturating_mul(ri.rows)
             };
-            // Output schema mirrors the engine join (`join_columns`).
+            // Output schema mirrors the engine join (`join_output_columns`).
             let lk = li.range(left_key);
             let rk = ri.range(right_key);
             let key_range = Range {
@@ -366,7 +366,9 @@ fn lower_node(
             let mut cols = Vec::new();
             // rename[side]: old name -> output name.
             let mut rename: [HashMap<String, String>; 2] = [HashMap::new(), HashMap::new()];
-            for (out, side, old) in join_columns(&names(&li), &names(&ri), left_key, right_key) {
+            for (out, side, old) in
+                join_output_columns(&names(&li), &names(&ri), left_key, right_key)
+            {
                 let r = match (cols.is_empty(), side) {
                     (true, _) => key_range,
                     (false, 0) => li.range(&old),
@@ -748,43 +750,6 @@ fn keep(input: Plan, cols: &[String]) -> Plan {
     }
 }
 
-/// An inner join's output columns as `(output name, side, input name)`,
-/// side 0 = left: the key under the left name, left payloads, right
-/// payloads sans probe key, repeated names suffixed `_n` in output order —
-/// the engine join's naming.
-fn join_columns(
-    left: &[String],
-    right: &[String],
-    left_key: &str,
-    right_key: &str,
-) -> Vec<(String, usize, String)> {
-    let named = std::iter::once((0, left_key))
-        .chain(
-            left.iter()
-                .filter(|n| *n != left_key)
-                .map(|n| (0, n.as_str())),
-        )
-        .chain(
-            right
-                .iter()
-                .filter(|n| *n != right_key)
-                .map(|n| (1, n.as_str())),
-        );
-    let mut used: HashMap<&str, usize> = HashMap::new();
-    let mut cols = Vec::new();
-    for (side, n) in named {
-        let seen = used.entry(n).or_insert(0);
-        *seen += 1;
-        let out = if *seen == 1 {
-            n.to_string()
-        } else {
-            format!("{n}_{seen}")
-        };
-        cols.push((out, side, n.to_string()));
-    }
-    cols
-}
-
 /// Output columns of a lowered plan node, in order. The lowering emits
 /// inner joins only.
 fn output_columns(plan: &Plan, catalog: &Catalog) -> Result<Vec<String>, EngineError> {
@@ -800,7 +765,7 @@ fn output_columns(plan: &Plan, catalog: &Catalog) -> Result<Vec<String>, EngineE
             left_key,
             right_key,
             ..
-        } => join_columns(
+        } => join_output_columns(
             &output_columns(left, catalog)?,
             &output_columns(right, catalog)?,
             left_key,
@@ -902,7 +867,9 @@ fn prune(
                 let mut sides = [HashSet::new(), HashSet::new()];
                 sides[0].insert(left_key.clone());
                 sides[1].insert(right_key.clone());
-                for (out, side, n) in join_columns(&left_all, &right_all, &left_key, &right_key) {
+                for (out, side, n) in
+                    join_output_columns(&left_all, &right_all, &left_key, &right_key)
+                {
                     if need.contains(&out) {
                         sides[side].insert(n);
                     }
@@ -923,7 +890,7 @@ fn prune(
             };
             let (left, lcols) = prune(*left, l, catalog, notes)?;
             let (right, rcols) = prune(*right, r, catalog, notes)?;
-            let cols = join_columns(&lcols, &rcols, &left_key, &right_key)
+            let cols = join_output_columns(&lcols, &rcols, &left_key, &right_key)
                 .into_iter()
                 .map(|(out, _, _)| out)
                 .collect();

@@ -11,7 +11,7 @@
 //! cargo run --release --example ml_preprocessing
 //! ```
 
-use gpu_join::pipeline::GroupKey;
+use gpu_join::engine::{execute, AggSpec, Catalog, Plan, Table};
 use gpu_join::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -80,30 +80,41 @@ fn main() {
         rec.algorithm, rec.guard, rec.rationale
     );
 
-    // Downstream of the join: per-label statistics over the first feature
-    // (a grouped aggregation on the augmented table).
-    let stats = join_then_group_by(
-        &dev,
-        &features,
-        &samples,
-        &PipelineSpec::new(
-            rec.algorithm,
-            GroupKey::SPayload(0), // group by label
-            GroupByAlgorithm::PartitionedGftr,
-            &[
-                AggFn::Count, // join key column (entity id) -> row count per label
-                AggFn::Sum,   // f1
-                AggFn::Min,   // f2
-                AggFn::Max,   // f3
-                AggFn::Sum,   // f4
+    // Downstream of the join: per-label statistics over the features (a
+    // grouped aggregation on the augmented table).
+    let mut catalog = Catalog::new();
+    let mut cols = vec![("entity_id".to_string(), features.key().alias())];
+    for (i, c) in features.payloads().iter().enumerate() {
+        cols.push((format!("f{}", i + 1), c.alias()));
+    }
+    catalog.insert(Table::from_columns("features", cols));
+    catalog.insert(Table::new(
+        "samples",
+        vec![
+            ("entity_id", samples.key().alias()),
+            ("label", samples.payloads()[0].alias()),
+        ],
+    ));
+    let plan = Plan::scan("features")
+        .join(Plan::scan("samples"), "entity_id", "entity_id")
+        .with_join_algorithm(rec.algorithm)
+        .aggregate(
+            "label",
+            vec![
+                AggSpec::new(AggFn::Count, "entity_id", "rows"),
+                AggSpec::new(AggFn::Sum, "f1", "sum_f1"),
+                AggSpec::new(AggFn::Min, "f2", "min_f2"),
+                AggSpec::new(AggFn::Max, "f3", "max_f3"),
+                AggSpec::new(AggFn::Sum, "f4", "sum_f4"),
             ],
-        ),
-    );
+        )
+        .with_group_algorithm(GroupByAlgorithm::PartitionedGftr);
+    let out = execute(&dev, &catalog, &plan).expect("the plan binds against its catalog");
     println!(
         "per-label stats: {} labels from {} augmented rows in {}",
-        stats.groups.len(),
-        stats.join_rows,
-        stats.total_time(),
+        out.table.num_rows(),
+        out.stats.children[0].rows(),
+        out.stats.total_time(),
     );
-    assert_eq!(stats.groups.len(), 16);
+    assert_eq!(out.table.num_rows(), 16);
 }

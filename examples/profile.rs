@@ -12,11 +12,21 @@
 //! join/group-by algorithm spans below it, the paper's
 //! transform/match/materialize phases below those, and every simulated
 //! kernel launch on its own track — all on the *simulated* clock, so the
-//! trace is deterministic and bit-identical across host thread counts.
+//! trace is deterministic: every run writes the same bytes.
 
+use gpu_join::engine::{execute, AggSpec, Catalog, Plan, Table};
 use gpu_join::prelude::*;
 use gpu_join::sim::trace;
 use gpu_join::workloads::JoinWorkload;
+
+/// A relation as an engine table: key `k`, payloads `{prefix}0`, `{prefix}1`, ...
+fn table_of(rel: &Relation, name: &str, prefix: &str) -> Table {
+    let mut cols = vec![("k".to_string(), rel.key().alias())];
+    for (i, c) in rel.payloads().iter().enumerate() {
+        cols.push((format!("{prefix}{i}"), c.alias()));
+    }
+    Table::from_columns(name, cols)
+}
 
 fn main() {
     // Same paper-regime scaling as the quickstart: demo at 2^20 tuples
@@ -34,19 +44,25 @@ fn main() {
     );
 
     // Join R ⋈ S with the paper's out-of-place radix join, then group the
-    // join output by its key and SUM every surviving payload column.
-    let spec = PipelineSpec::new(
-        Algorithm::PhjUm,
-        GroupKey::JoinKey,
-        GroupByAlgorithm::SortGftr,
-        &[AggFn::Sum; 4],
-    );
-    let out = join_then_group_by(&dev, &r, &s, &spec);
+    // join output by its key and SUM every payload column.
+    let mut catalog = Catalog::new();
+    catalog.insert(table_of(&r, "r", "r"));
+    catalog.insert(table_of(&s, "s", "s"));
+    let aggs = ["r0", "r1", "s0", "s1"]
+        .into_iter()
+        .map(|c| AggSpec::new(AggFn::Sum, c, format!("sum_{c}")))
+        .collect();
+    let plan = Plan::scan("r")
+        .join(Plan::scan("s"), "k", "k")
+        .with_join_algorithm(Algorithm::PhjUm)
+        .aggregate("k", aggs)
+        .with_group_algorithm(GroupByAlgorithm::SortGftr);
+    let out = execute(&dev, &catalog, &plan).expect("the plan binds against its catalog");
     println!(
         "join produced {} rows, aggregation {} groups in {} simulated\n",
-        out.join_rows,
-        out.groups.len(),
-        out.total_time()
+        out.stats.children[0].rows(),
+        out.table.num_rows(),
+        out.stats.total_time()
     );
 
     // The engine's per-operator stats tree ...

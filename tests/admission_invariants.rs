@@ -25,8 +25,8 @@
 //!   sampling observations and produces output, `OpStats` and EXPLAIN
 //!   byte-identical to the cold (recording) run;
 //! * **export byte-identity** — full metrics exports (OpenMetrics and
-//!   JSON) are byte-identical across host-thread counts under *every*
-//!   policy, with admission control active;
+//!   JSON) are byte-identical from a session to its re-run on a fresh
+//!   device under *every* policy, with admission control active;
 //! * **retire-releases-at-completion** — a query that waited for budget is
 //!   admitted at exactly the completion time of the query whose retire
 //!   released it, never part-way through (or after) a later kernel turn,
@@ -41,12 +41,8 @@ use gpu_join::prelude::*;
 use gpu_join::sim::{metrics_json, openmetrics};
 use proptest::prelude::*;
 
-fn device(threads: usize) -> Device {
-    let dev = Device::new(
-        DeviceConfig::a100()
-            .scaled(8192.0)
-            .with_host_threads(threads),
-    );
+fn device() -> Device {
+    let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
     dev.enable_metrics(SimTime::from_secs(1e-9));
     dev
 }
@@ -175,7 +171,7 @@ proptest! {
         policy_idx in 0usize..5,
     ) {
         let policy = all_policies()[policy_idx];
-        let dev = device(1);
+        let dev = device();
         let cat = catalog(&dev);
         let specs = tenants
             .iter()
@@ -203,7 +199,7 @@ proptest! {
     #[test]
     fn open_loop_lifecycles_are_ordered_and_complete(schedule in schedule_strategy(6)) {
         for policy in [Policy::Serial, Policy::Sjf, Policy::SjfAging] {
-            let dev = device(1);
+            let dev = device();
             let cat = catalog(&dev);
             let arrivals = arrivals_of(&schedule, dev.elapsed().secs());
             let reports = engine::run_open_loop(&dev, &cat, arrivals, policy);
@@ -240,7 +236,7 @@ proptest! {
     #[test]
     fn shed_exactly_when_the_waiting_room_is_full(n in 3usize..=7, cap in 0usize..=2) {
         let run = |serving: &ServingConfig| -> Vec<QueryReport> {
-            let dev = device(1);
+            let dev = device();
             let cat = catalog(&dev);
             let free = dev.mem_capacity() - dev.mem_report().current_bytes;
             let budget = free * 2 / 5; // two fit, the third waits
@@ -300,7 +296,7 @@ proptest! {
     #[test]
     fn sjf_completion_order_follows_predicted_costs(shapes in proptest::collection::vec(0u8..5, 2..=6)) {
         for policy in [Policy::Sjf, Policy::SjfAging] {
-            let dev = device(1);
+            let dev = device();
             let cat = catalog(&dev);
             let predicted: Vec<f64> = shapes
                 .iter()
@@ -383,14 +379,14 @@ proptest! {
 }
 
 proptest! {
-    // Ten sessions per case (5 policies × 2 thread counts): fewer cases.
+    // Ten sessions per case (5 policies × 2 runs): fewer cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Full-export byte-identity across host threads, under *every* policy
+    /// Full-export byte-identity across re-runs, under *every* policy
     /// — including the shortest-job pair — with a bounded queue in force so
     /// shed accounting is part of the compared bytes.
     #[test]
-    fn exports_are_byte_identical_across_host_threads_for_every_policy(
+    fn exports_are_byte_identical_across_reruns_for_every_policy(
         schedule in schedule_strategy(5),
         depth in (0usize..=3).prop_map(|d| (d > 0).then_some(d)),
     ) {
@@ -399,8 +395,8 @@ proptest! {
             serving = serving.with_total_depth(d);
         }
         for policy in all_policies() {
-            let run = |threads: usize| -> (String, String) {
-                let dev = device(threads);
+            let run = || -> (String, String) {
+                let dev = device();
                 let cat = catalog(&dev);
                 let arrivals = arrivals_of(&schedule, dev.elapsed().secs());
                 let reports = engine::run_open_loop_with(&dev, &cat, arrivals, policy, &serving);
@@ -417,8 +413,8 @@ proptest! {
                 let snaps = std::slice::from_ref(&snap);
                 (openmetrics(snaps), metrics_json(snaps))
             };
-            let (a, b) = (run(1), run(8));
-            prop_assert_eq!(a, b, "{:?}: exports differ across host threads", policy);
+            let (a, b) = (run(), run());
+            prop_assert_eq!(a, b, "{:?}: exports differ across re-runs", policy);
         }
     }
 }
@@ -436,7 +432,7 @@ fn budget_waiters_are_admitted_exactly_at_the_releasing_completion() {
     for policy in all_policies() {
         let mut first: Option<Vec<(u64, u64)>> = None;
         for rep in 0..50 {
-            let dev = device(1);
+            let dev = device();
             dev.enable_tracing();
             let cat = catalog(&dev);
             let free = dev.mem_capacity() - dev.mem_report().current_bytes;
@@ -518,7 +514,7 @@ fn class_depth_sheds_only_its_class_and_leaves_co_tenants_unchanged() {
     };
     for policy in [Policy::Serial, Policy::RoundRobin, Policy::WeightedFair] {
         let run = |serving: &ServingConfig| {
-            let dev = device(1);
+            let dev = device();
             let cat = catalog(&dev);
             let free = dev.mem_capacity() - dev.mem_report().current_bytes;
             let t0 = dev.elapsed();

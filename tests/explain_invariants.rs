@@ -10,7 +10,7 @@
 //!    (choice, materialization, guard, rationale, rejection list): the
 //!    explain cannot claim a branch the tree would not take.
 //! 3. **Determinism** — rendered text and JSON are byte-identical across
-//!    `host_threads` settings and scheduler policies, and between a solo
+//!    re-runs and scheduler policies, and between a solo
 //!    run and a multi-tenant session of the same plan: attribution is a
 //!    pure function of the recorded counters.
 
@@ -20,8 +20,8 @@ use engine::{execute, NodeStats, Plan};
 use heuristics::{choose_group_by, choose_join, Decision, Provenance};
 use sim::{Counters, Device, DeviceConfig};
 
-fn device(host_threads: usize) -> Device {
-    Device::new(DeviceConfig::a100().with_host_threads(host_threads))
+fn device() -> Device {
+    Device::new(DeviceConfig::a100())
 }
 
 fn sum_tree(stats: &NodeStats, acc: &mut Counters) {
@@ -33,7 +33,7 @@ fn sum_tree(stats: &NodeStats, acc: &mut Counters) {
 
 #[test]
 fn per_node_counters_sum_to_the_query_delta() {
-    let dev = device(1);
+    let dev = device();
     let catalog = tpch_mini(&dev, 4096, 7);
     for plan in [q18_like(), q3_like(), q1_like()] {
         let before = dev.counters();
@@ -121,7 +121,7 @@ fn check_replay(stats: &NodeStats, seen: &mut usize, rejected_seen: &mut usize) 
 
 #[test]
 fn provenance_replays_through_the_decision_trees() {
-    let dev = device(1);
+    let dev = device();
     let catalog = tpch_mini(&dev, 4096, 7);
     let (mut seen, mut rejected) = (0usize, 0usize);
     for plan in [q18_like(), q3_like(), q1_like()] {
@@ -136,8 +136,8 @@ fn provenance_replays_through_the_decision_trees() {
 }
 
 /// Render + JSON of every tenant's explain in one session.
-fn session_explains(host_threads: usize, policy: Policy) -> (String, String) {
-    let dev = device(host_threads);
+fn session_explains(policy: Policy) -> (String, String) {
+    let dev = device();
     let catalog = tpch_mini(&dev, 2048, 7);
     let specs: Vec<QuerySpec> = vec![
         QuerySpec::new(q18_like()),
@@ -160,24 +160,15 @@ fn session_explains(host_threads: usize, policy: Policy) -> (String, String) {
 }
 
 #[test]
-fn explain_is_byte_identical_across_host_threads_and_policies() {
-    let baseline = session_explains(1, Policy::Serial);
-    for (threads, policy) in [
-        (1, Policy::RoundRobin),
-        (4, Policy::Serial),
-        (4, Policy::RoundRobin),
-        (4, Policy::WeightedFair),
-    ] {
-        let got = session_explains(threads, policy);
+fn explain_is_byte_identical_across_reruns_and_policies() {
+    let baseline = session_explains(Policy::Serial);
+    for policy in [Policy::Serial, Policy::RoundRobin, Policy::WeightedFair] {
+        let got = session_explains(policy);
         assert_eq!(
             got.0, baseline.0,
-            "rendered explain must not depend on host threading or policy \
-             ({threads} threads, {policy:?})"
+            "rendered explain must not depend on the run or policy ({policy:?})"
         );
-        assert_eq!(
-            got.1, baseline.1,
-            "JSON explain drifted ({threads} threads, {policy:?})"
-        );
+        assert_eq!(got.1, baseline.1, "JSON explain drifted ({policy:?})");
     }
 }
 
@@ -190,7 +181,7 @@ fn scheduler_explain_matches_a_solo_run() {
     // an equal share would differ between a 1- and a 2-tenant session.)
     let budget = 1u64 << 28;
     let shared = {
-        let dev = device(4);
+        let dev = device();
         let catalog = tpch_mini(&dev, 2048, 7);
         let specs = vec![
             QuerySpec::new(q18_like()).with_budget(budget),
@@ -205,7 +196,7 @@ fn scheduler_explain_matches_a_solo_run() {
     let solo: Vec<String> = [q18_like(), q3_like()]
         .into_iter()
         .map(|plan| {
-            let dev = device(4);
+            let dev = device();
             let catalog = tpch_mini(&dev, 2048, 7);
             let specs = vec![QuerySpec::new(plan).with_budget(budget)];
             let reports = engine::run_queries(&dev, &catalog, specs, Policy::Serial);

@@ -12,8 +12,8 @@
 //!    the runs below it fuse separately, the below-join sides defer
 //!    (GFTR) to the join boundary, and the join's key columns are always
 //!    materialized values, never tickets.
-//! 4. **Scheduler closure** — every scheduler policy and host-thread
-//!    setting returns the same bytes as the solo fused run.
+//! 4. **Scheduler closure** — every scheduler policy returns the same
+//!    bytes as the solo fused run.
 
 use columnar::Column;
 use engine::scheduler::{Policy, QuerySpec};
@@ -74,25 +74,21 @@ fn snapshot(t: &Table) -> Snapshot {
     )
 }
 
-fn device(host_threads: usize) -> Device {
-    Device::new(DeviceConfig::a100().with_host_threads(host_threads))
+fn device() -> Device {
+    Device::new(DeviceConfig::a100())
 }
 
-/// Run `plan` fused and unfused on fresh devices and demand byte identity.
-/// Returns the fused snapshot so callers can cross-check other runs.
-fn assert_modes_agree(
-    spec_a: &TableSpec,
-    spec_b: &TableSpec,
-    plan: &Plan,
-    host_threads: usize,
-) -> Snapshot {
-    let dev = device(host_threads);
+/// Run `plan` fused and unfused on a fresh device and demand byte identity.
+fn assert_modes_agree(spec_a: &TableSpec, spec_b: &TableSpec, plan: &Plan) {
+    let dev = device();
     let cat = catalog(&dev, spec_a, spec_b);
     let fused = execute(&dev, &cat, plan).unwrap();
     let unfused = execute_unfused(&dev, &cat, plan).unwrap();
-    let (fs, us) = (snapshot(&fused.table), snapshot(&unfused.table));
-    assert_eq!(fs, us, "fused and unfused runs must be byte-identical");
-    fs
+    assert_eq!(
+        snapshot(&fused.table),
+        snapshot(&unfused.table),
+        "fused and unfused runs must be byte-identical"
+    );
 }
 
 /// The join shapes the ticket path must survive: inner carries both sides'
@@ -113,7 +109,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Filter/Project chains on both sides of every join kind, with a
-    /// post-join filter, across host-thread settings.
+    /// post-join filter.
     #[test]
     fn fused_plans_are_byte_identical_through_joins(
         a in table_strategy(90, 12),
@@ -134,9 +130,7 @@ proptest! {
         let plan = left
             .join_kind(right, "k", "bk", kind)
             .filter(Expr::col("k").ne(Expr::lit(5)));
-        let base = assert_modes_agree(&a, &b, &plan, 1);
-        let threaded = assert_modes_agree(&a, &b, &plan, 4);
-        prop_assert_eq!(base, threaded, "host threading changed the result");
+        assert_modes_agree(&a, &b, &plan);
     }
 
     /// Deferred inputs into every other materialization boundary:
@@ -166,7 +160,7 @@ proptest! {
         let sort = chain().sort_by("x", true, Some(limit));
         let distinct = chain().distinct("g");
         for plan in [agg, sort, distinct] {
-            assert_modes_agree(&a, &empty, &plan, 1);
+            assert_modes_agree(&a, &empty, &plan);
         }
     }
 }
@@ -208,7 +202,7 @@ fn selective_chain(dev: &Device) -> (Catalog, Plan) {
 
 #[test]
 fn counters_conserve_and_fusion_strictly_saves_work() {
-    let dev = device(1);
+    let dev = device();
     let (cat, plan) = selective_chain(&dev);
     let mut per_mode = Vec::new();
     for fused in [true, false] {
@@ -261,7 +255,7 @@ fn fusion_never_crosses_a_join() {
     // separate fused nodes, never one. The join's key columns are
     // evaluated to real values at the join boundary — the probe and build
     // kernels never see a ticket where a key belongs.
-    let dev = device(1);
+    let dev = device();
     let n = 4096usize;
     let a = TableSpec {
         keys: (0..n).map(|i| i as i32 % 61).collect(),
@@ -337,17 +331,12 @@ fn fusion_never_crosses_a_join() {
 #[test]
 fn every_scheduler_policy_returns_the_solo_fused_bytes() {
     let solo = {
-        let dev = device(1);
+        let dev = device();
         let (cat, plan) = selective_chain(&dev);
         snapshot(&execute(&dev, &cat, &plan).unwrap().table)
     };
-    for (threads, policy) in [
-        (1, Policy::Serial),
-        (4, Policy::Serial),
-        (4, Policy::RoundRobin),
-        (4, Policy::WeightedFair),
-    ] {
-        let dev = device(threads);
+    for policy in [Policy::Serial, Policy::RoundRobin, Policy::WeightedFair] {
+        let dev = device();
         let (cat, plan) = selective_chain(&dev);
         let specs = vec![QuerySpec::new(plan.clone()), QuerySpec::new(plan)];
         let reports = engine::run_queries(&dev, &cat, specs, policy);
@@ -359,7 +348,7 @@ fn every_scheduler_policy_returns_the_solo_fused_bytes() {
             assert_eq!(
                 snapshot(&out.table),
                 solo,
-                "tenant result drifted from the solo run ({threads} threads, {policy:?})"
+                "tenant result drifted from the solo run ({policy:?})"
             );
         }
     }

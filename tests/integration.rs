@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: TPC extracts through the public API,
 //! deterministic replay, pipelines, and dictionary round trips.
 
-use gpu_join::pipeline::GroupKey;
+use gpu_join::engine::{execute, AggSpec, Catalog, Plan, Table};
 use gpu_join::prelude::*;
 use gpu_join::workloads::tpc::{generate, TpcJoinId};
 use gpu_join::workloads::JoinWorkload;
@@ -96,17 +96,27 @@ fn join_groupby_pipeline_matches_two_stage_oracle() {
     let w = JoinWorkload::narrow(1 << 12);
     let (r, s) = w.generate(&dev);
 
-    let out = join_then_group_by(
-        &dev,
-        &r,
-        &s,
-        &PipelineSpec::new(
-            Algorithm::PhjOm,
-            GroupKey::JoinKey,
-            GroupByAlgorithm::SortGftr,
-            &[AggFn::Count, AggFn::Sum],
-        ),
-    );
+    let mut catalog = Catalog::new();
+    catalog.insert(Table::new(
+        "r",
+        vec![("k", r.key().alias()), ("r0", r.payloads()[0].alias())],
+    ));
+    catalog.insert(Table::new(
+        "s",
+        vec![("k", s.key().alias()), ("s0", s.payloads()[0].alias())],
+    ));
+    let plan = Plan::scan("r")
+        .join(Plan::scan("s"), "k", "k")
+        .with_join_algorithm(Algorithm::PhjOm)
+        .aggregate(
+            "k",
+            vec![
+                AggSpec::new(AggFn::Count, "r0", "n"),
+                AggSpec::new(AggFn::Sum, "s0", "total"),
+            ],
+        )
+        .with_group_algorithm(GroupByAlgorithm::SortGftr);
+    let out = execute(&dev, &catalog, &plan).unwrap();
 
     // Oracle: group the oracle join rows by key.
     use std::collections::HashMap;
@@ -121,7 +131,7 @@ fn join_groupby_pipeline_matches_two_stage_oracle() {
         .map(|(k, (c, sum))| vec![k, c, sum])
         .collect();
     expected.sort_unstable();
-    assert_eq!(out.groups.rows_sorted(), expected);
+    assert_eq!(out.table.rows_sorted(), expected);
 }
 
 #[test]

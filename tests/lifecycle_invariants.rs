@@ -3,14 +3,13 @@
 //! * **partition identity** — each completed query's lifecycle spans tile
 //!   `[arrival, completion]` exactly: tick-quantized
 //!   `queue_wait + planning + Σ exec_slices + Σ interference` equals
-//!   `completion - arrival` to the nanosecond, under every policy and
-//!   host-thread count;
+//!   `completion - arrival` to the nanosecond, under every policy;
 //! * **terminal spans** — shed queries record exactly `arrival` + `shed`
 //!   (no queued/exec/interference spans), and pre-registration rejections
 //!   record `arrival` + `rejected` with no query id, stamped — like every
 //!   stamp of their report — at their scheduled arrival;
 //! * **digest byte-identity** — the slow-query digest (JSON and text) and
-//!   the lifecycle trace are byte-identical across host-thread counts
+//!   the lifecycle trace are byte-identical from a session to its re-run
 //!   under every policy, and the digest's population is exactly the
 //!   queries `query_completed_total` counts (a tenant that failed mid-run
 //!   retires, but never completes);
@@ -29,12 +28,8 @@ use gpu_join::engine::{self, slow_queries, Catalog, EngineError, Expr, Plan, Pla
 use gpu_join::prelude::*;
 use gpu_join::sim::{metrics_json, secs_to_ticks, LifecycleStage, MetricsSnapshot, Trace};
 
-fn device(threads: usize) -> Device {
-    let dev = Device::new(
-        DeviceConfig::a100()
-            .scaled(8192.0)
-            .with_host_threads(threads),
-    );
+fn device() -> Device {
+    let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
     dev.enable_metrics(SimTime::from_secs(1e-9));
     dev.enable_tracing();
     dev
@@ -133,11 +128,10 @@ fn endings(reports: &[engine::QueryReport]) -> Vec<&'static str> {
 }
 
 fn session(
-    threads: usize,
     policy: Policy,
     serving: &ServingConfig,
 ) -> (Trace, MetricsSnapshot, Vec<engine::QueryReport>) {
-    let dev = device(threads);
+    let dev = device();
     let cat = catalog(&dev);
     let reports = engine::run_open_loop_with(&dev, &cat, arrivals(), policy, serving);
     let trace = dev.take_trace().expect("tracing was enabled");
@@ -181,38 +175,36 @@ fn stage_sums(trace: &Trace) -> Vec<(u32, u64, u64, u64, u64)> {
 #[test]
 fn lifecycle_spans_partition_latency_exactly() {
     for policy in POLICIES {
-        for threads in [1usize, 8] {
-            let (trace, _, reports) = session(threads, policy, &ServingConfig::new());
-            assert!(reports.iter().all(|r| r.result.is_ok()));
-            let sums = stage_sums(&trace);
+        let (trace, _, reports) = session(policy, &ServingConfig::new());
+        assert!(reports.iter().all(|r| r.result.is_ok()));
+        let sums = stage_sums(&trace);
+        assert_eq!(
+            sums.len(),
+            reports.len(),
+            "{policy:?}: every completed query has a full lifecycle"
+        );
+        for &(q, queue, exec, interf, latency) in &sums {
+            // planning is charge-free by construction, so the three
+            // recorded span families must account for every tick.
             assert_eq!(
-                sums.len(),
-                reports.len(),
-                "{policy:?}/{threads}: every completed query has a full lifecycle"
-            );
-            for &(q, queue, exec, interf, latency) in &sums {
-                // planning is charge-free by construction, so the three
-                // recorded span families must account for every tick.
-                assert_eq!(
-                    queue + exec + interf,
-                    latency,
-                    "{policy:?}/{threads}: q{q} spans must tile [arrival, completion] \
-                     (queue {queue} + exec {exec} + interference {interf} != {latency})"
-                );
-            }
-            // The schedule is bursty: at least one query must actually
-            // have waited on a co-tenant, or the identity is vacuous.
-            assert!(
-                sums.iter().any(|(_, q, _, i, _)| *q + *i > 0),
-                "{policy:?}/{threads}: bursty arrivals must produce some waiting"
+                queue + exec + interf,
+                latency,
+                "{policy:?}: q{q} spans must tile [arrival, completion] \
+                 (queue {queue} + exec {exec} + interference {interf} != {latency})"
             );
         }
+        // The schedule is bursty: at least one query must actually have
+        // waited on a co-tenant, or the identity is vacuous.
+        assert!(
+            sums.iter().any(|(_, q, _, i, _)| *q + *i > 0),
+            "{policy:?}: bursty arrivals must produce some waiting"
+        );
     }
 }
 
 #[test]
 fn shed_and_rejected_record_terminal_spans_and_never_execute() {
-    let dev = device(1);
+    let dev = device();
     let cat = catalog(&dev);
     let free = dev.mem_capacity() - dev.mem_report().current_bytes;
     let t0 = SimTime::ZERO;
@@ -283,7 +275,7 @@ fn shed_and_rejected_record_terminal_spans_and_never_execute() {
 
 #[test]
 fn a_rejected_arrival_is_stamped_at_its_scheduled_arrival() {
-    let dev = device(1);
+    let dev = device();
     let cat = catalog(&dev);
     let at = SimTime::from_secs(5e-6);
     let doomed = OpenQuery::new(
@@ -318,7 +310,7 @@ fn a_rejected_arrival_is_stamped_at_its_scheduled_arrival() {
 
 #[test]
 fn the_digest_counts_exactly_the_completed_queries() {
-    let dev = device(1);
+    let dev = device();
     let cat = catalog(&dev);
     let (arr, serving) = mixed_arrivals(&dev, &cat);
     let reports = engine::run_open_loop_with(&dev, &cat, arr, Policy::Serial, &serving);
@@ -353,7 +345,7 @@ fn the_digest_counts_exactly_the_completed_queries() {
 }
 
 #[test]
-fn digest_and_lifecycle_trace_are_byte_identical_across_host_threads() {
+fn digest_and_lifecycle_trace_are_byte_identical_across_reruns() {
     // SLO of zero seconds marks every completed query slow, so the digest
     // exercises attribution for the full population.
     let serving = ServingConfig::new()
@@ -361,8 +353,8 @@ fn digest_and_lifecycle_trace_are_byte_identical_across_host_threads() {
         .with_slo("b", 0.0)
         .with_slo("c", 0.0);
     for policy in POLICIES {
-        let run = |threads: usize| -> (String, String, String) {
-            let (trace, snap, reports) = session(threads, policy, &serving);
+        let run = || -> (String, String, String) {
+            let (trace, snap, reports) = session(policy, &serving);
             let cfg = DeviceConfig::a100().scaled(8192.0);
             let explains: Vec<_> = reports
                 .iter()
@@ -376,23 +368,23 @@ fn digest_and_lifecycle_trace_are_byte_identical_across_host_threads() {
                 .join("\n");
             (digest.to_json(), digest.render(), lifecycle_lines)
         };
-        let (json1, text1, trace1) = run(1);
-        let (json8, text8, trace8) = run(8);
+        let (json1, text1, trace1) = run();
+        let (json2, text2, trace2) = run();
         assert!(
             !trace1.is_empty(),
             "{policy:?}: lifecycle events were traced"
         );
         assert_eq!(
-            json1, json8,
-            "{policy:?}: digest JSON differs across threads"
+            json1, json2,
+            "{policy:?}: digest JSON differs across re-runs"
         );
         assert_eq!(
-            text1, text8,
-            "{policy:?}: digest text differs across threads"
+            text1, text2,
+            "{policy:?}: digest text differs across re-runs"
         );
         assert_eq!(
-            trace1, trace8,
-            "{policy:?}: lifecycle trace differs across threads"
+            trace1, trace2,
+            "{policy:?}: lifecycle trace differs across re-runs"
         );
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! * metrics totals cross-check exactly against the hardware counters and
 //!   against the kernel events of a simultaneously recorded trace;
-//! * exports are byte-identical across host-thread counts and across
-//!   re-runs (the serving curve's determinism claim);
+//! * exports are byte-identical across re-runs (the serving curve's
+//!   determinism claim);
 //! * the policy-invariant metric families (`operator_*`, `tenant_*`)
 //!   are byte-identical across scheduling policies — scheduling moves
 //!   *when* work runs, never how much;
@@ -24,12 +24,8 @@ use gpu_join::workloads::JoinWorkload;
 /// sampler emits at most one point per launch regardless).
 const INTERVAL: f64 = 1e-9;
 
-fn metered_device(threads: usize) -> Device {
-    let dev = Device::new(
-        DeviceConfig::a100()
-            .scaled(8192.0)
-            .with_host_threads(threads),
-    );
+fn metered_device() -> Device {
+    let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
     dev.enable_metrics(SimTime::from_secs(INTERVAL));
     dev
 }
@@ -76,7 +72,7 @@ fn exports(snap: &MetricsSnapshot) -> (String, String) {
 
 #[test]
 fn totals_match_counters_and_trace_exactly() {
-    let dev = metered_device(1);
+    let dev = metered_device();
     dev.enable_tracing();
     let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
     let _ = gpu_join::joins::run_join(&dev, Algorithm::PhjUm, &r, &s, &JoinConfig::default());
@@ -109,9 +105,9 @@ fn totals_match_counters_and_trace_exactly() {
 }
 
 #[test]
-fn exports_are_byte_identical_across_host_threads_and_reruns() {
-    let run = |threads: usize| -> (String, String) {
-        let dev = metered_device(threads);
+fn exports_are_byte_identical_across_reruns() {
+    let run = || -> (String, String) {
+        let dev = metered_device();
         let cat = catalog(&dev);
         let t0 = dev.elapsed().secs();
         let arrivals = tenant_plans()
@@ -129,9 +125,8 @@ fn exports_are_byte_identical_across_host_threads_and_reruns() {
         assert!(reports.iter().all(|r| r.result.is_ok()));
         exports(&dev.metrics_snapshot().expect("metrics recorder is on"))
     };
-    let (a, b, c) = (run(1), run(8), run(1));
-    assert_eq!(a, b, "exports differ across host_threads");
-    assert_eq!(a, c, "exports differ across re-runs");
+    let (a, b) = (run(), run());
+    assert_eq!(a, b, "exports differ across re-runs");
 }
 
 #[test]
@@ -141,7 +136,7 @@ fn operator_and_tenant_families_are_policy_invariant() {
     // out byte-identical under any policy. (Completion-time metrics — the
     // latency histograms — legitimately move; they are excluded.)
     let family_lines = |policy: Policy| -> Vec<String> {
-        let dev = metered_device(1);
+        let dev = metered_device();
         let cat = catalog(&dev);
         let specs = tenant_plans().into_iter().map(QuerySpec::new).collect();
         let reports = engine::run_queries(&dev, &cat, specs, policy);
@@ -193,7 +188,7 @@ fn disabled_metrics_leaves_results_untouched() {
 
 #[test]
 fn open_loop_arrivals_respect_the_simulated_clock() {
-    let dev = metered_device(1);
+    let dev = metered_device();
     let cat = catalog(&dev);
     let t0 = dev.elapsed().secs();
     // The second arrival lands far beyond the first query's completion, so
@@ -249,7 +244,7 @@ fn open_loop_arrivals_respect_the_simulated_clock() {
 
 #[test]
 fn cumulative_series_are_monotone() {
-    let dev = metered_device(1);
+    let dev = metered_device();
     let cat = catalog(&dev);
     let specs = tenant_plans().into_iter().map(QuerySpec::new).collect();
     let reports = engine::run_queries(&dev, &cat, specs, Policy::RoundRobin);

@@ -7,11 +7,12 @@
 //!   contains the other;
 //! * phase spans reproduce the reported [`PhaseTimes`], and operator spans
 //!   reproduce [`OpStats::total_time`], within 1 ns of simulated time;
-//! * traces are byte-identical across host-thread counts and with metrics
-//!   on or off (the trace is derived under the device lock from state that
-//!   is itself deterministic, and the metrics fold only reads the events
-//!   it shares with the trace).
+//! * traces are byte-identical across re-runs and with metrics on or off
+//!   (the trace is derived under the device lock from state that is itself
+//!   deterministic, and the metrics fold only reads the events it shares
+//!   with the trace).
 
+use gpu_join::engine::{execute, AggSpec, Catalog, Plan, QueryOutput, Table};
 use gpu_join::prelude::*;
 use gpu_join::sim::trace::{chrome_trace_json, jsonl, SpanEvent, Trace};
 use gpu_join::sim::SpanCat;
@@ -28,6 +29,29 @@ fn traced_device() -> Device {
 
 fn spans_of(trace: &Trace, cat: SpanCat) -> Vec<SpanEvent> {
     trace.spans().filter(|s| s.cat == cat).cloned().collect()
+}
+
+/// Join a 2^14-tuple wide workload's R and S on their key with `join`, then
+/// SUM every payload column per key with `group`: one engine plan.
+fn join_then_group(dev: &Device, join: Algorithm, group: GroupByAlgorithm) -> QueryOutput {
+    let (r, s) = JoinWorkload::wide(1 << 14).generate(dev);
+    let mut catalog = Catalog::new();
+    let mut aggs = Vec::new();
+    for (name, rel) in [("r", &r), ("s", &s)] {
+        let mut cols = vec![("k".to_string(), rel.key().alias())];
+        for (i, c) in rel.payloads().iter().enumerate() {
+            let col = format!("{name}{i}");
+            aggs.push(AggSpec::new(AggFn::Sum, col.clone(), format!("sum_{col}")));
+            cols.push((col, c.alias()));
+        }
+        catalog.insert(Table::from_columns(name, cols));
+    }
+    let plan = Plan::scan("r")
+        .join(Plan::scan("s"), "k", "k")
+        .with_join_algorithm(join)
+        .aggregate("k", aggs)
+        .with_group_algorithm(group);
+    execute(dev, &catalog, &plan).expect("the plan binds against its catalog")
 }
 
 #[test]
@@ -52,17 +76,10 @@ fn kernel_durations_sum_to_counter_cycles() {
 #[test]
 fn spans_nest_without_overlap() {
     let dev = traced_device();
-    let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
-    let spec = PipelineSpec::new(
-        Algorithm::PhjUm,
-        GroupKey::JoinKey,
-        GroupByAlgorithm::SortGftr,
-        &[AggFn::Sum; 4],
-    );
-    let _ = join_then_group_by(&dev, &r, &s, &spec);
+    let _ = join_then_group(&dev, Algorithm::PhjUm, GroupByAlgorithm::SortGftr);
     let trace = dev.take_trace().expect("tracing was enabled");
     let spans: Vec<&SpanEvent> = trace.spans().collect();
-    assert!(spans.len() > 8, "pipeline should produce a rich span tree");
+    assert!(spans.len() > 8, "the plan should produce a rich span tree");
 
     for (i, a) in spans.iter().enumerate() {
         for b in spans.iter().skip(i + 1) {
@@ -120,14 +137,7 @@ fn phase_spans_reproduce_reported_phase_times() {
 #[test]
 fn operator_span_durations_match_op_stats() {
     let dev = traced_device();
-    let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
-    let spec = PipelineSpec::new(
-        Algorithm::PhjOm,
-        GroupKey::JoinKey,
-        GroupByAlgorithm::HashGlobal,
-        &[AggFn::Sum; 4],
-    );
-    let out = join_then_group_by(&dev, &r, &s, &spec);
+    let out = join_then_group(&dev, Algorithm::PhjOm, GroupByAlgorithm::HashGlobal);
     let trace = dev.take_trace().expect("tracing was enabled");
 
     // Flatten the engine's stats tree: label -> node-only total_time.
@@ -161,43 +171,31 @@ fn operator_span_durations_match_op_stats() {
 }
 
 #[test]
-fn traces_are_byte_identical_across_host_threads() {
-    let run = |threads: usize, metrics: bool| -> Trace {
-        let dev = Device::new(
-            DeviceConfig::a100()
-                .scaled(8192.0)
-                .with_host_threads(threads),
-        );
-        dev.enable_tracing();
+fn traces_are_byte_identical_across_reruns_and_metrics() {
+    let run = |metrics: bool| -> Trace {
+        let dev = traced_device();
         if metrics {
             // Attached to a live trace, with one sample per launch: the
             // busiest metrics fold there is.
             dev.enable_metrics(SimTime::from_secs(1e-9));
         }
-        let (r, s) = JoinWorkload::wide(1 << 14).generate(&dev);
-        let spec = PipelineSpec::new(
-            Algorithm::PhjUm,
-            GroupKey::JoinKey,
-            GroupByAlgorithm::SortGftr,
-            &[AggFn::Sum; 4],
-        );
-        let _ = join_then_group_by(&dev, &r, &s, &spec);
+        let _ = join_then_group(&dev, Algorithm::PhjUm, GroupByAlgorithm::SortGftr);
         dev.take_trace().expect("tracing was enabled")
     };
-    let t1 = run(1, false);
+    let t1 = run(false);
     let a = std::slice::from_ref(&t1);
-    for (threads, metrics) in [(8, false), (1, true), (8, true)] {
-        let other = run(threads, metrics);
+    for metrics in [false, true] {
+        let other = run(metrics);
         let b = std::slice::from_ref(&other);
         assert_eq!(
             jsonl(a),
             jsonl(b),
-            "JSONL export differs at host_threads {threads}, metrics {metrics}"
+            "JSONL export differs on a re-run with metrics {metrics}"
         );
         assert_eq!(
             chrome_trace_json(a),
             chrome_trace_json(b),
-            "Chrome export differs at host_threads {threads}, metrics {metrics}"
+            "Chrome export differs on a re-run with metrics {metrics}"
         );
     }
 }
