@@ -750,6 +750,134 @@ mod tests {
         assert_eq!(out.table.rows_sorted(), expected);
     }
 
+    /// Every node kind, fused and unfused: the stats label of each node and
+    /// the kind its operator span carries, children first (the order the
+    /// driver emits spans in).
+    #[test]
+    fn node_labels_and_operator_kinds_are_stable() {
+        fn post_order(n: &NodeStats, out: &mut Vec<String>) {
+            for c in &n.children {
+                post_order(c, out);
+            }
+            out.push(n.label.clone());
+        }
+        let plans = [
+            Plan::scan("lineitem")
+                .filter(Expr::col("l_qty").ge(Expr::lit(2)))
+                .project(vec![("oid", Expr::col("l_oid")), ("q", Expr::col("l_qty"))])
+                .join(Plan::scan("orders"), "oid", "o_id")
+                .aggregate("oid", vec![AggSpec::new(AggFn::Sum, "q", "total")])
+                .sort_by("total", true, Some(3)),
+            Plan::scan("lineitem")
+                .join_kind(Plan::scan("orders"), "l_oid", "o_id", JoinKind::Semi)
+                .with_join_algorithm(Algorithm::SmjOm)
+                .project(vec![("c", Expr::col("o_cust"))])
+                .limit(2),
+            Plan::scan("lineitem")
+                .filter(Expr::col("l_qty").lt(Expr::lit(50)))
+                .limit(5)
+                .distinct("l_oid"),
+        ];
+        let expected: [(bool, &[(&str, &str)]); 6] = [
+            (
+                true,
+                &[
+                    ("Scan(lineitem)", "scan"),
+                    ("Fused(Filter+Project)", "fused"),
+                    ("Scan(orders)", "scan"),
+                    ("Join(oid=o_id, inner) via PHJ-OM", "join"),
+                    ("Aggregate(by oid) via PART-UM", "aggregate"),
+                    ("Sort(by total desc, limit 3)", "sort"),
+                ],
+            ),
+            (
+                false,
+                &[
+                    ("Scan(lineitem)", "scan"),
+                    ("Filter", "filter"),
+                    ("Project", "project"),
+                    ("Scan(orders)", "scan"),
+                    ("Join(oid=o_id, inner) via PHJ-OM", "join"),
+                    ("Aggregate(by oid) via PART-UM", "aggregate"),
+                    ("Sort(by total desc, limit 3)", "sort"),
+                ],
+            ),
+            (
+                true,
+                &[
+                    ("Scan(lineitem)", "scan"),
+                    ("Scan(orders)", "scan"),
+                    ("Join(l_oid=o_id, semi) via SMJ-OM", "join"),
+                    ("Fused(Project)", "fused"),
+                    ("Limit(2)", "limit"),
+                ],
+            ),
+            (
+                false,
+                &[
+                    ("Scan(lineitem)", "scan"),
+                    ("Scan(orders)", "scan"),
+                    ("Join(l_oid=o_id, semi) via SMJ-OM", "join"),
+                    ("Project", "project"),
+                    ("Limit(2)", "limit"),
+                ],
+            ),
+            (
+                true,
+                &[
+                    ("Scan(lineitem)", "scan"),
+                    ("Fused(Filter)", "fused"),
+                    ("Limit(5)", "limit"),
+                    ("Distinct(l_oid)", "distinct"),
+                ],
+            ),
+            (
+                false,
+                &[
+                    ("Scan(lineitem)", "scan"),
+                    ("Filter", "filter"),
+                    ("Limit(5)", "limit"),
+                    ("Distinct(l_oid)", "distinct"),
+                ],
+            ),
+        ];
+        let runs = plans.iter().flat_map(|p| [(p, true), (p, false)]);
+        for ((plan, fused), (want_fused, want)) in runs.zip(expected) {
+            assert_eq!(fused, want_fused);
+            let dev = Device::a100();
+            dev.enable_tracing();
+            dev.enable_metrics(SimTime::from_secs(1.0));
+            let cat = catalog(&dev);
+            let out = if fused {
+                execute(&dev, &cat, plan)
+            } else {
+                execute_unfused(&dev, &cat, plan)
+            }
+            .unwrap();
+            let mut labels = Vec::new();
+            post_order(&out.stats, &mut labels);
+            let trace = dev.take_trace().unwrap();
+            let spans: Vec<(&str, sim::OperatorRecord)> = trace
+                .spans()
+                .filter(|s| s.cat == sim::SpanCat::Operator)
+                .map(|s| (s.name.as_str(), s.op.expect("operator record")))
+                .collect();
+            let got: Vec<(&str, &str)> = spans.iter().map(|(n, r)| (*n, r.kind)).collect();
+            assert_eq!(got, want, "fused={fused}");
+            assert_eq!(got.iter().map(|(n, _)| *n).collect::<Vec<_>>(), labels);
+            // The metrics recorder folds the same kinds.
+            let reg = dev.metrics_snapshot().unwrap().registry;
+            for (_, kind) in want {
+                let rows: u64 = spans
+                    .iter()
+                    .filter(|(_, r)| r.kind == *kind)
+                    .map(|(_, r)| r.rows)
+                    .sum();
+                assert_eq!(reg.counter("operator_rows_total", &[("op", kind)]), rows);
+            }
+        }
+    }
+
     #[test]
     fn key_type_mismatch_is_reported() {
         let dev = Device::a100();
