@@ -11,8 +11,8 @@
 //! configured one ([`crate::scheduler::ServingConfig::with_slo`]), and
 //! against the population p99 latency otherwise. Each slow query's
 //! end-to-end latency is attributed across the lifecycle stages —
-//! admission-queue wait, planning (charge-free by construction, always
-//! zero), execution slices, and cross-tenant interference — using the same
+//! admission-queue wait, planning (always zero: no lifecycle stage feeds
+//! it), execution slices, and cross-tenant interference — using the same
 //! tick quantization the metrics pipeline uses, so the four stage totals
 //! sum to the latency *exactly*. The dominant stage names the phase to
 //! blame; when EXPLAIN output is available the digest also names the
@@ -31,9 +31,11 @@ use sim::{secs_to_ticks, LifecycleStage, MetricsSnapshot, QueryId, Trace, SECOND
 pub struct StageAttribution {
     /// Admission-queue wait: arrival to budget grant.
     pub queue_ns: u64,
-    /// Planning time. Always zero: planning kernels launch on the
-    /// charge-free `Device::planning` handle, so the simulated clock never
-    /// advances.
+    /// Planning time. Always zero, because no lifecycle stage feeds it.
+    /// Sampling kernels are charge-free (the `Device::planning` handle)
+    /// only under [`crate::PlanCache`]; a serving session executes with
+    /// sampling charged to the query, so its sampling time is in
+    /// `exec_ns`.
     pub planning_ns: u64,
     /// Time the query actually held the device (its exec slices).
     pub exec_ns: u64,

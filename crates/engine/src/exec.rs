@@ -1,15 +1,15 @@
 //! Plan execution against a catalog.
 //!
-//! `execute` lowers the logical [`Plan`] to a physical operator tree
-//! ([`crate::op::compile`]) and runs it through the uniform driver
-//! ([`crate::op::run_operator`]): columns move between operators as
+//! `execute` compiles the logical [`Plan`] ([`crate::op::compile`]) and
+//! runs it through the uniform driver (`op::run_operator`): columns move
+//! between operators as
 //! zero-cost aliases (pointer passing); every operator's device work —
 //! predicate kernels, compaction gathers, joins, aggregations — is charged
 //! to the shared simulated device, and each node comes back with the shared
 //! [`sim::OpStats`] record (times, rows, peak memory, hardware counters) as
 //! a [`NodeStats`] tree.
 
-use crate::op::{compile, compile_unfused, run_operator, ExecContext};
+use crate::op::{compile, compile_unfused, run_operator, ExecContext, Op};
 use crate::{EngineError, Plan, Table};
 use columnar::{DType, Relation};
 use sim::{Device, OpStats, SimTime};
@@ -277,7 +277,7 @@ pub fn execute(dev: &Device, catalog: &Catalog, plan: &Plan) -> Result<QueryOutp
     run_compiled(dev, catalog, compile(plan))
 }
 
-/// Execute `plan` with fusion off: one physical operator per plan node,
+/// Execute `plan` with fusion off: one operator per plan node,
 /// every intermediate fully materialized. Same results, more DRAM traffic —
 /// the ablation baseline of `bench`'s `ablation_fusion` experiment and the
 /// oracle side of the fusion-equivalence property tests.
@@ -289,13 +289,9 @@ pub fn execute_unfused(
     run_compiled(dev, catalog, compile_unfused(plan))
 }
 
-fn run_compiled(
-    dev: &Device,
-    catalog: &Catalog,
-    op: crate::op::BoxOp,
-) -> Result<QueryOutput, EngineError> {
+fn run_compiled(dev: &Device, catalog: &Catalog, op: Op<'_>) -> Result<QueryOutput, EngineError> {
     let ctx = ExecContext::new(dev, catalog);
-    let (table, stats) = run_operator(&ctx, op.as_ref())?;
+    let (table, stats) = run_operator(&ctx, &op)?;
     Ok(QueryOutput { table, stats })
 }
 

@@ -6,7 +6,8 @@
 //! (GFTR: carry row-id "tickets" and gather payloads once, at the end).
 //! Inside a single join the engine already honors that choice; this module
 //! extends it across operators. `take_run` collapses every maximal chain
-//! of adjacent `Filter`/`Project` plan nodes into one [`FusedOp`], which
+//! of adjacent `Filter`/`Project` plan nodes into one compiled node
+//! ([`crate::op::compile`]), which `evaluate_run` runs in one go: it
 //!
 //! 1. rewrites all predicates and projections over the chain's *base*
 //!    schema (expression substitution, [`crate::Expr::substitute`]),
@@ -27,7 +28,7 @@
 //! `Distinct`): those operators need value columns (keys) to do their work,
 //! so the run ends there and the boundary decides what materializes.
 
-use crate::op::{BoxOp, Evaluated, ExecContext, PhysicalOperator, Value};
+use crate::op::{Evaluated, ExecContext, Value};
 use crate::{EngineError, Expr, Plan, Table};
 use columnar::Column;
 use heuristics::{FusionProvenance, Provenance};
@@ -160,16 +161,17 @@ impl Deferred {
     }
 }
 
-/// One collapsed plan node inside a fused run, innermost first.
+/// One collapsed plan node inside a fused run, innermost first, borrowed
+/// from the plan.
 #[derive(Debug, Clone)]
-pub(crate) enum FuseStep {
+pub(crate) enum FuseStep<'p> {
     /// A `Plan::Filter` predicate.
-    Filter(Expr),
+    Filter(&'p Expr),
     /// A `Plan::Project` output list.
-    Project(Vec<(String, Expr)>),
+    Project(&'p [(String, Expr)]),
 }
 
-impl FuseStep {
+impl FuseStep<'_> {
     fn name(&self) -> &'static str {
         match self {
             FuseStep::Filter(_) => "Filter",
@@ -181,17 +183,17 @@ impl FuseStep {
 /// Peel the maximal run of `Filter`/`Project` nodes off the top of `plan`.
 /// Returns the steps innermost-first plus the first non-fusible plan below
 /// them, or `None` if `plan` starts with neither.
-pub(crate) fn take_run(plan: &Plan) -> Option<(Vec<FuseStep>, &Plan)> {
+pub(crate) fn take_run(plan: &Plan) -> Option<(Vec<FuseStep<'_>>, &Plan)> {
     let mut steps = Vec::new();
     let mut cur = plan;
     loop {
         match cur {
             Plan::Filter { input, predicate } => {
-                steps.push(FuseStep::Filter(predicate.clone()));
+                steps.push(FuseStep::Filter(predicate));
                 cur = input;
             }
             Plan::Project { input, exprs } => {
-                steps.push(FuseStep::Project(exprs.clone()));
+                steps.push(FuseStep::Project(exprs));
                 cur = input;
             }
             _ => break,
@@ -205,160 +207,127 @@ pub(crate) fn take_run(plan: &Plan) -> Option<(Vec<FuseStep>, &Plan)> {
     }
 }
 
-/// A maximal `Filter`/`Project` run collapsed into one operator: a single
-/// predicate evaluation over one selection vector, with output columns
-/// deferred as tickets until `boundary` (set by [`crate::op::compile`] from
-/// what consumes this node).
-pub struct FusedOp {
-    children: Vec<BoxOp>,
-    steps: Vec<FuseStep>,
-    /// Root nodes materialize; nodes feeding a ticket-aware consumer defer.
-    materialize_output: bool,
-    /// Human-readable lifetime boundary of the ticket, for provenance.
+/// The label of a fused run: `Fused(Filter+Project+…)`, innermost step
+/// first.
+pub(crate) fn run_label(steps: &[FuseStep<'_>]) -> String {
+    let names: Vec<&str> = steps.iter().map(FuseStep::name).collect();
+    format!("Fused({})", names.join("+"))
+}
+
+/// Evaluate a maximal `Filter`/`Project` run over its input (the run's
+/// base): a single predicate evaluation over one selection vector, with
+/// output columns deferred as tickets until `boundary` unless
+/// `materialize` (both set by [`crate::op::compile`] from what consumes
+/// the run).
+pub(crate) fn evaluate_run(
+    ctx: &ExecContext<'_>,
+    input: Value,
+    steps: &[FuseStep<'_>],
+    materialize: bool,
     boundary: &'static str,
-}
-
-impl FusedOp {
-    pub(crate) fn new(
-        input: BoxOp,
-        steps: Vec<FuseStep>,
-        materialize_output: bool,
-        boundary: &'static str,
-    ) -> Self {
-        FusedOp {
-            children: vec![input],
-            steps,
-            materialize_output,
-            boundary,
-        }
-    }
-}
-
-impl PhysicalOperator for FusedOp {
-    fn label(&self) -> String {
-        let names: Vec<&str> = self.steps.iter().map(FuseStep::name).collect();
-        format!("Fused({})", names.join("+"))
-    }
-
-    fn kind(&self) -> &'static str {
-        "fused"
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let base = inputs
-            .pop()
-            .expect("Fused takes one input")
-            .into_table(ctx.dev)?;
-        // The substitution environment σ: the logical schema at the current
-        // step, each column as an expression over the *base* schema. Every
-        // step rewrites through σ, so predicates and outputs all read
-        // straight from base columns no matter how many projections
-        // intervened.
-        let mut env: Vec<(String, Expr)> = base
-            .columns()
-            .iter()
-            .map(|(n, _)| (n.clone(), Expr::col(n.clone())))
-            .collect();
-        let mut preds: Vec<Expr> = Vec::new();
-        for step in &self.steps {
-            match step {
-                FuseStep::Filter(p) => preds.push(p.substitute(&env)?),
-                FuseStep::Project(exprs) => {
-                    let mut next = Vec::with_capacity(exprs.len());
-                    for (n, e) in exprs {
-                        next.push((n.clone(), e.substitute(&env)?));
-                    }
-                    env = next;
+) -> Result<Evaluated, EngineError> {
+    let base = input.into_table(ctx.dev)?;
+    // The substitution environment σ: the logical schema at the current
+    // step, each column as an expression over the *base* schema. Every
+    // step rewrites through σ, so predicates and outputs all read
+    // straight from base columns no matter how many projections
+    // intervened.
+    let mut env: Vec<(String, Expr)> = base
+        .columns()
+        .iter()
+        .map(|(n, _)| (n.clone(), Expr::col(n.clone())))
+        .collect();
+    let mut preds: Vec<Expr> = Vec::new();
+    for step in steps {
+        match step {
+            FuseStep::Filter(p) => preds.push(p.substitute(&env)?),
+            FuseStep::Project(exprs) => {
+                let mut next = Vec::with_capacity(exprs.len());
+                for (n, e) in exprs.iter() {
+                    next.push((n.clone(), e.substitute(&env)?));
                 }
+                env = next;
             }
         }
-        let cols: Vec<(String, DCol)> = env
-            .into_iter()
-            .map(|(n, e)| {
-                let c = match e {
-                    Expr::Col(b) => DCol::Base(b),
-                    e => DCol::Expr(e),
-                };
-                (n, c)
-            })
-            .collect();
-        let input_rows = base.num_rows();
-        let deferred_cols = cols
-            .iter()
-            .filter(|(_, c)| matches!(c, DCol::Base(_)))
-            .count();
-        let computed_cols = cols.len() - deferred_cols;
-        let steps: Vec<String> = self.steps.iter().map(|s| s.name().to_string()).collect();
+    }
+    let cols: Vec<(String, DCol)> = env
+        .into_iter()
+        .map(|(n, e)| {
+            let c = match e {
+                Expr::Col(b) => DCol::Base(b),
+                e => DCol::Expr(e),
+            };
+            (n, c)
+        })
+        .collect();
+    let input_rows = base.num_rows();
+    let deferred_cols = cols
+        .iter()
+        .filter(|(_, c)| matches!(c, DCol::Base(_)))
+        .count();
+    let computed_cols = cols.len() - deferred_cols;
+    let steps: Vec<String> = steps.iter().map(|s| s.name().to_string()).collect();
 
-        if preds.is_empty() {
-            // Projection-only run: nothing selects, so there is no ticket
-            // to defer — pass base columns as aliases and evaluate computed
-            // outputs in place.
-            let mut out = Vec::with_capacity(cols.len());
-            for (n, c) in &cols {
-                let col = match c {
-                    DCol::Base(b) => base.column(b)?.alias(),
-                    DCol::Expr(e) => e.eval(ctx.dev, &base)?,
-                };
-                out.push((n.clone(), col));
-            }
-            return Ok(Evaluated {
-                out: Value::Table(Table::from_columns(base.name(), out)),
-                phases: None,
-                detail: None,
-                provenance: Some(Provenance::Fusion(FusionProvenance {
-                    steps,
-                    predicates: 0,
-                    input_rows,
-                    selected_rows: input_rows,
-                    deferred_cols: 0,
-                    computed_cols,
-                    materialized_here: true,
-                    boundary: "no filter in the fused run — nothing to defer".to_string(),
-                })),
-            });
+    if preds.is_empty() {
+        // Projection-only run: nothing selects, so there is no ticket
+        // to defer — pass base columns as aliases and evaluate computed
+        // outputs in place.
+        let mut out = Vec::with_capacity(cols.len());
+        for (n, c) in &cols {
+            let col = match c {
+                DCol::Base(b) => base.column(b)?.alias(),
+                DCol::Expr(e) => e.eval(ctx.dev, &base)?,
+            };
+            out.push((n.clone(), col));
         }
-
-        // One fused predicate kernel over the base, one device compaction:
-        // the selection vector is the only thing this node writes.
-        let combined = preds
-            .iter()
-            .skip(1)
-            .fold(preds[0].clone(), |a, p| a.and(p.clone()));
-        let mask = combined.eval_mask_device(ctx.dev, &base)?;
-        let sel = compact_mask(ctx.dev, &mask);
-        let selected_rows = sel.len();
-        let deferred = Deferred { base, sel, cols };
-        let provenance = Provenance::Fusion(FusionProvenance {
-            steps,
-            predicates: preds.len(),
-            input_rows,
-            selected_rows,
-            deferred_cols,
-            computed_cols,
-            materialized_here: self.materialize_output,
-            boundary: self.boundary.to_string(),
-        });
-        let out = if self.materialize_output {
-            Value::Table(deferred.materialize(ctx.dev)?)
-        } else {
-            Value::Deferred(deferred)
-        };
-        Ok(Evaluated {
-            out,
+        return Ok(Evaluated {
+            out: Value::Table(Table::from_columns(base.name(), out)),
             phases: None,
             detail: None,
-            provenance: Some(provenance),
-        })
+            provenance: Some(Provenance::Fusion(FusionProvenance {
+                steps,
+                predicates: 0,
+                input_rows,
+                selected_rows: input_rows,
+                deferred_cols: 0,
+                computed_cols,
+                materialized_here: true,
+                boundary: "no filter in the fused run — nothing to defer".to_string(),
+            })),
+        });
     }
+
+    // One fused predicate kernel over the base, one device compaction:
+    // the selection vector is the only thing this node writes.
+    let combined = preds
+        .iter()
+        .skip(1)
+        .fold(preds[0].clone(), |a, p| a.and(p.clone()));
+    let mask = combined.eval_mask_device(ctx.dev, &base)?;
+    let sel = compact_mask(ctx.dev, &mask);
+    let selected_rows = sel.len();
+    let deferred = Deferred { base, sel, cols };
+    let provenance = Provenance::Fusion(FusionProvenance {
+        steps,
+        predicates: preds.len(),
+        input_rows,
+        selected_rows,
+        deferred_cols,
+        computed_cols,
+        materialized_here: materialize,
+        boundary: boundary.to_string(),
+    });
+    let out = if materialize {
+        Value::Table(deferred.materialize(ctx.dev)?)
+    } else {
+        Value::Deferred(deferred)
+    };
+    Ok(Evaluated {
+        out,
+        phases: None,
+        detail: None,
+        provenance: Some(provenance),
+    })
 }
 
 #[cfg(test)]

@@ -8,10 +8,12 @@
 //! * [`Table`] — named columns (thin sugar over [`columnar`]);
 //! * [`Expr`] — column-at-a-time scalar expressions and predicates;
 //! * [`Plan`] — Scan / Filter / Project / Join / Aggregate nodes;
-//! * [`op`] — the physical-operator layer: every operator tree is compiled
-//!   from a [`Plan`] and executes through one driver that reports the
-//!   shared [`sim::OpStats`] record per node and applies the Section 4.4
-//!   memory budget, going out-of-core transparently when a join won't fit;
+//! * [`op`] — the physical-operator layer: [`op::compile`] annotates a
+//!   [`Plan`] (a compiled node is the plan node plus what compilation
+//!   decided about it), each operator is a plain function, and one driver
+//!   reports the shared [`sim::OpStats`] record per node and applies the
+//!   Section 4.4 memory budget, going out-of-core transparently when a
+//!   join won't fit;
 //! * [`fuse`] — operator fusion and plan-wide late materialization:
 //!   adjacent Filter/Project chains collapse into one node that evaluates a
 //!   single combined predicate and hands consumers a row-id ticket

@@ -1,15 +1,17 @@
 //! The physical-operator layer: one execution contract for every operator.
 //!
 //! The paper's framework says joins and grouped aggregations are the *same*
-//! three-phase computation; this module is that claim as an interface. A
-//! [`PhysicalOperator`] binds its inputs, executes on a [`sim::Device`] and
-//! returns output columns — and the driver (`run_operator`) wraps every
-//! node in the same measurement harness: simulated time, peak device memory
-//! and the hardware-counter delta all land in one shared [`sim::OpStats`]
-//! per node, so a plan report reads like an Nsight profile of the tree.
+//! three-phase computation; this module is that claim as one driver. A
+//! compiled node ([`Op`]) is the [`Plan`] node it runs plus what
+//! [`compile`] decided about it from its place in the tree; each operator's
+//! behaviour is a plain function of the node's own fields, and the driver
+//! (`run_operator`) wraps every node in the same measurement harness:
+//! simulated time, peak device memory and the hardware-counter delta all
+//! land in one shared [`sim::OpStats`] per node, so a plan report reads
+//! like an Nsight profile of the tree.
 //!
 //! Operators exchange [`Value`]s, not just tables: a fused Filter/Project
-//! run ([`crate::fuse::FusedOp`]) emits a late-materialized
+//! run ([`crate::fuse`]) emits a late-materialized
 //! [`crate::fuse::Deferred`] — base columns plus a selection
 //! vector of row-id tickets — and every consumer here knows how to spend
 //! the ticket at its own materialization boundary: joins materialize only
@@ -25,14 +27,14 @@
 //! peak does not fit. Callers of `engine::execute` get out-of-core
 //! execution without asking for it.
 //!
-//! [`compile`] lowers a logical [`Plan`] tree into operators with fusion on
-//! (adjacent Filter/Project chains collapse); [`compile_unfused`] keeps the
-//! one-node-per-plan-node lowering — the ablation baseline. These are the
+//! [`compile`] annotates a logical [`Plan`] tree with fusion on (each
+//! adjacent Filter/Project chain becomes one node); [`compile_unfused`]
+//! keeps one node per plan node — the ablation baseline. These are the
 //! only way to build an operator tree: every tree the engine runs came from
 //! a `Plan`, and its scans read a [`Catalog`].
 
 use crate::exec::{to_relation, Catalog, NodeStats};
-use crate::fuse::{self, DCol, Deferred};
+use crate::fuse::{self, DCol, Deferred, FuseStep};
 use crate::{join_output_columns, AggSpec, EngineError, Expr, Plan, Table};
 use columnar::{Column, DType, Relation};
 use groupby::{AggFn, GroupByAlgorithm, GroupByConfig};
@@ -40,7 +42,7 @@ use heuristics::{
     choose_group_by, choose_join, profile_from_stats, sample_group_stats, sample_stats, AggProfile,
     Decision, GroupByProvenance, JoinProvenance, Provenance, SideShape,
 };
-use joins::{chunked, Algorithm, JoinConfig};
+use joins::{chunked, Algorithm, JoinConfig, JoinKind};
 use primitives::{gather_column, gather_column_or_null, NULL_ID, STREAM_WARP_INSTR};
 use sim::{Device, OpStats, PhaseTimes};
 use std::cell::RefCell;
@@ -200,9 +202,6 @@ impl SiteStats for heuristics::EstimatedGroupStats {
     }
 }
 
-/// A boxed operator — the node type of physical plans.
-pub type BoxOp = Box<dyn PhysicalOperator>;
-
 /// What flows between operators: a materialized table, or a
 /// late-materialized ticket relation from a fused Filter/Project run.
 pub enum Value {
@@ -242,7 +241,7 @@ impl Value {
 
 /// What one operator's execution produced, before the driver wraps it in
 /// the shared measurement record.
-pub struct Evaluated {
+pub(crate) struct Evaluated {
     /// The output value (materialized or ticket-deferred).
     pub out: Value,
     /// The paper's three-phase breakdown, for operators that have one
@@ -269,27 +268,98 @@ impl Evaluated {
     }
 }
 
-/// The uniform operator contract: children to recurse into, a display
-/// label, and an `evaluate` that consumes the children's output values.
-///
-/// Implementations do *not* measure themselves — `run_operator` brackets
-/// every `evaluate` call with the device's clock, memory watermark and
-/// hardware counters so all nodes report identically.
-pub trait PhysicalOperator {
+/// A compiled plan node: the [`Plan`] node it runs plus what [`compile`]
+/// decided about it from its place in the tree. The driver does not let a
+/// node measure itself — `run_operator` brackets every `evaluate` call
+/// with the device's clock, memory watermark and hardware counters so all
+/// nodes report identically.
+pub struct Op<'p> {
+    /// The plan node; for a fused run, the run's topmost Filter/Project.
+    node: &'p Plan,
+    /// The collapsed Filter/Project steps, innermost first, when this node
+    /// is a fused run.
+    run: Option<Vec<FuseStep<'p>>>,
+    /// Materialize the output (plan roots); `false` leaves a deferred
+    /// output deferred for the consumer's boundary. Fused runs and `Limit`
+    /// read it.
+    materialize: bool,
+    /// Human-readable lifetime boundary of a fused run's ticket, for
+    /// provenance.
+    boundary: &'static str,
+    /// Input nodes, in the order their values arrive at `evaluate`.
+    children: Vec<Op<'p>>,
+}
+
+impl Op<'_> {
     /// One-line description of the node (operator + parameters).
-    fn label(&self) -> String;
+    fn label(&self) -> String {
+        match &self.run {
+            Some(steps) => fuse::run_label(steps),
+            None => self.node.label(),
+        }
+    }
+
     /// Stable operator-kind tag (`"join"`, `"aggregate"`, …) that the
     /// node's operator span carries ([`sim::OperatorRecord::kind`]): the
     /// `op` label of the per-kind duration and rows/s distributions the
     /// metrics recorder folds from that span.
     fn kind(&self) -> &'static str {
-        "operator"
+        match self.node {
+            _ if self.run.is_some() => "fused",
+            Plan::Scan { .. } => "scan",
+            Plan::Filter { .. } => "filter",
+            Plan::Project { .. } => "project",
+            Plan::Join { .. } => "join",
+            Plan::Sort { .. } => "sort",
+            Plan::Limit { .. } => "limit",
+            Plan::Distinct { .. } => "distinct",
+            Plan::Aggregate { .. } => "aggregate",
+        }
     }
-    /// Input operators, in the order their values arrive at `evaluate`.
-    fn children(&self) -> &[BoxOp];
+
     /// Execute on the device, consuming one input value per child.
-    fn evaluate(&self, ctx: &ExecContext<'_>, inputs: Vec<Value>)
-        -> Result<Evaluated, EngineError>;
+    fn evaluate(
+        &self,
+        ctx: &ExecContext<'_>,
+        inputs: Vec<Value>,
+    ) -> Result<Evaluated, EngineError> {
+        let mut inputs = inputs.into_iter();
+        let mut input = || inputs.next().expect("one input value per child");
+        if let Some(steps) = &self.run {
+            return fuse::evaluate_run(ctx, input(), steps, self.materialize, self.boundary);
+        }
+        match self.node {
+            Plan::Scan { table } => scan(ctx, table),
+            Plan::Filter { predicate, .. } => filter(ctx, input(), predicate),
+            Plan::Project { exprs, .. } => project(ctx, input(), exprs),
+            Plan::Join {
+                left_key,
+                right_key,
+                kind,
+                algorithm,
+                ..
+            } => join(
+                ctx,
+                input(),
+                input(),
+                left_key,
+                right_key,
+                *kind,
+                *algorithm,
+            ),
+            Plan::Sort {
+                by, desc, limit, ..
+            } => sort(ctx, input(), by, *desc, *limit),
+            Plan::Limit { count, .. } => limit(ctx, input(), *count, self.materialize),
+            Plan::Distinct { column, .. } => distinct(ctx, input(), column),
+            Plan::Aggregate {
+                group_by,
+                aggs,
+                algorithm,
+                ..
+            } => aggregate(ctx, input(), group_by, aggs, *algorithm),
+        }
+    }
 }
 
 /// Execute an operator tree: children first, then the node itself, each
@@ -298,7 +368,7 @@ pub trait PhysicalOperator {
 /// themselves, so the final `into_table` is free.)
 pub(crate) fn run_operator(
     ctx: &ExecContext<'_>,
-    op: &dyn PhysicalOperator,
+    op: &Op<'_>,
 ) -> Result<(Table, NodeStats), EngineError> {
     let (value, stats) = run_operator_value(ctx, op)?;
     Ok((value.into_table(ctx.dev)?, stats))
@@ -306,12 +376,12 @@ pub(crate) fn run_operator(
 
 fn run_operator_value(
     ctx: &ExecContext<'_>,
-    op: &dyn PhysicalOperator,
+    op: &Op<'_>,
 ) -> Result<(Value, NodeStats), EngineError> {
-    let mut inputs = Vec::with_capacity(op.children().len());
-    let mut children = Vec::with_capacity(op.children().len());
-    for child in op.children() {
-        let (value, stats) = run_operator_value(ctx, child.as_ref())?;
+    let mut inputs = Vec::with_capacity(op.children.len());
+    let mut children = Vec::with_capacity(op.children.len());
+    for child in &op.children {
+        let (value, stats) = run_operator_value(ctx, child)?;
         inputs.push(value);
         children.push(stats);
     }
@@ -370,218 +440,111 @@ const BOUNDARY_LIMIT: &str =
 const BOUNDARY_DISTINCT: &str = "Distinct: only the deduplicated column materializes";
 const BOUNDARY_NONE: &str = "not a fused run";
 
-/// Lower a logical [`Plan`] tree to a physical operator tree, fusing every
-/// maximal chain of adjacent `Filter`/`Project` nodes into a single
-/// [`crate::fuse::FusedOp`] that evaluates one combined predicate and
-/// defers payload materialization to the consumer's boundary.
-pub fn compile(plan: &Plan) -> BoxOp {
+/// Compile a logical [`Plan`] tree with fusion on: every maximal chain of
+/// adjacent `Filter`/`Project` nodes becomes a single fused node that
+/// evaluates one combined predicate and defers payload materialization to
+/// the consumer's boundary.
+pub fn compile(plan: &Plan) -> Op<'_> {
     compile_mode(plan, true, true, BOUNDARY_ROOT)
 }
 
-/// Lower without fusion: one operator per plan node, every intermediate
+/// Compile without fusion: one node per plan node, every intermediate
 /// fully materialized — the ablation baseline `bench::ablation_fusion`
 /// compares against, and a debugging aid.
-pub fn compile_unfused(plan: &Plan) -> BoxOp {
+pub fn compile_unfused(plan: &Plan) -> Op<'_> {
     compile_mode(plan, false, true, BOUNDARY_ROOT)
 }
 
 /// `materialize`/`boundary` describe what consumes the node being compiled
-/// — they only take effect when `plan` starts a fusible run.
-fn compile_mode(plan: &Plan, fuse_runs: bool, materialize: bool, boundary: &'static str) -> BoxOp {
+/// — they only take effect when `plan` starts a fusible run or is a
+/// `Limit`.
+fn compile_mode<'p>(
+    plan: &'p Plan,
+    fuse_runs: bool,
+    materialize: bool,
+    boundary: &'static str,
+) -> Op<'p> {
+    let node = |run, children| Op {
+        node: plan,
+        run,
+        materialize,
+        boundary,
+        children,
+    };
     if fuse_runs {
         if let Some((steps, inner)) = fuse::take_run(plan) {
             // The fused node materializes its own input (the run's base),
             // so the inner plan compiles as if it were a root.
             let input = compile_mode(inner, fuse_runs, true, BOUNDARY_ROOT);
-            return Box::new(fuse::FusedOp::new(input, steps, materialize, boundary));
+            return node(Some(steps), vec![input]);
         }
     }
-    match plan {
-        Plan::Scan { table } => Box::new(ScanOp {
-            table: table.clone(),
-        }),
-        Plan::Filter { input, predicate } => Box::new(FilterOp {
-            children: vec![compile_mode(input, fuse_runs, true, BOUNDARY_NONE)],
-            predicate: predicate.clone(),
-        }),
-        Plan::Project { input, exprs } => Box::new(ProjectOp {
-            children: vec![compile_mode(input, fuse_runs, true, BOUNDARY_NONE)],
-            exprs: exprs.clone(),
-        }),
-        Plan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            kind,
-            algorithm,
-        } => Box::new(JoinOp::new(
-            compile_mode(left, fuse_runs, false, BOUNDARY_JOIN),
-            compile_mode(right, fuse_runs, false, BOUNDARY_JOIN),
-            left_key,
-            right_key,
-            JoinConfig {
-                // Assume the general (duplicate-tolerant) build. Deriving
-                // uniqueness from the catalog's declared primary keys is
-                // ROADMAP item 12.
-                unique_build: false,
-                kind: *kind,
-                ..JoinConfig::default()
-            },
-            *algorithm,
-        )),
-        Plan::Sort {
-            input,
-            by,
-            desc,
-            limit,
-        } => Box::new(SortOp {
-            children: vec![compile_mode(input, fuse_runs, false, BOUNDARY_SORT)],
-            by: by.clone(),
-            desc: *desc,
-            limit: *limit,
-        }),
-        Plan::Limit { input, count } => Box::new(LimitOp {
-            children: vec![compile_mode(input, fuse_runs, false, BOUNDARY_LIMIT)],
-            count: *count,
-            materialize,
-        }),
-        Plan::Distinct { input, column } => Box::new(DistinctOp {
-            children: vec![compile_mode(input, fuse_runs, false, BOUNDARY_DISTINCT)],
-            column: column.clone(),
-        }),
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            algorithm,
-        } => Box::new(AggregateOp::new(
-            compile_mode(input, fuse_runs, false, BOUNDARY_AGG),
-            group_by,
-            aggs.clone(),
-            GroupByConfig::default(),
-            *algorithm,
-        )),
-    }
+    let child =
+        |input, materialize, boundary| compile_mode(input, fuse_runs, materialize, boundary);
+    let children = match plan {
+        Plan::Scan { .. } => Vec::new(),
+        Plan::Filter { input, .. } | Plan::Project { input, .. } => {
+            vec![child(input, true, BOUNDARY_NONE)]
+        }
+        Plan::Join { left, right, .. } => vec![
+            child(left, false, BOUNDARY_JOIN),
+            child(right, false, BOUNDARY_JOIN),
+        ],
+        Plan::Sort { input, .. } => vec![child(input, false, BOUNDARY_SORT)],
+        Plan::Limit { input, .. } => vec![child(input, false, BOUNDARY_LIMIT)],
+        Plan::Distinct { input, .. } => vec![child(input, false, BOUNDARY_DISTINCT)],
+        Plan::Aggregate { input, .. } => vec![child(input, false, BOUNDARY_AGG)],
+    };
+    node(None, children)
 }
 
 /// Read a catalog table; columns pass as zero-cost aliases.
-struct ScanOp {
-    table: String,
-}
-
-impl PhysicalOperator for ScanOp {
-    fn kind(&self) -> &'static str {
-        "scan"
-    }
-
-    fn label(&self) -> String {
-        format!("Scan({})", self.table)
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &[]
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        _inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let src = ctx.catalog.get(&self.table)?;
-        let cols = src
-            .columns()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.alias()))
-            .collect();
-        Ok(Evaluated::plain(Table::from_columns(src.name(), cols)))
-    }
+fn scan(ctx: &ExecContext<'_>, table: &str) -> Result<Evaluated, EngineError> {
+    let src = ctx.catalog.get(table)?;
+    let cols = src
+        .columns()
+        .iter()
+        .map(|(n, c)| (n.clone(), c.alias()))
+        .collect();
+    Ok(Evaluated::plain(Table::from_columns(src.name(), cols)))
 }
 
 /// Keep rows where the predicate holds: one fused predicate-mask kernel, a
 /// device compaction into a selection vector, then one clustered gather per
 /// column. The output keeps the input's table name — a filter changes rows,
 /// not identity.
-struct FilterOp {
-    children: Vec<BoxOp>,
-    predicate: Expr,
-}
-
-impl PhysicalOperator for FilterOp {
-    fn kind(&self) -> &'static str {
-        "filter"
-    }
-
-    fn label(&self) -> String {
-        "Filter".to_string()
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let child = inputs
-            .pop()
-            .expect("Filter takes one input")
-            .into_table(ctx.dev)?;
-        let mask = self.predicate.eval_mask_device(ctx.dev, &child)?;
-        let sel = primitives::compact_mask(ctx.dev, &mask);
-        // Compaction: one clustered gather per column (the selection
-        // indices ascend).
-        let cols = child
-            .columns()
-            .iter()
-            .map(|(n, c)| (n.clone(), gather_column(ctx.dev, c, &sel)))
-            .collect();
-        Ok(Evaluated::plain(Table::from_columns(child.name(), cols)))
-    }
+fn filter(ctx: &ExecContext<'_>, input: Value, predicate: &Expr) -> Result<Evaluated, EngineError> {
+    let child = input.into_table(ctx.dev)?;
+    let mask = predicate.eval_mask_device(ctx.dev, &child)?;
+    let sel = primitives::compact_mask(ctx.dev, &mask);
+    // Compaction: one clustered gather per column (the selection
+    // indices ascend).
+    let cols = child
+        .columns()
+        .iter()
+        .map(|(n, c)| (n.clone(), gather_column(ctx.dev, c, &sel)))
+        .collect();
+    Ok(Evaluated::plain(Table::from_columns(child.name(), cols)))
 }
 
 /// Compute output columns from expressions. Plain column references pass as
 /// zero-cost aliases (a projection is metadata, not a kernel); computed
 /// expressions evaluate. The output keeps the input's table name.
-struct ProjectOp {
-    children: Vec<BoxOp>,
-    exprs: Vec<(String, Expr)>,
-}
-
-impl PhysicalOperator for ProjectOp {
-    fn kind(&self) -> &'static str {
-        "project"
+fn project(
+    ctx: &ExecContext<'_>,
+    input: Value,
+    exprs: &[(String, Expr)],
+) -> Result<Evaluated, EngineError> {
+    let child = input.into_table(ctx.dev)?;
+    let mut cols = Vec::with_capacity(exprs.len());
+    for (name, e) in exprs {
+        let col = match e {
+            Expr::Col(c) => child.column(c)?.alias(),
+            e => e.eval(ctx.dev, &child)?,
+        };
+        cols.push((name.clone(), col));
     }
-
-    fn label(&self) -> String {
-        "Project".to_string()
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let child = inputs
-            .pop()
-            .expect("Project takes one input")
-            .into_table(ctx.dev)?;
-        let mut cols = Vec::with_capacity(self.exprs.len());
-        for (name, e) in &self.exprs {
-            let col = match e {
-                Expr::Col(c) => child.column(c)?.alias(),
-                e => e.eval(ctx.dev, &child)?,
-            };
-            cols.push((name.clone(), col));
-        }
-        Ok(Evaluated::plain(Table::from_columns(child.name(), cols)))
-    }
+    Ok(Evaluated::plain(Table::from_columns(child.name(), cols)))
 }
 
 /// One join input after binding: the physical relation handed to the join
@@ -771,260 +734,196 @@ fn reassemble_side(
 /// peak exceeds the device's free memory. Deferred inputs join by ticket:
 /// only the key (plus computed expressions) goes through the kernels, and
 /// base payloads are gathered once afterwards.
-pub(crate) struct JoinOp {
-    children: Vec<BoxOp>,
-    left_key: String,
-    right_key: String,
-    config: JoinConfig,
+fn join(
+    ctx: &ExecContext<'_>,
+    lv: Value,
+    rv: Value,
+    left_key: &str,
+    right_key: &str,
+    kind: JoinKind,
     algorithm: Option<Algorithm>,
-}
-
-impl JoinOp {
-    /// Join `left` (build side) with `right` (probe side) on the named key
-    /// columns. `algorithm: None` lets the decision tree choose from
-    /// sampled statistics.
-    pub(crate) fn new(
-        left: BoxOp,
-        right: BoxOp,
-        left_key: &str,
-        right_key: &str,
-        config: JoinConfig,
-        algorithm: Option<Algorithm>,
-    ) -> Self {
-        JoinOp {
-            children: vec![left, right],
-            left_key: left_key.to_string(),
-            right_key: right_key.to_string(),
-            config,
-            algorithm,
-        }
-    }
-}
-
-impl PhysicalOperator for JoinOp {
-    fn kind(&self) -> &'static str {
-        "join"
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "Join({}={}, {})",
-            self.left_key,
-            self.right_key,
-            self.config.kind.name()
-        )
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let rv = inputs.pop().expect("Join takes two inputs");
-        let lv = inputs.pop().expect("Join takes two inputs");
-        let l_prep = prepare_join_side(ctx.dev, lv, &self.left_key)?;
-        let r_prep = prepare_join_side(ctx.dev, rv, &self.right_key)?;
-        let (l_rel, r_rel) = (&l_prep.rel, &r_prep.rel);
-        if l_rel.key().dtype() != r_rel.key().dtype() {
-            return Err(EngineError::KeyTypeMismatch {
-                left: l_rel.key().dtype().label(),
-                right: r_rel.key().dtype().label(),
-            });
-        }
-        let free_mem = ctx
-            .dev
-            .mem_capacity()
-            .saturating_sub(ctx.dev.mem_report().current_bytes);
-        // Decision provenance: everything below is captured as it happens —
-        // the sampled stats behind the profile, the branch taken and the
-        // branches rejected — so `engine::explain` can replay the choice.
-        let (alg, profile, sampled, decision) = match self.algorithm {
-            Some(alg) => (
-                alg,
-                None,
-                None,
-                pinned_by_plan(alg.name(), alg.materialization()),
-            ),
-            None => {
-                // No optimizer statistics here: sample them (match ratio,
-                // skew) and let the Figure 18 tree decide. The sampling cost
-                // is charged and shows up in this node's "other" time. The
-                // profile is built from the *logical* side shapes, so ticket
-                // inputs pick the same algorithm their materialized twins
-                // would — fusion changes the cost, never the plan.
-                let stats = ctx.sample_site(|dev| sample_stats(dev, l_rel, r_rel, 512));
-                let profile = profile_from_stats(
-                    &stats,
-                    &l_prep.shape,
-                    &r_prep.shape,
-                    ctx.dev.config().l2_bytes,
-                );
-                let e = choose_join(&profile);
-                let alg = e.algorithm;
-                let decision = Decision::walked(e, alg.name(), alg.materialization());
-                (alg, Some(profile), Some(stats), decision)
-            }
-        };
-        // Plan-level memory budget: run the Section 4.4 model against the
-        // device's free memory and go out-of-core when the direct join
-        // would not fit. `None` (build side alone too big) falls through to
-        // the direct path, which reports the OOM.
-        let (joined, detail, chunks) = match chunked::plan_chunks(ctx.dev, l_rel, r_rel) {
-            Some(plan) if plan.chunks > 1 => {
-                let (out, plan) = chunked::chunked_join(ctx.dev, alg, l_rel, r_rel, &self.config);
-                (
-                    out,
-                    format!("{}, chunked x{}", alg.name(), plan.chunks),
-                    plan.chunks,
-                )
-            }
-            _ => (
-                joins::run_join(ctx.dev, alg, l_rel, r_rel, &self.config),
-                alg.name().to_string(),
-                1,
-            ),
-        };
-        let provenance = Provenance::Join(JoinProvenance {
-            build_rows: l_rel.len(),
-            probe_rows: r_rel.len(),
-            free_mem_bytes: free_mem,
-            profile,
-            sampled,
-            chunks,
-            decision,
+) -> Result<Evaluated, EngineError> {
+    let config = JoinConfig {
+        // Assume the general (duplicate-tolerant) build. Deriving
+        // uniqueness from the catalog's declared primary keys is
+        // ROADMAP item 12.
+        unique_build: false,
+        kind,
+        ..JoinConfig::default()
+    };
+    let l_prep = prepare_join_side(ctx.dev, lv, left_key)?;
+    let r_prep = prepare_join_side(ctx.dev, rv, right_key)?;
+    let (l_rel, r_rel) = (&l_prep.rel, &r_prep.rel);
+    if l_rel.key().dtype() != r_rel.key().dtype() {
+        return Err(EngineError::KeyTypeMismatch {
+            left: l_rel.key().dtype().label(),
+            right: r_rel.key().dtype().label(),
         });
-        let phases = joined.stats.phases;
-
-        // Reassemble: key, build payloads, probe payloads; ticketed
-        // payloads gather from their base now, once.
-        let l_cols = reassemble_side(ctx.dev, &l_prep, joined.r_payloads)?;
-        let r_cols = reassemble_side(ctx.dev, &r_prep, joined.s_payloads)?;
-        let left: Vec<String> = std::iter::once(self.left_key.clone())
-            .chain(l_cols.iter().map(|(n, _)| n.clone()))
-            .collect();
-        let right: Vec<String> = std::iter::once(self.right_key.clone())
-            .chain(r_cols.iter().map(|(n, _)| n.clone()))
-            .collect();
-        let names = join_output_columns(&left, &right, &self.left_key, &self.right_key);
-        let values = std::iter::once(joined.keys)
-            .chain(l_cols.into_iter().map(|(_, c)| c))
-            .chain(r_cols.into_iter().map(|(_, c)| c));
-        let cols = names
-            .into_iter()
-            .map(|(out, _, _)| out)
-            .zip(values)
-            .collect();
-        Ok(Evaluated {
-            out: Value::Table(Table::from_columns("joined", cols)),
-            phases: Some(phases),
-            detail: Some(detail),
-            provenance: Some(provenance),
-        })
     }
+    let free_mem = ctx
+        .dev
+        .mem_capacity()
+        .saturating_sub(ctx.dev.mem_report().current_bytes);
+    // Decision provenance: everything below is captured as it happens —
+    // the sampled stats behind the profile, the branch taken and the
+    // branches rejected — so `engine::explain` can replay the choice.
+    let (alg, profile, sampled, decision) = match algorithm {
+        Some(alg) => (
+            alg,
+            None,
+            None,
+            pinned_by_plan(alg.name(), alg.materialization()),
+        ),
+        None => {
+            // No optimizer statistics here: sample them (match ratio,
+            // skew) and let the Figure 18 tree decide. The sampling cost
+            // is charged and shows up in this node's "other" time. The
+            // profile is built from the *logical* side shapes, so ticket
+            // inputs pick the same algorithm their materialized twins
+            // would — fusion changes the cost, never the plan.
+            let stats = ctx.sample_site(|dev| sample_stats(dev, l_rel, r_rel, 512));
+            let profile = profile_from_stats(
+                &stats,
+                &l_prep.shape,
+                &r_prep.shape,
+                ctx.dev.config().l2_bytes,
+            );
+            let e = choose_join(&profile);
+            let alg = e.algorithm;
+            let decision = Decision::walked(e, alg.name(), alg.materialization());
+            (alg, Some(profile), Some(stats), decision)
+        }
+    };
+    // Plan-level memory budget: run the Section 4.4 model against the
+    // device's free memory and go out-of-core when the direct join
+    // would not fit. `None` (build side alone too big) falls through to
+    // the direct path, which reports the OOM.
+    let (joined, detail, chunks) = match chunked::plan_chunks(ctx.dev, l_rel, r_rel) {
+        Some(plan) if plan.chunks > 1 => {
+            let (out, plan) = chunked::chunked_join(ctx.dev, alg, l_rel, r_rel, &config);
+            (
+                out,
+                format!("{}, chunked x{}", alg.name(), plan.chunks),
+                plan.chunks,
+            )
+        }
+        _ => (
+            joins::run_join(ctx.dev, alg, l_rel, r_rel, &config),
+            alg.name().to_string(),
+            1,
+        ),
+    };
+    let provenance = Provenance::Join(JoinProvenance {
+        build_rows: l_rel.len(),
+        probe_rows: r_rel.len(),
+        free_mem_bytes: free_mem,
+        profile,
+        sampled,
+        chunks,
+        decision,
+    });
+    let phases = joined.stats.phases;
+
+    // Reassemble: key, build payloads, probe payloads; ticketed
+    // payloads gather from their base now, once.
+    let l_cols = reassemble_side(ctx.dev, &l_prep, joined.r_payloads)?;
+    let r_cols = reassemble_side(ctx.dev, &r_prep, joined.s_payloads)?;
+    let left: Vec<String> = std::iter::once(left_key.to_string())
+        .chain(l_cols.iter().map(|(n, _)| n.clone()))
+        .collect();
+    let right: Vec<String> = std::iter::once(right_key.to_string())
+        .chain(r_cols.iter().map(|(n, _)| n.clone()))
+        .collect();
+    let names = join_output_columns(&left, &right, left_key, right_key);
+    let values = std::iter::once(joined.keys)
+        .chain(l_cols.into_iter().map(|(_, c)| c))
+        .chain(r_cols.into_iter().map(|(_, c)| c));
+    let cols = names
+        .into_iter()
+        .map(|(out, _, _)| out)
+        .zip(values)
+        .collect();
+    Ok(Evaluated {
+        out: Value::Table(Table::from_columns("joined", cols)),
+        phases: Some(phases),
+        detail: Some(detail),
+        provenance: Some(provenance),
+    })
 }
 
 /// Order by one column, optionally keeping only the first rows.
-struct SortOp {
-    children: Vec<BoxOp>,
-    by: String,
+fn sort(
+    ctx: &ExecContext<'_>,
+    child: Value,
+    by: &str,
     desc: bool,
     limit: Option<usize>,
-}
-
-impl PhysicalOperator for SortOp {
-    fn kind(&self) -> &'static str {
-        "sort"
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "Sort(by {}{}{})",
-            self.by,
-            if self.desc { " desc" } else { "" },
-            self.limit.map_or(String::new(), |l| format!(", limit {l}"))
-        )
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let child = inputs.pop().expect("Sort takes one input");
-        let dev = ctx.dev;
-        // SORT-PAIRS on (key, row id), then truncate the id list to the
-        // limit *before* gathering the other columns — only the surviving
-        // rows pay materialization. A deferred input materializes just the
-        // sort key up front; the permutation then composes with the
-        // selection so every other column is gathered once, at its final
-        // position.
-        let (key, deferred) = match &child {
-            Value::Table(t) => (t.column(&self.by)?.alias(), None),
-            Value::Deferred(d) => {
-                let mut cache = HashMap::new();
-                (d.gather_named(dev, &self.by, &d.sel, &mut cache)?, Some(d))
-            }
-        };
-        let n = key.len();
-        let ids = dev.upload((0..n as u32).collect::<Vec<u32>>(), "sort.ids");
-        let sorted_ids: Vec<u32> = match &key {
-            Column::I32(k) => primitives::sort_pairs(dev, k, &ids).1.to_vec(),
-            Column::I64(k) => primitives::sort_pairs(dev, k, &ids).1.to_vec(),
-        };
-        let take = self.limit.unwrap_or(sorted_ids.len()).min(sorted_ids.len());
-        let map: Vec<u32> = if self.desc {
-            sorted_ids.iter().rev().take(take).copied().collect()
-        } else {
-            sorted_ids[..take].to_vec()
-        };
-        // Reversal and/or limit truncation rewrite the permutation: one
-        // streaming pass over the surviving 4-byte ids (CUB would fold this
-        // into the sort, but the DRAM traffic is the same). An ascending
-        // full-length sort needs no rewrite — the sort output *is* the map.
-        if self.desc || self.limit.is_some() {
-            dev.kernel("sort.limit")
-                .items(take as u64, STREAM_WARP_INSTR)
-                .seq_read_bytes(take as u64 * 4)
-                .seq_write_bytes(take as u64 * 4)
-                .launch();
+) -> Result<Evaluated, EngineError> {
+    let dev = ctx.dev;
+    // SORT-PAIRS on (key, row id), then truncate the id list to the
+    // limit *before* gathering the other columns — only the surviving
+    // rows pay materialization. A deferred input materializes just the
+    // sort key up front; the permutation then composes with the
+    // selection so every other column is gathered once, at its final
+    // position.
+    let (key, deferred) = match &child {
+        Value::Table(t) => (t.column(by)?.alias(), None),
+        Value::Deferred(d) => {
+            let mut cache = HashMap::new();
+            (d.gather_named(dev, by, &d.sel, &mut cache)?, Some(d))
         }
-        let map = dev.upload(map, "sort.map");
-        let cols = match deferred {
-            None => {
-                let Value::Table(t) = &child else {
-                    unreachable!("deferred handled below")
-                };
-                t.columns()
-                    .iter()
-                    .map(|(c_n, c)| (c_n.clone(), gather_column(dev, c, &map)))
-                    .collect()
-            }
-            Some(d) => {
-                // Compose permutation ∘ selection on the device (one 4-byte
-                // gather), then gather every logical column through the
-                // composed map — straight from the base, once.
-                let composed = primitives::gather(dev, &d.sel, &map);
-                let mut cache = HashMap::new();
-                let mut cols = Vec::with_capacity(d.cols.len());
-                for (c_n, c) in &d.cols {
-                    cols.push((
-                        c_n.clone(),
-                        d.gather_dcol(dev, c, &composed, false, &mut cache)?,
-                    ));
-                }
-                cols
-            }
-        };
-        Ok(Evaluated::plain(Table::from_columns("sorted", cols)))
+    };
+    let n = key.len();
+    let ids = dev.upload((0..n as u32).collect::<Vec<u32>>(), "sort.ids");
+    let sorted_ids: Vec<u32> = match &key {
+        Column::I32(k) => primitives::sort_pairs(dev, k, &ids).1.to_vec(),
+        Column::I64(k) => primitives::sort_pairs(dev, k, &ids).1.to_vec(),
+    };
+    let take = limit.unwrap_or(sorted_ids.len()).min(sorted_ids.len());
+    let map: Vec<u32> = if desc {
+        sorted_ids.iter().rev().take(take).copied().collect()
+    } else {
+        sorted_ids[..take].to_vec()
+    };
+    // Reversal and/or limit truncation rewrite the permutation: one
+    // streaming pass over the surviving 4-byte ids (CUB would fold this
+    // into the sort, but the DRAM traffic is the same). An ascending
+    // full-length sort needs no rewrite — the sort output *is* the map.
+    if desc || limit.is_some() {
+        dev.kernel("sort.limit")
+            .items(take as u64, STREAM_WARP_INSTR)
+            .seq_read_bytes(take as u64 * 4)
+            .seq_write_bytes(take as u64 * 4)
+            .launch();
     }
+    let map = dev.upload(map, "sort.map");
+    let cols = match deferred {
+        None => {
+            let Value::Table(t) = &child else {
+                unreachable!("deferred handled below")
+            };
+            t.columns()
+                .iter()
+                .map(|(c_n, c)| (c_n.clone(), gather_column(dev, c, &map)))
+                .collect()
+        }
+        Some(d) => {
+            // Compose permutation ∘ selection on the device (one 4-byte
+            // gather), then gather every logical column through the
+            // composed map — straight from the base, once.
+            let composed = primitives::gather(dev, &d.sel, &map);
+            let mut cache = HashMap::new();
+            let mut cols = Vec::with_capacity(d.cols.len());
+            for (c_n, c) in &d.cols {
+                cols.push((
+                    c_n.clone(),
+                    d.gather_dcol(dev, c, &composed, false, &mut cache)?,
+                ));
+            }
+            cols
+        }
+    };
+    Ok(Evaluated::plain(Table::from_columns("sorted", cols)))
 }
 
 /// Keep only the first `count` rows of the input, in input order — the
@@ -1032,276 +931,189 @@ impl PhysicalOperator for SortOp {
 /// kernel over the surviving rows; a deferred input truncates just its
 /// 4-byte selection vector and every payload column rides the ticket past
 /// the limit, so only rows that survive are ever materialized.
-struct LimitOp {
-    children: Vec<BoxOp>,
+fn limit(
+    ctx: &ExecContext<'_>,
+    child: Value,
     count: usize,
-    /// Materialize the output (compiled plan roots); `false` leaves a
-    /// deferred input deferred for the consumer's boundary.
     materialize: bool,
-}
-
-impl PhysicalOperator for LimitOp {
-    fn kind(&self) -> &'static str {
-        "limit"
-    }
-
-    fn label(&self) -> String {
-        format!("Limit({})", self.count)
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let child = inputs.pop().expect("Limit takes one input");
-        let dev = ctx.dev;
-        let rows = child.num_rows();
-        let take = self.count.min(rows);
-        let out = match child {
-            // LIMIT at or above the input size keeps every row: metadata
-            // only, no device work.
-            v if take == rows => v,
-            Value::Table(t) => {
-                // Prefix copy: one streaming kernel over the surviving rows
-                // of every column (contiguous read, contiguous write).
-                let row_bytes: u64 = t.columns().iter().map(|(_, c)| c.dtype().size()).sum();
-                dev.kernel("limit.slice")
-                    .items(take as u64, STREAM_WARP_INSTR)
-                    .seq_read_bytes(take as u64 * row_bytes)
-                    .seq_write_bytes(take as u64 * row_bytes)
-                    .launch();
-                let cols = t
-                    .columns()
-                    .iter()
-                    .map(|(n, c)| {
-                        let sliced = match c {
-                            Column::I32(b) => Column::from_i32(
-                                dev,
-                                b.iter().take(take).copied().collect(),
-                                "limit.out",
-                            ),
-                            Column::I64(b) => Column::from_i64(
-                                dev,
-                                b.iter().take(take).copied().collect(),
-                                "limit.out",
-                            ),
-                        };
-                        (n.clone(), sliced)
-                    })
-                    .collect();
-                Value::Table(Table::from_columns(t.name(), cols))
-            }
-            Value::Deferred(d) => {
-                // Only the selection truncates — a 4-byte prefix copy —
-                // and the payload columns stay deferred past the limit.
-                let sel: Vec<u32> = d.sel.iter().take(take).copied().collect();
-                dev.kernel("limit.sel")
-                    .items(take as u64, STREAM_WARP_INSTR)
-                    .seq_read_bytes(take as u64 * 4)
-                    .seq_write_bytes(take as u64 * 4)
-                    .launch();
-                Value::Deferred(Deferred {
-                    base: d.base,
-                    sel: dev.upload(sel, "limit.sel"),
-                    cols: d.cols,
+) -> Result<Evaluated, EngineError> {
+    let dev = ctx.dev;
+    let rows = child.num_rows();
+    let take = count.min(rows);
+    let out = match child {
+        // LIMIT at or above the input size keeps every row: metadata
+        // only, no device work.
+        v if take == rows => v,
+        Value::Table(t) => {
+            // Prefix copy: one streaming kernel over the surviving rows
+            // of every column (contiguous read, contiguous write).
+            let row_bytes: u64 = t.columns().iter().map(|(_, c)| c.dtype().size()).sum();
+            dev.kernel("limit.slice")
+                .items(take as u64, STREAM_WARP_INSTR)
+                .seq_read_bytes(take as u64 * row_bytes)
+                .seq_write_bytes(take as u64 * row_bytes)
+                .launch();
+            let cols = t
+                .columns()
+                .iter()
+                .map(|(n, c)| {
+                    let sliced = match c {
+                        Column::I32(b) => Column::from_i32(
+                            dev,
+                            b.iter().take(take).copied().collect(),
+                            "limit.out",
+                        ),
+                        Column::I64(b) => Column::from_i64(
+                            dev,
+                            b.iter().take(take).copied().collect(),
+                            "limit.out",
+                        ),
+                    };
+                    (n.clone(), sliced)
                 })
-            }
-        };
-        let out = if self.materialize {
-            Value::Table(out.into_table(dev)?)
-        } else {
-            out
-        };
-        Ok(Evaluated {
-            out,
-            phases: None,
-            detail: None,
-            provenance: None,
-        })
-    }
+                .collect();
+            Value::Table(Table::from_columns(t.name(), cols))
+        }
+        Value::Deferred(d) => {
+            // Only the selection truncates — a 4-byte prefix copy —
+            // and the payload columns stay deferred past the limit.
+            let sel: Vec<u32> = d.sel.iter().take(take).copied().collect();
+            dev.kernel("limit.sel")
+                .items(take as u64, STREAM_WARP_INSTR)
+                .seq_read_bytes(take as u64 * 4)
+                .seq_write_bytes(take as u64 * 4)
+                .launch();
+            Value::Deferred(Deferred {
+                base: d.base,
+                sel: dev.upload(sel, "limit.sel"),
+                cols: d.cols,
+            })
+        }
+    };
+    let out = if materialize {
+        Value::Table(out.into_table(dev)?)
+    } else {
+        out
+    };
+    Ok(Evaluated {
+        out,
+        phases: None,
+        detail: None,
+        provenance: None,
+    })
 }
 
 /// Distinct rows of a single column: grouping with no aggregates.
-struct DistinctOp {
-    children: Vec<BoxOp>,
-    column: String,
-}
-
-impl PhysicalOperator for DistinctOp {
-    fn kind(&self) -> &'static str {
-        "distinct"
-    }
-
-    fn label(&self) -> String {
-        format!("Distinct({})", self.column)
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let child = inputs.pop().expect("Distinct takes one input");
-        // A deferred input materializes exactly one column — the ticket's
-        // best case: every other column costs nothing.
-        let key = match &child {
-            Value::Table(t) => t.column(&self.column)?.alias(),
-            Value::Deferred(d) => {
-                let mut cache = HashMap::new();
-                d.gather_named(ctx.dev, &self.column, &d.sel, &mut cache)?
-            }
-        };
-        let rows = key.len();
-        let rel = Relation::new("distinct_input", key, Vec::new());
-        let alg = GroupByAlgorithm::SortGftr;
-        let grouped = groupby::run_group_by(ctx.dev, alg, &rel, &[], &GroupByConfig::default());
-        let phases = grouped.stats.phases;
-        Ok(Evaluated {
-            out: Value::Table(Table::from_columns(
-                "distinct",
-                vec![(self.column.clone(), grouped.keys)],
-            )),
-            phases: Some(phases),
-            detail: None,
-            provenance: Some(Provenance::GroupBy(GroupByProvenance {
-                rows,
-                profile: None,
-                sampled: None,
-                decision: Decision::pinned(
-                    alg.name(),
-                    alg.materialization(),
-                    "pinned by operator",
-                    "Distinct always sorts: keys alone, no aggregates to gather",
-                ),
-            })),
-        })
-    }
+fn distinct(ctx: &ExecContext<'_>, child: Value, column: &str) -> Result<Evaluated, EngineError> {
+    // A deferred input materializes exactly one column — the ticket's
+    // best case: every other column costs nothing.
+    let key = match &child {
+        Value::Table(t) => t.column(column)?.alias(),
+        Value::Deferred(d) => {
+            let mut cache = HashMap::new();
+            d.gather_named(ctx.dev, column, &d.sel, &mut cache)?
+        }
+    };
+    let rows = key.len();
+    let rel = Relation::new("distinct_input", key, Vec::new());
+    let alg = GroupByAlgorithm::SortGftr;
+    let grouped = groupby::run_group_by(ctx.dev, alg, &rel, &[], &GroupByConfig::default());
+    let phases = grouped.stats.phases;
+    Ok(Evaluated {
+        out: Value::Table(Table::from_columns(
+            "distinct",
+            vec![(column.to_string(), grouped.keys)],
+        )),
+        phases: Some(phases),
+        detail: None,
+        provenance: Some(Provenance::GroupBy(GroupByProvenance {
+            rows,
+            profile: None,
+            sampled: None,
+            decision: Decision::pinned(
+                alg.name(),
+                alg.materialization(),
+                "pinned by operator",
+                "Distinct always sorts: keys alone, no aggregates to gather",
+            ),
+        })),
+    })
 }
 
 /// Grouped aggregation: algorithm by the grouped-aggregation decision tree
 /// unless pinned (group count and skew sampled from the key column).
-pub(crate) struct AggregateOp {
-    children: Vec<BoxOp>,
-    group_by: String,
-    aggs: Vec<AggSpec>,
-    config: GroupByConfig,
+fn aggregate(
+    ctx: &ExecContext<'_>,
+    child: Value,
+    group_by: &str,
+    aggs: &[AggSpec],
     algorithm: Option<GroupByAlgorithm>,
-}
-
-impl AggregateOp {
-    /// Group `input`'s rows by the named column. `algorithm: None` lets the
-    /// decision tree choose from sampled statistics.
-    pub(crate) fn new(
-        input: BoxOp,
-        group_by: &str,
-        aggs: Vec<AggSpec>,
-        config: GroupByConfig,
-        algorithm: Option<GroupByAlgorithm>,
-    ) -> Self {
-        AggregateOp {
-            children: vec![input],
-            group_by: group_by.to_string(),
-            aggs,
-            config,
-            algorithm,
+) -> Result<Evaluated, EngineError> {
+    // Materialize only what the aggregation touches: the grouping key
+    // and the aggregate inputs. A deferred input's remaining columns
+    // are never gathered (they have no place in the output anyway).
+    let mut payloads = Vec::with_capacity(aggs.len());
+    let mut fns: Vec<AggFn> = Vec::with_capacity(aggs.len());
+    let key = match &child {
+        Value::Table(t) => {
+            let key = t.column(group_by)?.alias();
+            for a in aggs {
+                payloads.push(t.column(&a.column)?.alias());
+                fns.push(a.agg);
+            }
+            key
         }
-    }
-}
-
-impl PhysicalOperator for AggregateOp {
-    fn kind(&self) -> &'static str {
-        "aggregate"
-    }
-
-    fn label(&self) -> String {
-        format!("Aggregate(by {})", self.group_by)
-    }
-
-    fn children(&self) -> &[BoxOp] {
-        &self.children
-    }
-
-    fn evaluate(
-        &self,
-        ctx: &ExecContext<'_>,
-        mut inputs: Vec<Value>,
-    ) -> Result<Evaluated, EngineError> {
-        let child = inputs.pop().expect("Aggregate takes one input");
-        // Materialize only what the aggregation touches: the grouping key
-        // and the aggregate inputs. A deferred input's remaining columns
-        // are never gathered (they have no place in the output anyway).
-        let mut payloads = Vec::with_capacity(self.aggs.len());
-        let mut fns: Vec<AggFn> = Vec::with_capacity(self.aggs.len());
-        let key = match &child {
-            Value::Table(t) => {
-                let key = t.column(&self.group_by)?.alias();
-                for a in &self.aggs {
-                    payloads.push(t.column(&a.column)?.alias());
-                    fns.push(a.agg);
-                }
-                key
+        Value::Deferred(d) => {
+            let mut cache = HashMap::new();
+            let key = d.gather_named(ctx.dev, group_by, &d.sel, &mut cache)?;
+            for a in aggs {
+                payloads.push(d.gather_named(ctx.dev, &a.column, &d.sel, &mut cache)?);
+                fns.push(a.agg);
             }
-            Value::Deferred(d) => {
-                let mut cache = HashMap::new();
-                let key = d.gather_named(ctx.dev, &self.group_by, &d.sel, &mut cache)?;
-                for a in &self.aggs {
-                    payloads.push(d.gather_named(ctx.dev, &a.column, &d.sel, &mut cache)?);
-                    fns.push(a.agg);
-                }
-                key
-            }
-        };
-        let rows = key.len();
-        let (alg, profile, sampled, decision) = match self.algorithm {
-            Some(alg) => (
-                alg,
-                None,
-                None,
-                pinned_by_plan(alg.name(), alg.materialization()),
-            ),
-            None => {
-                // Sample the grouping key for a distinct-count and skew
-                // estimate, then let the aggregation decision tree pick.
-                let sampled = ctx.sample_site(|dev| sample_group_stats(dev, &key, 512));
-                let profile = AggProfile {
-                    rows,
-                    est_groups: sampled.est_groups,
-                    skewed: sampled.skewed(),
-                    wide: fns.len() > 1,
-                    l2_bytes: ctx.dev.config().l2_bytes,
-                };
-                let e = choose_group_by(&profile);
-                let alg = e.algorithm;
-                let decision = Decision::walked(e, alg.name(), alg.materialization());
-                (alg, Some(profile), Some(sampled), decision)
-            }
-        };
-        let rel = Relation::new("agg_input", key, payloads);
-        let grouped = groupby::run_group_by(ctx.dev, alg, &rel, &fns, &self.config);
-        let phases = grouped.stats.phases;
-        let mut cols = vec![(self.group_by.clone(), grouped.keys)];
-        for (spec, col) in self.aggs.iter().zip(grouped.aggregates) {
-            cols.push((spec.output.clone(), col));
+            key
         }
-        Ok(Evaluated {
-            out: Value::Table(Table::from_columns("aggregated", cols)),
-            phases: Some(phases),
-            detail: Some(alg.name().to_string()),
-            provenance: Some(Provenance::GroupBy(GroupByProvenance {
+    };
+    let rows = key.len();
+    let (alg, profile, sampled, decision) = match algorithm {
+        Some(alg) => (
+            alg,
+            None,
+            None,
+            pinned_by_plan(alg.name(), alg.materialization()),
+        ),
+        None => {
+            // Sample the grouping key for a distinct-count and skew
+            // estimate, then let the aggregation decision tree pick.
+            let sampled = ctx.sample_site(|dev| sample_group_stats(dev, &key, 512));
+            let profile = AggProfile {
                 rows,
-                profile,
-                sampled,
-                decision,
-            })),
-        })
+                est_groups: sampled.est_groups,
+                skewed: sampled.skewed(),
+                wide: fns.len() > 1,
+                l2_bytes: ctx.dev.config().l2_bytes,
+            };
+            let e = choose_group_by(&profile);
+            let alg = e.algorithm;
+            let decision = Decision::walked(e, alg.name(), alg.materialization());
+            (alg, Some(profile), Some(sampled), decision)
+        }
+    };
+    let rel = Relation::new("agg_input", key, payloads);
+    let grouped = groupby::run_group_by(ctx.dev, alg, &rel, &fns, &GroupByConfig::default());
+    let phases = grouped.stats.phases;
+    let mut cols = vec![(group_by.to_string(), grouped.keys)];
+    for (spec, col) in aggs.iter().zip(grouped.aggregates) {
+        cols.push((spec.output.clone(), col));
     }
+    Ok(Evaluated {
+        out: Value::Table(Table::from_columns("aggregated", cols)),
+        phases: Some(phases),
+        detail: Some(alg.name().to_string()),
+        provenance: Some(Provenance::GroupBy(GroupByProvenance {
+            rows,
+            profile,
+            sampled,
+            decision,
+        })),
+    })
 }

@@ -1,4 +1,6 @@
 //! Logical query plans: the operator tree the executor walks.
+//! [`crate::op::compile`] annotates these nodes; it does not copy them into
+//! a second tree.
 
 use crate::Expr;
 use groupby::{AggFn, GroupByAlgorithm};
@@ -201,7 +203,8 @@ impl Plan {
         self
     }
 
-    /// Human-readable one-line description of the node (for stats).
+    /// Human-readable one-line description of the node: the label of its
+    /// `NodeStats` and operator span (adaptive nodes append `via <alg>`).
     pub fn label(&self) -> String {
         match self {
             Plan::Scan { table } => format!("Scan({table})"),

@@ -1,16 +1,16 @@
 //! Plan caching for the serving path: steady-state traffic skips planning.
 //!
-//! The adaptive planner pays two costs per query that repeat traffic does
-//! not need to pay twice: lowering the logical plan to a physical operator
-//! tree, and running the statistics-sampling kernels that feed the
+//! The adaptive planner runs statistics-sampling kernels that feed the
 //! decision trees (match ratio and skew for joins, distinct count and skew
-//! for aggregations). A [`PlanCache`] keys both on the plan's normalized
-//! shape *and* the catalog version — a statistics refresh or reload bumps
-//! [`Catalog::version`] and silently invalidates every entry compiled
-//! against stale statistics.
+//! for aggregations); repeat traffic does not need to pay for them twice.
+//! A [`PlanCache`] entry holds the plan and its recorded observations,
+//! keyed on the plan's normalized shape *and* the catalog version — a
+//! statistics refresh or reload bumps [`Catalog::version`] and silently
+//! invalidates every entry recorded against stale statistics.
 //!
-//! **Byte-identity contract.** A cache hit replays the recorded sampling
-//! observations positionally into the same operator tree, so its output
+//! **Byte-identity contract.** A cache hit compiles the cached plan again
+//! (a tree walk, no kernels) and replays the recorded sampling
+//! observations positionally into it, so its output
 //! table, `OpStats`, and EXPLAIN tree are byte-identical to the recording
 //! (cold) run. The cold run itself launches its sampling kernels on the
 //! query's [`sim::Device::planning`] handle — charge-free on every clock —
@@ -28,7 +28,7 @@
 //! provenance.
 
 use crate::exec::{Catalog, QueryOutput};
-use crate::op::{compile, run_operator, BoxOp, ExecContext, SiteSample};
+use crate::op::{compile, run_operator, ExecContext, SiteSample};
 use crate::{EngineError, Plan};
 use serde::Serialize;
 use sim::Device;
@@ -37,9 +37,9 @@ use std::collections::HashMap;
 /// Whether an execution was served from the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CacheOutcome {
-    /// Compiled plan and sampled statistics reused; sampling skipped.
+    /// Cached plan and sampled statistics reused; sampling skipped.
     Hit,
-    /// Cold: compiled and sampled fresh, then cached.
+    /// Cold: sampled fresh, then cached.
     Miss,
 }
 
@@ -75,16 +75,11 @@ pub fn plan_fingerprint(plan: &Plan) -> u64 {
     fnv1a(format!("{plan:?}").as_bytes())
 }
 
-struct Entry {
-    op: BoxOp,
-    samples: Vec<SiteSample>,
-}
-
-/// An LRU cache of compiled physical plans plus their recorded sampling
-/// observations, keyed by `(fingerprint, catalog version)`.
+/// An LRU cache of plans plus their recorded sampling observations, keyed
+/// by `(fingerprint, catalog version)`.
 pub struct PlanCache {
     capacity: usize,
-    entries: HashMap<(u64, u64), Entry>,
+    entries: HashMap<(u64, u64), (Plan, Vec<SiteSample>)>,
     /// Keys in recency order, most recent last.
     recency: Vec<(u64, u64)>,
     hits: u64,
@@ -151,18 +146,17 @@ impl PlanCache {
             self.hits += 1;
             instant(dev, sim::LifecycleStage::PlanCacheHit);
             self.touch(key);
-            let entry = &self.entries[&key];
-            let ctx = ExecContext::with_replay(dev, catalog, entry.samples.clone());
-            let (table, stats) = run_operator(&ctx, entry.op.as_ref())?;
+            let (cached, samples) = &self.entries[&key];
+            let ctx = ExecContext::with_replay(dev, catalog, samples.clone());
+            let (table, stats) = run_operator(&ctx, &compile(cached))?;
             return Ok((QueryOutput { table, stats }, info(CacheOutcome::Hit)));
         }
         self.misses += 1;
         instant(dev, sim::LifecycleStage::PlanCacheMiss);
-        let op = compile(plan);
         let ctx = ExecContext::with_recording(dev, catalog);
-        let (table, stats) = run_operator(&ctx, op.as_ref())?;
+        let (table, stats) = run_operator(&ctx, &compile(plan))?;
         let samples = ctx.take_samples();
-        self.insert(key, Entry { op, samples }, dev);
+        self.insert(key, (plan.clone(), samples), dev);
         Ok((QueryOutput { table, stats }, info(CacheOutcome::Miss)))
     }
 
@@ -173,7 +167,7 @@ impl PlanCache {
         self.recency.push(key);
     }
 
-    fn insert(&mut self, key: (u64, u64), entry: Entry, dev: &Device) {
+    fn insert(&mut self, key: (u64, u64), entry: (Plan, Vec<SiteSample>), dev: &Device) {
         if !self.entries.contains_key(&key) && self.entries.len() == self.capacity {
             let victim = self.recency.remove(0);
             self.entries.remove(&victim);

@@ -89,11 +89,6 @@ impl Table {
         &self.columns
     }
 
-    /// Consume into parts.
-    pub fn into_columns(self) -> Vec<(String, Column)> {
-        self.columns
-    }
-
     /// Rows widened to `i64`, sorted — the order-insensitive comparison form
     /// used by tests.
     pub fn rows_sorted(&self) -> Vec<Vec<i64>> {

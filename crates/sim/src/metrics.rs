@@ -897,7 +897,10 @@ pub struct MetricsSnapshot {
     pub lifecycles: Vec<QueryLifecycle>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` escaped for a double-quoted string: valid both as a JSON
+/// string body and as an OpenMetrics label value (which spells a newline
+/// `\n`, never `\u000a`). The trace writers use it too.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

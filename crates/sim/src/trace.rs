@@ -44,6 +44,7 @@
 //! * [`render_kernel_summary`] — an `nsys stats`-style per-kernel-name
 //!   aggregation table (launches, total time, % of kernel time, traffic).
 
+use crate::metrics::escape_into;
 use crate::{Counters, SimTime};
 
 /// Category of a [`SpanEvent`] — which harness opened it.
@@ -389,19 +390,6 @@ impl Trace {
         }
         self.events.push(event);
         self.enforce_capacity()
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -332,8 +332,9 @@ proptest! {
         }
     }
 
-    /// Plan-cache contract: a hit — replaying the recorded sampling
-    /// observations through the stored operator tree on a fresh device —
+    /// Plan-cache contract: a hit — recompiling the stored plan and
+    /// replaying the recorded sampling observations into it on a fresh
+    /// device —
     /// is byte-identical to the cold recording run on every observable:
     /// rows, schema, the full `OpStats` tree, and the rendered EXPLAIN.
     #[test]

@@ -171,7 +171,7 @@ fn group_by_tree_grid() {
             .collect();
         let best = measured.iter().map(|m| m.1).fold(f64::INFINITY, f64::min);
 
-        // The profile exactly as `engine::op::AggregateOp` builds it.
+        // The profile exactly as the engine's aggregate operator builds it.
         let sampled = sample_group_stats(&dev, input.key(), 512);
         let profile = AggProfile {
             rows,
