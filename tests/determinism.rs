@@ -65,7 +65,11 @@
 //! slow-query digest. The session's queries share plans, so these pin
 //! what every later arrival of a plan contributes to the device-wide
 //! observables, executed and replayed alike. They were recorded at commit
-//! 5369149, which executed every arrival.
+//! 5369149, which executed every arrival. A closed-loop session of the same
+//! plans, nine tenants present at session start under round robin and
+//! weighted fair share, is pinned the same way; it was recorded at commit
+//! 33ae263, whose closed loop registered tenants with no arrival stamp and
+//! labelled their class after registration.
 
 use columnar::{Column, Relation};
 use engine::scheduler::{OpenQuery, QuerySpec, ServingConfig};
@@ -1103,4 +1107,53 @@ fn repeated_spec_serving_sessions_reproduce_their_recorded_rows() {
         };
         assert_reference_table(table, &observed, REFERENCE);
     }
+}
+
+/// One closed-loop serving session: nine tenants cycling through the demo's
+/// q18, q3 and q1 plans over `tpch_mini(256)`, all present at session
+/// start with equal-share budgets and weights 1, 2 and 4, traced and
+/// metered. The row is the number of completed queries, then digests of
+/// the base trace's JSONL, of the metrics JSON and of the slow-query
+/// digest's JSON.
+fn closed_session_run(policy: SchedPolicy) -> [u64; 4] {
+    let dev = device(8192.0);
+    dev.enable_tracing();
+    dev.enable_metrics(SimTime::from_secs(1e-7));
+    let catalog = engine::demo::tpch_mini(&dev, 256, 7);
+    let plans = [
+        engine::demo::q18_like(),
+        engine::demo::q3_like(),
+        engine::demo::q1_like(),
+    ];
+    let specs = (0..9)
+        .map(|i| QuerySpec::new(plans[i % 3].clone()).with_weight([1.0, 2.0, 4.0][i % 3]))
+        .collect();
+    let reports = engine::run_queries(&dev, &catalog, specs, policy);
+    let explains: Vec<_> = reports
+        .iter()
+        .filter_map(|r| Some((r.query, r.explain(dev.config())?)))
+        .collect();
+    let trace = dev.take_trace().expect("tracing was enabled");
+    let snap = dev.metrics_snapshot().expect("metrics were enabled");
+    let slow = engine::slow_queries(&trace, &snap, &explains);
+    [
+        reports.iter().filter(|r| r.result.is_ok()).count() as u64,
+        digest(text_words(&sim::trace::jsonl(std::slice::from_ref(&trace)))),
+        digest(text_words(&sim::metrics_json(std::slice::from_ref(&snap)))),
+        digest(text_words(&slow.to_json())),
+    ]
+}
+
+#[test]
+fn closed_loop_serving_sessions_reproduce_their_recorded_rows() {
+    #[rustfmt::skip]
+    const REFERENCE: &[[u64; 4]] = &[
+        [9, 5407267114019931477, 11278271246940956753, 3924661330088861106], // round_robin
+        [9, 16864036055333031702, 7782158923200436411, 253971501859041806], // weighted_fair
+    ];
+    let observed: Vec<_> = [SchedPolicy::RoundRobin, SchedPolicy::WeightedFair]
+        .into_iter()
+        .map(|policy| (policy.name().to_string(), closed_session_run(policy)))
+        .collect();
+    assert_reference_table("closed-loop serving sessions", &observed, REFERENCE);
 }
