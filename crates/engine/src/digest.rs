@@ -425,7 +425,13 @@ mod tests {
                 )
             })
             .collect();
-        let _ = scheduler::run_open_loop(&dev, &cat, arrivals, Policy::RoundRobin);
+        let _ = scheduler::run_open_loop_with(
+            &dev,
+            &cat,
+            arrivals,
+            Policy::RoundRobin,
+            &ServingConfig::default(),
+        );
         let trace = dev.take_trace().unwrap();
         let snap = dev.metrics_snapshot().unwrap();
         let digest = slow_queries(&trace, &snap, &[]);

@@ -272,7 +272,7 @@ pub struct QueryOutput {
 
 /// Execute `plan` against `catalog` on `dev`, with operator fusion on:
 /// adjacent Filter/Project chains collapse into single nodes whose outputs
-/// flow as late-materialized tickets ([`crate::fuse`]).
+/// flow as late-materialized row-id tickets.
 pub fn execute(dev: &Device, catalog: &Catalog, plan: &Plan) -> Result<QueryOutput, EngineError> {
     run_compiled(dev, catalog, compile(plan))
 }

@@ -51,7 +51,7 @@ pub(crate) enum DCol {
 /// vector of surviving row ids (the ticket), and the logical output columns
 /// over the base schema. No payload values are gathered until a consumer
 /// materializes them.
-pub struct Deferred {
+pub(crate) struct Deferred {
     /// The source table the tickets index into.
     pub(crate) base: Table,
     /// Ascending surviving row ids into `base`.

@@ -14,11 +14,11 @@
 //!   reports the shared [`sim::OpStats`] record per node and applies the
 //!   Section 4.4 memory budget, going out-of-core transparently when a
 //!   join won't fit;
-//! * [`fuse`] — operator fusion and plan-wide late materialization:
-//!   adjacent Filter/Project chains collapse into one node that evaluates a
-//!   single combined predicate and hands consumers a row-id ticket
-//!   ([`fuse::Deferred`]) instead of materialized payloads — the paper's
-//!   GFTR discipline applied across operators;
+//! * operator fusion and plan-wide late materialization (the private
+//!   `fuse` module): adjacent Filter/Project chains collapse into one node
+//!   that evaluates a single combined predicate and hands consumers a
+//!   row-id ticket instead of materialized payloads — the paper's GFTR
+//!   discipline applied across operators;
 //! * [`execute`] — lowers a plan against a [`Catalog`] into that layer
 //!   (fused; [`execute_unfused`] is the ablation baseline), picking join
 //!   and aggregation implementations with the paper's decision trees
@@ -50,7 +50,7 @@ mod error;
 mod exec;
 pub mod explain;
 mod expr;
-pub mod fuse;
+mod fuse;
 pub mod op;
 mod plan;
 pub mod plan_cache;
@@ -68,7 +68,6 @@ pub use expr::{CmpOp, Expr};
 pub use plan::{join_output_columns, AggSpec, Plan};
 pub use plan_cache::{CacheOutcome, PlanCache, PlanCacheInfo};
 pub use scheduler::{
-    run_open_loop, run_open_loop_with, run_queries, OpenQuery, OperatorBreakdown, Policy,
-    QueryReport, QuerySpec, ServingConfig,
+    run_open_loop_with, run_queries, OpenQuery, Policy, QueryReport, QuerySpec, ServingConfig,
 };
 pub use table::Table;

@@ -10,10 +10,10 @@
 //! land in one shared [`sim::OpStats`] per node, so a plan report reads
 //! like an Nsight profile of the tree.
 //!
-//! Operators exchange [`Value`]s, not just tables: a fused Filter/Project
-//! run ([`crate::fuse`]) emits a late-materialized
-//! [`crate::fuse::Deferred`] — base columns plus a selection
-//! vector of row-id tickets — and every consumer here knows how to spend
+//! Operators exchange values, not just tables: a fused Filter/Project run
+//! (the private `fuse` module) emits a late-materialized `Deferred` value
+//! — base columns plus a selection vector of row-id tickets — and every
+//! consumer here knows how to spend
 //! the ticket at its own materialization boundary: joins materialize only
 //! the key and let payloads ride a 4-byte ticket column through the match,
 //! aggregations gather only the grouping key and aggregate inputs, sorts
@@ -52,7 +52,7 @@ use std::collections::HashMap;
 /// recorded in plan order so a cached plan can replay the exact same
 /// planner inputs without re-running the sampling kernels.
 #[derive(Debug, Clone, Copy)]
-pub enum SiteSample {
+pub(crate) enum SiteSample {
     /// A join site's sampled match/skew statistics.
     Join(heuristics::EstimatedStats),
     /// A group-by site's sampled distinct-count/skew statistics.
@@ -78,7 +78,7 @@ enum PlanningMode {
 
 /// What an operator needs to execute: the device, and the catalog its
 /// scans read.
-pub struct ExecContext<'a> {
+pub(crate) struct ExecContext<'a> {
     /// The simulated device all kernels charge to.
     pub dev: &'a Device,
     /// Table source for scans.
@@ -204,7 +204,7 @@ impl SiteStats for heuristics::EstimatedGroupStats {
 
 /// What flows between operators: a materialized table, or a
 /// late-materialized ticket relation from a fused Filter/Project run.
-pub enum Value {
+pub(crate) enum Value {
     /// Materialized columns.
     Table(Table),
     /// Base columns plus a selection vector; payloads gather at the
@@ -218,14 +218,6 @@ impl Value {
         match self {
             Value::Table(t) => t.num_rows(),
             Value::Deferred(d) => d.num_rows(),
-        }
-    }
-
-    /// Logical table name.
-    pub fn name(&self) -> &str {
-        match self {
-            Value::Table(t) => t.name(),
-            Value::Deferred(d) => d.name(),
         }
     }
 

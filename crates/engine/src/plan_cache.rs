@@ -306,7 +306,7 @@ mod tests {
         let dev = Device::a100();
         let cat = catalog(&dev);
         dev.enable_tracing();
-        dev.sched_start(sim::SchedPolicy::Serial);
+        dev.sched_start(sim::SchedPolicy::Serial, None);
         let q = dev.sched_register(1.0, 1 << 30).unwrap();
         let mut cache = PlanCache::new(4);
         dev.sched_run(|_| {
@@ -314,7 +314,6 @@ mod tests {
             cache.execute(&q, &cat, &plan()).unwrap();
             cache.execute(&q, &cat, &plan()).unwrap();
         });
-        dev.sched_finish();
         let stages: Vec<_> = dev
             .take_trace()
             .unwrap()

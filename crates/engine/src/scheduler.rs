@@ -48,12 +48,16 @@
 //!    `tests/scheduler_equivalence.rs` and `tests/admission_invariants.rs`
 //!    prove.
 //! 4. **Admission control** — [`run_open_loop_with`] takes a
-//!    [`ServingConfig`]: a bounded admission queue (total and per-class
-//!    depth) that sheds overflow arrivals with a typed
-//!    [`EngineError::QueueShed`], and a predicted-memory gate that
-//!    rejects queries whose [`cost::estimate`] memory floor exceeds their
-//!    budget ([`EngineError::AdmissionRejected`]) before they ever
-//!    register.
+//!    [`ServingConfig`]: a bounded admission queue that sheds overflow
+//!    arrivals with a typed [`EngineError::QueueShed`], and a
+//!    predicted-memory gate that rejects queries whose [`cost::estimate`]
+//!    memory floor exceeds their budget ([`EngineError::AdmissionRejected`])
+//!    before they ever register.
+//!
+//! Every query registers once, with everything the session knows about
+//! it: arrival, budget, predicted cost, class and SLO. A closed-loop
+//! tenant of [`run_queries`] is an [`OpenQuery`] arriving at session start
+//! in class `"default"`.
 //!
 //! ```
 //! use engine::{scheduler, Catalog, Plan, Table};
@@ -77,8 +81,7 @@
 
 use crate::explain::QueryExplain;
 use crate::{cost, execute, Catalog, EngineError, NodeStats, Plan, QueryOutput, Table};
-use serde::Serialize;
-use sim::{Device, DeviceConfig, LaneRecord, OpStats, QueueLimits, SimTime, Trace};
+use sim::{Device, DeviceConfig, LaneRecord, SimTime, Trace};
 use std::collections::HashMap;
 use std::panic::{resume_unwind, AssertUnwindSafe};
 
@@ -89,23 +92,20 @@ use std::panic::{resume_unwind, AssertUnwindSafe};
 pub type Policy = sim::SchedPolicy;
 
 /// Admission-control configuration for a serving session: how deep the
-/// waiting room may grow (in total and per tenant class) before
-/// arrivals are shed, and whether the predicted-memory gate rejects
-/// queries whose cost-model memory floor already exceeds their budget.
+/// waiting room may grow before arrivals are shed, and whether the
+/// predicted-memory gate rejects queries whose cost-model memory floor
+/// already exceeds their budget.
 ///
-/// The default is the PR-8 behavior: unbounded queue, no gate.
+/// The default is an unbounded queue, no gate and no replay.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingConfig {
     /// Maximum queries *waiting for admission* (arrived, not yet holding a
     /// reservation) across all classes — running queries do not count,
-    /// exactly as [`sim::QueueLimits::total_depth`] documents. An arrival
-    /// that cannot be admitted on the spot and finds that many already
-    /// waiting is shed with [`EngineError::QueueShed`]; `Some(0)` means
-    /// nothing ever waits. `None` is unbounded.
+    /// exactly as [`Device::sched_start`] documents. An arrival that
+    /// cannot be admitted on the spot and finds that many already waiting
+    /// is shed with [`EngineError::QueueShed`]; `Some(0)` means nothing
+    /// ever waits. `None` is unbounded.
     pub total_depth: Option<usize>,
-    /// Per-class waiting-room limits, by class name, counted the same
-    /// way. Classes not listed are unbounded (up to `total_depth`).
-    pub per_class_depth: Vec<(String, usize)>,
     /// When set, a query whose predicted peak memory
     /// ([`cost::estimate`]) exceeds its budget is rejected before
     /// registration with [`EngineError::AdmissionRejected`] instead of
@@ -138,12 +138,6 @@ impl ServingConfig {
     /// Bound the number of queries waiting for admission.
     pub fn with_total_depth(mut self, depth: usize) -> Self {
         self.total_depth = Some(depth);
-        self
-    }
-
-    /// Bound one class's queries waiting for admission.
-    pub fn with_class_depth(mut self, class: impl Into<String>, depth: usize) -> Self {
-        self.per_class_depth.push((class.into(), depth));
         self
     }
 
@@ -215,10 +209,12 @@ impl QuerySpec {
     }
 }
 
-/// One open-loop request: a [`QuerySpec`] that *arrives* at a scheduled
-/// simulated time instead of being present at session start. The tenant
-/// `class` labels the request's latency observations in the device's
-/// metrics registry (`query_latency_seconds{class=...}` and friends).
+/// One served request: a [`QuerySpec`] that *arrives* at a simulated time,
+/// in a tenant class. An open-loop request arrives on its own schedule; a
+/// closed-loop tenant of [`run_queries`] arrives at session start in class
+/// `"default"`. The `class` labels the request's latency observations in
+/// the device's metrics registry (`query_latency_seconds{class=...}` and
+/// friends).
 #[derive(Debug, Clone)]
 pub struct OpenQuery {
     /// Scheduled arrival on the simulated clock.
@@ -240,32 +236,8 @@ impl OpenQuery {
     }
 }
 
-/// One operator of a finished query, flattened out of the [`NodeStats`]
-/// tree in pre-order: the display label plus the shared per-operator
-/// report. The flat form is what per-tenant accounting wants — summing
-/// `op` fields over the breakdown reproduces the whole-query totals,
-/// because each node's stats exclude its children.
-#[derive(Debug, Clone, Serialize)]
-pub struct OperatorBreakdown {
-    /// Node description (operator + parameters + chosen algorithm).
-    pub label: String,
-    /// The node's own report, children excluded.
-    pub op: OpStats,
-}
-
-/// Flatten a stats tree into pre-order [`OperatorBreakdown`] rows.
-fn flatten_breakdown(stats: &NodeStats, out: &mut Vec<OperatorBreakdown>) {
-    out.push(OperatorBreakdown {
-        label: stats.label.clone(),
-        op: stats.op.clone(),
-    });
-    for child in &stats.children {
-        flatten_breakdown(child, out);
-    }
-}
-
-/// Outcome of one tenant query in a [`run_queries`] or [`run_open_loop`]
-/// session.
+/// Outcome of one tenant query in a [`run_queries`] or
+/// [`run_open_loop_with`] session.
 pub struct QueryReport {
     /// Index of the originating spec in the `specs` argument (equal to the
     /// device-side query id when every spec passed registration).
@@ -277,7 +249,7 @@ pub struct QueryReport {
     /// Simulated device time the query's kernels received.
     pub busy: SimTime,
     /// When the query arrived: session start for [`run_queries`] tenants,
-    /// the scheduled arrival for [`run_open_loop`] requests.
+    /// the scheduled arrival for [`run_open_loop_with`] requests.
     pub arrival: SimTime,
     /// Device-clock time at which the query's memory reservation was
     /// granted; `admitted - arrival` is its admission-queue wait.
@@ -299,18 +271,6 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    /// The query's operators, flattened in pre-order — the per-tenant
-    /// stats breakdown. Empty when the query failed. Byte-identical to the
-    /// breakdown of a solo run of the same plan (modulo [`OpStats::query`]
-    /// tagging), the property `tests/scheduler_equivalence.rs` proves.
-    pub fn breakdown(&self) -> Vec<OperatorBreakdown> {
-        let mut rows = Vec::new();
-        if let Ok(out) = &self.result {
-            flatten_breakdown(&out.stats, &mut rows);
-        }
-        rows
-    }
-
     /// The query's attributed EXPLAIN ANALYZE report against the device it
     /// ran on. `None` when the query failed.
     pub fn explain(&self, cfg: &DeviceConfig) -> Option<QueryExplain> {
@@ -350,20 +310,17 @@ pub fn run_queries(
     policy: Policy,
 ) -> Vec<QueryReport> {
     let n = specs.len().max(1) as u64;
-    let entries: Vec<SessionEntry> = specs
+    let start = dev.elapsed();
+    let tenants = specs
         .into_iter()
-        .map(|spec| SessionEntry {
-            spec,
-            arrival: None,
-            class: None,
-        })
+        .map(|spec| OpenQuery::new(start, "default", spec))
         .collect();
     // Equal shares of the free capacity: every tenant is present at
     // session start, so all budgets can be live at once.
     run_session(
         dev,
         catalog,
-        entries,
+        tenants,
         policy,
         &ServingConfig::default(),
         |free| free / n,
@@ -395,22 +352,13 @@ pub fn run_queries(
 /// queue has no meaningful "equal share", and a quarter keeps a few
 /// requests admissible concurrently while still exercising admission
 /// queueing under load.
-pub fn run_open_loop(
-    dev: &Device,
-    catalog: &Catalog,
-    arrivals: Vec<OpenQuery>,
-    policy: Policy,
-) -> Vec<QueryReport> {
-    run_open_loop_with(dev, catalog, arrivals, policy, &ServingConfig::default())
-}
-
-/// [`run_open_loop`] with admission control: a bounded queue (total and
-/// per-class depth limits) that sheds arrivals with
-/// [`EngineError::QueueShed`] when full, and an optional predicted-memory
-/// gate that rejects doomed queries with
-/// [`EngineError::AdmissionRejected`] before they register. Shed and
-/// rejected queries never execute, never hold a reservation, and leave
-/// co-tenant observables untouched; they count into the per-class
+///
+/// `serving` adds admission control ([`ServingConfig::default`] has none):
+/// a bounded queue that sheds arrivals with [`EngineError::QueueShed`]
+/// when full, and an optional predicted-memory gate that rejects doomed
+/// queries with [`EngineError::AdmissionRejected`] before they register.
+/// Shed and rejected queries never execute, never hold a reservation, and
+/// leave co-tenant observables untouched; they count into the per-class
 /// `query_shed_total` / `query_rejected_total` metrics instead of the
 /// latency histograms.
 pub fn run_open_loop_with(
@@ -424,29 +372,13 @@ pub fn run_open_loop_with(
         arrivals.windows(2).all(|w| w[0].at <= w[1].at),
         "open-loop arrivals must be scheduled in non-decreasing time order"
     );
-    let entries: Vec<SessionEntry> = arrivals
-        .into_iter()
-        .map(|oq| SessionEntry {
-            spec: oq.spec,
-            arrival: Some(oq.at),
-            class: Some(oq.class),
-        })
-        .collect();
-    run_session(dev, catalog, entries, policy, serving, |free| free / 4)
-}
-
-struct SessionEntry {
-    spec: QuerySpec,
-    /// `None`: present at session start (closed loop).
-    arrival: Option<SimTime>,
-    /// Tenant class for latency metrics; `None` uses `"default"`.
-    class: Option<String>,
+    run_session(dev, catalog, arrivals, policy, serving, |free| free / 4)
 }
 
 fn run_session(
     dev: &Device,
     catalog: &Catalog,
-    entries: Vec<SessionEntry>,
+    entries: Vec<OpenQuery>,
     policy: Policy,
     serving: &ServingConfig,
     default_budget: impl Fn(u64) -> u64,
@@ -460,42 +392,7 @@ fn run_session(
     }
     // A traced device gives every query handle its own trace.
     let trace_queries = dev.tracing_enabled();
-    // Clock at session start: the arrival stamp of a closed-loop query
-    // rejected before registration (it never gets a device-side one).
-    let session_start = dev.elapsed();
-
-    // Tenant classes index the device-side per-class queue limits. The
-    // mapping is deterministic (first appearance in spec order), so limit
-    // checks — like everything else in the session — are functions of the
-    // specs alone.
-    let mut classes: Vec<&str> = Vec::new();
-    let class_ids: Vec<u32> = entries
-        .iter()
-        .map(|entry| {
-            let name = entry.class.as_deref().unwrap_or("default");
-            match classes.iter().position(|c| *c == name) {
-                Some(i) => i as u32,
-                None => {
-                    classes.push(name);
-                    (classes.len() - 1) as u32
-                }
-            }
-        })
-        .collect();
-    let mut per_class_depth: Vec<Option<usize>> = vec![None; classes.len()];
-    for (name, depth) in &serving.per_class_depth {
-        if let Some(i) = classes.iter().position(|c| c == name) {
-            let slot = &mut per_class_depth[i];
-            *slot = Some(slot.map_or(*depth, |d| d.min(*depth)));
-        }
-    }
-    dev.sched_start_with(
-        policy,
-        QueueLimits {
-            total_depth: serving.total_depth,
-            per_class_depth,
-        },
-    );
+    dev.sched_start(policy, serving.total_depth);
     let free = dev
         .mem_capacity()
         .saturating_sub(dev.mem_report().current_bytes);
@@ -509,8 +406,7 @@ fn run_session(
     }
     let registered: Vec<Registered> = entries
         .iter()
-        .zip(&class_ids)
-        .map(|(entry, &class_id)| {
+        .map(|entry| {
             let spec = &entry.spec;
             let budget = spec.budget_bytes.unwrap_or(fallback_budget);
             // The cost model's prediction drives SJF ordering and the
@@ -531,26 +427,22 @@ fn run_session(
                     },
                 };
             }
+            // The class and its SLO target label the scheduler-side record,
+            // so retire-time lifecycle rows (and the burn-rate series)
+            // carry them.
             let handle = dev.sched_register_spec(
                 spec.weight,
                 budget,
-                entry.arrival,
+                Some(entry.at),
                 SimTime::from_secs(predicted.secs),
-                Some(class_id),
+                Some(&entry.class),
+                serving.slo_for(&entry.class).map(SimTime::from_secs),
             );
             match handle {
                 Ok(qdev) => {
                     if trace_queries {
                         qdev.enable_tracing();
                     }
-                    // Label the scheduler-side record with the tenant
-                    // class and its SLO target so retire-time lifecycle
-                    // rows (and the burn-rate series) carry them.
-                    let class_name = entry.class.as_deref().unwrap_or("default");
-                    qdev.sched_label(
-                        class_name,
-                        serving.slo_for(class_name).map(SimTime::from_secs),
-                    );
                     Registered::Query { qdev }
                 }
                 Err(e) => Registered::Rejected {
@@ -618,7 +510,7 @@ fn run_session(
         results[i] = Some(result);
     });
 
-    let reports: Vec<QueryReport> = registered
+    registered
         .into_iter()
         .zip(results)
         .zip(&entries)
@@ -627,18 +519,15 @@ fn run_session(
             let (query, sched, result, peak_mem_bytes, trace) = match reg {
                 Registered::Rejected { budget, err } => {
                     // Rejected before registration: no device query id
-                    // exists, and every stamp is the arrival — the
-                    // scheduled one for open-loop requests, session start
-                    // otherwise.
-                    let at = entry.arrival.unwrap_or(session_start).secs();
-                    let class = entry.class.as_deref().unwrap_or("default");
+                    // exists, and every stamp is the arrival.
+                    let at = entry.at.secs();
                     let sched = sim::QuerySchedStats {
                         arrival_secs: at,
                         admitted_secs: at,
                         completion_secs: at,
                         budget_bytes: budget,
-                        class: Some(class.to_string()),
-                        slo_secs: serving.slo_for(class),
+                        class: Some(entry.class.clone()),
+                        slo_secs: serving.slo_for(&entry.class),
                         ..Default::default()
                     };
                     (None, sched, Err(err), 0, None)
@@ -673,9 +562,7 @@ fn run_session(
             emit_lifecycle(dev, query, sched, &report.result);
             report
         })
-        .collect();
-    dev.sched_finish();
-    reports
+        .collect()
 }
 
 /// `out`, a recorded execution's result, as the query of `qdev` returns it
@@ -837,13 +724,10 @@ mod tests {
         specs.push(QuerySpec::new(distinct.clone()).with_budget(1024));
         specs.push(QuerySpec::new(distinct.clone()).with_budget(1024));
         let n = specs.len() as u64;
-        let entries = specs
+        let start = dev.elapsed();
+        let tenants = specs
             .into_iter()
-            .map(|spec| SessionEntry {
-                spec,
-                arrival: None,
-                class: None,
-            })
+            .map(|spec| OpenQuery::new(start, "default", spec))
             .collect();
         let serving = ServingConfig {
             replay,
@@ -853,7 +737,7 @@ mod tests {
         let reports = run_session(
             &dev,
             &catalog,
-            entries,
+            tenants,
             Policy::RoundRobin,
             &serving,
             |free| free / n,

@@ -449,7 +449,7 @@ mod tests {
     /// (requested bytes, in-use bytes, label); `None` if it fits.
     fn budget_error(run: &dyn Fn(&Device) -> Out, budget: u64) -> Option<(u64, u64, String)> {
         let dev = Device::new(config());
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q = dev
             .sched_register(1.0, budget)
             .expect("the device has room");
@@ -460,7 +460,6 @@ mod tests {
                 seen = Some((err.requested_bytes, err.in_use_bytes, err.label.clone()));
             }
         });
-        dev.sched_finish();
         seen
     }
 

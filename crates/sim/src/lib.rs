@@ -130,7 +130,7 @@ pub use metrics::{
     metrics_json, openmetrics, secs_to_ticks, HdrHistogram, MetricsRegistry, MetricsSnapshot,
     QueryLifecycle, SECONDS_SCALE,
 };
-pub use sched::{AdmissionError, BudgetError, QueryId, QuerySchedStats, QueueLimits, SchedPolicy};
+pub use sched::{AdmissionError, BudgetError, QueryId, QuerySchedStats, SchedPolicy};
 pub use stats::OpStats;
 pub use time::{PhaseTimes, SimTime};
 pub use trace::{
@@ -688,30 +688,28 @@ impl Device {
     /// allocations, e.g. a catalog) as the pool query budgets are reserved
     /// from, and discards any previous session's per-query state. Panics if
     /// a session is already active.
-    pub fn sched_start(&self, policy: SchedPolicy) {
-        self.sched_start_with(policy, QueueLimits::default());
-    }
-
-    /// [`Device::sched_start`] with explicit waiting-room bounds: an
-    /// arrival that cannot be admitted immediately and finds the (total or
-    /// per-class) queue full is *shed* — it never runs, and its
-    /// [`QuerySchedStats::shed`] is set.
-    pub fn sched_start_with(&self, policy: SchedPolicy, limits: QueueLimits) {
+    ///
+    /// `total_depth` bounds the waiting room (arrived queries not yet
+    /// holding a reservation): an arrival that cannot be admitted
+    /// immediately and finds that many already waiting is *shed* — it
+    /// never runs, and its [`QuerySchedStats::shed`] is set. `Some(0)`
+    /// admits on arrival or sheds; `None` is unbounded.
+    pub fn sched_start(&self, policy: SchedPolicy, total_depth: Option<usize>) {
         assert!(self.query.is_none(), "sched_start on a query handle");
         let mut st = self.lock();
         st.queries.clear();
         let used = st.base.mem.report().current_bytes;
         let available = st.base.capacity.saturating_sub(used);
-        st.sched.start(policy, available, limits);
+        st.sched.start(policy, available, total_depth);
         // Exec slices exist for the lifecycle timeline; record them only
         // when the base trace will consume them.
         st.sched.record_slices = st.base.trace.is_some();
     }
 
-    /// Register a query that is present now, with no cost prediction and
-    /// no admission class (see [`Device::sched_register_spec`]).
+    /// Register a query that is present now, with no cost prediction,
+    /// class or SLO (see [`Device::sched_register_spec`]).
     pub fn sched_register(&self, weight: f64, budget_bytes: u64) -> Result<Device, AdmissionError> {
-        self.sched_register_spec(weight, budget_bytes, None, SimTime::ZERO, None)
+        self.sched_register_spec(weight, budget_bytes, None, SimTime::ZERO, None, None)
     }
 
     /// Register a query with the active session, reserving it a memory
@@ -731,16 +729,17 @@ impl Device {
     /// non-decreasing time order — query ids are assigned in call order,
     /// and id order must equal arrival order for FIFO to mean
     /// FIFO-by-arrival. `predicted` is the cost model's execution time
-    /// (the ranking key of the shortest-job policies) and `class` an
-    /// admission class index (matched against
-    /// [`QueueLimits::per_class_depth`]).
+    /// (the ranking key of the shortest-job policies). `class` and `slo`
+    /// (a latency target on `completion - arrival`) label the query's
+    /// [`QuerySchedStats`] for lifecycle exports and SLO accounting.
     pub fn sched_register_spec(
         &self,
         weight: f64,
         budget_bytes: u64,
         arrival: Option<SimTime>,
         predicted: SimTime,
-        class: Option<u32>,
+        class: Option<&str>,
+        slo: Option<SimTime>,
     ) -> Result<Device, AdmissionError> {
         assert!(
             self.query.is_none(),
@@ -748,14 +747,16 @@ impl Device {
         );
         let mut st = self.lock();
         let now = st.base.clock;
-        let qid = st.sched.register_spec(
-            now,
-            weight,
+        let stats = QuerySchedStats {
+            arrival_secs: arrival.map_or(now, SimTime::secs),
             budget_bytes,
-            arrival.map_or(now, |a| a.secs()),
-            predicted.secs(),
-            class,
-        )?;
+            class: class.map(str::to_string),
+            slo_secs: slo.map(SimTime::secs),
+            ..Default::default()
+        };
+        let qid = st
+            .sched
+            .register_spec(now, weight, predicted.secs(), stats)?;
         debug_assert_eq!(st.queries.len(), qid as usize);
         st.queries.push(QueryState {
             lane: Lane::new(&self.inner.config, QUERY_ADDR_BASE, budget_bytes),
@@ -769,8 +770,10 @@ impl Device {
         })
     }
 
-    /// Run the session to completion on the calling thread. Call on the
-    /// base handle after registering every query.
+    /// Run the session to completion on the calling thread, then end it.
+    /// Call on the base handle after registering every query. Per-query
+    /// stats, slices and traces stay readable until the next
+    /// [`Device::sched_start`].
     ///
     /// Execute, then schedule: the moment a query's reservation is granted,
     /// `exec` is called with its id and must run the query to completion on
@@ -814,6 +817,7 @@ impl Device {
                 Some(qid) => dev.replay_turn(qid),
                 None => {
                     if !dev.sched.idle_advance(&mut dev.base.clock) {
+                        dev.sched.finish();
                         return;
                     }
                 }
@@ -873,30 +877,12 @@ impl Device {
         }
     }
 
-    /// Attach a serving-class label and optional latency target to a
-    /// registered query, for lifecycle exports and SLO accounting. Call on
-    /// the query handle.
-    pub fn sched_label(&self, class: &str, slo: Option<SimTime>) {
-        let qid = self.query.expect("sched_label on a non-query handle");
-        self.lock()
-            .sched
-            .annotate(qid, Some(class.to_string()), slo.map(|s| s.secs()));
-    }
-
     /// The exec slices (contiguous runs of kernel turns, device-clock
     /// `[start, end]` pairs) recorded for a query of the current or
     /// just-finished session. Empty unless the base trace was enabled when
     /// the session started.
     pub fn sched_query_slices(&self, query: QueryId) -> Vec<(f64, f64)> {
         self.lock().sched.slices(query)
-    }
-
-    /// End the session. Call on the base handle after [`Device::sched_run`]
-    /// returned. Per-query stats and traces remain readable until the next
-    /// [`Device::sched_start`].
-    pub fn sched_finish(&self) {
-        assert!(self.query.is_none(), "sched_finish on a query handle");
-        self.lock().sched.finish();
     }
 
     /// Scheduling outcome (busy time, completion time, budget) of a query in
@@ -958,7 +944,7 @@ mod tests {
     #[test]
     fn query_handles_virtualize_device_state() {
         let dev = Device::a100();
-        dev.sched_start(SchedPolicy::RoundRobin);
+        dev.sched_start(SchedPolicy::RoundRobin, None);
         let q0 = dev.sched_register(1.0, 1 << 30).unwrap();
         let q1 = dev.sched_register(1.0, 1 << 30).unwrap();
         assert_eq!(q0.query_id(), Some(0));
@@ -984,7 +970,6 @@ mod tests {
                 drop(buf);
             }
         });
-        dev.sched_finish();
         assert_eq!(ran, vec![0, 1]);
         assert_eq!(dev.counters().kernel_launches, 1);
         assert_eq!(dev.elapsed(), q0.elapsed());
@@ -1002,7 +987,7 @@ mod tests {
         // first turn — and q2 is granted the freed budget at that clock.
         let dev = Device::a100();
         let half = dev.config().global_mem_bytes / 2;
-        dev.sched_start(SchedPolicy::RoundRobin);
+        dev.sched_start(SchedPolicy::RoundRobin, None);
         let q: Vec<Device> = (0..3)
             .map(|_| dev.sched_register(1.0, half).unwrap())
             .collect();
@@ -1012,7 +997,6 @@ mod tests {
             1 => {}
             _ => t[2] = stream(&q[2], 1 << 22),
         });
-        dev.sched_finish();
         let s: Vec<QuerySchedStats> = (0..3).map(|i| dev.sched_query_stats(i)).collect();
         assert_eq!((s[1].admitted_secs, s[1].completion_secs), (0.0, 0.0));
         assert_eq!(s[1].started_secs, None);
@@ -1024,6 +1008,9 @@ mod tests {
         assert_eq!(s[0].completion_secs, dev.elapsed().secs());
         assert!(s[2].completion_secs < s[0].completion_secs);
         assert_eq!(dev.counters().kernel_launches, 3);
+        // The drained loop ended the session: the next one starts at once.
+        dev.sched_start(SchedPolicy::Serial, None);
+        assert_eq!(dev.sched_register(1.0, half).unwrap().query_id(), Some(0));
     }
 
     #[test]
@@ -1032,7 +1019,7 @@ mod tests {
         cfg.global_mem_bytes = 1 << 20;
         let dev = Device::new(cfg);
         let cap = dev.config().global_mem_bytes;
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q0 = dev.sched_register(1.0, cap).unwrap();
         let q1 = dev.sched_register(1.0, cap).unwrap();
         let (mut t0, mut t1) = (Vec::new(), 0.0);
@@ -1049,7 +1036,6 @@ mod tests {
             let err = oom.unwrap_err().downcast::<BudgetError>().unwrap();
             assert_eq!((err.query, err.budget_bytes), (0, cap));
         });
-        dev.sched_finish();
         let (s0, s1) = (dev.sched_query_stats(0), dev.sched_query_stats(1));
         // Both pre-failure kernels were charged to the device, in order...
         assert_eq!(s0.busy_secs, t0[0] + t0[1]);
@@ -1104,7 +1090,7 @@ mod tests {
         let base_trace = base.take_trace().unwrap();
 
         let dev = Device::a100();
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q = dev
             .sched_register(1.0, dev.config().global_mem_bytes)
             .unwrap();
@@ -1113,7 +1099,6 @@ mod tests {
             let before_reset = lane_program(&q);
             seen = Some((before_reset, observe(&q)));
         });
-        dev.sched_finish();
         let (before_reset, query_seen) = seen.unwrap();
         let mut query_trace = q.take_trace().unwrap();
 
@@ -1166,7 +1151,7 @@ mod tests {
 
         // On a query lane: a typed `BudgetError` against the lane capacity,
         // with the lock released and nothing device-wide touched.
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q = dev.sched_register(1.0, cap / 2).unwrap();
         let mut outlives = None;
         dev.sched_run(|_| {
@@ -1182,7 +1167,6 @@ mod tests {
             stream(&q, 1 << 16);
             outlives = Some(kept);
         });
-        dev.sched_finish();
         assert_eq!(dev.mem_report().current_bytes, 4096);
         let snap = dev.metrics_snapshot().unwrap();
         for name in ["mem_current_bytes", "mem_high_water_bytes"] {
@@ -1193,10 +1177,9 @@ mod tests {
 
         // A query buffer may outlive its session: once the next
         // `sched_start` has cleared the slots its drop credits nothing.
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         drop(outlives);
         assert_eq!(dev.mem_report().current_bytes, 4096);
-        dev.sched_finish();
         drop(resident);
         assert_eq!(dev.mem_report().live_allocations, 0);
     }
@@ -1234,11 +1217,10 @@ mod tests {
         // record bit for bit; the turn replays that same record onto the
         // base lane, whose counters and metrics totals grow by it together.
         let (c0, t0) = (dev.counters(), totals(&dev));
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q = dev.sched_register(1.0, 1 << 20).unwrap();
         q.enable_tracing();
         dev.sched_run(|_| launch(&q));
-        dev.sched_finish();
         let work = last_kernel(q.take_trace().unwrap()).work;
         assert_eq!(q.counters(), work);
         let turn = last_kernel(dev.take_trace().unwrap());
@@ -1264,7 +1246,7 @@ mod tests {
         assert_eq!(dev.counters(), Counters::default());
         assert_eq!(dev.trace_snapshot().unwrap().events.len(), 0);
 
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q = dev.sched_register(1.0, 1 << 20).unwrap();
         q.enable_tracing();
         let observe = |h: &Device| {
@@ -1284,7 +1266,6 @@ mod tests {
             assert_eq!(counters.kernel_launches, 1);
             assert_eq!((elapsed.secs(), events, timeline), (t, 1, 1));
         });
-        dev.sched_finish();
         // Only the query handle's launch reached the base lane.
         assert_eq!(dev.counters(), q.counters());
         assert_eq!(dev.elapsed().secs(), t);
@@ -1294,10 +1275,9 @@ mod tests {
     #[test]
     fn oversized_budget_is_rejected() {
         let dev = Device::a100();
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let cap = dev.config().global_mem_bytes;
         let err = dev.sched_register(1.0, cap + 1).unwrap_err();
         assert_eq!(err.available_bytes, cap);
-        dev.sched_finish();
     }
 }

@@ -490,7 +490,7 @@ mod tests {
         let mut cfg = DeviceConfig::a100();
         cfg.global_mem_bytes = 1 << 20;
         let dev = Device::new(cfg);
-        dev.sched_start(SchedPolicy::Serial);
+        dev.sched_start(SchedPolicy::Serial, None);
         let q = dev.sched_register(1.0, 1 << 19).unwrap();
         let mut seen = String::new();
         dev.sched_run(|_| {
@@ -504,7 +504,6 @@ mod tests {
             assert_eq!(q.mem_report(), before, "a refused charge leaves no trace");
             seen = format!("{err:?}");
         });
-        dev.sched_finish();
         seen
     }
 

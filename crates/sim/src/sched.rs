@@ -15,10 +15,11 @@
 //!   cost for the shortest-job policies); a query whose budget does not fit
 //!   queues behind the head of that line until earlier queries retire and
 //!   release theirs. Because the sum of granted budgets never exceeds the
-//!   free capacity, no tenant can OOM a co-tenant. Sessions may also bound
-//!   the waiting room ([`QueueLimits`]): an arrival that cannot be admitted
-//!   immediately and finds the queue full is *shed* — marked finished
-//!   without ever holding a reservation — rather than waiting forever.
+//!   free capacity, no tenant can OOM a co-tenant. A session may also bound
+//!   the waiting room (the `total_depth` of [`crate::Device::sched_start`]):
+//!   an arrival that cannot be admitted immediately and finds that many
+//!   queries already waiting is *shed* — marked finished without ever
+//!   holding a reservation — rather than waiting forever.
 //! * **Kernel-granular interleaving** — the loop asks for the designated
 //!   query, charges that query's next recorded kernel to the device clock,
 //!   and completes the turn. The designation is a pure function of
@@ -94,22 +95,6 @@ impl SchedPolicy {
     fn cost_ordered(self) -> bool {
         matches!(self, SchedPolicy::Sjf | SchedPolicy::SjfAging)
     }
-}
-
-/// Bounds on the waiting room (arrived but not yet admitted queries) of a
-/// scheduling session. The default is unbounded — the pre-existing
-/// behaviour. With `total_depth: Some(0)` nothing ever waits: a query is
-/// admitted the instant it arrives or shed on the spot, which degrades the
-/// bounded queue to pure admission control.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueueLimits {
-    /// Maximum queries that may wait for admission at once, across all
-    /// classes. `None` = unbounded.
-    pub total_depth: Option<usize>,
-    /// Per-class waiting caps, indexed by the class index a query was
-    /// registered with. Classes beyond the vector (or `None` entries) are
-    /// uncapped.
-    pub per_class_depth: Vec<Option<usize>>,
 }
 
 /// Typed payload carried by the panic a budget-capped allocation raises
@@ -192,9 +177,10 @@ pub struct QuerySchedStats {
     /// The query was shed by the bounded queue: it never held a
     /// reservation and ran nothing.
     pub shed: bool,
-    /// Serving class label, when the session annotated one.
+    /// Serving class label, when the query registered with one.
     pub class: Option<String>,
-    /// Per-class latency target (seconds), when the session set one.
+    /// Per-class latency target (seconds), when the query registered with
+    /// one.
     pub slo_secs: Option<f64>,
 }
 
@@ -205,8 +191,6 @@ pub(crate) struct QuerySched {
     /// the ranking key of the shortest-job policies. Zero when the caller
     /// has no estimate.
     predicted_secs: f64,
-    /// Admission class index, for per-class queue depth limits.
-    admission_class: Option<u32>,
     admitted: bool,
     finished: bool,
     /// Whether the clock has reached `stats.arrival_secs`. Until then the
@@ -226,7 +210,9 @@ pub(crate) struct QuerySched {
 #[derive(Default)]
 pub(crate) struct SchedState {
     policy: Option<SchedPolicy>,
-    limits: QueueLimits,
+    /// Maximum queries that may wait for admission at once; `None` is
+    /// unbounded, `Some(0)` admits on arrival or sheds.
+    total_depth: Option<usize>,
     queries: Vec<QuerySched>,
     designated: Option<QueryId>,
     /// Round-robin resume point: the first id considered for the next turn.
@@ -245,13 +231,18 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    pub(crate) fn start(&mut self, policy: SchedPolicy, available_bytes: u64, limits: QueueLimits) {
+    pub(crate) fn start(
+        &mut self,
+        policy: SchedPolicy,
+        available_bytes: u64,
+        total_depth: Option<usize>,
+    ) {
         assert!(
             self.policy.is_none(),
             "a scheduling session is already active on this device"
         );
         self.policy = Some(policy);
-        self.limits = limits;
+        self.total_depth = total_depth;
         self.queries.clear();
         self.designated = None;
         self.rr_cursor = 0;
@@ -261,10 +252,12 @@ impl SchedState {
         self.record_slices = false;
     }
 
+    /// End the session once its loop has drained. Per-query stats and
+    /// slices stay readable until the next [`SchedState::start`].
     pub(crate) fn finish(&mut self) {
         assert!(
             self.queries.iter().all(|q| q.finished),
-            "sched_finish with unretired queries"
+            "a session ended with unretired queries"
         );
         self.policy = None;
         self.designated = None;
@@ -274,36 +267,34 @@ impl SchedState {
         self.policy.is_some()
     }
 
-    /// Register a query with its full serving spec; returns its id.
-    /// Admission (the actual reservation) happens separately, in policy
-    /// order. `arrival_secs` may lie in the future (open-loop load
-    /// generation): until the clock reaches it the query is invisible to
-    /// admission and designation, and when every in-system query has
-    /// drained and only future arrivals remain the clock jumps forward
-    /// (see [`SchedState::idle_advance`]). `predicted_secs` is the
-    /// shortest-job ranking key, `class` indexes the per-class queue limits.
+    /// Register a query; returns its id. `stats` starts the query's
+    /// record: its arrival, budget, class and SLO. Admission (the actual
+    /// reservation) happens separately, in policy order. The arrival may
+    /// lie in the future (open-loop load generation): until the clock
+    /// reaches it the query is invisible to admission and designation, and
+    /// when every in-system query has drained and only future arrivals
+    /// remain the clock jumps forward (see [`SchedState::idle_advance`]).
+    /// `predicted_secs` is the shortest-job ranking key.
     pub(crate) fn register_spec(
         &mut self,
         now: f64,
         weight: f64,
-        budget_bytes: u64,
-        arrival_secs: f64,
         predicted_secs: f64,
-        class: Option<u32>,
+        stats: QuerySchedStats,
     ) -> Result<QueryId, AdmissionError> {
         assert!(self.active(), "sched_register outside a session");
         assert!(weight > 0.0, "query weight must be positive");
         assert!(
-            arrival_secs.is_finite(),
+            stats.arrival_secs.is_finite(),
             "query arrival time must be finite"
         );
         assert!(
             predicted_secs.is_finite() && predicted_secs >= 0.0,
             "predicted time must be finite and non-negative"
         );
-        if budget_bytes > self.available_bytes {
+        if stats.budget_bytes > self.available_bytes {
             return Err(AdmissionError {
-                requested_bytes: budget_bytes,
+                requested_bytes: stats.budget_bytes,
                 available_bytes: self.available_bytes,
             });
         }
@@ -311,31 +302,13 @@ impl SchedState {
         self.queries.push(QuerySched {
             weight,
             predicted_secs,
-            admission_class: class,
             admitted: false,
             finished: false,
-            arrived: arrival_secs <= now,
+            arrived: stats.arrival_secs <= now,
             slices: Vec::new(),
-            stats: QuerySchedStats {
-                arrival_secs,
-                budget_bytes,
-                ..Default::default()
-            },
+            stats,
         });
         Ok(id)
-    }
-
-    /// Attach a serving-class label and latency target to a registered
-    /// query, for lifecycle exports and SLO accounting.
-    pub(crate) fn annotate(
-        &mut self,
-        id: QueryId,
-        class_name: Option<String>,
-        slo_secs: Option<f64>,
-    ) {
-        let stats = &mut self.queries[id as usize].stats;
-        stats.class = class_name;
-        stats.slo_secs = slo_secs;
     }
 
     /// The exec slices recorded for a query (empty unless
@@ -430,36 +403,22 @@ impl SchedState {
     /// Shed newly arrived queries that were not admitted on arrival and
     /// find the waiting room full. `candidates` are processed in id order;
     /// a shed query finishes immediately (completion = arrival) without
-    /// ever holding a reservation. With unbounded limits this is a no-op.
+    /// ever holding a reservation. With an unbounded room this is a no-op.
     fn shed_overflow(&mut self, candidates: &[QueryId]) {
+        let Some(cap) = self.total_depth else {
+            return;
+        };
         for &id in candidates {
             if !Self::waiting(&self.queries[id as usize]) {
                 continue;
             }
-            let class = self.queries[id as usize].admission_class;
-            let others = |st: &SchedState, same_class: bool| {
-                st.queries
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, q)| {
-                        *i as QueryId != id
-                            && Self::waiting(q)
-                            && (!same_class || q.admission_class == class)
-                    })
-                    .count()
-            };
-            let mut shed = self
-                .limits
-                .total_depth
-                .is_some_and(|cap| others(self, false) >= cap);
-            if !shed {
-                if let Some(c) = class {
-                    if let Some(&Some(cap)) = self.limits.per_class_depth.get(c as usize) {
-                        shed = others(self, true) >= cap;
-                    }
-                }
-            }
-            if shed {
+            let others = self
+                .queries
+                .iter()
+                .enumerate()
+                .filter(|&(i, q)| i as QueryId != id && Self::waiting(q))
+                .count();
+            if others >= cap {
                 let q = &mut self.queries[id as usize];
                 q.finished = true;
                 q.stats.shed = true;
@@ -605,40 +564,38 @@ mod tests {
     }
 
     impl Session {
-        fn new(policy: SchedPolicy, available: u64, limits: QueueLimits) -> Self {
+        fn new(policy: SchedPolicy, available: u64, total_depth: Option<usize>) -> Self {
             let mut st = SchedState::default();
-            st.start(policy, available, limits);
+            st.start(policy, available, total_depth);
             Session { st, clock: 0.0 }
         }
 
         /// Unbounded session with unit-weight queries present at the start,
         /// admitted in one pass.
         fn closed(policy: SchedPolicy, budgets: &[u64], available: u64) -> Self {
-            let mut s = Session::new(policy, available, QueueLimits::default());
+            let mut s = Session::new(policy, available, None);
             for &b in budgets {
-                s.add(1.0, b, 0.0, 0.0, None);
+                s.add(1.0, b, 0.0, 0.0);
             }
             s.admit();
             s
         }
 
         /// Register without running the arrival pipeline.
-        fn add(
-            &mut self,
-            weight: f64,
-            budget: u64,
-            arrival: f64,
-            predicted: f64,
-            class: Option<u32>,
-        ) {
+        fn add(&mut self, weight: f64, budget: u64, arrival: f64, predicted: f64) {
+            let stats = QuerySchedStats {
+                arrival_secs: arrival,
+                budget_bytes: budget,
+                ..Default::default()
+            };
             self.st
-                .register_spec(self.clock, weight, budget, arrival, predicted, class)
+                .register_spec(self.clock, weight, predicted, stats)
                 .unwrap();
         }
 
         /// Register the way the device does: arrival pipeline included.
-        fn arrive(&mut self, budget: u64, class: Option<u32>) {
-            self.add(1.0, budget, self.clock, 0.0, class);
+        fn arrive(&mut self, budget: u64) {
+            self.add(1.0, budget, self.clock, 0.0);
             let id = self.st.queries.len() as QueryId - 1;
             self.st.on_register(id, self.clock);
         }
@@ -711,9 +668,9 @@ mod tests {
 
     #[test]
     fn weighted_fair_shares_busy_time_by_weight() {
-        let mut s = Session::new(SchedPolicy::WeightedFair, 100, QueueLimits::default());
-        s.add(3.0, 10, 0.0, 0.0, None);
-        s.add(1.0, 10, 0.0, 0.0, None);
+        let mut s = Session::new(SchedPolicy::WeightedFair, 100, None);
+        s.add(3.0, 10, 0.0, 0.0);
+        s.add(1.0, 10, 0.0, 0.0);
         s.admit();
         let mut turns = [0u32; 2];
         for _ in 0..8 {
@@ -744,8 +701,8 @@ mod tests {
 
     #[test]
     fn future_arrivals_are_invisible_until_the_clock_reaches_them() {
-        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
-        s.add(1.0, 10, 5.0, 0.0, None);
+        let mut s = Session::new(SchedPolicy::Serial, 100, None);
+        s.add(1.0, 10, 5.0, 0.0);
         s.admit();
         assert!(!s.admitted(0), "query 0 has not arrived yet");
         assert_eq!(s.designated(), None);
@@ -765,9 +722,9 @@ mod tests {
 
     #[test]
     fn kernel_turns_advance_the_clock_and_admit_arrivals() {
-        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
-        s.add(1.0, 10, 0.0, 0.0, None);
-        s.add(1.0, 10, 2.5, 0.0, None);
+        let mut s = Session::new(SchedPolicy::Serial, 100, None);
+        s.add(1.0, 10, 0.0, 0.0);
+        s.add(1.0, 10, 2.5, 0.0);
         s.admit();
         assert_eq!(s.designated(), Some(0));
         assert!(!s.admitted(1));
@@ -793,10 +750,10 @@ mod tests {
         // candidate; the retire that follows passes the turn on at the
         // same clock, and the budget it frees is granted there too.
         for policy in [SchedPolicy::Sjf, SchedPolicy::Serial] {
-            let mut s = Session::new(policy, 100, QueueLimits::default());
-            s.add(1.0, 40, 0.0, 1.0, None);
-            s.add(1.0, 40, 0.0, 5.0, None);
-            s.add(1.0, 40, 0.0, 9.0, None);
+            let mut s = Session::new(policy, 100, None);
+            s.add(1.0, 40, 0.0, 1.0);
+            s.add(1.0, 40, 0.0, 5.0);
+            s.add(1.0, 40, 0.0, 9.0);
             s.admit();
             assert!(s.admitted(0) && s.admitted(1) && !s.admitted(2));
             s.turn(0, 0.25);
@@ -821,10 +778,10 @@ mod tests {
 
     #[test]
     fn sjf_designates_by_predicted_time() {
-        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
-        s.add(1.0, 10, 0.0, 5.0, None);
-        s.add(1.0, 10, 0.0, 1.0, None);
-        s.add(1.0, 10, 0.0, 3.0, None);
+        let mut s = Session::new(SchedPolicy::Sjf, 100, None);
+        s.add(1.0, 10, 0.0, 5.0);
+        s.add(1.0, 10, 0.0, 1.0);
+        s.add(1.0, 10, 0.0, 3.0);
         s.admit();
         assert_eq!(s.designated(), Some(1), "smallest predicted time first");
         s.turn(1, 1.0);
@@ -837,9 +794,9 @@ mod tests {
 
     #[test]
     fn sjf_preempts_at_kernel_boundaries() {
-        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
-        s.add(1.0, 10, 0.0, 10.0, None);
-        s.add(1.0, 10, 0.5, 1.0, None);
+        let mut s = Session::new(SchedPolicy::Sjf, 100, None);
+        s.add(1.0, 10, 0.0, 10.0);
+        s.add(1.0, 10, 0.5, 1.0);
         s.admit();
         assert_eq!(s.designated(), Some(0), "only job in the system");
         s.turn(0, 1.0);
@@ -852,9 +809,9 @@ mod tests {
 
     #[test]
     fn sjf_admits_reservations_in_cost_order() {
-        let mut s = Session::new(SchedPolicy::Sjf, 100, QueueLimits::default());
-        s.add(1.0, 80, 0.0, 9.0, None);
-        s.add(1.0, 80, 0.0, 2.0, None);
+        let mut s = Session::new(SchedPolicy::Sjf, 100, None);
+        s.add(1.0, 80, 0.0, 9.0);
+        s.add(1.0, 80, 0.0, 2.0);
         s.admit();
         assert!(
             !s.admitted(0) && s.admitted(1),
@@ -867,14 +824,14 @@ mod tests {
 
     #[test]
     fn aging_decays_rank_with_waiting_time() {
-        let mut s = Session::new(SchedPolicy::SjfAging, 100, QueueLimits::default());
+        let mut s = Session::new(SchedPolicy::SjfAging, 100, None);
         // A long job arrives first; short jobs keep arriving behind it.
         // Pure SJF would hand every turn to the freshest short job; aging
         // divides a job's rank by its time in system, so the long job's
         // effective rank decays below a fresh short job's.
-        s.add(1.0, 10, 0.0, 8.0, None); // long
-        s.add(1.0, 10, 1.0, 1.0, None); // short @ 1s
-        s.add(1.0, 10, 8.0, 1.0, None); // short @ 8s
+        s.add(1.0, 10, 0.0, 8.0); // long
+        s.add(1.0, 10, 1.0, 1.0); // short @ 1s
+        s.add(1.0, 10, 8.0, 1.0); // short @ 8s
         s.admit();
         assert_eq!(s.designated(), Some(0), "only arrival so far");
         s.turn(0, 1.0);
@@ -902,19 +859,12 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_on_arrival() {
-        let mut s = Session::new(
-            SchedPolicy::Serial,
-            100,
-            QueueLimits {
-                total_depth: Some(1),
-                per_class_depth: Vec::new(),
-            },
-        );
+        let mut s = Session::new(SchedPolicy::Serial, 100, Some(1));
         // 0 takes the whole device; 1 waits (depth 1); 2 finds the waiting
         // room full and is shed.
-        s.arrive(100, None);
-        s.arrive(10, None);
-        s.arrive(10, None);
+        s.arrive(100);
+        s.arrive(10);
+        s.arrive(10);
         assert!(s.admitted(0) && !s.shed(0));
         assert!(!s.admitted(1) && !s.shed(1), "within depth: waits");
         assert!(s.shed(2), "overflow arrival is shed");
@@ -928,42 +878,13 @@ mod tests {
     }
 
     #[test]
-    fn per_class_depth_sheds_only_that_class() {
-        let mut s = Session::new(
-            SchedPolicy::Serial,
-            100,
-            QueueLimits {
-                total_depth: None,
-                per_class_depth: vec![Some(0), None],
-            },
-        );
-        s.arrive(100, None);
-        // Class 0 may never wait; class 1 may queue freely.
-        s.arrive(10, Some(0));
-        s.arrive(10, Some(1));
-        assert!(s.shed(1), "class 0 has a zero-depth queue");
-        assert!(!s.shed(2), "class 1 is uncapped and waits");
-        s.retire(0);
-        assert!(s.admitted(2));
-        s.retire(2);
-        s.st.finish();
-    }
-
-    #[test]
     fn zero_capacity_queue_admits_immediately_or_sheds() {
-        let mut s = Session::new(
-            SchedPolicy::Serial,
-            100,
-            QueueLimits {
-                total_depth: Some(0),
-                per_class_depth: Vec::new(),
-            },
-        );
+        let mut s = Session::new(SchedPolicy::Serial, 100, Some(0));
         // Fits right away: admitted, never waited, never shed.
-        s.arrive(60, None);
+        s.arrive(60);
         assert!(s.admitted(0) && !s.shed(0));
         // Would have to wait: shed on the spot.
-        s.arrive(60, None);
+        s.arrive(60);
         assert!(s.shed(1));
         s.retire(0);
         s.st.finish();
@@ -971,10 +892,12 @@ mod tests {
 
     #[test]
     fn oversized_budget_is_rejected_at_registration() {
-        let mut s = Session::new(SchedPolicy::Serial, 100, QueueLimits::default());
-        let err =
-            s.st.register_spec(0.0, 1.0, 101, 0.0, 0.0, None)
-                .unwrap_err();
+        let mut s = Session::new(SchedPolicy::Serial, 100, None);
+        let stats = QuerySchedStats {
+            budget_bytes: 101,
+            ..Default::default()
+        };
+        let err = s.st.register_spec(0.0, 1.0, 0.0, stats).unwrap_err();
         assert_eq!(err.requested_bytes, 101);
         assert_eq!(err.available_bytes, 100);
         assert!(err.to_string().contains("exceeds"));

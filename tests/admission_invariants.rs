@@ -15,9 +15,6 @@
 //! * **shed-only-when-full** — a bounded admission queue sheds an arrival
 //!   exactly when the waiting room is at capacity, and an unbounded queue
 //!   never sheds; shed queries run nothing and complete at their arrival;
-//! * **per-class depth** — a depth on one class (names mapped to indices in
-//!   first-arrival order, tightest duplicate wins, unknown names inert)
-//!   sheds that class alone and leaves co-tenant reports bit-unchanged;
 //! * **SJF ordering** — under [`Policy::Sjf`] (and, for simultaneous
 //!   arrivals, [`Policy::SjfAging`]) completion order is exactly the cost
 //!   model's predicted-time order;
@@ -202,7 +199,7 @@ proptest! {
             let dev = device();
             let cat = catalog(&dev);
             let arrivals = arrivals_of(&schedule, dev.elapsed().secs());
-            let reports = engine::run_open_loop(&dev, &cat, arrivals, policy);
+            let reports = engine::run_open_loop_with(&dev, &cat, arrivals, policy, &ServingConfig::default());
             let mut total_busy = 0.0f64;
             for r in &reports {
                 prop_assert!(r.result.is_ok(), "{policy:?} q{}: {:?}", r.query, r.result.as_ref().err());
@@ -446,7 +443,8 @@ fn budget_waiters_are_admitted_exactly_at_the_releasing_completion() {
                     OpenQuery::new(t0, "all", spec)
                 })
                 .collect();
-            let reports = engine::run_open_loop(&dev, &cat, arrivals, policy);
+            let reports =
+                engine::run_open_loop_with(&dev, &cat, arrivals, policy, &ServingConfig::default());
             let trace = dev.take_trace().expect("base tracing is on");
             let ctx = format!("{policy:?} rep {rep}");
 
@@ -490,78 +488,6 @@ fn budget_waiters_are_admitted_exactly_at_the_releasing_completion() {
             match &first {
                 None => first = Some(stamps),
                 Some(f) => assert_eq!(f, &stamps, "{ctx}: session differs from rep 0"),
-            }
-        }
-    }
-}
-
-/// Per-class depth through the engine: class names map to the device's
-/// class indices in first-*arrival* order (not the config's), duplicate
-/// entries keep the tightest depth, and a name no arrival carries limits
-/// nothing. Three full-pool "a" queries arrive ahead of two "b" ones; with
-/// depth 0 on "b" the b's are shed at the door while the a's — two of them
-/// waiting — are not, and since FIFO admission would have served the b's
-/// last anyway, every "a" report is unchanged to the bit by the limit.
-#[test]
-fn class_depth_sheds_only_its_class_and_leaves_co_tenants_unchanged() {
-    let fingerprint = |r: &QueryReport| {
-        let out = r.result.as_ref().expect("class a completes");
-        format!(
-            "{:?} {:?} {:?}",
-            (out.table.rows_sorted(), &out.stats),
-            [r.arrival, r.admitted, r.started, r.completion, r.busy].map(|t| t.secs().to_bits()),
-            (r.budget_bytes, r.peak_mem_bytes),
-        )
-    };
-    for policy in [Policy::Serial, Policy::RoundRobin, Policy::WeightedFair] {
-        let run = |serving: &ServingConfig| {
-            let dev = device();
-            let cat = catalog(&dev);
-            let free = dev.mem_capacity() - dev.mem_report().current_bytes;
-            let t0 = dev.elapsed();
-            let arrivals = ["a", "a", "a", "b", "b"]
-                .iter()
-                .enumerate()
-                .map(|(i, class)| {
-                    let spec = QuerySpec::new(plan_of(1 + i as u8)).with_budget(free);
-                    OpenQuery::new(t0, *class, spec)
-                })
-                .collect();
-            let reports = engine::run_open_loop_with(&dev, &cat, arrivals, policy, serving);
-            let shed_total = |class: &str| {
-                dev.metrics_snapshot()
-                    .expect("metrics recorder is on")
-                    .registry
-                    .counter("query_shed_total", &[("class", class)])
-            };
-            (reports, shed_total("a"), shed_total("b"))
-        };
-        let limited = ServingConfig::new()
-            .with_class_depth("b", 2)
-            .with_class_depth("ghost", 0)
-            .with_class_depth("b", 0)
-            .with_class_depth("b", 2);
-        let (with_limit, shed_a, shed_b) = run(&limited);
-        let (without, ..) = run(&ServingConfig::new());
-
-        assert_eq!((shed_a, shed_b), (0, 2), "{policy:?}: shed counters");
-        for (r, free_run) in with_limit.iter().zip(&without) {
-            assert!(free_run.result.is_ok(), "{policy:?}: no limit, no shed");
-            if r.query < 3 {
-                assert_eq!(
-                    fingerprint(r),
-                    fingerprint(free_run),
-                    "{policy:?} q{}: a co-tenant of the limited class moved",
-                    r.query
-                );
-            } else {
-                assert!(
-                    matches!(r.result, Err(EngineError::QueueShed { query }) if query == r.query),
-                    "{policy:?} q{} (class b) must be shed: {:?}",
-                    r.query,
-                    r.result.as_ref().err()
-                );
-                assert_eq!(r.completion, r.arrival, "shed at the door");
             }
         }
     }

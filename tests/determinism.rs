@@ -784,7 +784,7 @@ fn group_by_budget_error(
 ) -> Option<(String, u64, u64)> {
     let dev = device(1024.0);
     let (input, aggs) = group_by_input(&dev, 2_000, cols);
-    dev.sched_start(SchedPolicy::Serial);
+    dev.sched_start(SchedPolicy::Serial, None);
     let q = dev
         .sched_register(1.0, budget)
         .expect("the device has room");
@@ -796,7 +796,6 @@ fn group_by_budget_error(
             seen = Some((err.label.clone(), err.requested_bytes, err.in_use_bytes));
         }
     });
-    dev.sched_finish();
     seen
 }
 

@@ -14,7 +14,7 @@
 //!   next arrival instead of busy-waiting);
 //! * the cumulative `*_total` sampler series are monotone.
 
-use gpu_join::engine::scheduler::{OpenQuery, Policy, QuerySpec};
+use gpu_join::engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
 use gpu_join::engine::{self, AggSpec, Catalog, Expr, Plan, Table};
 use gpu_join::prelude::*;
 use gpu_join::sim::{metrics_json, openmetrics, secs_to_ticks, MetricsSnapshot};
@@ -121,7 +121,13 @@ fn exports_are_byte_identical_across_reruns() {
                 )
             })
             .collect();
-        let reports = engine::run_open_loop(&dev, &cat, arrivals, Policy::Serial);
+        let reports = engine::run_open_loop_with(
+            &dev,
+            &cat,
+            arrivals,
+            Policy::Serial,
+            &ServingConfig::default(),
+        );
         assert!(reports.iter().all(|r| r.result.is_ok()));
         exports(&dev.metrics_snapshot().expect("metrics recorder is on"))
     };
@@ -206,7 +212,13 @@ fn open_loop_arrivals_respect_the_simulated_clock() {
             QuerySpec::new(tenant_plans().remove(1)),
         ),
     ];
-    let reports = engine::run_open_loop(&dev, &cat, arrivals, Policy::Serial);
+    let reports = engine::run_open_loop_with(
+        &dev,
+        &cat,
+        arrivals,
+        Policy::Serial,
+        &ServingConfig::default(),
+    );
     for r in &reports {
         assert!(r.result.is_ok());
         assert!(

@@ -150,7 +150,7 @@ fn flatten_stats(n: &NodeStats, out: &mut Vec<(String, String)>) {
 /// runs of the same plan compare equal. `strip_ledger` additionally zeroes
 /// `peak_mem_bytes`: peaks are ledger-scoped (device-wide solo vs
 /// per-tenant in-session), so solo-vs-shared comparisons exclude them.
-fn canonical_op(label: &str, op: &gpu_join::sim::OpStats, strip_ledger: bool) -> (String, String) {
+fn canonical_op(label: &str, op: &OpStats, strip_ledger: bool) -> (String, String) {
     let mut op = op.clone();
     op.query = None;
     if strip_ledger {
@@ -162,13 +162,27 @@ fn canonical_op(label: &str, op: &gpu_join::sim::OpStats, strip_ledger: bool) ->
     )
 }
 
+/// A report's operators flattened in pre-order, `(label, OpStats)` per
+/// node; empty when the query failed.
+fn breakdown(report: &QueryReport) -> Vec<(String, OpStats)> {
+    fn walk(n: &NodeStats, out: &mut Vec<(String, OpStats)>) {
+        out.push((n.label.clone(), n.op.clone()));
+        for c in &n.children {
+            walk(c, out);
+        }
+    }
+    let mut rows = Vec::new();
+    if let Ok(out) = &report.result {
+        walk(&out.stats, &mut rows);
+    }
+    rows
+}
+
 /// Canonical form of a report's per-operator breakdown.
-fn canonical_breakdown(
-    rows: &[engine::OperatorBreakdown],
-    strip_ledger: bool,
-) -> Vec<(String, String)> {
-    rows.iter()
-        .map(|r| canonical_op(&r.label, &r.op, strip_ledger))
+fn canonical_breakdown(report: &QueryReport, strip_ledger: bool) -> Vec<(String, String)> {
+    breakdown(report)
+        .iter()
+        .map(|(label, op)| canonical_op(label, op, strip_ledger))
         .collect()
 }
 
@@ -220,8 +234,8 @@ fn assert_reports_identical(a: &QueryReport, b: &QueryReport, ctx: &str) {
     // The flattened breakdown and the attributed explain are derived from
     // the same stats, so they must agree byte-for-byte across policies too.
     assert_eq!(
-        canonical_breakdown(&a.breakdown(), false),
-        canonical_breakdown(&b.breakdown(), false),
+        canonical_breakdown(a, false),
+        canonical_breakdown(b, false),
         "{ctx}: per-operator breakdown"
     );
     let cfg = DeviceConfig::a100().scaled(8192.0);
@@ -301,7 +315,7 @@ fn eight_concurrent_queries_match_solo_execution() {
         canonical_tree(&solo.stats, true, &mut solo_flat);
         assert_eq!(
             solo_flat,
-            canonical_breakdown(&report.breakdown(), true),
+            canonical_breakdown(report, true),
             "q{}: per-tenant breakdown must equal the solo-run breakdown",
             report.query
         );
@@ -455,27 +469,24 @@ fn assert_matches_solo(
             y.as_ref().err()
         ),
     }
-    let tagged = |rows: Vec<engine::OperatorBreakdown>, from: u32| -> Vec<(String, String)> {
-        rows.into_iter()
-            .map(|mut r| {
+    let tagged = |report: &QueryReport, from: u32| -> Vec<(String, String)> {
+        breakdown(report)
+            .into_iter()
+            .map(|(label, mut op)| {
                 assert_eq!(
-                    r.op.query,
+                    op.query,
                     Some(from),
                     "{ctx}: operator tagged with its query"
                 );
-                r.op.query = Some(q);
+                op.query = Some(q);
                 (
-                    r.label,
-                    serde_json::to_string(&r.op).expect("OpStats serializes"),
+                    label,
+                    serde_json::to_string(&op).expect("OpStats serializes"),
                 )
             })
             .collect()
     };
-    assert_eq!(
-        tagged(report.breakdown(), q),
-        tagged(solo.breakdown(), 0),
-        "{ctx}: breakdown"
-    );
+    assert_eq!(tagged(report, q), tagged(solo, 0), "{ctx}: breakdown");
     assert_eq!(
         report.peak_mem_bytes, solo.peak_mem_bytes,
         "{ctx}: ledger peak"

@@ -18,7 +18,7 @@ use gpu_join::prelude::*;
 use gpu_join::sim::trace::Trace;
 use gpu_join::sim::QueryId;
 
-use engine::scheduler::{OpenQuery, Policy, QuerySpec};
+use engine::scheduler::{OpenQuery, Policy, QuerySpec, ServingConfig};
 
 fn device() -> Device {
     let dev = Device::new(DeviceConfig::a100().scaled(8192.0));
@@ -257,7 +257,8 @@ fn sjf_short_class_p99_beats_fifo_under_mixed_load() {
                 )
             })
             .collect();
-        let reports = engine::run_open_loop(&dev, &cat, arrivals, policy);
+        let reports =
+            engine::run_open_loop_with(&dev, &cat, arrivals, policy, &ServingConfig::default());
         assert!(
             reports.iter().all(|r| r.result.is_ok()),
             "{policy:?}: unbounded queue must complete everything"
@@ -351,7 +352,8 @@ fn aging_bounds_the_longest_jobs_completion() {
                 QuerySpec::new(short_plan()),
             )
         }));
-        let reports = engine::run_open_loop(&dev, &cat, arrivals, policy);
+        let reports =
+            engine::run_open_loop_with(&dev, &cat, arrivals, policy, &ServingConfig::default());
         assert!(reports.iter().all(|r| r.result.is_ok()));
         reports.iter().map(|r| r.completion.secs()).collect()
     };
